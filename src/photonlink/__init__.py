@@ -3,7 +3,7 @@ entanglement between two circuit-QED nodes over a lossy directional channel."""
 
 __version__ = "0.1.0"
 
-from .qops import DensityMatrix, LinearOperator, mhz, to_mhz  # noqa: F401
+from .qops import DensityMatrix, mhz, to_mhz  # noqa: F401
 from .device import LinkParams, NodeParams, load_device  # noqa: F401
 from .pulse import DriveEnvelope, StarkModel  # noqa: F401
 from .protocols import (  # noqa: F401

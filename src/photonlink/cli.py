@@ -16,6 +16,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import device as dev
@@ -35,6 +36,16 @@ SCENARIOS = (
 )
 
 SWEEPABLE = ("eta_c", "t_scale", "kappa_eff", "time_offset", "fock", "dt", "idle_ns")
+
+# (photon bandwidth field, node index): the resonators each scenario's photons
+# pass through; every other link scenario sends A's photon through A and B
+_BANDWIDTH_PATHS = {
+    "emit-a": (("kappa_eff_a", 0),),
+    "emit-b": (("kappa_eff_b", 1),),
+    "transfer": (("kappa_eff_a", 0), ("kappa_eff_a", 1), ("kappa_eff_b", 1)),
+    "readout-sim": (),
+}
+_LINK_PATHS = (("kappa_eff_a", 0), ("kappa_eff_a", 1))
 
 
 class ConfigError(ValueError):
@@ -69,7 +80,7 @@ def build_parser():
     return parser
 
 
-def _spec_from_args(args) -> protocols.ProtocolSpec:
+def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {args.scenario!r}; choose from {SCENARIOS}")
     if args.shots is not None and args.exact:
@@ -103,7 +114,35 @@ def _spec_from_args(args) -> protocols.ProtocolSpec:
             raise ConfigError("--kappa-eff must be positive (linear MHz)")
         kwargs["kappa_eff_a"] = args.kappa_eff
         kwargs["kappa_eff_b"] = args.kappa_eff
-    return protocols.ProtocolSpec(**kwargs)
+    spec = protocols.ProtocolSpec(**kwargs)
+    for name, node in _BANDWIDTH_PATHS.get(args.scenario, _LINK_PATHS):
+        kappa_t = nodes_link[node].kappa_T
+        if getattr(spec, name) > kappa_t:
+            raise ConfigError(
+                f"photon bandwidth {getattr(spec, name)} MHz exceeds node "
+                f"{'AB'[node]}'s kappa_T of {kappa_t} MHz"
+            )
+    return spec
+
+
+def _sweep_specs(args, nodes_link):
+    """(value, spec) of every sweep point, each validated like a single run."""
+    if not args.sweep_param or args.sweep_param not in SWEEPABLE:
+        raise ConfigError(f"--sweep-param must be one of {SWEEPABLE}")
+    if not args.sweep_values:
+        raise ConfigError("--sweep-values must be a non-empty comma-separated list")
+    try:
+        values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep values: {exc}") from exc
+    if not values:
+        raise ConfigError("--sweep-values must be a non-empty comma-separated list")
+    points = []
+    for value in values:
+        point = argparse.Namespace(**vars(args))
+        setattr(point, args.sweep_param, int(value) if args.sweep_param == "fock" else value)
+        points.append((value, _spec_from_args(point, nodes_link)))
+    return points
 
 
 def _json_default(obj):
@@ -129,8 +168,8 @@ def _write_state_json(path: Path, rho: np.ndarray, dims):
     )
 
 
-def _write_manifest(outdir: Path, args, spec):
-    node_a, node_b, link = dev.load_device(args.device)
+def _write_manifest(outdir: Path, args, spec, nodes_link):
+    node_a, node_b, link = nodes_link
     manifest = {
         "scenario": args.scenario,
         "config": asdict(spec),
@@ -143,16 +182,13 @@ def _write_manifest(outdir: Path, args, spec):
         "versions": {
             "photonlink": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "sweep": {"param": args.sweep_param, "values": args.sweep_values},
         "truncate_sweep": bool(args.truncate_sweep),
     }
     _write_json(outdir / "manifest.json", manifest)
-
-
-def _nodes_link(args):
-    return dev.load_device(args.device)
 
 
 def _metrics_summary(bundle: metrics.MetricsBundle):
@@ -166,10 +202,11 @@ def _metrics_summary(bundle: metrics.MetricsBundle):
     }
 
 
-def _run_emit(args, spec, outdir, node):
-    nl = _nodes_link(args)
-    pop_run = protocols.run_emission(spec, node, "f", nodes_link=nl)
-    field_run = protocols.run_emission(replace(spec, name=spec.name + "-field"), node, "gf", nodes_link=nl)
+def _run_emit(args, spec, nodes_link, outdir, node):
+    pop_run = protocols.run_emission(spec, node, "f", nodes_link=nodes_link)
+    field_run = protocols.run_emission(
+        replace(spec, name=spec.name + "-field"), node, "gf", nodes_link=nodes_link
+    )
     write_trajectory_csv(pop_run.trajectory, outdir / "trajectory.csv")
     write_trajectory_csv(field_run.trajectory, outdir / "trajectory_mean_field.csv")
     if args.truncate_sweep:
@@ -196,8 +233,8 @@ def _write_truncation_csv(run, path, node, every_ns=2.0):
             )
 
 
-def _run_transfer(args, spec, outdir):
-    eff, runs = protocols.run_transfer_efficiencies(spec, nodes_link=_nodes_link(args))
+def _run_transfer(spec, nodes_link, outdir):
+    eff, runs = protocols.run_transfer_efficiencies(spec, nodes_link=nodes_link)
     write_trajectory_csv(runs["with"].trajectory, outdir / "trajectory_absorption_on.csv")
     write_trajectory_csv(runs["without"].trajectory, outdir / "trajectory_absorption_off.csv")
     write_trajectory_csv(runs["emit_a"].trajectory, outdir / "trajectory_emit_a.csv")
@@ -210,8 +247,8 @@ def _run_transfer(args, spec, outdir):
     }
 
 
-def _run_qpt(args, spec, outdir):
-    res = protocols.run_state_transfer_qpt(spec, nodes_link=_nodes_link(args))
+def _run_qpt(spec, nodes_link, outdir):
+    res = protocols.run_state_transfer_qpt(spec, nodes_link=nodes_link)
     res.extras["chi"].to_json(outdir / "chi.json")
     return {
         "process_fidelity": res.extras["process_fidelity"],
@@ -220,10 +257,10 @@ def _run_qpt(args, spec, outdir):
     }
 
 
-def _run_entangle(args, spec, outdir):
+def _run_entangle(spec, nodes_link, outdir):
     from . import tomography
 
-    res = protocols.run_entanglement(spec, nodes_link=_nodes_link(args))
+    res = protocols.run_entanglement(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
     _write_state_json(outdir / "rho_two_qutrit_direct.json", res.extras["rho9_direct"], (3, 3))
     _write_state_json(outdir / "rho_two_qutrit_tomography.json", res.extras["rho9_tomography"], (3, 3))
@@ -239,21 +276,21 @@ def _run_entangle(args, spec, outdir):
     return _metrics_summary(bundle)
 
 
-def _run_upgrade(args, spec, outdir):
-    res = protocols.run_upgrade_scenario(spec, nodes_link=_nodes_link(args))
+def _run_upgrade(spec, nodes_link, outdir):
+    res = protocols.run_upgrade_scenario(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
     bundle.to_json(outdir / "metrics.json")
     return _metrics_summary(bundle)
 
 
-def _run_budget(args, spec, outdir):
-    budget = protocols.error_budget(spec, nodes_link=_nodes_link(args))
+def _run_budget(spec, nodes_link, outdir):
+    budget = protocols.error_budget(spec, nodes_link=nodes_link)
     payload = {k: v for k, v in budget.items() if k != "runs"}
     _write_json(outdir / "budget.json", payload)
     return payload
 
 
-def _run_readout_sim(args, spec, outdir):
+def _run_readout_sim(spec, outdir):
     shots = spec.shots or 25000
     rng = np.random.default_rng(spec.seed)
     summary = {}
@@ -296,29 +333,10 @@ def _run_readout_sim(args, spec, outdir):
     return summary
 
 
-def _run_sweep(args, spec, outdir):
-    if not args.sweep_param or args.sweep_param not in SWEEPABLE:
-        raise ConfigError(f"--sweep-param must be one of {SWEEPABLE}")
-    if not args.sweep_values:
-        raise ConfigError("--sweep-values must be a non-empty comma-separated list")
-    try:
-        values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values: {exc}") from exc
-    if not values:
-        raise ConfigError("--sweep-values must be a non-empty comma-separated list")
-    nl = _nodes_link(args)
+def _run_sweep(args, points, nodes_link, outdir):
     rows = []
-    for value in values:
-        if args.sweep_param == "eta_c":
-            run_spec = replace(spec, eta_c=value)
-        elif args.sweep_param == "kappa_eff":
-            run_spec = replace(spec, kappa_eff_a=value, kappa_eff_b=value)
-        elif args.sweep_param == "fock":
-            run_spec = replace(spec, fock=int(value))
-        else:
-            run_spec = replace(spec, **{args.sweep_param: value})
-        res = protocols.run_entanglement(run_spec, nodes_link=nl)
+    for value, run_spec in points:
+        res = protocols.run_entanglement(run_spec, nodes_link=nodes_link)
         row = {"value": value}
         row.update(_metrics_summary(res.extras["metrics"]))
         rows.append(row)
@@ -332,14 +350,16 @@ def _run_sweep(args, spec, outdir):
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # everything is validated before the first file is written
     try:
-        spec = _spec_from_args(args)
+        if args.device is not None and not Path(args.device).is_file():
+            raise ConfigError(f"device file not found: {args.device}")
+        nodes_link = dev.load_device(args.device)
+        spec = _spec_from_args(args, nodes_link)
+        points = _sweep_specs(args, nodes_link) if args.scenario == "sweep" else None
         outdir = Path(
             args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out"
         ) / args.scenario
-        if args.device is not None and not Path(args.device).is_file():
-            raise ConfigError(f"device file not found: {args.device}")
-        _nodes_link(args)  # validate the device file before writing anything
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -347,31 +367,29 @@ def run(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     log_lines = [f"photonlink {__version__} scenario={args.scenario} seed={spec.seed}"]
     try:
-        _write_manifest(outdir, args, spec)
+        _write_manifest(outdir, args, spec, nodes_link)
         if args.scenario in ("emit-a", "emit-b"):
-            summary = _run_emit(args, spec, outdir, "A" if args.scenario == "emit-a" else "B")
+            node = "A" if args.scenario == "emit-a" else "B"
+            summary = _run_emit(args, spec, nodes_link, outdir, node)
         elif args.scenario == "transfer":
-            summary = _run_transfer(args, spec, outdir)
+            summary = _run_transfer(spec, nodes_link, outdir)
         elif args.scenario == "qpt":
-            summary = _run_qpt(args, spec, outdir)
+            summary = _run_qpt(spec, nodes_link, outdir)
         elif args.scenario == "entangle":
-            summary = _run_entangle(args, spec, outdir)
+            summary = _run_entangle(spec, nodes_link, outdir)
         elif args.scenario == "upgrade":
-            summary = _run_upgrade(args, spec, outdir)
+            summary = _run_upgrade(spec, nodes_link, outdir)
         elif args.scenario == "budget":
-            summary = _run_budget(args, spec, outdir)
+            summary = _run_budget(spec, nodes_link, outdir)
         elif args.scenario == "readout-sim":
-            summary = _run_readout_sim(args, spec, outdir)
+            summary = _run_readout_sim(spec, outdir)
         else:
-            summary = _run_sweep(args, spec, outdir)
+            summary = _run_sweep(args, points, nodes_link, outdir)
     except TraceDriftError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         log_lines.append(f"numerical failure: {exc}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n")
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     _write_json(outdir / "summary.json", summary)
     log_lines.append("status: ok")

@@ -227,8 +227,6 @@ def build_hamiltonian(
     g_b: DriveEnvelope | None,
     fock: int = 3,
     lo_frame: bool = False,
-    detuning_T=(0.0, 0.0),
-    detuning_eg=(0.0, 0.0),
 ) -> TimeDependentOperator:
     """Effective two-node Hamiltonian with the circulator cascade term.
 
@@ -244,9 +242,8 @@ def build_hamiltonian(
     to its own transition local oscillator -- the frame in which resonant
     gate pulses are plain, time-independent unitaries.
 
-    Off-resonant drives are modelled through ``detuning_T``/``detuning_eg``
-    (rad/ns, one value per node), adding Delta_T a+a and Delta_eg b+b terms;
-    both default to zero, drives resonant with the Stark-shifted transitions.
+    The drives are resonant with the Stark-shifted transitions.  A node
+    without a drive envelope (None) is not driven.
     """
     dims = system_dims(fock)
     envs = [e for e in (g_a, g_b) if e is not None]
@@ -255,14 +252,12 @@ def build_hamiltonian(
     ):
         raise ValueError("drive envelopes must be sampled on a common grid")
     if not envs:
-        raise ValueError("at least one drive envelope (possibly zero) is required")
+        raise ValueError("at least one drive envelope is required")
     t = envs[0].t
 
     h0 = np.zeros((np.prod(dims),) * 2, dtype=complex)
     terms = []
-    for idx, (node, env, d_T, d_eg) in enumerate(
-        [(a_node, g_a, detuning_T[0], detuning_eg[0]), (b_node, g_b, detuning_T[1], detuning_eg[1])]
-    ):
+    for idx, (node, env) in enumerate([(a_node, g_a), (b_node, g_b)]):
         b, a = _node_ops(dims, idx)
         bd, ad = b.conj().T, a.conj().T
         alpha = mhz(node.alpha)
@@ -270,10 +265,6 @@ def build_hamiltonian(
             h0 += -0.5 * alpha * (bd @ b) + 0.5 * alpha * (bd @ bd @ b @ b)
         h0 += 0.5 * mhz(node.K) * (ad @ ad @ a @ a)
         h0 += 2.0 * mhz(node.chi_T) * (ad @ a) @ (bd @ b)
-        if d_T:
-            h0 += d_T * (ad @ a)
-        if d_eg:
-            h0 += d_eg * (bd @ b)
         if env is not None:
             coupling = (bd @ bd @ a) / np.sqrt(2.0)
             c = env.complex_samples()
@@ -295,23 +286,16 @@ def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams,
 
     Returns (name, operator) pairs: the emitter's standalone circulator-loss
     channel at kappa_T^A (1-eta_c), the joint cascade channel
-    sqrt(kappa_T^A eta_c) a_A + sqrt(kappa_T^B) a_B, and per node internal
+    :func:`output_field_op`, and per node internal
     resonator decay, transmon decay and transmon dephasing.
     """
     dims = system_dims(fock)
     _, a_a = _node_ops(dims, 0)
-    _, a_b = _node_ops(dims, 1)
     ops = []
     loss_rate = a_node.kappa_T_rad * (1.0 - link.eta_c)
     if loss_rate > 0:
         ops.append(("channel_loss", np.sqrt(loss_rate) * a_a))
-    ops.append(
-        (
-            "cascade_out",
-            np.sqrt(a_node.kappa_T_rad * link.eta_c) * a_a
-            + np.sqrt(b_node.kappa_T_rad) * a_b,
-        )
-    )
+    ops.append(("cascade_out", output_field_op(a_node, b_node, link, fock)))
     for idx, (name, node) in enumerate([("A", a_node), ("B", b_node)]):
         _, a_i = _node_ops(dims, idx)
         if node.kappa_int > 0:
@@ -324,7 +308,8 @@ def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams,
 
 
 def output_field_op(a_node: NodeParams, b_node: NodeParams, link: LinkParams, fock: int = 3):
-    """Field operator downstream of node B (the collective jump operator)."""
+    """Field operator downstream of node B: the cascade's collective jump
+    operator sqrt(kappa_T^A eta_c) a_A + sqrt(kappa_T^B) a_B."""
     dims = system_dims(fock)
     _, a_a = _node_ops(dims, 0)
     _, a_b = _node_ops(dims, 1)

@@ -22,6 +22,10 @@ from .qops import DensityMatrix
 G, E, F = 0, 1, 2
 
 
+# largest trace drift an integration may accumulate before it is aborted
+_TRACE_TOL = 1e-6
+
+
 class TraceDriftError(RuntimeError):
     """Integration became unstable: the state trace left its target."""
 
@@ -30,9 +34,10 @@ class TraceDriftError(RuntimeError):
 class Trajectory:
     """Time-resolved populations and field moments of a protocol run.
 
-    pops_* columns are (P_g, P_e, P_f).  a_mean_out/flux_out hold the field
-    downstream of node B once filled in by :func:`output_observables`;
-    expect carries any additional requested operator expectations.
+    pops_* columns are (P_g, P_e, P_f).  a_mean_out/flux_out hold <L> and
+    <L+L> of the field L downstream of node B once filled in by
+    :func:`output_observables`; expect carries any additional requested
+    operator expectations.
     """
 
     t: np.ndarray
@@ -53,7 +58,7 @@ class Trajectory:
     @property
     def photon_integral(self):
         if self.flux_out is None:
-            raise ValueError("output observables not computed for this trajectory")
+            raise ValueError("output field not recorded for this trajectory")
         return float(np.trapezoid(self.flux_out, self.t))
 
 
@@ -103,8 +108,6 @@ def integrate_me(
     *,
     expect=None,
     store_states=0,
-    trace_tol=1e-6,
-    qutrit_slots=None,
 ):
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid.
 
@@ -112,12 +115,12 @@ def integrate_me(
     integration grid) or a static matrix (then ``t`` is required).  ``expect``
     maps labels to operators whose expectation values Tr(O rho) are recorded
     at every grid point.  ``store_states`` > 0 stores a density-matrix
-    snapshot every that many steps (plus the final state).  ``qutrit_slots``
-    selects the subsystems whose level populations are tracked (default:
-    slots 0 and 2 of the four-part node layout, or slot 0 of a lone qutrit).
+    snapshot every that many steps (plus the final state).  Level
+    populations are tracked for slots 0 and 2 of the four-part node layout,
+    or else for every three-dimensional subsystem.
 
     Returns (Trajectory, final DensityMatrix).  Raises TraceDriftError if the
-    trace wanders further than ``trace_tol`` from its initial value.
+    trace wanders further than 1e-6 from its initial value.
     """
     if isinstance(hamiltonian, TimeDependentOperator):
         dims = hamiltonian.dims
@@ -169,13 +172,10 @@ def integrate_me(
                 out = out + coeff * (s_op @ v)
         return out
 
-    if qutrit_slots is None:
-        if len(dims) == 4:
-            qutrit_slots = (0, 2)
-        elif len(dims) == 1 and dims[0] == 3:
-            qutrit_slots = (0,)
-        else:
-            qutrit_slots = tuple(i for i, d in enumerate(dims) if d == 3)
+    if len(dims) == 4:
+        qutrit_slots = (0, 2)
+    else:
+        qutrit_slots = tuple(i for i, d in enumerate(dims) if d == 3)
     masks = _qutrit_masks(dims, qutrit_slots)
     pops = [np.empty((nt, 3)) for _ in masks]
     expect = expect or {}
@@ -207,7 +207,7 @@ def integrate_me(
         m = v.reshape(d, d)
         v = (0.5 * (m + m.conj().T)).reshape(-1)
         tr = record(k + 1, v)
-        if abs(tr - target_trace) > trace_tol:
+        if abs(tr - target_trace) > _TRACE_TOL:
             raise TraceDriftError(
                 f"trace drifted to {tr:.9f} (target {target_trace:.9f}) at "
                 f"t = {t[k + 1]:.2f} ns; reduce dt"
@@ -273,26 +273,19 @@ def two_level_oracle(g_env: DriveEnvelope, kappa: float, psi0=(1.0, 0.0)) -> Two
 
 
 # ---------------------------------------------------------------------------
-# output field observables and efficiencies
+# output field and efficiencies
 
-def output_observables(traj: Trajectory, kappa_T_B, eta_c, kappa_T_A):
-    """Fill in the field downstream of node B from recorded resonator moments.
+def output_observables(traj: Trajectory):
+    """Fill in the field downstream of node B from its recorded moments.
 
-    a_out = sqrt(kappa_T^B) a_B + sqrt(kappa_T^A eta_c) a_A, the collective
-    jump operator of the cascade; requires the trajectory to carry the
-    moments a_A, a_B, n_A, n_B and a_Ad_a_B.
+    The run must have recorded <L> and <L+L> of the cascade's jump operator
+    L (:func:`photonlink.device.output_field_op`) under the ``expect``
+    labels "a_out" and "n_out"; they move to a_mean_out and flux_out.
     """
-    need = {"a_A", "a_B", "n_A", "n_B", "a_Ad_a_B"}
-    if not need <= set(traj.expect):
-        raise ValueError(f"trajectory lacks field moments {need - set(traj.expect)}")
-    ca = np.sqrt(kappa_T_A * eta_c)
-    cb = np.sqrt(kappa_T_B)
-    traj.a_mean_out = cb * traj.expect["a_B"] + ca * traj.expect["a_A"]
-    traj.flux_out = (
-        cb**2 * traj.expect["n_B"].real
-        + ca**2 * traj.expect["n_A"].real
-        + 2.0 * ca * cb * traj.expect["a_Ad_a_B"].real
-    )
+    if not {"a_out", "n_out"} <= set(traj.expect):
+        raise ValueError("trajectory lacks the output-field moments a_out and n_out")
+    traj.a_mean_out = traj.expect.pop("a_out")
+    traj.flux_out = traj.expect.pop("n_out").real
     return traj.a_mean_out, traj.flux_out
 
 
@@ -304,16 +297,15 @@ class TransferEfficiencies:
     loss: float
 
 
-def rise_time(t, curve, lo=0.01, hi=0.99):
-    """Width of the rise of a saturating curve between lo and hi of its peak."""
-    peak = curve.max()
-    if peak <= 0:
-        raise ValueError("curve does not saturate at a positive value")
-    above_lo = np.nonzero(curve >= lo * peak)[0]
-    above_hi = np.nonzero(curve >= hi * peak)[0]
-    if len(above_lo) == 0 or len(above_hi) == 0:
-        raise ValueError("curve never crosses the requested thresholds")
-    return float(t[above_hi[0]] - t[above_lo[0]])
+def transfer_saturation(traj: Trajectory):
+    """Saturated mapped P_e at node B and the drive-start-to-saturation time.
+
+    The final pi_ef map swaps e and f, so the mapped P_e is P_f before it.
+    """
+    curve = traj.pops_B[:, F]
+    sat = curve.max()
+    k = np.nonzero(curve >= 0.99 * sat)[0][0]
+    return float(sat), float(traj.t[k] - traj.t[0])
 
 
 def efficiencies(traj_with, traj_without, traj_emit_a, traj_emit_b) -> TransferEfficiencies:
@@ -323,11 +315,8 @@ def efficiencies(traj_with, traj_without, traj_emit_a, traj_emit_b) -> TransferE
     and off (flux-based); traj_emit_a/traj_emit_b: emission of the mean-field
     photon (|0>+|1>)/sqrt(2) from each node (coherent-amplitude-based).
     """
-    for traj in (traj_with, traj_without):
-        if traj.flux_out is None:
-            raise ValueError("output observables missing; call output_observables first")
-    residual = np.trapezoid(traj_with.flux_out, traj_with.t)
-    reference = np.trapezoid(traj_without.flux_out, traj_without.t)
+    residual = traj_with.photon_integral
+    reference = traj_without.photon_integral
     if reference < 1e-12:
         raise ValueError("reference emission flux vanishes")
     absorption_eff = 1.0 - residual / reference
@@ -338,13 +327,10 @@ def efficiencies(traj_with, traj_without, traj_emit_a, traj_emit_b) -> TransferE
         raise ValueError("reference mean-field power vanishes")
     loss = 1.0 - power_a / power_b
 
-    pe_mapped = traj_with.pops_B[:, F]  # the final pi_ef map swaps e and f
-    plateau = pe_mapped.max()
-    k_sat = np.nonzero(pe_mapped >= 0.99 * plateau)[0][0]
+    plateau, saturation_ns = transfer_saturation(traj_with)
     return TransferEfficiencies(
-        transfer_eff=float(plateau),
-        # time from the start of the drive window to saturation of the plateau
-        saturation_ns=float(traj_with.t[k_sat] - traj_with.t[0]),
+        transfer_eff=plateau,
+        saturation_ns=saturation_ns,
         absorption_eff=float(absorption_eff),
         loss=float(loss),
     )

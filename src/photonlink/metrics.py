@@ -161,7 +161,6 @@ class MetricsBundle:
     ccnr: float
     residual_f_population: float
     qubit_block_trace: float
-    process_fidelity: float | None = None
     hs_distance: float | None = None
     pauli_expectations: dict | None = None
     gellmann_expectations: dict | None = None

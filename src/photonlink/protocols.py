@@ -18,13 +18,8 @@ import numpy as np
 
 from . import device as dev
 from . import metrics, pulse, readout, tomography
-from .qops import DensityMatrix, destroy, embed, ket, mhz, partial_trace
-from .dynamics import (
-    Trajectory,
-    efficiencies,
-    integrate_me,
-    output_observables,
-)
+from .qops import DensityMatrix, embed, ket, mhz, partial_trace
+from .dynamics import Trajectory, efficiencies, integrate_me, output_observables
 
 G, E, F = 0, 1, 2
 
@@ -68,6 +63,12 @@ class ProtocolSpec:
             raise ValueError("fock must be >= 2")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.t_scale <= 0:
+            raise ValueError("t_scale must be positive")
+        if self.idle_ns < 0:
+            raise ValueError("idle_ns must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.window[0] >= 0 or self.window[1] <= 0:
             raise ValueError("window must bracket the photon peak at t = 0")
 
@@ -116,53 +117,22 @@ def _grid(spec: ProtocolSpec):
     return np.arange(-n0, n1 + 1) * spec.dt
 
 
-def _zero_env(t, kappa_eff, kappa_t):
-    z = np.zeros_like(t)
-    return pulse.DriveEnvelope(t, z, z.copy(), kappa_eff, kappa_t)
-
-
-def _emission_env(spec, node, node_params, kappa_eff_mhz=None):
+def _drive(spec, node, kappa_eff_mhz, reverse=False, offset=0.0):
+    """The drive emitting a photon of bandwidth ``kappa_eff_mhz`` through
+    ``node``'s resonator, sampled on the drive window and zero-padded to the
+    run grid.  ``reverse`` gives the receiver drive instead: the time reverse
+    of that emission drive, delayed by ``offset`` ns."""
     t = _grid(spec)
-    keff = mhz(kappa_eff_mhz if kappa_eff_mhz is not None else
-               (spec.kappa_eff_a if node == "A" else spec.kappa_eff_b))
-    window_t = t[(t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)]
-    env = pulse.emission_drive(window_t, keff, node_params.kappa_T_rad)
+    keff = mhz(kappa_eff_mhz)
+    sel = (t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)
+    env = pulse.emission_drive(t[sel], keff, node.kappa_T_rad)
+    if reverse:
+        env = pulse.shift(pulse.absorption_drive(env), offset)
     g = np.zeros_like(t)
     ph = np.zeros_like(t)
-    sel = (t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)
     g[sel] = env.g_mag
     ph[sel] = env.phase
-    return pulse.DriveEnvelope(t, g, ph, keff, node_params.kappa_T_rad)
-
-
-def _absorption_env(spec, receiver_params, photon_kappa_eff_mhz, time_offset):
-    """Receiver drive: the time reverse of the drive that would emit the
-    incoming photon through the receiver's own resonator."""
-    t = _grid(spec)
-    keff = mhz(photon_kappa_eff_mhz)
-    window_t = t[(t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)]
-    emission_like = pulse.emission_drive(window_t, keff, receiver_params.kappa_T_rad)
-    absorb = pulse.absorption_drive(emission_like)
-    if time_offset:
-        absorb = pulse.shift(absorb, time_offset)
-    g = np.zeros_like(t)
-    ph = np.zeros_like(t)
-    sel = (t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)
-    g[sel] = absorb.g_mag
-    ph[sel] = absorb.phase
-    return pulse.DriveEnvelope(t, g, ph, keff, receiver_params.kappa_T_rad)
-
-
-def _field_ops(dims):
-    a_a = embed(destroy(dims[1]), 1, dims)
-    a_b = embed(destroy(dims[3]), 3, dims)
-    return {
-        "a_A": a_a,
-        "a_B": a_b,
-        "n_A": a_a.conj().T @ a_a,
-        "n_B": a_b.conj().T @ a_b,
-        "a_Ad_a_B": a_a.conj().T @ a_b,
-    }
+    return pulse.DriveEnvelope(t, g, ph, keff, node.kappa_T_rad)
 
 
 def _initial_state(dims, qutrit_a, qutrit_b):
@@ -182,15 +152,35 @@ QUTRIT_PREPS = {
 }
 
 
-def _integrate(spec, node_a, node_b, link, env_a, env_b, rho0, store_states=0):
-    h = dev.build_hamiltonian(
-        node_a, node_b, link, env_a, env_b, fock=spec.fock, lo_frame=True
+def _run_link(spec, nodes_link, emitter, prep, absorb=False, tau=None, store_states=0):
+    """Integrate one emission through the cascaded link.
+
+    Node ``emitter`` ('A' or 'B') starts in the qutrit state ``prep`` and
+    emits at its photon bandwidth, with the drive switched off after ``tau``
+    if given; the other node starts in |g, 0> and, unless ``absorb`` makes B
+    catch A's photon with the time-reversed drive, is not driven.  The mean
+    output field <L> and the flux <L+L> of the cascade's jump operator L are
+    recorded on the trajectory.  Returns (Trajectory, final DensityMatrix).
+    """
+    node_a, node_b, link = _resolve(nodes_link, spec)
+    from_a = emitter == "A"
+    keff = spec.kappa_eff_a if from_a else spec.kappa_eff_b
+    env = _drive(spec, node_a if from_a else node_b, keff)
+    if tau is not None:
+        env = pulse.truncate(env, tau)
+    catch = _drive(spec, node_b, keff, reverse=True, offset=link.time_offset) if absorb else None
+    env_a, env_b = (env, catch) if from_a else (None, env)
+    idle = ket(3, G)
+    rho0 = _initial_state(
+        dev.system_dims(spec.fock), prep if from_a else idle, idle if from_a else prep
     )
+    h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=spec.fock, lo_frame=True)
     cops = dev.build_collapse_ops(node_a, node_b, link, fock=spec.fock)
+    out = dev.output_field_op(node_a, node_b, link, fock=spec.fock)
     traj, rho_final = integrate_me(
-        h, cops, rho0, expect=_field_ops(h.dims), store_states=store_states
+        h, cops, rho0, expect={"a_out": out, "n_out": out.conj().T @ out}, store_states=store_states
     )
-    output_observables(traj, node_b.kappa_T_rad, link.eta_c, node_a.kappa_T_rad)
+    output_observables(traj)
     return traj, rho_final
 
 
@@ -200,7 +190,6 @@ def run_emission(
     initial: str = "f",
     tau: float | None = None,
     nodes_link=None,
-    store_states: int = 0,
 ) -> RunResult:
     """Emit a shaped photon from one node (the other node sits idle).
 
@@ -210,23 +199,7 @@ def run_emission(
     spec = spec or ProtocolSpec(
         name=f"emit-{node.lower()}", window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS
     )
-    node_a, node_b, link = _resolve(nodes_link, spec)
-    emitter = node_a if node == "A" else node_b
-    env = _emission_env(spec, node, emitter)
-    if tau is not None:
-        env = pulse.truncate(env, tau)
-    t = env.t
-    keff_other = mhz(spec.kappa_eff_b if node == "A" else spec.kappa_eff_a)
-    zero = _zero_env(t, keff_other, (node_b if node == "A" else node_a).kappa_T_rad)
-    env_a, env_b = (env, zero) if node == "A" else (zero, env)
-    dims = dev.system_dims(spec.fock)
-    prep = QUTRIT_PREPS[initial]
-    rho0 = _initial_state(
-        dims, prep if node == "A" else ket(3, G), prep if node == "B" else ket(3, G)
-    )
-    traj, rho_final = _integrate(
-        spec, node_a, node_b, link, env_a, env_b, rho0, store_states
-    )
+    traj, rho_final = _run_link(spec, nodes_link, node, QUTRIT_PREPS[initial], tau=tau)
     pops = traj.pops_A if node == "A" else traj.pops_B
     extras = {
         "final_populations": {"g": pops[-1, G], "e": pops[-1, E], "f": pops[-1, F]},
@@ -238,21 +211,14 @@ def run_emission(
     return RunResult(spec, traj, rho_final, extras)
 
 
-def _transfer_ingredients(spec, nodes_link, prep_a, absorption=True):
-    node_a, node_b, link = _resolve(nodes_link, spec)
-    env_a = _emission_env(spec, "A", node_a)
-    if absorption:
-        env_b = _absorption_env(spec, node_b, spec.kappa_eff_a, link.time_offset)
-    else:
-        env_b = _zero_env(env_a.t, mhz(spec.kappa_eff_a), node_b.kappa_T_rad)
-    dims = dev.system_dims(spec.fock)
-    rho0 = _initial_state(dims, prep_a, ket(3, G))
-    return node_a, node_b, link, env_a, env_b, dims, rho0
-
-
-def _apply_final_ef_map(rho, dims, slot=2):
-    u = embed(tomography.ef_swap(), slot, dims)
-    return u @ rho @ u.conj().T
+def _transfer(spec, nodes_link, prep_a, absorb=True, store_states=0):
+    """Emit from A prepared in ``prep_a``, absorb at B, and map B back with
+    an ideal pi_ef pulse.  Returns the trajectory and the two-qutrit state."""
+    traj, rho_final = _run_link(spec, nodes_link, "A", prep_a, absorb, store_states=store_states)
+    dims = rho_final.dims
+    u = embed(tomography.ef_swap(), 2, dims)
+    rho = u @ rho_final.data @ u.conj().T
+    return traj, partial_trace(rho, dims, keep=(0, 2))
 
 
 def run_transfer(
@@ -260,7 +226,6 @@ def run_transfer(
     prep: str = "e",
     absorption: bool = True,
     nodes_link=None,
-    store_states: int = 0,
 ) -> RunResult:
     """Excitation transfer A -> B.
 
@@ -271,19 +236,8 @@ def run_transfer(
     """
     spec = spec or ProtocolSpec(name="transfer")
     qubit = QUTRIT_PREPS[prep] if isinstance(prep, str) else np.asarray(prep, complex)
-    prep_a = tomography.ef_swap() @ qubit
-    node_a, node_b, link, env_a, env_b, dims, rho0 = _transfer_ingredients(
-        spec, nodes_link, prep_a, absorption
-    )
-    traj, rho_final = _integrate(
-        spec, node_a, node_b, link, env_a, env_b, rho0, store_states
-    )
-    rho = _apply_final_ef_map(rho_final.data, dims)
-    rho9 = partial_trace(rho, dims, keep=(0, 2))
-    extras = {
-        "transfer_pe_curve": traj.pops_B[:, F],
-        "final_qutrit_b": partial_trace(rho, dims, keep=(2,)),
-    }
+    traj, rho9 = _transfer(spec, nodes_link, tomography.ef_swap() @ qubit, absorption)
+    extras = {"final_qutrit_b": partial_trace(rho9, (3, 3), keep=(1,))}
     return RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras)
 
 
@@ -366,7 +320,6 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
     rng = np.random.default_rng(spec.seed)
     inputs = tomography.mub_qubit_states()
     outputs = []
-    out_states_3 = []
     direct_fidelities = []
     for psi in inputs:
         qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
@@ -374,15 +327,12 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
         rho3 = res.extras["final_qutrit_b"]
         direct_fidelities.append(float((psi.conj() @ rho3[:2, :2] @ psi).real))
         settings, pops = _measure_qutrit(rho3, "B", spec, rng)
-        rho3_rec = tomography.qst_mle(pops, settings)
-        out_states_3.append(rho3_rec)
-        outputs.append(rho3_rec[:2, :2])
+        outputs.append(tomography.qst_mle(pops, settings)[:2, :2])
     chi = tomography.qpt_linear_inversion(inputs, outputs)
     f_p = metrics.process_fidelity(chi.chi, tomography.CHI_IDENTITY)
     extras = {
         "chi": chi,
         "process_fidelity": f_p,
-        "outputs_qutrit": out_states_3,
         "avg_state_fidelity_from_fp": (2.0 * f_p + 1.0) / 3.0,
         "avg_state_fidelity_direct": float(np.mean(direct_fidelities)),
     }
@@ -399,14 +349,7 @@ def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None, store_st
     """
     spec = spec or ProtocolSpec(name="entangle")
     rng = np.random.default_rng(spec.seed)
-    node_a, node_b, link, env_a, env_b, dims, rho0 = _transfer_ingredients(
-        spec, nodes_link, QUTRIT_PREPS["ef"], absorption=True
-    )
-    traj, rho_final = _integrate(
-        spec, node_a, node_b, link, env_a, env_b, rho0, store_states
-    )
-    rho = _apply_final_ef_map(rho_final.data, dims)
-    rho9 = partial_trace(rho, dims, keep=(0, 2))
+    traj, rho9 = _transfer(spec, nodes_link, QUTRIT_PREPS["ef"], store_states=store_states)
     settings, pops = _measure_two_qutrit(rho9, spec, rng)
     rho9_rec = tomography.qst_mle(pops, settings)
     bundle = metrics.bundle_from_state(rho9_rec)
@@ -465,14 +408,6 @@ def error_budget(spec: ProtocolSpec | None = None, nodes_link=None) -> dict:
             "both_off": neither,
         },
     }
-
-
-def transfer_saturation(traj: Trajectory):
-    """Saturated mapped P_e at node B and the drive-start-to-saturation time."""
-    curve = traj.pops_B[:, F]
-    sat = curve.max()
-    k = np.nonzero(curve >= 0.99 * sat)[0][0]
-    return float(sat), float(traj.t[k] - traj.t[0])
 
 
 def fit_time_offset(spec: ProtocolSpec | None = None, nodes_link=None, span=5.0, steps=11):

@@ -131,30 +131,6 @@ def realign(rho: np.ndarray, dims) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearOperator:
-    """A complex square matrix tagged with its tensor-product structure."""
-
-    dims: tuple
-    data: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        data = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", data)
-        total = int(np.prod(dims))
-        if data.shape != (total, total):
-            raise ValueError(f"data shape {data.shape} inconsistent with dims {dims}")
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def dag(self) -> "LinearOperator":
-        return LinearOperator(self.dims, self.data.conj().T)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Dimension-tagged Hermitian positive matrix over a tensor-product space."""
 

@@ -218,13 +218,6 @@ def assignment_matrix(counts) -> np.ndarray:
     return (c / col_tot[:, None]).T
 
 
-def counts_from_labels(assigned_labels, n_outcomes=3) -> np.ndarray:
-    """Stack per-prepared-state assignment label arrays into a counts matrix."""
-    return np.stack(
-        [np.bincount(np.asarray(a), minlength=n_outcomes) for a in assigned_labels]
-    )
-
-
 def two_node(r_a: np.ndarray, r_b: np.ndarray) -> np.ndarray:
     """9x9 two-node assignment matrix as the tensor product of the nodes'."""
     return np.kron(np.asarray(r_a, float), np.asarray(r_b, float))
@@ -366,10 +359,6 @@ def default_calibration(node: str) -> ReadoutCalibration:
     return calibrate_to_targets(
         TABLE_R_A if node == "A" else TABLE_R_B, x0=_CALIBRATED_X0[node]
     )
-
-
-def default_model(node: str) -> MixtureModel:
-    return default_calibration(node).model
 
 
 def table_assignment_matrix(node: str) -> np.ndarray:

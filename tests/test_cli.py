@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import scipy
 
 from photonlink import cli, device
 from photonlink.dynamics import TraceDriftError
@@ -20,12 +21,18 @@ def test_unknown_scenario_exits_2_without_files(tmp_path):
 
 
 def test_conflicting_flags_exit_2(tmp_path):
-    code, _ = run_cli(tmp_path, "--scenario", "entangle", "--shots", "10", "--exact")
-    assert code == 2
-    code, _ = run_cli(tmp_path, "--scenario", "entangle", "--eta-c", "1.5")
-    assert code == 2
-    code, _ = run_cli(tmp_path, "--scenario", "entangle", "--dt", "0")
-    assert code == 2
+    for argv in (
+        ["--shots", "10", "--exact"],
+        ["--eta-c", "1.5"],
+        ["--dt", "0"],
+        ["--t-scale", "0"],
+        ["--idle-ns", "-300"],
+        ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz
+        ["--seed", "-1"],
+    ):
+        code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
+        assert code == 2, argv
+        assert not out.exists(), argv
 
 
 def test_missing_device_file_exits_2(tmp_path):
@@ -34,16 +41,19 @@ def test_missing_device_file_exits_2(tmp_path):
 
 
 def test_sweep_requires_values(tmp_path):
-    code, _ = run_cli(tmp_path, "--scenario", "sweep", "--sweep-param", "eta_c")
-    assert code == 2
-    code, _ = run_cli(
-        tmp_path, "--scenario", "sweep", "--sweep-param", "eta_c", "--sweep-values", ""
-    )
-    assert code == 2
-    code, _ = run_cli(
-        tmp_path, "--scenario", "sweep", "--sweep-param", "voltage", "--sweep-values", "1"
-    )
-    assert code == 2
+    for argv in (
+        ["--sweep-param", "eta_c"],
+        ["--sweep-param", "eta_c", "--sweep-values", ""],
+        ["--sweep-param", "voltage", "--sweep-values", "1"],
+        # every point is validated before the first one runs
+        ["--sweep-param", "fock", "--sweep-values", "3,1"],
+        ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
+        ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
+        ["--sweep-param", "kappa_eff", "--sweep-values", "10,0"],
+    ):
+        code, out = run_cli(tmp_path, "--scenario", "sweep", *argv)
+        assert code == 2, argv
+        assert not out.exists(), argv
 
 
 def test_emit_scenario_writes_artifacts(tmp_path):
@@ -67,6 +77,7 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     assert manifest["scenario"] == "emit-b"
     assert manifest["config"]["dt"] == 0.5
     assert manifest["device"]["link"]["eta_c"] == 0.77
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -114,18 +114,18 @@ def test_excitation_bookkeeping(table):
     dims = h.dims
     a_a = embed(destroy(3), 1, dims)
     a_b = embed(destroy(3), 3, dims)
+    out = device.output_field_op(clean_a, clean_b, link, fock=3)
     expect = {
-        "a_A": a_a,
-        "a_B": a_b,
         "n_A": a_a.conj().T @ a_a,
         "n_B": a_b.conj().T @ a_b,
-        "a_Ad_a_B": a_a.conj().T @ a_b,
+        "a_out": out,
+        "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 2), ket(3, 0)), np.kron(ket(3, 0), ket(3, 0)))
     traj, _ = dynamics.integrate_me(
         h, cops, DensityMatrix(dims, np.outer(psi, psi.conj())), expect=expect
     )
-    dynamics.output_observables(traj, clean_b.kappa_T_rad, link.eta_c, clean_a.kappa_T_rad)
+    dynamics.output_observables(traj)
     from scipy.integrate import cumulative_trapezoid
 
     # the f0g1 process trades two transmon quanta for one photon, so the
@@ -156,18 +156,18 @@ def test_drive_off_photon_handoff(table):
     dims = h.dims
     a_a = embed(destroy(3), 1, dims)
     a_b = embed(destroy(3), 3, dims)
+    out = device.output_field_op(clean_a, clean_b, link, fock=3)
     expect = {
-        "a_A": a_a,
-        "a_B": a_b,
         "n_A": a_a.conj().T @ a_a,
         "n_B": a_b.conj().T @ a_b,
-        "a_Ad_a_B": a_a.conj().T @ a_b,
+        "a_out": out,
+        "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 0), ket(3, 1)), np.kron(ket(3, 0), ket(3, 0)))
     traj, _ = dynamics.integrate_me(
         h, cops, DensityMatrix(dims, np.outer(psi, psi.conj())), expect=expect
     )
-    dynamics.output_observables(traj, clean_b.kappa_T_rad, link.eta_c, clean_a.kappa_T_rad)
+    dynamics.output_observables(traj)
     photons = traj.expect["n_A"].real + traj.expect["n_B"].real
     assert np.all(np.diff(photons) < 1e-12)
     assert traj.photon_integral == pytest.approx(1.0, abs=1e-4)
@@ -210,12 +210,12 @@ def test_step_halving_convergence(table):
 def test_output_observables_requirements(rng):
     traj = dynamics.Trajectory(t=np.arange(3.0), pops=[np.zeros((3, 3))])
     with pytest.raises(ValueError):
-        dynamics.output_observables(traj, 1.0, 0.8, 1.0)
+        dynamics.output_observables(traj)
     with pytest.raises(ValueError):
         traj.photon_integral
     zeros = np.zeros(3, dtype=complex)
-    traj.expect = {"a_A": zeros, "a_B": zeros, "n_A": zeros, "n_B": zeros, "a_Ad_a_B": zeros}
-    mean, flux = dynamics.output_observables(traj, 1.0, 0.8, 1.0)
+    traj.expect = {"a_out": zeros, "n_out": zeros}
+    mean, flux = dynamics.output_observables(traj)
     assert np.all(mean == 0) and np.all(flux == 0)
     assert traj.photon_integral == 0.0
 
@@ -238,22 +238,15 @@ def test_trajectory_csv_export(tmp_path, table):
     h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=2, lo_frame=True)
     cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
     dims = h.dims
-    a_a = embed(destroy(2), 1, dims)
-    a_b = embed(destroy(2), 3, dims)
+    out = device.output_field_op(node_a, node_b, link, fock=2)
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     traj, _ = dynamics.integrate_me(
         h,
         cops,
         DensityMatrix(dims, np.outer(psi, psi.conj())),
-        expect={
-            "a_A": a_a,
-            "a_B": a_b,
-            "n_A": a_a.conj().T @ a_a,
-            "n_B": a_b.conj().T @ a_b,
-            "a_Ad_a_B": a_a.conj().T @ a_b,
-        },
+        expect={"a_out": out, "n_out": out.conj().T @ out},
     )
-    dynamics.output_observables(traj, node_b.kappa_T_rad, link.eta_c, node_a.kappa_T_rad)
+    dynamics.output_observables(traj)
     path = tmp_path / "traj.csv"
     dynamics.write_trajectory_csv(traj, path)
     rows = path.read_text().strip().split("\n")

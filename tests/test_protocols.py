@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photonlink import device, metrics, protocols
+from photonlink import device, dynamics, metrics, protocols
 from photonlink.protocols import ProtocolSpec
 
 # cheap settings for machinery tests; physics numbers live in the acceptance suite
@@ -25,6 +27,12 @@ def test_spec_validation():
         ProtocolSpec(name="x", dt=0.0)
     with pytest.raises(ValueError):
         ProtocolSpec(name="x", window=(10.0, 95.0))
+    with pytest.raises(ValueError):
+        ProtocolSpec(name="x", t_scale=0.0)
+    with pytest.raises(ValueError):
+        ProtocolSpec(name="x", idle_ns=-300.0)
+    with pytest.raises(ValueError):
+        ProtocolSpec(name="x", seed=-1)
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -83,7 +91,7 @@ def test_truncated_run_matches_full_trajectory_at_tau():
 
 def test_transfer_saturation_helper():
     res = protocols.run_transfer(ProtocolSpec(name="t", **FAST), "e")
-    sat, t_sat = protocols.transfer_saturation(res.trajectory)
+    sat, t_sat = dynamics.transfer_saturation(res.trajectory)
     assert 0 < sat < 1
     assert 0 < t_sat < 300
 
@@ -176,3 +184,25 @@ def test_emission_scenario_defaults():
     res = protocols.run_emission(node="B", initial="f", spec=None)
     assert res.spec.window == protocols.EMISSION_WINDOW
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
+
+
+def test_link_results_match_recorded_reference():
+    """Exact changes must reproduce the recorded link results to round-off.
+
+    tests/link_reference.json holds the direct entangled state, the
+    exact-readout chi matrix and the four transfer-study numbers, recorded
+    before the link protocols were merged into one code path.
+    """
+    ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
+    fast = ref["spec"]
+
+    def matrix(m):
+        return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
+
+    rho9 = protocols.run_entanglement(ProtocolSpec(name="entangle", **fast)).extras["rho9_direct"]
+    assert np.abs(rho9 - matrix(ref["rho9_direct"])).max() <= 1e-10
+    chi = protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt", **fast)).extras["chi"].chi
+    assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
+    eff, _ = protocols.run_transfer_efficiencies(ProtocolSpec(name="transfer", **fast))
+    for name, value in ref["transfer_efficiencies"].items():
+        assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
