@@ -85,14 +85,8 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         raise ConfigError(f"unknown scenario {args.scenario!r}; choose from {SCENARIOS}")
     if args.shots is not None and args.exact:
         raise ConfigError("--shots and --exact are mutually exclusive")
-    if args.shots is not None and args.shots <= 0:
-        raise ConfigError("--shots must be positive")
-    if args.fock < 2:
-        raise ConfigError("--fock must be at least 2")
-    if args.dt <= 0 or args.dt > 1.0:
+    if args.dt > 1.0:
         raise ConfigError("--dt must lie in (0, 1] ns")
-    if args.eta_c is not None and not 0.0 <= args.eta_c <= 1.0:
-        raise ConfigError("--eta-c must lie in [0, 1]")
     kwargs = dict(
         name=args.scenario,
         eta_c=args.eta_c,
@@ -110,8 +104,6 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         kwargs["window"] = protocols.EMISSION_WINDOW
         kwargs["idle_ns"] = protocols.EMISSION_IDLE_NS
     if args.kappa_eff is not None:
-        if args.kappa_eff <= 0:
-            raise ConfigError("--kappa-eff must be positive (linear MHz)")
         kwargs["kappa_eff_a"] = args.kappa_eff
         kwargs["kappa_eff_b"] = args.kappa_eff
     spec = protocols.ProtocolSpec(**kwargs)
@@ -360,11 +352,11 @@ def run(argv=None) -> int:
         outdir = Path(
             args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out"
         ) / args.scenario
-    except (ConfigError, ValueError) as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    outdir.mkdir(parents=True, exist_ok=True)
     log_lines = [f"photonlink {__version__} scenario={args.scenario} seed={spec.seed}"]
     try:
         _write_manifest(outdir, args, spec, nodes_link)

@@ -226,21 +226,18 @@ def build_hamiltonian(
     g_a: DriveEnvelope | None,
     g_b: DriveEnvelope | None,
     fock: int = 3,
-    lo_frame: bool = False,
 ) -> TimeDependentOperator:
     """Effective two-node Hamiltonian with the circulator cascade term.
 
-    Per node: -(alpha/2) b+b + (alpha/2) b+b+bb + (K/2) a+a+aa
-    + 2 chi_T a+a b+b + (g(t) b+b+ a + h.c.)/sqrt(2), plus the cascade term
-    -i sqrt(kappa_A kappa_B eta_c)/2 (a_A a_B+ - a_A+ a_B); Hermitian at
-    every sampled t.  The matrix element <f,0|H|g,1> equals g(t) exactly.
+    Per node: (K/2) a+a+aa + 2 chi_T a+a b+b + (g(t) b+b+ a + h.c.)/sqrt(2),
+    plus the cascade term -i sqrt(kappa_A kappa_B eta_c)/2 (a_A a_B+ - a_A+ a_B);
+    Hermitian at every sampled t.  The matrix element <f,0|H|g,1> equals g(t)
+    exactly.
 
-    ``lo_frame=True`` drops the per-node qutrit diagonal diag(0, -alpha/2, 0)
-    (exactly the -(alpha/2) b+b + (alpha/2) b+b+bb combination in the 3-level
-    truncation).  That term commutes with every other generator, so removing
-    it is an exact change of frame in which each level's phase is referenced
-    to its own transition local oscillator -- the frame in which resonant
-    gate pulses are plain, time-independent unitaries.
+    H is built in the drives' local-oscillator frame: the qutrit diagonal
+    -(alpha/2) b+b + (alpha/2) b+b+bb = diag(0, -alpha/2, 0) commutes with
+    every other generator and is dropped, so alpha does not enter H and
+    resonant gate pulses are plain, time-independent unitaries.
 
     The drives are resonant with the Stark-shifted transitions.  A node
     without a drive envelope (None) is not driven.
@@ -260,9 +257,6 @@ def build_hamiltonian(
     for idx, (node, env) in enumerate([(a_node, g_a), (b_node, g_b)]):
         b, a = _node_ops(dims, idx)
         bd, ad = b.conj().T, a.conj().T
-        alpha = mhz(node.alpha)
-        if not lo_frame:
-            h0 += -0.5 * alpha * (bd @ b) + 0.5 * alpha * (bd @ bd @ b @ b)
         h0 += 0.5 * mhz(node.K) * (ad @ ad @ a @ a)
         h0 += 2.0 * mhz(node.chi_T) * (ad @ a) @ (bd @ b)
         if env is not None:

@@ -1,8 +1,9 @@
 """Master-equation integration and field observables for the cascaded link.
 
-The Lindblad generator is assembled once as a sparse superoperator acting on
-the row-major vectorized density matrix, with the drive terms entering
-through sampled time-dependent coefficients; propagation is fixed-step
+The Lindblad generator is assembled once as one sparse stacked superoperator
+[L_0 S_1 ... S_n] acting on the row-major vectorized density matrix and its
+copies weighted by the drive coefficients, which are tabulated on the
+half-step grid of the integrator; propagation is fixed-step
 4th-order Runge-Kutta (deterministic, which keeps golden tests exact).
 The state is re-symmetrized after every step and the trace is monitored.
 """
@@ -76,30 +77,6 @@ def _super_dissipator(op):
     return out.tocsr()
 
 
-def _strip_names(collapse_ops):
-    ops = []
-    for item in collapse_ops:
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-            ops.append(np.asarray(item[1], dtype=complex))
-        else:
-            ops.append(np.asarray(item, dtype=complex))
-    return ops
-
-
-def _qutrit_masks(dims, qutrit_slots):
-    """(slot, 3 x D population mask) for the requested three-level subsystems."""
-    grids = np.indices(dims).reshape(len(dims), -1)
-    masks = []
-    for slot in qutrit_slots:
-        if dims[slot] != 3:
-            raise ValueError(f"slot {slot} is not three-dimensional")
-        m = np.zeros((3, grids.shape[1]))
-        for level in range(3):
-            m[level, grids[slot] == level] = 1.0
-        masks.append((slot, m))
-    return masks
-
-
 def integrate_me(
     hamiltonian,
     collapse_ops,
@@ -112,9 +89,10 @@ def integrate_me(
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid.
 
     ``hamiltonian`` is a TimeDependentOperator (whose grid defines the
-    integration grid) or a static matrix (then ``t`` is required).  ``expect``
-    maps labels to operators whose expectation values Tr(O rho) are recorded
-    at every grid point.  ``store_states`` > 0 stores a density-matrix
+    integration grid) or a static matrix (then ``t`` is required);
+    ``collapse_ops`` holds (name, operator) pairs.  ``expect`` maps labels
+    to operators whose expectation values Tr(O rho) are recorded at every
+    grid point.  ``store_states`` > 0 stores a density-matrix
     snapshot every that many steps (plus the final state).  Level
     populations are tracked for slots 0 and 2 of the four-part node layout,
     or else for every three-dimensional subsystem.
@@ -148,36 +126,37 @@ def integrate_me(
         raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
 
     l_static = _super_commutator(h0)
-    for op in _strip_names(collapse_ops):
+    for _, op in collapse_ops:
+        op = np.asarray(op, dtype=complex)
         if op.shape != (d, d):
             raise ValueError("collapse operator dimension mismatch")
         l_static = l_static + _super_dissipator(op)
-    l_static = l_static.tocsr()
 
-    # drive superoperators with coefficients sampled at grid and midpoints
-    drive_supers = []
-    for op, samples in td_terms:
+    # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
+    # even columns are the samples, odd columns the midpoint averages
+    coef = np.empty((len(td_terms), 2 * nt - 1), dtype=complex)
+    for row, (_, samples) in zip(coef, td_terms):
         samples = np.asarray(samples, dtype=complex)
         if samples.shape != t.shape:
             raise ValueError("coefficient samples must match the time grid")
-        mid = 0.5 * (samples[:-1] + samples[1:])
-        drive_supers.append((_super_commutator(op), samples, mid))
+        row[::2] = samples
+        row[1::2] = 0.5 * (samples[:-1] + samples[1:])
+    # L(t) v = [L_0 S_1 ... S_n] @ [v; c_1(t) v; ...; c_n(t) v]
+    generator = sp.hstack(
+        [l_static] + [_super_commutator(op) for op, _ in td_terms], format="csr"
+    )
+    stacked = np.empty((len(td_terms) + 1, d * d), dtype=complex)
 
-    def rhs(v, k, stage):
-        # stage: 0 -> t_k, 1 -> t_k + dt/2, 2 -> t_{k+1}
-        out = l_static @ v
-        for s_op, c, c_mid in drive_supers:
-            coeff = c[k] if stage == 0 else (c_mid[k] if stage == 1 else c[k + 1])
-            if coeff != 0.0:
-                out = out + coeff * (s_op @ v)
-        return out
+    def rhs(v, j):
+        stacked[0] = v
+        np.multiply(coef[:, j, None], v, out=stacked[1:])
+        return generator @ stacked.reshape(-1)
 
-    if len(dims) == 4:
-        qutrit_slots = (0, 2)
-    else:
-        qutrit_slots = tuple(i for i, d in enumerate(dims) if d == 3)
-    masks = _qutrit_masks(dims, qutrit_slots)
-    pops = [np.empty((nt, 3)) for _ in masks]
+    slots = (0, 2) if len(dims) == 4 else [i for i, n in enumerate(dims) if n == 3]
+    if any(dims[slot] != 3 for slot in slots):
+        raise ValueError(f"population slots {slots} must be three-level subsystems")
+    others = [tuple(i for i in range(len(dims)) if i != slot) for slot in slots]
+    pops = [np.empty((nt, 3)) for _ in slots]
     expect = expect or {}
     exp_rows = {}
     exp_vals = {name: np.empty(nt, dtype=complex) for name in expect}
@@ -191,18 +170,19 @@ def integrate_me(
 
     def record(k, v):
         diag = v[diag_idx].real
-        for (slot, m), store in zip(masks, pops):
-            store[k] = m @ diag
+        marginals = diag.reshape(dims)
+        for axes, store in zip(others, pops):
+            store[k] = marginals.sum(axis=axes)
         for name, row in exp_rows.items():
             exp_vals[name][k] = row @ v
         return diag.sum()
 
     record(0, v)
     for k in range(nt - 1):
-        k1 = rhs(v, k, 0)
-        k2 = rhs(v + (0.5 * dt) * k1, k, 1)
-        k3 = rhs(v + (0.5 * dt) * k2, k, 1)
-        k4 = rhs(v + dt * k3, k, 2)
+        k1 = rhs(v, 2 * k)
+        k2 = rhs(v + (0.5 * dt) * k1, 2 * k + 1)
+        k3 = rhs(v + (0.5 * dt) * k2, 2 * k + 1)
+        k4 = rhs(v + dt * k3, 2 * k + 2)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         m = v.reshape(d, d)
         v = (0.5 * (m + m.conj().T)).reshape(-1)

@@ -69,6 +69,12 @@ class ProtocolSpec:
             raise ValueError("idle_ns must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.shots is not None and self.shots <= 0:
+            raise ValueError("shots must be positive")
+        if self.kappa_eff_a <= 0 or self.kappa_eff_b <= 0:
+            raise ValueError("photon bandwidths kappa_eff must be positive (linear MHz)")
+        if self.eta_c is not None and not 0.0 <= self.eta_c <= 1.0:
+            raise ValueError("eta_c must lie in [0, 1]")
         if self.window[0] >= 0 or self.window[1] <= 0:
             raise ValueError("window must bracket the photon peak at t = 0")
 
@@ -174,7 +180,7 @@ def _run_link(spec, nodes_link, emitter, prep, absorb=False, tau=None, store_sta
     rho0 = _initial_state(
         dev.system_dims(spec.fock), prep if from_a else idle, idle if from_a else prep
     )
-    h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=spec.fock, lo_frame=True)
+    h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=spec.fock)
     cops = dev.build_collapse_ops(node_a, node_b, link, fock=spec.fock)
     out = dev.output_field_op(node_a, node_b, link, fock=spec.fock)
     traj, rho_final = integrate_me(

@@ -137,14 +137,18 @@ def assignment_probabilities(model: MixtureModel) -> np.ndarray:
     return r
 
 
-def _orthant_probability(mean, cov, nodes=201):
+# 201-node Gauss-Legendre rule on [-1, 1] for the orthant integrals
+_LEGGAUSS = np.polynomial.legendre.leggauss(201)
+
+
+def _orthant_probability(mean, cov):
     """P(u1 >= 0, u2 >= 0) for (u1, u2) ~ N(mean, cov), deterministic."""
     s1, s2 = np.sqrt(cov[0, 0]), np.sqrt(cov[1, 1])
     rho = np.clip(cov[0, 1] / (s1 * s2), -1 + 1e-12, 1 - 1e-12)
     lo = max(-mean[0] / s1, -9.0)
     if lo > 9.0:
         return 0.0
-    z, w = np.polynomial.legendre.leggauss(nodes)
+    z, w = _LEGGAUSS
     z = 0.5 * (z + 1.0) * (9.0 - lo) + lo
     w = 0.5 * (9.0 - lo) * w
     phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)

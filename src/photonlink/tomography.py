@@ -98,21 +98,20 @@ def gate_set(kind: str):
     raise ValueError(f"unknown gate-set kind {kind!r}")
 
 
+def _measurement_matrix(settings):
+    """Born rule of a settings list as one (n_settings * d, d * d) matrix A.
+
+    A[k d + s, i d + j] = U_si conj(U_sj) for setting k's rotation U, so
+    A @ rho.reshape(-1) lists every setting's populations diag(U rho U+).
+    """
+    u = np.stack([s.unitary for s in settings])
+    n, d, _ = u.shape
+    return (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
+
+
 def born_probabilities(rho: np.ndarray, setting: TomographySetting) -> np.ndarray:
     """Energy-basis populations diag(U rho U+) after the setting's rotation."""
-    u = setting.unitary
-    return np.real(np.diag(u @ np.asarray(rho, complex) @ u.conj().T))
-
-
-def _povm_elements(settings):
-    """Stacked projector POVM (n_settings * d outcomes, d, d)."""
-    d = settings[0].unitary.shape[0]
-    e = np.empty((len(settings) * d, d, d), dtype=complex)
-    for k, setting in enumerate(settings):
-        u = setting.unitary
-        for s in range(d):
-            e[k * d + s] = u.conj().T[:, [s]] @ u[[s], :]
-    return e
+    return (_measurement_matrix([setting]) @ np.asarray(rho, complex).reshape(-1)).real
 
 
 def qst_mle(
@@ -128,13 +127,15 @@ def qst_mle(
     slightly unphysical and are clipped to [0, 1] for the likelihood weights.
     Iterates the diluted R*rho*R fixed point, which preserves positivity by
     construction, until the log-likelihood improves by less than ``tol`` or
-    ``max_iter`` is reached (then a RuntimeError reports the residual).
+    ``max_iter`` is reached (then a warning reports a gradient norm above
+    1e-6 and the last estimate is returned).
     """
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     d = settings[0].unitary.shape[0]
     if freqs.shape != (len(settings), d):
         raise ValueError(f"populations shape {freqs.shape} does not match settings")
-    e = _povm_elements(settings)
+    a = _measurement_matrix(settings)
+    a_conj = a.conj()
     f = freqs.reshape(-1)
     f = f / f.sum() * len(settings)  # per-setting normalization
 
@@ -142,15 +143,14 @@ def qst_mle(
     eye = np.eye(d)
     last_ll = -np.inf
     for _ in range(max_iter):
-        p = np.einsum("kij,ji->k", e, rho).real
-        p = np.clip(p, 1e-14, None)
+        p = np.clip((a @ rho.reshape(-1)).real, 1e-14, None)
         ll = float(np.dot(f, np.log(p)))
         if ll - last_ll < tol and np.isfinite(last_ll):
             break
         last_ll = ll
-        r = np.einsum("k,kij->ij", f / p, e) / len(settings)
-        a = eye + dilution * r
-        rho = a @ rho @ a.conj().T
+        r = ((f / p) @ a_conj).reshape(d, d) / len(settings)
+        step = eye + dilution * r
+        rho = step @ rho @ step.conj().T
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
     else:

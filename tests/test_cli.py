@@ -21,6 +21,8 @@ def test_unknown_scenario_exits_2_without_files(tmp_path):
 
 
 def test_conflicting_flags_exit_2(tmp_path):
+    not_a_dir = tmp_path / "not-a-dir"
+    not_a_dir.write_bytes(b"keep me\n")
     for argv in (
         ["--shots", "10", "--exact"],
         ["--eta-c", "1.5"],
@@ -29,10 +31,12 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--idle-ns", "-300"],
         ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz
         ["--seed", "-1"],
+        ["--out", str(not_a_dir)],  # an existing regular file
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
         assert not out.exists(), argv
+    assert not_a_dir.read_bytes() == b"keep me\n"
 
 
 def test_missing_device_file_exits_2(tmp_path):

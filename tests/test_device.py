@@ -189,19 +189,18 @@ def test_hamiltonian_rejects_mismatched_grids(table):
         device.system_dims(1)
 
 
-def test_lo_frame_removes_qutrit_diagonal(table):
+def test_hamiltonian_is_built_in_the_lo_frame(table):
+    # the qutrit diagonal diag(0, -alpha/2, 0) is dropped, so alpha never enters H
     node_a, node_b, link = table
     t = pulse.default_grid(dt=0.5, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
-    full = device.build_hamiltonian(node_a, node_b, link, env_a, None, fock=3)
-    lo = device.build_hamiltonian(node_a, node_b, link, env_a, None, fock=3, lo_frame=True)
-    diff = full.static - lo.static
-    dims = full.dims
-    # the difference is diag(0, -alpha/2, 0) per node
-    expected = -0.5 * mhz(node_a.alpha) * qops.embed(
-        qops.projector(3, 1), 0, dims
-    ) - 0.5 * mhz(node_b.alpha) * qops.embed(qops.projector(3, 1), 2, dims)
-    assert np.abs(diff - expected).max() < 1e-12
+    ref = device.build_hamiltonian(node_a, node_b, link, env_a, None, fock=3)
+    shifted = device.build_hamiltonian(
+        dataclasses.replace(node_a, alpha=2.0 * node_a.alpha),
+        dataclasses.replace(node_b, alpha=0.5 * node_b.alpha),
+        link, env_a, None, fock=3,
+    )
+    assert np.array_equal(ref.static, shifted.static)
 
 
 # --- collapse operators ------------------------------------------------------

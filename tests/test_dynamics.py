@@ -25,7 +25,7 @@ def test_single_qutrit_exponential_decay(table):
     t = np.arange(0.0, 2000.0, 1.0)
     decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
-    traj, _ = dynamics.integrate_me(np.zeros((3, 3), complex), [decay], rho0, t)
+    traj, _ = dynamics.integrate_me(np.zeros((3, 3), complex), [("decay_ge", decay)], rho0, t)
     expected = np.exp(-t / (node_a.T1ge * 1e3))
     err = np.abs(traj.pops[0][:, 1] - expected) / expected
     assert err.max() < 1e-4
@@ -45,7 +45,7 @@ def test_trace_drift_aborts():
     op = 10.0 * destroy(2)  # rate 100/ns at dt 1 ns
     rho0 = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
     with pytest.raises(dynamics.TraceDriftError):
-        dynamics.integrate_me(np.zeros((2, 2), complex), [op], rho0, t)
+        dynamics.integrate_me(np.zeros((2, 2), complex), [("decay", op)], rho0, t)
 
 
 def test_two_level_oracle_zero_drive():
@@ -90,7 +90,7 @@ def test_oracle_equivalence_with_full_master_equation(table):
     link = device.LinkParams(eta_c=1.0)
     t = pulse.default_grid(dt=0.1, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
-    h = device.build_hamiltonian(clean_a, clean_b, link, env, None, fock=3, lo_frame=True)
+    h = device.build_hamiltonian(clean_a, clean_b, link, env, None, fock=3)
     cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 2), ket(3, 0)), np.kron(ket(3, 0), ket(3, 0)))
@@ -109,7 +109,7 @@ def test_excitation_bookkeeping(table):
     link = device.LinkParams(eta_c=0.77)
     t = pulse.default_grid(dt=0.1, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
-    h = device.build_hamiltonian(clean_a, clean_b, link, env, None, fock=3, lo_frame=True)
+    h = device.build_hamiltonian(clean_a, clean_b, link, env, None, fock=3)
     cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
     dims = h.dims
     a_a = embed(destroy(3), 1, dims)
@@ -151,7 +151,7 @@ def test_drive_off_photon_handoff(table):
     link = device.LinkParams(eta_c=1.0)
     t = np.arange(0.0, 400.0, 0.1)
     zero = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t), mhz(10.4), clean_a.kappa_T_rad)
-    h = device.build_hamiltonian(clean_a, clean_b, link, zero, None, fock=3, lo_frame=True)
+    h = device.build_hamiltonian(clean_a, clean_b, link, zero, None, fock=3)
     cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
     dims = h.dims
     a_a = embed(destroy(3), 1, dims)
@@ -177,7 +177,7 @@ def test_trace_preservation_and_positivity(table):
     node_a, node_b, link = table
     t = pulse.default_grid(dt=0.1, span=120)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=3, lo_frame=True)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=3)
     cops = device.build_collapse_ops(node_a, node_b, link, fock=3)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 0), ket(3, 0)), np.kron(ket(3, 2), ket(3, 0)))
@@ -196,7 +196,7 @@ def test_step_halving_convergence(table):
     for dt in (0.1, 0.05):
         t = pulse.default_grid(dt=dt, span=120)
         env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-        h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=3, lo_frame=True)
+        h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=3)
         cops = device.build_collapse_ops(node_a, node_b, link, fock=3)
         dims = h.dims
         psi = np.kron(np.kron(ket(3, 0), ket(3, 0)), np.kron(ket(3, 2), ket(3, 0)))
@@ -235,7 +235,7 @@ def test_trajectory_csv_export(tmp_path, table):
     node_a, node_b, link = table
     t = pulse.default_grid(dt=1.0, span=100)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=2, lo_frame=True)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=2)
     cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
     dims = h.dims
     out = device.output_field_op(node_a, node_b, link, fock=2)

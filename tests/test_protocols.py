@@ -33,6 +33,12 @@ def test_spec_validation():
         ProtocolSpec(name="x", idle_ns=-300.0)
     with pytest.raises(ValueError):
         ProtocolSpec(name="x", seed=-1)
+    with pytest.raises(ValueError):
+        ProtocolSpec(name="x", shots=0)
+    with pytest.raises(ValueError):
+        ProtocolSpec(name="x", kappa_eff_b=0.0)
+    with pytest.raises(ValueError):
+        ProtocolSpec(name="x", eta_c=1.5)
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -189,9 +195,11 @@ def test_emission_scenario_defaults():
 def test_link_results_match_recorded_reference():
     """Exact changes must reproduce the recorded link results to round-off.
 
-    tests/link_reference.json holds the direct entangled state, the
-    exact-readout chi matrix and the four transfer-study numbers, recorded
-    before the link protocols were merged into one code path.
+    tests/link_reference.json holds the direct entangled state, its
+    81-setting MLE reconstruction, the exact-readout chi matrix and the four
+    transfer-study numbers, recorded before the link protocols were merged
+    into one code path (the reconstruction before the MLE became one
+    measurement matrix).
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
     fast = ref["spec"]
@@ -199,8 +207,9 @@ def test_link_results_match_recorded_reference():
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
 
-    rho9 = protocols.run_entanglement(ProtocolSpec(name="entangle", **fast)).extras["rho9_direct"]
-    assert np.abs(rho9 - matrix(ref["rho9_direct"])).max() <= 1e-10
+    ent = protocols.run_entanglement(ProtocolSpec(name="entangle", **fast)).extras
+    assert np.abs(ent["rho9_direct"] - matrix(ref["rho9_direct"])).max() <= 1e-10
+    assert np.abs(ent["rho9_tomography"] - matrix(ref["rho9_tomography"])).max() <= 1e-10
     chi = protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt", **fast)).extras["chi"].chi
     assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
     eff, _ = protocols.run_transfer_efficiencies(ProtocolSpec(name="transfer", **fast))
