@@ -1,11 +1,18 @@
 """Master-equation integration and field observables for the cascaded link.
 
-The Lindblad generator is assembled once as one sparse stacked superoperator
-[L_0 S_1 ... S_n] acting on the row-major vectorized density matrix and its
-copies weighted by the drive coefficients, which are tabulated on the
-half-step grid of the integrator; propagation is fixed-step
-4th-order Runge-Kutta (deterministic, which keeps golden tests exact).
-The state is re-symmetrized after every step and the trace is monitored.
+Only the block of basis states the initial state can reach is integrated:
+the support of rho0 closed under the nonzero patterns of H, the drive terms
+and their adjoints, the jump operators L_k and L_k+L_k.  The master equation
+maps that block into itself whatever the operators are, so the restriction
+is exact; a single excitation on the link reaches at most 7 of the 81
+states of the default Fock truncation.  On the block the Lindblad generator
+is assembled once as one sparse stacked superoperator [L_0 S_1 ... S_n]
+acting on the row-major vectorized density matrix and its copies weighted
+by the drive coefficients, which are tabulated on the half-step grid of the
+integrator; propagation is fixed-step 4th-order Runge-Kutta (deterministic,
+which keeps golden tests exact).  The state is re-symmetrized after every
+step and the trace is monitored; outputs are zero-padded back to the full
+dimensions.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ class Trajectory:
     pops_* columns are (P_g, P_e, P_f).  a_mean_out/flux_out hold <L> and
     <L+L> of the field L downstream of node B once filled in by
     :func:`output_observables`; expect carries any additional requested
-    operator expectations.
+    operator expectations.  dim is the number of basis states integrated and
+    trace_drift the largest |Tr rho(t) - Tr rho0| of the run (both None when
+    the trajectory did not come from :func:`integrate_me`).
     """
 
     t: np.ndarray
@@ -47,6 +56,8 @@ class Trajectory:
     a_mean_out: np.ndarray | None = None
     flux_out: np.ndarray | None = None
     states: list = field(default_factory=list)   # optional (t, rho) snapshots
+    dim: int | None = None
+    trace_drift: float | None = None
 
     @property
     def pops_A(self):
@@ -77,6 +88,20 @@ def _super_dissipator(op):
     return out.tocsr()
 
 
+def _reachable(rho, ops):
+    """Ascending indices of the basis states reachable from the support of
+    ``rho`` under the nonzero patterns of ``ops`` (j leads to i if op[i, j] != 0)."""
+    pattern = np.zeros(rho.shape, dtype=bool)
+    for op in ops:
+        pattern |= op != 0
+    reach = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
+    while True:
+        grown = reach | pattern[:, reach].any(axis=1)
+        if (grown == reach).all():
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 def integrate_me(
     hamiltonian,
     collapse_ops,
@@ -97,8 +122,15 @@ def integrate_me(
     populations are tracked for slots 0 and 2 of the four-part node layout,
     or else for every three-dimensional subsystem.
 
-    Returns (Trajectory, final DensityMatrix).  Raises TraceDriftError if the
-    trace wanders further than 1e-6 from its initial value.
+    Only the reachable block is integrated: the basis states in the support
+    of rho0, closed under the nonzero patterns of H, every drive term and
+    its adjoint, every L_k and every L_k+L_k.  The generator keeps that
+    block invariant, so the result equals the full-space integration; the
+    final state and the snapshots are zero-padded back to the full dims.
+
+    Returns (Trajectory, final DensityMatrix).  Raises ValueError if an
+    operator is not (d, d) and TraceDriftError if the trace wanders further
+    than 1e-6 from its initial value.
     """
     if isinstance(hamiltonian, TimeDependentOperator):
         dims = hamiltonian.dims
@@ -124,13 +156,27 @@ def integrate_me(
     rho = rho0.data if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
     if rho.shape != (d, d):
         raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
+    if h0.shape != (d, d):
+        raise ValueError(f"Hamiltonian shape {h0.shape} does not match dims {dims}")
+    drive_ops = [np.asarray(op, dtype=complex) for op, _ in td_terms]
+    if any(op.shape != (d, d) for op in drive_ops):
+        raise ValueError("drive term dimension mismatch")
+    jumps = [np.asarray(op, dtype=complex) for _, op in collapse_ops]
+    if any(op.shape != (d, d) for op in jumps):
+        raise ValueError("collapse operator dimension mismatch")
+    expect = {name: np.asarray(op, dtype=complex) for name, op in (expect or {}).items()}
+    if any(op.shape != (d, d) for op in expect.values()):
+        raise ValueError("expectation operator dimension mismatch")
 
-    l_static = _super_commutator(h0)
-    for _, op in collapse_ops:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (d, d):
-            raise ValueError("collapse operator dimension mismatch")
-        l_static = l_static + _super_dissipator(op)
+    adjoints = [op.conj().T for op in drive_ops]
+    decays = [op.conj().T @ op for op in jumps]
+    idx = _reachable(rho, [h0, *drive_ops, *adjoints, *jumps, *decays])
+    block = np.ix_(idx, idx)
+    r = len(idx)
+
+    l_static = _super_commutator(h0[block])
+    for op in jumps:
+        l_static = l_static + _super_dissipator(op[block])
 
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
     # even columns are the samples, odd columns the midpoint averages
@@ -143,9 +189,9 @@ def integrate_me(
         row[1::2] = 0.5 * (samples[:-1] + samples[1:])
     # L(t) v = [L_0 S_1 ... S_n] @ [v; c_1(t) v; ...; c_n(t) v]
     generator = sp.hstack(
-        [l_static] + [_super_commutator(op) for op, _ in td_terms], format="csr"
+        [l_static] + [_super_commutator(op[block]) for op in drive_ops], format="csr"
     )
-    stacked = np.empty((len(td_terms) + 1, d * d), dtype=complex)
+    stacked = np.empty((len(td_terms) + 1, r * r), dtype=complex)
 
     def rhs(v, j):
         stacked[0] = v
@@ -157,19 +203,19 @@ def integrate_me(
         raise ValueError(f"population slots {slots} must be three-level subsystems")
     others = [tuple(i for i in range(len(dims)) if i != slot) for slot in slots]
     pops = [np.empty((nt, 3)) for _ in slots]
-    expect = expect or {}
-    exp_rows = {}
+    exp_rows = {
+        name: np.ascontiguousarray(op[block].T).reshape(-1) for name, op in expect.items()
+    }
     exp_vals = {name: np.empty(nt, dtype=complex) for name in expect}
-    for name, op in expect.items():
-        exp_rows[name] = np.ascontiguousarray(np.asarray(op, complex).T).reshape(-1)
 
-    diag_idx = np.arange(d) * (d + 1)
+    diag_idx = np.arange(r) * (r + 1)
+    diag = np.zeros(d)
     target_trace = float(np.trace(rho).real)
-    v = rho.reshape(-1).astype(complex)
+    v = rho[block].reshape(-1)
     states = []
 
     def record(k, v):
-        diag = v[diag_idx].real
+        diag[idx] = v[diag_idx].real
         marginals = diag.reshape(dims)
         for axes, store in zip(others, pops):
             store[k] = marginals.sum(axis=axes)
@@ -177,27 +223,36 @@ def integrate_me(
             exp_vals[name][k] = row @ v
         return diag.sum()
 
+    def padded(v):
+        full = np.zeros((d, d), dtype=complex)
+        full[block] = v.reshape(r, r)
+        return full
+
     record(0, v)
+    drift = 0.0
     for k in range(nt - 1):
         k1 = rhs(v, 2 * k)
         k2 = rhs(v + (0.5 * dt) * k1, 2 * k + 1)
         k3 = rhs(v + (0.5 * dt) * k2, 2 * k + 1)
         k4 = rhs(v + dt * k3, 2 * k + 2)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m = v.reshape(d, d)
+        m = v.reshape(r, r)
         v = (0.5 * (m + m.conj().T)).reshape(-1)
         tr = record(k + 1, v)
-        if abs(tr - target_trace) > _TRACE_TOL:
+        err = abs(tr - target_trace)
+        drift = max(drift, err)
+        if not err <= _TRACE_TOL:
             raise TraceDriftError(
                 f"trace drifted to {tr:.9f} (target {target_trace:.9f}) at "
                 f"t = {t[k + 1]:.2f} ns; reduce dt"
             )
         if store_states and ((k + 1) % store_states == 0 or k == nt - 2):
-            states.append((t[k + 1], v.reshape(d, d).copy()))
+            states.append((t[k + 1], padded(v)))
 
-    traj = Trajectory(t=t, pops=pops, expect=exp_vals, states=states)
-    final = DensityMatrix(tuple(dims), v.reshape(d, d).copy())
-    return traj, final
+    traj = Trajectory(
+        t=t, pops=pops, expect=exp_vals, states=states, dim=r, trace_drift=float(drift)
+    )
+    return traj, DensityMatrix(tuple(dims), padded(v))
 
 
 # ---------------------------------------------------------------------------

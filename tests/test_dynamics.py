@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -37,6 +39,67 @@ def test_integrator_rejects_bad_grids(rng):
         dynamics.integrate_me(np.zeros((3, 3), complex), [], rho0, np.array([0.0, 1.0, 1.5]))
     with pytest.raises(ValueError):
         dynamics.integrate_me(np.zeros((3, 3), complex), [], rho0)
+
+
+def test_integrator_rejects_wrong_shape_operators(table):
+    node_a, node_b, link = table
+    t = pulse.default_grid(dt=1.0, span=100)
+    env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=2)
+    psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
+    rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
+    wide = np.zeros((len(psi) + 1,) * 2, dtype=complex)
+    with pytest.raises(ValueError, match="expectation operator"):
+        dynamics.integrate_me(h, [], rho0, expect={"wide": wide})
+    extra = dataclasses.replace(h, terms=h.terms + ((wide, np.ones(len(t), complex)),))
+    with pytest.raises(ValueError, match="drive term"):
+        dynamics.integrate_me(extra, [], rho0)
+    with pytest.raises(ValueError, match="Hamiltonian"):
+        dynamics.integrate_me(wide, [], rho0, t)
+
+
+def test_reachable_block_is_exact_by_linearity(table, rng):
+    """The entanglement preparation integrates a 7-state block and a
+    full-rank state the whole space; the map they define stays linear."""
+    node_a, node_b, link = table
+    t = pulse.default_grid(dt=0.5, span=100)
+    env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
+    env_b = pulse.shift(
+        pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
+        link.time_offset,
+    )
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=2)
+    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
+    qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
+    psi = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
+    rho_a = np.outer(psi, psi.conj())
+    rho_b = random_density(len(psi), rng)
+
+    def final(rho):
+        traj, out = dynamics.integrate_me(h, cops, DensityMatrix(h.dims, rho))
+        return traj.dim, out.data
+
+    dim_a, out_a = final(rho_a)
+    dim_b, out_b = final(rho_b)
+    dim_mix, out_mix = final(0.5 * (rho_a + rho_b))
+    assert (dim_a, dim_b, dim_mix) == (7, 36, 36)
+    assert np.abs(out_mix - 0.5 * (out_a + out_b)).max() <= 1e-12
+
+
+def test_reachable_block_closes_under_jump_products():
+    """L = |0><1| + |0><2| keeps the states {0, 1} among themselves, but L+L
+    couples 1 to 2, so the block must take in state 2 as well."""
+    jump = np.zeros((3, 3), complex)
+    jump[0, 1] = jump[0, 2] = 1.0
+    rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
+    t = np.arange(0.0, 2.0, 0.01)
+    traj, final = dynamics.integrate_me(np.zeros((3, 3), complex), [("jump", jump)], rho0, t)
+    ldl = jump.conj().T @ jump
+    eye = np.eye(3)
+    generator = np.kron(jump, jump.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    exact = (expm(generator * t[-1]) @ rho0.data.reshape(-1)).reshape(3, 3)
+    assert traj.dim == 3
+    assert np.abs(final.data - exact).max() < 1e-8
 
 
 def test_trace_drift_aborts():

@@ -192,17 +192,19 @@ def test_emission_scenario_defaults():
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
 
 
-def test_link_results_match_recorded_reference():
+@pytest.mark.parametrize("fock", [2, 3])
+def test_link_results_match_recorded_reference(fock):
     """Exact changes must reproduce the recorded link results to round-off.
 
     tests/link_reference.json holds the direct entangled state, its
     81-setting MLE reconstruction, the exact-readout chi matrix and the four
-    transfer-study numbers, recorded before the link protocols were merged
-    into one code path (the reconstruction before the MLE became one
-    measurement matrix).
+    transfer-study numbers at fock 2, recorded before the link protocols were
+    merged into one code path (the reconstruction before the MLE became one
+    measurement matrix).  A single excitation never fills a second photon
+    level, so the same numbers hold at fock 3.
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
-    fast = ref["spec"]
+    fast = {**ref["spec"], "fock": fock}
 
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
@@ -215,3 +217,24 @@ def test_link_results_match_recorded_reference():
     eff, _ = protocols.run_transfer_efficiencies(ProtocolSpec(name="transfer", **fast))
     for name, value in ref["transfer_efficiencies"].items():
         assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
+
+
+@pytest.mark.parametrize("fock", [2, 3])
+def test_link_runs_integrate_the_single_excitation_block(fock):
+    """Every link protocol starts with at most one excitation, which reaches
+    the same basis states at any Fock truncation: the 7 states with one
+    excitation or none when B absorbs A's photon, and 5 of them when no node
+    absorbs, since the idle node's qutrit then never leaves g.  The run
+    counters are deterministic."""
+    spec = ProtocolSpec(name="block", dt=0.5, fock=fock)
+
+    def counters():
+        runs = [protocols.run_emission(spec, "B", initial) for initial in ("f", "gf")]
+        runs += [protocols.run_transfer(spec, absorption=on) for on in (True, False)]
+        runs.append(protocols.run_entanglement(spec))
+        return [(run.trajectory.dim, run.trajectory.trace_drift) for run in runs]
+
+    first = counters()
+    assert [dim for dim, _ in first] == [5, 5, 7, 5, 7]
+    assert all(drift < 1e-6 for _, drift in first)
+    assert counters() == first
