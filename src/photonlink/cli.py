@@ -131,6 +131,8 @@ def _sweep_specs(args, nodes_link):
         raise ConfigError("--sweep-values must be a non-empty comma-separated list")
     points = []
     for value in values:
+        if args.sweep_param == "fock" and not value.is_integer():
+            raise ConfigError(f"fock sweep values must be integers, not {value}")
         point = argparse.Namespace(**vars(args))
         setattr(point, args.sweep_param, int(value) if args.sweep_param == "fock" else value)
         points.append((value, _spec_from_args(point, nodes_link)))
@@ -211,11 +213,11 @@ def _run_emit(args, spec, nodes_link, outdir, node):
     return summary
 
 
-def _write_truncation_csv(run, path, node, every_ns=2.0):
+def _write_truncation_csv(run, path, node):
     # populations measured right after truncating the drive at tau coincide
-    # with the untruncated trajectory at tau
+    # with the untruncated trajectory at tau; one row every 2 ns
     traj = run.trajectory
-    step = max(1, int(round(every_ns / (traj.t[1] - traj.t[0]))))
+    step = max(1, int(round(2.0 / (traj.t[1] - traj.t[0]))))
     pops = traj.pops_A if node == "A" else traj.pops_B
     with open(path, "w", newline="") as fh:
         fh.write("tau_ns,Pg,Pe,Pf\n")
@@ -377,7 +379,7 @@ def run(argv=None) -> int:
             summary = _run_readout_sim(spec, outdir)
         else:
             summary = _run_sweep(args, points, nodes_link, outdir)
-    except TraceDriftError as exc:
+    except (TraceDriftError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         log_lines.append(f"numerical failure: {exc}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n")

@@ -11,8 +11,9 @@ acting on the row-major vectorized density matrix and its copies weighted
 by the drive coefficients, which are tabulated on the half-step grid of the
 integrator; propagation is fixed-step 4th-order Runge-Kutta (deterministic,
 which keeps golden tests exact).  The state is re-symmetrized after every
-step and the trace is monitored; outputs are zero-padded back to the full
-dimensions.
+step.  The trace, the level populations and the expectation values are
+linear in the state, so every grid point records them by one product with a
+readout matrix; outputs are zero-padded back to the full dimensions.
 """
 
 from __future__ import annotations
@@ -201,34 +202,28 @@ def integrate_me(
     slots = (0, 2) if len(dims) == 4 else [i for i, n in enumerate(dims) if n == 3]
     if any(dims[slot] != 3 for slot in slots):
         raise ValueError(f"population slots {slots} must be three-level subsystems")
-    others = [tuple(i for i in range(len(dims)) if i != slot) for slot in slots]
-    pops = [np.empty((nt, 3)) for _ in slots]
-    exp_rows = {
-        name: np.ascontiguousarray(op[block].T).reshape(-1) for name, op in expect.items()
-    }
-    exp_vals = {name: np.empty(nt, dtype=complex) for name in expect}
-
+    # v @ readout = [Tr rho, P_g P_e P_f of each slot, Tr(O rho) of each O]
+    first_expect = 1 + 3 * len(slots)
+    readout = np.zeros((r * r, first_expect + len(expect)), dtype=complex)
     diag_idx = np.arange(r) * (r + 1)
-    diag = np.zeros(d)
+    readout[diag_idx, 0] = 1.0
+    levels = np.unravel_index(idx, dims)
+    for n, slot in enumerate(slots):
+        readout[diag_idx, 1 + 3 * n + levels[slot]] = 1.0
+    for col, op in enumerate(expect.values(), start=first_expect):
+        readout[:, col] = op[block].T.reshape(-1)
+    rec = np.empty((nt, readout.shape[1]), dtype=complex)
+
     target_trace = float(np.trace(rho).real)
     v = rho[block].reshape(-1)
     states = []
-
-    def record(k, v):
-        diag[idx] = v[diag_idx].real
-        marginals = diag.reshape(dims)
-        for axes, store in zip(others, pops):
-            store[k] = marginals.sum(axis=axes)
-        for name, row in exp_rows.items():
-            exp_vals[name][k] = row @ v
-        return diag.sum()
 
     def padded(v):
         full = np.zeros((d, d), dtype=complex)
         full[block] = v.reshape(r, r)
         return full
 
-    record(0, v)
+    rec[0] = v @ readout
     drift = 0.0
     for k in range(nt - 1):
         k1 = rhs(v, 2 * k)
@@ -238,7 +233,8 @@ def integrate_me(
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         m = v.reshape(r, r)
         v = (0.5 * (m + m.conj().T)).reshape(-1)
-        tr = record(k + 1, v)
+        rec[k + 1] = v @ readout
+        tr = rec[k + 1, 0].real
         err = abs(tr - target_trace)
         drift = max(drift, err)
         if not err <= _TRACE_TOL:
@@ -249,6 +245,8 @@ def integrate_me(
         if store_states and ((k + 1) % store_states == 0 or k == nt - 2):
             states.append((t[k + 1], padded(v)))
 
+    pops = [rec[:, 1 + 3 * n : 4 + 3 * n].real.copy() for n in range(len(slots))]
+    exp_vals = {name: rec[:, col].copy() for col, name in enumerate(expect, start=first_expect)}
     traj = Trajectory(
         t=t, pops=pops, expect=exp_vals, states=states, dim=r, trace_drift=float(drift)
     )

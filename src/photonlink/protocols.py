@@ -278,31 +278,29 @@ def run_transfer_efficiencies(spec: ProtocolSpec | None = None, nodes_link=None)
 def _measure_qutrit(rho3, node, spec, rng):
     """Single-qutrit tomography populations, exact or through the readout model."""
     settings = tomography.gate_set("single")
-    pops = np.stack([tomography.born_probabilities(rho3, s) for s in settings])
+    pops = tomography.born_probabilities(rho3, settings)
     if spec.shots is None:
         return settings, pops
     cal = readout.default_calibration(node)
-    r_hat = cal.analytic_assignment()
-    measured = np.empty_like(pops)
+    freqs = np.empty_like(pops)
     for k, p in enumerate(pops):
-        shots = cal.simulate_shots(np.clip(p.real, 0, None), spec.shots, rng)
+        shots = cal.simulate_shots(np.clip(p, 0, None), spec.shots, rng)
         labels = readout.classify(shots, cal.model)
-        freq = np.bincount(labels, minlength=3) / spec.shots
-        measured[k] = readout.mitigate(freq, r_hat).populations
-    return settings, measured
+        freqs[k] = np.bincount(labels, minlength=3) / spec.shots
+    return settings, readout.mitigate(freqs.T, cal.analytic_assignment()).populations.T
 
 
 def _measure_two_qutrit(rho9, spec, rng):
     settings = tomography.gate_set("pair")
-    pops = np.stack([tomography.born_probabilities(rho9, s) for s in settings])
+    pops = tomography.born_probabilities(rho9, settings)
     if spec.shots is None:
         return settings, pops
     cal_a = readout.default_calibration("A")
     cal_b = readout.default_calibration("B")
     r_two = readout.two_node(cal_a.analytic_assignment(), cal_b.analytic_assignment())
-    measured = np.empty_like(pops)
+    freqs = np.empty_like(pops)
     for k, p in enumerate(pops):
-        p = np.clip(p.real, 0, None)
+        p = np.clip(p, 0, None)
         p = p / p.sum()
         joint = rng.choice(9, size=spec.shots, p=p)
         shots_a = cal_a.shots_for_prepared_sequence(joint // 3, rng)
@@ -310,9 +308,8 @@ def _measure_two_qutrit(rho9, spec, rng):
         labels = 3 * readout.classify(shots_a, cal_a.model) + readout.classify(
             shots_b, cal_b.model
         )
-        freq = np.bincount(labels, minlength=9) / spec.shots
-        measured[k] = readout.mitigate(freq, r_two).populations
-    return settings, measured
+        freqs[k] = np.bincount(labels, minlength=9) / spec.shots
+    return settings, readout.mitigate(freqs.T, r_two).populations.T
 
 
 def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:

@@ -237,16 +237,19 @@ class MitigationResult:
 def mitigate(measured, r: np.ndarray) -> MitigationResult:
     """Invert readout errors: populations = R^-1 @ measured frequencies.
 
-    Mitigated populations may be slightly unphysical (negative) from
-    statistical noise; values outside [-0.02, 1.02] trigger a warning but
-    are returned raw, leaving any clipping to the MLE reconstruction stage.
+    ``measured`` is one frequency vector or a matrix of them as columns (one
+    per tomography setting, say), mitigated by one solve.  Mitigated
+    populations may be slightly unphysical (negative) from statistical
+    noise; values outside [-0.02, 1.02] trigger a warning but are returned
+    raw, leaving any clipping to the MLE reconstruction stage.  A singular R
+    raises numpy.linalg.LinAlgError, a ValueError.
     """
     r = np.asarray(r, dtype=float)
     m = np.asarray(measured, dtype=float)
     try:
         pops = np.linalg.solve(r, m)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"assignment matrix not invertible: {exc}") from exc
+        raise np.linalg.LinAlgError(f"assignment matrix not invertible: {exc}") from exc
     if np.any(pops < -0.02) or np.any(pops > 1.02):
         warnings.warn(
             "mitigated populations outside [-0.02, 1.02]; statistics beyond tolerance",
@@ -305,11 +308,11 @@ class ReadoutCalibration:
         return self.model.means[comp] + rng.standard_normal((len(prepared), 2)) @ chol.T
 
 
-def calibrate_to_targets(r_target: np.ndarray, x0=None, overlap_fraction=0.6) -> ReadoutCalibration:
+def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
     """Calibrate the synthetic readout so it reproduces a target assignment table.
 
-    The cluster geometry and classifier weights are least-squares fitted so
-    that Gaussian overlap accounts for ``overlap_fraction`` of each
+    The cluster geometry and classifier weights are least-squares fitted from
+    the start ``x0`` so that Gaussian overlap accounts for 60% of each
     off-diagonal entry (the overlap/decay split is not identifiable from the
     table alone); the remainder goes into the preparation-conditioned cluster
     weights, solved exactly from overlap_matrix @ prep_weights = r_target.
@@ -326,10 +329,8 @@ def calibrate_to_targets(r_target: np.ndarray, x0=None, overlap_fraction=0.6) ->
 
     def residual(theta):
         probs = assignment_probabilities(build(theta))
-        return [probs[j, s] - overlap_fraction * r_target[j, s] for j, s in off]
+        return [probs[j, s] - 0.6 * r_target[j, s] for j, s in off]
 
-    if x0 is None:
-        x0 = [3.8, 2.9, 3.6, 0.0, -1.0, -2.0]
     sol = optimize.least_squares(residual, x0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
     model = build(sol.x)
     overlap = assignment_probabilities(model)

@@ -109,9 +109,10 @@ def _measurement_matrix(settings):
     return (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
 
 
-def born_probabilities(rho: np.ndarray, setting: TomographySetting) -> np.ndarray:
-    """Energy-basis populations diag(U rho U+) after the setting's rotation."""
-    return (_measurement_matrix([setting]) @ np.asarray(rho, complex).reshape(-1)).real
+def born_probabilities(rho: np.ndarray, settings) -> np.ndarray:
+    """Populations diag(U rho U+) after each setting's rotation U, one row each."""
+    p = _measurement_matrix(settings) @ np.asarray(rho, complex).reshape(-1)
+    return p.real.reshape(len(settings), -1)
 
 
 def qst_mle(
@@ -119,16 +120,15 @@ def qst_mle(
     settings,
     tol: float = 1e-10,
     max_iter: int = 5000,
-    dilution: float = 0.5,
 ):
     """Maximum-likelihood state reconstruction from per-setting populations.
 
     ``populations`` has shape (n_settings, d); mitigated inputs may be
     slightly unphysical and are clipped to [0, 1] for the likelihood weights.
-    Iterates the diluted R*rho*R fixed point, which preserves positivity by
-    construction, until the log-likelihood improves by less than ``tol`` or
-    ``max_iter`` is reached (then a warning reports a gradient norm above
-    1e-6 and the last estimate is returned).
+    Iterates the diluted fixed point rho -> (I + R/2) rho (I + R/2)+, which
+    preserves positivity by construction, until the log-likelihood improves
+    by less than ``tol`` or ``max_iter`` is reached (then a warning reports a
+    gradient norm above 1e-6 and the last estimate is returned).
     """
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     d = settings[0].unitary.shape[0]
@@ -149,7 +149,7 @@ def qst_mle(
             break
         last_ll = ll
         r = ((f / p) @ a_conj).reshape(d, d) / len(settings)
-        step = eye + dilution * r
+        step = eye + 0.5 * r
         rho = step @ rho @ step.conj().T
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

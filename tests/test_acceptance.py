@@ -259,7 +259,7 @@ def test_criterion_10_mle_round_trip():
     worst = 0.0
     for _ in range(5):
         rho = random_density(3, rng)
-        pops = np.stack([tomo.born_probabilities(rho, s) for s in settings])
+        pops = tomo.born_probabilities(rho, settings)
         rec = tomo.qst_mle(pops, settings)
         worst = max(worst, metrics.trace_norm_distance(rec, rho))
     check_bool("criterion 10 (MLE round trip)", worst < 1e-3, f"worst {worst:.2e}")

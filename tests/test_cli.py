@@ -51,6 +51,7 @@ def test_sweep_requires_values(tmp_path):
         ["--sweep-param", "voltage", "--sweep-values", "1"],
         # every point is validated before the first one runs
         ["--sweep-param", "fock", "--sweep-values", "3,1"],
+        ["--sweep-param", "fock", "--sweep-values", "2.5", "--dt", "0.5"],
         ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
         ["--sweep-param", "kappa_eff", "--sweep-values", "10,0"],
@@ -185,6 +186,11 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, "--scenario", "entangle")
     assert code == 3
     assert (out / "entangle" / "run.log").read_text().find("numerical failure") >= 0
+    # one shot per prepared state estimates a singular assignment matrix
+    code, out = run_cli(tmp_path, "--scenario", "readout-sim", "--shots", "1", "--seed", "0")
+    assert code == 3
+    log = (out / "readout-sim" / "run.log").read_text()
+    assert "numerical failure: assignment matrix not invertible" in log
 
 
 def test_custom_device_file(tmp_path):

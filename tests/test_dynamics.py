@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from photonlink import device, dynamics, pulse
-from photonlink.qops import DensityMatrix, destroy, embed, ket, mhz
+from photonlink.qops import DensityMatrix, destroy, embed, ket, mhz, partial_trace
 from conftest import random_density
 
 
@@ -84,6 +84,39 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     dim_mix, out_mix = final(0.5 * (rho_a + rho_b))
     assert (dim_a, dim_b, dim_mix) == (7, 36, 36)
     assert np.abs(out_mix - 0.5 * (out_a + out_b)).max() <= 1e-12
+
+
+def test_recorded_observables_match_snapshots(table, rng):
+    """Populations and expectation values come from one readout matrix on the
+    integrated block; they must equal what the full stored state gives."""
+    node_a, node_b, link = table
+    t = pulse.default_grid(dt=0.5, span=100)
+    env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
+    env_b = pulse.shift(
+        pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
+        link.time_offset,
+    )
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=2)
+    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
+    qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
+    psi = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
+    d = len(psi)
+    expect = {
+        "a_out": device.output_field_op(node_a, node_b, link, fock=2),
+        "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+    }
+    traj, _ = dynamics.integrate_me(
+        h, cops, DensityMatrix(h.dims, np.outer(psi, psi.conj())),
+        expect=expect, store_states=25,
+    )
+    assert len(traj.states) > 5
+    for ts, rho in traj.states:
+        k = int(np.argmin(np.abs(traj.t - ts)))
+        for pops, slot in ((traj.pops_A, 0), (traj.pops_B, 2)):
+            diag = np.diag(partial_trace(rho, h.dims, keep=(slot,))).real
+            assert np.abs(pops[k] - diag).max() < 1e-12
+        for name, op in expect.items():
+            assert abs(traj.expect[name][k] - np.trace(op @ rho)) < 1e-12
 
 
 def test_reachable_block_closes_under_jump_products():

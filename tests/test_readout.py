@@ -167,6 +167,13 @@ def test_mitigate_exact_round_trip(rng):
     ident = readout.mitigate(p, np.eye(3))
     assert np.allclose(ident.populations, p)
     assert ident.error_score == 0.0
+    # a (3, n) matrix of frequency columns is mitigated column by column
+    freqs = r @ np.column_stack([p, [1.0, 0, 0], [0.2, 0.2, 0.6], [0, 0.5, 0.5]])
+    table = readout.mitigate(freqs, r).populations
+    assert table.shape == (3, 4)
+    for col in range(4):
+        single = readout.mitigate(freqs[:, col], r).populations
+        assert np.abs(table[:, col] - single).max() < 1e-14
 
 
 def test_mitigate_error_score_is_mean_misassignment():

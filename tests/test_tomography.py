@@ -32,16 +32,19 @@ def test_setting_rejects_nonunitary():
 def test_born_probabilities_basics(rng):
     settings = tomo.gate_set("single")
     rho_g = np.diag([1.0, 0, 0]).astype(complex)
-    assert np.allclose(tomo.born_probabilities(rho_g, settings[0]), [1, 0, 0])
+    assert np.allclose(tomo.born_probabilities(rho_g, settings)[0], [1, 0, 0])
     # |e> after a ge pi pulse reads out as g
     rho_e = np.diag([0, 1.0, 0]).astype(complex)
-    x180 = settings[3]
-    assert x180.name == "x180_ge"
-    assert tomo.born_probabilities(rho_e, x180)[0] == pytest.approx(1.0)
-    for setting in settings:
-        p = tomo.born_probabilities(random_density(3, rng), setting)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(p > -1e-12)
+    assert settings[3].name == "x180_ge"
+    assert tomo.born_probabilities(rho_e, settings)[3, 0] == pytest.approx(1.0)
+    rho = random_density(3, rng)
+    p = tomo.born_probabilities(rho, settings)
+    assert p.shape == (9, 3)
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(p > -1e-12)
+    for row, setting in zip(p, settings):
+        u = setting.unitary
+        assert np.abs(row - np.diag(u @ rho @ u.conj().T).real).max() < 1e-14
 
 
 def test_ef_swap_is_permutation():
@@ -54,7 +57,7 @@ def test_mle_round_trip_pure_qutrit(rng):
     settings = tomo.gate_set("single")
     psi = random_pure(3, rng)
     rho = np.outer(psi, psi.conj())
-    pops = np.stack([tomo.born_probabilities(rho, s) for s in settings])
+    pops = tomo.born_probabilities(rho, settings)
     # boundary states approach the fixed point at ~1/iterations; the default
     # budget reaches 2e-4, a larger one the example's 1e-4
     rec = tomo.qst_mle(pops, settings, tol=1e-13, max_iter=20000)
@@ -65,26 +68,22 @@ def test_mle_round_trip_pure_qutrit(rng):
 
 def test_mle_maximally_mixed(rng):
     settings = tomo.gate_set("single")
-    pops = np.stack(
-        [tomo.born_probabilities(np.eye(3, dtype=complex) / 3, s) for s in settings]
-    )
+    pops = tomo.born_probabilities(np.eye(3, dtype=complex) / 3, settings)
     assert np.abs(tomo.qst_mle(pops, settings) - np.eye(3) / 3).max() < 1e-12
     pairs = tomo.gate_set("pair")
-    pops9 = np.stack(
-        [tomo.born_probabilities(np.eye(9, dtype=complex) / 9, s) for s in pairs]
-    )
+    pops9 = tomo.born_probabilities(np.eye(9, dtype=complex) / 9, pairs)
     assert np.abs(tomo.qst_mle(pops9, pairs) - np.eye(9) / 9).max() < 1e-12
 
 
 def test_mle_round_trip_two_qutrit_mixed(rng):
     settings = tomo.gate_set("pair")
     rho = random_density(9, rng)
-    pops = np.stack([tomo.born_probabilities(rho, s) for s in settings])
+    pops = tomo.born_probabilities(rho, settings)
     rec = tomo.qst_mle(pops, settings)
     assert np.sqrt(np.abs(np.trace((rec - rho) @ (rec - rho)))) < 1e-3
     # rank-deficient states converge more slowly but stay usable
     rho = random_density(9, rng, rank=4)
-    pops = np.stack([tomo.born_probabilities(rho, s) for s in settings])
+    pops = tomo.born_probabilities(rho, settings)
     rec = tomo.qst_mle(pops, settings)
     assert np.sqrt(np.abs(np.trace((rec - rho) @ (rec - rho)))) < 5e-3
 
@@ -93,7 +92,7 @@ def test_mle_round_trip_random_mixed_states(rng):
     settings = tomo.gate_set("single")
     for _ in range(5):
         rho = random_density(3, rng)
-        pops = np.stack([tomo.born_probabilities(rho, s) for s in settings])
+        pops = tomo.born_probabilities(rho, settings)
         rec = tomo.qst_mle(pops, settings)
         assert trace_norm_distance(rec, rho) < 1e-3
 
@@ -170,7 +169,7 @@ def test_process_matrix_validation(tmp_path):
 def test_tomography_records_export(tmp_path, rng):
     settings = tomo.gate_set("single")
     rho = random_density(3, rng)
-    pops = [tomo.born_probabilities(rho, s) for s in settings]
+    pops = tomo.born_probabilities(rho, settings)
     tomo.write_tomography_records(tmp_path / "rec.json", settings, pops)
     import json
 
