@@ -107,6 +107,10 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         kwargs["kappa_eff_a"] = args.kappa_eff
         kwargs["kappa_eff_b"] = args.kappa_eff
     spec = protocols.ProtocolSpec(**kwargs)
+    _, _, link = protocols.resolve_device(nodes_link, spec)
+    if args.scenario == "transfer" and link.eta_c == 0:
+        # the absorption efficiency divides by the flux the channel delivers
+        raise ConfigError("transfer needs eta_c > 0: with eta_c = 0 no photon reaches node B")
     for name, node in _BANDWIDTH_PATHS.get(args.scenario, _LINK_PATHS):
         kappa_t = nodes_link[node].kappa_T
         if getattr(spec, name) > kappa_t:

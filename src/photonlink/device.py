@@ -11,7 +11,8 @@ per-transition decay and dephasing channels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace, asdict
+import math
+from dataclasses import dataclass, fields, replace, asdict
 from importlib import resources
 
 import numpy as np
@@ -20,6 +21,13 @@ from .qops import mhz, destroy, embed, projector, transition
 from .pulse import DriveEnvelope
 
 G, E, F = 0, 1, 2  # transmon level indices
+
+
+def _require_finite(params):
+    """Reject NaN and infinite fields: a comparison with NaN is always False."""
+    bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,7 @@ class NodeParams:
     chi_R: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kappa_T <= 0:
             raise ValueError("kappa_T must be positive")
         if self.alpha >= 0:
@@ -82,6 +91,7 @@ class LinkParams:
     time_offset: float = 0.0  # ns
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.eta_c <= 1.0:
             raise ValueError("eta_c must lie in [0, 1]")
 

@@ -12,6 +12,7 @@ a ProtocolSpec and seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace, asdict
 
 import numpy as np
@@ -59,6 +60,11 @@ class ProtocolSpec:
     seed: int = 0
 
     def __post_init__(self):
+        reals = [self.kappa_eff_a, self.kappa_eff_b, *self.window]
+        reals += [self.idle_ns, self.dt, self.t_scale]
+        reals += [x for x in (self.eta_c, self.time_offset) if x is not None]
+        if not all(math.isfinite(x) for x in reals):
+            raise ValueError("every real-valued setting must be finite")
         if self.fock < 2:
             raise ValueError("fock must be >= 2")
         if self.dt <= 0:
@@ -99,7 +105,10 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
-def _resolve(nodes_link, spec: ProtocolSpec):
+def resolve_device(nodes_link, spec: ProtocolSpec):
+    """The (node_a, node_b, link) a run of ``spec`` integrates: the device
+    (the shipped one for None) with the spec's overrides applied; raises
+    ValueError when an override leaves a parameter invalid."""
     if nodes_link is None:
         node_a, node_b, link = dev.load_device()
     else:
@@ -168,7 +177,7 @@ def _run_link(spec, nodes_link, emitter, prep, absorb=False, tau=None, store_sta
     output field <L> and the flux <L+L> of the cascade's jump operator L are
     recorded on the trajectory.  Returns (Trajectory, final DensityMatrix).
     """
-    node_a, node_b, link = _resolve(nodes_link, spec)
+    node_a, node_b, link = resolve_device(nodes_link, spec)
     from_a = emitter == "A"
     keff = spec.kappa_eff_a if from_a else spec.kappa_eff_b
     env = _drive(spec, node_a if from_a else node_b, keff)
@@ -375,7 +384,7 @@ UPGRADE_ETA_C = 0.88
 def run_upgrade_scenario(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
     """Entanglement with upgraded coherence (30/20 us) and 12% channel loss."""
     spec = spec or ProtocolSpec(name="upgrade")
-    node_a, node_b, link = _resolve(nodes_link, replace(spec, t_scale=1.0))
+    node_a, node_b, link = resolve_device(nodes_link, replace(spec, t_scale=1.0))
     node_a = replace(node_a, **UPGRADE_COHERENCE_US)
     node_b = replace(node_b, **UPGRADE_COHERENCE_US)
     if spec.eta_c is None:

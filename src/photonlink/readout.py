@@ -1,13 +1,13 @@
 """Synthetic single-shot qutrit readout and assignment-error mitigation.
 
 Integrated quadrature pairs (u, v) are modelled as a mixture of three
-Gaussians with shared covariance; maximum-a-posteriori classification then
-cuts the plane into three straight-edged regions.  Assignment matrices hold
-P(assigned s' | prepared s) with prepared states as columns, so measured
-frequencies obey M = R @ rho_diag and mitigation is rho_diag = R^-1 @ M.
-The shipped default models are calibrated so that their analytic
-misassignment probabilities reproduce the measured single-qutrit assignment
-tables.
+Gaussians with shared covariance, so maximum-a-posteriori classification is
+one affine discriminant per model, cutting the plane into three
+straight-edged regions.  Assignment matrices hold P(assigned s' | prepared
+s) with prepared states as columns, so measured frequencies obey
+M = R @ rho_diag and mitigation is rho_diag = R^-1 @ M.  The shipped
+default models, fitted in five parameters with Sigma = I, reproduce the
+measured single-qutrit assignment tables.
 """
 
 from __future__ import annotations
@@ -81,16 +81,19 @@ class MixtureModel:
         if np.linalg.eigvalsh(cov).min() <= 0:
             raise ValueError("covariance must be positive definite")
 
-    def discriminants(self, shots: np.ndarray) -> np.ndarray:
-        """log w_s - (x-mu_s)' Sigma^-1 (x-mu_s)/2 for each component."""
-        x = np.atleast_2d(np.asarray(shots, dtype=float))
-        inv = np.linalg.inv(self.cov)
-        out = np.empty((x.shape[0], 3))
-        logw = np.log(np.clip(self.weights, 1e-300, None))
-        for s in range(3):
-            d = x - self.means[s]
-            out[:, s] = logw[s] - 0.5 * np.einsum("ni,ij,nj->n", d, inv, d)
-        return out
+    def discriminant(self):
+        """Affine parts (W, h, log w) of the MAP discriminant: component s
+        scores W_s.x - h_s + log w_s, its Gaussian log-density less the term
+        -x' Sigma^-1 x / 2 all share, with W = mu Sigma^-1 and h_s = W_s.mu_s / 2.
+        """
+        w = self.means @ np.linalg.inv(self.cov)
+        h = 0.5 * (w * self.means).sum(axis=1)
+        return w, h, np.log(np.clip(self.weights, 1e-300, None))
+
+    def draw(self, comp, rng) -> np.ndarray:
+        """One (u, v) shot per entry of ``comp``, drawn from that component."""
+        chol = np.linalg.cholesky(self.cov)
+        return self.means[comp] + rng.standard_normal((len(comp), 2)) @ chol.T
 
 
 def sample_shots(rho_diag, model: MixtureModel, n: int, seed) -> np.ndarray:
@@ -100,14 +103,15 @@ def sample_shots(rho_diag, model: MixtureModel, n: int, seed) -> np.ndarray:
         raise ValueError("rho_diag must be a probability 3-vector")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     comp = rng.choice(3, size=n, p=np.clip(p, 0, None) / np.clip(p, 0, None).sum())
-    chol = np.linalg.cholesky(model.cov)
-    return model.means[comp] + rng.standard_normal((n, 2)) @ chol.T
+    return model.draw(comp, rng)
 
 
 def classify(shots, model: MixtureModel) -> np.ndarray:
     """Maximum-a-posteriori labels (0=g, 1=e, 2=f); ties break toward g<e<f."""
-    disc = model.discriminants(shots)
-    return np.argmax(disc, axis=1)
+    x = np.atleast_2d(np.asarray(shots, dtype=float))
+    w, h, logw = model.discriminant()
+    # log w is added last: folding it into h first moves exact ties
+    return np.argmax((x @ w.T - h) + logw, axis=1)
 
 
 def assignment_probabilities(model: MixtureModel) -> np.ndarray:
@@ -117,23 +121,16 @@ def assignment_probabilities(model: MixtureModel) -> np.ndarray:
     in the shot, so each probability is a bivariate-normal orthant integral,
     evaluated here with deterministic Gauss-Legendre quadrature.
     """
-    inv = np.linalg.inv(model.cov)
-    logw = np.log(np.clip(model.weights, 1e-300, None))
+    w, h, logw = model.discriminant()
     r = np.empty((3, 3))
-    for s in range(3):
-        for j in range(3):
-            others = [i for i in range(3) if i != j]
-            a = np.empty((2, 2))
-            b = np.empty(2)
-            for row, i in enumerate(others):
-                a[row] = inv @ (model.means[j] - model.means[i])
-                b[row] = (logw[j] - logw[i]) - 0.5 * (
-                    model.means[j] @ inv @ model.means[j]
-                    - model.means[i] @ inv @ model.means[i]
-                )
-            mean = a @ model.means[s] + b
-            cov = a @ model.cov @ a.T
-            r[j, s] = _orthant_probability(mean, cov)
+    for j in range(3):
+        # shot assigned j iff a @ x + c >= 0 row-wise: j beats each other i
+        others = [i for i in range(3) if i != j]
+        a = w[j] - w[others]
+        c = (logw[j] - logw[others]) - (h[j] - h[others])
+        cov = a @ model.cov @ a.T
+        for s in range(3):
+            r[j, s] = _orthant_probability(a @ model.means[s] + c, cov)
     return r
 
 
@@ -271,7 +268,7 @@ class ReadoutCalibration:
     """A mixture model plus preparation-conditioned cluster weights.
 
     A shared-covariance MAP classifier has five effective degrees of freedom
-    (triangle shape plus two weight logits), which cannot reproduce all six
+    (those ``calibrate_to_targets`` fits), which cannot reproduce all six
     independent misassignment asymmetries of the measured tables; the excess
     asymmetry is physical, coming from transmon decay during the readout
     window, and is carried here by ``prep_weights``: column s holds the
@@ -304,28 +301,29 @@ class ReadoutCalibration:
         cum = np.cumsum(cols, axis=0)  # (cluster, prepared)
         u = rng.random(len(prepared))
         comp = (u[:, None] > cum.T[prepared]).sum(axis=1)
-        chol = np.linalg.cholesky(self.model.cov)
-        return self.model.means[comp] + rng.standard_normal((len(prepared), 2)) @ chol.T
+        return self.model.draw(comp, rng)
 
 
 def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
     """Calibrate the synthetic readout so it reproduces a target assignment table.
 
-    The cluster geometry and classifier weights are least-squares fitted from
-    the start ``x0`` so that Gaussian overlap accounts for 60% of each
-    off-diagonal entry (the overlap/decay split is not identifiable from the
-    table alone); the remainder goes into the preparation-conditioned cluster
-    weights, solved exactly from overlap_matrix @ prep_weights = r_target.
+    The parameters (d, fx, fy, log w_e/w_g, log w_f/w_g) put the clusters
+    at g = (0, 0), e = (d, 0) and f = (fx, fy) with Sigma = I, which loses
+    nothing: no label changes under an affine map of the plane.  They are
+    least-squares fitted from the start ``x0`` so that Gaussian overlap
+    accounts for 60% of each off-diagonal entry (the overlap/decay split is
+    not identifiable from the table alone); the remainder goes into the
+    cluster weights, solved exactly from overlap_matrix @ prep_weights =
+    r_target.
     """
     r_target = np.asarray(r_target, dtype=float)
     off = [(j, s) for s in range(3) for j in range(3) if j != s]
 
     def build(theta):
-        d, fx, fy, log_sy, le, lf = theta
+        d, fx, fy, le, lf = theta
         means = np.array([[0.0, 0.0], [d, 0.0], [fx, fy]])
-        cov = np.diag([1.0, np.exp(2 * log_sy)])
         w = np.exp([0.0, le, lf])
-        return MixtureModel(weights=w / w.sum(), means=means, cov=cov)
+        return MixtureModel(weights=w / w.sum(), means=means, cov=np.eye(2))
 
     def residual(theta):
         probs = assignment_probabilities(build(theta))
@@ -349,10 +347,10 @@ def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
     return cal
 
 
-# converged geometry parameters, stored to make reloading fast
+# converged (d, fx, fy, log w_e/w_g, log w_f/w_g), stored to make reloading fast
 _CALIBRATED_X0 = {
-    "A": [4.35643073, 3.58477234, 4.52479697, 0.10037575, -1.31440833, -2.18843717],
-    "B": [4.4964052, 3.79157905, 5.20704027, 0.29933498, -1.19577853, -1.94476718],
+    "A": [4.35643073, 3.58477234, 4.0926675, -1.31440833, -2.18843717],
+    "B": [4.4964052, 3.79157905, 3.86003646, -1.19577853, -1.94476718],
 }
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -20,9 +21,20 @@ def test_unknown_scenario_exits_2_without_files(tmp_path):
     assert not out.exists()
 
 
+def _device_file(path, section, **fields):
+    """The shipped device table with some fields of one section replaced."""
+    node_a, node_b, link = device.load_device()
+    raw = {"node_a": asdict(node_a), "node_b": asdict(node_b), "link": asdict(link)}
+    raw[section].update(fields)
+    path.write_text(json.dumps(raw))  # writes NaN, which json.load accepts
+    return str(path)
+
+
 def test_conflicting_flags_exit_2(tmp_path):
     not_a_dir = tmp_path / "not-a-dir"
     not_a_dir.write_bytes(b"keep me\n")
+    nan_t1 = _device_file(tmp_path / "nan.json", "node_a", T1ge=float("nan"))
+    no_channel = _device_file(tmp_path / "eta0.json", "link", eta_c=0.0)
     for argv in (
         ["--shots", "10", "--exact"],
         ["--eta-c", "1.5"],
@@ -32,6 +44,21 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz
         ["--seed", "-1"],
         ["--out", str(not_a_dir)],  # an existing regular file
+        # non-finite numbers, for which every <= / < check is False
+        ["--idle-ns", "nan"],
+        ["--idle-ns", "inf"],
+        ["--time-offset", "nan"],
+        ["--time-offset", "inf"],
+        ["--kappa-eff", "nan"],
+        ["--device", nan_t1],
+        # a later --scenario overrides the entangle default below
+        ["--scenario", "emit-b", "--dt", "nan"],
+        ["--scenario", "emit-b", "--t-scale", "nan"],
+        ["--scenario", "emit-b", "--t-scale", "inf"],
+        ["--scenario", "emit-b", "--t-scale", "1e308"],  # scales T1 to inf
+        # no photon reaches B: the absorption efficiency is undefined
+        ["--scenario", "transfer", "--eta-c", "0"],
+        ["--scenario", "transfer", "--device", no_channel],
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
@@ -55,6 +82,7 @@ def test_sweep_requires_values(tmp_path):
         ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
         ["--sweep-param", "kappa_eff", "--sweep-values", "10,0"],
+        ["--sweep-param", "dt", "--sweep-values", "nan"],
     ):
         code, out = run_cli(tmp_path, "--scenario", "sweep", *argv)
         assert code == 2, argv

@@ -41,6 +41,15 @@ def test_node_params_validation(table):
         dataclasses.replace(node_a, T2ge=2 * node_a.T1ge + 0.1)
     with pytest.raises(ValueError):
         device.LinkParams(eta_c=1.2)
+    # non-finite values, for which the comparisons above are all False
+    for value in (float("nan"), float("inf")):
+        for name in ("T1ge", "T2ef", "kappa_int", "K", "nu_R"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(node_a, **{name: value})
+        with pytest.raises(ValueError):
+            device.LinkParams(eta_c=0.77, time_offset=value)
+        with pytest.raises(ValueError):
+            device.LinkParams(eta_c=value)
 
 
 def test_device_file_round_trip(tmp_path, table):

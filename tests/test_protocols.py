@@ -39,6 +39,12 @@ def test_spec_validation():
         ProtocolSpec(name="x", kappa_eff_b=0.0)
     with pytest.raises(ValueError):
         ProtocolSpec(name="x", eta_c=1.5)
+    for value in (float("nan"), float("inf"), -float("inf")):
+        for name in ("eta_c", "time_offset", "kappa_eff_a", "idle_ns", "dt", "t_scale"):
+            with pytest.raises(ValueError):
+                ProtocolSpec(name="x", **{name: value})
+        with pytest.raises(ValueError):
+            ProtocolSpec(name="x", window=(-95.0, value))
 
 
 def test_spec_json_round_trip(tmp_path):

@@ -68,15 +68,28 @@ def test_classify_at_means_and_tie_break():
     assert readout.classify(midpoint[None, :], model)[0] == 0
 
 
+def skewed_model():
+    """Correlated, anisotropic covariance and unequal weights."""
+    means = np.array([[0.0, 0.0], [3.0, 0.5], [1.0, 2.5]])
+    cov = np.array([[1.3, 0.5], [0.5, 0.6]])
+    return readout.MixtureModel(np.array([0.5, 0.3, 0.2]), means, cov)
+
+
 def test_classification_rates_match_analytic_overlap():
-    model = simple_model(sep=3.0)
-    probs = readout.assignment_probabilities(model)
-    n = 25000
-    for s in range(3):
-        shots = readout.sample_shots(np.eye(3)[s], model, n, seed=100 + s)
-        freq = np.bincount(readout.classify(shots, model), minlength=3) / n
-        sigma = np.sqrt(probs[:, s] * (1 - probs[:, s]) / n)
-        assert np.all(np.abs(freq - probs[:, s]) < 4 * sigma + 1e-4)
+    for model in (simple_model(sep=3.0), skewed_model()):
+        probs = readout.assignment_probabilities(model)
+        n = 25000
+        for s in range(3):
+            shots = readout.sample_shots(np.eye(3)[s], model, n, seed=100 + s)
+            freq = np.bincount(readout.classify(shots, model), minlength=3) / n
+            sigma = np.sqrt(probs[:, s] * (1 - probs[:, s]) / n)
+            assert np.all(np.abs(freq - probs[:, s]) < 4 * sigma + 1e-4)
+        # the affine classifier is the full quadratic MAP rule
+        shots = readout.sample_shots([0.4, 0.3, 0.3], model, 100000, seed=9)
+        d = shots[:, None, :] - model.means
+        inv = np.linalg.inv(model.cov)
+        log_post = np.log(model.weights) - 0.5 * np.einsum("nsi,ij,nsj->ns", d, inv, d)
+        assert np.array_equal(readout.classify(shots, model), np.argmax(log_post, axis=1))
 
 
 def test_orthant_probability_against_monte_carlo():
