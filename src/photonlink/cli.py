@@ -3,7 +3,8 @@
 Every run writes a manifest (resolved configuration and library versions)
 sufficient to reproduce it byte-for-byte, a JSON summary with the headline
 numbers, and scenario-specific CSV/JSON artifacts.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+2 configuration error (nothing written), 3 numerical failure (trace drift or
+a ValueError raised during the run; run.log names the cause).
 """
 
 from __future__ import annotations
@@ -107,17 +108,18 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         kwargs["kappa_eff_a"] = args.kappa_eff
         kwargs["kappa_eff_b"] = args.kappa_eff
     spec = protocols.ProtocolSpec(**kwargs)
-    _, _, link = protocols.resolve_device(nodes_link, spec)
+    *nodes, link = protocols.resolve_device(nodes_link, spec)
     if args.scenario == "transfer" and link.eta_c == 0:
         # the absorption efficiency divides by the flux the channel delivers
         raise ConfigError("transfer needs eta_c > 0: with eta_c = 0 no photon reaches node B")
     for name, node in _BANDWIDTH_PATHS.get(args.scenario, _LINK_PATHS):
-        kappa_t = nodes_link[node].kappa_T
-        if getattr(spec, name) > kappa_t:
+        # the drive the run builds checks kappa_eff <= kappa_T and the window span
+        try:
+            protocols._drive(spec, nodes[node], getattr(spec, name))
+        except ValueError as exc:
             raise ConfigError(
-                f"photon bandwidth {getattr(spec, name)} MHz exceeds node "
-                f"{'AB'[node]}'s kappa_T of {kappa_t} MHz"
-            )
+                f"photon bandwidth {getattr(spec, name)} MHz through node {'AB'[node]}: {exc}"
+            ) from exc
     return spec
 
 
@@ -383,7 +385,9 @@ def run(argv=None) -> int:
             summary = _run_readout_sim(spec, outdir)
         else:
             summary = _run_sweep(args, points, nodes_link, outdir)
-    except (TraceDriftError, np.linalg.LinAlgError) as exc:
+    except (TraceDriftError, ValueError) as exc:
+        # a ValueError raised by a validated run (numpy's LinAlgError is one)
+        # is a numerical failure such as a vanishing reference flux
         print(f"numerical failure: {exc}", file=sys.stderr)
         log_lines.append(f"numerical failure: {exc}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n")

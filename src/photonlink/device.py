@@ -182,15 +182,6 @@ class TimeDependentOperator:
     terms: tuple          # ((op, complex samples), ...)
     t: np.ndarray
 
-    def matrix(self, time: float) -> np.ndarray:
-        out = self.static.astype(complex).copy()
-        for op, samples in self.terms:
-            c = np.interp(time, self.t, samples.real) + 1j * np.interp(
-                time, self.t, samples.imag
-            )
-            out += c * op
-        return out
-
 
 def qutrit_lowering(which):
     """|g><e| or |e><f| on a single qutrit."""

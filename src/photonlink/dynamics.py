@@ -5,15 +5,19 @@ the support of rho0 closed under the nonzero patterns of H, the drive terms
 and their adjoints, the jump operators L_k and L_k+L_k.  The master equation
 maps that block into itself whatever the operators are, so the restriction
 is exact; a single excitation on the link reaches at most 7 of the 81
-states of the default Fock truncation.  On the block the Lindblad generator
-is assembled once as one sparse stacked superoperator [L_0 S_1 ... S_n]
-acting on the row-major vectorized density matrix and its copies weighted
-by the drive coefficients, which are tabulated on the half-step grid of the
-integrator; propagation is fixed-step 4th-order Runge-Kutta (deterministic,
-which keeps golden tests exact).  The state is re-symmetrized after every
-step.  The trace, the level populations and the expectation values are
-linear in the state, so every grid point records them by one product with a
-readout matrix; outputs are zero-padded back to the full dimensions.
+states of the default Fock truncation.  The integrator takes one input
+form: the Hamiltonian as a TimeDependentOperator, whose grid is the
+integration grid, and rho0 as a DensityMatrix.  On the block each Liouvillian
+is built densely with numpy (``np.kron``, about R^4 entries for an R-state
+block while it is built) and converted to CSR at once; they are stacked as
+[L_0 S_1 ... S_n], which acts on the row-major vectorized density matrix and
+its copies weighted by the drive coefficients, tabulated on the half-step
+grid of the integrator, as one sparse product per stage.  Propagation is
+fixed-step 4th-order Runge-Kutta (deterministic, which keeps golden tests
+exact).  The state is re-symmetrized after every step.  The trace, the level
+populations and the expectation values are linear in the state, so every
+grid point records them by one product with a readout matrix; outputs are
+zero-padded back to the full dimensions.
 """
 
 from __future__ import annotations
@@ -75,18 +79,14 @@ class Trajectory:
         return float(np.trapezoid(self.flux_out, self.t))
 
 
-def _super_commutator(h):
-    hs = sp.csr_matrix(h)
-    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
-    return (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))).tocsr()
-
-
-def _super_dissipator(op):
-    ls = sp.csr_matrix(op)
-    eye = sp.identity(op.shape[0], dtype=complex, format="csr")
-    ldl = (ls.conj().T @ ls).tocsr()
-    out = sp.kron(ls, ls.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
-    return out.tocsr()
+def _liouvillian(h, jumps=()):
+    """Row-major Liouville matrix of rho -> -i[h, rho] + sum_k D[L_k] rho."""
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in jumps:
+        ldl = op.conj().T @ op
+        out += np.kron(op, op.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return out
 
 
 def _reachable(rho, ops):
@@ -104,47 +104,37 @@ def _reachable(rho, ops):
 
 
 def integrate_me(
-    hamiltonian,
+    hamiltonian: TimeDependentOperator,
     collapse_ops,
-    rho0,
-    t=None,
+    rho0: DensityMatrix,
     *,
     expect=None,
     store_states=0,
 ):
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid.
 
-    ``hamiltonian`` is a TimeDependentOperator (whose grid defines the
-    integration grid) or a static matrix (then ``t`` is required);
-    ``collapse_ops`` holds (name, operator) pairs.  ``expect`` maps labels
-    to operators whose expectation values Tr(O rho) are recorded at every
-    grid point.  ``store_states`` > 0 stores a density-matrix
-    snapshot every that many steps (plus the final state).  Level
-    populations are tracked for slots 0 and 2 of the four-part node layout,
-    or else for every three-dimensional subsystem.
+    The grid of ``hamiltonian`` is the integration grid (a static H is a
+    TimeDependentOperator with no terms); ``collapse_ops`` holds (name,
+    operator) pairs.  ``expect`` maps labels to operators whose expectation
+    values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
+    stores a density-matrix snapshot every that many steps (plus the final
+    state).  Level populations are tracked for slots 0 and 2 of the
+    four-part node layout, or else for every three-dimensional subsystem.
 
     Only the reachable block is integrated: the basis states in the support
     of rho0, closed under the nonzero patterns of H, every drive term and
     its adjoint, every L_k and every L_k+L_k.  The generator keeps that
     block invariant, so the result equals the full-space integration; the
     final state and the snapshots are zero-padded back to the full dims.
+    Each R^2 x R^2 Liouvillian block of an R-state block is built densely
+    with numpy (about R^4 entries held while it is built) and converted to
+    CSR at once; every RK4 stage applies them as one sparse product.
 
     Returns (Trajectory, final DensityMatrix).  Raises ValueError if an
     operator is not (d, d) and TraceDriftError if the trace wanders further
     than 1e-6 from its initial value.
     """
-    if isinstance(hamiltonian, TimeDependentOperator):
-        dims = hamiltonian.dims
-        t = hamiltonian.t
-        h0 = hamiltonian.static
-        td_terms = hamiltonian.terms
-    else:
-        h0 = np.asarray(hamiltonian, dtype=complex)
-        if t is None:
-            raise ValueError("a time grid is required for a static Hamiltonian")
-        t = np.asarray(t, dtype=float)
-        dims = rho0.dims if isinstance(rho0, DensityMatrix) else (h0.shape[0],)
-        td_terms = ()
+    dims, t, h0, td_terms = hamiltonian.dims, hamiltonian.t, hamiltonian.static, hamiltonian.terms
     if len(t) < 2 or np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be strictly increasing")
     steps = np.diff(t)
@@ -154,7 +144,7 @@ def integrate_me(
     nt = len(t)
     d = int(np.prod(dims))
 
-    rho = rho0.data if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
+    rho = rho0.data
     if rho.shape != (d, d):
         raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
     if h0.shape != (d, d):
@@ -175,10 +165,6 @@ def integrate_me(
     block = np.ix_(idx, idx)
     r = len(idx)
 
-    l_static = _super_commutator(h0[block])
-    for op in jumps:
-        l_static = l_static + _super_dissipator(op[block])
-
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
     # even columns are the samples, odd columns the midpoint averages
     coef = np.empty((len(td_terms), 2 * nt - 1), dtype=complex)
@@ -190,7 +176,9 @@ def integrate_me(
         row[1::2] = 0.5 * (samples[:-1] + samples[1:])
     # L(t) v = [L_0 S_1 ... S_n] @ [v; c_1(t) v; ...; c_n(t) v]
     generator = sp.hstack(
-        [l_static] + [_super_commutator(op[block]) for op in drive_ops], format="csr"
+        [sp.csr_matrix(_liouvillian(h0[block], [op[block] for op in jumps]))]
+        + [sp.csr_matrix(_liouvillian(op[block])) for op in drive_ops],
+        format="csr",
     )
     stacked = np.empty((len(td_terms) + 1, r * r), dtype=complex)
 

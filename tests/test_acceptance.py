@@ -340,20 +340,19 @@ def test_criterion_10_ramsey_calibration():
     for node in (node_a, node_b):
         cops = device.single_node_collapse_ops(node)
         t = np.arange(0.0, 900.0, 1.0)
+        free = device.TimeDependentOperator((3,), np.zeros((3, 3), complex), (), t)
         e_ge = np.outer(ket(3, 1), ket(3, 0).conj())
         e_ef = np.outer(ket(3, 2), ket(3, 1).conj())
         psi = (ket(3, 0) + ket(3, 1)) / np.sqrt(2)
         traj, _ = dynamics.integrate_me(
-            np.zeros((3, 3), complex), cops,
-            DensityMatrix((3,), np.outer(psi, psi.conj())), t,
+            free, cops, DensityMatrix((3,), np.outer(psi, psi.conj())),
             expect={"c": e_ge},
         )
         t2ge = -t[-1] / np.log(2 * np.abs(traj.expect["c"][-1]))
         worst = max(worst, abs(t2ge / (node.T2ge * 1e3) - 1.0))
         psi = (ket(3, 1) + ket(3, 2)) / np.sqrt(2)
         traj, _ = dynamics.integrate_me(
-            np.zeros((3, 3), complex), cops,
-            DensityMatrix((3,), np.outer(psi, psi.conj())), t,
+            free, cops, DensityMatrix((3,), np.outer(psi, psi.conj())),
             expect={"c": e_ef},
         )
         t2ef = -t[-1] / np.log(2 * np.abs(traj.expect["c"][-1]))

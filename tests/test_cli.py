@@ -42,6 +42,9 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--t-scale", "0"],
         ["--idle-ns", "-300"],
         ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz
+        # below about 10.05 MHz the +-95 ns drive window cannot span +-6/kappa_eff
+        ["--kappa-eff", "10", "--dt", "0.5"],
+        ["--scenario", "emit-b", "--kappa-eff", "10", "--dt", "0.3"],
         ["--seed", "-1"],
         ["--out", str(not_a_dir)],  # an existing regular file
         # non-finite numbers, for which every <= / < check is False
@@ -82,6 +85,7 @@ def test_sweep_requires_values(tmp_path):
         ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
         ["--sweep-param", "kappa_eff", "--sweep-values", "10,0"],
+        ["--sweep-param", "kappa_eff", "--sweep-values", "10.4,9", "--dt", "0.5"],
         ["--sweep-param", "dt", "--sweep-values", "nan"],
     ):
         code, out = run_cli(tmp_path, "--scenario", "sweep", *argv)
@@ -219,6 +223,11 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     log = (out / "readout-sim" / "run.log").read_text()
     assert "numerical failure: assignment matrix not invertible" in log
+    # a channel this weak passes validation, but no reference flux arrives
+    code, out = run_cli(tmp_path, "--scenario", "transfer", "--eta-c", "1e-13", "--dt", "0.5")
+    assert code == 3
+    log = (out / "transfer" / "run.log").read_text()
+    assert "numerical failure: reference emission flux vanishes" in log
 
 
 def test_custom_device_file(tmp_path):

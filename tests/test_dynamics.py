@@ -14,10 +14,16 @@ def table():
     return device.load_device()
 
 
+def _static(dims, t):
+    """H = 0 on the grid t."""
+    d = int(np.prod(dims))
+    return device.TimeDependentOperator(dims, np.zeros((d, d), complex), (), t)
+
+
 def test_frozen_dynamics(rng):
     rho0 = DensityMatrix((3,), random_density(3, rng))
     t = np.arange(0.0, 10.0, 0.5)
-    traj, final = dynamics.integrate_me(np.zeros((3, 3), complex), [], rho0, t)
+    traj, final = dynamics.integrate_me(_static((3,), t), [], rho0)
     assert np.abs(final.data - rho0.data).max() < 1e-12
     assert np.allclose(traj.pops[0][0], traj.pops[0][-1])
 
@@ -27,7 +33,7 @@ def test_single_qutrit_exponential_decay(table):
     t = np.arange(0.0, 2000.0, 1.0)
     decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
-    traj, _ = dynamics.integrate_me(np.zeros((3, 3), complex), [("decay_ge", decay)], rho0, t)
+    traj, _ = dynamics.integrate_me(_static((3,), t), [("decay_ge", decay)], rho0)
     expected = np.exp(-t / (node_a.T1ge * 1e3))
     err = np.abs(traj.pops[0][:, 1] - expected) / expected
     assert err.max() < 1e-4
@@ -35,10 +41,8 @@ def test_single_qutrit_exponential_decay(table):
 
 def test_integrator_rejects_bad_grids(rng):
     rho0 = DensityMatrix((3,), random_density(3, rng))
-    with pytest.raises(ValueError):
-        dynamics.integrate_me(np.zeros((3, 3), complex), [], rho0, np.array([0.0, 1.0, 1.5]))
-    with pytest.raises(ValueError):
-        dynamics.integrate_me(np.zeros((3, 3), complex), [], rho0)
+    with pytest.raises(ValueError, match="uniform"):
+        dynamics.integrate_me(_static((3,), np.array([0.0, 1.0, 1.5])), [], rho0)
 
 
 def test_integrator_rejects_wrong_shape_operators(table):
@@ -55,7 +59,7 @@ def test_integrator_rejects_wrong_shape_operators(table):
     with pytest.raises(ValueError, match="drive term"):
         dynamics.integrate_me(extra, [], rho0)
     with pytest.raises(ValueError, match="Hamiltonian"):
-        dynamics.integrate_me(wide, [], rho0, t)
+        dynamics.integrate_me(dataclasses.replace(h, static=wide), [], rho0)
 
 
 def test_reachable_block_is_exact_by_linearity(table, rng):
@@ -126,7 +130,7 @@ def test_reachable_block_closes_under_jump_products():
     jump[0, 1] = jump[0, 2] = 1.0
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
     t = np.arange(0.0, 2.0, 0.01)
-    traj, final = dynamics.integrate_me(np.zeros((3, 3), complex), [("jump", jump)], rho0, t)
+    traj, final = dynamics.integrate_me(_static((3,), t), [("jump", jump)], rho0)
     ldl = jump.conj().T @ jump
     eye = np.eye(3)
     generator = np.kron(jump, jump.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
@@ -141,7 +145,7 @@ def test_trace_drift_aborts():
     op = 10.0 * destroy(2)  # rate 100/ns at dt 1 ns
     rho0 = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
     with pytest.raises(dynamics.TraceDriftError):
-        dynamics.integrate_me(np.zeros((2, 2), complex), [("decay", op)], rho0, t)
+        dynamics.integrate_me(_static((2,), t), [("decay", op)], rho0)
 
 
 def test_two_level_oracle_zero_drive():
