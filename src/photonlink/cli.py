@@ -38,15 +38,17 @@ SCENARIOS = (
 
 SWEEPABLE = ("eta_c", "t_scale", "kappa_eff", "time_offset", "fock", "dt", "idle_ns")
 
-# (photon bandwidth field, node index): the resonators each scenario's photons
-# pass through; every other link scenario sends A's photon through A and B
+# (photon bandwidth field, node index, receiver): the drives each scenario
+# builds, emitting through a node's resonator or, for the receiver, catching
+# there with the time-reversed drive delayed by the link's time offset; every
+# other link scenario sends A's photon from A to B
 _BANDWIDTH_PATHS = {
-    "emit-a": (("kappa_eff_a", 0),),
-    "emit-b": (("kappa_eff_b", 1),),
-    "transfer": (("kappa_eff_a", 0), ("kappa_eff_a", 1), ("kappa_eff_b", 1)),
+    "emit-a": (("kappa_eff_a", 0, False),),
+    "emit-b": (("kappa_eff_b", 1, False),),
+    "transfer": (("kappa_eff_a", 0, False), ("kappa_eff_a", 1, True), ("kappa_eff_b", 1, False)),
     "readout-sim": (),
 }
-_LINK_PATHS = (("kappa_eff_a", 0), ("kappa_eff_a", 1))
+_LINK_PATHS = (("kappa_eff_a", 0, False), ("kappa_eff_a", 1, True))
 
 
 class ConfigError(ValueError):
@@ -70,7 +72,12 @@ def build_parser():
     parser.add_argument("--exact", action="store_true", help="exact Born probabilities (default)")
     parser.add_argument("--eta-c", type=float, default=None)
     parser.add_argument("--kappa-eff", type=float, default=None, help="photon bandwidth override, linear MHz (both nodes)")
-    parser.add_argument("--time-offset", type=float, default=None, help="absorber delay (ns)")
+    parser.add_argument(
+        "--time-offset",
+        type=float,
+        default=None,
+        help="absorber delay (ns); must keep 99%% of the receiver drive's energy in the drive window",
+    )
     parser.add_argument("--fock", type=int, default=protocols.DEFAULT_FOCK)
     parser.add_argument("--dt", type=float, default=protocols.DEFAULT_DT)
     parser.add_argument("--idle-ns", type=float, default=protocols.DEFAULT_IDLE_NS)
@@ -112,13 +119,17 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
     if args.scenario == "transfer" and link.eta_c == 0:
         # the absorption efficiency divides by the flux the channel delivers
         raise ConfigError("transfer needs eta_c > 0: with eta_c = 0 no photon reaches node B")
-    for name, node in _BANDWIDTH_PATHS.get(args.scenario, _LINK_PATHS):
-        # the drive the run builds checks kappa_eff <= kappa_T and the window span
+    for name, node, receiver in _BANDWIDTH_PATHS.get(args.scenario, _LINK_PATHS):
+        # the drive the run builds checks kappa_eff <= kappa_T, the window
+        # span and, for the receiver, that the time offset keeps it in the window
         try:
-            protocols._drive(spec, nodes[node], getattr(spec, name))
+            protocols._drive(
+                spec, nodes[node], getattr(spec, name), reverse=receiver, offset=link.time_offset
+            )
         except ValueError as exc:
             raise ConfigError(
-                f"photon bandwidth {getattr(spec, name)} MHz through node {'AB'[node]}: {exc}"
+                f"{'receiver' if receiver else 'emission'} drive of the "
+                f"{getattr(spec, name)} MHz photon at node {'AB'[node]}: {exc}"
             ) from exc
     return spec
 

@@ -260,13 +260,14 @@ class TwoLevelResult:
         return np.abs(self.c_f) ** 2 + np.abs(self.c_g1) ** 2
 
 
-def two_level_oracle(g_env: DriveEnvelope, kappa: float, psi0=(1.0, 0.0)) -> TwoLevelResult:
+def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
     """Integrate the lossy two-level model of the f0g1 transition.
 
     The Schrodinger equation i dpsi/dt = [[0, g(t)], [g*(t), -i kappa/2]] psi
-    acts on the amplitudes of |f,0> and |g,1>; the anti-Hermitian part drains
-    |g,1> at rate kappa into the emitted field, so the emitted flux is
-    kappa |c_g1|^2 and the total emitted probability is 1 - surviving norm.
+    acts on the amplitudes of |f,0> and |g,1>, starting in |f,0>; the
+    anti-Hermitian part drains |g,1> at rate kappa into the emitted field, so
+    the emitted flux is kappa |c_g1|^2 and the total emitted probability is
+    1 - surviving norm.
     """
     t = g_env.t
     dt = float(t[1] - t[0])
@@ -279,7 +280,7 @@ def two_level_oracle(g_env: DriveEnvelope, kappa: float, psi0=(1.0, 0.0)) -> Two
             dtype=complex,
         )
 
-    psi = np.asarray(psi0, dtype=complex)
+    psi = np.array([1.0, 0.0], dtype=complex)
     out = np.empty((len(t), 2), dtype=complex)
     out[0] = psi
     for k in range(len(t) - 1):

@@ -136,18 +136,25 @@ def _drive(spec, node, kappa_eff_mhz, reverse=False, offset=0.0):
     """The drive emitting a photon of bandwidth ``kappa_eff_mhz`` through
     ``node``'s resonator, sampled on the drive window and zero-padded to the
     run grid.  ``reverse`` gives the receiver drive instead: the time reverse
-    of that emission drive, delayed by ``offset`` ns."""
+    of that emission drive, delayed by ``offset`` ns inside the window; an
+    offset that pushes more than 1% of its energy past the window edge
+    raises ValueError."""
     t = _grid(spec)
-    keff = mhz(kappa_eff_mhz)
     sel = (t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)
-    env = pulse.emission_drive(t[sel], keff, node.kappa_T_rad)
+    env = pulse.emission_drive(t[sel], mhz(kappa_eff_mhz), node.kappa_T_rad)
     if reverse:
-        env = pulse.shift(pulse.absorption_drive(env), offset)
+        catch = pulse.absorption_drive(env)
+        env = pulse.shift(catch, offset)
+        if env.energy() < 0.99 * catch.energy():
+            raise ValueError(
+                f"time offset {offset} ns moves the receiver drive out of the "
+                f"drive window {spec.window} ns"
+            )
     g = np.zeros_like(t)
     ph = np.zeros_like(t)
     g[sel] = env.g_mag
     ph[sel] = env.phase
-    return pulse.DriveEnvelope(t, g, ph, keff, node.kappa_T_rad)
+    return pulse.DriveEnvelope(t, g, ph)
 
 
 def _initial_state(dims, qutrit_a, qutrit_b):

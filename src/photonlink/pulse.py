@@ -36,15 +36,12 @@ class DriveEnvelope:
     """Sampled effective |f,0><->|g,1| coupling magnitude and phase.
 
     t : time grid (ns); g_mag : |g(t)| (rad/ns); phase : accumulated drive
-    phase (rad); kappa_eff, kappa_T : photon bandwidth and resonator
-    linewidth (rad/ns).
+    phase (rad).
     """
 
     t: np.ndarray
     g_mag: np.ndarray
     phase: np.ndarray
-    kappa_eff: float
-    kappa_T: float
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
@@ -118,7 +115,7 @@ def emission_drive(t_grid, kappa_eff, kappa_T, taper_ns=15.0) -> DriveEnvelope:
         for d in (dt_lead, dt_tail):
             w = np.where(d < taper_ns, 0.5 - 0.5 * np.cos(np.pi * d / taper_ns), 1.0)
             g = g * w
-    return DriveEnvelope(t, g, np.zeros_like(t), float(kappa_eff), float(kappa_T))
+    return DriveEnvelope(t, g, np.zeros_like(t))
 
 
 def absorption_drive(emission: DriveEnvelope, conjugate=True) -> DriveEnvelope:

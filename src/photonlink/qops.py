@@ -154,19 +154,15 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.data).real)
 
-    def validate(self, trace_target=1.0):
-        """Check Hermiticity, trace and positivity invariants.
-
-        ``trace_target=None`` skips the trace check (reduced blocks carry an
-        arbitrary trace).  Raises ValueError on violation.
-        """
+    def validate(self):
+        """Check Hermiticity, unit trace and positivity; raises ValueError on
+        a violation."""
         herm = np.abs(self.data - self.data.conj().T).max()
         if herm > self.HERM_TOL:
             raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
-        if trace_target is not None:
-            drift = abs(np.trace(self.data) - trace_target)
-            if drift > self.TRACE_TOL:
-                raise ValueError(f"trace off target by {drift:.3e}")
+        drift = abs(np.trace(self.data) - 1.0)
+        if drift > self.TRACE_TOL:
+            raise ValueError(f"trace off target by {drift:.3e}")
         lo = np.linalg.eigvalsh(0.5 * (self.data + self.data.conj().T)).min()
         if lo < self.EIG_FLOOR:
             raise ValueError(f"negative eigenvalue {lo:.3e}")

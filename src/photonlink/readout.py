@@ -6,8 +6,9 @@ one affine discriminant per model, cutting the plane into three
 straight-edged regions.  Assignment matrices hold P(assigned s' | prepared
 s) with prepared states as columns, so measured frequencies obey
 M = R @ rho_diag and mitigation is rho_diag = R^-1 @ M.  The shipped
-default models, fitted in five parameters with Sigma = I, reproduce the
-measured single-qutrit assignment tables.
+default models are data: five parameters per node (Sigma = I), fitted once
+to the measured single-qutrit assignment tables by ``calibrate_to_targets``
+and stored, so loading them runs no fit and imports no optimizer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr
 
 LABELS = ("g", "e", "f")
@@ -153,55 +153,6 @@ def _orthant_probability(mean, cov):
     return float(np.sum(w * phi * cond))
 
 
-def fit_mixture(shots_by_state) -> MixtureModel:
-    """Labelled maximum-likelihood fit: per-component means, pooled covariance.
-
-    ``shots_by_state`` is a sequence of three (n_s, 2) arrays of shots taken
-    with the qutrit prepared in g, e, f.  Requires at least 3 shots per
-    state; raises on a degenerate (singular) pooled covariance.
-    """
-    if len(shots_by_state) != 3:
-        raise ValueError("need shots for the three prepared states")
-    groups = [np.atleast_2d(np.asarray(s, dtype=float)) for s in shots_by_state]
-    if any(g.shape[0] < 3 for g in groups):
-        raise ValueError("need at least 3 shots per prepared state")
-    total = sum(g.shape[0] for g in groups)
-    means = np.stack([g.mean(axis=0) for g in groups])
-    cov = np.zeros((2, 2))
-    for g, mu in zip(groups, means):
-        d = g - mu
-        cov += d.T @ d
-    cov /= total
-    if np.linalg.eigvalsh(cov).min() < 1e-12:
-        raise ValueError("degenerate covariance: shots do not span the plane")
-    weights = np.array([g.shape[0] / total for g in groups])
-    return MixtureModel(weights=weights, means=means, cov=cov)
-
-
-def log_likelihood(model: MixtureModel, shots, labels=None) -> float:
-    """Log-likelihood of shots under the model.
-
-    Without labels, the mixture density is used; with per-shot preparation
-    labels, the labelled likelihood (the one fit_mixture maximizes).
-    """
-    x = np.atleast_2d(np.asarray(shots, dtype=float))
-    inv = np.linalg.inv(model.cov)
-    norm = 1.0 / (2 * np.pi * np.sqrt(np.linalg.det(model.cov)))
-    if labels is None:
-        dens = np.zeros(x.shape[0])
-        for s in range(3):
-            d = x - model.means[s]
-            dens += model.weights[s] * norm * np.exp(
-                -0.5 * np.einsum("ni,ij,nj->n", d, inv, d)
-            )
-        return float(np.log(np.clip(dens, 1e-300, None)).sum())
-    labels = np.asarray(labels, dtype=int)
-    d = x - model.means[labels]
-    quad = np.einsum("ni,ij,nj->n", d, inv, d)
-    logw = np.log(np.clip(model.weights, 1e-300, None))
-    return float(np.sum(logw[labels] + np.log(norm) - 0.5 * quad))
-
-
 def assignment_matrix(counts) -> np.ndarray:
     """Empirical assignment matrix from labelled counts.
 
@@ -304,35 +255,21 @@ class ReadoutCalibration:
         return self.model.draw(comp, rng)
 
 
-def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
-    """Calibrate the synthetic readout so it reproduces a target assignment table.
+def _table_model(theta) -> MixtureModel:
+    """The model of parameters (d, fx, fy, log w_e/w_g, log w_f/w_g): clusters
+    at g = (0, 0), e = (d, 0) and f = (fx, fy) with Sigma = I."""
+    d, fx, fy, le, lf = theta
+    means = np.array([[0.0, 0.0], [d, 0.0], [fx, fy]])
+    w = np.exp([0.0, le, lf])
+    return MixtureModel(weights=w / w.sum(), means=means, cov=np.eye(2))
 
-    The parameters (d, fx, fy, log w_e/w_g, log w_f/w_g) put the clusters
-    at g = (0, 0), e = (d, 0) and f = (fx, fy) with Sigma = I, which loses
-    nothing: no label changes under an affine map of the plane.  They are
-    least-squares fitted from the start ``x0`` so that Gaussian overlap
-    accounts for 60% of each off-diagonal entry (the overlap/decay split is
-    not identifiable from the table alone); the remainder goes into the
-    cluster weights, solved exactly from overlap_matrix @ prep_weights =
-    r_target.
-    """
-    r_target = np.asarray(r_target, dtype=float)
-    off = [(j, s) for s in range(3) for j in range(3) if j != s]
 
-    def build(theta):
-        d, fx, fy, le, lf = theta
-        means = np.array([[0.0, 0.0], [d, 0.0], [fx, fy]])
-        w = np.exp([0.0, le, lf])
-        return MixtureModel(weights=w / w.sum(), means=means, cov=np.eye(2))
-
-    def residual(theta):
-        probs = assignment_probabilities(build(theta))
-        return [probs[j, s] - 0.6 * r_target[j, s] for j, s in off]
-
-    sol = optimize.least_squares(residual, x0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    model = build(sol.x)
-    overlap = assignment_probabilities(model)
-    prep = np.linalg.solve(overlap, r_target)
+def _calibration(theta, r_target) -> ReadoutCalibration:
+    """The model of ``theta`` with the cluster weights that make it reproduce
+    ``r_target``, solved exactly from overlap_matrix @ prep_weights = r_target;
+    raises RuntimeError on a negative weight or a table residual above 1e-6."""
+    model = _table_model(theta)
+    prep = np.linalg.solve(assignment_probabilities(model), r_target)
     if prep.min() < -1e-6:
         raise RuntimeError(
             f"mixture calibration failed: negative preparation weight {prep.min():.2e}"
@@ -347,25 +284,60 @@ def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
     return cal
 
 
-# converged (d, fx, fy, log w_e/w_g, log w_f/w_g), stored to make reloading fast
-_CALIBRATED_X0 = {
-    "A": [4.35643073, 3.58477234, 4.0926675, -1.31440833, -2.18843717],
-    "B": [4.4964052, 3.79157905, 3.86003646, -1.19577853, -1.94476718],
+def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
+    """Calibrate the synthetic readout so it reproduces a target assignment table.
+
+    The five parameters of ``_table_model`` (Sigma = I loses nothing: no
+    label changes under an affine map of the plane) are least-squares
+    fitted from the start ``x0`` so that Gaussian overlap
+    accounts for 60% of each off-diagonal entry (the overlap/decay split is
+    not identifiable from the table alone); the remainder goes into the
+    cluster weights.  This fit produced the shipped ``_TABLE_FITS``.
+    """
+    # imported here: start-up never fits, it loads the stored parameters
+    from scipy import optimize
+
+    r_target = np.asarray(r_target, dtype=float)
+    off = [(j, s) for s in range(3) for j in range(3) if j != s]
+
+    def residual(theta):
+        probs = assignment_probabilities(_table_model(theta))
+        return [probs[j, s] - 0.6 * r_target[j, s] for j, s in off]
+
+    sol = optimize.least_squares(residual, x0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    return _calibration(sol.x, r_target)
+
+
+# each node's measured table and the (d, fx, fy, log w_e/w_g, log w_f/w_g)
+# that calibrate_to_targets fits to it, stored at full precision
+_TABLE_FITS = {
+    "A": (TABLE_R_A, (4.3564307283004915, 3.5847723443031487, 4.092667494079147,
+                      -1.3144083389912038, -2.1884371777984573)),
+    "B": (TABLE_R_B, (4.496405202737812, 3.791579047013598, 3.860036473151258,
+                      -1.1957785221757098, -1.944767175660755)),
 }
+
+
+def _table_fit(node: str):
+    if node not in _TABLE_FITS:
+        raise ValueError("node must be 'A' or 'B'")
+    return _TABLE_FITS[node]
 
 
 @functools.lru_cache()
 def default_calibration(node: str) -> ReadoutCalibration:
-    """Calibrated readout reproducing the measured assignment table of a node."""
-    if node not in ("A", "B"):
-        raise ValueError("node must be 'A' or 'B'")
-    return calibrate_to_targets(
-        TABLE_R_A if node == "A" else TABLE_R_B, x0=_CALIBRATED_X0[node]
-    )
+    """Calibrated readout reproducing the measured assignment table of a node.
+
+    Built from the stored fitted parameters, with no fit at start-up; the
+    cluster weights are solved and checked as ``calibrate_to_targets`` does.
+    """
+    table, theta = _table_fit(node)
+    return _calibration(theta, table)
 
 
 def table_assignment_matrix(node: str) -> np.ndarray:
-    return (TABLE_R_A if node == "A" else TABLE_R_B).copy()
+    """The measured single-qutrit assignment table of node 'A' or 'B'."""
+    return _table_fit(node)[0].copy()
 
 
 def write_shots_csv(path, shots, prepared, assigned):

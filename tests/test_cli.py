@@ -52,6 +52,10 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--idle-ns", "inf"],
         ["--time-offset", "nan"],
         ["--time-offset", "inf"],
+        # the receiver drive is delayed inside the drive window, whose edge
+        # would cut it: 100% of its energy at +1000 ns, 12.7% at -40 ns
+        ["--time-offset", "1000", "--dt", "0.5", "--fock", "2"],
+        ["--scenario", "qpt", "--time-offset", "-40", "--dt", "0.5"],
         ["--kappa-eff", "nan"],
         ["--device", nan_t1],
         # a later --scenario overrides the entangle default below

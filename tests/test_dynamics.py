@@ -150,7 +150,7 @@ def test_trace_drift_aborts():
 
 def test_two_level_oracle_zero_drive():
     t = pulse.default_grid(dt=0.1)
-    env = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t), mhz(10), mhz(10))
+    env = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t))
     res = dynamics.two_level_oracle(env, mhz(10))
     assert np.all(res.flux == 0)
     assert np.abs(res.c_f - 1.0).max() < 1e-12
@@ -162,7 +162,7 @@ def test_two_level_oracle_constant_drive_matches_matrix_exponential():
     kappa = mhz(2.0)
     g = mhz(20.0)
     t = np.arange(0.0, 200.0, 0.05)
-    env = pulse.DriveEnvelope(t, np.full_like(t, g), np.zeros_like(t), kappa, kappa)
+    env = pulse.DriveEnvelope(t, np.full_like(t, g), np.zeros_like(t))
     res = dynamics.two_level_oracle(env, kappa)
     m = np.array([[0.0, -1j * g], [-1j * g, -kappa / 2]])
     for k in (500, 2000, 3999):
@@ -250,7 +250,7 @@ def test_drive_off_photon_handoff(table):
     clean_b = dataclasses.replace(device.without_decoherence(node_b), kappa_T=node_a.kappa_T)
     link = device.LinkParams(eta_c=1.0)
     t = np.arange(0.0, 400.0, 0.1)
-    zero = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t), mhz(10.4), clean_a.kappa_T_rad)
+    zero = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t))
     h = device.build_hamiltonian(clean_a, clean_b, link, zero, None, fock=3)
     cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
     dims = h.dims

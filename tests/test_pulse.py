@@ -160,7 +160,7 @@ def test_stark_phase_constant_drive_is_linear_ramp():
     t = np.arange(0.0, 100.0, 0.1)
     lin = 6.0
     eps = 0.5
-    env = pulse.DriveEnvelope(t, np.full_like(t, eps * mhz(lin)), np.zeros_like(t), KEFF_A, KT_A)
+    env = pulse.DriveEnvelope(t, np.full_like(t, eps * mhz(lin)), np.zeros_like(t))
     model = pulse.StarkModel(quad_coeff_mhz=20.0, lin_coeff_mhz=lin)
     out = pulse.stark_phase_track(env, model)
     slope = np.diff(out.phase) / np.diff(t)
@@ -174,10 +174,10 @@ def test_stark_phase_quadratic_scaling():
     model = pulse.StarkModel(quad_coeff_mhz=15.0, lin_coeff_mhz=6.0)
     shape = np.exp(-((t - 25.0) ** 2) / 50.0)
     one = pulse.stark_phase_track(
-        pulse.DriveEnvelope(t, mhz(2.0) * shape, np.zeros_like(t), KEFF_A, KT_A), model
+        pulse.DriveEnvelope(t, mhz(2.0) * shape, np.zeros_like(t)), model
     )
     two = pulse.stark_phase_track(
-        pulse.DriveEnvelope(t, mhz(4.0) * shape, np.zeros_like(t), KEFF_A, KT_A), model
+        pulse.DriveEnvelope(t, mhz(4.0) * shape, np.zeros_like(t)), model
     )
     assert two.phase[-1] == pytest.approx(4 * one.phase[-1], rel=1e-12)
 
@@ -187,15 +187,15 @@ def test_stark_phase_additive_over_concatenation():
     model = pulse.StarkModel(quad_coeff_mhz=20.0, lin_coeff_mhz=6.0)
     g = mhz(3.0) * np.exp(-((t - 40.0) ** 2) / 100.0)
     full = pulse.stark_phase_track(
-        pulse.DriveEnvelope(t, g, np.zeros_like(t), KEFF_A, KT_A), model
+        pulse.DriveEnvelope(t, g, np.zeros_like(t)), model
     )
     k = len(t) // 2
     first = pulse.stark_phase_track(
-        pulse.DriveEnvelope(t[: k + 1], g[: k + 1], np.zeros_like(t[: k + 1]), KEFF_A, KT_A),
+        pulse.DriveEnvelope(t[: k + 1], g[: k + 1], np.zeros_like(t[: k + 1])),
         model,
     )
     second = pulse.stark_phase_track(
-        pulse.DriveEnvelope(t[k:], g[k:], np.zeros_like(t[k:]), KEFF_A, KT_A), model
+        pulse.DriveEnvelope(t[k:], g[k:], np.zeros_like(t[k:])), model
     )
     assert full.phase[-1] == pytest.approx(first.phase[-1] + second.phase[-1], rel=1e-12)
 
@@ -205,9 +205,7 @@ def test_stark_model_validation():
         pulse.StarkModel(quad_coeff_mhz=10.0, lin_coeff_mhz=0.0)
     with pytest.raises(ValueError):
         pulse.stark_phase_track(
-            pulse.DriveEnvelope(
-                np.arange(3.0), np.zeros(3), np.zeros(3), KEFF_A, KT_A
-            ),
+            pulse.DriveEnvelope(np.arange(3.0), np.zeros(3), np.zeros(3)),
             pulse.StarkModel(np.inf, 6.0),
         )
 

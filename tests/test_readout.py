@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,40 +104,6 @@ def test_orthant_probability_against_monte_carlo():
     samples = rng.multivariate_normal(mean, cov, size=400000)
     mc = np.mean((samples[:, 0] >= 0) & (samples[:, 1] >= 0))
     assert exact == pytest.approx(mc, abs=4 * np.sqrt(0.25 / 400000))
-
-
-def test_fit_mixture_recovers_parameters():
-    model = simple_model()
-    rng = np.random.default_rng(17)
-    n = 20000
-    groups = [
-        readout.sample_shots(np.eye(3)[s], model, n, seed=rng) for s in range(3)
-    ]
-    fit = readout.fit_mixture(groups)
-    assert np.abs(fit.means - model.means).max() < 3 / np.sqrt(n)
-    assert np.abs(fit.cov - model.cov).max() < 0.05
-    assert np.allclose(fit.weights, 1 / 3)
-
-
-def test_fit_mixture_degenerate_inputs():
-    same = np.zeros((10, 2))
-    with pytest.raises(ValueError):
-        readout.fit_mixture([same, same, same])
-    with pytest.raises(ValueError):
-        readout.fit_mixture([same[:2], same, same])
-
-
-def test_fit_likelihood_beats_generator():
-    model = simple_model()
-    rng = np.random.default_rng(23)
-    groups = [readout.sample_shots(np.eye(3)[s], model, 2000, seed=rng) for s in range(3)]
-    fit = readout.fit_mixture(groups)
-    labels = [np.full(2000, s) for s in range(3)]
-    shots = np.vstack(groups)
-    lab = np.concatenate(labels)
-    assert readout.log_likelihood(fit, shots, lab) >= readout.log_likelihood(
-        model, shots, lab
-    )
 
 
 def test_assignment_matrix_columns_sum_to_one():
@@ -270,6 +240,31 @@ def test_correlated_two_node_sampling(cal_a, cal_b):
 def test_default_calibration_rejects_unknown_node():
     with pytest.raises(ValueError):
         readout.default_calibration("C")
+    with pytest.raises(ValueError):
+        readout.table_assignment_matrix("C")
+
+
+def test_default_calibration_loads_without_an_optimizer():
+    code = (
+        "import sys\n"
+        "import photonlink.cli\n"
+        "from photonlink import readout\n"
+        "readout.default_calibration('A')\n"
+        "readout.default_calibration('B')\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_calibrate_to_targets_reproduces_the_stored_parameters():
+    for node in ("A", "B"):
+        table, theta = readout._TABLE_FITS[node]
+        cal = readout.calibrate_to_targets(table, x0=np.asarray(theta) + 0.05)
+        mu, w = cal.model.means, cal.model.weights
+        refit = [mu[1, 0], mu[2, 0], mu[2, 1], *np.log(w[1:] / w[0])]
+        assert np.abs(np.subtract(refit, theta)).max() < 1e-6
+        assert np.abs(cal.analytic_assignment() - table).max() < 1e-6
 
 
 def test_shot_dump_csv(tmp_path, cal_a):
