@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .qops import DensityMatrix, mhz, to_mhz  # noqa: F401
 from .device import LinkParams, NodeParams, load_device  # noqa: F401
-from .pulse import DriveEnvelope, StarkModel  # noqa: F401
+from .pulse import DriveEnvelope  # noqa: F401
 from .protocols import (  # noqa: F401
     ProtocolSpec,
     error_budget,

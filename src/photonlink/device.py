@@ -174,12 +174,14 @@ def dressed_from_bare(bare: BareParams) -> DressedParams:
 class TimeDependentOperator:
     """Hamiltonian as a static matrix plus per-term sampled coefficients.
 
-    H(t) = static + sum_j c_j(t) * term_j, all immutable and shareable.
+    H(t) = static + sum_j c_j(t) * term_j, all immutable and shareable.  The
+    static part and every term are Hermitian and every c_j(t) is real, so
+    H(t) is Hermitian at every sample.
     """
 
     dims: tuple
     static: np.ndarray
-    terms: tuple          # ((op, complex samples), ...)
+    terms: tuple          # ((Hermitian op, real samples), ...)
     t: np.ndarray
 
 
@@ -240,8 +242,9 @@ def build_hamiltonian(
     every other generator and is dropped, so alpha does not enter H and
     resonant gate pulses are plain, time-independent unitaries.
 
-    The drives are resonant with the Stark-shifted transitions.  A node
-    without a drive envelope (None) is not driven.
+    The drives are resonant with the Stark-shifted transitions, so each g(t)
+    is real and a driven node adds one Hermitian term, (b+b+ a + h.c.)/sqrt(2)
+    with samples g(t).  A node without a drive envelope (None) is not driven.
     """
     dims = system_dims(fock)
     envs = [e for e in (g_a, g_b) if e is not None]
@@ -262,9 +265,7 @@ def build_hamiltonian(
         h0 += 2.0 * mhz(node.chi_T) * (ad @ a) @ (bd @ b)
         if env is not None:
             coupling = (bd @ bd @ a) / np.sqrt(2.0)
-            c = env.complex_samples()
-            terms.append((coupling, c))
-            terms.append((coupling.conj().T, c.conj()))
+            terms.append((coupling + coupling.conj().T, env.g_mag))
 
     cascade = 0.5 * np.sqrt(
         a_node.kappa_T_rad * b_node.kappa_T_rad * link.eta_c

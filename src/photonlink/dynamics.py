@@ -1,18 +1,20 @@
 """Master-equation integration and field observables for the cascaded link.
 
 Only the block of basis states the initial state can reach is integrated:
-the support of rho0 closed under the nonzero patterns of H, the drive terms
-and their adjoints, the jump operators L_k and L_k+L_k.  The master equation
-maps that block into itself whatever the operators are, so the restriction
-is exact; a single excitation on the link reaches at most 7 of the 81
-states of the default Fock truncation.  The integrator takes one input
-form: the Hamiltonian as a TimeDependentOperator, whose grid is the
-integration grid, and rho0 as a DensityMatrix.  On the block each Liouvillian
+the support of rho0 closed under the nonzero patterns of H, the drive
+terms, the jump operators L_k and L_k+L_k.  The master equation maps that
+block into itself whatever the operators are, so the restriction is exact;
+a single excitation on the link reaches at most 7 of the 81 states of the
+default Fock truncation.  The integrator takes one input form: the
+Hamiltonian as a TimeDependentOperator, whose grid is the integration grid,
+and rho0 as a DensityMatrix.  Its static part and its drive terms, one per
+driven node, must be Hermitian and the drive samples real; the integrator
+checks both before it builds the generator.  On the block each Liouvillian
 is built densely with numpy (``np.kron``, about R^4 entries for an R-state
 block while it is built) and converted to CSR at once; they are stacked as
-[L_0 S_1 ... S_n], which acts on the row-major vectorized density matrix and
-its copies weighted by the drive coefficients, tabulated on the half-step
-grid of the integrator, as one sparse product per stage.  Propagation is
+[L_0 S_1 ... S_n], which acts on the row-major vectorized density matrix
+and its copies weighted by the real drive coefficients, tabulated on the
+half-step grid of the integrator, as one sparse product per stage.  Propagation is
 fixed-step 4th-order Runge-Kutta (deterministic, which keeps golden tests
 exact).  The state is re-symmetrized after every step.  The trace, the level
 populations and the expectation values are linear in the state, so every
@@ -37,6 +39,8 @@ G, E, F = 0, 1, 2
 
 # largest trace drift an integration may accumulate before it is aborted
 _TRACE_TOL = 1e-6
+# largest |O - O+| entry of a Hamiltonian part accepted as Hermitian
+_HERMITIAN_TOL = 1e-12
 
 
 class TraceDriftError(RuntimeError):
@@ -122,17 +126,18 @@ def integrate_me(
     four-part node layout, or else for every three-dimensional subsystem.
 
     Only the reachable block is integrated: the basis states in the support
-    of rho0, closed under the nonzero patterns of H, every drive term and
-    its adjoint, every L_k and every L_k+L_k.  The generator keeps that
-    block invariant, so the result equals the full-space integration; the
-    final state and the snapshots are zero-padded back to the full dims.
+    of rho0, closed under the nonzero patterns of H, every drive term, every
+    L_k and every L_k+L_k.  The generator keeps that block invariant, so
+    the result equals the full-space integration; the final state and the
+    snapshots are zero-padded back to the full dims.
     Each R^2 x R^2 Liouvillian block of an R-state block is built densely
     with numpy (about R^4 entries held while it is built) and converted to
     CSR at once; every RK4 stage applies them as one sparse product.
 
     Returns (Trajectory, final DensityMatrix).  Raises ValueError if an
-    operator is not (d, d) and TraceDriftError if the trace wanders further
-    than 1e-6 from its initial value.
+    operator is not (d, d), if the static H or a drive term is not Hermitian
+    (to 1e-12) or if drive samples are not real, and TraceDriftError if the
+    trace wanders further than 1e-6 from its initial value.
     """
     dims, t, h0, td_terms = hamiltonian.dims, hamiltonian.t, hamiltonian.static, hamiltonian.terms
     if len(t) < 2 or np.any(np.diff(t) <= 0):
@@ -149,9 +154,13 @@ def integrate_me(
         raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
     if h0.shape != (d, d):
         raise ValueError(f"Hamiltonian shape {h0.shape} does not match dims {dims}")
+    if np.abs(h0 - h0.conj().T).max() > _HERMITIAN_TOL:
+        raise ValueError("static Hamiltonian is not Hermitian")
     drive_ops = [np.asarray(op, dtype=complex) for op, _ in td_terms]
     if any(op.shape != (d, d) for op in drive_ops):
         raise ValueError("drive term dimension mismatch")
+    if any(np.abs(op - op.conj().T).max() > _HERMITIAN_TOL for op in drive_ops):
+        raise ValueError("drive term is not Hermitian")
     jumps = [np.asarray(op, dtype=complex) for _, op in collapse_ops]
     if any(op.shape != (d, d) for op in jumps):
         raise ValueError("collapse operator dimension mismatch")
@@ -159,19 +168,21 @@ def integrate_me(
     if any(op.shape != (d, d) for op in expect.values()):
         raise ValueError("expectation operator dimension mismatch")
 
-    adjoints = [op.conj().T for op in drive_ops]
     decays = [op.conj().T @ op for op in jumps]
-    idx = _reachable(rho, [h0, *drive_ops, *adjoints, *jumps, *decays])
+    idx = _reachable(rho, [h0, *drive_ops, *jumps, *decays])
     block = np.ix_(idx, idx)
     r = len(idx)
 
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
     # even columns are the samples, odd columns the midpoint averages
-    coef = np.empty((len(td_terms), 2 * nt - 1), dtype=complex)
+    coef = np.empty((len(td_terms), 2 * nt - 1))
     for row, (_, samples) in zip(coef, td_terms):
-        samples = np.asarray(samples, dtype=complex)
+        samples = np.asarray(samples)
         if samples.shape != t.shape:
             raise ValueError("coefficient samples must match the time grid")
+        if np.imag(samples).any():
+            raise ValueError("drive samples must be real")
+        samples = np.real(samples)
         row[::2] = samples
         row[1::2] = 0.5 * (samples[:-1] + samples[1:])
     # L(t) v = [L_0 S_1 ... S_n] @ [v; c_1(t) v; ...; c_n(t) v]
@@ -263,7 +274,7 @@ class TwoLevelResult:
 def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
     """Integrate the lossy two-level model of the f0g1 transition.
 
-    The Schrodinger equation i dpsi/dt = [[0, g(t)], [g*(t), -i kappa/2]] psi
+    The Schrodinger equation i dpsi/dt = [[0, g(t)], [g(t), -i kappa/2]] psi
     acts on the amplitudes of |f,0> and |g,1>, starting in |f,0>; the
     anti-Hermitian part drains |g,1> at rate kappa into the emitted field, so
     the emitted flux is kappa |c_g1|^2 and the total emitted probability is
@@ -271,12 +282,12 @@ def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
     """
     t = g_env.t
     dt = float(t[1] - t[0])
-    g = g_env.complex_samples()
+    g = g_env.g_mag
     g_mid = 0.5 * (g[:-1] + g[1:])
 
     def deriv(psi, gi):
         return np.array(
-            [-1j * gi * psi[1], -1j * np.conj(gi) * psi[0] - 0.5 * kappa * psi[1]],
+            [-1j * gi * psi[1], -1j * gi * psi[0] - 0.5 * kappa * psi[1]],
             dtype=complex,
         )
 

@@ -151,10 +151,8 @@ def _drive(spec, node, kappa_eff_mhz, reverse=False, offset=0.0):
                 f"drive window {spec.window} ns"
             )
     g = np.zeros_like(t)
-    ph = np.zeros_like(t)
     g[sel] = env.g_mag
-    ph[sel] = env.phase
-    return pulse.DriveEnvelope(t, g, ph)
+    return pulse.DriveEnvelope(t, g)
 
 
 def _initial_state(dims, qutrit_a, qutrit_b):
@@ -428,14 +426,3 @@ def error_budget(spec: ProtocolSpec | None = None, nodes_link=None) -> dict:
         },
     }
 
-
-def fit_time_offset(spec: ProtocolSpec | None = None, nodes_link=None, span=5.0, steps=11):
-    """Maximize the transfer efficiency over the absorber time offset."""
-    spec = spec or ProtocolSpec(name="transfer")
-    best = (None, -np.inf)
-    for off in np.linspace(-span, span, steps):
-        res = run_transfer(replace(spec, time_offset=float(off)), "e", nodes_link=nodes_link)
-        sat = res.trajectory.pops_B[-1, F]
-        if sat > best[1]:
-            best = (float(off), float(sat))
-    return best

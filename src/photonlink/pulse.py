@@ -3,18 +3,17 @@
 The emitter converts a transmon |f> excitation into a travelling photon with
 the time-reversal-symmetric envelope phi(t) = sqrt(k_eff)/2 * sech(k_eff t/2)
 by modulating the effective |f,0> <-> |g,1> coupling g(t).  The receiver
-absorbs the photon with the time-reversed drive.  All rates are angular
-(rad/ns), times are in ns; CSV export uses linear MHz.
+absorbs the photon with the time-reversed drive.  Each drive is resonant
+with its Stark-shifted transition, so in that frame g(t) is real and a drive
+is one nonnegative amplitude sampled on a time grid.  All rates are angular
+(rad/ns) and times are in ns.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .qops import TWO_PI_MHZ
 
 
 def _sech(x):
@@ -24,50 +23,28 @@ def _sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-def photon_envelope(t, kappa_eff):
-    """Photon amplitude envelope phi(t); normalized so integral |phi|^2 dt = 1."""
-    if kappa_eff <= 0:
-        raise ValueError("kappa_eff must be positive")
-    return 0.5 * np.sqrt(kappa_eff) * _sech(0.5 * kappa_eff * np.asarray(t, float))
-
-
 @dataclass(frozen=True)
 class DriveEnvelope:
-    """Sampled effective |f,0><->|g,1| coupling magnitude and phase.
+    """Sampled effective |f,0><->|g,1| coupling, real in the frame of the
+    Stark-shifted transition.
 
-    t : time grid (ns); g_mag : |g(t)| (rad/ns); phase : accumulated drive
-    phase (rad).
+    t : time grid (ns); g_mag : g(t) >= 0 (rad/ns).
     """
 
     t: np.ndarray
     g_mag: np.ndarray
-    phase: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         object.__setattr__(self, "g_mag", np.asarray(self.g_mag, dtype=float))
-        object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
-        if not (self.t.shape == self.g_mag.shape == self.phase.shape):
-            raise ValueError("t, g_mag and phase must share one grid")
+        if self.t.shape != self.g_mag.shape:
+            raise ValueError("t and g_mag must share one grid")
         if np.any(self.g_mag < 0):
             raise ValueError("g_mag must be nonnegative")
-
-    @property
-    def g_mag_mhz(self):
-        return self.g_mag / TWO_PI_MHZ
-
-    def complex_samples(self) -> np.ndarray:
-        return self.g_mag * np.exp(1j * self.phase)
 
     def energy(self) -> float:
         """Integrated |g(t)|^2 dt (rad^2/ns)."""
         return float(np.trapezoid(self.g_mag**2, self.t))
-
-    def check_tails(self, rel=1e-3):
-        peak = self.g_mag.max()
-        if peak > 0 and max(self.g_mag[0], self.g_mag[-1]) > rel * peak:
-            raise ValueError("envelope does not vanish at the grid ends")
-        return self
 
 
 def default_grid(dt=0.1, span=300.0):
@@ -115,23 +92,19 @@ def emission_drive(t_grid, kappa_eff, kappa_T, taper_ns=15.0) -> DriveEnvelope:
         for d in (dt_lead, dt_tail):
             w = np.where(d < taper_ns, 0.5 - 0.5 * np.cos(np.pi * d / taper_ns), 1.0)
             g = g * w
-    return DriveEnvelope(t, g, np.zeros_like(t))
+    return DriveEnvelope(t, g)
 
 
-def absorption_drive(emission: DriveEnvelope, conjugate=True) -> DriveEnvelope:
+def absorption_drive(emission: DriveEnvelope) -> DriveEnvelope:
     """Time-reverse an emission drive about t = 0.
 
-    The magnitude is mirrored and the phase profile is mirrored and, by
-    default, negated (complex conjugation under time reversal).  Applying the
-    reversal twice returns the input exactly.
+    The amplitude is mirrored; applying the reversal twice returns the input
+    exactly.
     """
     t = emission.t
     if abs(t[0] + t[-1]) > 1e-9:
         raise ValueError("time reversal requires a grid symmetric about t = 0")
-    sign = -1.0 if conjugate else 1.0
-    return replace(
-        emission, g_mag=emission.g_mag[::-1].copy(), phase=sign * emission.phase[::-1]
-    )
+    return replace(emission, g_mag=emission.g_mag[::-1].copy())
 
 
 def shift(env: DriveEnvelope, offset_ns: float) -> DriveEnvelope:
@@ -139,70 +112,13 @@ def shift(env: DriveEnvelope, offset_ns: float) -> DriveEnvelope:
     if offset_ns == 0.0:
         return env
     g = np.interp(env.t - offset_ns, env.t, env.g_mag, left=0.0, right=0.0)
-    ph = np.interp(env.t - offset_ns, env.t, env.phase)
-    return replace(env, g_mag=g, phase=ph)
+    return replace(env, g_mag=g)
 
 
 def truncate(env: DriveEnvelope, tau: float) -> DriveEnvelope:
-    """Switch the drive off for t > tau, freezing the phase at its tau value."""
+    """Switch the drive off for t > tau."""
     if tau < env.t[0] - 1e-9 or tau > env.t[-1] + 1e-9:
         raise ValueError(f"tau = {tau} outside the envelope grid")
-    late = env.t > tau
     g = env.g_mag.copy()
-    g[late] = 0.0
-    ph = env.phase.copy()
-    ph[late] = np.interp(tau, env.t, env.phase)
-    return replace(env, g_mag=g, phase=ph)
-
-
-@dataclass(frozen=True)
-class StarkModel:
-    """Quadratic ac-Stark shift and linear coupling calibration of the f0g1 drive.
-
-    quad_coeff_mhz: transition shift a*eps^2 in MHz at normalized drive
-    amplitude eps; lin_coeff_mhz: coupling b*eps in MHz.  Defaults for the
-    two nodes reproduce the calibrated peak couplings of 6.0 / 6.7 MHz at
-    eps = 1; the quadratic coefficients are synthetic configuration inputs.
-    """
-
-    quad_coeff_mhz: float
-    lin_coeff_mhz: float
-
-    def __post_init__(self):
-        if self.lin_coeff_mhz <= 0:
-            raise ValueError("lin_coeff must be positive")
-
-
-DEFAULT_STARK = {
-    "A": StarkModel(quad_coeff_mhz=20.0, lin_coeff_mhz=6.0),
-    "B": StarkModel(quad_coeff_mhz=20.0, lin_coeff_mhz=6.7),
-}
-
-
-def stark_phase_track(env: DriveEnvelope, model: StarkModel) -> DriveEnvelope:
-    """Phase modulation compensating the drive-induced quadratic Stark shift.
-
-    phase(t) = -2*pi * integral a*eps(t')^2 dt' with eps(t) = |g(t)|/b, both
-    coefficients in MHz and t in ns; phase(start) = 0.
-    """
-    if not np.isfinite(model.quad_coeff_mhz) or not np.isfinite(model.lin_coeff_mhz):
-        raise ValueError("Stark model coefficients must be finite")
-    eps2 = (env.g_mag_mhz / model.lin_coeff_mhz) ** 2
-    shift_rad_ns = TWO_PI_MHZ * model.quad_coeff_mhz * eps2
-    phase = -_cumtrapz(shift_rad_ns, env.t)
-    return replace(env, phase=phase)
-
-
-def _cumtrapz(y, t):
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-    return out
-
-
-def write_waveform_csv(env: DriveEnvelope, path):
-    """Waveform export: columns t_ns, g_mag_MHz, phase_rad."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "g_mag_MHz", "phase_rad"])
-        for ti, gi, pi in zip(env.t, env.g_mag_mhz, env.phase):
-            writer.writerow([f"{ti:.9g}", f"{gi:.9g}", f"{pi:.9g}"])
+    g[env.t > tau] = 0.0
+    return replace(env, g_mag=g)

@@ -160,6 +160,13 @@ def test_hamiltonian_is_hermitian(hamiltonian):
         assert np.abs(h - h.conj().T).max() < 1e-12
 
 
+def test_each_driven_node_adds_one_hermitian_term(hamiltonian):
+    assert len(hamiltonian.terms) == 2
+    for op, samples in hamiltonian.terms:
+        assert np.abs(op - op.conj().T).max() == 0.0
+        assert samples.dtype == float and samples.shape == hamiltonian.t.shape
+
+
 def test_cascade_coupling_strength(hamiltonian, table):
     node_a, node_b, link = table
     dims = hamiltonian.dims

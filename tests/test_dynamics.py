@@ -60,6 +60,20 @@ def test_integrator_rejects_wrong_shape_operators(table):
         dynamics.integrate_me(extra, [], rho0)
     with pytest.raises(ValueError, match="Hamiltonian"):
         dynamics.integrate_me(dataclasses.replace(h, static=wide), [], rho0)
+    # the static H and every drive term must be Hermitian, the samples real
+    b, a = embed(destroy(3), 2, h.dims), embed(destroy(2), 3, h.dims)
+    bd = b.conj().T
+    one_sided = dataclasses.replace(h, terms=((bd @ bd @ a, np.ones(len(t))),))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dynamics.integrate_me(one_sided, [], rho0)
+    op, samples = h.terms[0]
+    complex_drive = dataclasses.replace(h, terms=((op, samples * np.exp(0.1j)),))
+    with pytest.raises(ValueError, match="real"):
+        dynamics.integrate_me(complex_drive, [], rho0)
+    skew = np.zeros_like(h.static)
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dynamics.integrate_me(dataclasses.replace(h, static=h.static + skew), [], rho0)
 
 
 def test_reachable_block_is_exact_by_linearity(table, rng):
@@ -150,7 +164,7 @@ def test_trace_drift_aborts():
 
 def test_two_level_oracle_zero_drive():
     t = pulse.default_grid(dt=0.1)
-    env = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t))
+    env = pulse.DriveEnvelope(t, np.zeros_like(t))
     res = dynamics.two_level_oracle(env, mhz(10))
     assert np.all(res.flux == 0)
     assert np.abs(res.c_f - 1.0).max() < 1e-12
@@ -162,7 +176,7 @@ def test_two_level_oracle_constant_drive_matches_matrix_exponential():
     kappa = mhz(2.0)
     g = mhz(20.0)
     t = np.arange(0.0, 200.0, 0.05)
-    env = pulse.DriveEnvelope(t, np.full_like(t, g), np.zeros_like(t))
+    env = pulse.DriveEnvelope(t, np.full_like(t, g))
     res = dynamics.two_level_oracle(env, kappa)
     m = np.array([[0.0, -1j * g], [-1j * g, -kappa / 2]])
     for k in (500, 2000, 3999):
@@ -250,7 +264,7 @@ def test_drive_off_photon_handoff(table):
     clean_b = dataclasses.replace(device.without_decoherence(node_b), kappa_T=node_a.kappa_T)
     link = device.LinkParams(eta_c=1.0)
     t = np.arange(0.0, 400.0, 0.1)
-    zero = pulse.DriveEnvelope(t, np.zeros_like(t), np.zeros_like(t))
+    zero = pulse.DriveEnvelope(t, np.zeros_like(t))
     h = device.build_hamiltonian(clean_a, clean_b, link, zero, None, fock=3)
     cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
     dims = h.dims

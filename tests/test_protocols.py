@@ -108,13 +108,6 @@ def test_transfer_saturation_helper():
     assert 0 < t_sat < 300
 
 
-def test_fit_time_offset_prefers_zero():
-    spec = ProtocolSpec(name="t", dt=0.5, fock=3)
-    best_off, best_sat = protocols.fit_time_offset(spec, span=4.0, steps=5)
-    assert abs(best_off) <= 2.0
-    assert best_sat > 0.6
-
-
 def test_upgrade_uses_stated_parameters():
     spec = ProtocolSpec(name="upgrade", **FAST)
     res = protocols.run_upgrade_scenario(spec)
