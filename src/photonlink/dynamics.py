@@ -1,30 +1,36 @@
 """Master-equation integration and field observables for the cascaded link.
 
-Only the block of basis states the initial state can reach is integrated:
-the support of rho0 closed under the nonzero patterns of H, the drive
-terms, the jump operators L_k and L_k+L_k.  The master equation maps that
-block into itself whatever the operators are, so the restriction is exact;
-a single excitation on the link reaches at most 7 of the 81 states of the
-default Fock truncation.  The integrator takes one input form: the
-Hamiltonian as a TimeDependentOperator, whose grid is the integration grid,
-and rho0 as a DensityMatrix.  Its static part and its drive terms, one per
-driven node, must be Hermitian and the drive samples real; the integrator
-checks both before it builds the generator.  On the block each Liouvillian
-is built densely with numpy (``np.kron``, about R^4 entries for an R-state
-block while it is built) and converted to CSR at once; they are stacked as
-[L_0 S_1 ... S_n], which acts on the row-major vectorized density matrix
-and its copies weighted by the real drive coefficients, tabulated on the
-half-step grid of the integrator, as one sparse product per stage.  Propagation is
-fixed-step 4th-order Runge-Kutta (deterministic, which keeps golden tests
-exact).  The state is re-symmetrized after every step.  The trace, the level
-populations and the expectation values are linear in the state, so every
-grid point records them by one product with a readout matrix; outputs are
-zero-padded back to the full dimensions.
+The integrator takes one input form: the Hamiltonian as a
+TimeDependentOperator, whose grid is the integration grid, and a stack of
+initial states (DensityMatrix) that share it and the jump operators.  The
+master equation is linear, so one RK4 loop carries every input: the states
+are the columns of one (R^2, m) array.  Only the block of basis states the
+inputs can reach is integrated: the union of their supports closed under
+the nonzero patterns of H, the drive terms, the jump operators L_k and
+L_k+L_k.  The master equation maps that block into itself whatever the
+operators are, and a union of invariant blocks is invariant, so the
+restriction is exact; a single excitation on the link reaches at most 7 of
+the 81 states of the default Fock truncation.  The static part of H and
+its drive terms, one per driven node, must be Hermitian and the drive
+samples real; the integrator checks both before it builds the generator.
+On the block each Liouvillian is built densely with numpy (``np.kron``,
+about R^4 entries for an R-state block while it is built) and converted to
+CSR at once; they are stacked as [L_0 S_1 ... S_n], which acts on the
+row-major vectorized density matrices and their copies weighted by the real
+drive coefficients, tabulated on the half-step grid of the integrator, as
+one sparse product per stage.  Propagation is fixed-step 4th-order
+Runge-Kutta (deterministic, which keeps golden tests exact).  Every state
+is re-symmetrized after every step and its trace checked against its own
+initial trace.  The trace, the level populations and the expectation values
+are linear in the state, so every grid point records them for all inputs by
+one product with a readout matrix; outputs are zero-padded back to the
+full dimensions.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +60,10 @@ class Trajectory:
     pops_* columns are (P_g, P_e, P_f).  a_mean_out/flux_out hold <L> and
     <L+L> of the field L downstream of node B once filled in by
     :func:`output_observables`; expect carries any additional requested
-    operator expectations.  dim is the number of basis states integrated and
-    trace_drift the largest |Tr rho(t) - Tr rho0| of the run (both None when
-    the trajectory did not come from :func:`integrate_me`).
+    operator expectations.  dim is the number of basis states integrated (the
+    union block of every input integrated with this one) and trace_drift the
+    largest |Tr rho(t) - Tr rho0| of this input (both None when the
+    trajectory did not come from :func:`integrate_me`).
     """
 
     t: np.ndarray
@@ -93,13 +100,16 @@ def _liouvillian(h, jumps=()):
     return out
 
 
-def _reachable(rho, ops):
-    """Ascending indices of the basis states reachable from the support of
-    ``rho`` under the nonzero patterns of ``ops`` (j leads to i if op[i, j] != 0)."""
-    pattern = np.zeros(rho.shape, dtype=bool)
+def _reachable(rhos, ops):
+    """Ascending indices of the basis states reachable from the union of the
+    supports of ``rhos`` under the nonzero patterns of ``ops`` (j leads to i
+    if op[i, j] != 0)."""
+    pattern = np.zeros(rhos[0].shape, dtype=bool)
     for op in ops:
         pattern |= op != 0
-    reach = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
+    reach = np.zeros(len(pattern), dtype=bool)
+    for rho in rhos:
+        reach |= (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
     while True:
         grown = reach | pattern[:, reach].any(axis=1)
         if (grown == reach).all():
@@ -110,34 +120,41 @@ def _reachable(rho, ops):
 def integrate_me(
     hamiltonian: TimeDependentOperator,
     collapse_ops,
-    rho0: DensityMatrix,
+    rho0s: Sequence[DensityMatrix],
     *,
     expect=None,
     store_states=0,
 ):
-    """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid.
+    """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
+    a stack of initial states that share H and the jump operators.
 
     The grid of ``hamiltonian`` is the integration grid (a static H is a
     TimeDependentOperator with no terms); ``collapse_ops`` holds (name,
-    operator) pairs.  ``expect`` maps labels to operators whose expectation
+    operator) pairs and ``rho0s`` the initial states (one state is passed as
+    ``[rho0]``).  ``expect`` maps labels to operators whose expectation
     values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
     stores a density-matrix snapshot every that many steps (plus the final
     state).  Level populations are tracked for slots 0 and 2 of the
     four-part node layout, or else for every three-dimensional subsystem.
 
-    Only the reachable block is integrated: the basis states in the support
-    of rho0, closed under the nonzero patterns of H, every drive term, every
-    L_k and every L_k+L_k.  The generator keeps that block invariant, so
-    the result equals the full-space integration; the final state and the
-    snapshots are zero-padded back to the full dims.
-    Each R^2 x R^2 Liouvillian block of an R-state block is built densely
-    with numpy (about R^4 entries held while it is built) and converted to
-    CSR at once; every RK4 stage applies them as one sparse product.
+    Only the reachable block is integrated: the basis states in the union of
+    the supports of the initial states, closed under the nonzero patterns of
+    H, every drive term, every L_k and every L_k+L_k.  The generator keeps
+    that block invariant, so the result equals the full-space integration
+    of each input; the final states and the snapshots are zero-padded back
+    to the full dims.  The m inputs are the columns of one (R^2, m) array,
+    and every RK4 stage applies the generator to all of them as one sparse
+    product.  Each R^2 x R^2 Liouvillian block of an R-state block is built
+    densely with numpy (about R^4 entries held while it is built) and
+    converted to CSR at once.
 
-    Returns (Trajectory, final DensityMatrix).  Raises ValueError if an
-    operator is not (d, d), if the static H or a drive term is not Hermitian
-    (to 1e-12) or if drive samples are not real, and TraceDriftError if the
-    trace wanders further than 1e-6 from its initial value.
+    Returns one (Trajectory, final DensityMatrix) pair per input, in input
+    order; every Trajectory's ``dim`` is the integrated (union) block size
+    and its ``trace_drift`` that input's own.  Raises ValueError if there is
+    no input, if an operator or an initial state is not (d, d), if the
+    static H or a drive term is not Hermitian (to 1e-12) or if drive samples
+    are not real, and TraceDriftError, naming the input, if the trace of
+    any input wanders further than 1e-6 from its own initial value.
     """
     dims, t, h0, td_terms = hamiltonian.dims, hamiltonian.t, hamiltonian.static, hamiltonian.terms
     if len(t) < 2 or np.any(np.diff(t) <= 0):
@@ -149,9 +166,12 @@ def integrate_me(
     nt = len(t)
     d = int(np.prod(dims))
 
-    rho = rho0.data
-    if rho.shape != (d, d):
-        raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
+    rhos = [rho0.data for rho0 in rho0s]
+    if not rhos:
+        raise ValueError("no initial state to integrate")
+    for rho in rhos:
+        if rho.shape != (d, d):
+            raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
     if h0.shape != (d, d):
         raise ValueError(f"Hamiltonian shape {h0.shape} does not match dims {dims}")
     if np.abs(h0 - h0.conj().T).max() > _HERMITIAN_TOL:
@@ -169,39 +189,45 @@ def integrate_me(
         raise ValueError("expectation operator dimension mismatch")
 
     decays = [op.conj().T @ op for op in jumps]
-    idx = _reachable(rho, [h0, *drive_ops, *jumps, *decays])
+    idx = _reachable(rhos, [h0, *drive_ops, *jumps, *decays])
     block = np.ix_(idx, idx)
     r = len(idx)
+    m = len(rhos)
 
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
-    # even columns are the samples, odd columns the midpoint averages
-    coef = np.empty((len(td_terms), 2 * nt - 1))
-    for row, (_, samples) in zip(coef, td_terms):
+    # even rows are the samples, odd rows the midpoint averages; row j has
+    # shape (n_terms, 1, 1) to scale the drive copies of every input, and is
+    # stored complex (zero imaginary part) so no stage pays numpy's
+    # float-to-complex cast, which gives the same products
+    coef = np.empty((2 * nt - 1, len(td_terms), 1, 1), dtype=complex)
+    for term, (_, samples) in enumerate(td_terms):
         samples = np.asarray(samples)
         if samples.shape != t.shape:
             raise ValueError("coefficient samples must match the time grid")
         if np.imag(samples).any():
             raise ValueError("drive samples must be real")
         samples = np.real(samples)
-        row[::2] = samples
-        row[1::2] = 0.5 * (samples[:-1] + samples[1:])
-    # L(t) v = [L_0 S_1 ... S_n] @ [v; c_1(t) v; ...; c_n(t) v]
+        coef[::2, term, 0, 0] = samples
+        coef[1::2, term, 0, 0] = 0.5 * (samples[:-1] + samples[1:])
+    # L(t) V = [L_0 S_1 ... S_n] @ [V; c_1(t) V; ...; c_n(t) V]
     generator = sp.hstack(
         [sp.csr_matrix(_liouvillian(h0[block], [op[block] for op in jumps]))]
         + [sp.csr_matrix(_liouvillian(op[block])) for op in drive_ops],
         format="csr",
     )
-    stacked = np.empty((len(td_terms) + 1, r * r), dtype=complex)
+    stacked = np.empty((len(td_terms) + 1, r * r, m), dtype=complex)
+    copies, flat = stacked[1:], stacked.reshape(-1, m)
 
     def rhs(v, j):
         stacked[0] = v
-        np.multiply(coef[:, j, None], v, out=stacked[1:])
-        return generator @ stacked.reshape(-1)
+        np.multiply(coef[j], v, out=copies)
+        return generator @ flat
 
     slots = (0, 2) if len(dims) == 4 else [i for i, n in enumerate(dims) if n == 3]
     if any(dims[slot] != 3 for slot in slots):
         raise ValueError(f"population slots {slots} must be three-level subsystems")
-    # v @ readout = [Tr rho, P_g P_e P_f of each slot, Tr(O rho) of each O]
+    # V.T @ readout = [Tr rho, P_g P_e P_f of each slot, Tr(O rho) of each O],
+    # one row per input
     first_expect = 1 + 3 * len(slots)
     readout = np.zeros((r * r, first_expect + len(expect)), dtype=complex)
     diag_idx = np.arange(r) * (r + 1)
@@ -211,45 +237,51 @@ def integrate_me(
         readout[diag_idx, 1 + 3 * n + levels[slot]] = 1.0
     for col, op in enumerate(expect.values(), start=first_expect):
         readout[:, col] = op[block].T.reshape(-1)
-    rec = np.empty((nt, readout.shape[1]), dtype=complex)
+    rec = np.empty((nt, m, readout.shape[1]), dtype=complex)
+    traces = rec[:, :, 0].real
 
-    target_trace = float(np.trace(rho).real)
-    v = rho[block].reshape(-1)
-    states = []
+    target_trace = np.array([np.trace(rho).real for rho in rhos])
+    v = np.stack([rho[block].reshape(-1) for rho in rhos], axis=1)
+    states = [[] for _ in rhos]
 
-    def padded(v):
+    def padded(col):
         full = np.zeros((d, d), dtype=complex)
-        full[block] = v.reshape(r, r)
+        full[block] = col.reshape(r, r)
         return full
 
-    rec[0] = v @ readout
-    drift = 0.0
+    rec[0] = v.T @ readout
     for k in range(nt - 1):
         k1 = rhs(v, 2 * k)
         k2 = rhs(v + (0.5 * dt) * k1, 2 * k + 1)
         k3 = rhs(v + (0.5 * dt) * k2, 2 * k + 1)
         k4 = rhs(v + dt * k3, 2 * k + 2)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m = v.reshape(r, r)
-        v = (0.5 * (m + m.conj().T)).reshape(-1)
-        rec[k + 1] = v @ readout
-        tr = rec[k + 1, 0].real
-        err = abs(tr - target_trace)
-        drift = max(drift, err)
-        if not err <= _TRACE_TOL:
+        mat = v.reshape(r, r, m)
+        v = (0.5 * (mat + mat.conj().transpose(1, 0, 2))).reshape(-1, m)
+        np.matmul(v.T, readout, out=rec[k + 1])
+        err = np.abs(traces[k + 1] - target_trace)
+        if not err.max() <= _TRACE_TOL:
+            i = int(np.argmax(~(err <= _TRACE_TOL)))
             raise TraceDriftError(
-                f"trace drifted to {tr:.9f} (target {target_trace:.9f}) at "
-                f"t = {t[k + 1]:.2f} ns; reduce dt"
+                f"trace of input {i} drifted to {traces[k + 1, i]:.9f} (target "
+                f"{target_trace[i]:.9f}) at t = {t[k + 1]:.2f} ns; reduce dt"
             )
         if store_states and ((k + 1) % store_states == 0 or k == nt - 2):
-            states.append((t[k + 1], padded(v)))
+            for i, snapshots in enumerate(states):
+                snapshots.append((t[k + 1], padded(v[:, i])))
 
-    pops = [rec[:, 1 + 3 * n : 4 + 3 * n].real.copy() for n in range(len(slots))]
-    exp_vals = {name: rec[:, col].copy() for col, name in enumerate(expect, start=first_expect)}
-    traj = Trajectory(
-        t=t, pops=pops, expect=exp_vals, states=states, dim=r, trace_drift=float(drift)
-    )
-    return traj, DensityMatrix(tuple(dims), padded(v))
+    drift = np.abs(traces[1:] - target_trace).max(axis=0)
+    out = []
+    for i in range(m):
+        pops = [rec[:, i, 1 + 3 * n : 4 + 3 * n].real.copy() for n in range(len(slots))]
+        exp_vals = {
+            name: rec[:, i, col].copy() for col, name in enumerate(expect, start=first_expect)
+        }
+        traj = Trajectory(
+            t=t, pops=pops, expect=exp_vals, states=states[i], dim=r, trace_drift=float(drift[i])
+        )
+        out.append((traj, DensityMatrix(tuple(dims), padded(v[:, i]))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,17 @@ QUTRIT_PREPS = {
 }
 
 
-def _run_link(spec, nodes_link, emitter, prep, absorb=False, tau=None, store_states=0):
-    """Integrate one emission through the cascaded link.
+def _run_link(spec, nodes_link, emitter, preps, absorb=False, tau=None, store_states=0):
+    """Integrate one emission through the cascaded link for each preparation.
 
-    Node ``emitter`` ('A' or 'B') starts in the qutrit state ``prep`` and
-    emits at its photon bandwidth, with the drive switched off after ``tau``
-    if given; the other node starts in |g, 0> and, unless ``absorb`` makes B
-    catch A's photon with the time-reversed drive, is not driven.  The mean
+    Node ``emitter`` ('A' or 'B') starts in each qutrit state of ``preps``
+    and emits at its photon bandwidth, with the drive switched off after
+    ``tau`` if given; the other node starts in |g, 0> and, unless ``absorb``
+    makes B catch A's photon with the time-reversed drive, is not driven.
+    The preparations share one Hamiltonian and one integration.  The mean
     output field <L> and the flux <L+L> of the cascade's jump operator L are
-    recorded on the trajectory.  Returns (Trajectory, final DensityMatrix).
+    recorded on each trajectory.  Returns one (Trajectory, final
+    DensityMatrix) pair per preparation, in order.
     """
     node_a, node_b, link = resolve_device(nodes_link, spec)
     from_a = emitter == "A"
@@ -190,18 +192,19 @@ def _run_link(spec, nodes_link, emitter, prep, absorb=False, tau=None, store_sta
         env = pulse.truncate(env, tau)
     catch = _drive(spec, node_b, keff, reverse=True, offset=link.time_offset) if absorb else None
     env_a, env_b = (env, catch) if from_a else (None, env)
+    dims = dev.system_dims(spec.fock)
     idle = ket(3, G)
-    rho0 = _initial_state(
-        dev.system_dims(spec.fock), prep if from_a else idle, idle if from_a else prep
-    )
+    rho0s = [
+        _initial_state(dims, prep if from_a else idle, idle if from_a else prep) for prep in preps
+    ]
     h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=spec.fock)
     cops = dev.build_collapse_ops(node_a, node_b, link, fock=spec.fock)
     out = dev.output_field_op(node_a, node_b, link, fock=spec.fock)
-    traj, rho_final = integrate_me(
-        h, cops, rho0, expect={"a_out": out, "n_out": out.conj().T @ out}, store_states=store_states
-    )
-    output_observables(traj)
-    return traj, rho_final
+    expect = {"a_out": out, "n_out": out.conj().T @ out}
+    runs = integrate_me(h, cops, rho0s, expect=expect, store_states=store_states)
+    for traj, _ in runs:
+        output_observables(traj)
+    return runs
 
 
 def run_emission(
@@ -219,7 +222,7 @@ def run_emission(
     spec = spec or ProtocolSpec(
         name=f"emit-{node.lower()}", window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS
     )
-    traj, rho_final = _run_link(spec, nodes_link, node, QUTRIT_PREPS[initial], tau=tau)
+    [(traj, rho_final)] = _run_link(spec, nodes_link, node, [QUTRIT_PREPS[initial]], tau=tau)
     pops = traj.pops_A if node == "A" else traj.pops_B
     extras = {
         "final_populations": {"g": pops[-1, G], "e": pops[-1, E], "f": pops[-1, F]},
@@ -231,14 +234,17 @@ def run_emission(
     return RunResult(spec, traj, rho_final, extras)
 
 
-def _transfer(spec, nodes_link, prep_a, absorb=True, store_states=0):
-    """Emit from A prepared in ``prep_a``, absorb at B, and map B back with
-    an ideal pi_ef pulse.  Returns the trajectory and the two-qutrit state."""
-    traj, rho_final = _run_link(spec, nodes_link, "A", prep_a, absorb, store_states=store_states)
-    dims = rho_final.dims
+def _transfer(spec, nodes_link, preps_a, absorb=True, store_states=0):
+    """Emit from A prepared in each state of ``preps_a``, absorb at B, and
+    map B back with an ideal pi_ef pulse.  Returns one (trajectory,
+    two-qutrit state) pair per preparation, from one integration."""
+    runs = _run_link(spec, nodes_link, "A", preps_a, absorb, store_states=store_states)
+    dims = runs[0][1].dims
     u = embed(tomography.ef_swap(), 2, dims)
-    rho = u @ rho_final.data @ u.conj().T
-    return traj, partial_trace(rho, dims, keep=(0, 2))
+    return [
+        (traj, partial_trace(u @ rho_final.data @ u.conj().T, dims, keep=(0, 2)))
+        for traj, rho_final in runs
+    ]
 
 
 def run_transfer(
@@ -256,7 +262,7 @@ def run_transfer(
     """
     spec = spec or ProtocolSpec(name="transfer")
     qubit = QUTRIT_PREPS[prep] if isinstance(prep, str) else np.asarray(prep, complex)
-    traj, rho9 = _transfer(spec, nodes_link, tomography.ef_swap() @ qubit, absorption)
+    [(traj, rho9)] = _transfer(spec, nodes_link, [tomography.ef_swap() @ qubit], absorption)
     extras = {"final_qutrit_b": partial_trace(rho9, (3, 3), keep=(1,))}
     return RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras)
 
@@ -329,29 +335,35 @@ def _measure_two_qutrit(rho9, spec, rng):
 def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
     """Process tomography of the qubit transfer channel.
 
-    Transfers the six mutually unbiased qubit input states, reconstructs each
-    output at node B by MLE state tomography on the qutrit, reduces to the
-    {g, e} block without renormalization and inverts for the chi matrix.
+    Transfers the six mutually unbiased qubit input states in one
+    integration, reconstructs each output at node B by MLE state tomography
+    on the qutrit, reduces to the {g, e} block without renormalization and
+    inverts for the chi matrix.  Every input is integrated before the first
+    readout draw, and the inputs are measured in order.  ``chi_direct`` is
+    the same inversion of the directly simulated outputs.
     """
     spec = spec or ProtocolSpec(name="qpt")
     rng = np.random.default_rng(spec.seed)
     inputs = tomography.mub_qubit_states()
+    swap = tomography.ef_swap()
+    preps = [swap @ np.array([psi[0], psi[1], 0.0], dtype=complex) for psi in inputs]
+    direct = []
     outputs = []
-    direct_fidelities = []
-    for psi in inputs:
-        qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
-        res = run_transfer(spec, qubit, nodes_link=nodes_link)
-        rho3 = res.extras["final_qutrit_b"]
-        direct_fidelities.append(float((psi.conj() @ rho3[:2, :2] @ psi).real))
+    for _, rho9 in _transfer(spec, nodes_link, preps):
+        rho3 = partial_trace(rho9, (3, 3), keep=(1,))
+        direct.append(rho3[:2, :2])
         settings, pops = _measure_qutrit(rho3, "B", spec, rng)
         outputs.append(tomography.qst_mle(pops, settings)[:2, :2])
     chi = tomography.qpt_linear_inversion(inputs, outputs)
     f_p = metrics.process_fidelity(chi.chi, tomography.CHI_IDENTITY)
     extras = {
         "chi": chi,
+        "chi_direct": tomography.qpt_linear_inversion(inputs, direct),
         "process_fidelity": f_p,
         "avg_state_fidelity_from_fp": (2.0 * f_p + 1.0) / 3.0,
-        "avg_state_fidelity_direct": float(np.mean(direct_fidelities)),
+        "avg_state_fidelity_direct": float(
+            np.mean([(psi.conj() @ rho2 @ psi).real for psi, rho2 in zip(inputs, direct)])
+        ),
     }
     return RunResult(spec, None, None, extras)
 
@@ -366,7 +378,7 @@ def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None, store_st
     """
     spec = spec or ProtocolSpec(name="entangle")
     rng = np.random.default_rng(spec.seed)
-    traj, rho9 = _transfer(spec, nodes_link, QUTRIT_PREPS["ef"], store_states=store_states)
+    [(traj, rho9)] = _transfer(spec, nodes_link, [QUTRIT_PREPS["ef"]], store_states=store_states)
     settings, pops = _measure_two_qutrit(rho9, spec, rng)
     rho9_rec = tomography.qst_mle(pops, settings)
     bundle = metrics.bundle_from_state(rho9_rec)

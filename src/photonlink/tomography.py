@@ -128,8 +128,11 @@ def qst_mle(
     Iterates the diluted fixed point rho -> (I + R/2) rho (I + R/2)+, which
     preserves positivity by construction, until the log-likelihood improves
     by less than ``tol`` or ``max_iter`` is reached (then a warning reports a
-    gradient norm above 1e-6 and the last estimate is returned).
+    gradient norm above 1e-6 and the last estimate is returned).  Raises
+    ValueError if ``max_iter`` < 1 or the populations do not match the settings.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     d = settings[0].unitary.shape[0]
     if freqs.shape != (len(settings), d):

@@ -344,15 +344,15 @@ def test_criterion_10_ramsey_calibration():
         e_ge = np.outer(ket(3, 1), ket(3, 0).conj())
         e_ef = np.outer(ket(3, 2), ket(3, 1).conj())
         psi = (ket(3, 0) + ket(3, 1)) / np.sqrt(2)
-        traj, _ = dynamics.integrate_me(
-            free, cops, DensityMatrix((3,), np.outer(psi, psi.conj())),
+        [(traj, _)] = dynamics.integrate_me(
+            free, cops, [DensityMatrix((3,), np.outer(psi, psi.conj()))],
             expect={"c": e_ge},
         )
         t2ge = -t[-1] / np.log(2 * np.abs(traj.expect["c"][-1]))
         worst = max(worst, abs(t2ge / (node.T2ge * 1e3) - 1.0))
         psi = (ket(3, 1) + ket(3, 2)) / np.sqrt(2)
-        traj, _ = dynamics.integrate_me(
-            free, cops, DensityMatrix((3,), np.outer(psi, psi.conj())),
+        [(traj, _)] = dynamics.integrate_me(
+            free, cops, [DensityMatrix((3,), np.outer(psi, psi.conj()))],
             expect={"c": e_ef},
         )
         t2ef = -t[-1] / np.log(2 * np.abs(traj.expect["c"][-1]))

@@ -268,10 +268,10 @@ def test_internal_loss_channel_present_when_nonzero(table):
 def _single_qutrit_run(node, rho0, t_end=1500.0, dt=1.0):
     t = np.arange(0.0, t_end + dt / 2, dt)
     cops = device.single_node_collapse_ops(node)
-    traj, final = integrate_me(
+    [(traj, final)] = integrate_me(
         device.TimeDependentOperator((3,), np.zeros((3, 3), dtype=complex), (), t),
         cops,
-        DensityMatrix((3,), rho0),
+        [DensityMatrix((3,), rho0)],
         expect={
             "coh_ge": np.outer(ket(3, 1), ket(3, 0).conj()),
             "coh_ef": np.outer(ket(3, 2), ket(3, 1).conj()),

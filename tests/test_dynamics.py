@@ -23,7 +23,7 @@ def _static(dims, t):
 def test_frozen_dynamics(rng):
     rho0 = DensityMatrix((3,), random_density(3, rng))
     t = np.arange(0.0, 10.0, 0.5)
-    traj, final = dynamics.integrate_me(_static((3,), t), [], rho0)
+    [(traj, final)] = dynamics.integrate_me(_static((3,), t), [], [rho0])
     assert np.abs(final.data - rho0.data).max() < 1e-12
     assert np.allclose(traj.pops[0][0], traj.pops[0][-1])
 
@@ -33,7 +33,7 @@ def test_single_qutrit_exponential_decay(table):
     t = np.arange(0.0, 2000.0, 1.0)
     decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
-    traj, _ = dynamics.integrate_me(_static((3,), t), [("decay_ge", decay)], rho0)
+    [(traj, _)] = dynamics.integrate_me(_static((3,), t), [("decay_ge", decay)], [rho0])
     expected = np.exp(-t / (node_a.T1ge * 1e3))
     err = np.abs(traj.pops[0][:, 1] - expected) / expected
     assert err.max() < 1e-4
@@ -42,7 +42,7 @@ def test_single_qutrit_exponential_decay(table):
 def test_integrator_rejects_bad_grids(rng):
     rho0 = DensityMatrix((3,), random_density(3, rng))
     with pytest.raises(ValueError, match="uniform"):
-        dynamics.integrate_me(_static((3,), np.array([0.0, 1.0, 1.5])), [], rho0)
+        dynamics.integrate_me(_static((3,), np.array([0.0, 1.0, 1.5])), [], [rho0])
 
 
 def test_integrator_rejects_wrong_shape_operators(table):
@@ -53,27 +53,29 @@ def test_integrator_rejects_wrong_shape_operators(table):
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
     rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
     wide = np.zeros((len(psi) + 1,) * 2, dtype=complex)
+    with pytest.raises(ValueError, match="no initial state"):
+        dynamics.integrate_me(h, [], [])
     with pytest.raises(ValueError, match="expectation operator"):
-        dynamics.integrate_me(h, [], rho0, expect={"wide": wide})
+        dynamics.integrate_me(h, [], [rho0], expect={"wide": wide})
     extra = dataclasses.replace(h, terms=h.terms + ((wide, np.ones(len(t), complex)),))
     with pytest.raises(ValueError, match="drive term"):
-        dynamics.integrate_me(extra, [], rho0)
+        dynamics.integrate_me(extra, [], [rho0])
     with pytest.raises(ValueError, match="Hamiltonian"):
-        dynamics.integrate_me(dataclasses.replace(h, static=wide), [], rho0)
+        dynamics.integrate_me(dataclasses.replace(h, static=wide), [], [rho0])
     # the static H and every drive term must be Hermitian, the samples real
     b, a = embed(destroy(3), 2, h.dims), embed(destroy(2), 3, h.dims)
     bd = b.conj().T
     one_sided = dataclasses.replace(h, terms=((bd @ bd @ a, np.ones(len(t))),))
     with pytest.raises(ValueError, match="not Hermitian"):
-        dynamics.integrate_me(one_sided, [], rho0)
+        dynamics.integrate_me(one_sided, [], [rho0])
     op, samples = h.terms[0]
     complex_drive = dataclasses.replace(h, terms=((op, samples * np.exp(0.1j)),))
     with pytest.raises(ValueError, match="real"):
-        dynamics.integrate_me(complex_drive, [], rho0)
+        dynamics.integrate_me(complex_drive, [], [rho0])
     skew = np.zeros_like(h.static)
     skew[0, 1] = 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
-        dynamics.integrate_me(dataclasses.replace(h, static=h.static + skew), [], rho0)
+        dynamics.integrate_me(dataclasses.replace(h, static=h.static + skew), [], [rho0])
 
 
 def test_reachable_block_is_exact_by_linearity(table, rng):
@@ -94,7 +96,7 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     rho_b = random_density(len(psi), rng)
 
     def final(rho):
-        traj, out = dynamics.integrate_me(h, cops, DensityMatrix(h.dims, rho))
+        [(traj, out)] = dynamics.integrate_me(h, cops, [DensityMatrix(h.dims, rho)])
         return traj.dim, out.data
 
     dim_a, out_a = final(rho_a)
@@ -102,6 +104,59 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     dim_mix, out_mix = final(0.5 * (rho_a + rho_b))
     assert (dim_a, dim_b, dim_mix) == (7, 36, 36)
     assert np.abs(out_mix - 0.5 * (out_a + out_b)).max() <= 1e-12
+
+
+def test_batch_matches_single_input_integrations(table, rng):
+    """Inputs with different reachable blocks (1 state, the 7-state
+    entanglement block, a random density on that block) integrated as one
+    batch on the union block reproduce their own single-input runs."""
+    node_a, node_b, link = table
+    t = pulse.default_grid(dt=0.5, span=100)
+    env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
+    env_b = pulse.shift(
+        pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
+        link.time_offset,
+    )
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=2)
+    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
+    out = device.output_field_op(node_a, node_b, link, fock=2)
+    expect = {"a_out": out, "n_out": out.conj().T @ out}
+    ground = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
+    qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
+    ef = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
+    [(ef_traj, _)] = dynamics.integrate_me(
+        h, cops, [DensityMatrix(h.dims, np.outer(ef, ef.conj()))], store_states=40
+    )
+    block = np.flatnonzero(np.any([np.diag(rho).real > 0 for _, rho in ef_traj.states], axis=0))
+    assert len(block) == 7
+    mixed = np.zeros((len(ef), len(ef)), complex)
+    mixed[np.ix_(block, block)] = random_density(len(block), rng)
+    rhos = [
+        DensityMatrix(h.dims, rho)
+        for rho in (np.outer(ground, ground.conj()), np.outer(ef, ef.conj()), mixed)
+    ]
+
+    def run(batch):
+        return dynamics.integrate_me(h, cops, batch, expect=expect, store_states=40)
+
+    batched = run(rhos)
+    assert len(batched) == len(rhos)
+    single_dims = []
+    for rho0, (traj, final) in zip(rhos, batched):
+        [(single, single_final)] = run([rho0])
+        single_dims.append(single.dim)
+        assert traj.dim == 7
+        assert traj.trace_drift == pytest.approx(single.trace_drift, abs=1e-12)
+        assert np.abs(final.data - single_final.data).max() <= 1e-12
+        for pops, ref in zip(traj.pops, single.pops):
+            assert np.abs(pops - ref).max() <= 1e-12
+        assert traj.expect.keys() == single.expect.keys()
+        for name, series in traj.expect.items():
+            assert np.abs(series - single.expect[name]).max() <= 1e-12
+        assert [ts for ts, _ in traj.states] == [ts for ts, _ in single.states]
+        for (_, rho), (_, ref) in zip(traj.states, single.states):
+            assert np.abs(rho - ref).max() <= 1e-12
+    assert single_dims == [1, 7, 7]
 
 
 def test_recorded_observables_match_snapshots(table, rng):
@@ -123,8 +178,8 @@ def test_recorded_observables_match_snapshots(table, rng):
         "a_out": device.output_field_op(node_a, node_b, link, fock=2),
         "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }
-    traj, _ = dynamics.integrate_me(
-        h, cops, DensityMatrix(h.dims, np.outer(psi, psi.conj())),
+    [(traj, _)] = dynamics.integrate_me(
+        h, cops, [DensityMatrix(h.dims, np.outer(psi, psi.conj()))],
         expect=expect, store_states=25,
     )
     assert len(traj.states) > 5
@@ -144,7 +199,7 @@ def test_reachable_block_closes_under_jump_products():
     jump[0, 1] = jump[0, 2] = 1.0
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
     t = np.arange(0.0, 2.0, 0.01)
-    traj, final = dynamics.integrate_me(_static((3,), t), [("jump", jump)], rho0)
+    [(traj, final)] = dynamics.integrate_me(_static((3,), t), [("jump", jump)], [rho0])
     ldl = jump.conj().T @ jump
     eye = np.eye(3)
     generator = np.kron(jump, jump.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
@@ -159,7 +214,22 @@ def test_trace_drift_aborts():
     op = 10.0 * destroy(2)  # rate 100/ns at dt 1 ns
     rho0 = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
     with pytest.raises(dynamics.TraceDriftError):
-        dynamics.integrate_me(_static((2,), t), [("decay", op)], rho0)
+        dynamics.integrate_me(_static((2,), t), [("decay", op)], [rho0])
+
+
+def test_trace_drift_of_one_input_aborts_the_batch():
+    """A batch is checked input by input: one well-behaved input does not
+    dilute the drift of the other."""
+    t = np.arange(0.0, 20.0, 1.0)
+    op = 10.0 * destroy(2)
+    steady = DensityMatrix((2,), np.diag([1.0, 0]).astype(complex))
+    drifting = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
+    [(traj, _)] = dynamics.integrate_me(_static((2,), t), [("decay", op)], [steady])
+    assert traj.trace_drift == 0.0
+    with pytest.raises(dynamics.TraceDriftError, match="input 1"):
+        dynamics.integrate_me(_static((2,), t), [("decay", op)], [steady, drifting])
+    with pytest.raises(dynamics.TraceDriftError, match="input 0"):
+        dynamics.integrate_me(_static((2,), t), [("decay", op)], [drifting, steady])
 
 
 def test_two_level_oracle_zero_drive():
@@ -208,7 +278,7 @@ def test_oracle_equivalence_with_full_master_equation(table):
     cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 2), ket(3, 0)), np.kron(ket(3, 0), ket(3, 0)))
-    traj, _ = dynamics.integrate_me(h, cops, DensityMatrix(dims, np.outer(psi, psi.conj())))
+    [(traj, _)] = dynamics.integrate_me(h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))])
     oracle = dynamics.two_level_oracle(env, clean_a.kappa_T_rad)
     assert np.abs(traj.pops_A[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
     assert np.abs(traj.pops_A[:, 0] - (1 - np.abs(oracle.c_f) ** 2)).max() < 1e-3
@@ -236,8 +306,8 @@ def test_excitation_bookkeeping(table):
         "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 2), ket(3, 0)), np.kron(ket(3, 0), ket(3, 0)))
-    traj, _ = dynamics.integrate_me(
-        h, cops, DensityMatrix(dims, np.outer(psi, psi.conj())), expect=expect
+    [(traj, _)] = dynamics.integrate_me(
+        h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], expect=expect
     )
     dynamics.output_observables(traj)
     from scipy.integrate import cumulative_trapezoid
@@ -278,8 +348,8 @@ def test_drive_off_photon_handoff(table):
         "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 0), ket(3, 1)), np.kron(ket(3, 0), ket(3, 0)))
-    traj, _ = dynamics.integrate_me(
-        h, cops, DensityMatrix(dims, np.outer(psi, psi.conj())), expect=expect
+    [(traj, _)] = dynamics.integrate_me(
+        h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], expect=expect
     )
     dynamics.output_observables(traj)
     photons = traj.expect["n_A"].real + traj.expect["n_B"].real
@@ -295,8 +365,8 @@ def test_trace_preservation_and_positivity(table):
     cops = device.build_collapse_ops(node_a, node_b, link, fock=3)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 0), ket(3, 0)), np.kron(ket(3, 2), ket(3, 0)))
-    traj, final = dynamics.integrate_me(
-        h, cops, DensityMatrix(dims, np.outer(psi, psi.conj())), store_states=400
+    [(traj, final)] = dynamics.integrate_me(
+        h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], store_states=400
     )
     for _, rho in traj.states:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
@@ -314,8 +384,8 @@ def test_step_halving_convergence(table):
         cops = device.build_collapse_ops(node_a, node_b, link, fock=3)
         dims = h.dims
         psi = np.kron(np.kron(ket(3, 0), ket(3, 0)), np.kron(ket(3, 2), ket(3, 0)))
-        _, final = dynamics.integrate_me(
-            h, cops, DensityMatrix(dims, np.outer(psi, psi.conj()))
+        [(_, final)] = dynamics.integrate_me(
+            h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))]
         )
         finals.append(final.data)
     assert np.abs(finals[0] - finals[1]).max() < 1e-6
@@ -354,10 +424,10 @@ def test_trajectory_csv_export(tmp_path, table):
     dims = h.dims
     out = device.output_field_op(node_a, node_b, link, fock=2)
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    traj, _ = dynamics.integrate_me(
+    [(traj, _)] = dynamics.integrate_me(
         h,
         cops,
-        DensityMatrix(dims, np.outer(psi, psi.conj())),
+        [DensityMatrix(dims, np.outer(psi, psi.conj()))],
         expect={"a_out": out, "n_out": out.conj().T @ out},
     )
     dynamics.output_observables(traj)

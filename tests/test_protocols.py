@@ -157,6 +157,33 @@ def test_qpt_noiseless_identity_process():
     assert res.extras["process_fidelity"] > 0.999
 
 
+def test_qpt_exact_readout_chi_matches_direct_oracle():
+    """With exact readout the tomographic chi differs from the inversion of
+    the directly simulated outputs only by the MLE's stopping error."""
+    res = protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt", **FAST))
+    gap = np.abs(res.extras["chi"].chi - res.extras["chi_direct"].chi).max()
+    assert gap <= 5e-5
+
+
+def test_qpt_integrates_before_drawing_and_measures_in_input_order():
+    """The batched QPT draws the same shots as transferring and measuring
+    each input in turn with one generator."""
+    from photonlink import tomography as tomo
+
+    spec = ProtocolSpec(name="qpt", dt=0.5, fock=2, shots=2000, seed=3)
+    rng = np.random.default_rng(3)
+    inputs = tomo.mub_qubit_states()
+    outputs = []
+    for psi in inputs:
+        qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
+        rho3 = protocols.run_transfer(spec, qubit).extras["final_qutrit_b"]
+        settings, pops = protocols._measure_qutrit(rho3, "B", spec, rng)
+        outputs.append(tomo.qst_mle(pops, settings)[:2, :2])
+    reference = tomo.qpt_linear_inversion(inputs, outputs).chi
+    chi = protocols.run_state_transfer_qpt(spec).extras["chi"].chi
+    assert np.abs(chi - reference).max() <= 1e-12
+
+
 def test_qpt_depolarized_floor():
     # fully depolarizing channel: F_p = 1/4, well below the classical bound 1/2
     from photonlink import tomography as tomo

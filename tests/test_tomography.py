@@ -103,6 +103,14 @@ def test_mle_shape_validation():
         tomo.qst_mle(np.zeros((4, 3)), settings)
 
 
+def test_mle_rejects_max_iter_below_one():
+    settings = tomo.gate_set("single")
+    pops = tomo.born_probabilities(np.eye(3) / 3, settings)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            tomo.qst_mle(pops, settings, max_iter=max_iter)
+
+
 def test_qpt_identity_channel():
     inputs = tomo.mub_qubit_states()
     outputs = [np.outer(psi, psi.conj()) for psi in inputs]
