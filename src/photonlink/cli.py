@@ -36,7 +36,7 @@ SCENARIOS = (
     "sweep",
 )
 
-SWEEPABLE = ("eta_c", "t_scale", "kappa_eff", "time_offset", "fock", "dt", "idle_ns")
+SWEEPABLE = ("eta_c", "t_scale", "kappa_eff", "time_offset", "dt", "idle_ns")
 
 # (photon bandwidth field, node index, receiver): the drives each scenario
 # builds, emitting through a node's resonator or, for the receiver, catching
@@ -78,7 +78,12 @@ def build_parser():
         default=None,
         help="absorber delay (ns); must keep 99%% of the receiver drive's energy in the drive window",
     )
-    parser.add_argument("--fock", type=int, default=protocols.DEFAULT_FOCK)
+    parser.add_argument(
+        "--fock",
+        type=int,
+        default=2,
+        help="accepted and ignored (must be >= 2): each resonator holds the one photon a protocol makes",
+    )
     parser.add_argument("--dt", type=float, default=protocols.DEFAULT_DT)
     parser.add_argument("--idle-ns", type=float, default=protocols.DEFAULT_IDLE_NS)
     parser.add_argument("--t-scale", type=float, default=1.0, help="scale all T1/T2 times")
@@ -95,11 +100,12 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         raise ConfigError("--shots and --exact are mutually exclusive")
     if args.dt > 1.0:
         raise ConfigError("--dt must lie in (0, 1] ns")
+    if args.fock < 2:
+        raise ConfigError("--fock must be at least 2")
     kwargs = dict(
         name=args.scenario,
         eta_c=args.eta_c,
         time_offset=args.time_offset,
-        fock=args.fock,
         dt=args.dt,
         idle_ns=args.idle_ns,
         t_scale=args.t_scale,
@@ -148,10 +154,8 @@ def _sweep_specs(args, nodes_link):
         raise ConfigError("--sweep-values must be a non-empty comma-separated list")
     points = []
     for value in values:
-        if args.sweep_param == "fock" and not value.is_integer():
-            raise ConfigError(f"fock sweep values must be integers, not {value}")
         point = argparse.Namespace(**vars(args))
-        setattr(point, args.sweep_param, int(value) if args.sweep_param == "fock" else value)
+        setattr(point, args.sweep_param, value)
         points.append((value, _spec_from_args(point, nodes_link)))
     return points
 
@@ -360,7 +364,11 @@ def _run_sweep(args, points, nodes_link, outdir):
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     # everything is validated before the first file is written
     try:
         if args.device is not None and not Path(args.device).is_file():

@@ -5,7 +5,9 @@ rates/shifts in linear MHz, coherence times in us).  The effective
 Hamiltonian couples each transmon's |f,0> <-> |g,1> transition to its
 transfer resonator via the modulated drive and cascades resonator A into
 resonator B through a lossy circulator; dissipation is Lindblad-type with
-per-transition decay and dephasing channels.
+per-transition decay and dephasing channels.  Every operator acts on
+``DIMS``: each transfer resonator keeps the two Fock states one photon can
+reach.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ class NodeParams:
     """Physical constants of one node.
 
     The readout block (nu_R, kappa_R, chi_R) is carried for documentation
-    only and never enters the transfer dynamics.
+    only and never enters the transfer dynamics.  Neither do the resonator
+    Kerr shift K, since a resonator holds at most one photon, nor alpha,
+    which the drives' frame removes (see :func:`build_hamiltonian`).
     """
 
     nu_ge: float      # GHz
@@ -96,33 +100,6 @@ class LinkParams:
             raise ValueError("eta_c must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class BareParams:
-    """Bare circuit quantities feeding the dressed-frame transformation.
-
-    All angular (rad/ns).  beta is the drive-displacement amplitude; the
-    Bogoliubov angle is derived, see :func:`dressed_from_bare`.
-    """
-
-    omega_T: float
-    omega_ge: float
-    E_C: float
-    g_T: float
-    beta: float
-    omega_d: float = 0.0
-
-
-@dataclass(frozen=True)
-class DressedParams:
-    alpha: float
-    K: float
-    chi_T: float
-    Delta_T: float
-    Delta_eg: float
-    g_tilde: complex
-    Lambda: float
-
-
 def dephasing_rates(T1ge, T1ef, T2ge, T2ef):
     """Pure-dephasing rates (gamma_phi_ge, gamma_phi_ef) in 1/ns.
 
@@ -141,33 +118,6 @@ def dephasing_rates(T1ge, T1ef, T2ge, T2ef):
             f"unphysical coherence times: negative dephasing rates {sol}"
         )
     return float(max(sol[0], 0.0)) * 1e-3, float(max(sol[1], 0.0)) * 1e-3
-
-
-def dressed_from_bare(bare: BareParams) -> DressedParams:
-    """Dressed-frame quantities obtained from the Bogoliubov transformation.
-
-    tan(2*Lambda) = -2 g_T / (omega_T - omega_ge + 2 E_C |beta|); the
-    dispersive regime requires |Lambda| < pi/4.  Returns the transmon and
-    resonator anharmonicities, dispersive shift, drive detunings and the
-    effective coupling g = -E_C beta sqrt(2) cos^2(Lambda) sin(Lambda).
-    """
-    den = bare.omega_T - bare.omega_ge + 2.0 * bare.E_C * abs(bare.beta)
-    if abs(den) < 1e-9 * max(abs(bare.g_T), 1e-9):
-        raise ValueError("non-dispersive: drive-shifted detuning vanishes")
-    lam = 0.5 * np.arctan(-2.0 * bare.g_T / den)
-    if abs(lam) >= np.pi / 4:
-        raise ValueError("non-dispersive: |Lambda| >= pi/4")
-    c, s = np.cos(lam), np.sin(lam)
-    stark = bare.omega_ge - 2.0 * bare.E_C * abs(bare.beta) ** 2
-    return DressedParams(
-        alpha=-bare.E_C * c**4,
-        K=-bare.E_C * s**4,
-        chi_T=-bare.E_C * c**2 * s**2,
-        Delta_T=bare.omega_T * c**2 + stark * s**2 - bare.g_T * np.sin(2 * lam) - bare.omega_d,
-        Delta_eg=stark * c**2 + bare.omega_T * s**2 + bare.g_T * np.sin(2 * lam) - bare.omega_d,
-        g_tilde=-bare.E_C * bare.beta * np.sqrt(2.0) * c**2 * s,
-        Lambda=float(lam),
-    )
 
 
 @dataclass(frozen=True)
@@ -208,17 +158,15 @@ def single_node_collapse_ops(node: NodeParams):
     ]
 
 
-def system_dims(fock: int) -> tuple:
-    if fock < 2:
-        raise ValueError("Fock truncation must keep at least 2 levels")
-    return (3, fock, 3, fock)
+# (transmon A, resonator A, transmon B, resonator B): a protocol starts with
+# at most two transmon quanta, and f0g1 trades two quanta for one photon
+DIMS = (3, 2, 3, 2)
 
 
-def _node_ops(dims, node_index):
-    qutrit_slot = 0 if node_index == 0 else 2
-    res_slot = qutrit_slot + 1
-    b = embed(destroy(3), qutrit_slot, dims)
-    a = embed(destroy(dims[res_slot]), res_slot, dims)
+def _node_ops(node_index):
+    qutrit_slot = 2 * node_index
+    b = embed(destroy(3), qutrit_slot, DIMS)
+    a = embed(destroy(2), qutrit_slot + 1, DIMS)
     return b, a
 
 
@@ -228,25 +176,25 @@ def build_hamiltonian(
     link: LinkParams,
     g_a: DriveEnvelope | None,
     g_b: DriveEnvelope | None,
-    fock: int = 3,
 ) -> TimeDependentOperator:
     """Effective two-node Hamiltonian with the circulator cascade term.
 
-    Per node: (K/2) a+a+aa + 2 chi_T a+a b+b + (g(t) b+b+ a + h.c.)/sqrt(2),
-    plus the cascade term -i sqrt(kappa_A kappa_B eta_c)/2 (a_A a_B+ - a_A+ a_B);
+    Per node: 2 chi_T a+a b+b + (g(t) b+b+ a + h.c.)/sqrt(2), plus the
+    cascade term -i sqrt(kappa_A kappa_B eta_c)/2 (a_A a_B+ - a_A+ a_B);
     Hermitian at every sampled t.  The matrix element <f,0|H|g,1> equals g(t)
     exactly.
 
-    H is built in the drives' local-oscillator frame: the qutrit diagonal
+    H acts on ``DIMS``, whose resonators hold at most one photon, so the
+    resonator Kerr term (K/2) a+a+aa vanishes and K does not enter H.  H is
+    built in the drives' local-oscillator frame: the qutrit diagonal
     -(alpha/2) b+b + (alpha/2) b+b+bb = diag(0, -alpha/2, 0) commutes with
-    every other generator and is dropped, so alpha does not enter H and
-    resonant gate pulses are plain, time-independent unitaries.
+    every other generator and is dropped, so alpha does not enter H either
+    and resonant gate pulses are plain, time-independent unitaries.
 
     The drives are resonant with the Stark-shifted transitions, so each g(t)
     is real and a driven node adds one Hermitian term, (b+b+ a + h.c.)/sqrt(2)
     with samples g(t).  A node without a drive envelope (None) is not driven.
     """
-    dims = system_dims(fock)
     envs = [e for e in (g_a, g_b) if e is not None]
     if len(envs) == 2 and (
         envs[0].t.shape != envs[1].t.shape or np.abs(envs[0].t - envs[1].t).max() > 1e-9
@@ -256,12 +204,11 @@ def build_hamiltonian(
         raise ValueError("at least one drive envelope is required")
     t = envs[0].t
 
-    h0 = np.zeros((np.prod(dims),) * 2, dtype=complex)
+    h0 = np.zeros((np.prod(DIMS),) * 2, dtype=complex)
     terms = []
     for idx, (node, env) in enumerate([(a_node, g_a), (b_node, g_b)]):
-        b, a = _node_ops(dims, idx)
+        b, a = _node_ops(idx)
         bd, ad = b.conj().T, a.conj().T
-        h0 += 0.5 * mhz(node.K) * (ad @ ad @ a @ a)
         h0 += 2.0 * mhz(node.chi_T) * (ad @ a) @ (bd @ b)
         if env is not None:
             coupling = (bd @ bd @ a) / np.sqrt(2.0)
@@ -270,14 +217,14 @@ def build_hamiltonian(
     cascade = 0.5 * np.sqrt(
         a_node.kappa_T_rad * b_node.kappa_T_rad * link.eta_c
     )
-    _, a_a = _node_ops(dims, 0)
-    _, a_b = _node_ops(dims, 1)
+    _, a_a = _node_ops(0)
+    _, a_b = _node_ops(1)
     h0 += -1j * cascade * (a_a @ a_b.conj().T - a_a.conj().T @ a_b)
 
-    return TimeDependentOperator(dims, h0, tuple(terms), t)
+    return TimeDependentOperator(DIMS, h0, tuple(terms), t)
 
 
-def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams, fock: int = 3):
+def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams):
     """Rate-weighted collapse operators of the cascaded master equation.
 
     Returns (name, operator) pairs: the emitter's standalone circulator-loss
@@ -285,30 +232,28 @@ def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams,
     :func:`output_field_op`, and per node internal
     resonator decay, transmon decay and transmon dephasing.
     """
-    dims = system_dims(fock)
-    _, a_a = _node_ops(dims, 0)
+    _, a_a = _node_ops(0)
     ops = []
     loss_rate = a_node.kappa_T_rad * (1.0 - link.eta_c)
     if loss_rate > 0:
         ops.append(("channel_loss", np.sqrt(loss_rate) * a_a))
-    ops.append(("cascade_out", output_field_op(a_node, b_node, link, fock)))
+    ops.append(("cascade_out", output_field_op(a_node, b_node, link)))
     for idx, (name, node) in enumerate([("A", a_node), ("B", b_node)]):
-        _, a_i = _node_ops(dims, idx)
+        _, a_i = _node_ops(idx)
         if node.kappa_int > 0:
             ops.append((f"internal_{name}", np.sqrt(node.kappa_int_rad) * a_i))
         qslot = 2 * idx
         for label, op in single_node_collapse_ops(node):
             if np.abs(op).max() > 0:
-                ops.append((f"{label}_{name}", embed(op, qslot, dims)))
+                ops.append((f"{label}_{name}", embed(op, qslot, DIMS)))
     return ops
 
 
-def output_field_op(a_node: NodeParams, b_node: NodeParams, link: LinkParams, fock: int = 3):
+def output_field_op(a_node: NodeParams, b_node: NodeParams, link: LinkParams):
     """Field operator downstream of node B: the cascade's collective jump
     operator sqrt(kappa_T^A eta_c) a_A + sqrt(kappa_T^B) a_B."""
-    dims = system_dims(fock)
-    _, a_a = _node_ops(dims, 0)
-    _, a_b = _node_ops(dims, 1)
+    _, a_a = _node_ops(0)
+    _, a_b = _node_ops(1)
     return (
         np.sqrt(a_node.kappa_T_rad * link.eta_c) * a_a
         + np.sqrt(b_node.kappa_T_rad) * a_b

@@ -10,7 +10,7 @@ the nonzero patterns of H, the drive terms, the jump operators L_k and
 L_k+L_k.  The master equation maps that block into itself whatever the
 operators are, and a union of invariant blocks is invariant, so the
 restriction is exact; a single excitation on the link reaches at most 7 of
-the 81 states of the default Fock truncation.  The static part of H and
+the 36 states of the two-node model.  The static part of H and
 its drive terms, one per driven node, must be Hermitian and the drive
 samples real; the integrator checks both before it builds the generator.
 On the block each Liouvillian is built densely with numpy (``np.kron``,
@@ -85,9 +85,17 @@ class Trajectory:
 
     @property
     def photon_integral(self):
+        """Emitted photon number: the output flux <L+L> integrated over t."""
         if self.flux_out is None:
             raise ValueError("output field not recorded for this trajectory")
         return float(np.trapezoid(self.flux_out, self.t))
+
+    @property
+    def mean_field_power(self):
+        """Coherent part of the emitted photon: |<L>|^2 integrated over t."""
+        if self.a_mean_out is None:
+            raise ValueError("output field not recorded for this trajectory")
+        return float(np.trapezoid(np.abs(self.a_mean_out) ** 2, self.t))
 
 
 def _liouvillian(h, jumps=()):
@@ -134,8 +142,8 @@ def integrate_me(
     ``[rho0]``).  ``expect`` maps labels to operators whose expectation
     values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
     stores a density-matrix snapshot every that many steps (plus the final
-    state).  Level populations are tracked for slots 0 and 2 of the
-    four-part node layout, or else for every three-dimensional subsystem.
+    state).  Level populations are tracked for every three-level subsystem:
+    the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
 
     Only the reachable block is integrated: the basis states in the union of
     the supports of the initial states, closed under the nonzero patterns of
@@ -146,7 +154,7 @@ def integrate_me(
     and every RK4 stage applies the generator to all of them as one sparse
     product.  Each R^2 x R^2 Liouvillian block of an R-state block is built
     densely with numpy (about R^4 entries held while it is built) and
-    converted to CSR at once.
+    converted to CSR at once; on ``device.DIMS`` R is at most 36.
 
     Returns one (Trajectory, final DensityMatrix) pair per input, in input
     order; every Trajectory's ``dim`` is the integrated (union) block size
@@ -223,9 +231,7 @@ def integrate_me(
         np.multiply(coef[j], v, out=copies)
         return generator @ flat
 
-    slots = (0, 2) if len(dims) == 4 else [i for i, n in enumerate(dims) if n == 3]
-    if any(dims[slot] != 3 for slot in slots):
-        raise ValueError(f"population slots {slots} must be three-level subsystems")
+    slots = [i for i, n in enumerate(dims) if n == 3]
     # V.T @ readout = [Tr rho, P_g P_e P_f of each slot, Tr(O rho) of each O],
     # one row per input
     first_expect = 1 + 3 * len(slots)
@@ -386,8 +392,8 @@ def efficiencies(traj_with, traj_without, traj_emit_a, traj_emit_b) -> TransferE
         raise ValueError("reference emission flux vanishes")
     absorption_eff = 1.0 - residual / reference
 
-    power_a = np.trapezoid(np.abs(traj_emit_a.a_mean_out) ** 2, traj_emit_a.t)
-    power_b = np.trapezoid(np.abs(traj_emit_b.a_mean_out) ** 2, traj_emit_b.t)
+    power_a = traj_emit_a.mean_field_power
+    power_b = traj_emit_b.mean_field_power
     if power_b < 1e-12:
         raise ValueError("reference mean-field power vanishes")
     loss = 1.0 - power_a / power_b

@@ -33,7 +33,6 @@ KAPPA_EFF_MHZ = {"A": 10.4, "B": 10.6}
 DEFAULT_WINDOW = (-95.0, 95.0)
 DEFAULT_IDLE_NS = 40.0
 DEFAULT_DT = 0.1
-DEFAULT_FOCK = 3
 
 # the emission field studies integrate the output line 10 ns past the drive
 # window to cover the receiver-resonator ringdown, with no closing pulses
@@ -43,7 +42,11 @@ EMISSION_IDLE_NS = 0.0
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Configuration of one named run; JSON-serializable and hashable."""
+    """Configuration of one named run; JSON-serializable and hashable.
+
+    No field sizes the model: every run integrates on ``device.DIMS``, whose
+    two-level resonators hold the one photon a protocol can make exactly.
+    """
 
     name: str
     eta_c: float | None = None          # override channel transmission
@@ -53,7 +56,6 @@ class ProtocolSpec:
     window: tuple = DEFAULT_WINDOW
     idle_ns: float = DEFAULT_IDLE_NS
     dt: float = DEFAULT_DT
-    fock: int = DEFAULT_FOCK
     t_scale: float = 1.0                # multiplies all T1/T2
     decoherence: bool = True
     shots: int | None = None            # None: exact Born probabilities
@@ -65,8 +67,6 @@ class ProtocolSpec:
         reals += [x for x in (self.eta_c, self.time_offset) if x is not None]
         if not all(math.isfinite(x) for x in reals):
             raise ValueError("every real-valued setting must be finite")
-        if self.fock < 2:
-            raise ValueError("fock must be >= 2")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_scale <= 0:
@@ -155,7 +155,8 @@ def _drive(spec, node, kappa_eff_mhz, reverse=False, offset=0.0):
     return pulse.DriveEnvelope(t, g)
 
 
-def _initial_state(dims, qutrit_a, qutrit_b):
+def _initial_state(qutrit_a, qutrit_b):
+    dims = dev.DIMS
     psi = np.kron(
         np.kron(np.asarray(qutrit_a, complex), ket(dims[1], 0)),
         np.kron(np.asarray(qutrit_b, complex), ket(dims[3], 0)),
@@ -192,14 +193,11 @@ def _run_link(spec, nodes_link, emitter, preps, absorb=False, tau=None, store_st
         env = pulse.truncate(env, tau)
     catch = _drive(spec, node_b, keff, reverse=True, offset=link.time_offset) if absorb else None
     env_a, env_b = (env, catch) if from_a else (None, env)
-    dims = dev.system_dims(spec.fock)
     idle = ket(3, G)
-    rho0s = [
-        _initial_state(dims, prep if from_a else idle, idle if from_a else prep) for prep in preps
-    ]
-    h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=spec.fock)
-    cops = dev.build_collapse_ops(node_a, node_b, link, fock=spec.fock)
-    out = dev.output_field_op(node_a, node_b, link, fock=spec.fock)
+    rho0s = [_initial_state(prep if from_a else idle, idle if from_a else prep) for prep in preps]
+    h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b)
+    cops = dev.build_collapse_ops(node_a, node_b, link)
+    out = dev.output_field_op(node_a, node_b, link)
     expect = {"a_out": out, "n_out": out.conj().T @ out}
     runs = integrate_me(h, cops, rho0s, expect=expect, store_states=store_states)
     for traj, _ in runs:
@@ -227,9 +225,7 @@ def run_emission(
     extras = {
         "final_populations": {"g": pops[-1, G], "e": pops[-1, E], "f": pops[-1, F]},
         "photon_integral": traj.photon_integral,
-        "mean_field_power": float(
-            np.trapezoid(np.abs(traj.a_mean_out) ** 2, traj.t)
-        ),
+        "mean_field_power": traj.mean_field_power,
     }
     return RunResult(spec, traj, rho_final, extras)
 

@@ -104,16 +104,6 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return tensor.reshape(kept, kept)
 
 
-def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipation super-operator D[O]rho = O rho O^+ - {O^+O, rho}/2."""
-    op = np.asarray(op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if op.shape != rho.shape:
-        raise ValueError(f"operator shape {op.shape} != state shape {rho.shape}")
-    opd_op = op.conj().T @ op
-    return op @ rho @ op.conj().T - 0.5 * (opd_op @ rho + rho @ opd_op)
-
-
 def realign(rho: np.ndarray, dims) -> np.ndarray:
     """Realignment (index reshuffle) of a bipartite operator.
 

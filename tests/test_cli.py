@@ -54,7 +54,7 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--time-offset", "inf"],
         # the receiver drive is delayed inside the drive window, whose edge
         # would cut it: 100% of its energy at +1000 ns, 12.7% at -40 ns
-        ["--time-offset", "1000", "--dt", "0.5", "--fock", "2"],
+        ["--time-offset", "1000", "--dt", "0.5"],
         ["--scenario", "qpt", "--time-offset", "-40", "--dt", "0.5"],
         ["--kappa-eff", "nan"],
         ["--device", nan_t1],
@@ -66,11 +66,42 @@ def test_conflicting_flags_exit_2(tmp_path):
         # no photon reaches B: the absorption efficiency is undefined
         ["--scenario", "transfer", "--eta-c", "0"],
         ["--scenario", "transfer", "--device", no_channel],
+        # --fock is accepted and ignored, but a value below 2 is still an error
+        ["--fock", "1"],
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
         assert not out.exists(), argv
     assert not_a_dir.read_bytes() == b"keep me\n"
+
+
+def test_argparse_errors_return_2_without_files(tmp_path, capsys):
+    for argv in (
+        ["--scenario", "entangle", "--shots", "ten"],
+        ["--scenario", "entangle", "--no-such-flag"],
+        ["--scenario", "entangle", "--fock", "2.5"],
+        ["--dt", "0.5"],  # --scenario is required
+    ):
+        out = tmp_path / "none"
+        assert cli.run(["--out", str(out), *argv]) == 2, argv
+        assert not out.exists(), argv
+    assert "usage: photonlink" in capsys.readouterr().err
+
+
+def test_fock_flag_is_accepted_and_ignored(tmp_path):
+    """Resonators hold the one photon a protocol makes, so --fock changes no
+    artifact; it stays accepted for existing scripts."""
+    runs = {}
+    for fock in ("2", "3"):
+        code, out = run_cli(tmp_path / fock, "--scenario", "entangle", "--dt", "0.5", "--fock", fock)
+        assert code == 0
+        runs[fock] = out / "entangle"
+    names = sorted(p.name for p in runs["2"].iterdir())
+    assert names == sorted(p.name for p in runs["3"].iterdir())
+    for name in names:
+        assert (runs["2"] / name).read_bytes() == (runs["3"] / name).read_bytes(), name
+    manifest = json.loads((runs["2"] / "manifest.json").read_text())
+    assert "fock" not in manifest["config"]
 
 
 def test_missing_device_file_exits_2(tmp_path):
@@ -83,9 +114,10 @@ def test_sweep_requires_values(tmp_path):
         ["--sweep-param", "eta_c"],
         ["--sweep-param", "eta_c", "--sweep-values", ""],
         ["--sweep-param", "voltage", "--sweep-values", "1"],
-        # every point is validated before the first one runs
+        # the Fock truncation is not a knob
         ["--sweep-param", "fock", "--sweep-values", "3,1"],
         ["--sweep-param", "fock", "--sweep-values", "2.5", "--dt", "0.5"],
+        # every point is validated before the first one runs
         ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
         ["--sweep-param", "kappa_eff", "--sweep-values", "10,0"],
@@ -131,7 +163,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_entangle_scenario_artifacts(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "entangle", "--dt", "0.5", "--fock", "2")
+    code, out = run_cli(tmp_path, "--scenario", "entangle", "--dt", "0.5")
     assert code == 0
     run_dir = out / "entangle"
     summary = json.loads((run_dir / "summary.json").read_text())
@@ -144,7 +176,7 @@ def test_entangle_scenario_artifacts(tmp_path):
 
 def test_sampled_entangle_scenario(tmp_path):
     code, out = run_cli(
-        tmp_path, "--scenario", "entangle", "--dt", "0.5", "--fock", "2",
+        tmp_path, "--scenario", "entangle", "--dt", "0.5",
         "--shots", "500", "--seed", "9",
     )
     assert code == 0
@@ -165,7 +197,7 @@ def test_readout_sim_scenario(tmp_path):
 def test_sweep_scenario(tmp_path):
     code, out = run_cli(
         tmp_path, "--scenario", "sweep", "--sweep-param", "eta_c",
-        "--sweep-values", "1.0,0.77", "--dt", "0.5", "--fock", "2",
+        "--sweep-values", "1.0,0.77", "--dt", "0.5",
     )
     assert code == 0
     rows = (out / "sweep" / "sweep.csv").read_text().strip().split("\n")
@@ -177,7 +209,7 @@ def test_sweep_scenario(tmp_path):
 
 
 def test_transfer_scenario_artifacts(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "transfer", "--dt", "0.5", "--fock", "2")
+    code, out = run_cli(tmp_path, "--scenario", "transfer", "--dt", "0.5")
     assert code == 0
     summary = json.loads((out / "transfer" / "summary.json").read_text())
     assert {"transfer_efficiency", "saturation_ns", "absorption_efficiency", "loss"} <= set(summary)
@@ -185,7 +217,7 @@ def test_transfer_scenario_artifacts(tmp_path):
 
 
 def test_qpt_scenario_artifacts(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "qpt", "--dt", "0.5", "--fock", "2")
+    code, out = run_cli(tmp_path, "--scenario", "qpt", "--dt", "0.5")
     assert code == 0
     summary = json.loads((out / "qpt" / "summary.json").read_text())
     assert 0.5 < summary["process_fidelity"] <= 1.0
@@ -194,11 +226,11 @@ def test_qpt_scenario_artifacts(tmp_path):
 
 
 def test_budget_and_upgrade_scenarios(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "budget", "--dt", "0.5", "--fock", "2")
+    code, out = run_cli(tmp_path, "--scenario", "budget", "--dt", "0.5")
     assert code == 0
     budget = json.loads((out / "budget" / "budget.json").read_text())
     assert budget["fidelities"]["both_off"] > budget["fidelities"]["baseline"]
-    code, out = run_cli(tmp_path, "--scenario", "upgrade", "--dt", "0.5", "--fock", "2")
+    code, out = run_cli(tmp_path, "--scenario", "upgrade", "--dt", "0.5")
     assert code == 0
     summary = json.loads((out / "upgrade" / "summary.json").read_text())
     assert summary["state_fidelity"] > 0.85
@@ -206,7 +238,7 @@ def test_budget_and_upgrade_scenarios(tmp_path):
 
 def test_time_offset_flag(tmp_path):
     code, out = run_cli(
-        tmp_path, "--scenario", "entangle", "--dt", "0.5", "--fock", "2",
+        tmp_path, "--scenario", "entangle", "--dt", "0.5",
         "--time-offset", "2.0",
     )
     assert code == 0

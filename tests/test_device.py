@@ -3,13 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from photonlink import device, pulse, qops
 from photonlink.dynamics import integrate_me
 from photonlink.qops import DensityMatrix, ket, mhz, to_mhz
-
-GHZ = 2 * np.pi  # rad/ns per GHz
 
 
 @pytest.fixture(scope="module")
@@ -67,55 +64,6 @@ def test_device_file_rejects_bad_content(tmp_path):
         device.load_device(path)
 
 
-# --- dressed-frame transformation ------------------------------------------
-
-def test_dressed_uncoupled_limit():
-    bare = device.BareParams(
-        omega_T=8.4 * GHZ, omega_ge=6.3 * GHZ, E_C=0.265 * GHZ, g_T=0.0, beta=0.4
-    )
-    d = device.dressed_from_bare(bare)
-    assert d.Lambda == 0.0
-    assert d.K == 0.0
-    assert d.chi_T == 0.0
-    assert d.alpha == pytest.approx(-bare.E_C)
-
-
-def test_dressed_no_drive_no_coupling():
-    bare = device.BareParams(
-        omega_T=8.4 * GHZ, omega_ge=6.3 * GHZ, E_C=0.265 * GHZ, g_T=0.2 * GHZ, beta=0.0
-    )
-    assert device.dressed_from_bare(bare).g_tilde == 0.0
-
-
-def test_dressed_inversion_hits_table_dispersive_shift():
-    # solve for the bare coupling reproducing |chi_T|/2pi = 6.3 MHz (node A)
-    target = mhz(6.3)
-    base = dict(omega_T=8.4005 * GHZ, omega_ge=6.343 * GHZ, E_C=0.265 * GHZ, beta=0.5)
-
-    def gap(g_t):
-        d = device.dressed_from_bare(device.BareParams(g_T=g_t, **base))
-        return abs(d.chi_T) - target
-
-    g_sol = brentq(gap, 1e-4, 4.0, xtol=1e-12)
-    d = device.dressed_from_bare(device.BareParams(g_T=g_sol, **base))
-    assert abs(d.chi_T) == pytest.approx(target, rel=1e-9)
-    assert to_mhz(abs(d.chi_T)) == pytest.approx(6.3, rel=1e-9)
-    assert abs(d.Lambda) < np.pi / 4
-    # formula consistency: alpha = -E_C cos^4, K = chi^2 / alpha
-    assert d.alpha == pytest.approx(-base["E_C"] * np.cos(d.Lambda) ** 4)
-    assert d.K == pytest.approx(d.chi_T**2 / d.alpha)
-    assert d.g_tilde != 0.0
-
-
-def test_dressed_rejects_resonant_input():
-    with pytest.raises(ValueError, match="non-dispersive"):
-        device.dressed_from_bare(
-            device.BareParams(
-                omega_T=6.3 * GHZ, omega_ge=6.3 * GHZ, E_C=0.0, g_T=0.1 * GHZ, beta=0.0
-            )
-        )
-
-
 def test_dephasing_rates_solve_table_values(table):
     node_a, node_b, _ = table
     for node in (node_a, node_b):
@@ -144,7 +92,7 @@ def hamiltonian(table):
     t = pulse.default_grid(dt=0.5, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    return device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=3)
+    return device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
 
 
 def _matrix_at(h, time):
@@ -186,7 +134,7 @@ def test_drive_matrix_element_equals_g(table):
     t = pulse.default_grid(dt=0.5, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=3)
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
     dims = h.dims
     for time in (0.0, 12.5):
         m = _matrix_at(h, time)
@@ -208,8 +156,6 @@ def test_hamiltonian_rejects_mismatched_grids(table):
     env_b = pulse.emission_drive(pulse.default_grid(dt=0.25, span=150), mhz(10.6), node_b.kappa_T_rad)
     with pytest.raises(ValueError):
         device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
-    with pytest.raises(ValueError):
-        device.system_dims(1)
 
 
 def test_hamiltonian_is_built_in_the_lo_frame(table):
@@ -217,11 +163,11 @@ def test_hamiltonian_is_built_in_the_lo_frame(table):
     node_a, node_b, link = table
     t = pulse.default_grid(dt=0.5, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
-    ref = device.build_hamiltonian(node_a, node_b, link, env_a, None, fock=3)
+    ref = device.build_hamiltonian(node_a, node_b, link, env_a, None)
     shifted = device.build_hamiltonian(
         dataclasses.replace(node_a, alpha=2.0 * node_a.alpha),
         dataclasses.replace(node_b, alpha=0.5 * node_b.alpha),
-        link, env_a, None, fock=3,
+        link, env_a, None,
     )
     assert np.array_equal(ref.static, shifted.static)
 
@@ -232,9 +178,8 @@ def test_collapse_ops_lossless_channel(table):
     node_a, node_b, _ = table
     ops = dict(device.build_collapse_ops(node_a, node_b, device.LinkParams(1.0)))
     assert "channel_loss" not in ops
-    dims = device.system_dims(3)
-    a_a = qops.embed(qops.destroy(3), 1, dims)
-    a_b = qops.embed(qops.destroy(3), 3, dims)
+    a_a = qops.embed(qops.destroy(2), 1, device.DIMS)
+    a_b = qops.embed(qops.destroy(2), 3, device.DIMS)
     expected = np.sqrt(node_a.kappa_T_rad) * a_a + np.sqrt(node_b.kappa_T_rad) * a_b
     assert np.allclose(ops["cascade_out"], expected)
 
@@ -242,9 +187,8 @@ def test_collapse_ops_lossless_channel(table):
 def test_collapse_ops_broken_link(table):
     node_a, node_b, _ = table
     ops = dict(device.build_collapse_ops(node_a, node_b, device.LinkParams(0.0)))
-    dims = device.system_dims(3)
-    a_a = qops.embed(qops.destroy(3), 1, dims)
-    a_b = qops.embed(qops.destroy(3), 3, dims)
+    a_a = qops.embed(qops.destroy(2), 1, device.DIMS)
+    a_b = qops.embed(qops.destroy(2), 3, device.DIMS)
     assert np.allclose(ops["cascade_out"], np.sqrt(node_b.kappa_T_rad) * a_b)
     assert np.allclose(ops["channel_loss"], np.sqrt(node_a.kappa_T_rad) * a_a)
 

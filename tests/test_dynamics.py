@@ -49,7 +49,7 @@ def test_integrator_rejects_wrong_shape_operators(table):
     node_a, node_b, link = table
     t = pulse.default_grid(dt=1.0, span=100)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=2)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
     rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
     wide = np.zeros((len(psi) + 1,) * 2, dtype=complex)
@@ -88,8 +88,8 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
         link.time_offset,
     )
-    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=2)
-    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
+    cops = device.build_collapse_ops(node_a, node_b, link)
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
     psi = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     rho_a = np.outer(psi, psi.conj())
@@ -117,9 +117,9 @@ def test_batch_matches_single_input_integrations(table, rng):
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
         link.time_offset,
     )
-    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=2)
-    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
-    out = device.output_field_op(node_a, node_b, link, fock=2)
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
+    cops = device.build_collapse_ops(node_a, node_b, link)
+    out = device.output_field_op(node_a, node_b, link)
     expect = {"a_out": out, "n_out": out.conj().T @ out}
     ground = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
@@ -169,13 +169,13 @@ def test_recorded_observables_match_snapshots(table, rng):
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
         link.time_offset,
     )
-    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b, fock=2)
-    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
+    h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
+    cops = device.build_collapse_ops(node_a, node_b, link)
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
     psi = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     d = len(psi)
     expect = {
-        "a_out": device.output_field_op(node_a, node_b, link, fock=2),
+        "a_out": device.output_field_op(node_a, node_b, link),
         "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }
     [(traj, _)] = dynamics.integrate_me(
@@ -260,7 +260,7 @@ def test_two_level_oracle_constant_drive_matches_matrix_exponential():
 
 
 def test_oracle_equivalence_with_full_master_equation(table):
-    """Noiseless matched-linewidth emission: the 81-dim cascaded model
+    """Noiseless matched-linewidth emission: the 36-dim cascaded model
     reproduces the two-level oracle populations within 1e-3."""
     node_a, node_b, _ = table
     clean_a = device.without_decoherence(node_a)
@@ -274,10 +274,10 @@ def test_oracle_equivalence_with_full_master_equation(table):
     link = device.LinkParams(eta_c=1.0)
     t = pulse.default_grid(dt=0.1, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
-    h = device.build_hamiltonian(clean_a, clean_b, link, env, None, fock=3)
-    cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
+    h = device.build_hamiltonian(clean_a, clean_b, link, env, None)
+    cops = device.build_collapse_ops(clean_a, clean_b, link)
     dims = h.dims
-    psi = np.kron(np.kron(ket(3, 2), ket(3, 0)), np.kron(ket(3, 0), ket(3, 0)))
+    psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     [(traj, _)] = dynamics.integrate_me(h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))])
     oracle = dynamics.two_level_oracle(env, clean_a.kappa_T_rad)
     assert np.abs(traj.pops_A[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
@@ -293,19 +293,19 @@ def test_excitation_bookkeeping(table):
     link = device.LinkParams(eta_c=0.77)
     t = pulse.default_grid(dt=0.1, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
-    h = device.build_hamiltonian(clean_a, clean_b, link, env, None, fock=3)
-    cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
+    h = device.build_hamiltonian(clean_a, clean_b, link, env, None)
+    cops = device.build_collapse_ops(clean_a, clean_b, link)
     dims = h.dims
-    a_a = embed(destroy(3), 1, dims)
-    a_b = embed(destroy(3), 3, dims)
-    out = device.output_field_op(clean_a, clean_b, link, fock=3)
+    a_a = embed(destroy(2), 1, dims)
+    a_b = embed(destroy(2), 3, dims)
+    out = device.output_field_op(clean_a, clean_b, link)
     expect = {
         "n_A": a_a.conj().T @ a_a,
         "n_B": a_b.conj().T @ a_b,
         "a_out": out,
         "n_out": out.conj().T @ out,
     }
-    psi = np.kron(np.kron(ket(3, 2), ket(3, 0)), np.kron(ket(3, 0), ket(3, 0)))
+    psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     [(traj, _)] = dynamics.integrate_me(
         h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], expect=expect
     )
@@ -335,19 +335,19 @@ def test_drive_off_photon_handoff(table):
     link = device.LinkParams(eta_c=1.0)
     t = np.arange(0.0, 400.0, 0.1)
     zero = pulse.DriveEnvelope(t, np.zeros_like(t))
-    h = device.build_hamiltonian(clean_a, clean_b, link, zero, None, fock=3)
-    cops = device.build_collapse_ops(clean_a, clean_b, link, fock=3)
+    h = device.build_hamiltonian(clean_a, clean_b, link, zero, None)
+    cops = device.build_collapse_ops(clean_a, clean_b, link)
     dims = h.dims
-    a_a = embed(destroy(3), 1, dims)
-    a_b = embed(destroy(3), 3, dims)
-    out = device.output_field_op(clean_a, clean_b, link, fock=3)
+    a_a = embed(destroy(2), 1, dims)
+    a_b = embed(destroy(2), 3, dims)
+    out = device.output_field_op(clean_a, clean_b, link)
     expect = {
         "n_A": a_a.conj().T @ a_a,
         "n_B": a_b.conj().T @ a_b,
         "a_out": out,
         "n_out": out.conj().T @ out,
     }
-    psi = np.kron(np.kron(ket(3, 0), ket(3, 1)), np.kron(ket(3, 0), ket(3, 0)))
+    psi = np.kron(np.kron(ket(3, 0), ket(2, 1)), np.kron(ket(3, 0), ket(2, 0)))
     [(traj, _)] = dynamics.integrate_me(
         h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], expect=expect
     )
@@ -361,10 +361,10 @@ def test_trace_preservation_and_positivity(table):
     node_a, node_b, link = table
     t = pulse.default_grid(dt=0.1, span=120)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=3)
-    cops = device.build_collapse_ops(node_a, node_b, link, fock=3)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env)
+    cops = device.build_collapse_ops(node_a, node_b, link)
     dims = h.dims
-    psi = np.kron(np.kron(ket(3, 0), ket(3, 0)), np.kron(ket(3, 2), ket(3, 0)))
+    psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
     [(traj, final)] = dynamics.integrate_me(
         h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], store_states=400
     )
@@ -380,10 +380,10 @@ def test_step_halving_convergence(table):
     for dt in (0.1, 0.05):
         t = pulse.default_grid(dt=dt, span=120)
         env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-        h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=3)
-        cops = device.build_collapse_ops(node_a, node_b, link, fock=3)
+        h = device.build_hamiltonian(node_a, node_b, link, None, env)
+        cops = device.build_collapse_ops(node_a, node_b, link)
         dims = h.dims
-        psi = np.kron(np.kron(ket(3, 0), ket(3, 0)), np.kron(ket(3, 2), ket(3, 0)))
+        psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
         [(_, final)] = dynamics.integrate_me(
             h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))]
         )
@@ -397,11 +397,14 @@ def test_output_observables_requirements(rng):
         dynamics.output_observables(traj)
     with pytest.raises(ValueError):
         traj.photon_integral
+    with pytest.raises(ValueError):
+        traj.mean_field_power
     zeros = np.zeros(3, dtype=complex)
     traj.expect = {"a_out": zeros, "n_out": zeros}
     mean, flux = dynamics.output_observables(traj)
     assert np.all(mean == 0) and np.all(flux == 0)
     assert traj.photon_integral == 0.0
+    assert traj.mean_field_power == 0.0
 
 
 def test_efficiencies_guard_against_empty_reference():
@@ -419,10 +422,10 @@ def test_trajectory_csv_export(tmp_path, table):
     node_a, node_b, link = table
     t = pulse.default_grid(dt=1.0, span=100)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, None, env, fock=2)
-    cops = device.build_collapse_ops(node_a, node_b, link, fock=2)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env)
+    cops = device.build_collapse_ops(node_a, node_b, link)
     dims = h.dims
-    out = device.output_field_op(node_a, node_b, link, fock=2)
+    out = device.output_field_op(node_a, node_b, link)
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     [(traj, _)] = dynamics.integrate_me(
         h,

@@ -10,7 +10,7 @@ from photonlink import device, dynamics, metrics, protocols
 from photonlink.protocols import ProtocolSpec
 
 # cheap settings for machinery tests; physics numbers live in the acceptance suite
-FAST = dict(dt=0.5, fock=2)
+FAST = dict(dt=0.5)
 
 
 @pytest.fixture(autouse=True)
@@ -21,8 +21,6 @@ def _quiet_mle():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ProtocolSpec(name="x", fock=1)
     with pytest.raises(ValueError):
         ProtocolSpec(name="x", dt=0.0)
     with pytest.raises(ValueError):
@@ -92,7 +90,7 @@ def test_emission_without_drive_is_frozen():
 
 def test_truncated_run_matches_full_trajectory_at_tau():
     """Measuring right after truncation equals the untruncated curve at tau."""
-    spec = ProtocolSpec(name="emit-b", window=(-95.0, 95.0), idle_ns=0.0, dt=0.2, fock=3)
+    spec = ProtocolSpec(name="emit-b", window=(-95.0, 95.0), idle_ns=0.0, dt=0.2)
     full = protocols.run_emission(spec, "B", "f")
     for tau in (-20.0, 0.0, 30.0):
         cut = protocols.run_emission(spec, "B", "f", tau=tau)
@@ -127,7 +125,7 @@ def test_error_budget_structure():
 
 
 def test_exact_tomography_matches_direct_state():
-    spec = ProtocolSpec(name="entangle", dt=0.2, fock=3)
+    spec = ProtocolSpec(name="entangle", dt=0.2)
     res = protocols.run_entanglement(spec)
     assert res.extras["metrics"].hs_distance < 1e-3
     direct = res.extras["metrics_direct"]
@@ -137,9 +135,9 @@ def test_exact_tomography_matches_direct_state():
 
 
 def test_sampled_entanglement_close_to_exact():
-    exact = protocols.run_entanglement(ProtocolSpec(name="e", dt=0.5, fock=3))
+    exact = protocols.run_entanglement(ProtocolSpec(name="e", dt=0.5))
     sampled = protocols.run_entanglement(
-        ProtocolSpec(name="e", dt=0.5, fock=3, shots=25000, seed=1)
+        ProtocolSpec(name="e", dt=0.5, shots=25000, seed=1)
     )
     f_exact = exact.extras["metrics"].state_fidelity
     f_sampled = sampled.extras["metrics"].state_fidelity
@@ -148,7 +146,7 @@ def test_sampled_entanglement_close_to_exact():
 
 def test_qpt_noiseless_identity_process():
     spec = ProtocolSpec(
-        name="qpt", dt=0.2, fock=3, decoherence=False, eta_c=1.0,
+        name="qpt", dt=0.2, decoherence=False, eta_c=1.0,
         window=(-150.0, 150.0), idle_ns=0.0,
     )
     node_a, node_b, link = device.load_device()
@@ -170,7 +168,7 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
     each input in turn with one generator."""
     from photonlink import tomography as tomo
 
-    spec = ProtocolSpec(name="qpt", dt=0.5, fock=2, shots=2000, seed=3)
+    spec = ProtocolSpec(name="qpt", dt=0.5, shots=2000, seed=3)
     rng = np.random.default_rng(3)
     inputs = tomo.mub_qubit_states()
     outputs = []
@@ -196,7 +194,7 @@ def test_qpt_depolarized_floor():
 
 def test_entanglement_noiseless_limit():
     spec = ProtocolSpec(
-        name="e", dt=0.2, fock=3, decoherence=False, eta_c=1.0,
+        name="e", dt=0.2, decoherence=False, eta_c=1.0,
         window=(-150.0, 150.0), idle_ns=0.0,
     )
     res = protocols.run_entanglement(spec)
@@ -207,7 +205,7 @@ def test_entanglement_noiseless_limit():
 
 
 def test_residual_downstream_flux_fraction():
-    spec = ProtocolSpec(name="t", dt=0.2, fock=3)
+    spec = ProtocolSpec(name="t", dt=0.2)
     eff, _ = protocols.run_transfer_efficiencies(spec)
     assert eff.absorption_eff > 0.95  # residual flux is a few percent
 
@@ -218,19 +216,18 @@ def test_emission_scenario_defaults():
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
 
 
-@pytest.mark.parametrize("fock", [2, 3])
-def test_link_results_match_recorded_reference(fock):
+def test_link_results_match_recorded_reference():
     """Exact changes must reproduce the recorded link results to round-off.
 
     tests/link_reference.json holds the direct entangled state, its
     81-setting MLE reconstruction, the exact-readout chi matrix and the four
-    transfer-study numbers at fock 2, recorded before the link protocols were
-    merged into one code path (the reconstruction before the MLE became one
-    measurement matrix).  A single excitation never fills a second photon
-    level, so the same numbers hold at fock 3.
+    transfer-study numbers at its recorded dt, recorded before the link
+    protocols were merged into one code path (the reconstruction before the
+    MLE became one measurement matrix).  Its spec also records fock 2, the
+    two resonator levels ``device.DIMS`` now fixes, so only its dt is read.
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
-    fast = {**ref["spec"], "fock": fock}
+    fast = {"dt": ref["spec"]["dt"]}
 
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
@@ -245,14 +242,12 @@ def test_link_results_match_recorded_reference(fock):
         assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
 
 
-@pytest.mark.parametrize("fock", [2, 3])
-def test_link_runs_integrate_the_single_excitation_block(fock):
-    """Every link protocol starts with at most one excitation, which reaches
-    the same basis states at any Fock truncation: the 7 states with one
-    excitation or none when B absorbs A's photon, and 5 of them when no node
-    absorbs, since the idle node's qutrit then never leaves g.  The run
-    counters are deterministic."""
-    spec = ProtocolSpec(name="block", dt=0.5, fock=fock)
+def test_link_runs_integrate_the_single_excitation_block():
+    """Every link protocol starts with at most one excitation: the 7 states
+    with one excitation or none when B absorbs A's photon, and 5 of them when
+    no node absorbs, since the idle node's qutrit then never leaves g.  The
+    run counters are deterministic."""
+    spec = ProtocolSpec(name="block", dt=0.5)
 
     def counters():
         runs = [protocols.run_emission(spec, "B", initial) for initial in ("f", "gf")]

@@ -85,33 +85,6 @@ def test_partial_trace_invalid_keep():
         qops.partial_trace(rho, (2, 2), keep={3})
 
 
-def test_dissipator_single_photon_decay():
-    a = qops.destroy(2)
-    rho = np.diag([0.0, 1.0]).astype(complex)
-    out = qops.dissipator(a, rho)
-    assert np.allclose(out, np.diag([1.0, -1.0]))
-
-
-def test_dissipator_traceless_and_hermitian(rng):
-    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = random_density(4, rng)
-    out = qops.dissipator(op, rho)
-    assert abs(np.trace(out)) < 1e-12
-    assert np.abs(out - out.conj().T).max() < 1e-12
-
-
-def test_dissipator_coherence_decay_rate(rng):
-    # D[|g><e|] gives the ge coherence a -1/2 prefactor
-    rho = random_density(3, rng)
-    out = qops.dissipator(qops.transition(3, 0, 1), rho)
-    assert out[0, 1] == pytest.approx(-0.5 * rho[0, 1], abs=1e-12)
-
-
-def test_dissipator_dimension_mismatch():
-    with pytest.raises(ValueError):
-        qops.dissipator(qops.destroy(2), np.eye(3, dtype=complex))
-
-
 def test_realign_product_state(rng):
     rho_a = random_density(3, rng)
     rho_b = random_density(3, rng)
