@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonlink import device, dynamics, metrics, protocols
+from photonlink import cli, device, dynamics, metrics, protocols
 from photonlink.protocols import ProtocolSpec
 
 # cheap settings for machinery tests; physics numbers live in the acceptance suite
@@ -216,38 +216,55 @@ def test_emission_scenario_defaults():
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
 
 
-def test_link_results_match_recorded_reference():
+def _cli_spec(scenario, dt, fock):
+    """The spec the CLI builds for ``--scenario SCENARIO --dt DT --fock FOCK``,
+    checked to be the plain spec of that name and dt: ``--fock`` is accepted
+    for old argvs and must change nothing."""
+    args = cli.build_parser().parse_args(
+        ["--scenario", scenario, "--dt", str(dt), "--fock", str(fock)]
+    )
+    spec = cli._spec_from_args(args, device.load_device(None))
+    assert spec == ProtocolSpec(name=scenario, dt=dt)
+    return spec
+
+
+@pytest.mark.parametrize("fock", [2, 3])
+def test_link_results_match_recorded_reference(fock):
     """Exact changes must reproduce the recorded link results to round-off.
 
     tests/link_reference.json holds the direct entangled state, its
     81-setting MLE reconstruction, the exact-readout chi matrix and the four
-    transfer-study numbers at its recorded dt, recorded before the link
-    protocols were merged into one code path (the reconstruction before the
-    MLE became one measurement matrix).  Its spec also records fock 2, the
-    two resonator levels ``device.DIMS`` now fixes, so only its dt is read.
+    transfer-study numbers at its recorded dt and fock 2, recorded before the
+    link protocols were merged into one code path (the reconstruction before
+    the MLE became one measurement matrix).  A single excitation never fills
+    a second photon level, so the same numbers held at fock 3; the model now
+    fixes the two resonator levels ``device.DIMS`` holds, and the runs are
+    built as the CLI builds them at either ``--fock`` value.
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
-    fast = {"dt": ref["spec"]["dt"]}
+    dt = ref["spec"]["dt"]
 
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
 
-    ent = protocols.run_entanglement(ProtocolSpec(name="entangle", **fast)).extras
+    ent = protocols.run_entanglement(_cli_spec("entangle", dt, fock)).extras
     assert np.abs(ent["rho9_direct"] - matrix(ref["rho9_direct"])).max() <= 1e-10
     assert np.abs(ent["rho9_tomography"] - matrix(ref["rho9_tomography"])).max() <= 1e-10
-    chi = protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt", **fast)).extras["chi"].chi
+    chi = protocols.run_state_transfer_qpt(_cli_spec("qpt", dt, fock)).extras["chi"].chi
     assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
-    eff, _ = protocols.run_transfer_efficiencies(ProtocolSpec(name="transfer", **fast))
+    eff, _ = protocols.run_transfer_efficiencies(_cli_spec("transfer", dt, fock))
     for name, value in ref["transfer_efficiencies"].items():
         assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
 
 
-def test_link_runs_integrate_the_single_excitation_block():
-    """Every link protocol starts with at most one excitation: the 7 states
+@pytest.mark.parametrize("fock", [2, 3])
+def test_link_runs_integrate_the_single_excitation_block(fock):
+    """Every link protocol starts with at most one excitation, which reaches
+    the same basis states whatever ``--fock`` the CLI is given: the 7 states
     with one excitation or none when B absorbs A's photon, and 5 of them when
     no node absorbs, since the idle node's qutrit then never leaves g.  The
     run counters are deterministic."""
-    spec = ProtocolSpec(name="block", dt=0.5)
+    spec = _cli_spec("entangle", 0.5, fock)
 
     def counters():
         runs = [protocols.run_emission(spec, "B", initial) for initial in ("f", "gf")]
