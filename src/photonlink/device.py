@@ -126,7 +126,9 @@ class TimeDependentOperator:
 
     H(t) = static + sum_j c_j(t) * term_j, all immutable and shareable.  The
     static part and every term are Hermitian and every c_j(t) is real, so
-    H(t) is Hermitian at every sample.
+    H(t) is Hermitian at every sample.  ``t`` is the integration grid; each
+    term carries 2 len(t) - 1 samples of c_j, at t_0, t_0 + dt/2, t_1, ...,
+    the points where a fourth-order Runge-Kutta step evaluates H.
     """
 
     dims: tuple
@@ -194,6 +196,8 @@ def build_hamiltonian(
     The drives are resonant with the Stark-shifted transitions, so each g(t)
     is real and a driven node adds one Hermitian term, (b+b+ a + h.c.)/sqrt(2)
     with samples g(t).  A node without a drive envelope (None) is not driven.
+    The envelopes are sampled on the half-step grid, and H's integration grid
+    is every other sample, ``env.t[::2]``.
     """
     envs = [e for e in (g_a, g_b) if e is not None]
     if len(envs) == 2 and (
@@ -202,7 +206,7 @@ def build_hamiltonian(
         raise ValueError("drive envelopes must be sampled on a common grid")
     if not envs:
         raise ValueError("at least one drive envelope is required")
-    t = envs[0].t
+    t = envs[0].t[::2]
 
     h0 = np.zeros((np.prod(DIMS),) * 2, dtype=complex)
     terms = []

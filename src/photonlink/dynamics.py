@@ -17,14 +17,16 @@ On the block each Liouvillian is built densely with numpy (``np.kron``,
 about R^4 entries for an R-state block while it is built) and converted to
 CSR at once; they are stacked as [L_0 S_1 ... S_n], which acts on the
 row-major vectorized density matrices and their copies weighted by the real
-drive coefficients, tabulated on the half-step grid of the integrator, as
-one sparse product per stage.  Propagation is fixed-step 4th-order
-Runge-Kutta (deterministic, which keeps golden tests exact).  Every state
-is re-symmetrized after every step and its trace checked against its own
-initial trace.  The trace, the level populations and the expectation values
-are linear in the state, so every grid point records them for all inputs by
-one product with a readout matrix; outputs are zero-padded back to the
-full dimensions.
+drive coefficients as one sparse product per stage.  Propagation is
+fixed-step Runge-Kutta (deterministic, which keeps golden tests exact), and
+the drives are sampled at the grid points and at the half steps between
+them, where the middle stages evaluate H, so the scheme is fourth order.
+Every state is re-symmetrized after every step and its trace checked
+against its own initial trace.  The trace, the level populations and the
+expectation values are linear in the state, so every grid point records
+them for all inputs by one product with a readout matrix; outputs are
+zero-padded back to the full dimensions.  Integrals over the recorded
+series use Simpson's rule, which matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
@@ -88,14 +90,33 @@ class Trajectory:
         """Emitted photon number: the output flux <L+L> integrated over t."""
         if self.flux_out is None:
             raise ValueError("output field not recorded for this trajectory")
-        return float(np.trapezoid(self.flux_out, self.t))
+        return _simpson(self.flux_out, self.t)
 
     @property
     def mean_field_power(self):
         """Coherent part of the emitted photon: |<L>|^2 integrated over t."""
         if self.a_mean_out is None:
             raise ValueError("output field not recorded for this trajectory")
-        return float(np.trapezoid(np.abs(self.a_mean_out) ** 2, self.t))
+        return _simpson(np.abs(self.a_mean_out) ** 2, self.t)
+
+
+def _simpson(y, t):
+    """Integral of the samples ``y`` over the uniform grid ``t``.
+
+    Composite Simpson's rule; an odd interval count takes Simpson's 3/8 rule
+    on the last three intervals, and a single interval the trapezoid.
+    """
+    n = len(t) - 1
+    h = (t[-1] - t[0]) / n
+    if n == 1:
+        return float(0.5 * h * (y[0] + y[1]))
+    m = n - 3 * (n % 2)     # intervals covered by Simpson's rule proper
+    total = 0.0
+    if m:
+        total = h / 3.0 * (y[0] + 4.0 * y[1:m:2].sum() + 2.0 * y[2:m:2].sum() + y[m])
+    if n % 2:
+        total += 3.0 * h / 8.0 * (y[m] + 3.0 * (y[m + 1] + y[m + 2]) + y[m + 3])
+    return float(total)
 
 
 def _liouvillian(h, jumps=()):
@@ -137,7 +158,11 @@ def integrate_me(
     a stack of initial states that share H and the jump operators.
 
     The grid of ``hamiltonian`` is the integration grid (a static H is a
-    TimeDependentOperator with no terms); ``collapse_ops`` holds (name,
+    TimeDependentOperator with no terms), and each drive term carries its
+    2 nt - 1 samples on the half-step grid t_0, t_0 + dt/2, t_1, ...: the
+    first and last RK4 stages of a step read the samples at its ends and the
+    two middle stages the sample at its midpoint, which makes the scheme
+    fourth order in dt.  ``collapse_ops`` holds (name,
     operator) pairs and ``rho0s`` the initial states (one state is passed as
     ``[rho0]``).  ``expect`` maps labels to operators whose expectation
     values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
@@ -160,9 +185,10 @@ def integrate_me(
     order; every Trajectory's ``dim`` is the integrated (union) block size
     and its ``trace_drift`` that input's own.  Raises ValueError if there is
     no input, if an operator or an initial state is not (d, d), if the
-    static H or a drive term is not Hermitian (to 1e-12) or if drive samples
-    are not real, and TraceDriftError, naming the input, if the trace of
-    any input wanders further than 1e-6 from its own initial value.
+    static H or a drive term is not Hermitian (to 1e-12), if drive samples
+    are not real or not 2 nt - 1 of them, and TraceDriftError, naming the
+    input, if the trace of any input wanders further than 1e-6 from its own
+    initial value.
     """
     dims, t, h0, td_terms = hamiltonian.dims, hamiltonian.t, hamiltonian.static, hamiltonian.terms
     if len(t) < 2 or np.any(np.diff(t) <= 0):
@@ -203,20 +229,20 @@ def integrate_me(
     m = len(rhos)
 
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
-    # even rows are the samples, odd rows the midpoint averages; row j has
-    # shape (n_terms, 1, 1) to scale the drive copies of every input, and is
-    # stored complex (zero imaginary part) so no stage pays numpy's
-    # float-to-complex cast, which gives the same products
+    # row j has shape (n_terms, 1, 1) to scale the drive copies of every
+    # input, and is stored complex (zero imaginary part) so no stage pays
+    # numpy's float-to-complex cast, which gives the same products
     coef = np.empty((2 * nt - 1, len(td_terms), 1, 1), dtype=complex)
     for term, (_, samples) in enumerate(td_terms):
         samples = np.asarray(samples)
-        if samples.shape != t.shape:
-            raise ValueError("coefficient samples must match the time grid")
+        if samples.shape != (2 * nt - 1,):
+            raise ValueError(
+                f"a drive term needs 2 * {nt} - 1 samples on the half-step grid, "
+                f"not {samples.shape}"
+            )
         if np.imag(samples).any():
             raise ValueError("drive samples must be real")
-        samples = np.real(samples)
-        coef[::2, term, 0, 0] = samples
-        coef[1::2, term, 0, 0] = 0.5 * (samples[:-1] + samples[1:])
+        coef[:, term, 0, 0] = np.real(samples)
     # L(t) V = [L_0 S_1 ... S_n] @ [V; c_1(t) V; ...; c_n(t) V]
     generator = sp.hstack(
         [sp.csr_matrix(_liouvillian(h0[block], [op[block] for op in jumps]))]
@@ -302,7 +328,7 @@ class TwoLevelResult:
 
     @property
     def emitted(self):
-        return float(np.trapezoid(self.flux, self.t))
+        return _simpson(self.flux, self.t)
 
     @property
     def norm(self):
@@ -316,12 +342,15 @@ def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
     acts on the amplitudes of |f,0> and |g,1>, starting in |f,0>; the
     anti-Hermitian part drains |g,1> at rate kappa into the emitted field, so
     the emitted flux is kappa |c_g1|^2 and the total emitted probability is
-    1 - surviving norm.
+    1 - surviving norm.  As in :func:`integrate_me`, ``g_env`` is sampled on
+    the half-step grid, an odd number of samples, and the RK4 scheme steps
+    over every other one, ``g_env.t[::2]``, on which the result is returned.
     """
-    t = g_env.t
-    dt = float(t[1] - t[0])
     g = g_env.g_mag
-    g_mid = 0.5 * (g[:-1] + g[1:])
+    if len(g) % 2 == 0:
+        raise ValueError("the half-step grid needs an odd number of samples")
+    t = g_env.t[::2]
+    dt = float(t[1] - t[0])
 
     def deriv(psi, gi):
         return np.array(
@@ -333,10 +362,10 @@ def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
     out = np.empty((len(t), 2), dtype=complex)
     out[0] = psi
     for k in range(len(t) - 1):
-        k1 = deriv(psi, g[k])
-        k2 = deriv(psi + 0.5 * dt * k1, g_mid[k])
-        k3 = deriv(psi + 0.5 * dt * k2, g_mid[k])
-        k4 = deriv(psi + dt * k3, g[k + 1])
+        k1 = deriv(psi, g[2 * k])
+        k2 = deriv(psi + 0.5 * dt * k1, g[2 * k + 1])
+        k3 = deriv(psi + 0.5 * dt * k2, g[2 * k + 1])
+        k4 = deriv(psi + dt * k3, g[2 * k + 2])
         psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = psi
     flux = kappa * np.abs(out[:, 1]) ** 2

@@ -67,10 +67,10 @@ def upgrade_run():
 def test_criterion_1_photon_shaping_oracle(ratio):
     kappa_eff = mhz(10.4)
     kappa_t = kappa_eff / ratio
-    t = pulse.default_grid(dt=0.05)
-    env = pulse.emission_drive(t, kappa_eff, kappa_t)
+    half = pulse.default_grid(dt=0.025)
+    env = pulse.emission_drive(half, kappa_eff, kappa_t)
     res = dynamics.two_level_oracle(env, kappa_t)
-    ideal = 0.25 * kappa_eff / np.cosh(0.5 * kappa_eff * t) ** 2
+    ideal = 0.25 * kappa_eff / np.cosh(0.5 * kappa_eff * res.t) ** 2
     err = np.linalg.norm(res.flux - ideal) / np.linalg.norm(ideal)
     check_bool(
         f"criterion 1 (shaping oracle, k_eff/k_T={ratio})",

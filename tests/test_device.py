@@ -89,17 +89,18 @@ def _basis_index(dims, qa, na, qb, nb):
 @pytest.fixture(scope="module")
 def hamiltonian(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=150)
+    t = pulse.default_grid(dt=0.25, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     return device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
 
 
 def _matrix_at(h, time):
-    """H at a grid point of h: static + sum_j c_j[k] * term_j."""
+    """H at grid point k of h: static + sum_j c_j(t_k) * term_j, where
+    c_j(t_k) is sample 2k of the half-step samples."""
     k = int(np.argmin(np.abs(h.t - time)))
     assert abs(h.t[k] - time) < 1e-9
-    return h.static + sum(samples[k] * op for op, samples in h.terms)
+    return h.static + sum(samples[2 * k] * op for op, samples in h.terms)
 
 
 def test_hamiltonian_is_hermitian(hamiltonian):
@@ -112,7 +113,7 @@ def test_each_driven_node_adds_one_hermitian_term(hamiltonian):
     assert len(hamiltonian.terms) == 2
     for op, samples in hamiltonian.terms:
         assert np.abs(op - op.conj().T).max() == 0.0
-        assert samples.dtype == float and samples.shape == hamiltonian.t.shape
+        assert samples.dtype == float and samples.shape == (2 * len(hamiltonian.t) - 1,)
 
 
 def test_cascade_coupling_strength(hamiltonian, table):
@@ -131,7 +132,7 @@ def test_cascade_coupling_strength(hamiltonian, table):
 
 def test_drive_matrix_element_equals_g(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=150)
+    t = pulse.default_grid(dt=0.25, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)

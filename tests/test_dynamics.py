@@ -47,7 +47,7 @@ def test_integrator_rejects_bad_grids(rng):
 
 def test_integrator_rejects_wrong_shape_operators(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=1.0, span=100)
+    t = pulse.default_grid(dt=0.5, span=100)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
@@ -78,11 +78,27 @@ def test_integrator_rejects_wrong_shape_operators(table):
         dynamics.integrate_me(dataclasses.replace(h, static=h.static + skew), [], [rho0])
 
 
+def test_integrator_rejects_drive_samples_off_the_half_step_grid(table):
+    """A drive term carries 2 nt - 1 samples: one at every grid point and one
+    at every half step between them.  Samples on the grid points alone, or
+    one sample too many, are refused."""
+    node_a, node_b, link = table
+    env = pulse.emission_drive(pulse.default_grid(dt=0.5, span=100), mhz(10.6), node_b.kappa_T_rad)
+    h = device.build_hamiltonian(node_a, node_b, link, None, env)
+    psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
+    rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
+    [(op, samples)] = h.terms
+    assert len(samples) == 2 * len(h.t) - 1
+    for wrong in (samples[::2], np.append(samples, 0.0)):
+        with pytest.raises(ValueError, match="half-step grid"):
+            dynamics.integrate_me(dataclasses.replace(h, terms=((op, wrong),)), [], [rho0])
+
+
 def test_reachable_block_is_exact_by_linearity(table, rng):
     """The entanglement preparation integrates a 7-state block and a
     full-rank state the whole space; the map they define stays linear."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=100)
+    t = pulse.default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -111,7 +127,7 @@ def test_batch_matches_single_input_integrations(table, rng):
     entanglement block, a random density on that block) integrated as one
     batch on the union block reproduce their own single-input runs."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=100)
+    t = pulse.default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -163,7 +179,7 @@ def test_recorded_observables_match_snapshots(table, rng):
     """Populations and expectation values come from one readout matrix on the
     integrated block; they must equal what the full stored state gives."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=100)
+    t = pulse.default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -238,6 +254,9 @@ def test_two_level_oracle_zero_drive():
     res = dynamics.two_level_oracle(env, mhz(10))
     assert np.all(res.flux == 0)
     assert np.abs(res.c_f - 1.0).max() < 1e-12
+    # an even sample count cannot be a half-step grid
+    with pytest.raises(ValueError, match="odd number"):
+        dynamics.two_level_oracle(pulse.DriveEnvelope(t[:-1], np.zeros(len(t) - 1)), mhz(10))
 
 
 def test_two_level_oracle_constant_drive_matches_matrix_exponential():
@@ -245,18 +264,38 @@ def test_two_level_oracle_constant_drive_matches_matrix_exponential():
     # closed-form propagator of the constant non-Hermitian matrix
     kappa = mhz(2.0)
     g = mhz(20.0)
-    t = np.arange(0.0, 200.0, 0.05)
-    env = pulse.DriveEnvelope(t, np.full_like(t, g))
+    half = np.arange(7999) * 0.025
+    env = pulse.DriveEnvelope(half, np.full_like(half, g))
     res = dynamics.two_level_oracle(env, kappa)
     m = np.array([[0.0, -1j * g], [-1j * g, -kappa / 2]])
     for k in (500, 2000, 3999):
-        exact = expm(m * t[k]) @ np.array([1.0, 0.0])
+        exact = expm(m * res.t[k]) @ np.array([1.0, 0.0])
         assert abs(res.c_f[k] - exact[0]) < 1e-8
         assert abs(res.c_g1[k] - exact[1]) < 1e-8
     # eigenvalue analysis: decay kappa/2 shared between the hybridized modes
     eig = np.linalg.eigvals(m)
     assert np.allclose(eig.real, -kappa / 4)
     assert np.allclose(np.abs(eig.imag), np.sqrt(g**2 - (kappa / 4) ** 2))
+
+
+def test_two_level_oracle_is_fourth_order():
+    """Sampling the drive at the half steps makes the oracle's RK4 scheme
+    fourth order: halving dt from 1 ns cuts the error against a dt 0.0125
+    run about 16-fold (midpoint averages of the samples give about 4)."""
+
+    def run(dt):
+        env = pulse.emission_drive(pulse.default_grid(dt=dt / 2, span=150), mhz(10.4), mhz(13.5))
+        return dynamics.two_level_oracle(env, mhz(13.5))
+
+    ref = run(0.0125)
+    errors = []
+    for dt in (1.0, 0.5, 0.25):
+        res = run(dt)
+        stride = round(dt / 0.0125)
+        assert np.array_equal(res.t, ref.t[::stride])
+        errors.append(np.abs(res.c_f - ref.c_f[::stride]).max())
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert orders.min() >= 3.5, (errors, orders)
 
 
 def test_oracle_equivalence_with_full_master_equation(table):
@@ -272,7 +311,7 @@ def test_oracle_equivalence_with_full_master_equation(table):
 
     clean_b = dataclasses.replace(clean_b, kappa_T=clean_a.kappa_T)
     link = device.LinkParams(eta_c=1.0)
-    t = pulse.default_grid(dt=0.1, span=150)
+    t = pulse.default_grid(dt=0.05, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
     h = device.build_hamiltonian(clean_a, clean_b, link, env, None)
     cops = device.build_collapse_ops(clean_a, clean_b, link)
@@ -291,7 +330,7 @@ def test_excitation_bookkeeping(table):
     clean_a = device.without_decoherence(node_a)
     clean_b = device.without_decoherence(node_b)
     link = device.LinkParams(eta_c=0.77)
-    t = pulse.default_grid(dt=0.1, span=150)
+    t = pulse.default_grid(dt=0.05, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
     h = device.build_hamiltonian(clean_a, clean_b, link, env, None)
     cops = device.build_collapse_ops(clean_a, clean_b, link)
@@ -333,7 +372,7 @@ def test_drive_off_photon_handoff(table):
     clean_a = device.without_decoherence(node_a)
     clean_b = dataclasses.replace(device.without_decoherence(node_b), kappa_T=node_a.kappa_T)
     link = device.LinkParams(eta_c=1.0)
-    t = np.arange(0.0, 400.0, 0.1)
+    t = np.arange(7999) * 0.05
     zero = pulse.DriveEnvelope(t, np.zeros_like(t))
     h = device.build_hamiltonian(clean_a, clean_b, link, zero, None)
     cops = device.build_collapse_ops(clean_a, clean_b, link)
@@ -359,7 +398,7 @@ def test_drive_off_photon_handoff(table):
 
 def test_trace_preservation_and_positivity(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.1, span=120)
+    t = pulse.default_grid(dt=0.05, span=120)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     cops = device.build_collapse_ops(node_a, node_b, link)
@@ -378,7 +417,7 @@ def test_step_halving_convergence(table):
     node_a, node_b, link = table
     finals = []
     for dt in (0.1, 0.05):
-        t = pulse.default_grid(dt=dt, span=120)
+        t = pulse.default_grid(dt=dt / 2, span=120)
         env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
         h = device.build_hamiltonian(node_a, node_b, link, None, env)
         cops = device.build_collapse_ops(node_a, node_b, link)
@@ -407,6 +446,23 @@ def test_output_observables_requirements(rng):
     assert traj.mean_field_power == 0.0
 
 
+@pytest.mark.parametrize("n_intervals", [1, 2, 3, 6, 7])
+def test_field_integrals_use_simpsons_rule(n_intervals):
+    """Simpson's rule, with the 3/8 rule on the last three intervals of an
+    odd count, integrates a cubic exactly; one interval is a trapezoid."""
+    t = np.linspace(-1.0, 2.0, n_intervals + 1)
+    cubic = 5.0 + t - 2.0 * t**2 + t**3
+    if n_intervals == 1:
+        exact = 1.5 * (cubic[0] + cubic[-1])
+    else:
+        exact = 15.0 + 1.5 - 6.0 + 3.75  # integral of the cubic over [-1, 2]
+    traj = dynamics.Trajectory(t=t, pops=[np.zeros((len(t), 3))])
+    traj.flux_out = cubic
+    traj.a_mean_out = np.sqrt(cubic) * np.exp(0.3j)
+    assert traj.photon_integral == pytest.approx(exact, abs=1e-12)
+    assert traj.mean_field_power == pytest.approx(exact, abs=1e-12)
+
+
 def test_efficiencies_guard_against_empty_reference():
     t = np.arange(4.0)
     empty = dynamics.Trajectory(
@@ -420,7 +476,7 @@ def test_efficiencies_guard_against_empty_reference():
 
 def test_trajectory_csv_export(tmp_path, table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=1.0, span=100)
+    t = pulse.default_grid(dt=0.5, span=100)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     cops = device.build_collapse_ops(node_a, node_b, link)
@@ -440,6 +496,6 @@ def test_trajectory_csv_export(tmp_path, table):
     assert rows[0].split(",") == [
         "t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux",
     ]
-    assert len(rows) == len(t) + 1
+    assert len(rows) == len(traj.t) + 1
     first = [float(x) for x in rows[1].split(",")]
     assert first[3] == pytest.approx(1.0)  # Pf_A starts at 1

@@ -59,10 +59,10 @@ def test_emission_energy_is_grid_converged():
 @pytest.mark.parametrize("ratio", [1.0, 0.77, 0.5])
 def test_two_level_model_emits_sech_squared_flux(ratio):
     kappa_t = KEFF_A / ratio
-    t = pulse.default_grid(dt=0.05)
-    env = pulse.emission_drive(t, KEFF_A, kappa_t)
+    half = pulse.default_grid(dt=0.025)
+    env = pulse.emission_drive(half, KEFF_A, kappa_t)
     res = two_level_oracle(env, kappa_t)
-    ideal = 0.25 * KEFF_A / np.cosh(0.5 * KEFF_A * t) ** 2
+    ideal = 0.25 * KEFF_A / np.cosh(0.5 * KEFF_A * res.t) ** 2
     err = np.linalg.norm(res.flux - ideal) / np.linalg.norm(ideal)
     assert err < 1e-3
     assert res.emitted == pytest.approx(1.0, abs=1e-3)
