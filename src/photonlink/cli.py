@@ -113,8 +113,8 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         seed=args.seed,
     )
     if args.scenario in ("emit-a", "emit-b"):
-        # emission studies have no closing pulses and integrate the output
-        # line past the drive window
+        # emission studies have no closing pulses and a longer window, over
+        # which their drive runs and the output line is integrated
         kwargs["window"] = protocols.EMISSION_WINDOW
         kwargs["idle_ns"] = protocols.EMISSION_IDLE_NS
     if args.kappa_eff is not None:

@@ -96,16 +96,6 @@ class MixtureModel:
         return self.means[comp] + rng.standard_normal((len(comp), 2)) @ chol.T
 
 
-def sample_shots(rho_diag, model: MixtureModel, n: int, seed) -> np.ndarray:
-    """Draw n (u, v) shots with component probabilities given by rho_diag."""
-    p = np.asarray(rho_diag, dtype=float)
-    if p.shape != (3,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("rho_diag must be a probability 3-vector")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    comp = rng.choice(3, size=n, p=np.clip(p, 0, None) / np.clip(p, 0, None).sum())
-    return model.draw(comp, rng)
-
-
 def classify(shots, model: MixtureModel) -> np.ndarray:
     """Maximum-a-posteriori labels (0=g, 1=e, 2=f); ties break toward g<e<f."""
     x = np.atleast_2d(np.asarray(shots, dtype=float))
@@ -234,25 +224,41 @@ class ReadoutCalibration:
     def analytic_assignment(self) -> np.ndarray:
         return assignment_probabilities(self.model) @ self.prep_weights
 
-    def cluster_weights(self, rho_diag) -> np.ndarray:
-        """Effective cluster occupation for a state with diagonal rho_diag."""
-        w = self.prep_weights @ np.asarray(rho_diag, dtype=float)
-        return w / w.sum()
-
     def simulate_shots(self, rho_diag, n: int, seed) -> np.ndarray:
-        return sample_shots(self.cluster_weights(rho_diag), self.model, n, seed)
+        """n (u, v) shots of this node in a state with level populations
+        ``rho_diag``: ``joint_shots`` for the one node."""
+        return joint_shots([self], rho_diag, n, seed)[0]
 
     def shots_for_prepared_sequence(self, prepared, rng) -> np.ndarray:
-        """One (u, v) shot per entry of a per-repetition prepared-state array.
-
-        Keeps shot-by-shot correlations intact for joint multi-node counts.
-        """
+        """One (u, v) shot per entry of a per-repetition prepared-state array,
+        from the column-normalized ``prep_weights``.  No protocol calls it; it
+        stays only as a target of the benchmark's tracer."""
         prepared = np.asarray(prepared, dtype=int)
         cols = self.prep_weights / self.prep_weights.sum(axis=0, keepdims=True)
         cum = np.cumsum(cols, axis=0)  # (cluster, prepared)
         u = rng.random(len(prepared))
         comp = (u[:, None] > cum.T[prepared]).sum(axis=1)
         return self.model.draw(comp, rng)
+
+
+def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
+    """n joint shots of the nodes ``cals``, one (n, 2) array of (u, v) per node.
+
+    ``p`` holds the populations of the 3**k joint levels, A-major in the order
+    of ``cals``.  One draw picks a joint cluster per shot from the normalized
+    kron(prep_1, ..., prep_k) @ p, so the labels follow the Kronecker product
+    of the nodes' ``analytic_assignment()``; each node then draws its Gaussian
+    shots, in node order.  ``seed`` is a seed or a numpy Generator.
+    """
+    k = len(cals)
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3**k,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"p must be a probability {3**k}-vector")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    w = functools.reduce(np.kron, [cal.prep_weights for cal in cals]) @ p
+    w = np.clip(w / w.sum(), 0, None)
+    joint = rng.choice(3**k, size=n, p=w / w.sum())
+    return [cal.model.draw(joint // 3 ** (k - 1 - i) % 3, rng) for i, cal in enumerate(cals)]
 
 
 def _table_model(theta) -> MixtureModel:
@@ -275,7 +281,7 @@ def _calibration(theta, r_target) -> ReadoutCalibration:
             f"mixture calibration failed: negative preparation weight {prep.min():.2e}"
         )
     # keep the target's column sums (tables carry rounding at the 0.1% level);
-    # sampling normalizes per call
+    # joint_shots normalizes the cluster weights per call
     prep = np.clip(prep, 0.0, None)
     cal = ReadoutCalibration(model=model, prep_weights=prep)
     err = np.abs(cal.analytic_assignment() - r_target).max()

@@ -39,6 +39,7 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--shots", "10", "--exact"],
         ["--eta-c", "1.5"],
         ["--dt", "0"],
+        ["--dt", "0.3"],  # does not divide the +-95 ns window
         ["--t-scale", "0"],
         ["--idle-ns", "-300"],
         ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz
@@ -120,6 +121,7 @@ def test_sweep_requires_values(tmp_path):
         # every point is validated before the first one runs
         ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
+        ["--sweep-param", "dt", "--sweep-values", "0.5,0.3"],
         ["--sweep-param", "kappa_eff", "--sweep-values", "10,0"],
         ["--sweep-param", "kappa_eff", "--sweep-values", "10.4,9", "--dt", "0.5"],
         ["--sweep-param", "dt", "--sweep-values", "nan"],

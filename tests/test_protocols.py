@@ -43,6 +43,15 @@ def test_spec_validation():
                 ProtocolSpec(name="x", **{name: value})
         with pytest.raises(ValueError):
             ProtocolSpec(name="x", window=(-95.0, value))
+    # dt must divide the window edges and idle_ns, or the grid would move an
+    # edge (at dt 0.3 it starts at -95.1 ns); 95 / 0.1 is inexact and passes
+    for kwargs in (dict(dt=0.3), dict(idle_ns=40.25), dict(dt=0.2, window=(-95.0, 95.1))):
+        with pytest.raises(ValueError, match="dt must divide"):
+            ProtocolSpec(name="x", **kwargs)
+    for dt in (1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.0125):
+        ProtocolSpec(name="x", dt=dt)
+        ProtocolSpec(name="x", dt=dt, window=protocols.EMISSION_WINDOW, idle_ns=0.0)
+        ProtocolSpec(name="x", dt=dt, window=(-150.0, 150.0), idle_ns=0.0)
 
 
 def test_runs_are_deterministic():
@@ -168,7 +177,7 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
     for psi in inputs:
         qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
         rho3 = protocols.run_transfer(spec, qubit).extras["final_qutrit_b"]
-        settings, pops = protocols._measure_qutrit(rho3, "B", spec, rng)
+        settings, pops = protocols._measure(rho3, ("B",), spec, rng)
         outputs.append(tomo.qst_mle(pops, settings)[:2, :2])
     reference = tomo.qpt_linear_inversion(inputs, outputs).chi
     chi = protocols.run_state_transfer_qpt(spec).extras["chi"].chi

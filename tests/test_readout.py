@@ -25,6 +25,11 @@ def simple_model(sep=4.0):
     )
 
 
+def bare(model):
+    """The model's own components: identity preparation weights."""
+    return readout.ReadoutCalibration(model, np.eye(3))
+
+
 def test_mixture_model_validation():
     with pytest.raises(ValueError):
         readout.MixtureModel(np.array([0.5, 0.5]), np.zeros((3, 2)), np.eye(2))
@@ -34,7 +39,7 @@ def test_mixture_model_validation():
 
 def test_sample_shots_pure_component():
     model = simple_model(sep=7.0)
-    shots = readout.sample_shots([1.0, 0.0, 0.0], model, 4000, seed=3)
+    shots = bare(model).simulate_shots([1.0, 0.0, 0.0], 4000, seed=3)
     # every point from component g
     assert np.abs(shots.mean(axis=0) - model.means[0]).max() < 4 / np.sqrt(4000)
     labels = readout.classify(shots, model)
@@ -45,23 +50,23 @@ def test_sample_shots_law_of_large_numbers():
     model = simple_model()
     p = np.array([0.2, 0.5, 0.3])
     for n in (1000, 10000, 100000):
-        shots = readout.sample_shots(p, model, n, seed=11)
+        shots = bare(model).simulate_shots(p, n, seed=11)
         target = p @ model.means[:, 0]
         assert abs(shots[:, 0].mean() - target) < 5 * 2.5 / np.sqrt(n)
 
 
 def test_sample_shots_deterministic_seed():
     model = simple_model()
-    a = readout.sample_shots([0.3, 0.3, 0.4], model, 500, seed=42)
-    b = readout.sample_shots([0.3, 0.3, 0.4], model, 500, seed=42)
+    a = bare(model).simulate_shots([0.3, 0.3, 0.4], 500, seed=42)
+    b = bare(model).simulate_shots([0.3, 0.3, 0.4], 500, seed=42)
     assert np.array_equal(a, b)
-    c = readout.sample_shots([0.3, 0.3, 0.4], model, 500, seed=43)
+    c = bare(model).simulate_shots([0.3, 0.3, 0.4], 500, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_sample_shots_validates_probabilities():
     with pytest.raises(ValueError):
-        readout.sample_shots([0.5, 0.2, 0.2], simple_model(), 10, seed=0)
+        bare(simple_model()).simulate_shots([0.5, 0.2, 0.2], 10, seed=0)
 
 
 def test_classify_at_means_and_tie_break():
@@ -84,12 +89,12 @@ def test_classification_rates_match_analytic_overlap():
         probs = readout.assignment_probabilities(model)
         n = 25000
         for s in range(3):
-            shots = readout.sample_shots(np.eye(3)[s], model, n, seed=100 + s)
+            shots = bare(model).simulate_shots(np.eye(3)[s], n, seed=100 + s)
             freq = np.bincount(readout.classify(shots, model), minlength=3) / n
             sigma = np.sqrt(probs[:, s] * (1 - probs[:, s]) / n)
             assert np.all(np.abs(freq - probs[:, s]) < 4 * sigma + 1e-4)
         # the affine classifier is the full quadratic MAP rule
-        shots = readout.sample_shots([0.4, 0.3, 0.3], model, 100000, seed=9)
+        shots = bare(model).simulate_shots([0.4, 0.3, 0.3], 100000, seed=9)
         d = shots[:, None, :] - model.means
         inv = np.linalg.inv(model.cov)
         log_post = np.log(model.weights) - 0.5 * np.einsum("nsi,ij,nsj->ns", d, inv, d)
@@ -218,23 +223,45 @@ def test_calibrated_sampling_matches_table_at_25000(cal_a, cal_b):
             assert np.all(np.abs(freq - table[:, s]) < 3.5 * sigma + 5e-4)
 
 
+def _joint_labels(cal_a, cal_b, p9, n, seed):
+    """A-major labels 3 a + b of n joint shots of the pair."""
+    shots_a, shots_b = readout.joint_shots([cal_a, cal_b], p9, n, seed)
+    return 3 * readout.classify(shots_a, cal_a.model) + readout.classify(shots_b, cal_b.model)
+
+
 def test_correlated_two_node_sampling(cal_a, cal_b):
-    rng = np.random.default_rng(31)
     p9 = np.zeros(9)
     p9[[1, 3]] = 0.5  # perfectly correlated ge/eg mixture
     n = 20000
-    joint = rng.choice(9, size=n, p=p9)
-    shots_a = cal_a.shots_for_prepared_sequence(joint // 3, rng)
-    shots_b = cal_b.shots_for_prepared_sequence(joint % 3, rng)
-    labels = 3 * readout.classify(shots_a, cal_a.model) + readout.classify(
-        shots_b, cal_b.model
-    )
-    freq = np.bincount(labels, minlength=9) / n
+    freq = np.bincount(_joint_labels(cal_a, cal_b, p9, n, seed=31), minlength=9) / n
     r_two = readout.two_node(cal_a.analytic_assignment(), cal_b.analytic_assignment())
     expected = r_two @ p9
     assert np.abs(freq - expected).max() < 4 * np.sqrt(0.25 / n) + 2e-3
     rec = readout.mitigate(freq, r_two).populations
     assert np.abs(rec - p9).max() < 0.02
+
+
+def test_joint_shots_follow_the_kronecker_model(cal_a, cal_b):
+    """Joint labels of an A/B-asymmetric state are multinomial in
+    kron(M_A, M_B) @ kron(prep_A, prep_B) @ p9, normalized, with M the
+    nodes' overlap matrices and node A's label the major digit."""
+    p9 = np.full(9, 0.02)
+    p9[5] = 0.7   # |e f>
+    p9[1] += 0.1  # |g e>
+    p9 /= p9.sum()
+    n = 200000
+    counts = np.bincount(_joint_labels(cal_a, cal_b, p9, n, seed=2024), minlength=9)
+    overlap = np.kron(
+        readout.assignment_probabilities(cal_a.model),
+        readout.assignment_probabilities(cal_b.model),
+    )
+    clusters = np.kron(cal_a.prep_weights, cal_b.prep_weights) @ p9
+    expected = n * overlap @ clusters / clusters.sum()
+    z = (counts - expected) / np.sqrt(expected)
+    assert np.abs(z).max() < 5
+    assert (z**2).sum() / 8 < 3  # chi^2 per degree of freedom, about 1
+    with pytest.raises(ValueError):
+        readout.joint_shots([cal_a, cal_b], np.full(3, 1 / 3), 10, seed=0)
 
 
 def test_default_calibration_rejects_unknown_node():
