@@ -341,7 +341,7 @@ def _run_readout_sim(spec, outdir):
             "mitigation_truth": truth.tolist(),
             "mitigation_recovered": mit.populations.tolist(),
         }
-    two = readout.two_node(r_hats["A"], r_hats["B"])
+    two = readout.kron(r_hats["A"], r_hats["B"])
     readout.write_assignment_json(
         outdir / "assignment_two_node.json", two, labels=[a + b for a in "gef" for b in "gef"]
     )

@@ -11,7 +11,6 @@ a ProtocolSpec and seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -311,7 +310,7 @@ def _measure(rho, nodes, spec, rng):
         for cal, pts in zip(cals, shots):
             labels = 3 * labels + readout.classify(pts, cal.model)
         freqs[k] = np.bincount(labels, minlength=len(p)) / spec.shots
-    r = functools.reduce(np.kron, [cal.analytic_assignment() for cal in cals])
+    r = readout.kron(*[cal.analytic_assignment() for cal in cals])
     return settings, readout.mitigate(freqs.T, r).populations.T
 
 

@@ -160,9 +160,9 @@ def assignment_matrix(counts) -> np.ndarray:
     return (c / col_tot[:, None]).T
 
 
-def two_node(r_a: np.ndarray, r_b: np.ndarray) -> np.ndarray:
-    """9x9 two-node assignment matrix as the tensor product of the nodes'."""
-    return np.kron(np.asarray(r_a, float), np.asarray(r_b, float))
+def kron(*matrices) -> np.ndarray:
+    """Multi-node matrix of per-node 3x3 matrices, A-major: their Kronecker product."""
+    return functools.reduce(np.kron, [np.asarray(m, float) for m in matrices])
 
 
 @dataclass(frozen=True)
@@ -252,10 +252,11 @@ def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
     """
     k = len(cals)
     p = np.asarray(p, dtype=float)
-    if p.shape != (3**k,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    # weights are normalized below: 1e-5 admits trace drift and clipped Born probabilities
+    if p.shape != (3**k,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-5:
         raise ValueError(f"p must be a probability {3**k}-vector")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w = functools.reduce(np.kron, [cal.prep_weights for cal in cals]) @ p
+    w = kron(*[cal.prep_weights for cal in cals]) @ p
     w = np.clip(w / w.sum(), 0, None)
     joint = rng.choice(3**k, size=n, p=w / w.sum())
     return [cal.model.draw(joint // 3 ** (k - 1 - i) % 3, rng) for i, cal in enumerate(cals)]

@@ -231,7 +231,7 @@ def test_criterion_9_mitigation_round_trip():
 
 
 def test_criterion_9_two_node_table():
-    product = 100 * readout.two_node(readout.TABLE_R_A, readout.TABLE_R_B)
+    product = 100 * readout.kron(readout.TABLE_R_A, readout.TABLE_R_B)
     dev = np.abs(product - readout.TABLE_R_TWO_NODE_PERCENT).max()
     check_bool(
         "criterion 9 (two-node matrix matches published table)",

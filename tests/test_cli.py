@@ -45,7 +45,7 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz
         # below about 10.05 MHz the +-95 ns drive window cannot span +-6/kappa_eff
         ["--kappa-eff", "10", "--dt", "0.5"],
-        ["--scenario", "emit-b", "--kappa-eff", "10", "--dt", "0.3"],
+        ["--scenario", "emit-b", "--kappa-eff", "10", "--dt", "0.5"],
         ["--seed", "-1"],
         ["--out", str(not_a_dir)],  # an existing regular file
         # non-finite numbers, for which every <= / < check is False

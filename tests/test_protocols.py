@@ -184,6 +184,18 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
     assert np.abs(chi - reference).max() <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:mitigated populations")
+def test_measure_draws_states_within_the_integrator_bounds():
+    """Shot-mode tomography measures states the integrator accepts, with an
+    eigenvalue of -1e-7 and a trace 1e-6 above one, on either node count."""
+    spec = ProtocolSpec(name="qpt", dt=0.5, shots=2000, seed=5)
+    rho3 = np.diag([0.6, 0.4 + 1e-7, -1e-7]).astype(complex) * (1 + 1e-6)
+    for rho, nodes in ((rho3, ("B",)), (np.kron(rho3, rho3), ("A", "B"))):
+        _, pops = protocols._measure(rho, nodes, spec, np.random.default_rng(5))
+        _, exact = protocols._measure(rho, nodes, dataclasses.replace(spec, shots=None), None)
+        assert np.abs(pops - exact).max() < 0.1, nodes
+
+
 def test_qpt_depolarized_floor():
     # fully depolarizing channel: F_p = 1/4, well below the classical bound 1/2
     from photonlink import tomography as tomo

@@ -131,18 +131,19 @@ def test_table_values():
 def test_two_node_outer_product():
     r_a = readout.table_assignment_matrix("A")
     r_b = readout.table_assignment_matrix("B")
-    two = readout.two_node(r_a, r_b)
+    two = readout.kron(r_a, r_b)
     assert two.shape == (9, 9)
     for i in range(9):
         for j in range(9):
             expected = r_a[i // 3, j // 3] * r_b[i % 3, j % 3]
             assert two[i, j] == pytest.approx(expected, abs=1e-12)
     assert two[0, 0] == pytest.approx(0.982 * 0.985)
-    assert np.allclose(readout.two_node(np.eye(3), np.eye(3)), np.eye(9))
+    assert np.allclose(readout.kron(np.eye(3), np.eye(3)), np.eye(9))
+    assert np.allclose(readout.kron(r_a, r_b, np.eye(3)), np.kron(two, np.eye(3)))
 
 
 def test_two_node_matches_published_table_within_rounding():
-    two = 100 * readout.two_node(readout.TABLE_R_A, readout.TABLE_R_B)
+    two = 100 * readout.kron(readout.TABLE_R_A, readout.TABLE_R_B)
     assert np.abs(two - readout.TABLE_R_TWO_NODE_PERCENT).max() <= 0.1 + 1e-9
 
 
@@ -234,7 +235,7 @@ def test_correlated_two_node_sampling(cal_a, cal_b):
     p9[[1, 3]] = 0.5  # perfectly correlated ge/eg mixture
     n = 20000
     freq = np.bincount(_joint_labels(cal_a, cal_b, p9, n, seed=31), minlength=9) / n
-    r_two = readout.two_node(cal_a.analytic_assignment(), cal_b.analytic_assignment())
+    r_two = readout.kron(cal_a.analytic_assignment(), cal_b.analytic_assignment())
     expected = r_two @ p9
     assert np.abs(freq - expected).max() < 4 * np.sqrt(0.25 / n) + 2e-3
     rec = readout.mitigate(freq, r_two).populations
@@ -260,8 +261,13 @@ def test_joint_shots_follow_the_kronecker_model(cal_a, cal_b):
     z = (counts - expected) / np.sqrt(expected)
     assert np.abs(z).max() < 5
     assert (z**2).sum() / 8 < 3  # chi^2 per degree of freedom, about 1
+    # a sum off by the integrator's trace drift is normalized away, not refused
+    a, b = readout.joint_shots([cal_a, cal_b], p9 * (1 + 2e-6), 10, seed=0)
+    assert a.shape == b.shape == (10, 2)
     with pytest.raises(ValueError):
         readout.joint_shots([cal_a, cal_b], np.full(3, 1 / 3), 10, seed=0)
+    with pytest.raises(ValueError):
+        readout.joint_shots([cal_a, cal_b], p9 * 1.01, 10, seed=0)
 
 
 def test_default_calibration_rejects_unknown_node():
