@@ -329,10 +329,7 @@ def _run_readout_sim(spec, outdir):
         )
         target = readout.table_assignment_matrix(node)
         truth = np.array([0.5, 0.3, 0.2])
-        measured = np.bincount(
-            readout.classify(cal.simulate_shots(truth, shots, rng), cal.model),
-            minlength=3,
-        ) / shots
+        measured = readout.joint_counts([cal], truth, shots, rng) / shots
         mit = readout.mitigate(measured, r_hat)
         summary[node] = {
             "max_table_deviation": float(np.abs(r_hat - target).max()),

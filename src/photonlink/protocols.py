@@ -294,8 +294,9 @@ def _measure(rho, nodes, spec, rng):
     """Tomography settings and populations of the qutrits ``nodes`` in state
     ``rho`` (A-major): ("B",) takes the single-qutrit gate set and ("A", "B")
     the pair set.  Exact readout gives the Born probabilities.  With
-    ``spec.shots``, each setting's ``readout.joint_shots`` are classified node
-    by node, counted by A-major label and mitigated with the Kronecker product
+    ``spec.shots``, each setting's A-major label counts come from
+    ``readout.joint_counts`` (the draws of ``readout.joint_shots``, labelled
+    without building the shots) and are mitigated with the Kronecker product
     of the nodes' assignment matrices.
     """
     settings = tomography.gate_set("single" if len(nodes) == 1 else "pair")
@@ -305,11 +306,7 @@ def _measure(rho, nodes, spec, rng):
     cals = [readout.default_calibration(node) for node in nodes]
     freqs = np.empty_like(pops)
     for k, p in enumerate(pops):
-        shots = readout.joint_shots(cals, np.clip(p, 0, None), spec.shots, rng)
-        labels = 0
-        for cal, pts in zip(cals, shots):
-            labels = 3 * labels + readout.classify(pts, cal.model)
-        freqs[k] = np.bincount(labels, minlength=len(p)) / spec.shots
+        freqs[k] = readout.joint_counts(cals, np.clip(p, 0, None), spec.shots, rng) / spec.shots
     r = readout.kron(*[cal.analytic_assignment() for cal in cals])
     return settings, readout.mitigate(freqs.T, r).populations.T
 

@@ -184,6 +184,8 @@ def mitigate(measured, r: np.ndarray) -> MitigationResult:
     """
     r = np.asarray(r, dtype=float)
     m = np.asarray(measured, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("measured frequencies must be finite")
     try:
         pops = np.linalg.solve(r, m)
     except np.linalg.LinAlgError as exc:
@@ -241,17 +243,15 @@ class ReadoutCalibration:
         return self.model.draw(comp, rng)
 
 
-def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
-    """n joint shots of the nodes ``cals``, one (n, 2) array of (u, v) per node.
-
-    ``p`` holds the populations of the 3**k joint levels, A-major in the order
-    of ``cals``.  One draw picks a joint cluster per shot from the normalized
-    kron(prep_1, ..., prep_k) @ p, so the labels follow the Kronecker product
-    of the nodes' ``analytic_assignment()``; each node then draws its Gaussian
-    shots, in node order.  ``seed`` is a seed or a numpy Generator.
-    """
+def _joint_clusters(cals, p, n: int, seed):
+    """The draw that ``joint_shots`` and ``joint_counts`` share: one joint
+    cluster per shot from the normalized kron(prep_1, ..., prep_k) @ p, split
+    into each node's cluster index, in node order, and the Generator the
+    nodes' Gaussian draws continue."""
     k = len(cals)
     p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite")
     # weights are normalized below: 1e-5 admits trace drift and clipped Born probabilities
     if p.shape != (3**k,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-5:
         raise ValueError(f"p must be a probability {3**k}-vector")
@@ -259,7 +259,56 @@ def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
     w = kron(*[cal.prep_weights for cal in cals]) @ p
     w = np.clip(w / w.sum(), 0, None)
     joint = rng.choice(3**k, size=n, p=w / w.sum())
-    return [cal.model.draw(joint // 3 ** (k - 1 - i) % 3, rng) for i, cal in enumerate(cals)]
+    levels = np.arange(3**k)
+    return [(levels // 3 ** (k - 1 - i) % 3).take(joint) for i in range(k)], rng
+
+
+def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
+    """n joint shots of the nodes ``cals``, one (n, 2) array of (u, v) per node.
+
+    ``p`` holds the populations of the 3**k joint levels, A-major in the order
+    of ``cals``.  One draw picks a joint cluster per shot from the normalized
+    kron(prep_1, ..., prep_k) @ p, so the labels follow the Kronecker product
+    of the nodes' ``analytic_assignment()``; each node then draws its Gaussian
+    shots, in node order.  ``seed`` is a seed or a numpy Generator.  Where
+    only the label counts are needed, ``joint_counts`` gives them from the
+    same draws without building the shots.
+    """
+    comps, rng = _joint_clusters(cals, p, n, seed)
+    return [cal.model.draw(comp, rng) for cal, comp in zip(cals, comps)]
+
+
+def joint_counts(cals, p, n: int, seed) -> np.ndarray:
+    """Counts of the 3**k A-major labels of n joint shots of the nodes ``cals``.
+
+    Consumes exactly the draws of ``joint_shots(cals, p, n, seed)`` and gives
+    the ``bincount`` of its node-by-node ``classify`` labels, combined
+    A-major, but labels each node's shots from their cluster index and
+    normal draw without building them (``_labels``).
+    """
+    comps, rng = _joint_clusters(cals, p, n, seed)
+    labels = 0
+    for cal, comp in zip(cals, comps):
+        labels = 3 * labels + _labels(cal.model, comp, rng.standard_normal((n, 2)))
+    return np.bincount(labels, minlength=3 ** len(cals))
+
+
+def _labels(model: MixtureModel, comp, z) -> np.ndarray:
+    """``classify(means[comp] + z @ L.T, model)``, L the Cholesky factor of
+    Sigma, without forming the shots.
+
+    The discriminant folds into a gain L.T W.T and an offset table
+    mu W.T - h + log w read by component, both as differences to g's score;
+    the first maximum of (0, e - g, f - g) wins, the g<e<f tie rule of
+    ``argmax``.
+    """
+    w, h, logw = model.discriminant()
+    gain = np.linalg.cholesky(model.cov).T @ w.T
+    offset = model.means @ w.T - h
+    # log w is added last, as in classify: equal weights then keep exact ties
+    offset = (offset[:, 1:] - offset[:, :1]) + (logw[1:] - logw[0])
+    d = z @ (gain[:, 1:] - gain[:, :1]) + offset.take(comp, axis=0)
+    return np.where(d[:, 1] > np.maximum(d[:, 0], 0), 2, d[:, 0] > 0)
 
 
 def _table_model(theta) -> MixtureModel:

@@ -196,6 +196,37 @@ def test_measure_draws_states_within_the_integrator_bounds():
         assert np.abs(pops - exact).max() < 0.1, nodes
 
 
+@pytest.mark.filterwarnings("ignore:mitigated populations")
+def test_measure_counts_equal_the_classified_joint_shots():
+    """Shot-mode ``_measure`` returns the populations of classifying each
+    setting's ``joint_shots`` node by node, counting the labels A-major and
+    mitigating with the Kronecker product of the assignment matrices, from
+    the same seed."""
+    from photonlink import readout
+    from photonlink import tomography as tomo
+
+    spec = ProtocolSpec(name="qpt", dt=0.5, shots=20000, seed=11)
+    psi = np.array([0.6, 0.8j, 0.0])
+    rho3 = 0.9 * np.outer(psi, psi.conj()) + np.diag([0.05, 0.03, 0.02])
+    bell = np.zeros(9, complex)
+    bell[[1, 3]] = 1 / np.sqrt(2)  # (|ge> + |eg>) / sqrt 2
+    rho9 = 0.85 * np.outer(bell, bell.conj()) + 0.15 * np.kron(rho3, rho3)
+    for rho, nodes in ((rho3, ("B",)), (rho9, ("A", "B"))):
+        settings, pops = protocols._measure(rho, nodes, spec, np.random.default_rng(11))
+        cals = [readout.default_calibration(node) for node in nodes]
+        rng = np.random.default_rng(11)
+        freqs = []
+        for p in tomo.born_probabilities(rho, settings):
+            shots = readout.joint_shots(cals, np.clip(p, 0, None), spec.shots, rng)
+            labels = 0
+            for cal, pts in zip(cals, shots):
+                labels = 3 * labels + readout.classify(pts, cal.model)
+            freqs.append(np.bincount(labels, minlength=len(p)) / spec.shots)
+        r = readout.kron(*[cal.analytic_assignment() for cal in cals])
+        expected = readout.mitigate(np.array(freqs).T, r).populations.T
+        assert np.array_equal(pops, expected), nodes
+
+
 def test_qpt_depolarized_floor():
     # fully depolarizing channel: F_p = 1/4, well below the classical bound 1/2
     from photonlink import tomography as tomo

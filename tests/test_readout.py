@@ -69,6 +69,14 @@ def test_sample_shots_validates_probabilities():
         bare(simple_model()).simulate_shots([0.5, 0.2, 0.2], 10, seed=0)
 
 
+def test_samplers_reject_non_finite_probabilities():
+    cal = bare(simple_model())
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
+        for sampler in (readout.joint_shots, readout.joint_counts):
+            with pytest.raises(ValueError, match="finite"):
+                sampler([cal], bad, 10, seed=0)
+
+
 def test_classify_at_means_and_tie_break():
     model = simple_model()
     assert readout.classify(model.means, model).tolist() == [0, 1, 2]
@@ -182,6 +190,15 @@ def test_mitigate_warns_on_unphysical_populations():
         readout.mitigate(np.array([1.0, 0, 0]), np.ones((3, 3)))
 
 
+def test_mitigate_rejects_non_finite_frequencies():
+    r = readout.table_assignment_matrix("A")
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            readout.mitigate(np.array(bad), r)
+    with pytest.raises(ValueError, match="finite"):
+        readout.mitigate(np.array([[0.5, np.nan], [0.3, 0.5], [0.2, 0.5]]), r)
+
+
 def test_mitigation_monte_carlo_round_trip(cal_a):
     """Sampled shots of a mixed state are recovered within 3 binomial sigma."""
     truth = np.array([0.5, 0.3, 0.2])
@@ -224,17 +241,20 @@ def test_calibrated_sampling_matches_table_at_25000(cal_a, cal_b):
             assert np.all(np.abs(freq - table[:, s]) < 3.5 * sigma + 5e-4)
 
 
-def _joint_labels(cal_a, cal_b, p9, n, seed):
-    """A-major labels 3 a + b of n joint shots of the pair."""
-    shots_a, shots_b = readout.joint_shots([cal_a, cal_b], p9, n, seed)
-    return 3 * readout.classify(shots_a, cal_a.model) + readout.classify(shots_b, cal_b.model)
+def _joint_labels(cals, p, n, seed):
+    """A-major labels of n joint shots of the nodes ``cals``, classified node
+    by node: 3 a + b for a pair."""
+    labels = 0
+    for cal, pts in zip(cals, readout.joint_shots(cals, p, n, seed)):
+        labels = 3 * labels + readout.classify(pts, cal.model)
+    return labels
 
 
 def test_correlated_two_node_sampling(cal_a, cal_b):
     p9 = np.zeros(9)
     p9[[1, 3]] = 0.5  # perfectly correlated ge/eg mixture
     n = 20000
-    freq = np.bincount(_joint_labels(cal_a, cal_b, p9, n, seed=31), minlength=9) / n
+    freq = np.bincount(_joint_labels([cal_a, cal_b], p9, n, seed=31), minlength=9) / n
     r_two = readout.kron(cal_a.analytic_assignment(), cal_b.analytic_assignment())
     expected = r_two @ p9
     assert np.abs(freq - expected).max() < 4 * np.sqrt(0.25 / n) + 2e-3
@@ -242,25 +262,38 @@ def test_correlated_two_node_sampling(cal_a, cal_b):
     assert np.abs(rec - p9).max() < 0.02
 
 
+def _asymmetric_p9():
+    """A two-qutrit population vector that tells node A from node B."""
+    p9 = np.full(9, 0.02)
+    p9[5] = 0.7   # |e f>
+    p9[1] += 0.1  # |g e>
+    return p9 / p9.sum()
+
+
+def _kronecker_fit(counts, first, second, p9):
+    """(chi^2 per degree of freedom, max |z|) of 9 joint label counts against
+    kron(M_1, M_2) @ kron(prep_1, prep_2) @ p9, normalized, with M the
+    calibrations' overlap matrices and ``first``'s label the major digit."""
+    overlap = np.kron(
+        readout.assignment_probabilities(first.model),
+        readout.assignment_probabilities(second.model),
+    )
+    clusters = np.kron(first.prep_weights, second.prep_weights) @ p9
+    expected = counts.sum() * overlap @ clusters / clusters.sum()
+    z = (counts - expected) / np.sqrt(expected)
+    return (z**2).sum() / 8, np.abs(z).max()
+
+
 def test_joint_shots_follow_the_kronecker_model(cal_a, cal_b):
     """Joint labels of an A/B-asymmetric state are multinomial in
     kron(M_A, M_B) @ kron(prep_A, prep_B) @ p9, normalized, with M the
     nodes' overlap matrices and node A's label the major digit."""
-    p9 = np.full(9, 0.02)
-    p9[5] = 0.7   # |e f>
-    p9[1] += 0.1  # |g e>
-    p9 /= p9.sum()
+    p9 = _asymmetric_p9()
     n = 200000
-    counts = np.bincount(_joint_labels(cal_a, cal_b, p9, n, seed=2024), minlength=9)
-    overlap = np.kron(
-        readout.assignment_probabilities(cal_a.model),
-        readout.assignment_probabilities(cal_b.model),
-    )
-    clusters = np.kron(cal_a.prep_weights, cal_b.prep_weights) @ p9
-    expected = n * overlap @ clusters / clusters.sum()
-    z = (counts - expected) / np.sqrt(expected)
-    assert np.abs(z).max() < 5
-    assert (z**2).sum() / 8 < 3  # chi^2 per degree of freedom, about 1
+    counts = np.bincount(_joint_labels([cal_a, cal_b], p9, n, seed=2024), minlength=9)
+    chi2, zmax = _kronecker_fit(counts, cal_a, cal_b, p9)
+    assert zmax < 5
+    assert chi2 < 3  # chi^2 per degree of freedom, about 1
     # a sum off by the integrator's trace drift is normalized away, not refused
     a, b = readout.joint_shots([cal_a, cal_b], p9 * (1 + 2e-6), 10, seed=0)
     assert a.shape == b.shape == (10, 2)
@@ -268,6 +301,67 @@ def test_joint_shots_follow_the_kronecker_model(cal_a, cal_b):
         readout.joint_shots([cal_a, cal_b], np.full(3, 1 / 3), 10, seed=0)
     with pytest.raises(ValueError):
         readout.joint_shots([cal_a, cal_b], p9 * 1.01, 10, seed=0)
+
+
+def test_joint_counts_follow_the_kronecker_model(cal_a, cal_b):
+    """The counts ``joint_counts`` returns pass the Kronecker-model test and
+    fail it against the A/B-swapped expectation."""
+    p9 = _asymmetric_p9()
+    counts = readout.joint_counts([cal_a, cal_b], p9, 200000, seed=2024)
+    assert counts.shape == (9,) and counts.sum() == 200000
+    chi2, zmax = _kronecker_fit(counts, cal_a, cal_b, p9)
+    assert zmax < 5 and chi2 < 3
+    chi2, zmax = _kronecker_fit(counts, cal_b, cal_a, p9)
+    assert zmax > 5 and chi2 > 3
+
+
+class _Pinned(np.random.Generator):
+    """A Generator whose cluster draw and normal draws return fixed arrays."""
+
+    def __init__(self, joint, z):
+        super().__init__(np.random.PCG64(0))
+        self.joint, self.z = np.asarray(joint), np.asarray(z, dtype=float)
+
+    def choice(self, a, size=None, replace=True, p=None, axis=0, shuffle=True):
+        return self.joint
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        return self.z
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_joint_counts_equal_the_classified_joint_shots(cal_a, cal_b, k):
+    """``joint_counts`` gives the bincount of the A-major ``classify`` labels
+    of ``joint_shots`` on an identically seeded Generator, and leaves it in
+    the same state."""
+    skewed = bare(skewed_model())
+    node_sets = {
+        1: [(cal_a,), (cal_b,), (skewed,)],
+        2: [(cal_a, cal_b), (skewed, skewed), (skewed, cal_b)],
+    }[k]
+    p = np.random.default_rng(k).dirichlet(np.ones(3**k))
+    for cals in node_sets:
+        shots_rng, counts_rng = np.random.default_rng(17), np.random.default_rng(17)
+        labels = _joint_labels(cals, p, 20000, shots_rng)
+        counts = readout.joint_counts(cals, p, 20000, counts_rng)
+        assert np.array_equal(counts, np.bincount(labels, minlength=3**k))
+        assert shots_rng.bit_generator.state == counts_rng.bit_generator.state
+
+
+def test_joint_counts_break_an_exact_tie_toward_g():
+    """A shot exactly on the g|e boundary of a symmetric model, drawn from
+    either cluster, is labelled g by both paths."""
+    model = simple_model(sep=4.0)
+    cal = bare(model)
+    joint, z = [0, 1], [[2.0, 0.0], [-2.0, 0.0]]  # both shots at (2, 0)
+    shots = readout.joint_shots([cal], [0.5, 0.5, 0.0], 2, _Pinned(joint, z))[0]
+    assert np.array_equal(shots, [[2.0, 0.0], [2.0, 0.0]])
+    w, h, logw = model.discriminant()
+    scores = shots[0] @ w.T - h + logw
+    assert scores[0] == scores[1] > scores[2]
+    assert readout.classify(shots, model).tolist() == [0, 0]
+    counts = readout.joint_counts([cal], [0.5, 0.5, 0.0], 2, _Pinned(joint, z))
+    assert counts.tolist() == [2, 0, 0]
 
 
 def test_default_calibration_rejects_unknown_node():
