@@ -96,6 +96,10 @@ def build_parser():
 def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {args.scenario!r}; choose from {SCENARIOS}")
+    if args.scenario != "sweep" and (args.sweep_param, args.sweep_values) != (None, None):
+        raise ConfigError("--sweep-param and --sweep-values need --scenario sweep")
+    if args.truncate_sweep and args.scenario not in ("emit-a", "emit-b"):
+        raise ConfigError("--truncate-sweep needs --scenario emit-a or emit-b")
     if args.shots is not None and args.exact:
         raise ConfigError("--shots and --exact are mutually exclusive")
     if args.dt > 1.0:

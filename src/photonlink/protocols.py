@@ -366,7 +366,6 @@ def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None, store_st
         "rho9_direct": rho9,
         "rho9_tomography": rho9_rec,
         "metrics": bundle,
-        "metrics_direct": metrics.bundle_from_state(rho9),
         "tomography_settings": settings,
         "tomography_populations": pops,
     }

@@ -8,6 +8,7 @@ all rates and frequencies are angular, in rad/ns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,9 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def kron_all(*ops) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+def kron(*ops) -> np.ndarray:
+    """Kronecker product of the operators, in order (A-major)."""
+    return functools.reduce(np.kron, [np.asarray(m) for m in ops])
 
 
 def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:
@@ -75,7 +74,7 @@ def embed(op: np.ndarray, slot: int, dims) -> np.ndarray:
         )
     factors = [identity(d) for d in dims]
     factors[slot] = op
-    return kron_all(*factors)
+    return kron(*factors)
 
 
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:

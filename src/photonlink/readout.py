@@ -1,14 +1,16 @@
 """Synthetic single-shot qutrit readout and assignment-error mitigation.
 
 Integrated quadrature pairs (u, v) are modelled as a mixture of three
-Gaussians with shared covariance, so maximum-a-posteriori classification is
+Gaussians with unit covariance, so maximum-a-posteriori classification is
 one affine discriminant per model, cutting the plane into three
-straight-edged regions.  Assignment matrices hold P(assigned s' | prepared
-s) with prepared states as columns, so measured frequencies obey
-M = R @ rho_diag and mitigation is rho_diag = R^-1 @ M.  The shipped
-default models are data: five parameters per node (Sigma = I), fitted once
-to the measured single-qutrit assignment tables by ``calibrate_to_targets``
-and stored, so loading them runs no fit and imports no optimizer.
+straight-edged regions.  Unit covariance loses nothing against a shared
+one: an affine map of the plane changes no MAP label.  Assignment matrices
+hold P(assigned s' | prepared s) with prepared states as columns, so
+measured frequencies obey M = R @ rho_diag and mitigation is
+rho_diag = R^-1 @ M.  The shipped default models are data: five parameters
+per node, fitted once to the measured single-qutrit assignment tables by
+``calibrate_to_targets`` and stored, so loading them runs no fit and
+imports no optimizer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
+
+from .qops import kron
 
 LABELS = ("g", "e", "f")
 
@@ -59,55 +63,59 @@ TABLE_R_TWO_NODE_PERCENT = np.array(
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Three-component Gaussian mixture in the u-v plane with shared covariance."""
+    """Three-component Gaussian mixture in the u-v plane with unit covariance."""
 
     weights: np.ndarray   # (3,)
     means: np.ndarray     # (3, 2)
-    cov: np.ndarray       # (2, 2) positive definite
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         mu = np.asarray(self.means, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "cov", cov)
-        if w.shape != (3,) or np.any(w < 0):
-            raise ValueError("weights must be three nonnegative numbers")
-        if mu.shape != (3, 2):
-            raise ValueError("means must be three 2-vectors")
-        if cov.shape != (2, 2) or np.abs(cov - cov.T).max() > 1e-12:
-            raise ValueError("covariance must be symmetric 2x2")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("covariance must be positive definite")
+        if w.shape != (3,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("weights must be three finite nonnegative numbers")
+        if mu.shape != (3, 2) or not np.all(np.isfinite(mu)):
+            raise ValueError("means must be three finite 2-vectors")
 
     def discriminant(self):
         """Affine parts (W, h, log w) of the MAP discriminant: component s
         scores W_s.x - h_s + log w_s, its Gaussian log-density less the term
-        -x' Sigma^-1 x / 2 all share, with W = mu Sigma^-1 and h_s = W_s.mu_s / 2.
+        -|x|^2 / 2 all share, with W = mu and h_s = |mu_s|^2 / 2.
         """
-        w = self.means @ np.linalg.inv(self.cov)
-        h = 0.5 * (w * self.means).sum(axis=1)
-        return w, h, np.log(np.clip(self.weights, 1e-300, None))
+        h = 0.5 * (self.means * self.means).sum(axis=1)
+        return self.means, h, np.log(np.clip(self.weights, 1e-300, None))
 
     def draw(self, comp, rng) -> np.ndarray:
         """One (u, v) shot per entry of ``comp``, drawn from that component."""
-        chol = np.linalg.cholesky(self.cov)
-        return self.means[comp] + rng.standard_normal((len(comp), 2)) @ chol.T
+        return self.means[comp] + rng.standard_normal((len(comp), 2))
+
+
+def _differences(model: MixtureModel):
+    """Gain (2, 2) and bias (2,) of the e - g and f - g score differences:
+    x @ gain + bias.  log w is added last: folding it in earlier moves exact
+    ties."""
+    w, h, logw = model.discriminant()
+    return (w[1:] - w[0]).T, (h[0] - h[1:]) + (logw[1:] - logw[0])
+
+
+def _decide(d) -> np.ndarray:
+    """MAP labels (0=g, 1=e, 2=f) from the (n, 2) score differences to g: the
+    first maximum of (0, d_e, d_f), so ties break toward g<e<f."""
+    return np.where(d[:, 1] > np.maximum(d[:, 0], 0), 2, d[:, 0] > 0)
 
 
 def classify(shots, model: MixtureModel) -> np.ndarray:
     """Maximum-a-posteriori labels (0=g, 1=e, 2=f); ties break toward g<e<f."""
     x = np.atleast_2d(np.asarray(shots, dtype=float))
-    w, h, logw = model.discriminant()
-    # log w is added last: folding it into h first moves exact ties
-    return np.argmax((x @ w.T - h) + logw, axis=1)
+    gain, bias = _differences(model)
+    return _decide(x @ gain + bias)
 
 
 def assignment_probabilities(model: MixtureModel) -> np.ndarray:
     """Analytic P(assign s' | drawn from component s) under MAP classification.
 
-    With shared covariance the pairwise discriminant differences are affine
+    With unit covariance the pairwise discriminant differences are affine
     in the shot, so each probability is a bivariate-normal orthant integral,
     evaluated here with deterministic Gauss-Legendre quadrature.
     """
@@ -118,7 +126,7 @@ def assignment_probabilities(model: MixtureModel) -> np.ndarray:
         others = [i for i in range(3) if i != j]
         a = w[j] - w[others]
         c = (logw[j] - logw[others]) - (h[j] - h[others])
-        cov = a @ model.cov @ a.T
+        cov = a @ a.T
         for s in range(3):
             r[j, s] = _orthant_probability(a @ model.means[s] + c, cov)
     return r
@@ -158,11 +166,6 @@ def assignment_matrix(counts) -> np.ndarray:
     if np.any(col_tot <= 0):
         raise ValueError("every prepared state needs at least one shot")
     return (c / col_tot[:, None]).T
-
-
-def kron(*matrices) -> np.ndarray:
-    """Multi-node matrix of per-node 3x3 matrices, A-major: their Kronecker product."""
-    return functools.reduce(np.kron, [np.asarray(m, float) for m in matrices])
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ def mitigate(measured, r: np.ndarray) -> MitigationResult:
 class ReadoutCalibration:
     """A mixture model plus preparation-conditioned cluster weights.
 
-    A shared-covariance MAP classifier has five effective degrees of freedom
+    A unit-covariance MAP classifier has five effective degrees of freedom
     (those ``calibrate_to_targets`` fits), which cannot reproduce all six
     independent misassignment asymmetries of the measured tables; the excess
     asymmetry is physical, coming from transmon decay during the readout
@@ -284,40 +287,27 @@ def joint_counts(cals, p, n: int, seed) -> np.ndarray:
     Consumes exactly the draws of ``joint_shots(cals, p, n, seed)`` and gives
     the ``bincount`` of its node-by-node ``classify`` labels, combined
     A-major, but labels each node's shots from their cluster index and
-    normal draw without building them (``_labels``).
+    normal draw z without building them: ``classify`` scores
+    (means[comp] + z) @ gain + bias, read here as z @ gain plus a
+    per-component table.
     """
     comps, rng = _joint_clusters(cals, p, n, seed)
     labels = 0
     for cal, comp in zip(cals, comps):
-        labels = 3 * labels + _labels(cal.model, comp, rng.standard_normal((n, 2)))
+        gain, bias = _differences(cal.model)
+        offset = cal.model.means @ gain + bias
+        z = rng.standard_normal((n, 2))
+        labels = 3 * labels + _decide(z @ gain + offset.take(comp, axis=0))
     return np.bincount(labels, minlength=3 ** len(cals))
-
-
-def _labels(model: MixtureModel, comp, z) -> np.ndarray:
-    """``classify(means[comp] + z @ L.T, model)``, L the Cholesky factor of
-    Sigma, without forming the shots.
-
-    The discriminant folds into a gain L.T W.T and an offset table
-    mu W.T - h + log w read by component, both as differences to g's score;
-    the first maximum of (0, e - g, f - g) wins, the g<e<f tie rule of
-    ``argmax``.
-    """
-    w, h, logw = model.discriminant()
-    gain = np.linalg.cholesky(model.cov).T @ w.T
-    offset = model.means @ w.T - h
-    # log w is added last, as in classify: equal weights then keep exact ties
-    offset = (offset[:, 1:] - offset[:, :1]) + (logw[1:] - logw[0])
-    d = z @ (gain[:, 1:] - gain[:, :1]) + offset.take(comp, axis=0)
-    return np.where(d[:, 1] > np.maximum(d[:, 0], 0), 2, d[:, 0] > 0)
 
 
 def _table_model(theta) -> MixtureModel:
     """The model of parameters (d, fx, fy, log w_e/w_g, log w_f/w_g): clusters
-    at g = (0, 0), e = (d, 0) and f = (fx, fy) with Sigma = I."""
+    at g = (0, 0), e = (d, 0) and f = (fx, fy)."""
     d, fx, fy, le, lf = theta
     means = np.array([[0.0, 0.0], [d, 0.0], [fx, fy]])
     w = np.exp([0.0, le, lf])
-    return MixtureModel(weights=w / w.sum(), means=means, cov=np.eye(2))
+    return MixtureModel(weights=w / w.sum(), means=means)
 
 
 def _calibration(theta, r_target) -> ReadoutCalibration:
@@ -343,8 +333,8 @@ def _calibration(theta, r_target) -> ReadoutCalibration:
 def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
     """Calibrate the synthetic readout so it reproduces a target assignment table.
 
-    The five parameters of ``_table_model`` (Sigma = I loses nothing: no
-    label changes under an affine map of the plane) are least-squares
+    The five parameters of ``_table_model`` (unit covariance loses nothing:
+    no label changes under an affine map of the plane) are least-squares
     fitted from the start ``x0`` so that Gaussian overlap
     accounts for 60% of each off-diagonal entry (the overlap/decay split is
     not identifiable from the table alone); the remainder goes into the

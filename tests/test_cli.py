@@ -69,6 +69,15 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--scenario", "transfer", "--device", no_channel],
         # --fock is accepted and ignored, but a value below 2 is still an error
         ["--fock", "1"],
+        # a flag of another scenario is refused, not ignored
+        ["--sweep-param", "eta_c", "--sweep-values", "0.8,0.9"],
+        ["--scenario", "emit-a", "--sweep-param", "eta_c", "--sweep-values", "0.8,0.9"],
+        ["--scenario", "qpt", "--sweep-values", "0.8,0.9"],
+        ["--scenario", "emit-b", "--sweep-param", "eta_c"],
+        ["--truncate-sweep"],
+        ["--scenario", "transfer", "--truncate-sweep"],
+        ["--scenario", "sweep", "--sweep-param", "eta_c", "--sweep-values", "0.9",
+         "--truncate-sweep"],
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv

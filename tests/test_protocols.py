@@ -130,7 +130,7 @@ def test_exact_tomography_matches_direct_state():
     spec = ProtocolSpec(name="entangle", dt=0.2)
     res = protocols.run_entanglement(spec)
     assert res.extras["metrics"].hs_distance < 1e-3
-    direct = res.extras["metrics_direct"]
+    direct = metrics.bundle_from_state(res.extras["rho9_direct"])
     rec = res.extras["metrics"]
     assert rec.state_fidelity == pytest.approx(direct.state_fidelity, abs=1e-3)
     assert rec.ccnr == pytest.approx(direct.ccnr, abs=2e-3)
@@ -243,7 +243,7 @@ def test_entanglement_noiseless_limit():
         window=(-150.0, 150.0), idle_ns=0.0,
     )
     res = protocols.run_entanglement(spec)
-    m = res.extras["metrics_direct"]
+    m = metrics.bundle_from_state(res.extras["rho9_direct"])
     assert m.state_fidelity > 0.995
     assert m.concurrence > 0.99
     assert m.ccnr > 1.98

@@ -20,9 +20,7 @@ def cal_b():
 
 def simple_model(sep=4.0):
     means = np.array([[0.0, 0.0], [sep, 0.0], [sep / 2, sep * 0.9]])
-    return readout.MixtureModel(
-        weights=np.full(3, 1 / 3), means=means, cov=np.eye(2)
-    )
+    return readout.MixtureModel(weights=np.full(3, 1 / 3), means=means)
 
 
 def bare(model):
@@ -31,10 +29,19 @@ def bare(model):
 
 
 def test_mixture_model_validation():
+    means = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
     with pytest.raises(ValueError):
-        readout.MixtureModel(np.array([0.5, 0.5]), np.zeros((3, 2)), np.eye(2))
+        readout.MixtureModel(np.array([0.5, 0.5]), means)
     with pytest.raises(ValueError):
-        readout.MixtureModel(np.full(3, 1 / 3), np.zeros((3, 2)), -np.eye(2))
+        readout.MixtureModel(np.full(3, 1 / 3), means[:2])
+    with pytest.raises(ValueError):
+        readout.MixtureModel(np.array([-0.1, 0.6, 0.5]), means)
+    # non-finite numbers, for which every < check is False
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            readout.MixtureModel(np.array([bad, 0.5, 0.5]), means)
+        with pytest.raises(ValueError, match="finite"):
+            readout.MixtureModel(np.full(3, 1 / 3), np.where(means == 4.0, bad, means))
 
 
 def test_sample_shots_pure_component():
@@ -86,10 +93,9 @@ def test_classify_at_means_and_tie_break():
 
 
 def skewed_model():
-    """Correlated, anisotropic covariance and unequal weights."""
+    """Unequal weights and clusters off the axes."""
     means = np.array([[0.0, 0.0], [3.0, 0.5], [1.0, 2.5]])
-    cov = np.array([[1.3, 0.5], [0.5, 0.6]])
-    return readout.MixtureModel(np.array([0.5, 0.3, 0.2]), means, cov)
+    return readout.MixtureModel(np.array([0.5, 0.3, 0.2]), means)
 
 
 def test_classification_rates_match_analytic_overlap():
@@ -104,8 +110,7 @@ def test_classification_rates_match_analytic_overlap():
         # the affine classifier is the full quadratic MAP rule
         shots = bare(model).simulate_shots([0.4, 0.3, 0.3], 100000, seed=9)
         d = shots[:, None, :] - model.means
-        inv = np.linalg.inv(model.cov)
-        log_post = np.log(model.weights) - 0.5 * np.einsum("nsi,ij,nsj->ns", d, inv, d)
+        log_post = np.log(model.weights) - 0.5 * (d * d).sum(axis=2)
         assert np.array_equal(readout.classify(shots, model), np.argmax(log_post, axis=1))
 
 
@@ -227,8 +232,6 @@ def test_calibration_reproduces_measured_tables(cal_a, cal_b):
     assert np.abs(cal_a.analytic_assignment() - readout.TABLE_R_A).max() < 1e-9
     assert np.abs(cal_b.analytic_assignment() - readout.TABLE_R_B).max() < 1e-9
     assert cal_a.prep_weights.min() >= 0
-    # the classifier regions are straight lines: shared covariance MAP
-    assert np.abs(cal_a.model.cov - cal_a.model.cov.T).max() < 1e-12
 
 
 def test_calibrated_sampling_matches_table_at_25000(cal_a, cal_b):
@@ -362,6 +365,29 @@ def test_joint_counts_break_an_exact_tie_toward_g():
     assert readout.classify(shots, model).tolist() == [0, 0]
     counts = readout.joint_counts([cal], [0.5, 0.5, 0.0], 2, _Pinned(joint, z))
     assert counts.tolist() == [2, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "point, tied, label",
+    [
+        ((0.0, 2.0), [0, 2], 0),     # g|f boundary
+        ((3.0, 3.0), [1, 2], 1),     # e|f boundary
+        ((2.0, 2.0), [0, 1, 2], 0),  # triple point
+    ],
+)
+def test_exact_ties_break_toward_g_then_e(point, tied, label):
+    """On the g|f and e|f boundaries and the triple point of g = (0, 0),
+    e = (4, 0), f = (0, 4) with equal weights the scores tie exactly, and
+    ``classify`` and ``joint_counts`` both give the first tied label, from
+    whichever cluster the shot was drawn."""
+    model = readout.MixtureModel(np.full(3, 1 / 3), [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+    w, h, logw = model.discriminant()
+    scores = np.asarray(point) @ w.T - h + logw
+    assert np.flatnonzero(scores == scores.max()).tolist() == tied
+    assert readout.classify(point, model).tolist() == [label]
+    z = np.asarray(point) - model.means  # one shot from each cluster, all at the point
+    counts = readout.joint_counts([bare(model)], np.full(3, 1 / 3), 3, _Pinned([0, 1, 2], z))
+    assert counts.tolist() == np.bincount([label] * 3, minlength=3).tolist()
 
 
 def test_default_calibration_rejects_unknown_node():
