@@ -1,10 +1,15 @@
 """Command-line front end: run named scenarios and write their artifacts.
 
-Every run writes a manifest (resolved configuration and library versions)
-sufficient to reproduce it byte-for-byte, a JSON summary with the headline
-numbers, and scenario-specific CSV/JSON artifacts.  Exit codes: 0 success,
-2 configuration error (nothing written), 3 numerical failure (trace drift or
-a ValueError raised during the run; run.log names the cause).
+Each scenario returns its summary and its artifacts as data, a map from
+file name to a JSON-able dict (``.json``) or a (header, rows) table
+(``.csv``); this module alone writes files.  Every run writes a manifest
+(resolved configuration and library versions) sufficient to reproduce it
+byte-for-byte before the scenario starts, and after it returns the summary
+and every artifact: JSON with sorted keys, CSV with LF line ends and
+numbers as %.9g.  run.log lists the files this run wrote.  Exit codes: 0
+success, 2 configuration error (nothing written), 3 numerical failure
+(trace drift or a ValueError raised during the run; only manifest.json and
+run.log are written, and run.log names the cause).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import scipy
 from . import __version__
 from . import device as dev
 from . import metrics, protocols, readout
-from .dynamics import TraceDriftError, write_trajectory_csv
+from .dynamics import TraceDriftError
 
 SCENARIOS = (
     "emit-a",
@@ -100,6 +105,10 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         raise ConfigError("--sweep-param and --sweep-values need --scenario sweep")
     if args.truncate_sweep and args.scenario not in ("emit-a", "emit-b"):
         raise ConfigError("--truncate-sweep needs --scenario emit-a or emit-b")
+    if args.shots is not None and args.scenario in ("emit-a", "emit-b", "transfer"):
+        raise ConfigError(f"--shots: {args.scenario} measures no readout")
+    if args.time_offset is not None and args.scenario in ("emit-a", "emit-b", "readout-sim"):
+        raise ConfigError(f"--time-offset: {args.scenario} has no receiver to delay")
     if args.shots is not None and args.exact:
         raise ConfigError("--shots and --exact are mutually exclusive")
     if args.dt > 1.0:
@@ -169,8 +178,6 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -180,16 +187,18 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
 
-def _write_state_json(path: Path, rho: np.ndarray, dims):
-    _write_json(
-        path,
-        {"dims": list(dims), "re": rho.real.tolist(), "im": rho.imag.tolist()},
-    )
+def _write_csv(path: Path, table):
+    """A (header, rows) table with LF line ends, numbers as %.9g."""
+    header, rows = table
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else "%.9g" % x for x in row) + "\n")
 
 
-def _write_manifest(outdir: Path, args, spec, nodes_link):
+def _manifest(args, spec, nodes_link):
     node_a, node_b, link = nodes_link
-    manifest = {
+    return {
         "scenario": args.scenario,
         "config": asdict(spec),
         "device": {
@@ -207,7 +216,6 @@ def _write_manifest(outdir: Path, args, spec, nodes_link):
         "sweep": {"param": args.sweep_param, "values": args.sweep_values},
         "truncate_sweep": bool(args.truncate_sweep),
     }
-    _write_json(outdir / "manifest.json", manifest)
 
 
 def _metrics_summary(bundle: metrics.MetricsBundle):
@@ -221,116 +229,124 @@ def _metrics_summary(bundle: metrics.MetricsBundle):
     }
 
 
-def _run_emit(args, spec, nodes_link, outdir, node):
+def _trajectory_table(traj):
+    """Per-node populations, output field and flux; zeros where a run has none."""
+    n = len(traj.t)
+    pops_b = traj.pops_B if len(traj.pops) > 1 else np.zeros((n, 3))
+    a_out = traj.a_mean_out if traj.a_mean_out is not None else np.zeros(n, dtype=complex)
+    flux = traj.flux_out if traj.a_mean_out is not None else np.zeros(n)
+    header = ("t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux")
+    return header, np.column_stack((traj.t, traj.pops_A, pops_b, a_out.real, a_out.imag, flux))
+
+
+def _matrix(m, **fields):
+    return {**fields, "re": m.real, "im": m.imag}
+
+
+def _run_emit(args, spec, nodes_link, node):
     pop_run = protocols.run_emission(spec, node, "f", nodes_link=nodes_link)
     field_run = protocols.run_emission(
         replace(spec, name=spec.name + "-field"), node, "gf", nodes_link=nodes_link
     )
-    write_trajectory_csv(pop_run.trajectory, outdir / "trajectory.csv")
-    write_trajectory_csv(field_run.trajectory, outdir / "trajectory_mean_field.csv")
+    artifacts = {
+        "trajectory.csv": _trajectory_table(pop_run.trajectory),
+        "trajectory_mean_field.csv": _trajectory_table(field_run.trajectory),
+    }
     if args.truncate_sweep:
-        _write_truncation_csv(pop_run, outdir / "truncation_sweep.csv", node)
+        # populations measured right after truncating the drive at tau coincide
+        # with the untruncated trajectory at tau; one row every 2 ns
+        traj = pop_run.trajectory
+        step = max(1, int(round(2.0 / (traj.t[1] - traj.t[0]))))
+        pops = traj.pops_A if node == "A" else traj.pops_B
+        artifacts["truncation_sweep.csv"] = (
+            ("tau_ns", "Pg", "Pe", "Pf"), np.column_stack((traj.t, pops))[::step]
+        )
     summary = {
         "final_populations": pop_run.extras["final_populations"],
         "photon_integral": pop_run.extras["photon_integral"],
         "mean_field_power": field_run.extras["mean_field_power"],
     }
-    return summary
+    return summary, artifacts
 
 
-def _write_truncation_csv(run, path, node):
-    # populations measured right after truncating the drive at tau coincide
-    # with the untruncated trajectory at tau; one row every 2 ns
-    traj = run.trajectory
-    step = max(1, int(round(2.0 / (traj.t[1] - traj.t[0]))))
-    pops = traj.pops_A if node == "A" else traj.pops_B
-    with open(path, "w", newline="") as fh:
-        fh.write("tau_ns,Pg,Pe,Pf\n")
-        for k in range(0, len(traj.t), step):
-            fh.write(
-                f"{traj.t[k]:.9g},{pops[k, 0]:.9g},{pops[k, 1]:.9g},{pops[k, 2]:.9g}\n"
-            )
-
-
-def _run_transfer(spec, nodes_link, outdir):
+def _run_transfer(spec, nodes_link):
     eff, runs = protocols.run_transfer_efficiencies(spec, nodes_link=nodes_link)
-    write_trajectory_csv(runs["with"].trajectory, outdir / "trajectory_absorption_on.csv")
-    write_trajectory_csv(runs["without"].trajectory, outdir / "trajectory_absorption_off.csv")
-    write_trajectory_csv(runs["emit_a"].trajectory, outdir / "trajectory_emit_a.csv")
-    write_trajectory_csv(runs["emit_b"].trajectory, outdir / "trajectory_emit_b.csv")
-    return {
+    summary = {
         "transfer_efficiency": eff.transfer_eff,
         "saturation_ns": eff.saturation_ns,
         "absorption_efficiency": eff.absorption_eff,
         "loss": eff.loss,
     }
-
-
-def _run_qpt(spec, nodes_link, outdir):
-    res = protocols.run_state_transfer_qpt(spec, nodes_link=nodes_link)
-    res.extras["chi"].to_json(outdir / "chi.json")
-    return {
-        "process_fidelity": res.extras["process_fidelity"],
-        "chi_identity_weight": res.extras["chi"].identity_weight,
-        "avg_state_fidelity_from_fp": res.extras["avg_state_fidelity_from_fp"],
+    return summary, {
+        "trajectory_absorption_on.csv": _trajectory_table(runs["with"].trajectory),
+        "trajectory_absorption_off.csv": _trajectory_table(runs["without"].trajectory),
+        "trajectory_emit_a.csv": _trajectory_table(runs["emit_a"].trajectory),
+        "trajectory_emit_b.csv": _trajectory_table(runs["emit_b"].trajectory),
     }
 
 
-def _run_entangle(spec, nodes_link, outdir):
-    from . import tomography
+def _run_qpt(spec, nodes_link):
+    res = protocols.run_state_transfer_qpt(spec, nodes_link=nodes_link)
+    chi = res.extras["chi"]
+    summary = {
+        "process_fidelity": res.extras["process_fidelity"],
+        "chi_identity_weight": chi.identity_weight,
+        "avg_state_fidelity_from_fp": res.extras["avg_state_fidelity_from_fp"],
+    }
+    return summary, {"chi.json": _matrix(chi.chi)}
 
+
+def _run_entangle(spec, nodes_link):
     res = protocols.run_entanglement(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
-    _write_state_json(outdir / "rho_two_qutrit_direct.json", res.extras["rho9_direct"], (3, 3))
-    _write_state_json(outdir / "rho_two_qutrit_tomography.json", res.extras["rho9_tomography"], (3, 3))
-    tomography.write_tomography_records(
-        outdir / "tomography_records.json",
-        res.extras["tomography_settings"],
-        res.extras["tomography_populations"],
-    )
-    bundle.to_json(outdir / "metrics.json")
-    metrics.write_expectations_csv(bundle.pauli_expectations, outdir / "pauli_expectations.csv")
-    metrics.write_expectations_csv(bundle.gellmann_expectations, outdir / "gellmann_expectations.csv")
-    write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
-    return _metrics_summary(bundle)
+    records = zip(res.extras["tomography_settings"], res.extras["tomography_populations"])
+    artifacts = {
+        "rho_two_qutrit_direct.json": _matrix(res.extras["rho9_direct"], dims=[3, 3]),
+        "rho_two_qutrit_tomography.json": _matrix(res.extras["rho9_tomography"], dims=[3, 3]),
+        "tomography_records.json": {s.name: np.asarray(p, float) for s, p in records},
+        "metrics.json": asdict(bundle),
+        "pauli_expectations.csv": (("label", "value"), bundle.pauli_expectations.items()),
+        "gellmann_expectations.csv": (("label", "value"), bundle.gellmann_expectations.items()),
+        "trajectory.csv": _trajectory_table(res.trajectory),
+    }
+    return _metrics_summary(bundle), artifacts
 
 
-def _run_upgrade(spec, nodes_link, outdir):
-    res = protocols.run_upgrade_scenario(spec, nodes_link=nodes_link)
-    bundle = res.extras["metrics"]
-    bundle.to_json(outdir / "metrics.json")
-    return _metrics_summary(bundle)
+def _run_upgrade(spec, nodes_link):
+    bundle = protocols.run_upgrade_scenario(spec, nodes_link=nodes_link).extras["metrics"]
+    return _metrics_summary(bundle), {"metrics.json": asdict(bundle)}
 
 
-def _run_budget(spec, nodes_link, outdir):
+def _run_budget(spec, nodes_link):
     budget = protocols.error_budget(spec, nodes_link=nodes_link)
     payload = {k: v for k, v in budget.items() if k != "runs"}
-    _write_json(outdir / "budget.json", payload)
-    return payload
+    return payload, {"budget.json": payload}
 
 
-def _run_readout_sim(spec, outdir):
+def _assignment(r, labels):
+    return {
+        "convention": "entries R[assigned][prepared]; columns are prepared states",
+        "labels": list(labels),
+        "matrix": np.asarray(r, float),
+    }
+
+
+def _run_readout_sim(spec):
     shots = spec.shots or 25000
     rng = np.random.default_rng(spec.seed)
-    summary = {}
-    r_hats = {}
+    summary, artifacts, r_hats = {}, {}, {}
     for node in ("A", "B"):
         cal = readout.default_calibration(node)
-        all_shots, prepared, assigned = [], [], []
-        counts = []
-        for s in range(3):
+        rows, counts = [], []
+        for s, prepared in enumerate(readout.LABELS):
             pts = cal.simulate_shots(np.eye(3)[s], shots, rng)
             labels = readout.classify(pts, cal.model)
             counts.append(np.bincount(labels, minlength=3))
-            all_shots.append(pts)
-            prepared.extend([s] * shots)
-            assigned.extend(labels.tolist())
+            rows += [(u, v, prepared, readout.LABELS[a]) for (u, v), a in zip(pts, labels)]
         r_hat = readout.assignment_matrix(np.stack(counts))
         r_hats[node] = r_hat
-        readout.write_assignment_json(outdir / f"assignment_{node}.json", r_hat)
-        readout.write_shots_csv(
-            outdir / f"shots_{node}.csv", np.vstack(all_shots), prepared, assigned
-        )
+        artifacts[f"assignment_{node}.json"] = _assignment(r_hat, readout.LABELS)
+        artifacts[f"shots_{node}.csv"] = (("u", "v", "prepared", "assigned"), rows)
         target = readout.table_assignment_matrix(node)
         truth = np.array([0.5, 0.3, 0.2])
         measured = readout.joint_counts([cal], truth, shots, rng) / shots
@@ -343,25 +359,19 @@ def _run_readout_sim(spec, outdir):
             "mitigation_recovered": mit.populations.tolist(),
         }
     two = readout.kron(r_hats["A"], r_hats["B"])
-    readout.write_assignment_json(
-        outdir / "assignment_two_node.json", two, labels=[a + b for a in "gef" for b in "gef"]
+    artifacts["assignment_two_node.json"] = _assignment(
+        two, [a + b for a in readout.LABELS for b in readout.LABELS]
     )
-    return summary
+    return summary, artifacts
 
 
-def _run_sweep(args, points, nodes_link, outdir):
+def _run_sweep(args, points, nodes_link):
     rows = []
     for value, run_spec in points:
-        res = protocols.run_entanglement(run_spec, nodes_link=nodes_link)
-        row = {"value": value}
-        row.update(_metrics_summary(res.extras["metrics"]))
-        rows.append(row)
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        cols = list(rows[0].keys())
-        fh.write(",".join(["param"] + cols) + "\n")
-        for row in rows:
-            fh.write(",".join([args.sweep_param] + [f"{row[c]:.9g}" for c in cols]) + "\n")
-    return {"param": args.sweep_param, "rows": rows}
+        bundle = protocols.run_entanglement(run_spec, nodes_link=nodes_link).extras["metrics"]
+        rows.append({"value": value, **_metrics_summary(bundle)})
+    table = (["param", *rows[0]], [[args.sweep_param, *row.values()] for row in rows])
+    return {"param": args.sweep_param, "rows": rows}, {"sweep.csv": table}
 
 
 def run(argv=None) -> int:
@@ -387,24 +397,24 @@ def run(argv=None) -> int:
 
     log_lines = [f"photonlink {__version__} scenario={args.scenario} seed={spec.seed}"]
     try:
-        _write_manifest(outdir, args, spec, nodes_link)
+        _write_json(outdir / "manifest.json", _manifest(args, spec, nodes_link))
         if args.scenario in ("emit-a", "emit-b"):
             node = "A" if args.scenario == "emit-a" else "B"
-            summary = _run_emit(args, spec, nodes_link, outdir, node)
+            summary, artifacts = _run_emit(args, spec, nodes_link, node)
         elif args.scenario == "transfer":
-            summary = _run_transfer(spec, nodes_link, outdir)
+            summary, artifacts = _run_transfer(spec, nodes_link)
         elif args.scenario == "qpt":
-            summary = _run_qpt(spec, nodes_link, outdir)
+            summary, artifacts = _run_qpt(spec, nodes_link)
         elif args.scenario == "entangle":
-            summary = _run_entangle(spec, nodes_link, outdir)
+            summary, artifacts = _run_entangle(spec, nodes_link)
         elif args.scenario == "upgrade":
-            summary = _run_upgrade(spec, nodes_link, outdir)
+            summary, artifacts = _run_upgrade(spec, nodes_link)
         elif args.scenario == "budget":
-            summary = _run_budget(spec, nodes_link, outdir)
+            summary, artifacts = _run_budget(spec, nodes_link)
         elif args.scenario == "readout-sim":
-            summary = _run_readout_sim(spec, outdir)
+            summary, artifacts = _run_readout_sim(spec)
         else:
-            summary = _run_sweep(args, points, nodes_link, outdir)
+            summary, artifacts = _run_sweep(args, points, nodes_link)
     except (TraceDriftError, ValueError) as exc:
         # a ValueError raised by a validated run (numpy's LinAlgError is one)
         # is a numerical failure such as a vanishing reference flux
@@ -413,9 +423,11 @@ def run(argv=None) -> int:
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n")
         return 3
 
-    _write_json(outdir / "summary.json", summary)
+    artifacts["summary.json"] = summary
+    for name, payload in artifacts.items():
+        (_write_json if name.endswith(".json") else _write_csv)(outdir / name, payload)
     log_lines.append("status: ok")
-    log_lines.append(f"artifacts: {sorted(p.name for p in outdir.iterdir())}")
+    log_lines.append(f"artifacts: {sorted(['manifest.json', *artifacts])}")
     (outdir / "run.log").write_text("\n".join(log_lines) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace, asdict
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -286,13 +286,6 @@ def load_device(path=None):
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid device file: {exc}") from exc
     return node_a, node_b, link
-
-
-def save_device(path, node_a: NodeParams, node_b: NodeParams, link: LinkParams):
-    payload = {"node_a": asdict(node_a), "node_b": asdict(node_b), "link": asdict(link)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def scale_coherence(node: NodeParams, factor: float) -> NodeParams:

@@ -31,7 +31,6 @@ series use Simpson's rule, which matches the fourth order of the scheme.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -434,23 +433,3 @@ def efficiencies(traj_with, traj_without, traj_emit_a, traj_emit_b) -> TransferE
         absorption_eff=float(absorption_eff),
         loss=float(loss),
     )
-
-
-def write_trajectory_csv(traj: Trajectory, path):
-    """Trajectory export: t_ns, per-node populations, output field, flux."""
-    a_out = traj.a_mean_out
-    flux = traj.flux_out
-    if a_out is None:
-        a_out = np.zeros(len(traj.t), dtype=complex)
-        flux = np.zeros(len(traj.t))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux"]
-        )
-        for k in range(len(traj.t)):
-            row = [traj.t[k]]
-            row.extend(traj.pops_A[k])
-            row.extend(traj.pops_B[k] if len(traj.pops) > 1 else (0.0, 0.0, 0.0))
-            row.extend([a_out[k].real, a_out[k].imag, flux[k]])
-            writer.writerow([f"{x:.9g}" for x in row])

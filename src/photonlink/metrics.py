@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,11 +163,6 @@ class MetricsBundle:
     pauli_expectations: dict | None = None
     gellmann_expectations: dict | None = None
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def bundle_from_state(rho9: np.ndarray) -> MetricsBundle:
     """Evaluate the full metrics bundle on a two-qutrit density matrix."""
@@ -191,11 +184,3 @@ def bundle_from_state(rho9: np.ndarray) -> MetricsBundle:
             if k != "l0l0"
         },
     )
-
-
-def write_expectations_csv(table: dict, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "value"])
-        for label, value in table.items():
-            writer.writerow([label, f"{value:.9g}"])

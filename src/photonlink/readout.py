@@ -15,9 +15,7 @@ imports no optimizer.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -384,23 +382,3 @@ def default_calibration(node: str) -> ReadoutCalibration:
 def table_assignment_matrix(node: str) -> np.ndarray:
     """The measured single-qutrit assignment table of node 'A' or 'B'."""
     return _table_fit(node)[0].copy()
-
-
-def write_shots_csv(path, shots, prepared, assigned):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "prepared", "assigned"])
-        for (u, v), p, a in zip(shots, prepared, assigned):
-            writer.writerow([f"{u:.9g}", f"{v:.9g}", LABELS[p], LABELS[a]])
-
-
-def write_assignment_json(path, r: np.ndarray, labels=None):
-    labels = labels or LABELS
-    payload = {
-        "convention": "entries R[assigned][prepared]; columns are prepared states",
-        "labels": list(labels),
-        "matrix": np.asarray(r, float).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -10,7 +10,6 @@ the Pauli basis and may therefore be slightly non-positive, as reported.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -184,15 +183,6 @@ class ProcessMatrix:
     def identity_weight(self) -> float:
         return float(self.chi[0, 0].real)
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(
-                {"re": self.chi.real.tolist(), "im": self.chi.imag.tolist()},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-
 
 CHI_IDENTITY = np.zeros((4, 4), dtype=complex)
 CHI_IDENTITY[0, 0] = 1.0
@@ -255,13 +245,3 @@ def kraus_to_chi(kraus_ops) -> ProcessMatrix:
         c = np.einsum("mij,ji->m", paulis.conj().transpose(0, 2, 1), np.asarray(k, complex)) / 2.0
         chi += np.outer(c, c.conj())
     return ProcessMatrix(chi)
-
-
-def write_tomography_records(path, settings, populations):
-    """Tomography records: JSON mapping setting name -> population vector."""
-    payload = {
-        s.name: [float(x) for x in p] for s, p in zip(settings, populations)
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -2,6 +2,7 @@ import json
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 import scipy
 
 from photonlink import cli, device
@@ -19,6 +20,12 @@ def test_unknown_scenario_exits_2_without_files(tmp_path):
     code = cli.run(["--scenario", "bogus", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def _assert_lf_only(run_dir):
+    """Every file of a run directory ends its lines with LF alone."""
+    for path in run_dir.iterdir():
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 def _device_file(path, section, **fields):
@@ -78,6 +85,15 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--scenario", "transfer", "--truncate-sweep"],
         ["--scenario", "sweep", "--sweep-param", "eta_c", "--sweep-values", "0.9",
          "--truncate-sweep"],
+        # no readout to sample, or no receiver to delay
+        ["--scenario", "emit-a", "--shots", "100"],
+        ["--scenario", "emit-b", "--shots", "100"],
+        ["--scenario", "transfer", "--shots", "100"],
+        ["--scenario", "emit-a", "--time-offset", "5"],
+        ["--scenario", "emit-b", "--time-offset", "5"],
+        ["--scenario", "readout-sim", "--time-offset", "5"],
+        ["--scenario", "emit-a", "--time-offset", "1000"],
+        ["--scenario", "readout-sim", "--time-offset", "1000"],
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
@@ -162,15 +178,33 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     assert manifest["config"]["dt"] == 0.5
     assert manifest["device"]["link"]["eta_c"] == 0.77
     assert manifest["versions"]["scipy"] == scipy.__version__
+    rows = (run_dir / "trajectory.csv").read_text().strip().split("\n")
+    assert rows[0].split(",") == [
+        "t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux",
+    ]
+    assert len(rows) == 402
+    assert float(rows[1].split(",")[6]) == pytest.approx(1.0)  # Pf_B starts at 1
+    _assert_lf_only(run_dir)
+    # a rerun into the same --out lists what it wrote, not what an earlier run left
+    code, out = run_cli(tmp_path, "--scenario", "emit-b", "--dt", "0.5")
+    assert code == 0
+    log = (run_dir / "run.log").read_text()
+    assert "'trajectory.csv'" in log and "truncation_sweep.csv" not in log
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    args = ["--scenario", "emit-b", "--dt", "0.5"]
-    _, out1 = run_cli(tmp_path / "a", *args)
-    _, out2 = run_cli(tmp_path / "b", *args)
-    for path1 in sorted((out1 / "emit-b").glob("*")):
-        path2 = out2 / "emit-b" / path1.name
-        assert path1.read_bytes() == path2.read_bytes(), path1.name
+    # the shot run writes every JSON shape and both expectation CSVs
+    for args in (
+        ["--scenario", "emit-b", "--dt", "0.5"],
+        ["--scenario", "entangle", "--dt", "0.5", "--shots", "2000", "--seed", "3"],
+    ):
+        _, out1 = run_cli(tmp_path / "a", *args)
+        _, out2 = run_cli(tmp_path / "b", *args)
+        paths = sorted((out1 / args[1]).glob("*"))
+        assert len(paths) > 3, args
+        for path1 in paths:
+            path2 = out2 / args[1] / path1.name
+            assert path1.read_bytes() == path2.read_bytes(), path1.name
 
 
 def test_entangle_scenario_artifacts(tmp_path):
@@ -183,6 +217,12 @@ def test_entangle_scenario_artifacts(tmp_path):
     assert np.asarray(rho["re"]).shape == (9, 9)
     pauli = (run_dir / "pauli_expectations.csv").read_text().strip().split("\n")
     assert len(pauli) == 16  # header + 15 operators
+    gellmann = (run_dir / "gellmann_expectations.csv").read_text().strip().split("\n")
+    assert len(gellmann) == 81  # header + 80 operators
+    records = json.loads((run_dir / "tomography_records.json").read_text())
+    assert len(records) == 81
+    assert "x180_ge.x90_ef|id" in records
+    _assert_lf_only(run_dir)
 
 
 def test_sampled_entangle_scenario(tmp_path):
@@ -202,7 +242,12 @@ def test_readout_sim_scenario(tmp_path):
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["A"]["max_table_deviation"] < 0.02
     assert (run_dir / "assignment_two_node.json").exists()
-    assert (run_dir / "shots_A.csv").exists()
+    rows = (run_dir / "shots_A.csv").read_text().strip().split("\n")
+    assert rows[0] == "u,v,prepared,assigned"
+    assert len(rows) == 1 + 3 * 2000
+    assignment = json.loads((run_dir / "assignment_A.json").read_text())
+    assert assignment["labels"] == ["g", "e", "f"]
+    _assert_lf_only(run_dir)
 
 
 def test_sweep_scenario(tmp_path):
@@ -217,6 +262,7 @@ def test_sweep_scenario(tmp_path):
     f_1 = float(rows[1].split(",")[2])
     f_077 = float(rows[2].split(",")[2])
     assert f_1 > f_077
+    _assert_lf_only(out / "sweep")
 
 
 def test_transfer_scenario_artifacts(tmp_path):
@@ -225,6 +271,7 @@ def test_transfer_scenario_artifacts(tmp_path):
     summary = json.loads((out / "transfer" / "summary.json").read_text())
     assert {"transfer_efficiency", "saturation_ns", "absorption_efficiency", "loss"} <= set(summary)
     assert (out / "transfer" / "trajectory_absorption_off.csv").exists()
+    _assert_lf_only(out / "transfer")
 
 
 def test_qpt_scenario_artifacts(tmp_path):
@@ -234,6 +281,7 @@ def test_qpt_scenario_artifacts(tmp_path):
     assert 0.5 < summary["process_fidelity"] <= 1.0
     chi = json.loads((out / "qpt" / "chi.json").read_text())
     assert np.asarray(chi["re"]).shape == (4, 4)
+    _assert_lf_only(out / "qpt")
 
 
 def test_budget_and_upgrade_scenarios(tmp_path):
@@ -270,6 +318,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     log = (out / "readout-sim" / "run.log").read_text()
     assert "numerical failure: assignment matrix not invertible" in log
+    assert sorted(p.name for p in (out / "readout-sim").iterdir()) == ["manifest.json", "run.log"]
     # a channel this weak passes validation, but no reference flux arrives
     code, out = run_cli(tmp_path, "--scenario", "transfer", "--eta-c", "1e-13", "--dt", "0.5")
     assert code == 3
@@ -278,13 +327,9 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
 
 
 def test_custom_device_file(tmp_path):
-    node_a, node_b, link = device.load_device()
-    import dataclasses
-
-    path = tmp_path / "dev.json"
-    device.save_device(path, node_a, node_b, dataclasses.replace(link, eta_c=0.5))
+    path = _device_file(tmp_path / "dev.json", "link", eta_c=0.5)
     code, out = run_cli(
-        tmp_path, "--scenario", "emit-b", "--dt", "0.5", "--device", str(path)
+        tmp_path, "--scenario", "emit-b", "--dt", "0.5", "--device", path
     )
     assert code == 0
     manifest = json.loads((out / "emit-b" / "manifest.json").read_text())

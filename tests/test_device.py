@@ -52,7 +52,8 @@ def test_node_params_validation(table):
 def test_device_file_round_trip(tmp_path, table):
     node_a, node_b, link = table
     path = tmp_path / "dev.json"
-    device.save_device(path, node_a, node_b, link)
+    raw = {"node_a": node_a, "node_b": node_b, "link": link}
+    path.write_text(json.dumps({k: dataclasses.asdict(v) for k, v in raw.items()}))
     a2, b2, l2 = device.load_device(path)
     assert a2 == node_a and b2 == node_b and l2 == link
 

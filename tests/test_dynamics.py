@@ -472,30 +472,3 @@ def test_efficiencies_guard_against_empty_reference():
     empty.a_mean_out = np.zeros(4, dtype=complex)
     with pytest.raises(ValueError):
         dynamics.efficiencies(empty, empty, empty, empty)
-
-
-def test_trajectory_csv_export(tmp_path, table):
-    node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=100)
-    env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-    h = device.build_hamiltonian(node_a, node_b, link, None, env)
-    cops = device.build_collapse_ops(node_a, node_b, link)
-    dims = h.dims
-    out = device.output_field_op(node_a, node_b, link)
-    psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    [(traj, _)] = dynamics.integrate_me(
-        h,
-        cops,
-        [DensityMatrix(dims, np.outer(psi, psi.conj()))],
-        expect={"a_out": out, "n_out": out.conj().T @ out},
-    )
-    dynamics.output_observables(traj)
-    path = tmp_path / "traj.csv"
-    dynamics.write_trajectory_csv(traj, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0].split(",") == [
-        "t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux",
-    ]
-    assert len(rows) == len(traj.t) + 1
-    first = [float(x) for x in rows[1].split(",")]
-    assert first[3] == pytest.approx(1.0)  # Pf_A starts at 1

@@ -157,7 +157,7 @@ def test_operator_expectations_gellmann(rng):
         metrics.operator_expectations(np.eye(4, dtype=complex), "gellmann")
 
 
-def test_bundle_from_state(rng, tmp_path):
+def test_bundle_from_state(rng):
     psi9 = np.zeros(9, dtype=complex)
     psi9[[1, 3]] = 1 / np.sqrt(2)
     bundle = metrics.bundle_from_state(np.outer(psi9, psi9.conj()))
@@ -167,10 +167,6 @@ def test_bundle_from_state(rng, tmp_path):
     assert bundle.residual_f_population == pytest.approx(0.0, abs=1e-12)
     assert len(bundle.pauli_expectations) == 15
     assert len(bundle.gellmann_expectations) == 80
-    bundle.to_json(tmp_path / "m.json")
-    assert (tmp_path / "m.json").exists()
-    metrics.write_expectations_csv(bundle.pauli_expectations, tmp_path / "p.csv")
-    assert len((tmp_path / "p.csv").read_text().strip().split("\n")) == 16
 
 
 def test_ccnr_uses_realign(rng):

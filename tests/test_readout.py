@@ -418,18 +418,3 @@ def test_calibrate_to_targets_reproduces_the_stored_parameters():
         refit = [mu[1, 0], mu[2, 0], mu[2, 1], *np.log(w[1:] / w[0])]
         assert np.abs(np.subtract(refit, theta)).max() < 1e-6
         assert np.abs(cal.analytic_assignment() - table).max() < 1e-6
-
-
-def test_shot_dump_csv(tmp_path, cal_a):
-    shots = cal_a.simulate_shots([1, 0, 0], 50, seed=2)
-    labels = readout.classify(shots, cal_a.model)
-    path = tmp_path / "shots.csv"
-    readout.write_shots_csv(path, shots, [0] * 50, labels)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "u,v,prepared,assigned"
-    assert len(rows) == 51
-    readout.write_assignment_json(tmp_path / "r.json", cal_a.analytic_assignment())
-    import json
-
-    raw = json.loads((tmp_path / "r.json").read_text())
-    assert raw["labels"] == ["g", "e", "f"]
