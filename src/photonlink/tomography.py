@@ -4,12 +4,16 @@ Tomography settings are ideal instantaneous pre-rotations from the nine-gate
 single-qutrit set (or its 81 ordered pairs for two qutrits), followed by a
 population measurement in the energy basis.  States are reconstructed with a
 diluted iterative maximum-likelihood fixed point that is positive by
-construction; the process matrix is obtained by plain linear inversion in
-the Pauli basis and may therefore be slightly non-positive, as reported.
+construction; it iterates in real arithmetic on one real view of the
+conjugated measurement matrix, which serves the forward and the adjoint
+product, so its iterates do not depend on the BLAS thread count.  The
+process matrix is obtained by plain linear inversion in the Pauli basis and
+may therefore be slightly non-positive, as reported.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -127,8 +131,11 @@ def qst_mle(
     Iterates the diluted fixed point rho -> (I + R/2) rho (I + R/2)+, which
     preserves positivity by construction, until the log-likelihood improves
     by less than ``tol`` or ``max_iter`` is reached (then a warning reports a
-    gradient norm above 1e-6 and the last estimate is returned).  Raises
-    ValueError if ``max_iter`` < 1 or the populations do not match the settings.
+    gradient norm above 1e-6 and the last estimate is returned).  Both
+    products of an iteration, the populations Re(A vec rho) and the weighted
+    adjoint (f/p) conj(A), use one real view of conj(A), so the iterates are
+    the same whatever the BLAS thread count.  Raises ValueError if
+    ``max_iter`` < 1 or the populations do not match the settings.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -136,8 +143,9 @@ def qst_mle(
     d = settings[0].unitary.shape[0]
     if freqs.shape != (len(settings), d):
         raise ValueError(f"populations shape {freqs.shape} does not match settings")
-    a = _measurement_matrix(settings)
-    a_conj = a.conj()
+    # conj(A) viewed as float64 interleaves the columns Re A and -Im A, so
+    # c @ vec(rho).view(float) = Re(A vec rho) and (w @ c).view(complex) = w conj(A)
+    c = _measurement_matrix(settings).conj().view(float)
     f = freqs.reshape(-1)
     f = f / f.sum() * len(settings)  # per-setting normalization
 
@@ -145,12 +153,12 @@ def qst_mle(
     eye = np.eye(d)
     last_ll = -np.inf
     for _ in range(max_iter):
-        p = np.clip((a @ rho.reshape(-1)).real, 1e-14, None)
+        p = np.maximum(c @ rho.reshape(-1).view(float), 1e-14)
         ll = float(np.dot(f, np.log(p)))
-        if ll - last_ll < tol and np.isfinite(last_ll):
+        if ll - last_ll < tol and math.isfinite(last_ll):
             break
         last_ll = ll
-        r = ((f / p) @ a_conj).reshape(d, d) / len(settings)
+        r = ((f / p) @ c).view(complex).reshape(d, d) / len(settings)
         step = eye + 0.5 * r
         rho = step @ rho @ step.conj().T
         rho = 0.5 * (rho + rho.conj().T)
@@ -235,13 +243,3 @@ def qpt_linear_inversion(input_states, output_states) -> ProcessMatrix:
         raise ValueError(f"rank-deficient design matrix (rank {rank} < 16)")
     chi = chi_vec.reshape(4, 4)
     return ProcessMatrix(0.5 * (chi + chi.conj().T))
-
-
-def kraus_to_chi(kraus_ops) -> ProcessMatrix:
-    """Closed-form chi matrix of a channel given by Kraus operators."""
-    paulis = np.stack([PAULI[p] for p in PAULI_LABELS])
-    chi = np.zeros((4, 4), dtype=complex)
-    for k in kraus_ops:
-        c = np.einsum("mij,ji->m", paulis.conj().transpose(0, 2, 1), np.asarray(k, complex)) / 2.0
-        chi += np.outer(c, c.conj())
-    return ProcessMatrix(chi)

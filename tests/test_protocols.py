@@ -282,10 +282,15 @@ def test_link_results_match_recorded_reference(fock):
     transfer-study numbers at its recorded dt and fock 2.  They were recorded
     again when the drives came to be sampled at the half steps, which moved
     rho9_direct by the 3.5e-6 error of the earlier midpoint averages and the
-    transfer numbers by up to 1.8e-6.  A single excitation never fills
-    a second photon level, so the same numbers held at fock 3; the model now
-    fixes the two resonator levels ``device.DIMS`` holds, and the runs are
-    built as the CLI builds them at either ``--fock`` value.
+    transfer numbers by up to 1.8e-6.  rho9_tomography was recorded again
+    when the MLE came to iterate in real arithmetic: the earlier complex
+    products stopped at an iterate that depended on the BLAS thread count,
+    and the recorded one was the two-thread iterate, 7.5e-8 from the
+    single-thread one that the MLE now reaches with any thread count.  A
+    single excitation never fills a second photon level, so the same numbers
+    held at fock 3; the model now fixes the two resonator levels
+    ``device.DIMS`` holds, and the runs are built as the CLI builds them at
+    either ``--fock`` value.
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
     dt = ref["spec"]["dt"]

@@ -1,9 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from photonlink import tomography as tomo
-from photonlink.metrics import trace_norm_distance
+from photonlink.metrics import PAULI, PAULI_LABELS, trace_norm_distance
 from conftest import random_density, random_pure
+
+
+def kraus_to_chi(kraus_ops):
+    """Closed-form chi matrix of a channel given by Kraus operators."""
+    paulis = np.stack([PAULI[p] for p in PAULI_LABELS])
+    chi = np.zeros((4, 4), dtype=complex)
+    for k in kraus_ops:
+        c = np.einsum("mij,ji->m", paulis.conj().transpose(0, 2, 1), np.asarray(k, complex)) / 2.0
+        chi += np.outer(c, c.conj())
+    return tomo.ProcessMatrix(chi)
 
 
 def test_gate_set_counts_and_identity():
@@ -111,6 +126,32 @@ def test_mle_rejects_max_iter_below_one():
             tomo.qst_mle(pops, settings, max_iter=max_iter)
 
 
+def test_mle_does_not_depend_on_the_blas_thread_count():
+    """The exact 81-setting populations of the recorded entangled state give
+    a byte-identical reconstruction with one and with two BLAS threads."""
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from photonlink import tomography as tomo\n"
+        "ref = json.load(open(sys.argv[1]))['rho9_direct']\n"
+        "rho = np.asarray(ref['re']) + 1j * np.asarray(ref['im'])\n"
+        "pairs = tomo.gate_set('pair')\n"
+        "rec = tomo.qst_mle(tomo.born_probabilities(rho, pairs), pairs)\n"
+        "sys.stdout.write(rec.tobytes().hex())\n"
+    )
+    reference = Path(__file__).parent / "link_reference.json"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(reference)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_qpt_identity_channel():
     inputs = tomo.mub_qubit_states()
     outputs = [np.outer(psi, psi.conj()) for psi in inputs]
@@ -136,7 +177,7 @@ def test_qpt_amplitude_damping_matches_kraus_oracle():
         rho = np.outer(psi, psi.conj())
         outputs.append(k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T)
     chi = tomo.qpt_linear_inversion(inputs, outputs)
-    oracle = tomo.kraus_to_chi([k0, k1])
+    oracle = kraus_to_chi([k0, k1])
     assert np.abs(chi.chi - oracle.chi).max() < 1e-6
     assert abs(np.trace(chi.chi) - 1.0) < 1e-10  # trace preserving
 
