@@ -2,14 +2,15 @@
 
 Each scenario returns its summary and its artifacts as data, a map from
 file name to a JSON-able dict (``.json``) or a (header, rows) table
-(``.csv``); this module alone writes files.  Every run writes a manifest
-(resolved configuration and library versions) sufficient to reproduce it
-byte-for-byte before the scenario starts, and after it returns the summary
-and every artifact: JSON with sorted keys, CSV with LF line ends and
-numbers as %.9g.  run.log lists the files this run wrote.  Exit codes: 0
-success, 2 configuration error (nothing written), 3 numerical failure
-(trace drift or a ValueError raised during the run; only manifest.json and
-run.log are written, and run.log names the cause).
+(``.csv``); this module alone writes files, and only after the scenario has
+run to its end in memory.  Every run writes a manifest (resolved
+configuration and library versions) sufficient to reproduce it
+byte-for-byte, the summary and every artifact: JSON with sorted keys, CSV
+with LF line ends and numbers as %.9g.  run.log lists the files this run
+wrote.  Exit codes: 0 success, 2 configuration error (a bad flag, spec or
+device, or a drive the run cannot build: nothing written), 3 numerical
+failure (trace drift or another ValueError raised during the run; only
+manifest.json and run.log are written, and run.log names the cause).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import __version__
 from . import device as dev
 from . import metrics, protocols, readout
 from .dynamics import TraceDriftError
+from .protocols import ConfigError
 
 SCENARIOS = (
     "emit-a",
@@ -42,22 +44,6 @@ SCENARIOS = (
 )
 
 SWEEPABLE = ("eta_c", "t_scale", "kappa_eff", "time_offset", "dt", "idle_ns")
-
-# (photon bandwidth field, node index, receiver): the drives each scenario
-# builds, emitting through a node's resonator or, for the receiver, catching
-# there with the time-reversed drive delayed by the link's time offset; every
-# other link scenario sends A's photon from A to B
-_BANDWIDTH_PATHS = {
-    "emit-a": (("kappa_eff_a", 0, False),),
-    "emit-b": (("kappa_eff_b", 1, False),),
-    "transfer": (("kappa_eff_a", 0, False), ("kappa_eff_a", 1, True), ("kappa_eff_b", 1, False)),
-    "readout-sim": (),
-}
-_LINK_PATHS = (("kappa_eff_a", 0, False), ("kappa_eff_a", 1, True))
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def build_parser():
@@ -89,9 +75,9 @@ def build_parser():
         default=2,
         help="accepted and ignored (must be >= 2): each resonator holds the one photon a protocol makes",
     )
-    parser.add_argument("--dt", type=float, default=protocols.DEFAULT_DT)
-    parser.add_argument("--idle-ns", type=float, default=protocols.DEFAULT_IDLE_NS)
-    parser.add_argument("--t-scale", type=float, default=1.0, help="scale all T1/T2 times")
+    parser.add_argument("--dt", type=float, default=None)
+    parser.add_argument("--idle-ns", type=float, default=None)
+    parser.add_argument("--t-scale", type=float, default=None, help="scale all T1/T2 times")
     parser.add_argument("--truncate-sweep", action="store_true", help="emit-a/emit-b: write the truncation-time population family")
     parser.add_argument("--sweep-param", default=None, help=f"one of {', '.join(SWEEPABLE)}")
     parser.add_argument("--sweep-values", default=None, help="comma-separated values")
@@ -109,22 +95,21 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         raise ConfigError(f"--shots: {args.scenario} measures no readout")
     if args.time_offset is not None and args.scenario in ("emit-a", "emit-b", "readout-sim"):
         raise ConfigError(f"--time-offset: {args.scenario} has no receiver to delay")
+    if args.idle_ns is not None and args.scenario in ("emit-a", "emit-b"):
+        raise ConfigError(f"--idle-ns: {args.scenario} has no closing pulses")
+    link_flags = ("eta_c", "kappa_eff", "t_scale", "dt", "idle_ns")
+    if args.scenario == "readout-sim" and any(getattr(args, f) is not None for f in link_flags):
+        raise ConfigError("--eta-c, --kappa-eff, --t-scale, --dt, --idle-ns: readout-sim runs no link")
     if args.shots is not None and args.exact:
         raise ConfigError("--shots and --exact are mutually exclusive")
-    if args.dt > 1.0:
+    if args.dt is not None and args.dt > 1.0:
         raise ConfigError("--dt must lie in (0, 1] ns")
     if args.fock < 2:
         raise ConfigError("--fock must be at least 2")
-    kwargs = dict(
-        name=args.scenario,
-        eta_c=args.eta_c,
-        time_offset=args.time_offset,
-        dt=args.dt,
-        idle_ns=args.idle_ns,
-        t_scale=args.t_scale,
-        shots=args.shots,
-        seed=args.seed,
-    )
+    # a flag left unset takes the ProtocolSpec default
+    flags = ("eta_c", "time_offset", "dt", "idle_ns", "t_scale", "shots")
+    kwargs = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    kwargs.update(name=args.scenario, seed=args.seed)
     if args.scenario in ("emit-a", "emit-b"):
         # emission studies have no closing pulses and a longer window, over
         # which their drive runs and the output line is integrated
@@ -134,22 +119,11 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
         kwargs["kappa_eff_a"] = args.kappa_eff
         kwargs["kappa_eff_b"] = args.kappa_eff
     spec = protocols.ProtocolSpec(**kwargs)
-    *nodes, link = protocols.resolve_device(nodes_link, spec)
+    # the drives are checked where the run builds them (protocols.ConfigError)
+    link = protocols.resolve_device(nodes_link, spec)[2]
     if args.scenario == "transfer" and link.eta_c == 0:
         # the absorption efficiency divides by the flux the channel delivers
         raise ConfigError("transfer needs eta_c > 0: with eta_c = 0 no photon reaches node B")
-    for name, node, receiver in _BANDWIDTH_PATHS.get(args.scenario, _LINK_PATHS):
-        # the drive the run builds checks kappa_eff <= kappa_T, the window
-        # span and, for the receiver, that the time offset keeps it in the window
-        try:
-            protocols._drive(
-                spec, nodes[node], getattr(spec, name), reverse=receiver, offset=link.time_offset
-            )
-        except ValueError as exc:
-            raise ConfigError(
-                f"{'receiver' if receiver else 'emission'} drive of the "
-                f"{getattr(spec, name)} MHz photon at node {'AB'[node]}: {exc}"
-            ) from exc
     return spec
 
 
@@ -380,24 +354,19 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed the usage error (2) or the help (0)
         return exc.code
-    # everything is validated before the first file is written
     try:
         if args.device is not None and not Path(args.device).is_file():
             raise ConfigError(f"device file not found: {args.device}")
         nodes_link = dev.load_device(args.device)
         spec = _spec_from_args(args, nodes_link)
         points = _sweep_specs(args, nodes_link) if args.scenario == "sweep" else None
-        outdir = Path(
-            args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out"
-        ) / args.scenario
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    log_lines = [f"photonlink {__version__} scenario={args.scenario} seed={spec.seed}"]
+    # the scenario runs to its end before the first file is written
+    failure = None
     try:
-        _write_json(outdir / "manifest.json", _manifest(args, spec, nodes_link))
         if args.scenario in ("emit-a", "emit-b"):
             node = "A" if args.scenario == "emit-a" else "B"
             summary, artifacts = _run_emit(args, spec, nodes_link, node)
@@ -415,11 +384,26 @@ def run(argv=None) -> int:
             summary, artifacts = _run_readout_sim(spec)
         else:
             summary, artifacts = _run_sweep(args, points, nodes_link)
+    except ConfigError as exc:
+        # a drive the run cannot build
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (TraceDriftError, ValueError) as exc:
-        # a ValueError raised by a validated run (numpy's LinAlgError is one)
-        # is a numerical failure such as a vanishing reference flux
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        log_lines.append(f"numerical failure: {exc}")
+        # any other ValueError (numpy's LinAlgError is one) is a numerical
+        # failure such as a vanishing reference flux
+        failure = exc
+    outdir = Path(args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out") / args.scenario
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    _write_json(outdir / "manifest.json", _manifest(args, spec, nodes_link))
+    log_lines = [f"photonlink {__version__} scenario={args.scenario} seed={spec.seed}"]
+    if failure is not None:
+        print(f"numerical failure: {failure}", file=sys.stderr)
+        log_lines.append(f"numerical failure: {failure}")
         (outdir / "run.log").write_text("\n".join(log_lines) + "\n")
         return 3
 

@@ -44,6 +44,10 @@ EMISSION_WINDOW = (-95.0, 105.0)
 EMISSION_IDLE_NS = 0.0
 
 
+class ConfigError(ValueError):
+    """A setting this run cannot honour, such as a drive it cannot build."""
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Configuration of one named run; JSON-serializable and hashable.
@@ -131,24 +135,31 @@ def _grid(spec: ProtocolSpec):
     return np.arange(-2 * n0, 2 * n1 + 1) * (0.5 * spec.dt)
 
 
-def _drive(spec, node, kappa_eff_mhz, reverse=False, offset=0.0):
+def _drive(spec, node, name, kappa_eff_mhz, reverse=False, offset=0.0):
     """The drive emitting a photon of bandwidth ``kappa_eff_mhz`` through
-    ``node``'s resonator, sampled on the drive window and zero-padded to the
-    run's half-step grid.  ``reverse`` gives the receiver drive instead: the
-    time reverse of that emission drive, delayed by ``offset`` ns inside the
-    window; an offset that pushes more than 1% of its energy past the window
-    edge raises ValueError."""
+    the resonator of ``node`` (named ``name``), sampled on the drive window
+    and zero-padded to the run's half-step grid.  ``reverse`` gives the
+    receiver drive instead: the time reverse of that emission drive, delayed
+    by ``offset`` ns inside the window.  A drive that cannot be built, such
+    as one delayed so that over 1% of its energy leaves the window, raises
+    ConfigError."""
     t = _grid(spec)
     sel = (t >= spec.window[0] - 1e-9) & (t <= spec.window[1] + 1e-9)
-    env = pulse.emission_drive(t[sel], mhz(kappa_eff_mhz), node.kappa_T_rad)
-    if reverse:
-        catch = pulse.absorption_drive(env)
-        env = pulse.shift(catch, offset)
-        if env.energy() < 0.99 * catch.energy():
-            raise ValueError(
-                f"time offset {offset} ns moves the receiver drive out of the "
-                f"drive window {spec.window} ns"
-            )
+    try:
+        env = pulse.emission_drive(t[sel], mhz(kappa_eff_mhz), node.kappa_T_rad)
+        if reverse:
+            catch = pulse.absorption_drive(env)
+            env = pulse.shift(catch, offset)
+            if env.energy() < 0.99 * catch.energy():
+                raise ValueError(
+                    f"time offset {offset} ns moves the receiver drive out of the "
+                    f"drive window {spec.window} ns"
+                )
+    except ValueError as exc:
+        raise ConfigError(
+            f"{'receiver' if reverse else 'emission'} drive of the "
+            f"{kappa_eff_mhz} MHz photon at node {name}: {exc}"
+        ) from exc
     g = np.zeros_like(t)
     g[sel] = env.g_mag
     return pulse.DriveEnvelope(t, g)
@@ -187,10 +198,10 @@ def _run_link(spec, nodes_link, emitter, preps, absorb=False, tau=None, store_st
     node_a, node_b, link = resolve_device(nodes_link, spec)
     from_a = emitter == "A"
     keff = spec.kappa_eff_a if from_a else spec.kappa_eff_b
-    env = _drive(spec, node_a if from_a else node_b, keff)
+    env = _drive(spec, node_a if from_a else node_b, emitter, keff)
     if tau is not None:
         env = pulse.truncate(env, tau)
-    catch = _drive(spec, node_b, keff, reverse=True, offset=link.time_offset) if absorb else None
+    catch = _drive(spec, node_b, "B", keff, reverse=True, offset=link.time_offset) if absorb else None
     env_a, env_b = (env, catch) if from_a else (None, env)
     idle = ket(3, G)
     rho0s = [_initial_state(prep if from_a else idle, idle if from_a else prep) for prep in preps]

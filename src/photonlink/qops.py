@@ -157,11 +157,6 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         return self
 
-    def reduced(self, keep) -> "DensityMatrix":
-        keep = sorted(set(int(k) for k in keep))
-        out = partial_trace(self.data, self.dims, keep)
-        return DensityMatrix(tuple(self.dims[k] for k in keep), out)
-
     @classmethod
     def from_ket(cls, dims, psi) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex)

@@ -42,6 +42,7 @@ def test_conflicting_flags_exit_2(tmp_path):
     not_a_dir.write_bytes(b"keep me\n")
     nan_t1 = _device_file(tmp_path / "nan.json", "node_a", T1ge=float("nan"))
     no_channel = _device_file(tmp_path / "eta0.json", "link", eta_c=0.0)
+    narrow_b = _device_file(tmp_path / "narrow-b.json", "node_b", kappa_T=10.5)
     for argv in (
         ["--shots", "10", "--exact"],
         ["--eta-c", "1.5"],
@@ -74,6 +75,9 @@ def test_conflicting_flags_exit_2(tmp_path):
         # no photon reaches B: the absorption efficiency is undefined
         ["--scenario", "transfer", "--eta-c", "0"],
         ["--scenario", "transfer", "--device", no_channel],
+        # node B's 10.6 MHz photon exceeds its kappa_T; only the last of the
+        # transfer study's runs, the emit-b reference, builds that drive
+        ["--scenario", "transfer", "--dt", "0.5", "--device", narrow_b],
         # --fock is accepted and ignored, but a value below 2 is still an error
         ["--fock", "1"],
         # a flag of another scenario is refused, not ignored
@@ -94,6 +98,14 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--scenario", "readout-sim", "--time-offset", "5"],
         ["--scenario", "emit-a", "--time-offset", "1000"],
         ["--scenario", "readout-sim", "--time-offset", "1000"],
+        # emission studies have no closing pulses, and readout-sim no link
+        ["--scenario", "emit-a", "--idle-ns", "80"],
+        ["--scenario", "emit-b", "--idle-ns", "80"],
+        ["--scenario", "readout-sim", "--eta-c", "0.1"],
+        ["--scenario", "readout-sim", "--kappa-eff", "50"],
+        ["--scenario", "readout-sim", "--t-scale", "5"],
+        ["--scenario", "readout-sim", "--dt", "0.5"],
+        ["--scenario", "readout-sim", "--idle-ns", "40"],
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
@@ -143,7 +155,8 @@ def test_sweep_requires_values(tmp_path):
         # the Fock truncation is not a knob
         ["--sweep-param", "fock", "--sweep-values", "3,1"],
         ["--sweep-param", "fock", "--sweep-values", "2.5", "--dt", "0.5"],
-        # every point is validated before the first one runs
+        # an invalid point writes nothing, though its drives are checked
+        # only when that point runs
         ["--sweep-param", "eta_c", "--sweep-values", "0.9,1.5"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0"],
         ["--sweep-param", "dt", "--sweep-values", "0.5,0.3"],

@@ -261,6 +261,19 @@ def test_emission_scenario_defaults():
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
 
 
+def test_a_drive_the_run_cannot_build_raises_config_error():
+    """The drive builder refuses a photon broader than the resonator it
+    passes (kappa_eff <= kappa_T) and names the drive, its bandwidth and its
+    node."""
+    with pytest.raises(protocols.ConfigError, match=r"11\.0 MHz photon at node A"):
+        protocols.run_entanglement(ProtocolSpec(name="e", kappa_eff_a=11.0, dt=0.5))
+    # node B's 10.6 MHz photon is built by the emit-b reference run alone
+    node_a, node_b, link = device.load_device()
+    narrow_b = (node_a, dataclasses.replace(node_b, kappa_T=10.5), link)
+    with pytest.raises(protocols.ConfigError, match=r"emission drive of the 10\.6 MHz photon at node B"):
+        protocols.run_transfer_efficiencies(ProtocolSpec(name="t", dt=0.5), nodes_link=narrow_b)
+
+
 def _cli_spec(scenario, dt, fock):
     """The spec the CLI builds for ``--scenario SCENARIO --dt DT --fock FOCK``,
     checked to be the plain spec of that name and dt: ``--fock`` is accepted

@@ -165,14 +165,6 @@ def test_density_matrix_validation(rng):
         qops.DensityMatrix((2, 2), bad).validate()
 
 
-def test_density_matrix_reduced(rng):
-    rho = random_density(6, rng)
-    dm = qops.DensityMatrix((2, 3), rho)
-    red = dm.reduced({1})
-    assert red.dims == (3,)
-    assert red.trace == pytest.approx(1.0)
-
-
 def test_units_round_trip():
     assert qops.to_mhz(qops.mhz(10.4)) == pytest.approx(10.4)
     assert qops.mhz(1.0) == pytest.approx(2 * np.pi * 1e-3)
