@@ -7,10 +7,13 @@ run to its end in memory.  Every run writes a manifest (resolved
 configuration and library versions) sufficient to reproduce it
 byte-for-byte, the summary and every artifact: JSON with sorted keys, CSV
 with LF line ends and numbers as %.9g.  run.log lists the files this run
-wrote.  Exit codes: 0 success, 2 configuration error (a bad flag, spec or
-device, or a drive the run cannot build: nothing written), 3 numerical
-failure (trace drift or another ValueError raised during the run; only
-manifest.json and run.log are written, and run.log names the cause).
+wrote.  One table, ``SCENARIOS``, sends each scenario to its runner and
+names the flags it reads; any other flag set on the command line exits 2,
+apart from --scenario, --out, --seed, --device and --fock, which every
+scenario accepts.  Exit codes: 0 success, 2 configuration error (a bad
+flag, spec or device, or a drive the run cannot build: nothing written), 3
+numerical failure (trace drift or another ValueError raised during the run;
+only manifest.json and run.log are written, and run.log names the cause).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +33,6 @@ from . import device as dev
 from . import metrics, protocols, readout
 from .dynamics import TraceDriftError
 from .protocols import ConfigError
-
-SCENARIOS = (
-    "emit-a",
-    "emit-b",
-    "transfer",
-    "qpt",
-    "entangle",
-    "upgrade",
-    "budget",
-    "readout-sim",
-    "sweep",
-)
 
 SWEEPABLE = ("eta_c", "t_scale", "kappa_eff", "time_offset", "dt", "idle_ns")
 
@@ -59,8 +50,7 @@ def build_parser():
         help="output directory (default: $PHOTONLINK_OUT or ./photonlink-out)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shots", type=int, default=None, help="sampled-readout shots per setting")
-    parser.add_argument("--exact", action="store_true", help="exact Born probabilities (default)")
+    parser.add_argument("--shots", type=int, default=None, help="sampled-readout shots per setting (default: exact)")
     parser.add_argument("--eta-c", type=float, default=None)
     parser.add_argument("--kappa-eff", type=float, default=None, help="photon bandwidth override, linear MHz (both nodes)")
     parser.add_argument(
@@ -78,7 +68,10 @@ def build_parser():
     parser.add_argument("--dt", type=float, default=None)
     parser.add_argument("--idle-ns", type=float, default=None)
     parser.add_argument("--t-scale", type=float, default=None, help="scale all T1/T2 times")
-    parser.add_argument("--truncate-sweep", action="store_true", help="emit-a/emit-b: write the truncation-time population family")
+    # None when unset, like every other flag a scenario may not read
+    parser.add_argument(
+        "--truncate-sweep", action="store_true", default=None, help="emit-a/emit-b: write the truncation-time population family"
+    )
     parser.add_argument("--sweep-param", default=None, help=f"one of {', '.join(SWEEPABLE)}")
     parser.add_argument("--sweep-values", default=None, help="comma-separated values")
     return parser
@@ -86,22 +79,11 @@ def build_parser():
 
 def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
     if args.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {args.scenario!r}; choose from {SCENARIOS}")
-    if args.scenario != "sweep" and (args.sweep_param, args.sweep_values) != (None, None):
-        raise ConfigError("--sweep-param and --sweep-values need --scenario sweep")
-    if args.truncate_sweep and args.scenario not in ("emit-a", "emit-b"):
-        raise ConfigError("--truncate-sweep needs --scenario emit-a or emit-b")
-    if args.shots is not None and args.scenario in ("emit-a", "emit-b", "transfer"):
-        raise ConfigError(f"--shots: {args.scenario} measures no readout")
-    if args.time_offset is not None and args.scenario in ("emit-a", "emit-b", "readout-sim"):
-        raise ConfigError(f"--time-offset: {args.scenario} has no receiver to delay")
-    if args.idle_ns is not None and args.scenario in ("emit-a", "emit-b"):
-        raise ConfigError(f"--idle-ns: {args.scenario} has no closing pulses")
-    link_flags = ("eta_c", "kappa_eff", "t_scale", "dt", "idle_ns")
-    if args.scenario == "readout-sim" and any(getattr(args, f) is not None for f in link_flags):
-        raise ConfigError("--eta-c, --kappa-eff, --t-scale, --dt, --idle-ns: readout-sim runs no link")
-    if args.shots is not None and args.exact:
-        raise ConfigError("--shots and --exact are mutually exclusive")
+        raise ConfigError(f"unknown scenario {args.scenario!r}; choose from {tuple(SCENARIOS)}")
+    reads = (*_EVERY_SCENARIO, *SCENARIOS[args.scenario][1])
+    unread = ["--" + f.replace("_", "-") for f, v in vars(args).items() if v is not None and f not in reads]
+    if unread:
+        raise ConfigError(f"{args.scenario} does not read {', '.join(unread)}")
     if args.dt is not None and args.dt > 1.0:
         raise ConfigError("--dt must lie in (0, 1] ns")
     if args.fock < 2:
@@ -128,7 +110,7 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
 
 
 def _sweep_specs(args, nodes_link):
-    """(value, spec) of every sweep point, each validated like a single run."""
+    """(value, spec) of every sweep point, each checked like a single run."""
     if not args.sweep_param or args.sweep_param not in SWEEPABLE:
         raise ConfigError(f"--sweep-param must be one of {SWEEPABLE}")
     if not args.sweep_values:
@@ -143,7 +125,10 @@ def _sweep_specs(args, nodes_link):
     for value in values:
         point = argparse.Namespace(**vars(args))
         setattr(point, args.sweep_param, value)
-        points.append((value, _spec_from_args(point, nodes_link)))
+        try:
+            points.append((value, _spec_from_args(point, nodes_link)))
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {args.sweep_param} = {value}: {exc}") from exc
     return points
 
 
@@ -204,24 +189,20 @@ def _metrics_summary(bundle: metrics.MetricsBundle):
 
 
 def _trajectory_table(traj):
-    """Per-node populations, output field and flux; zeros where a run has none."""
-    n = len(traj.t)
-    pops_b = traj.pops_B if len(traj.pops) > 1 else np.zeros((n, 3))
-    a_out = traj.a_mean_out if traj.a_mean_out is not None else np.zeros(n, dtype=complex)
-    flux = traj.flux_out if traj.a_mean_out is not None else np.zeros(n)
+    """Per-node populations, output field and flux of one link run."""
+    a_out = traj.a_mean_out
     header = ("t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux")
-    return header, np.column_stack((traj.t, traj.pops_A, pops_b, a_out.real, a_out.imag, flux))
+    return header, np.column_stack((traj.t, traj.pops_A, traj.pops_B, a_out.real, a_out.imag, traj.flux_out))
 
 
 def _matrix(m, **fields):
     return {**fields, "re": m.real, "im": m.imag}
 
 
-def _run_emit(args, spec, nodes_link, node):
+def _run_emit(args, spec, nodes_link):
+    node = args.scenario[-1].upper()  # emit-a or emit-b
     pop_run = protocols.run_emission(spec, node, "f", nodes_link=nodes_link)
-    field_run = protocols.run_emission(
-        replace(spec, name=spec.name + "-field"), node, "gf", nodes_link=nodes_link
-    )
+    field_run = protocols.run_emission(spec, node, "gf", nodes_link=nodes_link)
     artifacts = {
         "trajectory.csv": _trajectory_table(pop_run.trajectory),
         "trajectory_mean_field.csv": _trajectory_table(field_run.trajectory),
@@ -243,7 +224,7 @@ def _run_emit(args, spec, nodes_link, node):
     return summary, artifacts
 
 
-def _run_transfer(spec, nodes_link):
+def _run_transfer(args, spec, nodes_link):
     eff, runs = protocols.run_transfer_efficiencies(spec, nodes_link=nodes_link)
     summary = {
         "transfer_efficiency": eff.transfer_eff,
@@ -259,7 +240,7 @@ def _run_transfer(spec, nodes_link):
     }
 
 
-def _run_qpt(spec, nodes_link):
+def _run_qpt(args, spec, nodes_link):
     res = protocols.run_state_transfer_qpt(spec, nodes_link=nodes_link)
     chi = res.extras["chi"]
     summary = {
@@ -270,7 +251,7 @@ def _run_qpt(spec, nodes_link):
     return summary, {"chi.json": _matrix(chi.chi)}
 
 
-def _run_entangle(spec, nodes_link):
+def _run_entangle(args, spec, nodes_link):
     res = protocols.run_entanglement(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
     records = zip(res.extras["tomography_settings"], res.extras["tomography_populations"])
@@ -286,12 +267,12 @@ def _run_entangle(spec, nodes_link):
     return _metrics_summary(bundle), artifacts
 
 
-def _run_upgrade(spec, nodes_link):
+def _run_upgrade(args, spec, nodes_link):
     bundle = protocols.run_upgrade_scenario(spec, nodes_link=nodes_link).extras["metrics"]
     return _metrics_summary(bundle), {"metrics.json": asdict(bundle)}
 
 
-def _run_budget(spec, nodes_link):
+def _run_budget(args, spec, nodes_link):
     budget = protocols.error_budget(spec, nodes_link=nodes_link)
     payload = {k: v for k, v in budget.items() if k != "runs"}
     return payload, {"budget.json": payload}
@@ -305,7 +286,7 @@ def _assignment(r, labels):
     }
 
 
-def _run_readout_sim(spec):
+def _run_readout_sim(args, spec, nodes_link):
     shots = spec.shots or 25000
     rng = np.random.default_rng(spec.seed)
     summary, artifacts, r_hats = {}, {}, {}
@@ -339,13 +320,33 @@ def _run_readout_sim(spec):
     return summary, artifacts
 
 
-def _run_sweep(args, points, nodes_link):
+def _run_sweep(args, spec, nodes_link):
     rows = []
-    for value, run_spec in points:
+    # every point is built, and so checked, before the first one integrates
+    for value, run_spec in _sweep_specs(args, nodes_link):
         bundle = protocols.run_entanglement(run_spec, nodes_link=nodes_link).extras["metrics"]
         rows.append({"value": value, **_metrics_summary(bundle)})
     table = (["param", *rows[0]], [[args.sweep_param, *row.values()] for row in rows])
     return {"param": args.sweep_param, "rows": rows}, {"sweep.csv": table}
+
+
+# the flags every scenario accepts
+_EVERY_SCENARIO = ("scenario", "out", "seed", "device", "fock")
+# each scenario's runner(args, spec, nodes_link) and the other flags it reads;
+# a flag it does not read exits 2 when set
+_EMISSION = ("eta_c", "kappa_eff", "t_scale", "dt", "truncate_sweep")
+_MEASURED = (*SWEEPABLE, "shots")
+SCENARIOS = {
+    "emit-a": (_run_emit, _EMISSION),
+    "emit-b": (_run_emit, _EMISSION),
+    "transfer": (_run_transfer, SWEEPABLE),
+    "qpt": (_run_qpt, _MEASURED),
+    "entangle": (_run_entangle, _MEASURED),
+    "upgrade": (_run_upgrade, _MEASURED),
+    "budget": (_run_budget, _MEASURED),
+    "readout-sim": (_run_readout_sim, ("shots",)),
+    "sweep": (_run_sweep, (*_MEASURED, "sweep_param", "sweep_values")),
+}
 
 
 def run(argv=None) -> int:
@@ -359,7 +360,6 @@ def run(argv=None) -> int:
             raise ConfigError(f"device file not found: {args.device}")
         nodes_link = dev.load_device(args.device)
         spec = _spec_from_args(args, nodes_link)
-        points = _sweep_specs(args, nodes_link) if args.scenario == "sweep" else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -367,25 +367,9 @@ def run(argv=None) -> int:
     # the scenario runs to its end before the first file is written
     failure = None
     try:
-        if args.scenario in ("emit-a", "emit-b"):
-            node = "A" if args.scenario == "emit-a" else "B"
-            summary, artifacts = _run_emit(args, spec, nodes_link, node)
-        elif args.scenario == "transfer":
-            summary, artifacts = _run_transfer(spec, nodes_link)
-        elif args.scenario == "qpt":
-            summary, artifacts = _run_qpt(spec, nodes_link)
-        elif args.scenario == "entangle":
-            summary, artifacts = _run_entangle(spec, nodes_link)
-        elif args.scenario == "upgrade":
-            summary, artifacts = _run_upgrade(spec, nodes_link)
-        elif args.scenario == "budget":
-            summary, artifacts = _run_budget(spec, nodes_link)
-        elif args.scenario == "readout-sim":
-            summary, artifacts = _run_readout_sim(spec)
-        else:
-            summary, artifacts = _run_sweep(args, points, nodes_link)
+        summary, artifacts = SCENARIOS[args.scenario][0](args, spec, nodes_link)
     except ConfigError as exc:
-        # a drive the run cannot build
+        # a drive the run cannot build, or a sweep point the spec refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TraceDriftError, ValueError) as exc:

@@ -37,6 +37,44 @@ def _device_file(path, section, **fields):
     return str(path)
 
 
+# a valid value of every flag that some scenarios do not read
+FLAG_VALUES = {
+    "--shots": ["100"],
+    "--eta-c": ["0.8"],
+    "--kappa-eff": ["10.2"],
+    "--time-offset": ["2"],
+    "--dt": ["0.5"],
+    "--idle-ns": ["40"],
+    "--t-scale": ["2"],
+    "--truncate-sweep": [],
+    "--sweep-param": ["eta_c"],
+    "--sweep-values": ["0.8,0.9"],
+}
+LINK_FLAGS = {"--eta-c", "--t-scale", "--kappa-eff", "--time-offset", "--dt", "--idle-ns"}
+# the flags each scenario reads besides --scenario, --out, --seed, --device, --fock
+READS = {
+    "emit-a": {"--eta-c", "--kappa-eff", "--t-scale", "--dt", "--truncate-sweep"},
+    "emit-b": {"--eta-c", "--kappa-eff", "--t-scale", "--dt", "--truncate-sweep"},
+    "transfer": LINK_FLAGS,
+    "qpt": LINK_FLAGS | {"--shots"},
+    "entangle": LINK_FLAGS | {"--shots"},
+    "upgrade": LINK_FLAGS | {"--shots"},
+    "budget": LINK_FLAGS | {"--shots"},
+    "readout-sim": {"--shots"},
+    "sweep": LINK_FLAGS | {"--shots", "--sweep-param", "--sweep-values"},
+}
+
+
+def test_every_scenario_accepts_the_flags_it_reads():
+    """The checks before the run pass each read flag at a valid value."""
+    assert set(cli.SCENARIOS) == set(READS)
+    nodes_link = device.load_device()
+    for scenario, reads in READS.items():
+        for flag in reads:
+            args = cli.build_parser().parse_args(["--scenario", scenario, flag, *FLAG_VALUES[flag]])
+            assert cli._spec_from_args(args, nodes_link).name == scenario, (scenario, flag)
+
+
 def test_conflicting_flags_exit_2(tmp_path):
     not_a_dir = tmp_path / "not-a-dir"
     not_a_dir.write_bytes(b"keep me\n")
@@ -106,6 +144,17 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--scenario", "readout-sim", "--t-scale", "5"],
         ["--scenario", "readout-sim", "--dt", "0.5"],
         ["--scenario", "readout-sim", "--idle-ns", "40"],
+        # --exact is gone: no --shots already means exact Born probabilities
+        ["--scenario", "emit-a", "--exact"],
+        ["--scenario", "transfer", "--exact"],
+        ["--scenario", "readout-sim", "--exact"],
+        # every scenario refuses each flag it does not read
+        *(
+            ["--scenario", scenario, flag, *value]
+            for scenario in cli.SCENARIOS
+            for flag, value in FLAG_VALUES.items()
+            if flag not in READS[scenario]
+        ),
     ):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
@@ -147,7 +196,7 @@ def test_missing_device_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_sweep_requires_values(tmp_path):
+def test_sweep_requires_values(tmp_path, capsys):
     for argv in (
         ["--sweep-param", "eta_c"],
         ["--sweep-param", "eta_c", "--sweep-values", ""],
@@ -167,6 +216,7 @@ def test_sweep_requires_values(tmp_path):
         code, out = run_cli(tmp_path, "--scenario", "sweep", *argv)
         assert code == 2, argv
         assert not out.exists(), argv
+    assert "sweep point eta_c = 1.5: eta_c must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_emit_scenario_writes_artifacts(tmp_path):
