@@ -7,7 +7,10 @@ run to its end in memory.  Every run writes a manifest (resolved
 configuration and library versions) sufficient to reproduce it
 byte-for-byte, the summary and every artifact: JSON with sorted keys, CSV
 with LF line ends and numbers as %.9g.  run.log lists the files this run
-wrote.  One table, ``SCENARIOS``, sends each scenario to its runner and
+wrote; a run into a directory that holds an earlier run first deletes the
+files listed by the run.log already there (plain names of regular files in
+that directory, nothing else), so no file of the earlier run outlives it.
+One table, ``SCENARIOS``, sends each scenario to its runner and
 names the flags it reads; any other flag set on the command line exits 2,
 apart from --scenario, --out, --seed, --device and --fock, which every
 scenario accepts.  Exit codes: 0 success, 2 configuration error (a bad
@@ -19,6 +22,7 @@ only manifest.json and run.log are written, and run.log names the cause).
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import sys
@@ -153,6 +157,23 @@ def _write_csv(path: Path, table):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(x if isinstance(x, str) else "%.9g" % x for x in row) + "\n")
+
+
+def _previous_run_files(outdir: Path):
+    """The files that the run.log in ``outdir`` lists as written: plain names
+    of regular files in ``outdir`` only."""
+    log = outdir / "run.log"
+    if not log.is_file():
+        return []
+    for line in log.read_text().splitlines():
+        if line.startswith("artifacts: "):
+            try:
+                names = list(ast.literal_eval(line.removeprefix("artifacts: ")))
+            except (ValueError, SyntaxError, TypeError):
+                return []
+            paths = [outdir / n for n in names if isinstance(n, str) and Path(n).name == n]
+            return [p for p in paths if p.is_file() and not p.is_symlink()]
+    return []
 
 
 def _manifest(args, spec, nodes_link):
@@ -379,6 +400,8 @@ def run(argv=None) -> int:
     outdir = Path(args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out") / args.scenario
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        for path in _previous_run_files(outdir):
+            path.unlink()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,13 @@
-"""State/process fidelities, entanglement measures and expectation tables."""
+"""State/process fidelities, entanglement measures and expectation tables.
+
+An expectation table <G_j (x) G_k> over a product operator basis is one
+contraction of the state with the stacked single-node basis, built once per
+process.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,28 +131,42 @@ def ccnr(rho: np.ndarray, dims) -> float:
     return float(np.linalg.svd(realign(rho, dims), compute_uv=False).sum())
 
 
-def operator_expectations(rho: np.ndarray, basis: str):
-    """Expectation table <G_j (x) G_k> over a product operator basis.
-
-    basis='pauli' uses the two-qubit Paulis (labels like 'XY'); 'gellmann'
-    uses the qutrit basis of :func:`gell_mann_basis` (labels 'l3l5').
-    Values are real up to numerical noise for Hermitian generators.
-    """
-    rho = np.asarray(rho, dtype=complex)
+@functools.cache
+def _product_basis(basis: str):
+    """Labels, node dimension d and the stacked single-node basis, transposed
+    and flattened: row j holds G_j[a, c] at column c * d + a."""
     if basis == "pauli":
         ops, labels, d = [PAULI[p] for p in PAULI_LABELS], PAULI_LABELS, 2
     elif basis == "gellmann":
         ops, labels, d = gell_mann_basis(), GELL_MANN_LABELS, 3
     else:
         raise ValueError(f"unknown basis {basis!r}")
+    g = np.stack(ops).transpose(0, 2, 1).reshape(len(ops), d * d)
+    g.flags.writeable = False
+    return labels, d, g
+
+
+def operator_expectations(rho: np.ndarray, basis: str):
+    """Expectation table <G_j (x) G_k> over a product operator basis.
+
+    basis='pauli' uses the two-qubit Paulis (labels like 'XY'); 'gellmann'
+    uses the qutrit basis of :func:`gell_mann_basis` (labels 'l3l5').
+    Tr((G_j (x) G_k) rho) = sum G_j[a, c] G_k[b, e] rho[(c e), (a b)], so the
+    table is g R g^T with g the flattened transposed basis and
+    R[(c a), (e b)] = rho[(c e), (a b)].  Values are real up to numerical
+    noise for Hermitian generators.
+    """
+    labels, d, g = _product_basis(basis)
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"state shape {rho.shape} does not match basis {basis!r}")
-    table = {}
-    for j, gj in enumerate(ops):
-        for k, gk in enumerate(ops):
-            val = np.trace(np.kron(gj, gk) @ rho)
-            table[f"{labels[j]}{labels[k]}"] = float(val.real)
-    return table
+    r = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    table = (g @ r @ g.T).real
+    return {
+        f"{lj}{lk}": float(table[j, k])
+        for j, lj in enumerate(labels)
+        for k, lk in enumerate(labels)
+    }
 
 
 @dataclass

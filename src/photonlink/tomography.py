@@ -2,17 +2,21 @@
 
 Tomography settings are ideal instantaneous pre-rotations from the nine-gate
 single-qutrit set (or its 81 ordered pairs for two qutrits), followed by a
-population measurement in the energy basis.  States are reconstructed with a
-diluted iterative maximum-likelihood fixed point that is positive by
-construction; it iterates in real arithmetic on one real view of the
-conjugated measurement matrix, which serves the forward and the adjoint
-product, so its iterates do not depend on the BLAS thread count.  The
-process matrix is obtained by plain linear inversion in the Pauli basis and
-may therefore be slightly non-positive, as reported.
+population measurement in the energy basis.  Each gate set is built once
+per process and shared; its unitaries are read-only.  States are
+reconstructed with a diluted iterative maximum-likelihood fixed point that
+is positive by construction.  The reconstruction holds the Born map as its
+single-qutrit factor A1 (27 x 9): the single set applies A1 once, and the
+pair set, whose Born map is A1 (x) A1, applies it along each node axis of
+the realigned state.  Both products of an iteration run in real arithmetic
+on one real view of conj(A1), so the iterates do not depend on the BLAS
+thread count.  The process matrix is obtained by plain linear inversion in
+the Pauli basis and may therefore be slightly non-positive, as reported.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,7 +64,9 @@ class TomographySetting:
     unitary: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
+        # a private read-only copy: gate sets are shared between callers
+        u = np.array(self.unitary, dtype=complex)
+        u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
         if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > 1e-12:
             raise ValueError(f"setting {self.name}: rotation is not unitary")
@@ -87,17 +93,19 @@ def _single_qutrit_settings():
     ]
 
 
+@functools.cache
 def gate_set(kind: str):
-    """The 9 single-qutrit tomography settings or the 81 ordered pairs."""
-    singles = _single_qutrit_settings()
+    """The 9 single-qutrit tomography settings or the 81 ordered pairs (A's
+    setting major), as a tuple built once per process."""
     if kind == "single":
-        return singles
+        return tuple(_single_qutrit_settings())
     if kind == "pair":
-        return [
+        singles = gate_set("single")
+        return tuple(
             TomographySetting(f"{sa.name}|{sb.name}", np.kron(sa.unitary, sb.unitary))
             for sa in singles
             for sb in singles
-        ]
+        )
     raise ValueError(f"unknown gate-set kind {kind!r}")
 
 
@@ -118,6 +126,39 @@ def born_probabilities(rho: np.ndarray, settings) -> np.ndarray:
     return p.real.reshape(len(settings), -1)
 
 
+@functools.cache
+def _born_factor():
+    """The Born map of the gate sets, in the pieces the MLE applies.
+
+    Returns (a1, c1, pop_order, realign): a1 is the single-qutrit
+    measurement matrix A1 (27 x 9); c1 = conj(A1) viewed as float64 (27 x 18);
+    pop_order sends the pair set's populations, rows (k_a k_b) and outcomes
+    (s_a s_b), to the (k_a s_a, k_b s_b) order of A1 (x) A1 (27 x 27 indices);
+    realign sends rho[(i_a i_b), (j_a j_b)] to X[(i_a j_a), (i_b j_b)] and,
+    being a swap of two indices, back (9 x 9 indices into the flat matrix).
+    """
+    a1 = _measurement_matrix(gate_set("single"))
+    c1 = a1.conj().view(float)
+    pop_order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 2, 1, 3).reshape(27, 27)
+    realign = np.arange(81).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    for shared in (a1, c1, pop_order, realign):
+        shared.flags.writeable = False
+    return a1, c1, pop_order, realign
+
+
+def _check_gate_set(settings):
+    """Raise ValueError unless ``settings`` is the 9- or 81-setting gate set."""
+    kind = {9: "single", 81: "pair"}.get(len(settings))
+    if kind is None or any(
+        s is not r and not np.array_equal(s.unitary, r.unitary)
+        for s, r in zip(settings, gate_set(kind))
+    ):
+        raise ValueError(
+            f"qst_mle reconstructs from gate_set('single') or gate_set('pair'), "
+            f"not from these {len(settings)} settings"
+        )
+
+
 def qst_mle(
     populations,
     settings,
@@ -126,47 +167,69 @@ def qst_mle(
 ):
     """Maximum-likelihood state reconstruction from per-setting populations.
 
-    ``populations`` has shape (n_settings, d); mitigated inputs may be
-    slightly unphysical and are clipped to [0, 1] for the likelihood weights.
-    Iterates the diluted fixed point rho -> (I + R/2) rho (I + R/2)+, which
-    preserves positivity by construction, until the log-likelihood improves
-    by less than ``tol`` or ``max_iter`` is reached (then a warning reports a
-    gradient norm above 1e-6 and the last estimate is returned).  Both
-    products of an iteration, the populations Re(A vec rho) and the weighted
-    adjoint (f/p) conj(A), use one real view of conj(A), so the iterates are
-    the same whatever the BLAS thread count.  Raises ValueError if
-    ``max_iter`` < 1 or the populations do not match the settings.
+    ``populations`` has shape (n_settings, d) for ``settings`` =
+    ``gate_set("single")`` (d = 3) or ``gate_set("pair")`` (d = 9); mitigated
+    inputs may be slightly unphysical and are clipped to [0, 1] for the
+    likelihood weights.  Iterates the diluted fixed point
+    rho -> (I + R/2) rho (I + R/2)+, which preserves positivity by
+    construction, until the log-likelihood improves by less than ``tol`` or
+    ``max_iter`` is reached (then a warning reports a gradient norm above
+    1e-6 and the last estimate is returned).  The populations Re(A vec rho)
+    and the weighted adjoint (f/p) conj(A) use one real view c1 of conj(A1),
+    the single-qutrit factor of A: once for one qutrit, and for two along
+    each node axis of the realigned state X, as Re(A1 X A1^T) and
+    conj(A1)^T W conj(A1).  The iterates are therefore the same whatever the
+    BLAS thread count.  Raises ValueError if ``max_iter`` < 1, if the
+    settings are not one of the two gate sets, or if the populations do not
+    match them.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    _check_gate_set(settings)
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     d = settings[0].unitary.shape[0]
     if freqs.shape != (len(settings), d):
         raise ValueError(f"populations shape {freqs.shape} does not match settings")
-    # conj(A) viewed as float64 interleaves the columns Re A and -Im A, so
-    # c @ vec(rho).view(float) = Re(A vec rho) and (w @ c).view(complex) = w conj(A)
-    c = _measurement_matrix(settings).conj().view(float)
+    a1, c1, pop_order, realign = _born_factor()
+    # c1 interleaves the columns Re A1 and -Im A1, so c1 @ x.view(float) =
+    # Re(A1 x) and (w @ c1).view(complex) = w conj(A1)
     f = freqs.reshape(-1)
     f = f / f.sum() * len(settings)  # per-setting normalization
+    if d == 3:
+        def born(rho):
+            return c1 @ rho.reshape(-1).view(float)
+
+        def adjoint(w):
+            return (w @ c1).view(complex).reshape(3, 3)
+    else:
+        f = f[pop_order]
+        c1_t, a1_conj_t = c1.T, c1.view(complex).T
+
+        def born(rho):
+            return (a1 @ rho.reshape(-1)[realign]).view(float) @ c1_t
+
+        def adjoint(w):
+            return (a1_conj_t @ (w @ c1).view(complex)).reshape(-1)[realign]
 
     rho = np.eye(d, dtype=complex) / d
     eye = np.eye(d)
+    scale = 2.0 * len(settings)
     last_ll = -np.inf
     for _ in range(max_iter):
-        p = np.maximum(c @ rho.reshape(-1).view(float), 1e-14)
-        ll = float(np.dot(f, np.log(p)))
+        p = np.maximum(born(rho), 1e-14)
+        ll = float(np.vdot(f, np.log(p)))
         if ll - last_ll < tol and math.isfinite(last_ll):
             break
         last_ll = ll
-        r = ((f / p) @ c).view(complex).reshape(d, d) / len(settings)
-        step = eye + 0.5 * r
+        half_r = adjoint(f / p) / scale
+        step = eye + half_r
         rho = step @ rho @ step.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
+        rho = rho + rho.conj().T
+        rho /= rho.trace().real
     else:
         # near-rank-deficient states approach the fixed point geometrically;
         # keep the estimate and report only a genuinely unconverged residual
-        grad = np.abs(r @ rho - rho @ r).max()
+        grad = 2.0 * np.abs(half_r @ rho - rho @ half_r).max()
         if grad > 1e-6:
             warnings.warn(
                 f"MLE stopped after {max_iter} iterations; gradient norm {grad:.3e}",

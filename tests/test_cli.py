@@ -253,6 +253,7 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     assert code == 0
     log = (run_dir / "run.log").read_text()
     assert "'trajectory.csv'" in log and "truncation_sweep.csv" not in log
+    assert not (run_dir / "truncation_sweep.csv").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -387,6 +388,43 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
     log = (out / "transfer" / "run.log").read_text()
     assert "numerical failure: reference emission flux vanishes" in log
+
+
+def test_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
+    code, out = run_cli(tmp_path, "--scenario", "entangle", "--dt", "0.5")
+    assert code == 0
+    assert (out / "entangle" / "tomography_records.json").exists()
+
+    def boom(*args, **kwargs):
+        raise TraceDriftError("trace left its target")
+
+    monkeypatch.setattr(cli.protocols, "run_entanglement", boom)
+    code, out = run_cli(tmp_path, "--scenario", "entangle")
+    assert code == 3
+    assert sorted(p.name for p in (out / "entangle").iterdir()) == ["manifest.json", "run.log"]
+
+
+def test_rerun_deletes_only_listed_regular_files_in_the_run_directory(tmp_path, monkeypatch):
+    run_dir = tmp_path / "out" / "entangle"
+    (run_dir / "sub").mkdir(parents=True)
+    for name in ("old.csv", "unlisted.csv", "sub/inner.csv"):
+        (run_dir / name).write_text("x\n")
+    (tmp_path / "out" / "outside.csv").write_text("x\n")
+    (tmp_path / "target.csv").write_text("x\n")
+    (run_dir / "link.csv").symlink_to(tmp_path / "target.csv")
+    listed = ["old.csv", "../outside.csv", "sub", "sub/inner.csv", "link.csv", str(tmp_path / "target.csv")]
+    (run_dir / "run.log").write_text(f"status: ok\nartifacts: {listed}\n")
+
+    def boom(*args, **kwargs):
+        raise TraceDriftError("trace left its target")
+
+    monkeypatch.setattr(cli.protocols, "run_entanglement", boom)
+    code, _ = run_cli(tmp_path, "--scenario", "entangle")
+    assert code == 3
+    assert not (run_dir / "old.csv").exists()
+    for path in ("out/entangle/unlisted.csv", "out/entangle/sub/inner.csv", "out/outside.csv", "target.csv"):
+        assert (tmp_path / path).is_file(), path
+    assert (run_dir / "link.csv").is_symlink()
 
 
 def test_custom_device_file(tmp_path):

@@ -157,6 +157,23 @@ def test_operator_expectations_gellmann(rng):
         metrics.operator_expectations(np.eye(4, dtype=complex), "gellmann")
 
 
+def test_operator_expectations_match_kron_traces(rng):
+    """Every entry of both tables equals Tr((G_j (x) G_k) rho) by np.kron."""
+    paulis = [metrics.PAULI[p] for p in metrics.PAULI_LABELS]
+    cases = (
+        ("pauli", paulis, metrics.PAULI_LABELS),
+        ("gellmann", metrics.gell_mann_basis(), metrics.GELL_MANN_LABELS),
+    )
+    for basis, ops, labels in cases:
+        rho = random_density(len(ops[0]) ** 2, rng)
+        table = metrics.operator_expectations(rho, basis)
+        assert len(table) == len(ops) ** 2
+        for gj, lj in zip(ops, labels):
+            for gk, lk in zip(ops, labels):
+                expected = np.trace(np.kron(gj, gk) @ rho).real
+                assert abs(table[f"{lj}{lk}"] - expected) <= 1e-14, (basis, lj, lk)
+
+
 def test_bundle_from_state(rng):
     psi9 = np.zeros(9, dtype=complex)
     psi9[[1, 3]] = 1 / np.sqrt(2)

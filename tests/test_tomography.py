@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,15 @@ import pytest
 
 from photonlink import tomography as tomo
 from photonlink.metrics import PAULI, PAULI_LABELS, trace_norm_distance
+from photonlink.protocols import ProtocolSpec, _measure
 from conftest import random_density, random_pure
+
+REFERENCE = Path(__file__).parent / "link_reference.json"
+
+
+def recorded_rho9_direct():
+    ref = json.loads(REFERENCE.read_text())["rho9_direct"]
+    return np.asarray(ref["re"]) + 1j * np.asarray(ref["im"])
 
 
 def kraus_to_chi(kraus_ops):
@@ -19,6 +29,32 @@ def kraus_to_chi(kraus_ops):
         c = np.einsum("mij,ji->m", paulis.conj().transpose(0, 2, 1), np.asarray(k, complex)) / 2.0
         chi += np.outer(c, c.conj())
     return tomo.ProcessMatrix(chi)
+
+
+def dense_mle(populations, settings, tol=1e-10, max_iter=5000):
+    """The MLE on the dense measurement matrix of the whole settings list:
+    the same diluted fixed point as ``tomo.qst_mle``, one real view of
+    conj(A) per iteration with no product structure (729 x 162 for the pair
+    set)."""
+    freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
+    d = settings[0].unitary.shape[0]
+    c = tomo._measurement_matrix(settings).conj().view(float)
+    f = freqs.reshape(-1)
+    f = f / f.sum() * len(settings)
+    rho = np.eye(d, dtype=complex) / d
+    last_ll = -np.inf
+    for _ in range(max_iter):
+        p = np.maximum(c @ rho.reshape(-1).view(float), 1e-14)
+        ll = float(np.dot(f, np.log(p)))
+        if ll - last_ll < tol and math.isfinite(last_ll):
+            break
+        last_ll = ll
+        r = ((f / p) @ c).view(complex).reshape(d, d) / len(settings)
+        step = np.eye(d) + 0.5 * r
+        rho = step @ rho @ step.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+    return rho
 
 
 def test_gate_set_counts_and_identity():
@@ -44,6 +80,20 @@ def test_setting_rejects_nonunitary():
         tomo.TomographySetting("bad", np.ones((3, 3)))
 
 
+def test_gate_sets_are_built_once_and_read_only():
+    assert tomo.gate_set("pair") is tomo.gate_set("pair")
+    assert tomo.gate_set("single") is tomo.gate_set("single")
+    for kind in ("single", "pair"):
+        with pytest.raises(ValueError):
+            tomo.gate_set(kind)[1].unitary[0, 0] = 0.0
+    assert tomo.gate_set("single")[1].unitary[0, 0] == pytest.approx(np.cos(np.pi / 4))
+    # a setting keeps its own copy of the caller's array
+    u = np.eye(3, dtype=complex)
+    setting = tomo.TomographySetting("id", u)
+    u[0, 0] = -1.0
+    assert setting.unitary[0, 0] == 1.0
+
+
 def test_born_probabilities_basics(rng):
     settings = tomo.gate_set("single")
     rho_g = np.diag([1.0, 0, 0]).astype(complex)
@@ -58,6 +108,13 @@ def test_born_probabilities_basics(rng):
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p > -1e-12)
     for row, setting in zip(p, settings):
+        u = setting.unitary
+        assert np.abs(row - np.diag(u @ rho @ u.conj().T).real).max() < 1e-14
+    pairs = tomo.gate_set("pair")
+    rho = random_density(9, rng)
+    p = tomo.born_probabilities(rho, pairs)
+    assert p.shape == (81, 9)
+    for row, setting in zip(p, pairs):
         u = setting.unitary
         assert np.abs(row - np.diag(u @ rho @ u.conj().T).real).max() < 1e-14
 
@@ -112,6 +169,57 @@ def test_mle_round_trip_random_mixed_states(rng):
         assert trace_norm_distance(rec, rho) < 1e-3
 
 
+@pytest.mark.filterwarnings("ignore:MLE stopped")
+@pytest.mark.filterwarnings("ignore:mitigated populations")
+def test_factored_mle_matches_the_dense_iteration(rng):
+    """The pair-set MLE, which applies the single-qutrit factor along each
+    node axis, lands within 1e-12 of the dense iteration; the single set
+    applies the same factor once and is bit-identical."""
+    pairs = tomo.gate_set("pair")
+    rho9 = recorded_rho9_direct()
+    shots = ProtocolSpec(name="entangle", shots=20000, seed=1)
+    _, mitigated = _measure(rho9, ("A", "B"), shots, np.random.default_rng(1))
+    # near-pure and node-asymmetric: A mostly in e, B spread over g, e and f
+    psi = np.kron([0.3, 0.9, 0.3165], [0.7, 0.1j, 0.707]).astype(complex)
+    psi[4] += 0.4
+    psi /= np.linalg.norm(psi)
+    near_pure = 0.995 * np.outer(psi, psi.conj()) + 0.005 * random_density(9, rng)
+    inputs = {
+        "recorded exact": tomo.born_probabilities(rho9, pairs),
+        "mitigated 20000 shots": mitigated,
+        "random full rank": tomo.born_probabilities(random_density(9, rng), pairs),
+        "near-pure asymmetric": tomo.born_probabilities(near_pure, pairs),
+    }
+    for name, pops in inputs.items():
+        err = np.abs(tomo.qst_mle(pops, pairs) - dense_mle(pops, pairs)).max()
+        assert err <= 1e-12, (name, err)
+    singles = tomo.gate_set("single")
+    pops = tomo.born_probabilities(random_density(3, rng, rank=2), singles)
+    assert tomo.qst_mle(pops, singles).tobytes() == dense_mle(pops, singles).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:MLE stopped")
+def test_mle_refuses_settings_that_are_not_a_gate_set(rng):
+    pairs = tomo.gate_set("pair")
+    singles = tomo.gate_set("single")
+    rho, rho3 = random_density(9, rng), random_density(3, rng)
+    swapped = [
+        tomo.TomographySetting(f"{sb.name}|{sa.name}", np.kron(sb.unitary, sa.unitary))
+        for sa in singles
+        for sb in singles
+    ]
+    for settings in (pairs[::-1], pairs[:80], swapped, singles[::-1], singles[:8]):
+        pops = tomo.born_probabilities(rho if len(settings) > 9 else rho3, settings)
+        with pytest.raises(ValueError, match="gate_set"):
+            tomo.qst_mle(pops, settings)
+    # equal settings in a list of their own are the gate set
+    pops = tomo.born_probabilities(rho, pairs)
+    copies = [tomo.TomographySetting(s.name, s.unitary) for s in pairs]
+    assert tomo.qst_mle(pops, copies, max_iter=20).tobytes() == (
+        tomo.qst_mle(pops, pairs, max_iter=20).tobytes()
+    )
+
+
 def test_mle_shape_validation():
     settings = tomo.gate_set("single")
     with pytest.raises(ValueError):
@@ -139,13 +247,12 @@ def test_mle_does_not_depend_on_the_blas_thread_count():
         "rec = tomo.qst_mle(tomo.born_probabilities(rho, pairs), pairs)\n"
         "sys.stdout.write(rec.tobytes().hex())\n"
     )
-    reference = Path(__file__).parent / "link_reference.json"
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         run = subprocess.run(
-            [sys.executable, "-c", code, str(reference)],
+            [sys.executable, "-c", code, str(REFERENCE)],
             env=env, check=True, capture_output=True, text=True,
         )
         outputs.append(run.stdout)
