@@ -222,8 +222,8 @@ def _matrix(m, **fields):
 
 def _run_emit(args, spec, nodes_link):
     node = args.scenario[-1].upper()  # emit-a or emit-b
-    pop_run = protocols.run_emission(spec, node, "f", nodes_link=nodes_link)
-    field_run = protocols.run_emission(spec, node, "gf", nodes_link=nodes_link)
+    # the population and the mean-field preparations share one integration
+    pop_run, field_run = protocols.run_emissions(spec, node, ("f", "gf"), nodes_link=nodes_link)
     artifacts = {
         "trajectory.csv": _trajectory_table(pop_run.trajectory),
         "trajectory_mean_field.csv": _trajectory_table(field_run.trajectory),
@@ -342,11 +342,14 @@ def _run_readout_sim(args, spec, nodes_link):
 
 
 def _run_sweep(args, spec, nodes_link):
-    rows = []
-    # every point is built, and so checked, before the first one integrates
-    for value, run_spec in _sweep_specs(args, nodes_link):
-        bundle = protocols.run_entanglement(run_spec, nodes_link=nodes_link).extras["metrics"]
-        rows.append({"value": value, **_metrics_summary(bundle)})
+    # every point is built, and so checked, before the first one integrates;
+    # the points run as one batch
+    points = _sweep_specs(args, nodes_link)
+    runs = protocols.run_entanglements([run_spec for _, run_spec in points], nodes_link)
+    rows = [
+        {"value": value, **_metrics_summary(run.extras["metrics"])}
+        for (value, _), run in zip(points, runs)
+    ]
     table = (["param", *rows[0]], [[args.sweep_param, *row.values()] for row in rows])
     return {"param": args.sweep_param, "rows": rows}, {"sweep.csv": table}
 

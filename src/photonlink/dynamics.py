@@ -2,37 +2,41 @@
 
 The integrator takes one input form: the Hamiltonian as a
 TimeDependentOperator, whose grid is the integration grid, and a stack of
-initial states (DensityMatrix) that share it and the jump operators.  The
-master equation is linear, so one RK4 loop carries every input: the states
-are the columns of one (R^2, m) array.  Only the block of basis states the
-inputs can reach is integrated: the union of their supports closed under
-the nonzero patterns of H, the drive terms, the jump operators L_k and
-L_k+L_k.  The master equation maps that block into itself whatever the
-operators are, and a union of invariant blocks is invariant, so the
-restriction is exact; a single excitation on the link reaches at most 7 of
-the 36 states of the two-node model.  The static part of H and
-its drive terms, one per driven node, must be Hermitian and the drive
-samples real; the integrator checks both before it builds the generator.
-On the block each Liouvillian is built densely with numpy (``np.kron``,
-about R^4 entries for an R-state block while it is built) and converted to
-CSR at once; they are stacked as [L_0 S_1 ... S_n], which acts on the
-row-major vectorized density matrices and their copies weighted by the real
-drive coefficients as one sparse product per stage.  Propagation is
-fixed-step Runge-Kutta (deterministic, which keeps golden tests exact), and
-the drives are sampled at the grid points and at the half steps between
-them, where the middle stages evaluate H, so the scheme is fourth order.
-Every state is re-symmetrized after every step and its trace checked
-against its own initial trace.  The trace, the level populations and the
-expectation values are linear in the state, so every grid point records
-them for all inputs by one product with a readout matrix; outputs are
-zero-padded back to the full dimensions.  Integrals over the recorded
-series use Simpson's rule, which matches the fourth order of the scheme.
+initial states (DensityMatrix) that share it and the jump operators.  A
+batch is a list of such (H, jumps, inputs, expect) groups on one grid.  The
+master equation is linear, so one RK4 loop carries every input of every
+group: the states are the columns of one (G R^2, m) array.  Only the block
+of basis states a group's inputs can reach is integrated: the union of
+their supports closed under the nonzero patterns of H, the drive terms, the
+jump operators L_k and L_k+L_k.  The master equation maps that block into
+itself whatever the operators are, and a union of invariant blocks is
+invariant, so the restriction is exact; a single excitation on the link
+reaches at most 7 of the 36 states of the two-node model.  The static part
+of H and its drive terms, one per driven node, must be Hermitian and the
+drive samples real; the integrator checks both before it builds the
+generator.  On the block each Liouvillian is built densely with numpy
+(``np.kron``, about R^4 entries for an R-state block while it is built) and
+converted to CSR at once; they are stacked as [L_0 S_1 ... S_n], each
+block-diagonal over the groups, which acts on the row-major vectorized
+density matrices and their copies weighted by each group's real drive
+coefficients as one sparse product per stage.  Every row keeps its nonzeros
+in the order of its group alone, so a batch is bit-identical to its groups
+integrated one by one.  Propagation is fixed-step Runge-Kutta
+(deterministic, which keeps golden tests exact), and the drives are sampled
+at the grid points and at the half steps between them, where the middle
+stages evaluate H, so the scheme is fourth order.  Every state is
+re-symmetrized after every step and its trace checked against its own
+initial trace.  The trace, the level populations and the expectation values
+are linear in the state, so every grid point records them for all inputs of
+a group by one product with its readout matrix; outputs are zero-padded
+back to the full dimensions.  Integrals over the recorded series use
+Simpson's rule, which matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +55,15 @@ _HERMITIAN_TOL = 1e-12
 
 
 class TraceDriftError(RuntimeError):
-    """Integration became unstable: the state trace left its target."""
+    """Integration became unstable: the state trace left its target.
+
+    ``run`` is the index of the failing problem in a batch, None for a
+    one-problem integration; the message names it before ``detail``.
+    """
+
+    def __init__(self, detail, run=None):
+        super().__init__(detail if run is None else f"run {run}: {detail}")
+        self.detail, self.run = detail, run
 
 
 @dataclass
@@ -145,60 +157,13 @@ def _reachable(rhos, ops):
         reach = grown
 
 
-def integrate_me(
-    hamiltonian: TimeDependentOperator,
-    collapse_ops,
-    rho0s: Sequence[DensityMatrix],
-    *,
-    expect=None,
-    store_states=0,
-):
-    """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
-    a stack of initial states that share H and the jump operators.
-
-    The grid of ``hamiltonian`` is the integration grid (a static H is a
-    TimeDependentOperator with no terms), and each drive term carries its
-    2 nt - 1 samples on the half-step grid t_0, t_0 + dt/2, t_1, ...: the
-    first and last RK4 stages of a step read the samples at its ends and the
-    two middle stages the sample at its midpoint, which makes the scheme
-    fourth order in dt.  ``collapse_ops`` holds (name,
-    operator) pairs and ``rho0s`` the initial states (one state is passed as
-    ``[rho0]``).  ``expect`` maps labels to operators whose expectation
-    values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
-    stores a density-matrix snapshot every that many steps (plus the final
-    state).  Level populations are tracked for every three-level subsystem:
-    the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
-
-    Only the reachable block is integrated: the basis states in the union of
-    the supports of the initial states, closed under the nonzero patterns of
-    H, every drive term, every L_k and every L_k+L_k.  The generator keeps
-    that block invariant, so the result equals the full-space integration
-    of each input; the final states and the snapshots are zero-padded back
-    to the full dims.  The m inputs are the columns of one (R^2, m) array,
-    and every RK4 stage applies the generator to all of them as one sparse
-    product.  Each R^2 x R^2 Liouvillian block of an R-state block is built
-    densely with numpy (about R^4 entries held while it is built) and
-    converted to CSR at once; on ``device.DIMS`` R is at most 36.
-
-    Returns one (Trajectory, final DensityMatrix) pair per input, in input
-    order; every Trajectory's ``dim`` is the integrated (union) block size
-    and its ``trace_drift`` that input's own.  Raises ValueError if there is
-    no input, if an operator or an initial state is not (d, d), if the
-    static H or a drive term is not Hermitian (to 1e-12), if drive samples
-    are not real or not 2 nt - 1 of them, and TraceDriftError, naming the
-    input, if the trace of any input wanders further than 1e-6 from its own
-    initial value.
-    """
-    dims, t, h0, td_terms = hamiltonian.dims, hamiltonian.t, hamiltonian.static, hamiltonian.terms
-    if len(t) < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    steps = np.diff(t)
-    if np.abs(steps - steps[0]).max() > 1e-9:
-        raise ValueError("time grid must be uniform")
-    dt = float(steps[0])
-    nt = len(t)
+def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
+    """Check one (hamiltonian, collapse_ops, rho0s, expect) group of an
+    integration and build what its block contributes: the basis states it
+    integrates, its Liouvillians [L_0, S_1, ..., S_n] on that block, the
+    drive samples and the readout matrix of its recorded observables."""
+    dims, h0, td_terms = hamiltonian.dims, hamiltonian.static, hamiltonian.terms
     d = int(np.prod(dims))
-
     rhos = [rho0.data for rho0 in rho0s]
     if not rhos:
         raise ValueError("no initial state to integrate")
@@ -220,41 +185,24 @@ def integrate_me(
     expect = {name: np.asarray(op, dtype=complex) for name, op in (expect or {}).items()}
     if any(op.shape != (d, d) for op in expect.values()):
         raise ValueError("expectation operator dimension mismatch")
+    samples = np.empty((len(td_terms), 2 * nt - 1))
+    for term, (_, values) in enumerate(td_terms):
+        values = np.asarray(values)
+        if values.shape != (2 * nt - 1,):
+            raise ValueError(
+                f"a drive term needs 2 * {nt} - 1 samples on the half-step grid, "
+                f"not {values.shape}"
+            )
+        if np.imag(values).any():
+            raise ValueError("drive samples must be real")
+        samples[term] = np.real(values)
 
     decays = [op.conj().T @ op for op in jumps]
     idx = _reachable(rhos, [h0, *drive_ops, *jumps, *decays])
     block = np.ix_(idx, idx)
     r = len(idx)
-    m = len(rhos)
-
-    # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
-    # row j has shape (n_terms, 1, 1) to scale the drive copies of every
-    # input, and is stored complex (zero imaginary part) so no stage pays
-    # numpy's float-to-complex cast, which gives the same products
-    coef = np.empty((2 * nt - 1, len(td_terms), 1, 1), dtype=complex)
-    for term, (_, samples) in enumerate(td_terms):
-        samples = np.asarray(samples)
-        if samples.shape != (2 * nt - 1,):
-            raise ValueError(
-                f"a drive term needs 2 * {nt} - 1 samples on the half-step grid, "
-                f"not {samples.shape}"
-            )
-        if np.imag(samples).any():
-            raise ValueError("drive samples must be real")
-        coef[:, term, 0, 0] = np.real(samples)
-    # L(t) V = [L_0 S_1 ... S_n] @ [V; c_1(t) V; ...; c_n(t) V]
-    generator = sp.hstack(
-        [sp.csr_matrix(_liouvillian(h0[block], [op[block] for op in jumps]))]
-        + [sp.csr_matrix(_liouvillian(op[block])) for op in drive_ops],
-        format="csr",
-    )
-    stacked = np.empty((len(td_terms) + 1, r * r, m), dtype=complex)
-    copies, flat = stacked[1:], stacked.reshape(-1, m)
-
-    def rhs(v, j):
-        stacked[0] = v
-        np.multiply(coef[j], v, out=copies)
-        return generator @ flat
+    liouvillians = [_liouvillian(h0[block], [op[block] for op in jumps])]
+    liouvillians += [_liouvillian(op[block]) for op in drive_ops]
 
     slots = [i for i, n in enumerate(dims) if n == 3]
     # V.T @ readout = [Tr rho, P_g P_e P_f of each slot, Tr(O rho) of each O],
@@ -268,51 +216,207 @@ def integrate_me(
         readout[diag_idx, 1 + 3 * n + levels[slot]] = 1.0
     for col, op in enumerate(expect.values(), start=first_expect):
         readout[:, col] = op[block].T.reshape(-1)
-    rec = np.empty((nt, m, readout.shape[1]), dtype=complex)
-    traces = rec[:, :, 0].real
+    return SimpleNamespace(
+        dims=tuple(dims), d=d, block=block, r=r, rhos=rhos,
+        liouvillians=liouvillians, samples=samples, readout=readout,
+        n_slots=len(slots), expect=list(expect),
+    )
 
-    target_trace = np.array([np.trace(rho).real for rho in rhos])
-    v = np.stack([rho[block].reshape(-1) for rho in rhos], axis=1)
-    states = [[] for _ in rhos]
 
-    def padded(col):
-        full = np.zeros((d, d), dtype=complex)
-        full[block] = col.reshape(r, r)
+def integrate_me(
+    hamiltonian,
+    collapse_ops=None,
+    rho0s=None,
+    *,
+    expect=None,
+    store_states=0,
+):
+    """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
+    a stack of initial states that share H and the jump operators, or for a
+    batch of such problems that share the grid.
+
+    The grid of ``hamiltonian`` is the integration grid (a static H is a
+    TimeDependentOperator with no terms), and each drive term carries its
+    2 nt - 1 samples on the half-step grid t_0, t_0 + dt/2, t_1, ...: the
+    first and last RK4 stages of a step read the samples at its ends and the
+    two middle stages the sample at its midpoint, which makes the scheme
+    fourth order in dt.  ``collapse_ops`` holds (name,
+    operator) pairs and ``rho0s`` the initial states (one state is passed as
+    ``[rho0]``).  ``expect`` maps labels to operators whose expectation
+    values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
+    stores a density-matrix snapshot every that many steps (plus the final
+    state).  Level populations are tracked for every three-level subsystem:
+    the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
+
+    A batch passes a list of (hamiltonian, collapse_ops, rho0s, expect)
+    groups as the only positional argument; every group's Hamiltonian must
+    be on the same grid.  The one-problem call is the batch of one group.
+
+    Only the reachable block of each group is integrated: the basis states
+    in the union of the supports of its initial states, closed under the
+    nonzero patterns of H, every drive term, every L_k and every L_k+L_k.
+    The generator keeps that block invariant, so the result equals the
+    full-space integration of each input; the final states and the
+    snapshots are zero-padded back to the full dims.  Each R^2 x R^2
+    Liouvillian of an R-state block is built densely with numpy (about R^4
+    entries held while it is built) and converted to CSR at once; on
+    ``device.DIMS`` R is at most 36.  The groups' blocks are zero-padded to
+    the largest one and their inputs to the largest input count, and the
+    state of the batch is one (G R^2, m) array: each RK4 stage applies
+    [blockdiag(L_0) blockdiag(S_1) ... blockdiag(S_n)] to it and to its
+    copies weighted by each group's drive coefficients (a group with fewer
+    drive terms has empty blocks) as one sparse product.  Every row keeps
+    its nonzeros in the order of a group integrated alone, so each group's
+    result is bit-identical to its own integration.  One permutation
+    re-symmetrizes every block after every step; the recording (by one
+    product with the group's readout matrix) and the trace check stay per
+    group.
+
+    Returns one (Trajectory, final DensityMatrix) pair per input, in input
+    order, or for a batch one such list per group; every Trajectory's
+    ``dim`` is its group's integrated (union) block size and its
+    ``trace_drift`` that input's own.  Raises ValueError if there is no
+    input, if the groups are not on one grid, if an operator or an initial
+    state is not (d, d), if the static H or a drive term is not Hermitian
+    (to 1e-12), if drive samples are not real or not 2 nt - 1 of them, and
+    TraceDriftError, naming the input (and in a batch the run, the index of
+    its group), if the trace of any input wanders further than 1e-6 from its
+    own initial value.
+    """
+    single = isinstance(hamiltonian, TimeDependentOperator)
+    if single:
+        problems = [(hamiltonian, collapse_ops, rho0s, expect)]
+    elif collapse_ops is not None or rho0s is not None or expect is not None:
+        raise TypeError("a batch of problems takes no collapse_ops, rho0s or expect")
+    else:
+        problems = list(hamiltonian)
+    if not problems:
+        raise ValueError("no problem to integrate")
+    t = problems[0][0].t
+    if len(t) < 2 or np.any(np.diff(t) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    steps = np.diff(t)
+    if np.abs(steps - steps[0]).max() > 1e-9:
+        raise ValueError("time grid must be uniform")
+    if any(not np.array_equal(h.t, t) for h, *_ in problems):
+        raise ValueError("the problems of a batch must share one time grid")
+    dt = float(steps[0])
+    nt = len(t)
+    groups = [_group(*problem, nt) for problem in problems]
+
+    n_groups = len(groups)
+    size = max(g.r * g.r for g in groups)    # every block padded to this
+    m = max(len(g.rhos) for g in groups)     # every group's inputs padded to this
+    n_terms = max(len(g.samples) for g in groups)
+
+    def padded_csr(mat):
+        out = sp.csr_matrix(mat, dtype=complex)
+        out.resize((size, size))
+        return out
+
+    empty = sp.csr_matrix((size, size), dtype=complex)
+    # L(t) V = [L_0 S_1 ... S_n] @ [V; c_1(t) V; ...; c_n(t) V], each of
+    # L_0, S_j block-diagonal over the groups
+    generator = sp.hstack(
+        [
+            sp.block_diag(
+                [padded_csr(g.liouvillians[j]) if j < len(g.liouvillians) else empty for g in groups],
+                format="csr",
+            )
+            for j in range(n_terms + 1)
+        ],
+        format="csr",
+    )
+    # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
+    # row j has shape (n_terms, n_groups, 1, 1) to scale the drive copies of
+    # every group's inputs, and is stored complex (zero imaginary part) so
+    # no stage pays numpy's float-to-complex cast, which gives the same
+    # products
+    coef = np.zeros((2 * nt - 1, n_terms, n_groups, 1, 1), dtype=complex)
+    for n, g in enumerate(groups):
+        coef[:, : len(g.samples), n, 0, 0] = g.samples.T
+    stacked = np.empty((n_terms + 1, n_groups, size, m), dtype=complex)
+    head, copies, flat = stacked[0], stacked[1:], stacked.reshape(-1, m)
+    head_flat = head.reshape(-1, m)
+
+    def rhs(j):
+        """The generator at half-step sample j applied to the stage input,
+        which the caller writes into ``head``."""
+        np.multiply(coef[j], head, out=copies)
+        return generator @ flat
+
+    # the transpose of every block as one permutation of the rows; padding
+    # rows map to themselves
+    transpose = np.arange(n_groups * size)
+    for n, g in enumerate(groups):
+        transpose[n * size : n * size + g.r * g.r] = (
+            n * size + np.arange(g.r * g.r).reshape(g.r, g.r).T.reshape(-1)
+        )
+
+    # the state of the batch, written in place by every step; each group's
+    # inputs are a block of it
+    v = np.zeros((n_groups * size, m), dtype=complex)
+    blocks = [v[n * size : n * size + g.r * g.r, : len(g.rhos)] for n, g in enumerate(groups)]
+    for g, block in zip(groups, blocks):
+        block[...] = np.stack([rho[g.block].reshape(-1) for rho in g.rhos], axis=1)
+    recs = [np.empty((nt, len(g.rhos), g.readout.shape[1]), dtype=complex) for g in groups]
+    targets = [[np.trace(rho).real for rho in g.rhos] for g in groups]
+    reads = [
+        (n, block.T, g.readout, rec, rec[:, :, 0].real, target)
+        for n, (g, block, rec, target) in enumerate(zip(groups, blocks, recs, targets))
+    ]
+    states = [[[] for _ in g.rhos] for g in groups]
+
+    def padded(g, col):
+        full = np.zeros((g.d, g.d), dtype=complex)
+        full[g.block] = col.reshape(g.r, g.r)
         return full
 
-    rec[0] = v.T @ readout
+    for _, inputs, readout, rec, _, _ in reads:
+        rec[0] = inputs @ readout
     for k in range(nt - 1):
-        k1 = rhs(v, 2 * k)
-        k2 = rhs(v + (0.5 * dt) * k1, 2 * k + 1)
-        k3 = rhs(v + (0.5 * dt) * k2, 2 * k + 1)
-        k4 = rhs(v + dt * k3, 2 * k + 2)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        mat = v.reshape(r, r, m)
-        v = (0.5 * (mat + mat.conj().transpose(1, 0, 2))).reshape(-1, m)
-        np.matmul(v.T, readout, out=rec[k + 1])
-        err = np.abs(traces[k + 1] - target_trace)
-        if not err.max() <= _TRACE_TOL:
-            i = int(np.argmax(~(err <= _TRACE_TOL)))
-            raise TraceDriftError(
-                f"trace of input {i} drifted to {traces[k + 1, i]:.9f} (target "
-                f"{target_trace[i]:.9f}) at t = {t[k + 1]:.2f} ns; reduce dt"
-            )
+        head_flat[...] = v
+        k1 = rhs(2 * k)
+        np.add(v, (0.5 * dt) * k1, out=head_flat)
+        k2 = rhs(2 * k + 1)
+        np.add(v, (0.5 * dt) * k2, out=head_flat)
+        k3 = rhs(2 * k + 1)
+        np.add(v, dt * k3, out=head_flat)
+        k4 = rhs(2 * k + 2)
+        stepped = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.add(stepped, stepped.take(transpose, axis=0).conj(), out=v)
+        v *= 0.5
+        for n, inputs, readout, rec, traces, target in reads:
+            np.matmul(inputs, readout, out=rec[k + 1])
+            for i, (trace, want) in enumerate(zip(traces[k + 1].tolist(), target)):
+                if not abs(trace - want) <= _TRACE_TOL:
+                    raise TraceDriftError(
+                        f"trace of input {i} drifted to {trace:.9f} (target "
+                        f"{want:.9f}) at t = {t[k + 1]:.2f} ns; reduce dt",
+                        None if single else n,
+                    )
         if store_states and ((k + 1) % store_states == 0 or k == nt - 2):
-            for i, snapshots in enumerate(states):
-                snapshots.append((t[k + 1], padded(v[:, i])))
+            for g, block, group_states in zip(groups, blocks, states):
+                for i, snapshots in enumerate(group_states):
+                    snapshots.append((t[k + 1], padded(g, block[:, i])))
 
-    drift = np.abs(traces[1:] - target_trace).max(axis=0)
-    out = []
-    for i in range(m):
-        pops = [rec[:, i, 1 + 3 * n : 4 + 3 * n].real.copy() for n in range(len(slots))]
-        exp_vals = {
-            name: rec[:, i, col].copy() for col, name in enumerate(expect, start=first_expect)
-        }
-        traj = Trajectory(
-            t=t, pops=pops, expect=exp_vals, states=states[i], dim=r, trace_drift=float(drift[i])
-        )
-        out.append((traj, DensityMatrix(tuple(dims), padded(v[:, i]))))
-    return out
+    results = []
+    for g, block, rec, target, group_states in zip(groups, blocks, recs, targets, states):
+        drift = np.abs(rec[1:, :, 0].real - target).max(axis=0)
+        out = []
+        for i in range(len(g.rhos)):
+            pops = [rec[:, i, 1 + 3 * n : 4 + 3 * n].real.copy() for n in range(g.n_slots)]
+            exp_vals = {
+                name: rec[:, i, col].copy()
+                for col, name in enumerate(g.expect, start=1 + 3 * g.n_slots)
+            }
+            traj = Trajectory(
+                t=t, pops=pops, expect=exp_vals, states=group_states[i], dim=g.r,
+                trace_drift=float(drift[i]),
+            )
+            out.append((traj, DensityMatrix(g.dims, padded(g, block[:, i]))))
+        results.append(out)
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------

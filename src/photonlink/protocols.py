@@ -7,6 +7,12 @@ mapping pulse are ideal instantaneous unitaries.  ``idle_ns`` models the
 real time occupied by the closing mapping/tomography pulses, during which
 the drives are off but relaxation continues.  Runs are deterministic given
 a ProtocolSpec and seed.
+
+A scenario is a list of link runs: every run's drives are built first (a
+drive that cannot be built raises ConfigError before anything integrates),
+then the runs are integrated as one ``integrate_me`` batch per time grid,
+measured in order, and their tomography data reconstructed as one MLE
+stack.  Batching is exact: every result equals the run on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from . import device as dev
 from . import metrics, pulse, readout, tomography
 from .qops import DensityMatrix, embed, ket, mhz, partial_trace
-from .dynamics import Trajectory, efficiencies, integrate_me, output_observables
+from .dynamics import TraceDriftError, Trajectory, efficiencies, integrate_me, output_observables
 
 G, E, F = 0, 1, 2
 
@@ -183,17 +189,18 @@ QUTRIT_PREPS = {
 }
 
 
-def _run_link(spec, nodes_link, emitter, preps, absorb=False, tau=None, store_states=0):
-    """Integrate one emission through the cascaded link for each preparation.
+def _link_problem(spec, nodes_link, emitter, preps, absorb=False, tau=None):
+    """The integration problem of one emission through the cascaded link for
+    each preparation, as an ``integrate_me`` group (hamiltonian,
+    collapse_ops, rho0s, expect).
 
     Node ``emitter`` ('A' or 'B') starts in each qutrit state of ``preps``
     and emits at its photon bandwidth, with the drive switched off after
     ``tau`` if given; the other node starts in |g, 0> and, unless ``absorb``
     makes B catch A's photon with the time-reversed drive, is not driven.
-    The preparations share one Hamiltonian and one integration.  The mean
-    output field <L> and the flux <L+L> of the cascade's jump operator L are
-    recorded on each trajectory.  Returns one (Trajectory, final
-    DensityMatrix) pair per preparation, in order.
+    The preparations share one Hamiltonian.  The mean output field <L> and
+    the flux <L+L> of the cascade's jump operator L are recorded.  Building
+    the drives raises ConfigError for a drive the run cannot build.
     """
     node_a, node_b, link = resolve_device(nodes_link, spec)
     from_a = emitter == "A"
@@ -208,29 +215,34 @@ def _run_link(spec, nodes_link, emitter, preps, absorb=False, tau=None, store_st
     h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b)
     cops = dev.build_collapse_ops(node_a, node_b, link)
     out = dev.output_field_op(node_a, node_b, link)
-    expect = {"a_out": out, "n_out": out.conj().T @ out}
-    runs = integrate_me(h, cops, rho0s, expect=expect, store_states=store_states)
-    for traj, _ in runs:
-        output_observables(traj)
+    return h, cops, rho0s, {"a_out": out, "n_out": out.conj().T @ out}
+
+
+def _integrate_links(problems, store_states=0):
+    """Integrate link problems (:func:`_link_problem`) as one batch per time
+    grid: runs that differ in dt or in their window are separate batches.
+    Every trajectory gets its output field.  Returns, per problem in order,
+    one (Trajectory, final DensityMatrix) pair per preparation; a
+    TraceDriftError names the run by its index in ``problems``."""
+    grids = {}
+    for i, (h, *_) in enumerate(problems):
+        grids.setdefault(h.t.tobytes(), []).append(i)
+    runs = [None] * len(problems)
+    for members in grids.values():
+        try:
+            batch = integrate_me([problems[i] for i in members], store_states=store_states)
+        except TraceDriftError as exc:
+            # name the run by its place in the list, not in its grid's batch
+            raise TraceDriftError(exc.detail, members[exc.run]) from exc
+        for i, pairs in zip(members, batch):
+            runs[i] = pairs
+    for pairs in runs:
+        for traj, _ in pairs:
+            output_observables(traj)
     return runs
 
 
-def run_emission(
-    spec: ProtocolSpec | None = None,
-    node: str = "B",
-    initial: str = "f",
-    tau: float | None = None,
-    nodes_link=None,
-) -> RunResult:
-    """Emit a shaped photon from one node (the other node sits idle).
-
-    ``initial`` is 'f' for the population curves or 'gf' for the mean-field
-    photon (|0>+|1>)/sqrt(2); ``tau`` optionally truncates the drive.
-    """
-    spec = spec or ProtocolSpec(
-        name=f"emit-{node.lower()}", window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS
-    )
-    [(traj, rho_final)] = _run_link(spec, nodes_link, node, [QUTRIT_PREPS[initial]], tau=tau)
+def _emission_result(spec, node, traj, rho_final):
     pops = traj.pops_A if node == "A" else traj.pops_B
     extras = {
         "final_populations": {"g": pops[-1, G], "e": pops[-1, E], "f": pops[-1, F]},
@@ -240,17 +252,60 @@ def run_emission(
     return RunResult(spec, traj, rho_final, extras)
 
 
-def _transfer(spec, nodes_link, preps_a, absorb=True, store_states=0):
-    """Emit from A prepared in each state of ``preps_a``, absorb at B, and
-    map B back with an ideal pi_ef pulse.  Returns one (trajectory,
-    two-qutrit state) pair per preparation, from one integration."""
-    runs = _run_link(spec, nodes_link, "A", preps_a, absorb, store_states=store_states)
+def run_emissions(
+    spec: ProtocolSpec | None = None,
+    node: str = "B",
+    initials=("f",),
+    tau: float | None = None,
+    nodes_link=None,
+) -> list[RunResult]:
+    """Emit a shaped photon from one node (the other node sits idle), once
+    for each initial state, in one integration.
+
+    Each of ``initials`` is 'f' for the population curves or 'gf' for the
+    mean-field photon (|0>+|1>)/sqrt(2); ``tau`` optionally truncates the
+    drive.
+    """
+    spec = spec or ProtocolSpec(
+        name=f"emit-{node.lower()}", window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS
+    )
+    preps = [QUTRIT_PREPS[initial] for initial in initials]
+    [runs] = _integrate_links([_link_problem(spec, nodes_link, node, preps, tau=tau)])
+    return [_emission_result(spec, node, traj, rho_final) for traj, rho_final in runs]
+
+
+def run_emission(
+    spec: ProtocolSpec | None = None,
+    node: str = "B",
+    initial: str = "f",
+    tau: float | None = None,
+    nodes_link=None,
+) -> RunResult:
+    """One run of :func:`run_emissions`: emission from ``initial``."""
+    [res] = run_emissions(spec, node, [initial], tau, nodes_link)
+    return res
+
+
+def _mapped(runs):
+    """Map B of each (trajectory, final state) pair back with an ideal
+    pi_ef pulse and keep the two qutrits: (trajectory, two-qutrit state)."""
     dims = runs[0][1].dims
     u = embed(tomography.ef_swap(), 2, dims)
     return [
         (traj, partial_trace(u @ rho_final.data @ u.conj().T, dims, keep=(0, 2)))
         for traj, rho_final in runs
     ]
+
+
+def _transfer_problem(spec, nodes_link, prep, absorption=True):
+    qubit = QUTRIT_PREPS[prep] if isinstance(prep, str) else np.asarray(prep, complex)
+    return _link_problem(spec, nodes_link, "A", [tomography.ef_swap() @ qubit], absorption)
+
+
+def _transfer_result(spec, run):
+    [(traj, rho9)] = _mapped(run)
+    extras = {"final_qutrit_b": partial_trace(rho9, (3, 3), keep=(1,))}
+    return RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras)
 
 
 def run_transfer(
@@ -267,38 +322,36 @@ def run_transfer(
     Returns the two-node trajectory and the final two-qutrit state.
     """
     spec = spec or ProtocolSpec(name="transfer")
-    qubit = QUTRIT_PREPS[prep] if isinstance(prep, str) else np.asarray(prep, complex)
-    [(traj, rho9)] = _transfer(spec, nodes_link, [tomography.ef_swap() @ qubit], absorption)
-    extras = {"final_qutrit_b": partial_trace(rho9, (3, 3), keep=(1,))}
-    return RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras)
+    [run] = _integrate_links([_transfer_problem(spec, nodes_link, prep, absorption)])
+    return _transfer_result(spec, run)
 
 
 def run_transfer_efficiencies(spec: ProtocolSpec | None = None, nodes_link=None):
     """The four-run study behind the transfer efficiency and loss numbers.
 
     The transfer pair uses the protocol timing of ``spec``; the two
-    mean-field emission references use the emission-study acquisition window.
+    mean-field emission references use the emission-study acquisition
+    window.  Every drive is built first; each pair shares a grid and is
+    integrated as one batch.
     """
     spec = spec or ProtocolSpec(name="transfer")
-    emit_spec = replace(
-        spec, window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS
-    )
-    with_abs = run_transfer(spec, "e", absorption=True, nodes_link=nodes_link)
-    without_abs = run_transfer(spec, "e", absorption=False, nodes_link=nodes_link)
-    emit_a = run_emission(replace(emit_spec, name="emit-a"), "A", "gf", nodes_link=nodes_link)
-    emit_b = run_emission(replace(emit_spec, name="emit-b"), "B", "gf", nodes_link=nodes_link)
-    eff = efficiencies(
-        with_abs.trajectory,
-        without_abs.trajectory,
-        emit_a.trajectory,
-        emit_b.trajectory,
-    )
-    return eff, {
-        "with": with_abs,
-        "without": without_abs,
-        "emit_a": emit_a,
-        "emit_b": emit_b,
+    emit_spec = replace(spec, window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS)
+    emit_a_spec, emit_b_spec = replace(emit_spec, name="emit-a"), replace(emit_spec, name="emit-b")
+    gf = [QUTRIT_PREPS["gf"]]
+    runs = _integrate_links([
+        _transfer_problem(spec, nodes_link, "e", absorption=True),
+        _transfer_problem(spec, nodes_link, "e", absorption=False),
+        _link_problem(emit_a_spec, nodes_link, "A", gf),
+        _link_problem(emit_b_spec, nodes_link, "B", gf),
+    ])
+    results = {
+        "with": _transfer_result(spec, runs[0]),
+        "without": _transfer_result(spec, runs[1]),
+        "emit_a": _emission_result(emit_a_spec, "A", *runs[2][0]),
+        "emit_b": _emission_result(emit_b_spec, "B", *runs[3][0]),
     }
+    eff = efficiencies(*(results[k].trajectory for k in ("with", "without", "emit_a", "emit_b")))
+    return eff, results
 
 
 def _measure(rho, nodes, spec, rng):
@@ -327,23 +380,25 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
 
     Transfers the six mutually unbiased qubit input states in one
     integration, reconstructs each output at node B by MLE state tomography
-    on the qutrit, reduces to the {g, e} block without renormalization and
-    inverts for the chi matrix.  Every input is integrated before the first
-    readout draw, and the inputs are measured in order.  ``chi_direct`` is
-    the same inversion of the directly simulated outputs.
+    on the qutrit (the six as one stack), reduces to the {g, e} block
+    without renormalization and inverts for the chi matrix.  Every input is
+    integrated before the first readout draw, and the inputs are measured
+    in order.  ``chi_direct`` is the same inversion of the directly
+    simulated outputs.
     """
     spec = spec or ProtocolSpec(name="qpt")
     rng = np.random.default_rng(spec.seed)
     inputs = tomography.mub_qubit_states()
     swap = tomography.ef_swap()
     preps = [swap @ np.array([psi[0], psi[1], 0.0], dtype=complex) for psi in inputs]
-    direct = []
-    outputs = []
-    for _, rho9 in _transfer(spec, nodes_link, preps):
+    [runs] = _integrate_links([_link_problem(spec, nodes_link, "A", preps, absorb=True)])
+    direct, measured = [], []
+    for _, rho9 in _mapped(runs):
         rho3 = partial_trace(rho9, (3, 3), keep=(1,))
         direct.append(rho3[:2, :2])
         settings, pops = _measure(rho3, ("B",), spec, rng)
-        outputs.append(tomography.qst_mle(pops, settings)[:2, :2])
+        measured.append(pops)
+    outputs = tomography.qst_mle(np.stack(measured), settings)[:, :2, :2]
     chi = tomography.qpt_linear_inversion(inputs, outputs)
     f_p = metrics.process_fidelity(chi.chi, tomography.CHI_IDENTITY)
     extras = {
@@ -358,29 +413,49 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
     return RunResult(spec, None, None, extras)
 
 
-def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None, store_states=0) -> RunResult:
-    """Deterministic remote entanglement: A starts in (|e>+|f>)/sqrt(2).
+def run_entanglements(specs, nodes_link=None, store_states=0) -> list[RunResult]:
+    """Deterministic remote entanglement, one run per spec of ``specs``.
 
-    The f component is converted to a photon, absorbed at B and mapped to
-    |e> by the final pi_ef pulse, targeting (|eg> + |ge>)/sqrt(2).  Returns
-    the directly simulated two-qutrit state, its synthetic-tomography
-    reconstruction, and the metrics bundle evaluated on the reconstruction.
+    A starts in (|e>+|f>)/sqrt(2).  The f component is converted to a
+    photon, absorbed at B and mapped to |e> by the final pi_ef pulse,
+    targeting (|eg> + |ge>)/sqrt(2).  Every run's drives are built before
+    the first one integrates (ConfigError); the runs are integrated as one
+    batch per time grid, measured in order, each with its own ``spec.seed``
+    RNG, and reconstructed as one MLE stack, so each result equals its run
+    on its own.  Each returns the directly simulated two-qutrit state, its
+    synthetic-tomography reconstruction, and the metrics bundle evaluated on
+    the reconstruction.
     """
-    spec = spec or ProtocolSpec(name="entangle")
-    rng = np.random.default_rng(spec.seed)
-    [(traj, rho9)] = _transfer(spec, nodes_link, [QUTRIT_PREPS["ef"]], store_states=store_states)
-    settings, pops = _measure(rho9, ("A", "B"), spec, rng)
-    rho9_rec = tomography.qst_mle(pops, settings)
-    bundle = metrics.bundle_from_state(rho9_rec)
-    bundle.hs_distance = metrics.hs_distance(rho9, rho9_rec)
-    extras = {
-        "rho9_direct": rho9,
-        "rho9_tomography": rho9_rec,
-        "metrics": bundle,
-        "tomography_settings": settings,
-        "tomography_populations": pops,
-    }
-    return RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras)
+    runs = _integrate_links(
+        [_link_problem(spec, nodes_link, "A", [QUTRIT_PREPS["ef"]], absorb=True) for spec in specs],
+        store_states,
+    )
+    states = [_mapped(pairs)[0] for pairs in runs]
+    measured = [
+        _measure(rho9, ("A", "B"), spec, np.random.default_rng(spec.seed))
+        for spec, (_, rho9) in zip(specs, states)
+    ]
+    settings = measured[0][0]
+    recs = tomography.qst_mle(np.stack([pops for _, pops in measured]), settings)
+    results = []
+    for spec, (traj, rho9), (_, pops), rho9_rec in zip(specs, states, measured, recs):
+        bundle = metrics.bundle_from_state(rho9_rec)
+        bundle.hs_distance = metrics.hs_distance(rho9, rho9_rec)
+        extras = {
+            "rho9_direct": rho9,
+            "rho9_tomography": rho9_rec,
+            "metrics": bundle,
+            "tomography_settings": settings,
+            "tomography_populations": pops,
+        }
+        results.append(RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras))
+    return results
+
+
+def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None, store_states=0) -> RunResult:
+    """The one-spec case of :func:`run_entanglements`."""
+    [res] = run_entanglements([spec or ProtocolSpec(name="entangle")], nodes_link, store_states)
+    return res
 
 
 UPGRADE_COHERENCE_US = {"T1ge": 30.0, "T2ge": 30.0, "T1ef": 20.0, "T2ef": 20.0}
@@ -401,11 +476,14 @@ def run_upgrade_scenario(spec: ProtocolSpec | None = None, nodes_link=None) -> R
 def error_budget(spec: ProtocolSpec | None = None, nodes_link=None) -> dict:
     """Fidelity gained by disabling the channel loss, decoherence, or both."""
     spec = spec or ProtocolSpec(name="budget")
-    base = run_entanglement(spec, nodes_link=nodes_link)
-    no_loss = run_entanglement(replace(spec, eta_c=1.0), nodes_link=nodes_link)
-    no_dec = run_entanglement(replace(spec, decoherence=False), nodes_link=nodes_link)
-    neither = run_entanglement(
-        replace(spec, eta_c=1.0, decoherence=False), nodes_link=nodes_link
+    base, no_loss, no_dec, neither = run_entanglements(
+        [
+            spec,
+            replace(spec, eta_c=1.0),
+            replace(spec, decoherence=False),
+            replace(spec, eta_c=1.0, decoherence=False),
+        ],
+        nodes_link,
     )
     fid = {
         "baseline": base.extras["metrics"].state_fidelity,

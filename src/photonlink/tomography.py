@@ -10,14 +10,16 @@ single-qutrit factor A1 (27 x 9): the single set applies A1 once, and the
 pair set, whose Born map is A1 (x) A1, applies it along each node axis of
 the realigned state.  Both products of an iteration run in real arithmetic
 on one real view of conj(A1), so the iterates do not depend on the BLAS
-thread count.  The process matrix is obtained by plain linear inversion in
-the Pauli basis and may therefore be slightly non-positive, as reported.
+thread count.  A stack of data sets is reconstructed in one loop, each
+state stopping on its own and bit-identical to its reconstruction alone,
+since every product makes the call a single state makes.  The process
+matrix is obtained by plain linear inversion in the Pauli basis and may
+therefore be slightly non-positive, as reported.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -168,74 +170,128 @@ def qst_mle(
     """Maximum-likelihood state reconstruction from per-setting populations.
 
     ``populations`` has shape (n_settings, d) for ``settings`` =
-    ``gate_set("single")`` (d = 3) or ``gate_set("pair")`` (d = 9); mitigated
-    inputs may be slightly unphysical and are clipped to [0, 1] for the
-    likelihood weights.  Iterates the diluted fixed point
-    rho -> (I + R/2) rho (I + R/2)+, which preserves positivity by
-    construction, until the log-likelihood improves by less than ``tol`` or
-    ``max_iter`` is reached (then a warning reports a gradient norm above
-    1e-6 and the last estimate is returned).  The populations Re(A vec rho)
-    and the weighted adjoint (f/p) conj(A) use one real view c1 of conj(A1),
-    the single-qutrit factor of A: once for one qutrit, and for two along
-    each node axis of the realigned state X, as Re(A1 X A1^T) and
-    conj(A1)^T W conj(A1).  The iterates are therefore the same whatever the
-    BLAS thread count.  Raises ValueError if ``max_iter`` < 1, if the
-    settings are not one of the two gate sets, or if the populations do not
-    match them.
+    ``gate_set("single")`` (d = 3) or ``gate_set("pair")`` (d = 9), or
+    (m, n_settings, d) for a stack of m data sets, which returns an
+    (m, d, d) stack of states; mitigated inputs may be slightly unphysical
+    and are clipped to [0, 1] for the likelihood weights.  Iterates the
+    diluted fixed point rho -> (I + R/2) rho (I + R/2)+, which preserves
+    positivity by construction, until the log-likelihood improves by less
+    than ``tol`` or ``max_iter`` is reached (then a warning reports a
+    gradient norm above 1e-6 and the last estimate is returned).  Every
+    state of a stack stops by this rule on its own, leaves the stack there
+    and gets its own warning, so it equals its reconstruction on its own.
+    The populations Re(A vec rho) and the weighted adjoint (f/p) conj(A) use
+    one real view c1 of conj(A1), the single-qutrit factor of A: once for
+    one qutrit, and for two along each node axis of the realigned state X,
+    as Re(A1 X A1^T) and conj(A1)^T W conj(A1).  Every product is a
+    broadcast matmul that makes one BLAS call per state, the call a single
+    state makes, and the likelihood f . log p is one dot product per state,
+    so the iterates are the same whatever the stack and the BLAS thread
+    count.  The loop writes into buffers made once per stack size.  Raises
+    ValueError if ``max_iter`` < 1, if the settings are not one of the two
+    gate sets, or if the populations do not match them or are empty.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_gate_set(settings)
-    freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
+    n = len(settings)
     d = settings[0].unitary.shape[0]
-    if freqs.shape != (len(settings), d):
+    freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
+    if freqs.ndim not in (2, 3) or freqs.shape[-2:] != (n, d) or not freqs.size:
         raise ValueError(f"populations shape {freqs.shape} does not match settings")
+    stacked = freqs.ndim == 3
     a1, c1, pop_order, realign = _born_factor()
-    # c1 interleaves the columns Re A1 and -Im A1, so c1 @ x.view(float) =
-    # Re(A1 x) and (w @ c1).view(complex) = w conj(A1)
-    f = freqs.reshape(-1)
-    f = f / f.sum() * len(settings)  # per-setting normalization
-    if d == 3:
-        def born(rho):
-            return c1 @ rho.reshape(-1).view(float)
+    c1_t, a1_conj_t = c1.T, c1.view(complex).T
+    # per-setting normalization of each data set
+    f = np.stack([row / row.sum() * n for row in freqs.reshape(-1, n * d)])
+    if d == 9:
+        # C order: a strided row would take another BLAS dot product
+        f = np.ascontiguousarray(f[:, pop_order.reshape(-1)])
+    pop_shape = (27, 1) if d == 3 else (27, 27)
 
-        def adjoint(w):
-            return (w @ c1).view(complex).reshape(3, 3)
-    else:
-        f = f[pop_order]
-        c1_t, a1_conj_t = c1.T, c1.view(complex).T
+    def workspace(k):
+        """Buffers of a k-state stack: the states and a view of their
+        diagonals, the populations p and log p, the likelihoods, and the
+        Born map and its adjoint, which write through further buffers."""
+        rho = np.empty((k, d, d), complex)
+        p, logp = np.empty((k, *pop_shape)), np.empty((k, *pop_shape))
+        ll = np.empty(k)
+        # c1 interleaves the columns Re A1 and -Im A1, so c1 @ x.view(float)
+        # = Re(A1 x) and (w @ c1).view(complex) = w conj(A1)
+        if d == 3:
+            x = rho.reshape(k, 9).view(float)[:, :, None]
+            z = np.empty((k, 1, 18))
+            z_rho = z.view(complex).reshape(k, 3, 3)
 
-        def born(rho):
-            return (a1 @ rho.reshape(-1)[realign]).view(float) @ c1_t
+            def born():
+                np.matmul(c1, x, out=p)
 
-        def adjoint(w):
-            return (a1_conj_t @ (w @ c1).view(complex)).reshape(-1)[realign]
+            def adjoint(w):
+                np.matmul(w.reshape(k, 1, 27), c1, out=z)
+                return z_rho
+        else:
+            # the realignment indexes the flat stack at precomputed positions
+            rho_flat, flat_realign = rho.reshape(-1), (81 * np.arange(k))[:, None, None] + realign
+            y, z, r = np.empty((k, 27, 9), complex), np.empty((k, 27, 18)), np.empty((k, 9, 9), complex)
+            y_f, z_c, r_flat = y.view(float), z.view(complex), r.reshape(-1)
 
-    rho = np.eye(d, dtype=complex) / d
+            def born():
+                np.matmul(a1, rho_flat[flat_realign], out=y)
+                np.matmul(y_f, c1_t, out=p)
+
+            def adjoint(w):
+                np.matmul(w, c1, out=z)
+                np.matmul(a1_conj_t, z_c, out=r)
+                return r_flat[flat_realign]
+
+        diag = rho.reshape(k, 1, -1)[:, :, :: d + 1]
+        return rho, diag, p, logp, logp.reshape(k, -1, 1), ll, ll.reshape(k, 1, 1), born, adjoint
+
+    m = len(f)
+    f_col, f_row = f.reshape(m, *pop_shape), f.reshape(m, 1, -1)
+    out = np.empty((m, d, d), dtype=complex)
+    active = np.arange(m)
+    rho, diag, p, logp, logp_col, ll, ll_out, born, adjoint = workspace(m)
+    rho[:] = np.eye(d, dtype=complex) / d
     eye = np.eye(d)
-    scale = 2.0 * len(settings)
-    last_ll = -np.inf
+    scale = 2.0 * n
+    last_ll = [-np.inf] * m
     for _ in range(max_iter):
-        p = np.maximum(born(rho), 1e-14)
-        ll = float(np.vdot(f, np.log(p)))
-        if ll - last_ll < tol and math.isfinite(last_ll):
-            break
-        last_ll = ll
-        half_r = adjoint(f / p) / scale
+        born()
+        np.maximum(p, 1e-14, out=p)
+        np.log(p, out=logp)
+        np.matmul(f_row, logp_col, out=ll_out)
+        lls = ll.tolist()
+        stop = [now - last < tol for now, last in zip(lls, last_ll)]
+        if True in stop:
+            # a state that stops leaves the stack
+            keep = ~np.array(stop)
+            out[active[~keep]] = rho[~keep]
+            if not keep.any():
+                break
+            active, f_col, f_row = active[keep], f_col[keep], f_row[keep]
+            lls = [now for now, halt in zip(lls, stop) if not halt]
+            kept = p[keep], rho[keep]
+            rho, diag, p, logp, logp_col, ll, ll_out, born, adjoint = workspace(len(active))
+            p[:], rho[:] = kept
+        last_ll = lls
+        half_r = adjoint(f_col / p)
+        half_r /= scale
         step = eye + half_r
-        rho = step @ rho @ step.conj().T
-        rho = rho + rho.conj().T
-        rho /= rho.trace().real
+        new = step @ rho @ step.conj().mT
+        np.add(new, new.conj().mT, out=rho)
+        rho /= np.add.reduce(diag, axis=2, keepdims=True).real
     else:
-        # near-rank-deficient states approach the fixed point geometrically;
-        # keep the estimate and report only a genuinely unconverged residual
-        grad = 2.0 * np.abs(half_r @ rho - rho @ half_r).max()
-        if grad > 1e-6:
-            warnings.warn(
-                f"MLE stopped after {max_iter} iterations; gradient norm {grad:.3e}",
-                stacklevel=2,
-            )
-    return rho
+        out[active] = rho
+        grads = 2.0 * np.abs(half_r @ rho - rho @ half_r).max(axis=(1, 2))
+        for i, grad in zip(active, grads):
+            if grad > 1e-6:
+                where = f" on state {i}" if stacked else ""
+                warnings.warn(
+                    f"MLE stopped after {max_iter} iterations{where}; gradient norm {grad:.3e}",
+                    stacklevel=2,
+                )
+    return out if stacked else out[0]
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,129 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
     assert np.abs(chi - reference).max() <= 1e-12
 
 
+def _assert_same_entanglement(batched, alone):
+    """Two entanglement runs are bit-identical: states, trajectories and
+    metrics."""
+    for key in ("rho9_direct", "rho9_tomography", "tomography_populations"):
+        assert np.array_equal(batched.extras[key], alone.extras[key]), key
+    assert dataclasses.asdict(batched.extras["metrics"]) == dataclasses.asdict(alone.extras["metrics"])
+    a, b = batched.trajectory, alone.trajectory
+    assert np.array_equal(a.pops_A, b.pops_A) and np.array_equal(a.pops_B, b.pops_B)
+    assert np.array_equal(a.a_mean_out, b.a_mean_out) and np.array_equal(a.flux_out, b.flux_out)
+
+
+def test_eta_c_sweep_batch_equals_its_single_runs():
+    """A three-point eta_c sweep integrates as one batch and reconstructs as
+    one MLE stack, bit-identical to running each point on its own, exact
+    and with shots (each point draws from its own seed)."""
+    for shots in (None, 2000):
+        specs = [
+            ProtocolSpec(name="sweep", eta_c=eta, shots=shots, seed=7, **FAST)
+            for eta in (0.72, 0.77, 0.9)
+        ]
+        for batched, spec in zip(protocols.run_entanglements(specs), specs):
+            _assert_same_entanglement(batched, protocols.run_entanglement(spec))
+
+
+def test_error_budget_equals_its_single_runs():
+    spec = ProtocolSpec(name="budget", **FAST)
+    runs = protocols.error_budget(spec)["runs"]
+    singles = {
+        "baseline": spec,
+        "loss_off": dataclasses.replace(spec, eta_c=1.0),
+        "decoherence_off": dataclasses.replace(spec, decoherence=False),
+        "both_off": dataclasses.replace(spec, eta_c=1.0, decoherence=False),
+    }
+    for name, single in singles.items():
+        _assert_same_entanglement(runs[name], protocols.run_entanglement(single))
+
+
+def test_runs_on_different_grids_integrate_as_separate_batches(monkeypatch):
+    """A dt sweep splits into one batch per grid, and each run still equals
+    its run on its own."""
+    calls = []
+    integrate = protocols.integrate_me
+
+    def counting(problems, **kwargs):
+        calls.append(len(problems))
+        return integrate(problems, **kwargs)
+
+    specs = [ProtocolSpec(name="sweep", dt=dt) for dt in (0.5, 1.0, 0.5)]
+    monkeypatch.setattr(protocols, "integrate_me", counting)
+    batched = protocols.run_entanglements(specs)
+    assert calls == [2, 1]
+    monkeypatch.setattr(protocols, "integrate_me", integrate)
+    for run, spec in zip(batched, specs):
+        _assert_same_entanglement(run, protocols.run_entanglement(spec))
+
+
+def test_trace_drift_names_the_run_by_its_place_in_the_list():
+    """Runs 0 and 2 share a grid and integrate as one batch, in which the
+    drifting run 2 is the second group; the error names it as run 2."""
+    from photonlink.qops import DensityMatrix, destroy
+
+    def problem(t, rate):
+        h = device.TimeDependentOperator((2,), np.zeros((2, 2), complex), (), t)
+        excited = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
+        return h, [("decay", rate * destroy(2))], [excited], None
+
+    coarse, fine = np.arange(0.0, 20.0, 1.0), np.arange(0.0, 20.0, 0.5)
+    problems = [problem(coarse, 0.1), problem(fine, 0.1), problem(coarse, 10.0)]
+    with pytest.raises(dynamics.TraceDriftError, match="^run 2: trace of input 0 ") as caught:
+        protocols._integrate_links(problems)
+    assert caught.value.run == 2
+
+
+def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
+    """The six QPT outputs go through one MLE call, and the chi matrix is
+    bit-identical to reconstructing each measured output on its own."""
+    from photonlink import tomography as tomo
+
+    spec = ProtocolSpec(name="qpt", shots=2000, seed=3, **FAST)
+    stacks = []
+    mle = tomo.qst_mle
+
+    def recording(pops, settings, **kwargs):
+        stacks.append(np.array(pops))
+        return mle(pops, settings, **kwargs)
+
+    monkeypatch.setattr(tomo, "qst_mle", recording)
+    chi = protocols.run_state_transfer_qpt(spec).extras["chi"].chi
+    [pops] = stacks
+    assert pops.shape == (6, 9, 3)
+    outputs = [mle(p, tomo.gate_set("single"))[:2, :2] for p in pops]
+    assert np.array_equal(chi, tomo.qpt_linear_inversion(tomo.mub_qubit_states(), outputs).chi)
+
+
+def test_transfer_study_and_emission_pairs_equal_their_single_runs():
+    """The transfer study integrates its transfer pair and its emission pair
+    as two batches, and the emission scenario its two preparations as one
+    integration; every run is bit-identical to its run on its own."""
+    spec = ProtocolSpec(name="transfer", **FAST)
+    eff, runs = protocols.run_transfer_efficiencies(spec)
+    emit_spec = dataclasses.replace(
+        spec, window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS
+    )
+    singles = {
+        "with": protocols.run_transfer(spec, "e", absorption=True),
+        "without": protocols.run_transfer(spec, "e", absorption=False),
+        "emit_a": protocols.run_emission(dataclasses.replace(emit_spec, name="emit-a"), "A", "gf"),
+        "emit_b": protocols.run_emission(dataclasses.replace(emit_spec, name="emit-b"), "B", "gf"),
+    }
+    for name, single in singles.items():
+        assert runs[name].spec == single.spec
+        assert np.array_equal(runs[name].final_state.data, single.final_state.data), name
+        assert np.array_equal(runs[name].trajectory.flux_out, single.trajectory.flux_out), name
+        assert np.array_equal(runs[name].trajectory.pops_B, single.trajectory.pops_B), name
+    assert eff == dynamics.efficiencies(*(singles[k].trajectory for k in singles))
+    pair = protocols.run_emissions(emit_spec, "B", ("f", "gf"))
+    for run, initial in zip(pair, ("f", "gf")):
+        single = protocols.run_emission(emit_spec, "B", initial)
+        assert np.array_equal(run.final_state.data, single.final_state.data), initial
+        assert np.array_equal(run.trajectory.a_mean_out, single.trajectory.a_mean_out), initial
+        assert run.extras == single.extras
+
+
 @pytest.mark.filterwarnings("ignore:mitigated populations")
 def test_measure_draws_states_within_the_integrator_bounds():
     """Shot-mode tomography measures states the integrator accepts, with an

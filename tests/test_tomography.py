@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,10 +221,54 @@ def test_mle_refuses_settings_that_are_not_a_gate_set(rng):
     )
 
 
+@pytest.mark.filterwarnings("ignore:MLE stopped")
+@pytest.mark.filterwarnings("ignore:mitigated populations")
+def test_mle_stack_states_stop_on_their_own(rng):
+    """A stack whose states stop at different iterations returns each one
+    bit-identical to its reconstruction alone: the maximally mixed state is
+    the fixed point and stops at the second iteration, the others run on,
+    and the stack shrinks as they stop."""
+    for kind, d, nodes in (("pair", 9, ("A", "B")), ("single", 3, ("B",))):
+        settings = tomo.gate_set(kind)
+        rhos = [random_density(d, rng), np.eye(d) / d, random_density(d, rng, rank=2)]
+        pops = [tomo.born_probabilities(rho, settings) for rho in rhos]
+        shots = ProtocolSpec(name="qpt", shots=20000, seed=2)
+        pops.append(_measure(rhos[0], nodes, shots, np.random.default_rng(2))[1])
+        alone = [tomo.qst_mle(p, settings) for p in pops]
+        stack = tomo.qst_mle(np.stack(pops), settings)
+        assert stack.shape == (len(pops), d, d)
+        for i, rec in enumerate(alone):
+            assert np.array_equal(stack[i], rec), (kind, i)
+        assert np.array_equal(tomo.qst_mle(pops[1], settings, max_iter=1), alone[1])
+        assert not np.array_equal(tomo.qst_mle(pops[0], settings, max_iter=2), alone[0])
+
+
+def test_mle_warns_once_per_state_that_reaches_max_iter(rng):
+    """Each stacked state that reaches max_iter short of convergence gets its
+    own "MLE stopped" warning, which names it; a converged one gets none."""
+    settings = tomo.gate_set("pair")
+    rhos = [random_density(9, rng), np.eye(9) / 9, random_density(9, rng, rank=3)]
+    pops = np.stack([tomo.born_probabilities(rho, settings) for rho in rhos])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stack = tomo.qst_mle(pops, settings, max_iter=5)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2 and all(m.startswith("MLE stopped after 5 iterations") for m in messages)
+    assert "on state 0;" in messages[0] and "on state 2;" in messages[1]
+    for i, p in enumerate(pops):
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            assert np.array_equal(tomo.qst_mle(p, settings, max_iter=5), stack[i])
+        assert len(alone) == (i != 1)
+
+
 def test_mle_shape_validation():
     settings = tomo.gate_set("single")
     with pytest.raises(ValueError):
         tomo.qst_mle(np.zeros((4, 3)), settings)
+    for shape in ((2, 4, 3), (0, 9, 3), (2, 1, 9, 3)):
+        with pytest.raises(ValueError, match="populations shape"):
+            tomo.qst_mle(np.zeros(shape), settings)
 
 
 def test_mle_rejects_max_iter_below_one():
