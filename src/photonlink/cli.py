@@ -34,7 +34,7 @@ import scipy
 
 from . import __version__
 from . import device as dev
-from . import metrics, protocols, readout
+from . import metrics, protocols, readout, tomography
 from .dynamics import TraceDriftError
 from .protocols import ConfigError
 
@@ -275,7 +275,7 @@ def _run_qpt(args, spec, nodes_link):
 def _run_entangle(args, spec, nodes_link):
     res = protocols.run_entanglement(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
-    records = zip(res.extras["tomography_settings"], res.extras["tomography_populations"])
+    records = zip(tomography.gate_set("pair"), res.extras["tomography_populations"])
     artifacts = {
         "rho_two_qutrit_direct.json": _matrix(res.extras["rho9_direct"], dims=[3, 3]),
         "rho_two_qutrit_tomography.json": _matrix(res.extras["rho9_tomography"], dims=[3, 3]),

@@ -63,8 +63,12 @@ class NodeParams:
             raise ValueError("kappa_T must be positive")
         if self.alpha >= 0:
             raise ValueError("alpha must be negative")
+        if min(self.T1ge, self.T1ef, self.T2ge, self.T2ef) <= 0:
+            raise ValueError("coherence times must be positive")
         if self.T2ge > 2 * self.T1ge + 1e-12 or self.T2ef > 2 * self.T1ef + 1e-12:
             raise ValueError("T2 must not exceed 2*T1")
+        # the coherence times must leave both pure-dephasing rates non-negative
+        self.dephasing_rates()
 
     # angular rates in rad/ns
     @property

@@ -1,23 +1,23 @@
 """Master-equation integration and field observables for the cascaded link.
 
-The integrator takes one input form: the Hamiltonian as a
+The integrator has one call form: a batch, a list of (H, jumps, inputs,
+expect) groups on one time grid.  Each group holds the Hamiltonian as a
 TimeDependentOperator, whose grid is the integration grid, and a stack of
-initial states (DensityMatrix) that share it and the jump operators.  A
-batch is a list of such (H, jumps, inputs, expect) groups on one grid.  The
-master equation is linear, so one RK4 loop carries every input of every
-group: the states are the columns of one (G R^2, m) array.  Only the block
-of basis states a group's inputs can reach is integrated: the union of
-their supports closed under the nonzero patterns of H, the drive terms, the
-jump operators L_k and L_k+L_k.  The master equation maps that block into
-itself whatever the operators are, and a union of invariant blocks is
-invariant, so the restriction is exact; a single excitation on the link
-reaches at most 7 of the 36 states of the two-node model.  The static part
-of H and its drive terms, one per driven node, must be Hermitian and the
-drive samples real; the integrator checks both before it builds the
-generator.  On the block each Liouvillian is built densely with numpy
-(``np.kron``, about R^4 entries for an R-state block while it is built) and
-converted to CSR at once; they are stacked as [L_0 S_1 ... S_n], each
-block-diagonal over the groups, which acts on the row-major vectorized
+initial states (DensityMatrix) that share it and the jump operators; one
+problem is a batch of one group.  The master equation is linear, so one RK4
+loop carries every input of every group: the states are the columns of one
+(G R^2, m) array.  Only the block of basis states a group's inputs can reach
+is integrated: the union of their supports closed under the nonzero patterns
+of H, the drive terms, the jump operators L_k and L_k+L_k.  The master
+equation maps that block into itself whatever the operators are, and a union
+of invariant blocks is invariant, so the restriction is exact; a single
+excitation on the link reaches at most 7 of the 36 states of the two-node
+model.  The static part of H and its drive terms, one per driven node, must
+be Hermitian and the drive samples real; the integrator checks both before
+it builds the generator.  On the block each Liouvillian is built densely
+with numpy (``np.kron``, about R^4 entries for an R-state block while it is
+built) and converted to CSR at once; they are stacked as [L_0 S_1 ... S_n],
+each block-diagonal over the groups, which acts on the row-major vectorized
 density matrices and their copies weighted by each group's real drive
 coefficients as one sparse product per stage.  Every row keeps its nonzeros
 in the order of its group alone, so a batch is bit-identical to its groups
@@ -28,9 +28,9 @@ stages evaluate H, so the scheme is fourth order.  Every state is
 re-symmetrized after every step and its trace checked against its own
 initial trace.  The trace, the level populations and the expectation values
 are linear in the state, so every grid point records them for all inputs of
-a group by one product with its readout matrix; outputs are zero-padded
-back to the full dimensions.  Integrals over the recorded series use
-Simpson's rule, which matches the fourth order of the scheme.
+a group by one product with its readout matrix; outputs are zero-padded back
+to the full dimensions.  Integrals over the recorded series use Simpson's
+rule, which matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .device import TimeDependentOperator
 from .pulse import DriveEnvelope
 from .qops import DensityMatrix
 
@@ -57,12 +56,12 @@ _HERMITIAN_TOL = 1e-12
 class TraceDriftError(RuntimeError):
     """Integration became unstable: the state trace left its target.
 
-    ``run`` is the index of the failing problem in a batch, None for a
-    one-problem integration; the message names it before ``detail``.
+    ``run`` is the index of the failing problem in its batch; the message
+    names it before ``detail``.
     """
 
-    def __init__(self, detail, run=None):
-        super().__init__(detail if run is None else f"run {run}: {detail}")
+    def __init__(self, detail, run):
+        super().__init__(f"run {run}: {detail}")
         self.detail, self.run = detail, run
 
 
@@ -223,34 +222,25 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     )
 
 
-def integrate_me(
-    hamiltonian,
-    collapse_ops=None,
-    rho0s=None,
-    *,
-    expect=None,
-    store_states=0,
-):
+def integrate_me(problems, *, store_states=0):
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
-    a stack of initial states that share H and the jump operators, or for a
-    batch of such problems that share the grid.
+    a batch of problems that share the grid.
 
-    The grid of ``hamiltonian`` is the integration grid (a static H is a
-    TimeDependentOperator with no terms), and each drive term carries its
-    2 nt - 1 samples on the half-step grid t_0, t_0 + dt/2, t_1, ...: the
-    first and last RK4 stages of a step read the samples at its ends and the
-    two middle stages the sample at its midpoint, which makes the scheme
-    fourth order in dt.  ``collapse_ops`` holds (name,
-    operator) pairs and ``rho0s`` the initial states (one state is passed as
-    ``[rho0]``).  ``expect`` maps labels to operators whose expectation
-    values Tr(O rho) are recorded at every grid point.  ``store_states`` > 0
-    stores a density-matrix snapshot every that many steps (plus the final
-    state).  Level populations are tracked for every three-level subsystem:
-    the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
-
-    A batch passes a list of (hamiltonian, collapse_ops, rho0s, expect)
-    groups as the only positional argument; every group's Hamiltonian must
-    be on the same grid.  The one-problem call is the batch of one group.
+    ``problems`` is a list of (hamiltonian, collapse_ops, rho0s, expect)
+    groups, one problem being a batch of one group.  The grid of each
+    ``hamiltonian`` is the integration grid, the same for every group (a
+    static H is a TimeDependentOperator with no terms), and each drive term
+    carries its 2 nt - 1 samples on the half-step grid t_0, t_0 + dt/2,
+    t_1, ...: the first and last RK4 stages of a step read the samples at
+    its ends and the two middle stages the sample at its midpoint, which
+    makes the scheme fourth order in dt.  ``collapse_ops`` holds (name,
+    operator) pairs and ``rho0s`` the group's initial states, which share
+    H and the jump operators.  ``expect`` (or None) maps labels to
+    operators whose expectation values Tr(O rho) are recorded at every grid
+    point.  ``store_states`` > 0 stores a density-matrix snapshot every that
+    many steps (plus the final state).  Level populations are tracked for
+    every three-level subsystem: the two transmons of ``device.DIMS``, or
+    the one qutrit of a (3,) run.
 
     Only the reachable block of each group is integrated: the basis states
     in the union of the supports of its initial states, closed under the
@@ -272,24 +262,16 @@ def integrate_me(
     product with the group's readout matrix) and the trace check stay per
     group.
 
-    Returns one (Trajectory, final DensityMatrix) pair per input, in input
-    order, or for a batch one such list per group; every Trajectory's
-    ``dim`` is its group's integrated (union) block size and its
-    ``trace_drift`` that input's own.  Raises ValueError if there is no
-    input, if the groups are not on one grid, if an operator or an initial
-    state is not (d, d), if the static H or a drive term is not Hermitian
-    (to 1e-12), if drive samples are not real or not 2 nt - 1 of them, and
-    TraceDriftError, naming the input (and in a batch the run, the index of
-    its group), if the trace of any input wanders further than 1e-6 from its
-    own initial value.
+    Returns, per group in order, one (Trajectory, final DensityMatrix) pair
+    per input, in input order; every Trajectory's ``dim`` is its group's
+    integrated (union) block size and its ``trace_drift`` that input's own.
+    Raises ValueError if there is no problem or no input, if the groups are
+    not on one grid, if an operator or an initial state is not (d, d), if
+    the static H or a drive term is not Hermitian (to 1e-12), if drive
+    samples are not real or not 2 nt - 1 of them, and TraceDriftError,
+    naming the run (the index of its group) and the input, if the trace of
+    any input wanders further than 1e-6 from its own initial value.
     """
-    single = isinstance(hamiltonian, TimeDependentOperator)
-    if single:
-        problems = [(hamiltonian, collapse_ops, rho0s, expect)]
-    elif collapse_ops is not None or rho0s is not None or expect is not None:
-        raise TypeError("a batch of problems takes no collapse_ops, rho0s or expect")
-    else:
-        problems = list(hamiltonian)
     if not problems:
         raise ValueError("no problem to integrate")
     t = problems[0][0].t
@@ -393,7 +375,7 @@ def integrate_me(
                     raise TraceDriftError(
                         f"trace of input {i} drifted to {trace:.9f} (target "
                         f"{want:.9f}) at t = {t[k + 1]:.2f} ns; reduce dt",
-                        None if single else n,
+                        n,
                     )
         if store_states and ((k + 1) % store_states == 0 or k == nt - 2):
             for g, block, group_states in zip(groups, blocks, states):
@@ -416,7 +398,7 @@ def integrate_me(
             )
             out.append((traj, DensityMatrix(g.dims, padded(g, block[:, i]))))
         results.append(out)
-    return results[0] if single else results
+    return results
 
 
 # ---------------------------------------------------------------------------

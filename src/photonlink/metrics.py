@@ -1,8 +1,8 @@
 """State/process fidelities, entanglement measures and expectation tables.
 
-An expectation table <G_j (x) G_k> over a product operator basis is one
-contraction of the state with the stacked single-node basis, built once per
-process.
+An expectation table <G_j (x) G_k> is one contraction of the state with
+the stacked single-node basis its dimension picks (Paulis for two qubits,
+Gell-Mann matrices for two qutrits), built once per process.
 """
 
 from __future__ import annotations
@@ -132,34 +132,36 @@ def ccnr(rho: np.ndarray, dims) -> float:
 
 
 @functools.cache
-def _product_basis(basis: str):
-    """Labels, node dimension d and the stacked single-node basis, transposed
-    and flattened: row j holds G_j[a, c] at column c * d + a."""
-    if basis == "pauli":
-        ops, labels, d = [PAULI[p] for p in PAULI_LABELS], PAULI_LABELS, 2
-    elif basis == "gellmann":
-        ops, labels, d = gell_mann_basis(), GELL_MANN_LABELS, 3
+def _product_basis(d: int):
+    """Labels and the stacked single-node basis of d-level nodes (Paulis for
+    d = 2, Gell-Mann matrices for d = 3), transposed and flattened: row j
+    holds G_j[a, c] at column c * d + a."""
+    if d == 2:
+        ops, labels = [PAULI[p] for p in PAULI_LABELS], PAULI_LABELS
     else:
-        raise ValueError(f"unknown basis {basis!r}")
+        ops, labels = gell_mann_basis(), GELL_MANN_LABELS
     g = np.stack(ops).transpose(0, 2, 1).reshape(len(ops), d * d)
     g.flags.writeable = False
-    return labels, d, g
+    return labels, g
 
 
-def operator_expectations(rho: np.ndarray, basis: str):
-    """Expectation table <G_j (x) G_k> over a product operator basis.
+def operator_expectations(rho: np.ndarray):
+    """Expectation table <G_j (x) G_k> over the product operator basis of
+    ``rho``'s dimension.
 
-    basis='pauli' uses the two-qubit Paulis (labels like 'XY'); 'gellmann'
-    uses the qutrit basis of :func:`gell_mann_basis` (labels 'l3l5').
-    Tr((G_j (x) G_k) rho) = sum G_j[a, c] G_k[b, e] rho[(c e), (a b)], so the
-    table is g R g^T with g the flattened transposed basis and
-    R[(c a), (e b)] = rho[(c e), (a b)].  Values are real up to numerical
-    noise for Hermitian generators.
+    A 4x4 (two-qubit) state uses the Paulis (labels like 'XY'), a 9x9
+    (two-qutrit) state the qutrit basis of :func:`gell_mann_basis` (labels
+    'l3l5'); any other shape raises ValueError.  Tr((G_j (x) G_k) rho)
+    = sum G_j[a, c] G_k[b, e] rho[(c e), (a b)], so the table is g R g^T
+    with g the flattened transposed basis and R[(c a), (e b)] =
+    rho[(c e), (a b)].  Values are real up to numerical noise for
+    Hermitian generators.
     """
-    labels, d, g = _product_basis(basis)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"state shape {rho.shape} does not match basis {basis!r}")
+    d = {(4, 4): 2, (9, 9): 3}.get(rho.shape)
+    if d is None:
+        raise ValueError(f"state shape {rho.shape} is not 4x4 (two qubits) or 9x9 (two qutrits)")
+    labels, g = _product_basis(d)
     r = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     table = (g @ r @ g.T).real
     return {
@@ -195,12 +197,6 @@ def bundle_from_state(rho9: np.ndarray) -> MetricsBundle:
         ccnr=ccnr(rho9, (3, 3)),
         residual_f_population=1.0 - tr_m,
         qubit_block_trace=tr_m,
-        pauli_expectations={
-            k: v for k, v in operator_expectations(rho_m, "pauli").items() if k != "II"
-        },
-        gellmann_expectations={
-            k: v
-            for k, v in operator_expectations(rho9, "gellmann").items()
-            if k != "l0l0"
-        },
+        pauli_expectations={k: v for k, v in operator_expectations(rho_m).items() if k != "II"},
+        gellmann_expectations={k: v for k, v in operator_expectations(rho9).items() if k != "l0l0"},
     )

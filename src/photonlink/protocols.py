@@ -218,7 +218,7 @@ def _link_problem(spec, nodes_link, emitter, preps, absorb=False, tau=None):
     return h, cops, rho0s, {"a_out": out, "n_out": out.conj().T @ out}
 
 
-def _integrate_links(problems, store_states=0):
+def _integrate_links(problems):
     """Integrate link problems (:func:`_link_problem`) as one batch per time
     grid: runs that differ in dt or in their window are separate batches.
     Every trajectory gets its output field.  Returns, per problem in order,
@@ -230,7 +230,7 @@ def _integrate_links(problems, store_states=0):
     runs = [None] * len(problems)
     for members in grids.values():
         try:
-            batch = integrate_me([problems[i] for i in members], store_states=store_states)
+            batch = integrate_me([problems[i] for i in members])
         except TraceDriftError as exc:
             # name the run by its place in the list, not in its grid's batch
             raise TraceDriftError(exc.detail, members[exc.run]) from exc
@@ -354,25 +354,25 @@ def run_transfer_efficiencies(spec: ProtocolSpec | None = None, nodes_link=None)
     return eff, results
 
 
-def _measure(rho, nodes, spec, rng):
-    """Tomography settings and populations of the qutrits ``nodes`` in state
-    ``rho`` (A-major): ("B",) takes the single-qutrit gate set and ("A", "B")
-    the pair set.  Exact readout gives the Born probabilities.  With
+def _measure(rho, spec, rng):
+    """Tomography populations of ``rho``, one row per setting of the gate
+    set of its dimension: a 3x3 state is node B's qutrit, a 9x9 one the
+    A-major pair.  Exact readout gives the Born probabilities.  With
     ``spec.shots``, each setting's A-major label counts come from
     ``readout.joint_counts`` (the draws of ``readout.joint_shots``, labelled
     without building the shots) and are mitigated with the Kronecker product
     of the nodes' assignment matrices.
     """
-    settings = tomography.gate_set("single" if len(nodes) == 1 else "pair")
-    pops = tomography.born_probabilities(rho, settings)
+    pops = tomography.born_probabilities(rho)
     if spec.shots is None:
-        return settings, pops
+        return pops
+    nodes = ("B",) if len(rho) == 3 else ("A", "B")
     cals = [readout.default_calibration(node) for node in nodes]
     freqs = np.empty_like(pops)
     for k, p in enumerate(pops):
         freqs[k] = readout.joint_counts(cals, np.clip(p, 0, None), spec.shots, rng) / spec.shots
     r = readout.kron(*[cal.analytic_assignment() for cal in cals])
-    return settings, readout.mitigate(freqs.T, r).populations.T
+    return readout.mitigate(freqs.T, r).populations.T
 
 
 def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
@@ -396,9 +396,8 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
     for _, rho9 in _mapped(runs):
         rho3 = partial_trace(rho9, (3, 3), keep=(1,))
         direct.append(rho3[:2, :2])
-        settings, pops = _measure(rho3, ("B",), spec, rng)
-        measured.append(pops)
-    outputs = tomography.qst_mle(np.stack(measured), settings)[:, :2, :2]
+        measured.append(_measure(rho3, spec, rng))
+    outputs = tomography.qst_mle(np.stack(measured))[:, :2, :2]
     chi = tomography.qpt_linear_inversion(inputs, outputs)
     f_p = metrics.process_fidelity(chi.chi, tomography.CHI_IDENTITY)
     extras = {
@@ -413,7 +412,7 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
     return RunResult(spec, None, None, extras)
 
 
-def run_entanglements(specs, nodes_link=None, store_states=0) -> list[RunResult]:
+def run_entanglements(specs, nodes_link=None) -> list[RunResult]:
     """Deterministic remote entanglement, one run per spec of ``specs``.
 
     A starts in (|e>+|f>)/sqrt(2).  The f component is converted to a
@@ -427,34 +426,31 @@ def run_entanglements(specs, nodes_link=None, store_states=0) -> list[RunResult]
     the reconstruction.
     """
     runs = _integrate_links(
-        [_link_problem(spec, nodes_link, "A", [QUTRIT_PREPS["ef"]], absorb=True) for spec in specs],
-        store_states,
+        [_link_problem(spec, nodes_link, "A", [QUTRIT_PREPS["ef"]], absorb=True) for spec in specs]
     )
     states = [_mapped(pairs)[0] for pairs in runs]
     measured = [
-        _measure(rho9, ("A", "B"), spec, np.random.default_rng(spec.seed))
+        _measure(rho9, spec, np.random.default_rng(spec.seed))
         for spec, (_, rho9) in zip(specs, states)
     ]
-    settings = measured[0][0]
-    recs = tomography.qst_mle(np.stack([pops for _, pops in measured]), settings)
+    recs = tomography.qst_mle(np.stack(measured))
     results = []
-    for spec, (traj, rho9), (_, pops), rho9_rec in zip(specs, states, measured, recs):
+    for spec, (traj, rho9), pops, rho9_rec in zip(specs, states, measured, recs):
         bundle = metrics.bundle_from_state(rho9_rec)
         bundle.hs_distance = metrics.hs_distance(rho9, rho9_rec)
         extras = {
             "rho9_direct": rho9,
             "rho9_tomography": rho9_rec,
             "metrics": bundle,
-            "tomography_settings": settings,
             "tomography_populations": pops,
         }
         results.append(RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras))
     return results
 
 
-def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None, store_states=0) -> RunResult:
+def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
     """The one-spec case of :func:`run_entanglements`."""
-    [res] = run_entanglements([spec or ProtocolSpec(name="entangle")], nodes_link, store_states)
+    [res] = run_entanglements([spec or ProtocolSpec(name="entangle")], nodes_link)
     return res
 
 

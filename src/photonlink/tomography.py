@@ -2,19 +2,22 @@
 
 Tomography settings are ideal instantaneous pre-rotations from the nine-gate
 single-qutrit set (or its 81 ordered pairs for two qutrits), followed by a
-population measurement in the energy basis.  Each gate set is built once
-per process and shared; its unitaries are read-only.  States are
-reconstructed with a diluted iterative maximum-likelihood fixed point that
-is positive by construction.  The reconstruction holds the Born map as its
-single-qutrit factor A1 (27 x 9): the single set applies A1 once, and the
-pair set, whose Born map is A1 (x) A1, applies it along each node axis of
-the realigned state.  Both products of an iteration run in real arithmetic
-on one real view of conj(A1), so the iterates do not depend on the BLAS
-thread count.  A stack of data sets is reconstructed in one loop, each
-state stopping on its own and bit-identical to its reconstruction alone,
-since every product makes the call a single state makes.  The process
-matrix is obtained by plain linear inversion in the Pauli basis and may
-therefore be slightly non-positive, as reported.
+population measurement in the energy basis.  The dimension of the data
+picks the gate set: a 3x3 state or (9, 3) populations take the single set,
+a 9x9 state or (81, 9) populations the pair set, and anything else is
+refused.  Each gate set and its dense Born matrix are built once per
+process and shared read-only.  States are reconstructed with a diluted
+iterative maximum-likelihood fixed point that is positive by construction.
+The reconstruction holds the Born map as its single-qutrit factor A1
+(27 x 9): the single set applies A1 once, and the pair set, whose Born map
+is A1 (x) A1, applies it along each node axis of the realigned state.
+Both products of an iteration run in real arithmetic on one real view of
+conj(A1), so the iterates do not depend on the BLAS thread count.  A stack
+of data sets is reconstructed in one loop, each state stopping on its own
+and bit-identical to its reconstruction alone, since every product makes
+the call a single state makes.  The process matrix is obtained by plain
+linear inversion in the Pauli basis and may therefore be slightly
+non-positive, as reported.
 """
 
 from __future__ import annotations
@@ -111,21 +114,34 @@ def gate_set(kind: str):
     raise ValueError(f"unknown gate-set kind {kind!r}")
 
 
-def _measurement_matrix(settings):
-    """Born rule of a settings list as one (n_settings * d, d * d) matrix A.
+# the gate set a state is measured with, by its dimension: one qutrit or two
+_GATE_SET_OF_DIM = {3: "single", 9: "pair"}
+
+
+@functools.cache
+def _born_matrix(kind: str):
+    """Born rule of ``gate_set(kind)`` as one read-only (n_settings * d, d * d)
+    matrix A, built once per process.
 
     A[k d + s, i d + j] = U_si conj(U_sj) for setting k's rotation U, so
     A @ rho.reshape(-1) lists every setting's populations diag(U rho U+).
     """
-    u = np.stack([s.unitary for s in settings])
+    u = np.stack([s.unitary for s in gate_set(kind)])
     n, d, _ = u.shape
-    return (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
+    a = (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
+    a.flags.writeable = False
+    return a
 
 
-def born_probabilities(rho: np.ndarray, settings) -> np.ndarray:
-    """Populations diag(U rho U+) after each setting's rotation U, one row each."""
-    p = _measurement_matrix(settings) @ np.asarray(rho, complex).reshape(-1)
-    return p.real.reshape(len(settings), -1)
+def born_probabilities(rho: np.ndarray) -> np.ndarray:
+    """Populations diag(U rho U+) after each rotation U of the gate set of
+    ``rho``'s dimension (9 settings for a 3x3 state, 81 for a 9x9 one), one
+    row per setting.  Raises ValueError for any other shape."""
+    rho = np.asarray(rho, complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or len(rho) not in _GATE_SET_OF_DIM:
+        raise ValueError(f"state shape {rho.shape} is not 3x3 (one qutrit) or 9x9 (two)")
+    p = _born_matrix(_GATE_SET_OF_DIM[len(rho)]) @ rho.reshape(-1)
+    return p.real.reshape(-1, len(rho))
 
 
 @functools.cache
@@ -139,47 +155,30 @@ def _born_factor():
     realign sends rho[(i_a i_b), (j_a j_b)] to X[(i_a j_a), (i_b j_b)] and,
     being a swap of two indices, back (9 x 9 indices into the flat matrix).
     """
-    a1 = _measurement_matrix(gate_set("single"))
+    a1 = _born_matrix("single")
     c1 = a1.conj().view(float)
     pop_order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 2, 1, 3).reshape(27, 27)
     realign = np.arange(81).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
-    for shared in (a1, c1, pop_order, realign):
+    for shared in (c1, pop_order, realign):
         shared.flags.writeable = False
     return a1, c1, pop_order, realign
 
 
-def _check_gate_set(settings):
-    """Raise ValueError unless ``settings`` is the 9- or 81-setting gate set."""
-    kind = {9: "single", 81: "pair"}.get(len(settings))
-    if kind is None or any(
-        s is not r and not np.array_equal(s.unitary, r.unitary)
-        for s, r in zip(settings, gate_set(kind))
-    ):
-        raise ValueError(
-            f"qst_mle reconstructs from gate_set('single') or gate_set('pair'), "
-            f"not from these {len(settings)} settings"
-        )
-
-
-def qst_mle(
-    populations,
-    settings,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-):
+def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
     """Maximum-likelihood state reconstruction from per-setting populations.
 
-    ``populations`` has shape (n_settings, d) for ``settings`` =
-    ``gate_set("single")`` (d = 3) or ``gate_set("pair")`` (d = 9), or
-    (m, n_settings, d) for a stack of m data sets, which returns an
-    (m, d, d) stack of states; mitigated inputs may be slightly unphysical
-    and are clipped to [0, 1] for the likelihood weights.  Iterates the
-    diluted fixed point rho -> (I + R/2) rho (I + R/2)+, which preserves
-    positivity by construction, until the log-likelihood improves by less
-    than ``tol`` or ``max_iter`` is reached (then a warning reports a
-    gradient norm above 1e-6 and the last estimate is returned).  Every
-    state of a stack stops by this rule on its own, leaves the stack there
-    and gets its own warning, so it equals its reconstruction on its own.
+    ``populations`` holds one row of d outcomes per setting of the gate set
+    of d, (9, 3) for ``gate_set("single")`` and (81, 9) for
+    ``gate_set("pair")``, or (m, 9, 3) and (m, 81, 9) for a stack of m data
+    sets, which returns an (m, d, d) stack of states; mitigated inputs may
+    be slightly unphysical and are clipped to [0, 1] for the likelihood
+    weights.  Iterates the diluted fixed point rho -> (I + R/2) rho
+    (I + R/2)+, which preserves positivity by construction, until the
+    log-likelihood improves by less than ``tol`` or ``max_iter`` is reached
+    (then a warning reports a gradient norm above 1e-6 and the last
+    estimate is returned).  Every state of a stack stops by this rule on
+    its own, leaves the stack there and gets its own warning, so it equals
+    its reconstruction on its own.
     The populations Re(A vec rho) and the weighted adjoint (f/p) conj(A) use
     one real view c1 of conj(A1), the single-qutrit factor of A: once for
     one qutrit, and for two along each node axis of the realigned state X,
@@ -188,17 +187,18 @@ def qst_mle(
     state makes, and the likelihood f . log p is one dot product per state,
     so the iterates are the same whatever the stack and the BLAS thread
     count.  The loop writes into buffers made once per stack size.  Raises
-    ValueError if ``max_iter`` < 1, if the settings are not one of the two
-    gate sets, or if the populations do not match them or are empty.
+    ValueError if ``max_iter`` < 1, or if the populations are empty or
+    their shape is not one of those above.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    _check_gate_set(settings)
-    n = len(settings)
-    d = settings[0].unitary.shape[0]
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
-    if freqs.ndim not in (2, 3) or freqs.shape[-2:] != (n, d) or not freqs.size:
-        raise ValueError(f"populations shape {freqs.shape} does not match settings")
+    if freqs.ndim not in (2, 3) or freqs.shape[-2:] not in ((9, 3), (81, 9)) or not freqs.size:
+        raise ValueError(
+            f"populations shape {freqs.shape} is not (9, 3) or (81, 9), "
+            "one row per setting of a gate set, or a stack of them"
+        )
+    n, d = freqs.shape[-2:]
     stacked = freqs.ndim == 3
     a1, c1, pop_order, realign = _born_factor()
     c1_t, a1_conj_t = c1.T, c1.view(complex).T

@@ -196,6 +196,15 @@ def test_missing_device_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_device_with_negative_dephasing_exits_2_without_files(tmp_path):
+    """Coherence times that need a negative dephasing rate make a bad device
+    file, refused before the run starts."""
+    bad = _device_file(tmp_path / "bad.json", "node_b", T1ge=5, T1ef=20, T2ge=5, T2ef=39)
+    code, out = run_cli(tmp_path, "--scenario", "entangle", "--device", bad)
+    assert code == 2
+    assert not out.exists()
+
+
 def test_sweep_requires_values(tmp_path, capsys):
     for argv in (
         ["--sweep-param", "eta_c"],
@@ -371,7 +380,7 @@ def test_time_offset_flag(tmp_path):
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
-        raise TraceDriftError("trace left its target")
+        raise TraceDriftError("trace left its target", 0)
 
     monkeypatch.setattr(cli.protocols, "run_entanglement", boom)
     code, out = run_cli(tmp_path, "--scenario", "entangle")
@@ -396,7 +405,7 @@ def test_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
     assert (out / "entangle" / "tomography_records.json").exists()
 
     def boom(*args, **kwargs):
-        raise TraceDriftError("trace left its target")
+        raise TraceDriftError("trace left its target", 0)
 
     monkeypatch.setattr(cli.protocols, "run_entanglement", boom)
     code, out = run_cli(tmp_path, "--scenario", "entangle")
@@ -416,7 +425,7 @@ def test_rerun_deletes_only_listed_regular_files_in_the_run_directory(tmp_path, 
     (run_dir / "run.log").write_text(f"status: ok\nartifacts: {listed}\n")
 
     def boom(*args, **kwargs):
-        raise TraceDriftError("trace left its target")
+        raise TraceDriftError("trace left its target", 0)
 
     monkeypatch.setattr(cli.protocols, "run_entanglement", boom)
     code, _ = run_cli(tmp_path, "--scenario", "entangle")

@@ -49,6 +49,30 @@ def test_node_params_validation(table):
             device.LinkParams(eta_c=value)
 
 
+def test_coherence_times_must_leave_dephasing_non_negative(tmp_path, table):
+    """A short T1ge with T2ef near 2 T1ef asks for a negative ef dephasing
+    rate: the node is refused when it is built, from a device file too.
+    Scaling every time keeps the sign of the rates, and the no-decoherence
+    limit stays inside the rounding tolerance."""
+    node_a, node_b, link = table
+    bad = {"T1ge": 5.0, "T1ef": 20.0, "T2ge": 5.0, "T2ef": 39.0}
+    with pytest.raises(ValueError, match="negative dephasing"):
+        dataclasses.replace(node_b, **bad)
+    path = tmp_path / "bad.json"
+    raw = {"node_a": dataclasses.asdict(node_a), "node_b": dataclasses.asdict(node_b) | bad,
+           "link": dataclasses.asdict(link)}
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="invalid device file.*negative dephasing"):
+        device.load_device(path)
+    for name in ("T1ge", "T2ef"):
+        with pytest.raises(ValueError, match="positive"):
+            dataclasses.replace(node_a, **{name: 0.0})
+    for node in (node_a, node_b):
+        for factor in (1e-3, 3.0, 1e6):
+            assert min(device.scale_coherence(node, factor).dephasing_rates()) > 0
+        assert device.without_decoherence(node).kappa_int == 0.0
+
+
 def test_device_file_round_trip(tmp_path, table):
     node_a, node_b, link = table
     path = tmp_path / "dev.json"
@@ -214,16 +238,12 @@ def test_internal_loss_channel_present_when_nonzero(table):
 def _single_qutrit_run(node, rho0, t_end=1500.0, dt=1.0):
     t = np.arange(0.0, t_end + dt / 2, dt)
     cops = device.single_node_collapse_ops(node)
-    [(traj, final)] = integrate_me(
-        device.TimeDependentOperator((3,), np.zeros((3, 3), dtype=complex), (), t),
-        cops,
-        [DensityMatrix((3,), rho0)],
-        expect={
-            "coh_ge": np.outer(ket(3, 1), ket(3, 0).conj()),
-            "coh_ef": np.outer(ket(3, 2), ket(3, 1).conj()),
-        },
-        store_states=0,
-    )
+    h = device.TimeDependentOperator((3,), np.zeros((3, 3), dtype=complex), (), t)
+    expect = {
+        "coh_ge": np.outer(ket(3, 1), ket(3, 0).conj()),
+        "coh_ef": np.outer(ket(3, 2), ket(3, 1).conj()),
+    }
+    [[(traj, _)]] = integrate_me([(h, cops, [DensityMatrix((3,), rho0)], expect)])
     return t, traj
 
 

@@ -23,7 +23,7 @@ def _static(dims, t):
 def test_frozen_dynamics(rng):
     rho0 = DensityMatrix((3,), random_density(3, rng))
     t = np.arange(0.0, 10.0, 0.5)
-    [(traj, final)] = dynamics.integrate_me(_static((3,), t), [], [rho0])
+    [[(traj, final)]] = dynamics.integrate_me([(_static((3,), t), [], [rho0], None)])
     assert np.abs(final.data - rho0.data).max() < 1e-12
     assert np.allclose(traj.pops[0][0], traj.pops[0][-1])
 
@@ -33,7 +33,7 @@ def test_single_qutrit_exponential_decay(table):
     t = np.arange(0.0, 2000.0, 1.0)
     decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
-    [(traj, _)] = dynamics.integrate_me(_static((3,), t), [("decay_ge", decay)], [rho0])
+    [[(traj, _)]] = dynamics.integrate_me([(_static((3,), t), [("decay_ge", decay)], [rho0], None)])
     expected = np.exp(-t / (node_a.T1ge * 1e3))
     err = np.abs(traj.pops[0][:, 1] - expected) / expected
     assert err.max() < 1e-4
@@ -42,7 +42,7 @@ def test_single_qutrit_exponential_decay(table):
 def test_integrator_rejects_bad_grids(rng):
     rho0 = DensityMatrix((3,), random_density(3, rng))
     with pytest.raises(ValueError, match="uniform"):
-        dynamics.integrate_me(_static((3,), np.array([0.0, 1.0, 1.5])), [], [rho0])
+        dynamics.integrate_me([(_static((3,), np.array([0.0, 1.0, 1.5])), [], [rho0], None)])
 
 
 def test_integrator_rejects_wrong_shape_operators(table):
@@ -54,28 +54,28 @@ def test_integrator_rejects_wrong_shape_operators(table):
     rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
     wide = np.zeros((len(psi) + 1,) * 2, dtype=complex)
     with pytest.raises(ValueError, match="no initial state"):
-        dynamics.integrate_me(h, [], [])
+        dynamics.integrate_me([(h, [], [], None)])
     with pytest.raises(ValueError, match="expectation operator"):
-        dynamics.integrate_me(h, [], [rho0], expect={"wide": wide})
+        dynamics.integrate_me([(h, [], [rho0], {"wide": wide})])
     extra = dataclasses.replace(h, terms=h.terms + ((wide, np.ones(len(t), complex)),))
     with pytest.raises(ValueError, match="drive term"):
-        dynamics.integrate_me(extra, [], [rho0])
+        dynamics.integrate_me([(extra, [], [rho0], None)])
     with pytest.raises(ValueError, match="Hamiltonian"):
-        dynamics.integrate_me(dataclasses.replace(h, static=wide), [], [rho0])
+        dynamics.integrate_me([(dataclasses.replace(h, static=wide), [], [rho0], None)])
     # the static H and every drive term must be Hermitian, the samples real
     b, a = embed(destroy(3), 2, h.dims), embed(destroy(2), 3, h.dims)
     bd = b.conj().T
     one_sided = dataclasses.replace(h, terms=((bd @ bd @ a, np.ones(len(t))),))
     with pytest.raises(ValueError, match="not Hermitian"):
-        dynamics.integrate_me(one_sided, [], [rho0])
+        dynamics.integrate_me([(one_sided, [], [rho0], None)])
     op, samples = h.terms[0]
     complex_drive = dataclasses.replace(h, terms=((op, samples * np.exp(0.1j)),))
     with pytest.raises(ValueError, match="real"):
-        dynamics.integrate_me(complex_drive, [], [rho0])
+        dynamics.integrate_me([(complex_drive, [], [rho0], None)])
     skew = np.zeros_like(h.static)
     skew[0, 1] = 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
-        dynamics.integrate_me(dataclasses.replace(h, static=h.static + skew), [], [rho0])
+        dynamics.integrate_me([(dataclasses.replace(h, static=h.static + skew), [], [rho0], None)])
 
 
 def test_integrator_rejects_drive_samples_off_the_half_step_grid(table):
@@ -91,7 +91,7 @@ def test_integrator_rejects_drive_samples_off_the_half_step_grid(table):
     assert len(samples) == 2 * len(h.t) - 1
     for wrong in (samples[::2], np.append(samples, 0.0)):
         with pytest.raises(ValueError, match="half-step grid"):
-            dynamics.integrate_me(dataclasses.replace(h, terms=((op, wrong),)), [], [rho0])
+            dynamics.integrate_me([(dataclasses.replace(h, terms=((op, wrong),)), [], [rho0], None)])
 
 
 def test_reachable_block_is_exact_by_linearity(table, rng):
@@ -112,7 +112,7 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     rho_b = random_density(len(psi), rng)
 
     def final(rho):
-        [(traj, out)] = dynamics.integrate_me(h, cops, [DensityMatrix(h.dims, rho)])
+        [[(traj, out)]] = dynamics.integrate_me([(h, cops, [DensityMatrix(h.dims, rho)], None)])
         return traj.dim, out.data
 
     dim_a, out_a = final(rho_a)
@@ -140,9 +140,8 @@ def test_batch_matches_single_input_integrations(table, rng):
     ground = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
     ef = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    [(ef_traj, _)] = dynamics.integrate_me(
-        h, cops, [DensityMatrix(h.dims, np.outer(ef, ef.conj()))], store_states=40
-    )
+    ef_rho = DensityMatrix(h.dims, np.outer(ef, ef.conj()))
+    [[(ef_traj, _)]] = dynamics.integrate_me([(h, cops, [ef_rho], None)], store_states=40)
     block = np.flatnonzero(np.any([np.diag(rho).real > 0 for _, rho in ef_traj.states], axis=0))
     assert len(block) == 7
     mixed = np.zeros((len(ef), len(ef)), complex)
@@ -153,7 +152,8 @@ def test_batch_matches_single_input_integrations(table, rng):
     ]
 
     def run(batch):
-        return dynamics.integrate_me(h, cops, batch, expect=expect, store_states=40)
+        [runs] = dynamics.integrate_me([(h, cops, batch, expect)], store_states=40)
+        return runs
 
     batched = run(rhos)
     assert len(batched) == len(rhos)
@@ -194,10 +194,8 @@ def test_recorded_observables_match_snapshots(table, rng):
         "a_out": device.output_field_op(node_a, node_b, link),
         "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }
-    [(traj, _)] = dynamics.integrate_me(
-        h, cops, [DensityMatrix(h.dims, np.outer(psi, psi.conj()))],
-        expect=expect, store_states=25,
-    )
+    rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
+    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], expect)], store_states=25)
     assert len(traj.states) > 5
     for ts, rho in traj.states:
         k = int(np.argmin(np.abs(traj.t - ts)))
@@ -215,7 +213,7 @@ def test_reachable_block_closes_under_jump_products():
     jump[0, 1] = jump[0, 2] = 1.0
     rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
     t = np.arange(0.0, 2.0, 0.01)
-    [(traj, final)] = dynamics.integrate_me(_static((3,), t), [("jump", jump)], [rho0])
+    [[(traj, final)]] = dynamics.integrate_me([(_static((3,), t), [("jump", jump)], [rho0], None)])
     ldl = jump.conj().T @ jump
     eye = np.eye(3)
     generator = np.kron(jump, jump.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
@@ -230,7 +228,7 @@ def test_trace_drift_aborts():
     op = 10.0 * destroy(2)  # rate 100/ns at dt 1 ns
     rho0 = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
     with pytest.raises(dynamics.TraceDriftError):
-        dynamics.integrate_me(_static((2,), t), [("decay", op)], [rho0])
+        dynamics.integrate_me([(_static((2,), t), [("decay", op)], [rho0], None)])
 
 
 def test_trace_drift_of_one_input_aborts_the_batch():
@@ -240,12 +238,12 @@ def test_trace_drift_of_one_input_aborts_the_batch():
     op = 10.0 * destroy(2)
     steady = DensityMatrix((2,), np.diag([1.0, 0]).astype(complex))
     drifting = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
-    [(traj, _)] = dynamics.integrate_me(_static((2,), t), [("decay", op)], [steady])
+    [[(traj, _)]] = dynamics.integrate_me([(_static((2,), t), [("decay", op)], [steady], None)])
     assert traj.trace_drift == 0.0
     with pytest.raises(dynamics.TraceDriftError, match="input 1"):
-        dynamics.integrate_me(_static((2,), t), [("decay", op)], [steady, drifting])
+        dynamics.integrate_me([(_static((2,), t), [("decay", op)], [steady, drifting], None)])
     with pytest.raises(dynamics.TraceDriftError, match="input 0"):
-        dynamics.integrate_me(_static((2,), t), [("decay", op)], [drifting, steady])
+        dynamics.integrate_me([(_static((2,), t), [("decay", op)], [drifting, steady], None)])
 
 
 def test_trace_drift_names_the_run_of_a_batch():
@@ -256,7 +254,10 @@ def test_trace_drift_names_the_run_of_a_batch():
     steady = DensityMatrix((2,), np.diag([1.0, 0]).astype(complex))
     drifting = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
     calm = [("decay", 0.1 * destroy(2))]
-    batch = [(_static((2,), t), calm, [drifting], None), (_static((2,), t), [("decay", op)], [steady, drifting], None)]
+    batch = [
+        (_static((2,), t), calm, [drifting], None),
+        (_static((2,), t), [("decay", op)], [steady, drifting], None),
+    ]
     with pytest.raises(dynamics.TraceDriftError, match="^run 1: trace of input 1 ") as caught:
         dynamics.integrate_me(batch)
     assert caught.value.run == 1
@@ -297,7 +298,7 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
     ]
     batch = dynamics.integrate_me(problems, store_states=100)
     for problem, runs in zip(problems, batch):
-        alone = dynamics.integrate_me(*problem[:3], expect=problem[3], store_states=100)
+        [alone] = dynamics.integrate_me([problem], store_states=100)
         assert len(runs) == len(alone)
         for (traj, final), (ref, ref_final) in zip(runs, alone):
             assert traj.dim == ref.dim and traj.trace_drift == ref.trace_drift
@@ -380,7 +381,8 @@ def test_oracle_equivalence_with_full_master_equation(table):
     cops = device.build_collapse_ops(clean_a, clean_b, link)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    [(traj, _)] = dynamics.integrate_me(h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))])
+    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], None)])
     oracle = dynamics.two_level_oracle(env, clean_a.kappa_T_rad)
     assert np.abs(traj.pops_A[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
     assert np.abs(traj.pops_A[:, 0] - (1 - np.abs(oracle.c_f) ** 2)).max() < 1e-3
@@ -445,7 +447,7 @@ def test_cascade_matches_the_one_excitation_oracle(table):
         )
         lossless = [(name, op) for name, op in cops if not name.startswith(("decay", "dephase"))]
         assert {name for name, _ in lossless} == {"channel_loss", "cascade_out", "internal_A", "internal_B"}
-        [(traj, _)] = dynamics.integrate_me(h, lossless, rho0s)
+        [[(traj, _)]] = dynamics.integrate_me([(h, lossless, rho0s, None)])
         amps = _cascade_oracle(h, *device_link)
         gaps.append(max(
             np.abs(traj.pops_A[:, 2] - np.abs(amps[:, 0]) ** 2).max(),
@@ -495,9 +497,8 @@ def test_excitation_bookkeeping(table):
         "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    [(traj, _)] = dynamics.integrate_me(
-        h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], expect=expect
-    )
+    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], expect)])
     dynamics.output_observables(traj)
     from scipy.integrate import cumulative_trapezoid
 
@@ -537,9 +538,8 @@ def test_drive_off_photon_handoff(table):
         "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 0), ket(2, 1)), np.kron(ket(3, 0), ket(2, 0)))
-    [(traj, _)] = dynamics.integrate_me(
-        h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], expect=expect
-    )
+    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], expect)])
     dynamics.output_observables(traj)
     photons = traj.expect["n_A"].real + traj.expect["n_B"].real
     assert np.all(np.diff(photons) < 1e-12)
@@ -554,9 +554,8 @@ def test_trace_preservation_and_positivity(table):
     cops = device.build_collapse_ops(node_a, node_b, link)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-    [(traj, final)] = dynamics.integrate_me(
-        h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))], store_states=400
-    )
+    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    [[(traj, final)]] = dynamics.integrate_me([(h, cops, [rho0], None)], store_states=400)
     for _, rho in traj.states:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
         assert np.linalg.eigvalsh(rho).min() > -1e-7
@@ -573,9 +572,8 @@ def test_step_halving_convergence(table):
         cops = device.build_collapse_ops(node_a, node_b, link)
         dims = h.dims
         psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-        [(_, final)] = dynamics.integrate_me(
-            h, cops, [DensityMatrix(dims, np.outer(psi, psi.conj()))]
-        )
+        rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+        [[(_, final)]] = dynamics.integrate_me([(h, cops, [rho0], None)])
         finals.append(final.data)
     assert np.abs(finals[0] - finals[1]).max() < 1e-6
 

@@ -132,7 +132,7 @@ def test_gell_mann_basis_structure():
 
 def test_operator_expectations_pauli():
     bell = np.outer(metrics.BELL_PSI_PLUS, metrics.BELL_PSI_PLUS.conj())
-    table = metrics.operator_expectations(bell, "pauli")
+    table = metrics.operator_expectations(bell)
     assert table["XX"] == pytest.approx(1.0)
     assert table["YY"] == pytest.approx(1.0)
     assert table["ZZ"] == pytest.approx(-1.0)
@@ -142,7 +142,7 @@ def test_operator_expectations_pauli():
 
 def test_operator_expectations_gellmann(rng):
     rho = np.eye(9, dtype=complex) / 9
-    table = metrics.operator_expectations(rho, "gellmann")
+    table = metrics.operator_expectations(rho)
     assert len(table) == 81
     assert table["l0l0"] == pytest.approx(1.0)
     for key, value in table.items():
@@ -150,28 +150,32 @@ def test_operator_expectations_gellmann(rng):
             assert value == pytest.approx(0.0, abs=1e-12)
     # normalization on an arbitrary state: <l0 l0> = Tr rho
     rho = 0.7 * random_density(9, rng)
-    assert metrics.operator_expectations(rho, "gellmann")["l0l0"] == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        metrics.operator_expectations(rho, "spin")
-    with pytest.raises(ValueError):
-        metrics.operator_expectations(np.eye(4, dtype=complex), "gellmann")
+    assert metrics.operator_expectations(rho)["l0l0"] == pytest.approx(0.7)
+
+
+def test_operator_expectations_refuse_states_of_no_basis():
+    """The state's shape picks the basis; a shape of neither two qubits nor
+    two qutrits is refused, a single qutrit among them."""
+    for shape in ((3, 3), (2, 2), (16, 16), (4, 9), (81,), (1, 9, 9)):
+        with pytest.raises(ValueError, match="state shape"):
+            metrics.operator_expectations(np.zeros(shape, dtype=complex))
 
 
 def test_operator_expectations_match_kron_traces(rng):
     """Every entry of both tables equals Tr((G_j (x) G_k) rho) by np.kron."""
     paulis = [metrics.PAULI[p] for p in metrics.PAULI_LABELS]
     cases = (
-        ("pauli", paulis, metrics.PAULI_LABELS),
-        ("gellmann", metrics.gell_mann_basis(), metrics.GELL_MANN_LABELS),
+        (paulis, metrics.PAULI_LABELS),
+        (metrics.gell_mann_basis(), metrics.GELL_MANN_LABELS),
     )
-    for basis, ops, labels in cases:
+    for ops, labels in cases:
         rho = random_density(len(ops[0]) ** 2, rng)
-        table = metrics.operator_expectations(rho, basis)
+        table = metrics.operator_expectations(rho)
         assert len(table) == len(ops) ** 2
         for gj, lj in zip(ops, labels):
             for gk, lk in zip(ops, labels):
                 expected = np.trace(np.kron(gj, gk) @ rho).real
-                assert abs(table[f"{lj}{lk}"] - expected) <= 1e-14, (basis, lj, lk)
+                assert abs(table[f"{lj}{lk}"] - expected) <= 1e-14, (lj, lk)
 
 
 def test_bundle_from_state(rng):
