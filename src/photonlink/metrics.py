@@ -153,17 +153,16 @@ def operator_expectations(rho: np.ndarray):
     (two-qutrit) state the qutrit basis of :func:`gell_mann_basis` (labels
     'l3l5'); any other shape raises ValueError.  Tr((G_j (x) G_k) rho)
     = sum G_j[a, c] G_k[b, e] rho[(c e), (a b)], so the table is g R g^T
-    with g the flattened transposed basis and R[(c a), (e b)] =
-    rho[(c e), (a b)].  Values are real up to numerical noise for
-    Hermitian generators.
+    with g the flattened transposed basis and R = realign(rho),
+    R[(c a), (e b)] = rho[(c e), (a b)].  Values are real up to numerical
+    noise for Hermitian generators.
     """
     rho = np.asarray(rho, dtype=complex)
     d = {(4, 4): 2, (9, 9): 3}.get(rho.shape)
     if d is None:
         raise ValueError(f"state shape {rho.shape} is not 4x4 (two qubits) or 9x9 (two qutrits)")
     labels, g = _product_basis(d)
-    r = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    table = (g @ r @ g.T).real
+    table = (g @ realign(rho, (d, d)) @ g.T).real
     return {
         f"{lj}{lk}": float(table[j, k])
         for j, lj in enumerate(labels)

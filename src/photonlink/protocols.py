@@ -49,6 +49,12 @@ DEFAULT_DT = 0.5
 EMISSION_WINDOW = (-95.0, 105.0)
 EMISSION_IDLE_NS = 0.0
 
+# the largest run a spec describes, refused before anything is allocated:
+# RK4 steps on the grid (the dt 0.0125 fine reference takes up to 24 000)
+# and shots per tomography setting or readout state (25 000 at most in use)
+MAX_STEPS = 100_000
+MAX_SHOTS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A setting this run cannot honour, such as a drive it cannot build."""
@@ -93,14 +99,16 @@ class ProtocolSpec:
             raise ValueError("idle_ns must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.shots is not None and self.shots <= 0:
-            raise ValueError("shots must be positive")
+        if self.shots is not None and not 0 < self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in [1, {MAX_SHOTS}]")
         if self.kappa_eff_a <= 0 or self.kappa_eff_b <= 0:
             raise ValueError("photon bandwidths kappa_eff must be positive (linear MHz)")
         if self.eta_c is not None and not 0.0 <= self.eta_c <= 1.0:
             raise ValueError("eta_c must lie in [0, 1]")
         if self.window[0] >= 0 or self.window[1] <= 0:
             raise ValueError("window must bracket the photon peak at t = 0")
+        if (self.window[1] + self.idle_ns - self.window[0]) / self.dt > MAX_STEPS:
+            raise ValueError(f"window and idle_ns must span at most {MAX_STEPS} steps of dt")
 
 
 @dataclass

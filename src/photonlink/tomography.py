@@ -5,14 +5,13 @@ single-qutrit set (or its 81 ordered pairs for two qutrits), followed by a
 population measurement in the energy basis.  The dimension of the data
 picks the gate set: a 3x3 state or (9, 3) populations take the single set,
 a 9x9 state or (81, 9) populations the pair set, and anything else is
-refused.  Each gate set and its dense Born matrix are built once per
-process and shared read-only.  States are reconstructed with a diluted
-iterative maximum-likelihood fixed point that is positive by construction.
-The reconstruction holds the Born map as its single-qutrit factor A1
-(27 x 9): the single set applies A1 once, and the pair set, whose Born map
-is A1 (x) A1, applies it along each node axis of the realigned state.
-Both products of an iteration run in real arithmetic on one real view of
-conj(A1), so the iterates do not depend on the BLAS thread count.  A stack
+refused.  Each gate set and the single-qutrit factor A1 (27 x 9) of the
+Born map are built once per process and shared read-only: the single set
+applies A1 once, and the pair set, whose Born map is A1 (x) A1, applies it
+along each node axis of the realigned state.  Exact populations are these
+products, the model the diluted maximum-likelihood fixed point (positive by
+construction) iterates with, in real arithmetic on one real view of
+conj(A1), so its iterates do not depend on the BLAS thread count.  A stack
 of data sets is reconstructed in one loop, each state stopping on its own
 and bit-identical to its reconstruction alone, since every product makes
 the call a single state makes.  The process matrix is obtained by plain
@@ -114,54 +113,57 @@ def gate_set(kind: str):
     raise ValueError(f"unknown gate-set kind {kind!r}")
 
 
-# the gate set a state is measured with, by its dimension: one qutrit or two
-_GATE_SET_OF_DIM = {3: "single", 9: "pair"}
-
-
 @functools.cache
-def _born_matrix(kind: str):
-    """Born rule of ``gate_set(kind)`` as one read-only (n_settings * d, d * d)
-    matrix A, built once per process.
+def _born_factor():
+    """The Born map of the gate sets as its single-qutrit factor.
 
-    A[k d + s, i d + j] = U_si conj(U_sj) for setting k's rotation U, so
-    A @ rho.reshape(-1) lists every setting's populations diag(U rho U+).
+    Returns (a1, c1, pop_order, realign): a1 is A1 (27 x 9), with
+    A1[k 3 + s, i 3 + j] = U_si conj(U_sj) for setting k's rotation U of
+    ``gate_set("single")``, so A1 @ rho.reshape(-1) lists the populations
+    diag(U rho U+); c1 = conj(A1) viewed as float64 (27 x 18); pop_order sends
+    the pair set's populations, rows (k_a k_b) and outcomes (s_a s_b), to
+    the (k_a s_a, k_b s_b) order of A1 (x) A1 (27 x 27 indices); realign
+    sends rho[(i_a i_b), (j_a j_b)] to X[(i_a j_a), (i_b j_b)] and, being a
+    swap of two indices, back (9 x 9 indices into the flat matrix).
     """
-    u = np.stack([s.unitary for s in gate_set(kind)])
-    n, d, _ = u.shape
-    a = (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
-    a.flags.writeable = False
-    return a
+    u = np.stack([s.unitary for s in gate_set("single")])
+    a1 = (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(27, 9)
+    c1 = a1.conj().view(float)
+    pop_order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 2, 1, 3).reshape(27, 27)
+    realign = np.arange(81).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    for shared in (a1, c1, pop_order, realign):
+        shared.flags.writeable = False
+    return a1, c1, pop_order, realign
+
+
+def _populations(x, p=None, y=None):
+    """The MLE's forward products Re(A vec rho) of a stack of k states, into
+    ``p`` when given; c1 @ x.view(float) = Re(A1 x).  One qutrit: x is
+    vec(rho) viewed as float, (k, 18, 1), giving (k, 27, 1).  Two: x is the
+    realigned state X (k, 9, 9), A1 X goes through the complex buffer ``y``
+    (k, 27, 9) when given, and Re(A1 X A1^T) is (k, 27, 27) in the order of
+    ``pop_order``."""
+    a1, c1 = _born_factor()[:2]
+    if x.shape[-1] == 1:
+        return np.matmul(c1, x, out=p)
+    y = np.matmul(a1, x, out=y)
+    return np.matmul(y.view(float), c1.T, out=p)
 
 
 def born_probabilities(rho: np.ndarray) -> np.ndarray:
     """Populations diag(U rho U+) after each rotation U of the gate set of
     ``rho``'s dimension (9 settings for a 3x3 state, 81 for a 9x9 one), one
-    row per setting.  Raises ValueError for any other shape."""
+    row per setting: the MLE's own model of exact data, bit for bit.
+    Raises ValueError for any other shape."""
     rho = np.asarray(rho, complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or len(rho) not in _GATE_SET_OF_DIM:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or len(rho) not in (3, 9):
         raise ValueError(f"state shape {rho.shape} is not 3x3 (one qutrit) or 9x9 (two)")
-    p = _born_matrix(_GATE_SET_OF_DIM[len(rho)]) @ rho.reshape(-1)
-    return p.real.reshape(-1, len(rho))
-
-
-@functools.cache
-def _born_factor():
-    """The Born map of the gate sets, in the pieces the MLE applies.
-
-    Returns (a1, c1, pop_order, realign): a1 is the single-qutrit
-    measurement matrix A1 (27 x 9); c1 = conj(A1) viewed as float64 (27 x 18);
-    pop_order sends the pair set's populations, rows (k_a k_b) and outcomes
-    (s_a s_b), to the (k_a s_a, k_b s_b) order of A1 (x) A1 (27 x 27 indices);
-    realign sends rho[(i_a i_b), (j_a j_b)] to X[(i_a j_a), (i_b j_b)] and,
-    being a swap of two indices, back (9 x 9 indices into the flat matrix).
-    """
-    a1 = _born_matrix("single")
-    c1 = a1.conj().view(float)
-    pop_order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 2, 1, 3).reshape(27, 27)
-    realign = np.arange(81).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
-    for shared in (c1, pop_order, realign):
-        shared.flags.writeable = False
-    return a1, c1, pop_order, realign
+    if len(rho) == 3:
+        return _populations(rho.reshape(1, 9).view(float)[:, :, None]).reshape(9, 3)
+    _, _, pop_order, realign = _born_factor()
+    p = np.empty((81, 9))
+    p.reshape(-1)[pop_order] = _populations(rho.reshape(-1)[realign][None])[0]
+    return p
 
 
 def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
@@ -179,10 +181,10 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
     estimate is returned).  Every state of a stack stops by this rule on
     its own, leaves the stack there and gets its own warning, so it equals
     its reconstruction on its own.
-    The populations Re(A vec rho) and the weighted adjoint (f/p) conj(A) use
-    one real view c1 of conj(A1), the single-qutrit factor of A: once for
-    one qutrit, and for two along each node axis of the realigned state X,
-    as Re(A1 X A1^T) and conj(A1)^T W conj(A1).  Every product is a
+    The populations Re(A vec rho) (``_populations``) and the weighted
+    adjoint (f/p) conj(A) use one real view c1 of conj(A1): once for one
+    qutrit, and for two along each node axis of the realigned state X, as
+    Re(A1 X A1^T) and conj(A1)^T W conj(A1).  Every product is a
     broadcast matmul that makes one BLAS call per state, the call a single
     state makes, and the likelihood f . log p is one dot product per state,
     so the iterates are the same whatever the stack and the BLAS thread
@@ -200,8 +202,8 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
         )
     n, d = freqs.shape[-2:]
     stacked = freqs.ndim == 3
-    a1, c1, pop_order, realign = _born_factor()
-    c1_t, a1_conj_t = c1.T, c1.view(complex).T
+    _, c1, pop_order, realign = _born_factor()
+    a1_conj_t = c1.view(complex).T
     # per-setting normalization of each data set
     f = np.stack([row / row.sum() * n for row in freqs.reshape(-1, n * d)])
     if d == 9:
@@ -216,15 +218,14 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
         rho = np.empty((k, d, d), complex)
         p, logp = np.empty((k, *pop_shape)), np.empty((k, *pop_shape))
         ll = np.empty(k)
-        # c1 interleaves the columns Re A1 and -Im A1, so c1 @ x.view(float)
-        # = Re(A1 x) and (w @ c1).view(complex) = w conj(A1)
+        # (w @ c1).view(complex) = w conj(A1), c1 holding Re A1 and -Im A1
         if d == 3:
             x = rho.reshape(k, 9).view(float)[:, :, None]
             z = np.empty((k, 1, 18))
             z_rho = z.view(complex).reshape(k, 3, 3)
 
             def born():
-                np.matmul(c1, x, out=p)
+                _populations(x, p)
 
             def adjoint(w):
                 np.matmul(w.reshape(k, 1, 27), c1, out=z)
@@ -233,11 +234,10 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
             # the realignment indexes the flat stack at precomputed positions
             rho_flat, flat_realign = rho.reshape(-1), (81 * np.arange(k))[:, None, None] + realign
             y, z, r = np.empty((k, 27, 9), complex), np.empty((k, 27, 18)), np.empty((k, 9, 9), complex)
-            y_f, z_c, r_flat = y.view(float), z.view(complex), r.reshape(-1)
+            z_c, r_flat = z.view(complex), r.reshape(-1)
 
             def born():
-                np.matmul(a1, rho_flat[flat_realign], out=y)
-                np.matmul(y_f, c1_t, out=p)
+                _populations(rho_flat[flat_realign], p, y)
 
             def adjoint(w):
                 np.matmul(w, c1, out=z)
@@ -356,8 +356,8 @@ def qpt_linear_inversion(input_states, output_states) -> ProcessMatrix:
         rhs.append(sigma.reshape(-1))
     a = np.vstack(rows)
     b = np.concatenate(rhs)
-    chi_vec, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rank = np.linalg.matrix_rank(a)
+    # lstsq's rank uses matrix_rank's threshold, eps max(M, N) s_max
+    chi_vec, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 16:
         raise ValueError(f"rank-deficient design matrix (rank {rank} < 16)")
     chi = chi_vec.reshape(4, 4)

@@ -93,6 +93,11 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--kappa-eff", "10", "--dt", "0.5"],
         ["--scenario", "emit-b", "--kappa-eff", "10", "--dt", "0.5"],
         ["--seed", "-1"],
+        # runs too large to allocate: 2.3e7 and 2e7 RK4 steps, 1e7 shots
+        ["--dt", "0.00001"],
+        ["--idle-ns", "10000000"],
+        ["--shots", "10000000"],
+        ["--scenario", "sweep", "--sweep-param", "dt", "--sweep-values", "0.5,0.00001"],
         ["--out", str(not_a_dir)],  # an existing regular file
         # non-finite numbers, for which every <= / < check is False
         ["--idle-ns", "nan"],

@@ -33,6 +33,14 @@ def test_spec_validation():
         ProtocolSpec(name="x", seed=-1)
     with pytest.raises(ValueError):
         ProtocolSpec(name="x", shots=0)
+    # a run's size is bounded before anything is allocated: at most 1e5 RK4
+    # steps on the window and idle time, at most 1e6 shots
+    for kwargs in (dict(dt=1e-5), dict(idle_ns=1e7), dict(dt=0.001),
+                   dict(shots=10**6 + 1), dict(shots=10**7)):
+        with pytest.raises(ValueError, match="at most|must lie in"):
+            ProtocolSpec(name="x", **kwargs)
+    ProtocolSpec(name="x", shots=10**6)
+    ProtocolSpec(name="x", dt=0.0025)  # 92 000 steps
     with pytest.raises(ValueError):
         ProtocolSpec(name="x", kappa_eff_b=0.0)
     with pytest.raises(ValueError):

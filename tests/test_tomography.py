@@ -32,13 +32,22 @@ def kraus_to_chi(kraus_ops):
     return tomo.ProcessMatrix(chi)
 
 
+def dense_born_map(kind):
+    """The Born rule of ``gate_set(kind)`` as one dense matrix A with
+    A[k d + s, i d + j] = U_si conj(U_sj) for setting k's rotation U (for the
+    pair set the np.kron of the nodes' rotations): 729 x 81 for the pairs."""
+    u = np.stack([s.unitary for s in tomo.gate_set(kind)])
+    n, d, _ = u.shape
+    return (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
+
+
 def dense_mle(populations, tol=1e-10, max_iter=5000):
     """The MLE on the dense Born matrix of the whole gate set: the same
     diluted fixed point as ``tomo.qst_mle``, one real view of conj(A) per
     iteration with no product structure (729 x 162 for the pair set)."""
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     n, d = freqs.shape
-    c = tomo._born_matrix("single" if d == 3 else "pair").conj().view(float)
+    c = dense_born_map("single" if d == 3 else "pair").conj().view(float)
     f = freqs.reshape(-1)
     f = f / f.sum() * n
     rho = np.eye(d, dtype=complex) / d
@@ -87,14 +96,14 @@ def test_gate_sets_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             tomo.gate_set(kind)[1].unitary[0, 0] = 0.0
     assert tomo.gate_set("single")[1].unitary[0, 0] == pytest.approx(np.cos(np.pi / 4))
-    # the dense Born matrices too, each with one row per setting outcome
-    for kind, d in (("single", 3), ("pair", 9)):
-        a = tomo._born_matrix(kind)
-        assert a is tomo._born_matrix(kind)
-        assert a.shape == (len(tomo.gate_set(kind)) * d, d * d)
+    # the Born map's single-qutrit factor A1 and its index maps too
+    factor = tomo._born_factor()
+    assert factor is tomo._born_factor()
+    assert factor[0].shape == (27, 9)
+    assert np.array_equal(factor[0], dense_born_map("single"))
+    for shared in factor:
         with pytest.raises(ValueError):
-            a[0, 0] = 0.0
-    assert tomo._born_factor()[0] is tomo._born_matrix("single")
+            shared[0, 0] = 0
     # a setting keeps its own copy of the caller's array
     u = np.eye(3, dtype=complex)
     setting = tomo.TomographySetting("id", u)
@@ -125,6 +134,27 @@ def test_born_probabilities_basics(rng):
     for row, setting in zip(p, pairs):
         u = setting.unitary
         assert np.abs(row - np.diag(u @ rho @ u.conj().T).real).max() < 1e-14
+
+
+def test_exact_populations_are_the_mle_model(rng):
+    """born_probabilities returns, bit for bit, the forward products the
+    MLE iterates with, here made as the MLE makes them: on a stack of
+    states, into preallocated buffers, the pair set's on the realigned
+    states and in the (k_a s_a, k_b s_b) order of A1 (x) A1."""
+    _, _, pop_order, realign = tomo._born_factor()
+    for d in (3, 9):
+        rhos = np.stack([random_density(d, rng) for _ in range(4)])
+        if d == 3:
+            x, p = rhos.reshape(4, 9).view(float)[:, :, None], np.empty((4, 27, 1))
+            tomo._populations(x, p)
+        else:
+            p, y = np.empty((4, 27, 27)), np.empty((4, 27, 9), complex)
+            tomo._populations(rhos.reshape(4, 81)[:, realign], p, y)
+        for rho, model in zip(rhos, p):
+            exact = tomo.born_probabilities(rho)
+            if d == 9:
+                exact = exact.reshape(-1)[pop_order]
+            assert exact.tobytes() == model.reshape(exact.shape).tobytes()
 
 
 def test_ef_swap_is_permutation():
