@@ -83,7 +83,6 @@ class Trajectory:
     expect: dict = field(default_factory=dict)
     a_mean_out: np.ndarray | None = None
     flux_out: np.ndarray | None = None
-    states: list = field(default_factory=list)   # optional (t, rho) snapshots
     dim: int | None = None
     trace_drift: float | None = None
 
@@ -222,7 +221,7 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     )
 
 
-def integrate_me(problems, *, store_states=0):
+def integrate_me(problems):
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
     a batch of problems that share the grid.
 
@@ -237,22 +236,20 @@ def integrate_me(problems, *, store_states=0):
     operator) pairs and ``rho0s`` the group's initial states, which share
     H and the jump operators.  ``expect`` (or None) maps labels to
     operators whose expectation values Tr(O rho) are recorded at every grid
-    point.  ``store_states`` > 0 stores a density-matrix snapshot every that
-    many steps (plus the final state).  Level populations are tracked for
-    every three-level subsystem: the two transmons of ``device.DIMS``, or
-    the one qutrit of a (3,) run.
+    point.  Level populations are tracked for every three-level subsystem:
+    the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
 
     Only the reachable block of each group is integrated: the basis states
     in the union of the supports of its initial states, closed under the
     nonzero patterns of H, every drive term, every L_k and every L_k+L_k.
     The generator keeps that block invariant, so the result equals the
-    full-space integration of each input; the final states and the
-    snapshots are zero-padded back to the full dims.  Each R^2 x R^2
-    Liouvillian of an R-state block is built densely with numpy (about R^4
-    entries held while it is built) and converted to CSR at once; on
-    ``device.DIMS`` R is at most 36.  The groups' blocks are zero-padded to
-    the largest one and their inputs to the largest input count, and the
-    state of the batch is one (G R^2, m) array: each RK4 stage applies
+    full-space integration of each input; the final states are zero-padded
+    back to the full dims.  Each R^2 x R^2 Liouvillian of an R-state block
+    is built densely with numpy (about R^4 entries held while it is built)
+    and converted to CSR at once; on ``device.DIMS`` R is at most 36.  The
+    groups' blocks are zero-padded to the largest one and their inputs to
+    the largest input count, and the state of the batch is one (G R^2, m)
+    array: each RK4 stage applies
     [blockdiag(L_0) blockdiag(S_1) ... blockdiag(S_n)] to it and to its
     copies weighted by each group's drive coefficients (a group with fewer
     drive terms has empty blocks) as one sparse product.  Every row keeps
@@ -265,6 +262,9 @@ def integrate_me(problems, *, store_states=0):
     Returns, per group in order, one (Trajectory, final DensityMatrix) pair
     per input, in input order; every Trajectory's ``dim`` is its group's
     integrated (union) block size and its ``trace_drift`` that input's own.
+    No intermediate state is kept: the state after step k is, bit for bit,
+    the final state of the group cut to ``t[:k+1]`` and each drive term's
+    first 2k + 1 samples, whose record is the full record's first k + 1 rows.
     Raises ValueError if there is no problem or no input, if the groups are
     not on one grid, if an operator or an initial state is not (d, d), if
     the static H or a drive term is not Hermitian (to 1e-12), if drive
@@ -347,13 +347,6 @@ def integrate_me(problems, *, store_states=0):
         (n, block.T, g.readout, rec, rec[:, :, 0].real, target)
         for n, (g, block, rec, target) in enumerate(zip(groups, blocks, recs, targets))
     ]
-    states = [[[] for _ in g.rhos] for g in groups]
-
-    def padded(g, col):
-        full = np.zeros((g.d, g.d), dtype=complex)
-        full[g.block] = col.reshape(g.r, g.r)
-        return full
-
     for _, inputs, readout, rec, _, _ in reads:
         rec[0] = inputs @ readout
     for k in range(nt - 1):
@@ -377,13 +370,9 @@ def integrate_me(problems, *, store_states=0):
                         f"{want:.9f}) at t = {t[k + 1]:.2f} ns; reduce dt",
                         n,
                     )
-        if store_states and ((k + 1) % store_states == 0 or k == nt - 2):
-            for g, block, group_states in zip(groups, blocks, states):
-                for i, snapshots in enumerate(group_states):
-                    snapshots.append((t[k + 1], padded(g, block[:, i])))
 
     results = []
-    for g, block, rec, target, group_states in zip(groups, blocks, recs, targets, states):
+    for g, block, rec, target in zip(groups, blocks, recs, targets):
         drift = np.abs(rec[1:, :, 0].real - target).max(axis=0)
         out = []
         for i in range(len(g.rhos)):
@@ -392,11 +381,10 @@ def integrate_me(problems, *, store_states=0):
                 name: rec[:, i, col].copy()
                 for col, name in enumerate(g.expect, start=1 + 3 * g.n_slots)
             }
-            traj = Trajectory(
-                t=t, pops=pops, expect=exp_vals, states=group_states[i], dim=g.r,
-                trace_drift=float(drift[i]),
-            )
-            out.append((traj, DensityMatrix(g.dims, padded(g, block[:, i]))))
+            traj = Trajectory(t=t, pops=pops, expect=exp_vals, dim=g.r, trace_drift=float(drift[i]))
+            final = np.zeros((g.d, g.d), dtype=complex)
+            final[g.block] = block[:, i].reshape(g.r, g.r)
+            out.append((traj, DensityMatrix(g.dims, final)))
         results.append(out)
     return results
 

@@ -467,14 +467,12 @@ UPGRADE_ETA_C = 0.88
 
 
 def run_upgrade_scenario(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
-    """Entanglement with upgraded coherence (30/20 us) and 12% channel loss."""
+    """Entanglement with upgraded coherence (30/20 us) and 12% channel loss;
+    the spec's overrides apply to the upgraded device, so its eta_c wins."""
     spec = spec or ProtocolSpec(name="upgrade")
-    node_a, node_b, link = resolve_device(nodes_link, replace(spec, t_scale=1.0))
-    node_a = replace(node_a, **UPGRADE_COHERENCE_US)
-    node_b = replace(node_b, **UPGRADE_COHERENCE_US)
-    if spec.eta_c is None:
-        link = replace(link, eta_c=UPGRADE_ETA_C)
-    return run_entanglement(spec, nodes_link=(node_a, node_b, link))
+    node_a, node_b, link = dev.load_device() if nodes_link is None else nodes_link
+    node_a, node_b = (replace(node, **UPGRADE_COHERENCE_US) for node in (node_a, node_b))
+    return run_entanglement(spec, (node_a, node_b, replace(link, eta_c=UPGRADE_ETA_C)))
 
 
 def error_budget(spec: ProtocolSpec | None = None, nodes_link=None) -> dict:

@@ -136,18 +136,24 @@ def _born_factor():
     return a1, c1, pop_order, realign
 
 
-def _populations(x, p=None, y=None):
-    """The MLE's forward products Re(A vec rho) of a stack of k states, into
-    ``p`` when given; c1 @ x.view(float) = Re(A1 x).  One qutrit: x is
-    vec(rho) viewed as float, (k, 18, 1), giving (k, 27, 1).  Two: x is the
-    realigned state X (k, 9, 9), A1 X goes through the complex buffer ``y``
-    (k, 27, 9) when given, and Re(A1 X A1^T) is (k, 27, 27) in the order of
-    ``pop_order``."""
+def _populations(k, d, p=None):
+    """The MLE's forward product Re(A vec rho) of a stack of k states of
+    dimension d, as a function of the stack that writes into ``p`` when
+    given; c1 @ x.view(float) = Re(A1 x).  One qutrit takes vec(rho) viewed
+    as float, (k, 18, 1), to (k, 27, 1); two take the realigned states X
+    (k, 9, 9), through a buffer for A1 X made here, to Re(A1 X A1^T),
+    (k, 27, 27) in the order of ``pop_order``."""
     a1, c1 = _born_factor()[:2]
-    if x.shape[-1] == 1:
-        return np.matmul(c1, x, out=p)
-    y = np.matmul(a1, x, out=y)
-    return np.matmul(y.view(float), c1.T, out=p)
+    if d == 3:
+        return functools.partial(np.matmul, c1, out=p)
+    y = np.empty((k, 27, 9), complex)
+    y_real, c1_t = y.view(float), c1.T
+
+    def forward(x):
+        np.matmul(a1, x, out=y)
+        return np.matmul(y_real, c1_t, out=p)
+
+    return forward
 
 
 def born_probabilities(rho: np.ndarray) -> np.ndarray:
@@ -159,10 +165,10 @@ def born_probabilities(rho: np.ndarray) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or len(rho) not in (3, 9):
         raise ValueError(f"state shape {rho.shape} is not 3x3 (one qutrit) or 9x9 (two)")
     if len(rho) == 3:
-        return _populations(rho.reshape(1, 9).view(float)[:, :, None]).reshape(9, 3)
+        return _populations(1, 3)(rho.reshape(1, 9).view(float)[:, :, None]).reshape(9, 3)
     _, _, pop_order, realign = _born_factor()
     p = np.empty((81, 9))
-    p.reshape(-1)[pop_order] = _populations(rho.reshape(-1)[realign][None])[0]
+    p.reshape(-1)[pop_order] = _populations(1, 9)(rho.reshape(-1)[realign][None])[0]
     return p
 
 
@@ -218,14 +224,13 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
         rho = np.empty((k, d, d), complex)
         p, logp = np.empty((k, *pop_shape)), np.empty((k, *pop_shape))
         ll = np.empty(k)
+        forward = _populations(k, d, p)
         # (w @ c1).view(complex) = w conj(A1), c1 holding Re A1 and -Im A1
         if d == 3:
             x = rho.reshape(k, 9).view(float)[:, :, None]
             z = np.empty((k, 1, 18))
             z_rho = z.view(complex).reshape(k, 3, 3)
-
-            def born():
-                _populations(x, p)
+            born = functools.partial(forward, x)
 
             def adjoint(w):
                 np.matmul(w.reshape(k, 1, 27), c1, out=z)
@@ -233,11 +238,11 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
         else:
             # the realignment indexes the flat stack at precomputed positions
             rho_flat, flat_realign = rho.reshape(-1), (81 * np.arange(k))[:, None, None] + realign
-            y, z, r = np.empty((k, 27, 9), complex), np.empty((k, 27, 18)), np.empty((k, 9, 9), complex)
+            z, r = np.empty((k, 27, 18)), np.empty((k, 9, 9), complex)
             z_c, r_flat = z.view(complex), r.reshape(-1)
 
             def born():
-                _populations(rho_flat[flat_realign], p, y)
+                forward(rho_flat[flat_realign])
 
             def adjoint(w):
                 np.matmul(w, c1, out=z)

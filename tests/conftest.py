@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,17 @@ def random_density(dim, rng, rank=None):
     a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def cut_short(problem, steps):
+    """An ``integrate_me`` group (hamiltonian, collapse_ops, rho0s, expect)
+    cut after ``steps`` steps of its grid: the grid's first steps + 1 points
+    and each drive term's first 2 steps + 1 half-step samples.  Its final
+    states are, bit for bit, the states of the full run after that many
+    steps, and its record is the first steps + 1 rows of the full one."""
+    h, *rest = problem
+    terms = tuple((op, samples[: 2 * steps + 1]) for op, samples in h.terms)
+    return (dataclasses.replace(h, t=h.t[: steps + 1], terms=terms), *rest)
 
 
 def random_pure(dim, rng):

@@ -11,7 +11,7 @@ from photonlink import device, dynamics, metrics, protocols, pulse, readout
 from photonlink import tomography as tomo
 from photonlink.protocols import ProtocolSpec
 from photonlink.qops import mhz
-from conftest import random_density, random_pure
+from conftest import cut_short, random_density, random_pure
 
 warnings.filterwarnings("ignore", message="MLE stopped")
 
@@ -51,13 +51,17 @@ def entangle_run():
 
 @pytest.fixture(scope="session")
 def entangle_snapshots():
-    """(t, rho) snapshots every 200 steps of the entanglement run's
-    integration, which the run itself does not keep."""
+    """(t, rho) of the entanglement run's integration after 200 and 400
+    steps and at its end; a mid-run state, which the run itself does not
+    keep, is the final state of the run cut short there."""
     problem = protocols._link_problem(
         ProtocolSpec(name="entangle"), None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True
     )
-    [[(traj, _)]] = dynamics.integrate_me([problem], store_states=200)
-    return traj.states
+    snapshots = []
+    for run in (cut_short(problem, 200), cut_short(problem, 400), problem):
+        [[(traj, final)]] = dynamics.integrate_me([run])
+        snapshots.append((traj.t[-1], final.data))
+    return snapshots
 
 
 @pytest.fixture(scope="session")

@@ -86,6 +86,11 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--eta-c", "1.5"],
         ["--dt", "0"],
         ["--dt", "0.3"],  # does not divide the +-95 ns window
+        # above 1 ns; 5 ns divides both window edges and --idle-ns, so only
+        # the (0, 1] bound refuses it
+        ["--dt", "5"],
+        ["--scenario", "emit-b", "--dt", "2.5"],
+        ["--scenario", "sweep", "--sweep-param", "dt", "--sweep-values", "0.5,5"],
         ["--t-scale", "0"],
         ["--idle-ns", "-300"],
         ["--kappa-eff", "12"],  # above node A's kappa_T of 10.4 MHz

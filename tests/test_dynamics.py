@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from photonlink import device, dynamics, protocols, pulse
 from photonlink.qops import DensityMatrix, destroy, embed, ket, mhz, partial_trace
-from conftest import random_density
+from conftest import cut_short, random_density
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +141,10 @@ def test_batch_matches_single_input_integrations(table, rng):
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
     ef = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     ef_rho = DensityMatrix(h.dims, np.outer(ef, ef.conj()))
-    [[(ef_traj, _)]] = dynamics.integrate_me([(h, cops, [ef_rho], None)], store_states=40)
-    block = np.flatnonzero(np.any([np.diag(rho).real > 0 for _, rho in ef_traj.states], axis=0))
+    # the basis states ef populates at some grid point
+    projectors = {n: np.diag(row) for n, row in enumerate(np.eye(len(ef)))}
+    [[(ef_traj, _)]] = dynamics.integrate_me([(h, cops, [ef_rho], projectors)])
+    block = [n for n, series in ef_traj.expect.items() if (series.real > 0).any()]
     assert len(block) == 7
     mixed = np.zeros((len(ef), len(ef)), complex)
     mixed[np.ix_(block, block)] = random_density(len(block), rng)
@@ -152,7 +154,7 @@ def test_batch_matches_single_input_integrations(table, rng):
     ]
 
     def run(batch):
-        [runs] = dynamics.integrate_me([(h, cops, batch, expect)], store_states=40)
+        [runs] = dynamics.integrate_me([(h, cops, batch, expect)])
         return runs
 
     batched = run(rhos)
@@ -169,15 +171,13 @@ def test_batch_matches_single_input_integrations(table, rng):
         assert traj.expect.keys() == single.expect.keys()
         for name, series in traj.expect.items():
             assert np.abs(series - single.expect[name]).max() <= 1e-12
-        assert [ts for ts, _ in traj.states] == [ts for ts, _ in single.states]
-        for (_, rho), (_, ref) in zip(traj.states, single.states):
-            assert np.abs(rho - ref).max() <= 1e-12
     assert single_dims == [1, 7, 7]
 
 
 def test_recorded_observables_match_snapshots(table, rng):
     """Populations and expectation values come from one readout matrix on the
-    integrated block; they must equal what the full stored state gives."""
+    integrated block; every 25th step they must equal what the full state
+    gives, taken from the run cut short there."""
     node_a, node_b, link = table
     t = pulse.default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
@@ -194,11 +194,12 @@ def test_recorded_observables_match_snapshots(table, rng):
         "a_out": device.output_field_op(node_a, node_b, link),
         "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }
-    rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
-    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], expect)], store_states=25)
-    assert len(traj.states) > 5
-    for ts, rho in traj.states:
-        k = int(np.argmin(np.abs(traj.t - ts)))
+    problem = (h, cops, [DensityMatrix(h.dims, np.outer(psi, psi.conj()))], expect)
+    [[(traj, _)]] = dynamics.integrate_me([problem])
+    assert len(traj.t) == 401
+    for k in range(25, len(traj.t), 25):
+        [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
+        rho = state.data
         for pops, slot in ((traj.pops_A, 0), (traj.pops_B, 2)):
             diag = np.diag(partial_trace(rho, h.dims, keep=(slot,))).real
             assert np.abs(pops[k] - diag).max() < 1e-12
@@ -267,12 +268,11 @@ def test_trace_drift_names_the_run_of_a_batch():
         dynamics.integrate_me([batch[0], (_static((2,), t[:-1]), calm, [steady], None)])
 
 
-def test_batch_of_problems_matches_each_problem_alone(table, rng):
-    """Problems with different generators, block sizes, input counts and
-    drive terms, integrated as one batch, are bit-identical to their own
-    integrations: the emission from B (5-state block, one drive term), the
-    entanglement preparation (7 states, two drive terms, two inputs) and a
-    static qutrit padded into the larger blocks."""
+def _link_batch(table):
+    """Two link problems on one 200-step grid that differ in generator,
+    block size, input count and drive terms: the emission from B (5-state
+    block, one drive term) and the entanglement preparation (7 states, two
+    drive terms, two inputs), both recording the output field."""
     node_a, node_b, link = table
     t = pulse.default_grid(dt=0.5, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
@@ -288,17 +288,25 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
     dims = device.DIMS
     entangle = DensityMatrix(dims, np.outer(ef, ef.conj()))
     mixed = DensityMatrix(dims, 0.5 * (np.outer(ef, ef.conj()) + np.outer(f_b, f_b.conj())))
-    qutrit = device.TimeDependentOperator((3,), np.zeros((3, 3), complex), (), t[::2])
-    decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
-    problems = [
+    return [
         (device.build_hamiltonian(node_a, node_b, link, None, env_b), cops,
          [DensityMatrix(dims, np.outer(f_b, f_b.conj()))], expect),
         (device.build_hamiltonian(node_a, node_b, link, env_a, env_b), cops, [entangle, mixed], expect),
-        (qutrit, [("decay_ge", decay)], [DensityMatrix((3,), random_density(3, rng))], None),
     ]
-    batch = dynamics.integrate_me(problems, store_states=100)
+
+
+def test_batch_of_problems_matches_each_problem_alone(table, rng):
+    """Problems with different generators, block sizes, input counts and
+    drive terms, integrated as one batch, are bit-identical to their own
+    integrations: the two link problems of ``_link_batch`` and a static
+    qutrit padded into their larger blocks."""
+    problems = _link_batch(table)
+    qutrit = device.TimeDependentOperator((3,), np.zeros((3, 3), complex), (), problems[0][0].t)
+    decay = dict(device.single_node_collapse_ops(table[0]))["decay_ge"]
+    problems.append((qutrit, [("decay_ge", decay)], [DensityMatrix((3,), random_density(3, rng))], None))
+    batch = dynamics.integrate_me(problems)
     for problem, runs in zip(problems, batch):
-        [alone] = dynamics.integrate_me([problem], store_states=100)
+        [alone] = dynamics.integrate_me([problem])
         assert len(runs) == len(alone)
         for (traj, final), (ref, ref_final) in zip(runs, alone):
             assert traj.dim == ref.dim and traj.trace_drift == ref.trace_drift
@@ -307,9 +315,32 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
                 assert np.array_equal(pops, ref_pops)
             for name, series in traj.expect.items():
                 assert np.array_equal(series, ref.expect[name]), name
-            for (ts, rho), (ref_ts, ref_rho) in zip(traj.states, ref.states):
-                assert ts == ref_ts and np.array_equal(rho, ref_rho)
     assert [runs[0][0].dim for runs in batch] == [5, 7, 3]
+
+
+def test_batch_cut_short_records_the_first_rows_of_the_full_record(table):
+    """A batch cut after an interior step records, bit for bit, the first
+    rows of the full batch's record: the trace, the populations and the
+    expectation values of every input of every group.  Taking a mid-run
+    state from the run cut short there rests on this."""
+    problems = [
+        (h, cops, rho0s, {**expect, "trace": np.eye(len(h.static))})
+        for h, cops, rho0s, expect in _link_batch(table)
+    ]
+    k = 123
+    full = dynamics.integrate_me(problems)
+    cut = dynamics.integrate_me([cut_short(problem, k) for problem in problems])
+    assert [len(runs) for runs in cut] == [len(runs) for runs in full] == [1, 2]
+    for runs, cut_runs in zip(full, cut):
+        for (traj, _), (cut_traj, _) in zip(runs, cut_runs):
+            assert len(traj.t) > k + 1 and np.array_equal(cut_traj.t, traj.t[: k + 1])
+            assert cut_traj.dim == traj.dim and cut_traj.trace_drift <= traj.trace_drift
+            assert len(cut_traj.pops) == len(traj.pops) == 2
+            for pops, ref in zip(cut_traj.pops, traj.pops):
+                assert np.array_equal(pops, ref[: k + 1])
+            assert cut_traj.expect.keys() == traj.expect.keys()
+            for name, series in traj.expect.items():
+                assert np.array_equal(cut_traj.expect[name], series[: k + 1]), name
 
 
 def test_two_level_oracle_zero_drive():
@@ -552,14 +583,17 @@ def test_trace_preservation_and_positivity(table):
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     cops = device.build_collapse_ops(node_a, node_b, link)
-    dims = h.dims
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
-    [[(traj, final)]] = dynamics.integrate_me([(h, cops, [rho0], None)], store_states=400)
-    for _, rho in traj.states:
-        assert abs(np.trace(rho).real - 1.0) < 1e-8
-        assert np.linalg.eigvalsh(rho).min() > -1e-7
-    final.validate()
+    problem = (h, cops, [DensityMatrix(h.dims, np.outer(psi, psi.conj()))], None)
+    # the state every 400th step, from the run cut short there; the last
+    # is the full run's final state
+    ends = range(400, len(h.t), 400)
+    assert ends[-1] == len(h.t) - 1
+    for k in ends:
+        [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
+        assert abs(np.trace(state.data).real - 1.0) < 1e-8
+        assert np.linalg.eigvalsh(state.data).min() > -1e-7
+    state.validate()
 
 
 def test_step_halving_convergence(table):

@@ -146,10 +146,9 @@ def test_exact_populations_are_the_mle_model(rng):
         rhos = np.stack([random_density(d, rng) for _ in range(4)])
         if d == 3:
             x, p = rhos.reshape(4, 9).view(float)[:, :, None], np.empty((4, 27, 1))
-            tomo._populations(x, p)
         else:
-            p, y = np.empty((4, 27, 27)), np.empty((4, 27, 9), complex)
-            tomo._populations(rhos.reshape(4, 81)[:, realign], p, y)
+            x, p = rhos.reshape(4, 81)[:, realign], np.empty((4, 27, 27))
+        tomo._populations(4, d, p)(x)
         for rho, model in zip(rhos, p):
             exact = tomo.born_probabilities(rho)
             if d == 9:
