@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import os
 import sys
@@ -151,12 +152,16 @@ def _write_json(path: Path, payload):
 
 
 def _write_csv(path: Path, table):
-    """A (header, rows) table with LF line ends, numbers as %.9g."""
+    """A (header, rows) table with LF line ends, numbers as %.9g.  Every row
+    has the column types of the first, so one template formats them all."""
     header, rows = table
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else "%.9g" % x for x in row) + "\n")
+        if first is not None:
+            template = ",".join("%s" if isinstance(x, str) else "%.9g" for x in first) + "\n"
+            fh.writelines(template % tuple(row) for row in itertools.chain([first], rows))
 
 
 def _previous_run_files(outdir: Path):
@@ -266,20 +271,20 @@ def _run_qpt(args, spec, nodes_link):
     chi = res.extras["chi"]
     summary = {
         "process_fidelity": res.extras["process_fidelity"],
-        "chi_identity_weight": chi.identity_weight,
+        "chi_identity_weight": float(chi[0, 0].real),
         "avg_state_fidelity_from_fp": res.extras["avg_state_fidelity_from_fp"],
     }
-    return summary, {"chi.json": _matrix(chi.chi)}
+    return summary, {"chi.json": _matrix(chi)}
 
 
 def _run_entangle(args, spec, nodes_link):
     res = protocols.run_entanglement(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
-    records = zip(tomography.gate_set("pair"), res.extras["tomography_populations"])
+    records = zip(tomography.gate_set("pair")[0], res.extras["tomography_populations"])
     artifacts = {
         "rho_two_qutrit_direct.json": _matrix(res.extras["rho9_direct"], dims=[3, 3]),
         "rho_two_qutrit_tomography.json": _matrix(res.extras["rho9_tomography"], dims=[3, 3]),
-        "tomography_records.json": {s.name: np.asarray(p, float) for s, p in records},
+        "tomography_records.json": {name: np.asarray(p, float) for name, p in records},
         "metrics.json": asdict(bundle),
         "pauli_expectations.csv": (("label", "value"), bundle.pauli_expectations.items()),
         "gellmann_expectations.csv": (("label", "value"), bundle.gellmann_expectations.items()),
@@ -318,7 +323,8 @@ def _run_readout_sim(args, spec, nodes_link):
             pts = cal.simulate_shots(np.eye(3)[s], shots, rng)
             labels = readout.classify(pts, cal.model)
             counts.append(np.bincount(labels, minlength=3))
-            rows += [(u, v, prepared, readout.LABELS[a]) for (u, v), a in zip(pts, labels)]
+            assigned = np.take(readout.LABELS, labels).tolist()
+            rows += zip(*pts.T.tolist(), [prepared] * shots, assigned)
         r_hat = readout.assignment_matrix(np.stack(counts))
         r_hats[node] = r_hat
         artifacts[f"assignment_{node}.json"] = _assignment(r_hat, readout.LABELS)

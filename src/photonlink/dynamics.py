@@ -2,35 +2,35 @@
 
 The integrator has one call form: a batch, a list of (H, jumps, inputs,
 expect) groups on one time grid.  Each group holds the Hamiltonian as a
-TimeDependentOperator, whose grid is the integration grid, and a stack of
-initial states (DensityMatrix) that share it and the jump operators; one
-problem is a batch of one group.  The master equation is linear, so one RK4
-loop carries every input of every group: the states are the columns of one
-(G R^2, m) array.  Only the block of basis states a group's inputs can reach
-is integrated: the union of their supports closed under the nonzero patterns
-of H, the drive terms, the jump operators L_k and L_k+L_k.  The master
-equation maps that block into itself whatever the operators are, and a union
-of invariant blocks is invariant, so the restriction is exact; a single
-excitation on the link reaches at most 7 of the 36 states of the two-node
-model.  The static part of H and its drive terms, one per driven node, must
-be Hermitian and the drive samples real; the integrator checks both before
-it builds the generator.  On the block each Liouvillian is built densely
-with numpy (``np.kron``, about R^4 entries for an R-state block while it is
-built) and converted to CSR at once; they are stacked as [L_0 S_1 ... S_n],
-each block-diagonal over the groups, which acts on the row-major vectorized
-density matrices and their copies weighted by each group's real drive
-coefficients as one sparse product per stage.  Every row keeps its nonzeros
-in the order of its group alone, so a batch is bit-identical to its groups
-integrated one by one.  Propagation is fixed-step Runge-Kutta
-(deterministic, which keeps golden tests exact), and the drives are sampled
-at the grid points and at the half steps between them, where the middle
-stages evaluate H, so the scheme is fourth order.  Every state is
-re-symmetrized after every step and its trace checked against its own
-initial trace.  The trace, the level populations and the expectation values
-are linear in the state, so every grid point records them for all inputs of
-a group by one product with its readout matrix; outputs are zero-padded back
-to the full dimensions.  Integrals over the recorded series use Simpson's
-rule, which matches the fourth order of the scheme.
+TimeDependentOperator, whose grid and dimensions are those of the
+integration, and a stack of initial (d, d) density matrices that share it
+and the jump operators; one problem is a batch of one group.  The master
+equation is linear, so one RK4 loop carries every input of every group: the
+states are the columns of one (G R^2, m) array.  Only the block of basis
+states a group's inputs can reach is integrated: the union of their supports
+closed under the nonzero patterns of H, the drive terms, the jump operators
+L_k and L_k+L_k.  The master equation maps that block into itself whatever
+the operators are, and a union of invariant blocks is invariant, so the
+restriction is exact; a single excitation on the link reaches at most 7 of
+the 36 states of the two-node model.  The static part of H and its drive
+terms, one per driven node, must be Hermitian and the drive samples real;
+the integrator checks both before it builds the generator.  On the block
+each Liouvillian is built densely with numpy (``np.kron``, about R^4 entries
+for an R-state block while it is built) and converted to CSR at once; they
+are stacked as [L_0 S_1 ... S_n], each block-diagonal over the groups, which
+acts on the row-major vectorized density matrices and their copies weighted
+by each group's real drive coefficients as one sparse product per stage.
+Every row keeps its nonzeros in the order of its group alone, so a batch is
+bit-identical to its groups integrated one by one.  Propagation is
+fixed-step Runge-Kutta (deterministic, which keeps golden tests exact), and
+the drives are sampled at the grid points and at the half steps between
+them, where the middle stages evaluate H, so the scheme is fourth order.
+Every state is re-symmetrized after every step and its trace checked against
+its own initial trace.  The trace, the level populations and the expectation
+values are linear in the state, so every grid point records them for all
+inputs of a group by one product with its readout matrix; outputs are
+zero-padded back to the full dimensions.  Integrals over the recorded series
+use Simpson's rule, which matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .pulse import DriveEnvelope
-from .qops import DensityMatrix
 
 G, E, F = 0, 1, 2
 
@@ -162,7 +161,7 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     drive samples and the readout matrix of its recorded observables."""
     dims, h0, td_terms = hamiltonian.dims, hamiltonian.static, hamiltonian.terms
     d = int(np.prod(dims))
-    rhos = [rho0.data for rho0 in rho0s]
+    rhos = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
     if not rhos:
         raise ValueError("no initial state to integrate")
     for rho in rhos:
@@ -215,7 +214,7 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     for col, op in enumerate(expect.values(), start=first_expect):
         readout[:, col] = op[block].T.reshape(-1)
     return SimpleNamespace(
-        dims=tuple(dims), d=d, block=block, r=r, rhos=rhos,
+        d=d, block=block, r=r, rhos=rhos,
         liouvillians=liouvillians, samples=samples, readout=readout,
         n_slots=len(slots), expect=list(expect),
     )
@@ -233,10 +232,11 @@ def integrate_me(problems):
     t_1, ...: the first and last RK4 stages of a step read the samples at
     its ends and the two middle stages the sample at its midpoint, which
     makes the scheme fourth order in dt.  ``collapse_ops`` holds (name,
-    operator) pairs and ``rho0s`` the group's initial states, which share
-    H and the jump operators.  ``expect`` (or None) maps labels to
-    operators whose expectation values Tr(O rho) are recorded at every grid
-    point.  Level populations are tracked for every three-level subsystem:
+    operator) pairs and ``rho0s`` the group's initial (d, d) density
+    matrices, which share H and the jump operators; the dimensions of the
+    space are those of ``hamiltonian`` alone.  ``expect`` (or None) maps
+    labels to operators whose expectation values Tr(O rho) are recorded at
+    every grid point.  Level populations are tracked for every three-level subsystem:
     the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
 
     Only the reachable block of each group is integrated: the basis states
@@ -259,9 +259,10 @@ def integrate_me(problems):
     product with the group's readout matrix) and the trace check stay per
     group.
 
-    Returns, per group in order, one (Trajectory, final DensityMatrix) pair
-    per input, in input order; every Trajectory's ``dim`` is its group's
-    integrated (union) block size and its ``trace_drift`` that input's own.
+    Returns, per group in order, one (Trajectory, final (d, d) complex
+    array) pair per input, in input order; every Trajectory's ``dim`` is its
+    group's integrated (union) block size and its ``trace_drift`` that
+    input's own.
     No intermediate state is kept: the state after step k is, bit for bit,
     the final state of the group cut to ``t[:k+1]`` and each drive term's
     first 2k + 1 samples, whose record is the full record's first k + 1 rows.
@@ -384,7 +385,7 @@ def integrate_me(problems):
             traj = Trajectory(t=t, pops=pops, expect=exp_vals, dim=g.r, trace_drift=float(drift[i]))
             final = np.zeros((g.d, g.d), dtype=complex)
             final[g.block] = block[:, i].reshape(g.r, g.r)
-            out.append((traj, DensityMatrix(g.dims, final)))
+            out.append((traj, final))
         results.append(out)
     return results
 

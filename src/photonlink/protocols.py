@@ -24,7 +24,7 @@ import numpy as np
 
 from . import device as dev
 from . import metrics, pulse, readout, tomography
-from .qops import DensityMatrix, embed, ket, mhz, partial_trace
+from .qops import embed, ket, mhz, partial_trace
 from .dynamics import TraceDriftError, Trajectory, efficiencies, integrate_me, output_observables
 
 G, E, F = 0, 1, 2
@@ -115,7 +115,7 @@ class ProtocolSpec:
 class RunResult:
     spec: ProtocolSpec
     trajectory: Trajectory | None
-    final_state: DensityMatrix | None
+    final_state: np.ndarray | None
     extras: dict = field(default_factory=dict)
 
 
@@ -185,7 +185,7 @@ def _initial_state(qutrit_a, qutrit_b):
         np.kron(np.asarray(qutrit_a, complex), ket(dims[1], 0)),
         np.kron(np.asarray(qutrit_b, complex), ket(dims[3], 0)),
     )
-    return DensityMatrix.from_ket(dims, psi)
+    return np.outer(psi, psi.conj())
 
 
 QUTRIT_PREPS = {
@@ -230,7 +230,7 @@ def _integrate_links(problems):
     """Integrate link problems (:func:`_link_problem`) as one batch per time
     grid: runs that differ in dt or in their window are separate batches.
     Every trajectory gets its output field.  Returns, per problem in order,
-    one (Trajectory, final DensityMatrix) pair per preparation; a
+    one (Trajectory, final state) pair per preparation; a
     TraceDriftError names the run by its index in ``problems``."""
     grids = {}
     for i, (h, *_) in enumerate(problems):
@@ -297,10 +297,9 @@ def run_emission(
 def _mapped(runs):
     """Map B of each (trajectory, final state) pair back with an ideal
     pi_ef pulse and keep the two qutrits: (trajectory, two-qutrit state)."""
-    dims = runs[0][1].dims
-    u = embed(tomography.ef_swap(), 2, dims)
+    u = embed(tomography.ef_swap(), 2, dev.DIMS)
     return [
-        (traj, partial_trace(u @ rho_final.data @ u.conj().T, dims, keep=(0, 2)))
+        (traj, partial_trace(u @ rho_final @ u.conj().T, dev.DIMS, keep=(0, 2)))
         for traj, rho_final in runs
     ]
 
@@ -313,7 +312,7 @@ def _transfer_problem(spec, nodes_link, prep, absorption=True):
 def _transfer_result(spec, run):
     [(traj, rho9)] = _mapped(run)
     extras = {"final_qutrit_b": partial_trace(rho9, (3, 3), keep=(1,))}
-    return RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras)
+    return RunResult(spec, traj, rho9, extras)
 
 
 def run_transfer(
@@ -407,7 +406,7 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
         measured.append(_measure(rho3, spec, rng))
     outputs = tomography.qst_mle(np.stack(measured))[:, :2, :2]
     chi = tomography.qpt_linear_inversion(inputs, outputs)
-    f_p = metrics.process_fidelity(chi.chi, tomography.CHI_IDENTITY)
+    f_p = metrics.process_fidelity(chi, tomography.CHI_IDENTITY)
     extras = {
         "chi": chi,
         "chi_direct": tomography.qpt_linear_inversion(inputs, direct),
@@ -452,7 +451,7 @@ def run_entanglements(specs, nodes_link=None) -> list[RunResult]:
             "metrics": bundle,
             "tomography_populations": pops,
         }
-        results.append(RunResult(spec, traj, DensityMatrix((3, 3), rho9), extras))
+        results.append(RunResult(spec, traj, rho9, extras))
     return results
 
 

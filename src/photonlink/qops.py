@@ -9,7 +9,6 @@ all rates and frequencies are angular, in rad/ns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,45 +118,16 @@ def realign(rho: np.ndarray, dims) -> np.ndarray:
     return rho.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dimension-tagged Hermitian positive matrix over a tensor-product space."""
-
-    dims: tuple
-    data: np.ndarray
-
-    HERM_TOL = 1e-10
-    TRACE_TOL = 1e-8
-    EIG_FLOOR = -1e-7
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        data = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", data)
-        total = int(np.prod(dims))
-        if data.shape != (total, total):
-            raise ValueError(f"data shape {data.shape} inconsistent with dims {dims}")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
-
-    def validate(self):
-        """Check Hermiticity, unit trace and positivity; raises ValueError on
-        a violation."""
-        herm = np.abs(self.data - self.data.conj().T).max()
-        if herm > self.HERM_TOL:
-            raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
-        drift = abs(np.trace(self.data) - 1.0)
-        if drift > self.TRACE_TOL:
-            raise ValueError(f"trace off target by {drift:.3e}")
-        lo = np.linalg.eigvalsh(0.5 * (self.data + self.data.conj().T)).min()
-        if lo < self.EIG_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
-        return self
-
-    @classmethod
-    def from_ket(cls, dims, psi) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        return cls(tuple(dims), np.outer(psi, psi.conj()))
+def check_density_matrix(rho):
+    """Check that ``rho`` is Hermitian (to 1e-10), has unit trace (to 1e-8)
+    and no eigenvalue below -1e-7; raises ValueError on a violation."""
+    rho = np.asarray(rho, dtype=complex)
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > 1e-10:
+        raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
+    drift = abs(np.trace(rho) - 1.0)
+    if drift > 1e-8:
+        raise ValueError(f"trace off target by {drift:.3e}")
+    lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    if lo < -1e-7:
+        raise ValueError(f"negative eigenvalue {lo:.3e}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -170,7 +170,9 @@ def assignment_matrix(counts) -> np.ndarray:
 class MitigationResult:
     populations: np.ndarray
     condition_number: float
-    error_score: float  # (1/6)||I - R||_1, the mean misassignment probability
+    # sum |I - R| / (2 d) over the entries of a d x d R (1/6 for one node, 1/18
+    # for two): the mean misassignment probability
+    error_score: float
 
 
 def mitigate(measured, r: np.ndarray) -> MitigationResult:
@@ -218,14 +220,25 @@ class ReadoutCalibration:
     window, and is carried here by ``prep_weights``: column s holds the
     cluster occupation probabilities when |s> is prepared.  The composed
     pipeline then reproduces the target table exactly in expectation:
-    assignment = overlap_matrix @ prep_weights.
+    assignment = overlap_matrix @ prep_weights, computed once, when the
+    calibration is made, from ``overlap``, the model's
+    ``assignment_probabilities`` (computed here when not given).
     """
 
     model: MixtureModel
     prep_weights: np.ndarray  # (3, 3), columns per prepared state
+    overlap: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, overlap):
+        if overlap is None:
+            overlap = assignment_probabilities(self.model)
+        assignment = overlap @ self.prep_weights
+        assignment.flags.writeable = False
+        object.__setattr__(self, "_assignment", assignment)
 
     def analytic_assignment(self) -> np.ndarray:
-        return assignment_probabilities(self.model) @ self.prep_weights
+        """The assignment matrix overlap_matrix @ prep_weights, read-only."""
+        return self._assignment
 
     def simulate_shots(self, rho_diag, n: int, seed) -> np.ndarray:
         """n (u, v) shots of this node in a state with level populations
@@ -313,7 +326,8 @@ def _calibration(theta, r_target) -> ReadoutCalibration:
     ``r_target``, solved exactly from overlap_matrix @ prep_weights = r_target;
     raises RuntimeError on a negative weight or a table residual above 1e-6."""
     model = _table_model(theta)
-    prep = np.linalg.solve(assignment_probabilities(model), r_target)
+    overlap = assignment_probabilities(model)
+    prep = np.linalg.solve(overlap, r_target)
     if prep.min() < -1e-6:
         raise RuntimeError(
             f"mixture calibration failed: negative preparation weight {prep.min():.2e}"
@@ -321,7 +335,7 @@ def _calibration(theta, r_target) -> ReadoutCalibration:
     # keep the target's column sums (tables carry rounding at the 0.1% level);
     # joint_shots normalizes the cluster weights per call
     prep = np.clip(prep, 0.0, None)
-    cal = ReadoutCalibration(model=model, prep_weights=prep)
+    cal = ReadoutCalibration(model=model, prep_weights=prep, overlap=overlap)
     err = np.abs(cal.analytic_assignment() - r_target).max()
     if err > 1e-6:
         raise RuntimeError(f"mixture calibration failed: residual {err:.2e}")

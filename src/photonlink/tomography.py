@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +59,6 @@ def ef_swap() -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class TomographySetting:
-    """A named measurement-basis rotation applied before readout."""
-
-    name: str
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        # a private read-only copy: gate sets are shared between callers
-        u = np.array(self.unitary, dtype=complex)
-        u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
-        if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > 1e-12:
-            raise ValueError(f"setting {self.name}: rotation is not unitary")
-
-
 def _single_qutrit_settings():
     x90_ge = qutrit_rotation("ge", np.pi / 2, "x")
     y90_ge = qutrit_rotation("ge", np.pi / 2, "y")
@@ -84,33 +67,36 @@ def _single_qutrit_settings():
     y90_ef = qutrit_rotation("ef", np.pi / 2, "y")
     x180_ef = qutrit_rotation("ef", np.pi, "x")
     # composite settings apply the ge pulse first in time
-    return [
-        TomographySetting("id", np.eye(3, dtype=complex)),
-        TomographySetting("x90_ge", x90_ge),
-        TomographySetting("y90_ge", y90_ge),
-        TomographySetting("x180_ge", x180_ge),
-        TomographySetting("x90_ef", x90_ef),
-        TomographySetting("y90_ef", y90_ef),
-        TomographySetting("x180_ge.x90_ef", x90_ef @ x180_ge),
-        TomographySetting("x180_ge.y90_ef", y90_ef @ x180_ge),
-        TomographySetting("x180_ge.x180_ef", x180_ef @ x180_ge),
-    ]
+    return {
+        "id": np.eye(3, dtype=complex),
+        "x90_ge": x90_ge,
+        "y90_ge": y90_ge,
+        "x180_ge": x180_ge,
+        "x90_ef": x90_ef,
+        "y90_ef": y90_ef,
+        "x180_ge.x90_ef": x90_ef @ x180_ge,
+        "x180_ge.y90_ef": y90_ef @ x180_ge,
+        "x180_ge.x180_ef": x180_ef @ x180_ge,
+    }
 
 
 @functools.cache
 def gate_set(kind: str):
     """The 9 single-qutrit tomography settings or the 81 ordered pairs (A's
-    setting major), as a tuple built once per process."""
+    setting major, named "a|b", each rotation the kron of the pair's), as
+    (names, unitaries): a tuple of the names and a read-only (n, d, d) stack
+    of the measurement-basis rotations, built once per process."""
     if kind == "single":
-        return tuple(_single_qutrit_settings())
-    if kind == "pair":
-        singles = gate_set("single")
-        return tuple(
-            TomographySetting(f"{sa.name}|{sb.name}", np.kron(sa.unitary, sb.unitary))
-            for sa in singles
-            for sb in singles
-        )
-    raise ValueError(f"unknown gate-set kind {kind!r}")
+        settings = _single_qutrit_settings()
+        names, unitaries = tuple(settings), np.stack(list(settings.values()))
+    elif kind == "pair":
+        single_names, singles = gate_set("single")
+        names = tuple(f"{a}|{b}" for a in single_names for b in single_names)
+        unitaries = np.stack([np.kron(ua, ub) for ua in singles for ub in singles])
+    else:
+        raise ValueError(f"unknown gate-set kind {kind!r}")
+    unitaries.flags.writeable = False
+    return names, unitaries
 
 
 @functools.cache
@@ -126,7 +112,7 @@ def _born_factor():
     sends rho[(i_a i_b), (j_a j_b)] to X[(i_a j_a), (i_b j_b)] and, being a
     swap of two indices, back (9 x 9 indices into the flat matrix).
     """
-    u = np.stack([s.unitary for s in gate_set("single")])
+    u = gate_set("single")[1]
     a1 = (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(27, 9)
     c1 = a1.conj().view(float)
     pop_order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 2, 1, 3).reshape(27, 27)
@@ -299,23 +285,6 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
     return out if stacked else out[0]
 
 
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """chi matrix of a qubit channel in the Pauli basis {I, X, Y, Z}."""
-
-    chi: np.ndarray
-
-    def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=complex)
-        object.__setattr__(self, "chi", chi)
-        if chi.shape != (4, 4):
-            raise ValueError("chi must be 4x4")
-
-    @property
-    def identity_weight(self) -> float:
-        return float(self.chi[0, 0].real)
-
-
 CHI_IDENTITY = np.zeros((4, 4), dtype=complex)
 CHI_IDENTITY[0, 0] = 1.0
 
@@ -334,8 +303,9 @@ def mub_qubit_states():
     ]
 
 
-def qpt_linear_inversion(input_states, output_states) -> ProcessMatrix:
-    """chi matrix from measured input/output pairs by least-squares inversion.
+def qpt_linear_inversion(input_states, output_states) -> np.ndarray:
+    """The (4, 4) chi matrix of a qubit channel in the Pauli basis {I, X, Y,
+    Z}, from measured input/output pairs by least-squares inversion.
 
     input_states are kets or density matrices of the prepared qubit states;
     output_states the (possibly trace-deficient) measured 2x2 blocks.  The
@@ -352,7 +322,6 @@ def qpt_linear_inversion(input_states, output_states) -> ProcessMatrix:
         if rho.ndim == 1:
             rho = np.outer(rho, rho.conj())
         sigma = np.asarray(sigma, dtype=complex)
-        design = np.empty((4, 16), dtype=complex)
         block = np.empty((16, 2, 2), dtype=complex)
         for m in range(4):
             for n in range(4):
@@ -366,4 +335,4 @@ def qpt_linear_inversion(input_states, output_states) -> ProcessMatrix:
     if rank < 16:
         raise ValueError(f"rank-deficient design matrix (rank {rank} < 16)")
     chi = chi_vec.reshape(4, 4)
-    return ProcessMatrix(0.5 * (chi + chi.conj().T))
+    return 0.5 * (chi + chi.conj().T)

@@ -60,7 +60,7 @@ def entangle_snapshots():
     snapshots = []
     for run in (cut_short(problem, 200), cut_short(problem, 400), problem):
         [[(traj, final)]] = dynamics.integrate_me([run])
-        snapshots.append((traj.t[-1], final.data))
+        snapshots.append((traj.t[-1], final))
     return snapshots
 
 
@@ -128,7 +128,7 @@ def test_criterion_4_transfer(transfer_study):
 
 def test_criterion_5_process_fidelity(qpt_run):
     f_p = qpt_run.extras["process_fidelity"]
-    chi = qpt_run.extras["chi"].chi
+    chi = qpt_run.extras["chi"]
     check("criterion 5 (process fidelity F_p)", f_p, 0.800, 0.03)
     check("criterion 5 (chi identity weight)", chi[0, 0].real, 0.80, 0.03)
     diag = np.diag(chi).real
@@ -364,7 +364,7 @@ def test_criterion_10_single_photon_sector():
         protocols._initial_state(swap @ np.array([psi[0], psi[1], 0.0]), idle)
         for psi in tomo.mub_qubit_states()
     ]
-    n_start = max(n_exc[np.diag(rho.data) != 0].max() for rho in preps)
+    n_start = max(n_exc[np.diag(rho) != 0].max() for rho in preps)
 
     check_bool(
         "criterion 10 (single-photon sector: [N, H] = 0, no jump raises N, N <= 2 at start)",
@@ -375,7 +375,7 @@ def test_criterion_10_single_photon_sector():
 
 def test_criterion_10_ramsey_calibration():
     """The dephasing convention reproduces the coherence-time table."""
-    from photonlink.qops import DensityMatrix, ket
+    from photonlink.qops import ket
 
     node_a, node_b, _ = device.load_device()
     worst = 0.0
@@ -387,13 +387,13 @@ def test_criterion_10_ramsey_calibration():
         e_ef = np.outer(ket(3, 2), ket(3, 1).conj())
         psi = (ket(3, 0) + ket(3, 1)) / np.sqrt(2)
         [[(traj, _)]] = dynamics.integrate_me(
-            [(free, cops, [DensityMatrix((3,), np.outer(psi, psi.conj()))], {"c": e_ge})]
+            [(free, cops, [np.outer(psi, psi.conj())], {"c": e_ge})]
         )
         t2ge = -t[-1] / np.log(2 * np.abs(traj.expect["c"][-1]))
         worst = max(worst, abs(t2ge / (node.T2ge * 1e3) - 1.0))
         psi = (ket(3, 1) + ket(3, 2)) / np.sqrt(2)
         [[(traj, _)]] = dynamics.integrate_me(
-            [(free, cops, [DensityMatrix((3,), np.outer(psi, psi.conj()))], {"c": e_ef})]
+            [(free, cops, [np.outer(psi, psi.conj())], {"c": e_ef})]
         )
         t2ef = -t[-1] / np.log(2 * np.abs(traj.expect["c"][-1]))
         worst = max(worst, abs(t2ef / (node.T2ef * 1e3) - 1.0))

@@ -6,7 +6,7 @@ import pytest
 
 from photonlink import device, pulse, qops
 from photonlink.dynamics import integrate_me
-from photonlink.qops import DensityMatrix, ket, mhz, to_mhz
+from photonlink.qops import ket, mhz, to_mhz
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +243,7 @@ def _single_qutrit_run(node, rho0, t_end=1500.0, dt=1.0):
         "coh_ge": np.outer(ket(3, 1), ket(3, 0).conj()),
         "coh_ef": np.outer(ket(3, 2), ket(3, 1).conj()),
     }
-    [[(traj, _)]] = integrate_me([(h, cops, [DensityMatrix((3,), rho0)], expect)])
+    [[(traj, _)]] = integrate_me([(h, cops, [rho0], expect)])
     return t, traj
 
 

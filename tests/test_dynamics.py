@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from photonlink import device, dynamics, protocols, pulse
-from photonlink.qops import DensityMatrix, destroy, embed, ket, mhz, partial_trace
+from photonlink.qops import check_density_matrix, destroy, embed, ket, mhz, partial_trace
 from conftest import cut_short, random_density
 
 
@@ -21,10 +21,10 @@ def _static(dims, t):
 
 
 def test_frozen_dynamics(rng):
-    rho0 = DensityMatrix((3,), random_density(3, rng))
+    rho0 = random_density(3, rng)
     t = np.arange(0.0, 10.0, 0.5)
     [[(traj, final)]] = dynamics.integrate_me([(_static((3,), t), [], [rho0], None)])
-    assert np.abs(final.data - rho0.data).max() < 1e-12
+    assert np.abs(final - rho0).max() < 1e-12
     assert np.allclose(traj.pops[0][0], traj.pops[0][-1])
 
 
@@ -32,7 +32,7 @@ def test_single_qutrit_exponential_decay(table):
     node_a, _, _ = table
     t = np.arange(0.0, 2000.0, 1.0)
     decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
-    rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
+    rho0 = np.diag([0, 1.0, 0]).astype(complex)
     [[(traj, _)]] = dynamics.integrate_me([(_static((3,), t), [("decay_ge", decay)], [rho0], None)])
     expected = np.exp(-t / (node_a.T1ge * 1e3))
     err = np.abs(traj.pops[0][:, 1] - expected) / expected
@@ -40,7 +40,7 @@ def test_single_qutrit_exponential_decay(table):
 
 
 def test_integrator_rejects_bad_grids(rng):
-    rho0 = DensityMatrix((3,), random_density(3, rng))
+    rho0 = random_density(3, rng)
     with pytest.raises(ValueError, match="uniform"):
         dynamics.integrate_me([(_static((3,), np.array([0.0, 1.0, 1.5])), [], [rho0], None)])
 
@@ -51,10 +51,15 @@ def test_integrator_rejects_wrong_shape_operators(table):
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-    rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
+    rho0 = np.outer(psi, psi.conj())
     wide = np.zeros((len(psi) + 1,) * 2, dtype=complex)
     with pytest.raises(ValueError, match="no initial state"):
         dynamics.integrate_me([(h, [], [], None)])
+    # the shape check is the one guard on an initial state: a (37, 37) array
+    # and the 1-D ket are refused
+    for bad in (wide, psi):
+        with pytest.raises(ValueError, match="initial state shape"):
+            dynamics.integrate_me([(h, [], [bad], None)])
     with pytest.raises(ValueError, match="expectation operator"):
         dynamics.integrate_me([(h, [], [rho0], {"wide": wide})])
     extra = dataclasses.replace(h, terms=h.terms + ((wide, np.ones(len(t), complex)),))
@@ -86,7 +91,7 @@ def test_integrator_rejects_drive_samples_off_the_half_step_grid(table):
     env = pulse.emission_drive(pulse.default_grid(dt=0.5, span=100), mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-    rho0 = DensityMatrix(h.dims, np.outer(psi, psi.conj()))
+    rho0 = np.outer(psi, psi.conj())
     [(op, samples)] = h.terms
     assert len(samples) == 2 * len(h.t) - 1
     for wrong in (samples[::2], np.append(samples, 0.0)):
@@ -112,8 +117,8 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     rho_b = random_density(len(psi), rng)
 
     def final(rho):
-        [[(traj, out)]] = dynamics.integrate_me([(h, cops, [DensityMatrix(h.dims, rho)], None)])
-        return traj.dim, out.data
+        [[(traj, out)]] = dynamics.integrate_me([(h, cops, [rho], None)])
+        return traj.dim, out
 
     dim_a, out_a = final(rho_a)
     dim_b, out_b = final(rho_b)
@@ -140,7 +145,7 @@ def test_batch_matches_single_input_integrations(table, rng):
     ground = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
     ef = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    ef_rho = DensityMatrix(h.dims, np.outer(ef, ef.conj()))
+    ef_rho = np.outer(ef, ef.conj())
     # the basis states ef populates at some grid point
     projectors = {n: np.diag(row) for n, row in enumerate(np.eye(len(ef)))}
     [[(ef_traj, _)]] = dynamics.integrate_me([(h, cops, [ef_rho], projectors)])
@@ -148,10 +153,7 @@ def test_batch_matches_single_input_integrations(table, rng):
     assert len(block) == 7
     mixed = np.zeros((len(ef), len(ef)), complex)
     mixed[np.ix_(block, block)] = random_density(len(block), rng)
-    rhos = [
-        DensityMatrix(h.dims, rho)
-        for rho in (np.outer(ground, ground.conj()), np.outer(ef, ef.conj()), mixed)
-    ]
+    rhos = [np.outer(ground, ground.conj()), ef_rho, mixed]
 
     def run(batch):
         [runs] = dynamics.integrate_me([(h, cops, batch, expect)])
@@ -165,7 +167,7 @@ def test_batch_matches_single_input_integrations(table, rng):
         single_dims.append(single.dim)
         assert traj.dim == 7
         assert traj.trace_drift == pytest.approx(single.trace_drift, abs=1e-12)
-        assert np.abs(final.data - single_final.data).max() <= 1e-12
+        assert np.abs(final - single_final).max() <= 1e-12
         for pops, ref in zip(traj.pops, single.pops):
             assert np.abs(pops - ref).max() <= 1e-12
         assert traj.expect.keys() == single.expect.keys()
@@ -194,12 +196,12 @@ def test_recorded_observables_match_snapshots(table, rng):
         "a_out": device.output_field_op(node_a, node_b, link),
         "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }
-    problem = (h, cops, [DensityMatrix(h.dims, np.outer(psi, psi.conj()))], expect)
+    problem = (h, cops, [np.outer(psi, psi.conj())], expect)
     [[(traj, _)]] = dynamics.integrate_me([problem])
     assert len(traj.t) == 401
     for k in range(25, len(traj.t), 25):
         [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
-        rho = state.data
+        rho = state
         for pops, slot in ((traj.pops_A, 0), (traj.pops_B, 2)):
             diag = np.diag(partial_trace(rho, h.dims, keep=(slot,))).real
             assert np.abs(pops[k] - diag).max() < 1e-12
@@ -212,22 +214,22 @@ def test_reachable_block_closes_under_jump_products():
     couples 1 to 2, so the block must take in state 2 as well."""
     jump = np.zeros((3, 3), complex)
     jump[0, 1] = jump[0, 2] = 1.0
-    rho0 = DensityMatrix((3,), np.diag([0, 1.0, 0]).astype(complex))
+    rho0 = np.diag([0, 1.0, 0]).astype(complex)
     t = np.arange(0.0, 2.0, 0.01)
     [[(traj, final)]] = dynamics.integrate_me([(_static((3,), t), [("jump", jump)], [rho0], None)])
     ldl = jump.conj().T @ jump
     eye = np.eye(3)
     generator = np.kron(jump, jump.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-    exact = (expm(generator * t[-1]) @ rho0.data.reshape(-1)).reshape(3, 3)
+    exact = (expm(generator * t[-1]) @ rho0.reshape(-1)).reshape(3, 3)
     assert traj.dim == 3
-    assert np.abs(final.data - exact).max() < 1e-8
+    assert np.abs(final - exact).max() < 1e-8
 
 
 def test_trace_drift_aborts():
     # a decay rate far beyond the step stability limit blows up RK4
     t = np.arange(0.0, 20.0, 1.0)
     op = 10.0 * destroy(2)  # rate 100/ns at dt 1 ns
-    rho0 = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
+    rho0 = np.diag([0, 1.0]).astype(complex)
     with pytest.raises(dynamics.TraceDriftError):
         dynamics.integrate_me([(_static((2,), t), [("decay", op)], [rho0], None)])
 
@@ -237,8 +239,8 @@ def test_trace_drift_of_one_input_aborts_the_batch():
     dilute the drift of the other."""
     t = np.arange(0.0, 20.0, 1.0)
     op = 10.0 * destroy(2)
-    steady = DensityMatrix((2,), np.diag([1.0, 0]).astype(complex))
-    drifting = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
+    steady = np.diag([1.0, 0]).astype(complex)
+    drifting = np.diag([0, 1.0]).astype(complex)
     [[(traj, _)]] = dynamics.integrate_me([(_static((2,), t), [("decay", op)], [steady], None)])
     assert traj.trace_drift == 0.0
     with pytest.raises(dynamics.TraceDriftError, match="input 1"):
@@ -252,8 +254,8 @@ def test_trace_drift_names_the_run_of_a_batch():
     the input; a batch whose runs are not on one grid is refused."""
     t = np.arange(0.0, 20.0, 1.0)
     op = 10.0 * destroy(2)
-    steady = DensityMatrix((2,), np.diag([1.0, 0]).astype(complex))
-    drifting = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
+    steady = np.diag([1.0, 0]).astype(complex)
+    drifting = np.diag([0, 1.0]).astype(complex)
     calm = [("decay", 0.1 * destroy(2))]
     batch = [
         (_static((2,), t), calm, [drifting], None),
@@ -286,11 +288,11 @@ def _link_batch(table):
     ef = np.kron(np.kron((ket(3, 1) + ket(3, 2)) / np.sqrt(2.0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     f_b = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
     dims = device.DIMS
-    entangle = DensityMatrix(dims, np.outer(ef, ef.conj()))
-    mixed = DensityMatrix(dims, 0.5 * (np.outer(ef, ef.conj()) + np.outer(f_b, f_b.conj())))
+    entangle = np.outer(ef, ef.conj())
+    mixed = 0.5 * (np.outer(ef, ef.conj()) + np.outer(f_b, f_b.conj()))
     return [
         (device.build_hamiltonian(node_a, node_b, link, None, env_b), cops,
-         [DensityMatrix(dims, np.outer(f_b, f_b.conj()))], expect),
+         [np.outer(f_b, f_b.conj())], expect),
         (device.build_hamiltonian(node_a, node_b, link, env_a, env_b), cops, [entangle, mixed], expect),
     ]
 
@@ -303,14 +305,14 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
     problems = _link_batch(table)
     qutrit = device.TimeDependentOperator((3,), np.zeros((3, 3), complex), (), problems[0][0].t)
     decay = dict(device.single_node_collapse_ops(table[0]))["decay_ge"]
-    problems.append((qutrit, [("decay_ge", decay)], [DensityMatrix((3,), random_density(3, rng))], None))
+    problems.append((qutrit, [("decay_ge", decay)], [random_density(3, rng)], None))
     batch = dynamics.integrate_me(problems)
     for problem, runs in zip(problems, batch):
         [alone] = dynamics.integrate_me([problem])
         assert len(runs) == len(alone)
         for (traj, final), (ref, ref_final) in zip(runs, alone):
             assert traj.dim == ref.dim and traj.trace_drift == ref.trace_drift
-            assert np.array_equal(final.data, ref_final.data)
+            assert np.array_equal(final, ref_final)
             for pops, ref_pops in zip(traj.pops, ref.pops):
                 assert np.array_equal(pops, ref_pops)
             for name, series in traj.expect.items():
@@ -412,7 +414,7 @@ def test_oracle_equivalence_with_full_master_equation(table):
     cops = device.build_collapse_ops(clean_a, clean_b, link)
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    rho0 = np.outer(psi, psi.conj())
     [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], None)])
     oracle = dynamics.two_level_oracle(env, clean_a.kappa_T_rad)
     assert np.abs(traj.pops_A[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
@@ -528,7 +530,7 @@ def test_excitation_bookkeeping(table):
         "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
-    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    rho0 = np.outer(psi, psi.conj())
     [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], expect)])
     dynamics.output_observables(traj)
     from scipy.integrate import cumulative_trapezoid
@@ -569,7 +571,7 @@ def test_drive_off_photon_handoff(table):
         "n_out": out.conj().T @ out,
     }
     psi = np.kron(np.kron(ket(3, 0), ket(2, 1)), np.kron(ket(3, 0), ket(2, 0)))
-    rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+    rho0 = np.outer(psi, psi.conj())
     [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], expect)])
     dynamics.output_observables(traj)
     photons = traj.expect["n_A"].real + traj.expect["n_B"].real
@@ -584,16 +586,16 @@ def test_trace_preservation_and_positivity(table):
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     cops = device.build_collapse_ops(node_a, node_b, link)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-    problem = (h, cops, [DensityMatrix(h.dims, np.outer(psi, psi.conj()))], None)
+    problem = (h, cops, [np.outer(psi, psi.conj())], None)
     # the state every 400th step, from the run cut short there; the last
     # is the full run's final state
     ends = range(400, len(h.t), 400)
     assert ends[-1] == len(h.t) - 1
     for k in ends:
         [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
-        assert abs(np.trace(state.data).real - 1.0) < 1e-8
-        assert np.linalg.eigvalsh(state.data).min() > -1e-7
-    state.validate()
+        assert abs(np.trace(state).real - 1.0) < 1e-8
+        assert np.linalg.eigvalsh(state).min() > -1e-7
+    check_density_matrix(state)
 
 
 def test_step_halving_convergence(table):
@@ -606,9 +608,9 @@ def test_step_halving_convergence(table):
         cops = device.build_collapse_ops(node_a, node_b, link)
         dims = h.dims
         psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-        rho0 = DensityMatrix(dims, np.outer(psi, psi.conj()))
+        rho0 = np.outer(psi, psi.conj())
         [[(_, final)]] = dynamics.integrate_me([(h, cops, [rho0], None)])
-        finals.append(final.data)
+        finals.append(final)
     assert np.abs(finals[0] - finals[1]).max() < 1e-6
 
 

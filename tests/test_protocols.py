@@ -83,7 +83,7 @@ def test_sampled_mode_deterministic_and_seed_sensitive():
 
 def test_emission_prep_g_stays_inert():
     res = protocols.run_transfer(ProtocolSpec(name="t", **FAST), "g")
-    rho9 = res.final_state.data
+    rho9 = res.final_state
     assert rho9[0, 0].real > 0.99  # both nodes remain in g
 
 
@@ -170,7 +170,7 @@ def test_qpt_exact_readout_chi_matches_direct_oracle():
     """With exact readout the tomographic chi differs from the inversion of
     the directly simulated outputs only by the MLE's stopping error."""
     res = protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt", **FAST))
-    gap = np.abs(res.extras["chi"].chi - res.extras["chi_direct"].chi).max()
+    gap = np.abs(res.extras["chi"] - res.extras["chi_direct"]).max()
     assert gap <= 5e-5
 
 
@@ -187,8 +187,8 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
         qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
         rho3 = protocols.run_transfer(spec, qubit).extras["final_qutrit_b"]
         outputs.append(tomo.qst_mle(protocols._measure(rho3, spec, rng))[:2, :2])
-    reference = tomo.qpt_linear_inversion(inputs, outputs).chi
-    chi = protocols.run_state_transfer_qpt(spec).extras["chi"].chi
+    reference = tomo.qpt_linear_inversion(inputs, outputs)
+    chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
     assert np.abs(chi - reference).max() <= 1e-12
 
 
@@ -251,11 +251,11 @@ def test_runs_on_different_grids_integrate_as_separate_batches(monkeypatch):
 def test_trace_drift_names_the_run_by_its_place_in_the_list():
     """Runs 0 and 2 share a grid and integrate as one batch, in which the
     drifting run 2 is the second group; the error names it as run 2."""
-    from photonlink.qops import DensityMatrix, destroy
+    from photonlink.qops import destroy
 
     def problem(t, rate):
         h = device.TimeDependentOperator((2,), np.zeros((2, 2), complex), (), t)
-        excited = DensityMatrix((2,), np.diag([0, 1.0]).astype(complex))
+        excited = np.diag([0, 1.0]).astype(complex)
         return h, [("decay", rate * destroy(2))], [excited], None
 
     coarse, fine = np.arange(0.0, 20.0, 1.0), np.arange(0.0, 20.0, 0.5)
@@ -279,11 +279,11 @@ def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
         return mle(pops, **kwargs)
 
     monkeypatch.setattr(tomo, "qst_mle", recording)
-    chi = protocols.run_state_transfer_qpt(spec).extras["chi"].chi
+    chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
     [pops] = stacks
     assert pops.shape == (6, 9, 3)
     outputs = [mle(p)[:2, :2] for p in pops]
-    assert np.array_equal(chi, tomo.qpt_linear_inversion(tomo.mub_qubit_states(), outputs).chi)
+    assert np.array_equal(chi, tomo.qpt_linear_inversion(tomo.mub_qubit_states(), outputs))
 
 
 def test_transfer_study_and_emission_pairs_equal_their_single_runs():
@@ -303,14 +303,14 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
     }
     for name, single in singles.items():
         assert runs[name].spec == single.spec
-        assert np.array_equal(runs[name].final_state.data, single.final_state.data), name
+        assert np.array_equal(runs[name].final_state, single.final_state), name
         assert np.array_equal(runs[name].trajectory.flux_out, single.trajectory.flux_out), name
         assert np.array_equal(runs[name].trajectory.pops_B, single.trajectory.pops_B), name
     assert eff == dynamics.efficiencies(*(singles[k].trajectory for k in singles))
     pair = protocols.run_emissions(emit_spec, "B", ("f", "gf"))
     for run, initial in zip(pair, ("f", "gf")):
         single = protocols.run_emission(emit_spec, "B", initial)
-        assert np.array_equal(run.final_state.data, single.final_state.data), initial
+        assert np.array_equal(run.final_state, single.final_state), initial
         assert np.array_equal(run.trajectory.a_mean_out, single.trajectory.a_mean_out), initial
         assert run.extras == single.extras
 
@@ -365,7 +365,7 @@ def test_qpt_depolarized_floor():
     inputs = tomo.mub_qubit_states()
     outputs = [np.eye(2, dtype=complex) / 2] * 6
     chi = tomo.qpt_linear_inversion(inputs, outputs)
-    assert metrics.process_fidelity(chi.chi, tomo.CHI_IDENTITY) == pytest.approx(0.25)
+    assert metrics.process_fidelity(chi, tomo.CHI_IDENTITY) == pytest.approx(0.25)
 
 
 def test_entanglement_noiseless_limit():
@@ -445,7 +445,7 @@ def test_link_results_match_recorded_reference(fock):
     ent = protocols.run_entanglement(_cli_spec("entangle", dt, fock)).extras
     assert np.abs(ent["rho9_direct"] - matrix(ref["rho9_direct"])).max() <= 1e-10
     assert np.abs(ent["rho9_tomography"] - matrix(ref["rho9_tomography"])).max() <= 1e-10
-    chi = protocols.run_state_transfer_qpt(_cli_spec("qpt", dt, fock)).extras["chi"].chi
+    chi = protocols.run_state_transfer_qpt(_cli_spec("qpt", dt, fock)).extras["chi"]
     assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
     eff, _ = protocols.run_transfer_efficiencies(_cli_spec("transfer", dt, fock))
     for name, value in ref["transfer_efficiencies"].items():

@@ -150,19 +150,17 @@ def test_embed_partial_trace_duality(rng):
 
 def test_density_matrix_validation(rng):
     rho = random_density(4, rng)
-    dm = qops.DensityMatrix((2, 2), rho)
-    dm.validate()
-    assert dm.trace == pytest.approx(1.0)
+    qops.check_density_matrix(rho)
     with pytest.raises(ValueError):
-        qops.DensityMatrix((2, 2), rho + 1e-6 * 1j * np.eye(4)).validate()
+        qops.check_density_matrix(rho + 1e-6 * 1j * np.eye(4))
     with pytest.raises(ValueError):
-        qops.DensityMatrix((2, 2), 1.1 * rho).validate()
+        qops.check_density_matrix(1.1 * rho)
     bad = rho.copy()
     bad[0, 0] -= 2e-7
     bad[1, 1] += 2e-7
     bad[0, 1] = bad[1, 0] = 0.9  # breaks positivity
     with pytest.raises(ValueError):
-        qops.DensityMatrix((2, 2), bad).validate()
+        qops.check_density_matrix(bad)
 
 
 def test_units_round_trip():

@@ -232,6 +232,15 @@ def test_calibration_reproduces_measured_tables(cal_a, cal_b):
     assert np.abs(cal_a.analytic_assignment() - readout.TABLE_R_A).max() < 1e-9
     assert np.abs(cal_b.analytic_assignment() - readout.TABLE_R_B).max() < 1e-9
     assert cal_a.prep_weights.min() >= 0
+    # made once per calibration, shared read-only, and equal bit for bit to
+    # the product it stands for
+    r = cal_a.analytic_assignment()
+    assert r is cal_a.analytic_assignment()
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.0
+    assert np.array_equal(r, readout.assignment_probabilities(cal_a.model) @ cal_a.prep_weights)
+    model = cal_a.model
+    assert np.array_equal(bare(model).analytic_assignment(), readout.assignment_probabilities(model))
 
 
 def test_calibrated_sampling_matches_table_at_25000(cal_a, cal_b):
