@@ -215,10 +215,11 @@ def _metrics_summary(bundle: metrics.MetricsBundle):
 
 
 def _trajectory_table(traj):
-    """Per-node populations, output field and flux of one link run."""
+    """Per-node populations (the run's named series), output field and flux of one link run."""
     a_out = traj.a_mean_out
-    header = ("t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux")
-    return header, np.column_stack((traj.t, traj.pops_A, traj.pops_B, a_out.real, a_out.imag, traj.flux_out))
+    pops = [traj.expect[name].real for name in dev.LEVEL_PROJECTORS]
+    header = ("t_ns", *dev.LEVEL_PROJECTORS, "re_aout", "im_aout", "flux")
+    return header, np.column_stack((traj.t, *pops, a_out.real, a_out.imag, traj.flux_out))
 
 
 def _matrix(m, **fields):
@@ -238,9 +239,9 @@ def _run_emit(args, spec, nodes_link):
         # with the untruncated trajectory at tau; one row every 2 ns
         traj = pop_run.trajectory
         step = max(1, int(round(2.0 / (traj.t[1] - traj.t[0]))))
-        pops = traj.pops_A if node == "A" else traj.pops_B
+        pops = [traj.expect[f"P{level}_{node}"].real for level in "gef"]
         artifacts["truncation_sweep.csv"] = (
-            ("tau_ns", "Pg", "Pe", "Pf"), np.column_stack((traj.t, pops))[::step]
+            ("tau_ns", "Pg", "Pe", "Pf"), np.column_stack((traj.t, *pops))[::step]
         )
     summary = {
         "final_populations": pop_run.extras["final_populations"],
@@ -280,7 +281,7 @@ def _run_qpt(args, spec, nodes_link):
 def _run_entangle(args, spec, nodes_link):
     res = protocols.run_entanglement(spec, nodes_link=nodes_link)
     bundle = res.extras["metrics"]
-    records = zip(tomography.gate_set("pair")[0], res.extras["tomography_populations"])
+    records = zip(tomography.pair_names(), res.extras["tomography_populations"])
     artifacts = {
         "rho_two_qutrit_direct.json": _matrix(res.extras["rho9_direct"], dims=[3, 3]),
         "rho_two_qutrit_tomography.json": _matrix(res.extras["rho9_tomography"], dims=[3, 3]),

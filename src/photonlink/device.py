@@ -7,7 +7,10 @@ transfer resonator via the modulated drive and cascades resonator A into
 resonator B through a lossy circulator; dissipation is Lindblad-type with
 per-transition decay and dephasing channels.  Every operator acts on
 ``DIMS``: each transfer resonator keeps the two Fock states one photon can
-reach.
+reach.  This module alone knows where each node's transmon and resonator
+sit in ``DIMS``; their ladder operators and the six transmon level
+projectors (``LEVEL_PROJECTORS``, named Pg_A ... Pf_B as the trajectory
+columns) are built once, at import, and shared read-only.
 """
 
 from __future__ import annotations
@@ -167,13 +170,21 @@ def single_node_collapse_ops(node: NodeParams):
 # (transmon A, resonator A, transmon B, resonator B): a protocol starts with
 # at most two transmon quanta, and f0g1 trades two quanta for one photon
 DIMS = (3, 2, 3, 2)
-
-
-def _node_ops(node_index):
-    qutrit_slot = 2 * node_index
-    b = embed(destroy(3), qutrit_slot, DIMS)
-    a = embed(destroy(2), qutrit_slot + 1, DIMS)
-    return b, a
+# each node's transmon slot of DIMS; its resonator is the next slot
+_TRANSMON_SLOT = {"A": 0, "B": 2}
+# each node's transmon (b) and resonator (a) lowering operators on DIMS
+TRANSMON = {node: embed(destroy(3), slot, DIMS) for node, slot in _TRANSMON_SLOT.items()}
+RESONATOR = {node: embed(destroy(2), slot + 1, DIMS) for node, slot in _TRANSMON_SLOT.items()}
+# the projectors onto each transmon level, named as the trajectory columns
+# they record: Pg_A, Pe_A, Pf_A, Pg_B, Pe_B, Pf_B
+LEVEL_PROJECTORS = {
+    f"P{level}_{node}": embed(projector(3, k), slot, DIMS)
+    for node, slot in _TRANSMON_SLOT.items()
+    for k, level in enumerate("gef")
+}
+# built once, at import, and shared read-only
+for _op in (*TRANSMON.values(), *RESONATOR.values(), *LEVEL_PROJECTORS.values()):
+    _op.flags.writeable = False
 
 
 def build_hamiltonian(
@@ -214,8 +225,8 @@ def build_hamiltonian(
 
     h0 = np.zeros((np.prod(DIMS),) * 2, dtype=complex)
     terms = []
-    for idx, (node, env) in enumerate([(a_node, g_a), (b_node, g_b)]):
-        b, a = _node_ops(idx)
+    for name, node, env in (("A", a_node, g_a), ("B", b_node, g_b)):
+        b, a = TRANSMON[name], RESONATOR[name]
         bd, ad = b.conj().T, a.conj().T
         h0 += 2.0 * mhz(node.chi_T) * (ad @ a) @ (bd @ b)
         if env is not None:
@@ -225,8 +236,7 @@ def build_hamiltonian(
     cascade = 0.5 * np.sqrt(
         a_node.kappa_T_rad * b_node.kappa_T_rad * link.eta_c
     )
-    _, a_a = _node_ops(0)
-    _, a_b = _node_ops(1)
+    a_a, a_b = RESONATOR["A"], RESONATOR["B"]
     h0 += -1j * cascade * (a_a @ a_b.conj().T - a_a.conj().T @ a_b)
 
     return TimeDependentOperator(DIMS, h0, tuple(terms), t)
@@ -237,34 +247,30 @@ def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams)
 
     Returns (name, operator) pairs: the emitter's standalone circulator-loss
     channel at kappa_T^A (1-eta_c), the joint cascade channel
-    :func:`output_field_op`, and per node internal
-    resonator decay, transmon decay and transmon dephasing.
+    :func:`output_field_op`, and per node internal resonator decay (on the
+    shared ``RESONATOR`` operator) and the transmon decay and dephasing of
+    :func:`single_node_collapse_ops`, embedded at the node's transmon slot.
     """
-    _, a_a = _node_ops(0)
     ops = []
     loss_rate = a_node.kappa_T_rad * (1.0 - link.eta_c)
     if loss_rate > 0:
-        ops.append(("channel_loss", np.sqrt(loss_rate) * a_a))
+        ops.append(("channel_loss", np.sqrt(loss_rate) * RESONATOR["A"]))
     ops.append(("cascade_out", output_field_op(a_node, b_node, link)))
-    for idx, (name, node) in enumerate([("A", a_node), ("B", b_node)]):
-        _, a_i = _node_ops(idx)
+    for name, node in (("A", a_node), ("B", b_node)):
         if node.kappa_int > 0:
-            ops.append((f"internal_{name}", np.sqrt(node.kappa_int_rad) * a_i))
-        qslot = 2 * idx
+            ops.append((f"internal_{name}", np.sqrt(node.kappa_int_rad) * RESONATOR[name]))
         for label, op in single_node_collapse_ops(node):
             if np.abs(op).max() > 0:
-                ops.append((f"{label}_{name}", embed(op, qslot, DIMS)))
+                ops.append((f"{label}_{name}", embed(op, _TRANSMON_SLOT[name], DIMS)))
     return ops
 
 
 def output_field_op(a_node: NodeParams, b_node: NodeParams, link: LinkParams):
     """Field operator downstream of node B: the cascade's collective jump
     operator sqrt(kappa_T^A eta_c) a_A + sqrt(kappa_T^B) a_B."""
-    _, a_a = _node_ops(0)
-    _, a_b = _node_ops(1)
     return (
-        np.sqrt(a_node.kappa_T_rad * link.eta_c) * a_a
-        + np.sqrt(b_node.kappa_T_rad) * a_b
+        np.sqrt(a_node.kappa_T_rad * link.eta_c) * RESONATOR["A"]
+        + np.sqrt(b_node.kappa_T_rad) * RESONATOR["B"]
     )
 
 

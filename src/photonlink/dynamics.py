@@ -26,9 +26,10 @@ fixed-step Runge-Kutta (deterministic, which keeps golden tests exact), and
 the drives are sampled at the grid points and at the half steps between
 them, where the middle stages evaluate H, so the scheme is fourth order.
 Every state is re-symmetrized after every step and its trace checked against
-its own initial trace.  The trace, the level populations and the expectation
-values are linear in the state, so every grid point records them for all
-inputs of a group by one product with its readout matrix; outputs are
+its own initial trace.  Only the trace and the expectation values of the
+group's ``expect`` operators (a level population is its projector's) are
+recorded; they are linear in the state, so every grid point records them for
+all inputs of a group by one product with its readout matrix.  Outputs are
 zero-padded back to the full dimensions.  Integrals over the recorded series
 use Simpson's rule, which matches the fourth order of the scheme.
 """
@@ -42,8 +43,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .pulse import DriveEnvelope
-
-G, E, F = 0, 1, 2
 
 
 # largest trace drift an integration may accumulate before it is aborted
@@ -66,32 +65,24 @@ class TraceDriftError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Time-resolved populations and field moments of a protocol run.
+    """Time-resolved record of one input of an integration.
 
-    pops_* columns are (P_g, P_e, P_f).  a_mean_out/flux_out hold <L> and
-    <L+L> of the field L downstream of node B once filled in by
-    :func:`output_observables`; expect carries any additional requested
-    operator expectations.  dim is the number of basis states integrated (the
-    union block of every input integrated with this one) and trace_drift the
-    largest |Tr rho(t) - Tr rho0| of this input (both None when the
-    trajectory did not come from :func:`integrate_me`).
+    expect maps each label of the run's ``expect`` operators O to the complex
+    series Tr(O rho(t)); a link run's series include its level populations,
+    named as ``device.LEVEL_PROJECTORS`` (Pg_A ... Pf_B).  a_mean_out and
+    flux_out hold <L> and <L+L> of the field L downstream of node B once
+    moved there by :func:`output_observables`.  dim is the number of basis
+    states integrated (the union block of every input integrated with this
+    one) and trace_drift the largest |Tr rho(t) - Tr rho0| of this input
+    (both None when the trajectory did not come from :func:`integrate_me`).
     """
 
     t: np.ndarray
-    pops: list                      # one (nt, 3) array per qutrit slot
     expect: dict = field(default_factory=dict)
     a_mean_out: np.ndarray | None = None
     flux_out: np.ndarray | None = None
     dim: int | None = None
     trace_drift: float | None = None
-
-    @property
-    def pops_A(self):
-        return self.pops[0]
-
-    @property
-    def pops_B(self):
-        return self.pops[1]
 
     @property
     def photon_integral(self):
@@ -201,22 +192,14 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     liouvillians = [_liouvillian(h0[block], [op[block] for op in jumps])]
     liouvillians += [_liouvillian(op[block]) for op in drive_ops]
 
-    slots = [i for i, n in enumerate(dims) if n == 3]
-    # V.T @ readout = [Tr rho, P_g P_e P_f of each slot, Tr(O rho) of each O],
-    # one row per input
-    first_expect = 1 + 3 * len(slots)
-    readout = np.zeros((r * r, first_expect + len(expect)), dtype=complex)
-    diag_idx = np.arange(r) * (r + 1)
-    readout[diag_idx, 0] = 1.0
-    levels = np.unravel_index(idx, dims)
-    for n, slot in enumerate(slots):
-        readout[diag_idx, 1 + 3 * n + levels[slot]] = 1.0
-    for col, op in enumerate(expect.values(), start=first_expect):
+    # V.T @ readout = [Tr rho, Tr(O rho) of each O], one row per input
+    readout = np.zeros((r * r, 1 + len(expect)), dtype=complex)
+    readout[np.arange(r) * (r + 1), 0] = 1.0
+    for col, op in enumerate(expect.values(), start=1):
         readout[:, col] = op[block].T.reshape(-1)
     return SimpleNamespace(
-        d=d, block=block, r=r, rhos=rhos,
-        liouvillians=liouvillians, samples=samples, readout=readout,
-        n_slots=len(slots), expect=list(expect),
+        d=d, block=block, r=r, rhos=rhos, liouvillians=liouvillians,
+        samples=samples, readout=readout, expect=list(expect),
     )
 
 
@@ -236,8 +219,8 @@ def integrate_me(problems):
     matrices, which share H and the jump operators; the dimensions of the
     space are those of ``hamiltonian`` alone.  ``expect`` (or None) maps
     labels to operators whose expectation values Tr(O rho) are recorded at
-    every grid point.  Level populations are tracked for every three-level subsystem:
-    the two transmons of ``device.DIMS``, or the one qutrit of a (3,) run.
+    every grid point, and nothing else: a level population is the expectation
+    value of its projector, such as those of ``device.LEVEL_PROJECTORS``.
 
     Only the reachable block of each group is integrated: the basis states
     in the union of the supports of its initial states, closed under the
@@ -377,12 +360,8 @@ def integrate_me(problems):
         drift = np.abs(rec[1:, :, 0].real - target).max(axis=0)
         out = []
         for i in range(len(g.rhos)):
-            pops = [rec[:, i, 1 + 3 * n : 4 + 3 * n].real.copy() for n in range(g.n_slots)]
-            exp_vals = {
-                name: rec[:, i, col].copy()
-                for col, name in enumerate(g.expect, start=1 + 3 * g.n_slots)
-            }
-            traj = Trajectory(t=t, pops=pops, expect=exp_vals, dim=g.r, trace_drift=float(drift[i]))
+            exp_vals = {name: rec[:, i, col].copy() for col, name in enumerate(g.expect, start=1)}
+            traj = Trajectory(t=t, expect=exp_vals, dim=g.r, trace_drift=float(drift[i]))
             final = np.zeros((g.d, g.d), dtype=complex)
             final[g.block] = block[:, i].reshape(g.r, g.r)
             out.append((traj, final))
@@ -474,9 +453,9 @@ class TransferEfficiencies:
 def transfer_saturation(traj: Trajectory):
     """Saturated mapped P_e at node B and the drive-start-to-saturation time.
 
-    The final pi_ef map swaps e and f, so the mapped P_e is P_f before it.
+    The final pi_ef map swaps e and f, so the mapped P_e is "Pf_B" before it.
     """
-    curve = traj.pops_B[:, F]
+    curve = traj.expect["Pf_B"].real
     sat = curve.max()
     k = np.nonzero(curve >= 0.99 * sat)[0][0]
     return float(sat), float(traj.t[k] - traj.t[0])

@@ -18,6 +18,7 @@ stack.  Batching is exact: every result equals the run on its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,6 +98,12 @@ class ProtocolSpec:
             raise ValueError("t_scale must be positive")
         if self.idle_ns < 0:
             raise ValueError("idle_ns must be non-negative")
+        # a float or bool would fail only once the run draws (rng, SeedSequence)
+        for name, value in (("seed", self.seed), ("shots", self.shots)):
+            if name == "shots" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.shots is not None and not 0 < self.shots <= MAX_SHOTS:
@@ -206,9 +213,10 @@ def _link_problem(spec, nodes_link, emitter, preps, absorb=False, tau=None):
     and emits at its photon bandwidth, with the drive switched off after
     ``tau`` if given; the other node starts in |g, 0> and, unless ``absorb``
     makes B catch A's photon with the time-reversed drive, is not driven.
-    The preparations share one Hamiltonian.  The mean output field <L> and
-    the flux <L+L> of the cascade's jump operator L are recorded.  Building
-    the drives raises ConfigError for a drive the run cannot build.
+    The preparations share one Hamiltonian.  The level populations
+    (``device.LEVEL_PROJECTORS``), the mean output field <L> and the flux
+    <L+L> of the cascade's jump operator L are recorded.  Building the
+    drives raises ConfigError for a drive the run cannot build.
     """
     node_a, node_b, link = resolve_device(nodes_link, spec)
     from_a = emitter == "A"
@@ -223,7 +231,7 @@ def _link_problem(spec, nodes_link, emitter, preps, absorb=False, tau=None):
     h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b)
     cops = dev.build_collapse_ops(node_a, node_b, link)
     out = dev.output_field_op(node_a, node_b, link)
-    return h, cops, rho0s, {"a_out": out, "n_out": out.conj().T @ out}
+    return h, cops, rho0s, {**dev.LEVEL_PROJECTORS, "a_out": out, "n_out": out.conj().T @ out}
 
 
 def _integrate_links(problems):
@@ -251,9 +259,8 @@ def _integrate_links(problems):
 
 
 def _emission_result(spec, node, traj, rho_final):
-    pops = traj.pops_A if node == "A" else traj.pops_B
     extras = {
-        "final_populations": {"g": pops[-1, G], "e": pops[-1, E], "f": pops[-1, F]},
+        "final_populations": {level: traj.expect[f"P{level}_{node}"][-1].real for level in "gef"},
         "photon_integral": traj.photon_integral,
         "mean_field_power": traj.mean_field_power,
     }

@@ -82,21 +82,27 @@ def _single_qutrit_settings():
 
 @functools.cache
 def gate_set(kind: str):
-    """The 9 single-qutrit tomography settings or the 81 ordered pairs (A's
-    setting major, named "a|b", each rotation the kron of the pair's), as
+    """The 9 single-qutrit tomography settings or the 81 ordered pairs (named
+    by :func:`pair_names`, each rotation the kron of the pair's), as
     (names, unitaries): a tuple of the names and a read-only (n, d, d) stack
     of the measurement-basis rotations, built once per process."""
     if kind == "single":
         settings = _single_qutrit_settings()
         names, unitaries = tuple(settings), np.stack(list(settings.values()))
     elif kind == "pair":
-        single_names, singles = gate_set("single")
-        names = tuple(f"{a}|{b}" for a in single_names for b in single_names)
+        names, singles = pair_names(), gate_set("single")[1]
         unitaries = np.stack([np.kron(ua, ub) for ua in singles for ub in singles])
     else:
         raise ValueError(f"unknown gate-set kind {kind!r}")
     unitaries.flags.writeable = False
     return names, unitaries
+
+
+def pair_names():
+    """The names of the pair set's 81 settings, "a|b" for A's setting a and
+    B's setting b, A's major, without building the pair rotations."""
+    single = gate_set("single")[0]
+    return tuple(f"{a}|{b}" for a in single for b in single)
 
 
 @functools.cache

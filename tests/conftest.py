@@ -3,6 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from photonlink.qops import projector
+
+# the level projectors of one qutrit, which a (3,) run records as its
+# populations "Pg", "Pe" and "Pf"
+QUTRIT_LEVELS = {f"P{level}": projector(3, k) for k, level in enumerate("gef")}
+
 
 def random_density(dim, rng, rank=None):
     """Ginibre-random density matrix."""
@@ -21,6 +27,13 @@ def cut_short(problem, steps):
     h, *rest = problem
     terms = tuple((op, samples[: 2 * steps + 1]) for op, samples in h.terms)
     return (dataclasses.replace(h, t=h.t[: steps + 1], terms=terms), *rest)
+
+
+def populations(traj, suffix=""):
+    """The (nt, 3) level populations P_g, P_e, P_f that ``traj`` recorded as
+    the series "Pg" + suffix, "Pe" + suffix and "Pf" + suffix: "_A" or "_B"
+    for a link run (``device.LEVEL_PROJECTORS``), "" for ``QUTRIT_LEVELS``."""
+    return np.column_stack([traj.expect[f"P{level}{suffix}"].real for level in "gef"])
 
 
 def random_pure(dim, rng):

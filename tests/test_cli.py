@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
-from photonlink import cli, device
+from photonlink import cli, device, tomography
 from photonlink.dynamics import TraceDriftError
 
 
@@ -306,6 +306,21 @@ def test_entangle_scenario_artifacts(tmp_path):
     assert len(records) == 81
     assert "x180_ge.x90_ef|id" in records
     _assert_lf_only(run_dir)
+
+
+def test_entangle_names_its_records_without_the_pair_rotations(tmp_path):
+    """An exact entangle run names its 81 tomography records without
+    building the pair set's (81, 9, 9) rotations: afterwards the gate-set
+    cache holds only the single-qutrit set."""
+    tomography.gate_set.cache_clear()
+    code, out = run_cli(tmp_path, "--scenario", "entangle")
+    assert code == 0
+    cached = tomography.gate_set.cache_info()
+    assert cached.currsize == 1
+    tomography.gate_set("single")
+    assert tomography.gate_set.cache_info().hits == cached.hits + 1
+    records = json.loads((out / "entangle" / "tomography_records.json").read_text())
+    assert set(records) == set(tomography.gate_set("pair")[0]) and len(records) == 81
 
 
 def test_sampled_entangle_scenario(tmp_path):

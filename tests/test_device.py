@@ -7,6 +7,7 @@ import pytest
 from photonlink import device, pulse, qops
 from photonlink.dynamics import integrate_me
 from photonlink.qops import ket, mhz, to_mhz
+from conftest import QUTRIT_LEVELS, populations
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +220,23 @@ def test_collapse_ops_broken_link(table):
     assert np.allclose(ops["channel_loss"], np.sqrt(node_a.kappa_T_rad) * a_a)
 
 
+def test_node_operators_are_built_once_and_read_only():
+    """Each node's ladder operators and transmon level projectors are
+    constants on DIMS (transmon A at slot 0, resonator A at 1, transmon B at
+    2, resonator B at 3), the projectors named as the trajectory columns."""
+    assert list(device.LEVEL_PROJECTORS) == ["Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B"]
+    for node, slot in (("A", 0), ("B", 2)):
+        assert np.array_equal(device.TRANSMON[node], qops.embed(qops.destroy(3), slot, device.DIMS))
+        assert np.array_equal(device.RESONATOR[node], qops.embed(qops.destroy(2), slot + 1, device.DIMS))
+        levels = [device.LEVEL_PROJECTORS[f"P{level}_{node}"] for level in "gef"]
+        for k, op in enumerate(levels):
+            assert np.array_equal(op, qops.embed(qops.projector(3, k), slot, device.DIMS))
+        assert np.array_equal(sum(levels), np.eye(36))
+    for op in (*device.TRANSMON.values(), *device.RESONATOR.values(), *device.LEVEL_PROJECTORS.values()):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
 def test_qutrit_decay_rate_from_table(table):
     node_a, _, _ = table
     ops = dict(device.single_node_collapse_ops(node_a))
@@ -240,6 +258,7 @@ def _single_qutrit_run(node, rho0, t_end=1500.0, dt=1.0):
     cops = device.single_node_collapse_ops(node)
     h = device.TimeDependentOperator((3,), np.zeros((3, 3), dtype=complex), (), t)
     expect = {
+        **QUTRIT_LEVELS,
         "coh_ge": np.outer(ket(3, 1), ket(3, 0).conj()),
         "coh_ef": np.outer(ket(3, 2), ket(3, 1).conj()),
     }
@@ -255,12 +274,12 @@ def test_free_decay_and_ramsey_reproduce_coherence_table(table, which):
     # T1ge: |e> population decay
     t, traj = _single_qutrit_run(node, np.diag([0.0, 1.0, 0.0]).astype(complex))
     k = len(t) // 2
-    t1_fit = -t[k] / np.log(traj.pops[0][k, 1])
+    t1_fit = -t[k] / np.log(populations(traj)[k, 1])
     assert t1_fit == pytest.approx(node.T1ge * 1e3, rel=0.01)
 
     # T1ef: |f> population decay
     t, traj = _single_qutrit_run(node, np.diag([0.0, 0.0, 1.0]).astype(complex))
-    t1ef_fit = -t[k] / np.log(traj.pops[0][k, 2])
+    t1ef_fit = -t[k] / np.log(populations(traj)[k, 2])
     assert t1ef_fit == pytest.approx(node.T1ef * 1e3, rel=0.01)
 
     # T2ge: ge coherence decay of (|g>+|e>)/sqrt(2)

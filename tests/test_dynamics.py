@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from photonlink import device, dynamics, protocols, pulse
 from photonlink.qops import check_density_matrix, destroy, embed, ket, mhz, partial_trace
-from conftest import cut_short, random_density
+from conftest import QUTRIT_LEVELS, cut_short, populations, random_density
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +23,17 @@ def _static(dims, t):
 def test_frozen_dynamics(rng):
     rho0 = random_density(3, rng)
     t = np.arange(0.0, 10.0, 0.5)
-    [[(traj, final)]] = dynamics.integrate_me([(_static((3,), t), [], [rho0], None)])
+    [[(traj, final)]] = dynamics.integrate_me([(_static((3,), t), [], [rho0], QUTRIT_LEVELS)])
     assert np.abs(final - rho0).max() < 1e-12
-    assert np.allclose(traj.pops[0][0], traj.pops[0][-1])
+    assert np.allclose(populations(traj)[0], populations(traj)[-1])
+
+
+def test_a_run_without_expect_records_no_series(rng):
+    """Only the run's expect operators are recorded: a qutrit run with none
+    records no series, not even its level populations."""
+    t = np.arange(0.0, 10.0, 0.5)
+    [[(traj, _)]] = dynamics.integrate_me([(_static((3,), t), [], [random_density(3, rng)], None)])
+    assert traj.expect == {}
 
 
 def test_single_qutrit_exponential_decay(table):
@@ -33,9 +41,9 @@ def test_single_qutrit_exponential_decay(table):
     t = np.arange(0.0, 2000.0, 1.0)
     decay = dict(device.single_node_collapse_ops(node_a))["decay_ge"]
     rho0 = np.diag([0, 1.0, 0]).astype(complex)
-    [[(traj, _)]] = dynamics.integrate_me([(_static((3,), t), [("decay_ge", decay)], [rho0], None)])
+    [[(traj, _)]] = dynamics.integrate_me([(_static((3,), t), [("decay_ge", decay)], [rho0], QUTRIT_LEVELS)])
     expected = np.exp(-t / (node_a.T1ge * 1e3))
-    err = np.abs(traj.pops[0][:, 1] - expected) / expected
+    err = np.abs(populations(traj)[:, 1] - expected) / expected
     assert err.max() < 1e-4
 
 
@@ -141,7 +149,7 @@ def test_batch_matches_single_input_integrations(table, rng):
     h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
     cops = device.build_collapse_ops(node_a, node_b, link)
     out = device.output_field_op(node_a, node_b, link)
-    expect = {"a_out": out, "n_out": out.conj().T @ out}
+    expect = {**device.LEVEL_PROJECTORS, "a_out": out, "n_out": out.conj().T @ out}
     ground = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     qutrit = (ket(3, 1) + ket(3, 2)) / np.sqrt(2.0)
     ef = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
@@ -168,8 +176,8 @@ def test_batch_matches_single_input_integrations(table, rng):
         assert traj.dim == 7
         assert traj.trace_drift == pytest.approx(single.trace_drift, abs=1e-12)
         assert np.abs(final - single_final).max() <= 1e-12
-        for pops, ref in zip(traj.pops, single.pops):
-            assert np.abs(pops - ref).max() <= 1e-12
+        for node in ("_A", "_B"):
+            assert np.abs(populations(traj, node) - populations(single, node)).max() <= 1e-12
         assert traj.expect.keys() == single.expect.keys()
         for name, series in traj.expect.items():
             assert np.abs(series - single.expect[name]).max() <= 1e-12
@@ -193,6 +201,7 @@ def test_recorded_observables_match_snapshots(table, rng):
     psi = np.kron(np.kron(qutrit, ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     d = len(psi)
     expect = {
+        **device.LEVEL_PROJECTORS,
         "a_out": device.output_field_op(node_a, node_b, link),
         "random": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }
@@ -202,7 +211,7 @@ def test_recorded_observables_match_snapshots(table, rng):
     for k in range(25, len(traj.t), 25):
         [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
         rho = state
-        for pops, slot in ((traj.pops_A, 0), (traj.pops_B, 2)):
+        for pops, slot in ((populations(traj, "_A"), 0), (populations(traj, "_B"), 2)):
             diag = np.diag(partial_trace(rho, h.dims, keep=(slot,))).real
             assert np.abs(pops[k] - diag).max() < 1e-12
         for name, op in expect.items():
@@ -284,7 +293,7 @@ def _link_batch(table):
     )
     cops = device.build_collapse_ops(node_a, node_b, link)
     out = device.output_field_op(node_a, node_b, link)
-    expect = {"a_out": out, "n_out": out.conj().T @ out}
+    expect = {**device.LEVEL_PROJECTORS, "a_out": out, "n_out": out.conj().T @ out}
     ef = np.kron(np.kron((ket(3, 1) + ket(3, 2)) / np.sqrt(2.0), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     f_b = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
     dims = device.DIMS
@@ -305,7 +314,7 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
     problems = _link_batch(table)
     qutrit = device.TimeDependentOperator((3,), np.zeros((3, 3), complex), (), problems[0][0].t)
     decay = dict(device.single_node_collapse_ops(table[0]))["decay_ge"]
-    problems.append((qutrit, [("decay_ge", decay)], [random_density(3, rng)], None))
+    problems.append((qutrit, [("decay_ge", decay)], [random_density(3, rng)], QUTRIT_LEVELS))
     batch = dynamics.integrate_me(problems)
     for problem, runs in zip(problems, batch):
         [alone] = dynamics.integrate_me([problem])
@@ -313,8 +322,6 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
         for (traj, final), (ref, ref_final) in zip(runs, alone):
             assert traj.dim == ref.dim and traj.trace_drift == ref.trace_drift
             assert np.array_equal(final, ref_final)
-            for pops, ref_pops in zip(traj.pops, ref.pops):
-                assert np.array_equal(pops, ref_pops)
             for name, series in traj.expect.items():
                 assert np.array_equal(series, ref.expect[name]), name
     assert [runs[0][0].dim for runs in batch] == [5, 7, 3]
@@ -337,9 +344,8 @@ def test_batch_cut_short_records_the_first_rows_of_the_full_record(table):
         for (traj, _), (cut_traj, _) in zip(runs, cut_runs):
             assert len(traj.t) > k + 1 and np.array_equal(cut_traj.t, traj.t[: k + 1])
             assert cut_traj.dim == traj.dim and cut_traj.trace_drift <= traj.trace_drift
-            assert len(cut_traj.pops) == len(traj.pops) == 2
-            for pops, ref in zip(cut_traj.pops, traj.pops):
-                assert np.array_equal(pops, ref[: k + 1])
+            for node in ("_A", "_B"):
+                assert np.array_equal(populations(cut_traj, node), populations(traj, node)[: k + 1])
             assert cut_traj.expect.keys() == traj.expect.keys()
             for name, series in traj.expect.items():
                 assert np.array_equal(cut_traj.expect[name], series[: k + 1]), name
@@ -415,10 +421,10 @@ def test_oracle_equivalence_with_full_master_equation(table):
     dims = h.dims
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     rho0 = np.outer(psi, psi.conj())
-    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], None)])
+    [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], device.LEVEL_PROJECTORS)])
     oracle = dynamics.two_level_oracle(env, clean_a.kappa_T_rad)
-    assert np.abs(traj.pops_A[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
-    assert np.abs(traj.pops_A[:, 0] - (1 - np.abs(oracle.c_f) ** 2)).max() < 1e-3
+    assert np.abs(populations(traj, "_A")[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
+    assert np.abs(populations(traj, "_A")[:, 0] - (1 - np.abs(oracle.c_f) ** 2)).max() < 1e-3
 
 
 def _cascade_oracle(h, node_a, node_b, link):
@@ -475,16 +481,16 @@ def test_cascade_matches_the_one_excitation_oracle(table):
     gaps = []
     for dt in (1.0, 0.5, 0.25):
         spec = protocols.ProtocolSpec(name="transfer", dt=dt)
-        h, cops, rho0s, _ = protocols._link_problem(
+        h, cops, rho0s, expect = protocols._link_problem(
             spec, device_link, "A", [ket(3, 2)], absorb=True
         )
         lossless = [(name, op) for name, op in cops if not name.startswith(("decay", "dephase"))]
         assert {name for name, _ in lossless} == {"channel_loss", "cascade_out", "internal_A", "internal_B"}
-        [[(traj, _)]] = dynamics.integrate_me([(h, lossless, rho0s, None)])
+        [[(traj, _)]] = dynamics.integrate_me([(h, lossless, rho0s, expect)])
         amps = _cascade_oracle(h, *device_link)
         gaps.append(max(
-            np.abs(traj.pops_A[:, 2] - np.abs(amps[:, 0]) ** 2).max(),
-            np.abs(traj.pops_B[:, 2] - np.abs(amps[:, 3]) ** 2).max(),
+            np.abs(populations(traj, "_A")[:, 2] - np.abs(amps[:, 0]) ** 2).max(),
+            np.abs(populations(traj, "_B")[:, 2] - np.abs(amps[:, 3]) ** 2).max(),
         ))
     assert gaps[1] <= 1e-8, gaps
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
@@ -524,6 +530,7 @@ def test_excitation_bookkeeping(table):
     a_b = embed(destroy(2), 3, dims)
     out = device.output_field_op(clean_a, clean_b, link)
     expect = {
+        **device.LEVEL_PROJECTORS,
         "n_A": a_a.conj().T @ a_a,
         "n_B": a_b.conj().T @ a_b,
         "a_out": out,
@@ -543,7 +550,7 @@ def test_excitation_bookkeeping(table):
     emitted = np.concatenate(
         [[0.0], cumulative_trapezoid(traj.flux_out + loss_flux, traj.t)]
     )
-    total = traj.pops_A @ ladder + traj.pops_B @ ladder + 2 * photons + 2 * emitted
+    total = populations(traj, "_A") @ ladder + populations(traj, "_B") @ ladder + 2 * photons + 2 * emitted
     assert np.abs(total - total[0]).max() < 1e-4
 
 
@@ -615,7 +622,7 @@ def test_step_halving_convergence(table):
 
 
 def test_output_observables_requirements(rng):
-    traj = dynamics.Trajectory(t=np.arange(3.0), pops=[np.zeros((3, 3))])
+    traj = dynamics.Trajectory(t=np.arange(3.0))
     with pytest.raises(ValueError):
         dynamics.output_observables(traj)
     with pytest.raises(ValueError):
@@ -640,7 +647,7 @@ def test_field_integrals_use_simpsons_rule(n_intervals):
         exact = 1.5 * (cubic[0] + cubic[-1])
     else:
         exact = 15.0 + 1.5 - 6.0 + 3.75  # integral of the cubic over [-1, 2]
-    traj = dynamics.Trajectory(t=t, pops=[np.zeros((len(t), 3))])
+    traj = dynamics.Trajectory(t=t)
     traj.flux_out = cubic
     traj.a_mean_out = np.sqrt(cubic) * np.exp(0.3j)
     assert traj.photon_integral == pytest.approx(exact, abs=1e-12)
@@ -649,9 +656,7 @@ def test_field_integrals_use_simpsons_rule(n_intervals):
 
 def test_efficiencies_guard_against_empty_reference():
     t = np.arange(4.0)
-    empty = dynamics.Trajectory(
-        t=t, pops=[np.zeros((4, 3)), np.zeros((4, 3))]
-    )
+    empty = dynamics.Trajectory(t=t)
     empty.flux_out = np.zeros(4)
     empty.a_mean_out = np.zeros(4, dtype=complex)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 from photonlink import cli, device, dynamics, metrics, protocols
 from photonlink.protocols import ProtocolSpec
+from conftest import populations
 
 # cheap settings for machinery tests; physics numbers live in the acceptance suite
 FAST = dict(dt=0.5)
@@ -62,13 +63,34 @@ def test_spec_validation():
         ProtocolSpec(name="x", dt=dt, window=(-150.0, 150.0), idle_ns=0.0)
 
 
+def test_spec_refuses_non_integer_shots_and_seed():
+    """A float, bool or string count or seed is refused when the spec is
+    built; the run would otherwise integrate and then fail with a TypeError
+    from the readout draw or from SeedSequence."""
+    for kwargs in (dict(shots=2000.5), dict(shots=2000.0), dict(shots=True), dict(shots="2000"),
+                   dict(seed=1.5), dict(seed=False), dict(seed=None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProtocolSpec(name="x", **kwargs)
+    spec = ProtocolSpec(name="x", shots=np.int64(2000), seed=np.int64(1))
+    assert (spec.shots, spec.seed) == (2000, 1)
+
+
+def test_level_populations_of_both_nodes_sum_to_the_trace():
+    """Each node's recorded level populations sum to Tr rho at every grid
+    point of the exact entanglement run, so the two nodes' sums agree."""
+    traj = protocols.run_entanglement(ProtocolSpec(name="entangle")).trajectory
+    sum_a, sum_b = (sum(traj.expect[f"P{level}_{node}"] for level in "gef") for node in "AB")
+    assert np.abs(sum_a - sum_b).max() <= 1e-12
+    assert np.abs(sum_a - 1.0).max() <= 1e-6
+
+
 def test_runs_are_deterministic():
     spec = ProtocolSpec(name="entangle", seed=3, **FAST)
     a = protocols.run_entanglement(spec)
     b = protocols.run_entanglement(spec)
     assert np.array_equal(a.extras["rho9_direct"], b.extras["rho9_direct"])
     assert np.array_equal(a.extras["rho9_tomography"], b.extras["rho9_tomography"])
-    assert np.array_equal(a.trajectory.pops_B, b.trajectory.pops_B)
+    assert np.array_equal(populations(a.trajectory, "_B"), populations(b.trajectory, "_B"))
 
 
 @pytest.mark.filterwarnings("ignore:mitigated populations")
@@ -107,7 +129,8 @@ def test_truncated_run_matches_full_trajectory_at_tau():
         cut = protocols.run_emission(spec, "B", "f", tau=tau)
         k = np.searchsorted(full.trajectory.t, tau)
         kc = np.searchsorted(cut.trajectory.t, tau)
-        assert np.abs(cut.trajectory.pops_B[kc] - full.trajectory.pops_B[k]).max() < 1e-9
+        cut_pops, full_pops = populations(cut.trajectory, "_B"), populations(full.trajectory, "_B")
+        assert np.abs(cut_pops[kc] - full_pops[k]).max() < 1e-9
 
 
 def test_transfer_saturation_helper():
@@ -199,7 +222,8 @@ def _assert_same_entanglement(batched, alone):
         assert np.array_equal(batched.extras[key], alone.extras[key]), key
     assert dataclasses.asdict(batched.extras["metrics"]) == dataclasses.asdict(alone.extras["metrics"])
     a, b = batched.trajectory, alone.trajectory
-    assert np.array_equal(a.pops_A, b.pops_A) and np.array_equal(a.pops_B, b.pops_B)
+    for node in ("_A", "_B"):
+        assert np.array_equal(populations(a, node), populations(b, node)), node
     assert np.array_equal(a.a_mean_out, b.a_mean_out) and np.array_equal(a.flux_out, b.flux_out)
 
 
@@ -305,7 +329,7 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
         assert runs[name].spec == single.spec
         assert np.array_equal(runs[name].final_state, single.final_state), name
         assert np.array_equal(runs[name].trajectory.flux_out, single.trajectory.flux_out), name
-        assert np.array_equal(runs[name].trajectory.pops_B, single.trajectory.pops_B), name
+        assert np.array_equal(populations(runs[name].trajectory, "_B"), populations(single.trajectory, "_B")), name
     assert eff == dynamics.efficiencies(*(singles[k].trajectory for k in singles))
     pair = protocols.run_emissions(emit_spec, "B", ("f", "gf"))
     for run, initial in zip(pair, ("f", "gf")):

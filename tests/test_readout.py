@@ -155,9 +155,18 @@ def test_two_node_outer_product():
     assert np.allclose(readout.kron(r_a, r_b, np.eye(3)), np.kron(two, np.eye(3)))
 
 
-def test_two_node_matches_published_table_within_rounding():
-    two = 100 * readout.kron(readout.TABLE_R_A, readout.TABLE_R_B)
-    assert np.abs(two - readout.TABLE_R_TWO_NODE_PERCENT).max() <= 0.1 + 1e-9
+def test_two_node_matches_published_table_within_rounding(cal_a, cal_b):
+    """The measured two-node table is the Kronecker product of the
+    single-node ones to its 0.1 % rounding, the assumption behind mitigating
+    two-node tomography with kron(R_A, R_B): for the printed single-node
+    tables and for the calibrations' analytic assignment matrices, which
+    ``protocols._measure`` mitigates with (largest difference 9.0e-4)."""
+    measured = readout.TABLE_R_TWO_NODE_PERCENT / 100
+    for r_a, r_b in (
+        (readout.TABLE_R_A, readout.TABLE_R_B),
+        (cal_a.analytic_assignment(), cal_b.analytic_assignment()),
+    ):
+        assert np.abs(readout.kron(r_a, r_b) - measured).max() <= 1e-3
 
 
 def test_mitigate_exact_round_trip(rng):

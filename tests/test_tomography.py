@@ -74,6 +74,7 @@ def test_gate_set_counts_and_identity():
     names, pairs = tomo.gate_set("pair")
     assert len(names) == 81 and pairs.shape == (81, 9, 9)
     assert names[0] == "id|id" and names[1] == "id|x90_ge"
+    assert tomo.pair_names() == names
     assert np.allclose(pairs[0], np.eye(9))
     # A's setting major: pair 9 a + b is the np.kron of singles a and b
     for k, u in enumerate(pairs):
