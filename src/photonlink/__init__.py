@@ -9,7 +9,7 @@ from .pulse import DriveEnvelope  # noqa: F401
 from .protocols import (  # noqa: F401
     ProtocolSpec,
     error_budget,
-    run_emission,
+    run_emissions,
     run_entanglement,
     run_state_transfer_qpt,
     run_transfer,

@@ -96,7 +96,7 @@ def _spec_from_args(args, nodes_link) -> protocols.ProtocolSpec:
     # a flag left unset takes the ProtocolSpec default
     flags = ("eta_c", "time_offset", "dt", "idle_ns", "t_scale", "shots")
     kwargs = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-    kwargs.update(name=args.scenario, seed=args.seed)
+    kwargs["seed"] = args.seed
     if args.scenario in ("emit-a", "emit-b"):
         # emission studies have no closing pulses and a longer window, over
         # which their drive runs and the output line is integrated
@@ -236,7 +236,8 @@ def _run_emit(args, spec, nodes_link):
     }
     if args.truncate_sweep:
         # populations measured right after truncating the drive at tau coincide
-        # with the untruncated trajectory at tau; one row every 2 ns
+        # with the untruncated trajectory at tau (tests/test_cli.py checks the
+        # rows against runs cut at tau); one row every 2 ns
         traj = pop_run.trajectory
         step = max(1, int(round(2.0 / (traj.t[1] - traj.t[0]))))
         pops = [traj.expect[f"P{level}_{node}"].real for level in "gef"]

@@ -8,9 +8,10 @@ resonator B through a lossy circulator; dissipation is Lindblad-type with
 per-transition decay and dephasing channels.  Every operator acts on
 ``DIMS``: each transfer resonator keeps the two Fock states one photon can
 reach.  This module alone knows where each node's transmon and resonator
-sit in ``DIMS``; their ladder operators and the six transmon level
-projectors (``LEVEL_PROJECTORS``, named Pg_A ... Pf_B as the trajectory
-columns) are built once, at import, and shared read-only.
+sit in ``DIMS`` (``TRANSMON_SLOT``) and builds the link's initial states;
+the nodes' ladder operators and the six transmon level projectors
+(``LEVEL_PROJECTORS``, named Pg_A ... Pf_B as the trajectory columns) are
+built once, at import, and shared read-only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .qops import mhz, destroy, embed, projector, transition
+from .qops import mhz, destroy, embed, ket, projector, transition
 from .pulse import DriveEnvelope
 
 G, E, F = 0, 1, 2  # transmon level indices
@@ -64,6 +65,9 @@ class NodeParams:
         _require_finite(self)
         if self.kappa_T <= 0:
             raise ValueError("kappa_T must be positive")
+        if self.kappa_int < 0:
+            # build_collapse_ops would drop the channel, as if the rate were 0
+            raise ValueError("kappa_int must be non-negative")
         if self.alpha >= 0:
             raise ValueError("alpha must be negative")
         if min(self.T1ge, self.T1ef, self.T2ge, self.T2ef) <= 0:
@@ -171,20 +175,32 @@ def single_node_collapse_ops(node: NodeParams):
 # at most two transmon quanta, and f0g1 trades two quanta for one photon
 DIMS = (3, 2, 3, 2)
 # each node's transmon slot of DIMS; its resonator is the next slot
-_TRANSMON_SLOT = {"A": 0, "B": 2}
+TRANSMON_SLOT = {"A": 0, "B": 2}
 # each node's transmon (b) and resonator (a) lowering operators on DIMS
-TRANSMON = {node: embed(destroy(3), slot, DIMS) for node, slot in _TRANSMON_SLOT.items()}
-RESONATOR = {node: embed(destroy(2), slot + 1, DIMS) for node, slot in _TRANSMON_SLOT.items()}
+TRANSMON = {node: embed(destroy(3), slot, DIMS) for node, slot in TRANSMON_SLOT.items()}
+RESONATOR = {node: embed(destroy(2), slot + 1, DIMS) for node, slot in TRANSMON_SLOT.items()}
 # the projectors onto each transmon level, named as the trajectory columns
 # they record: Pg_A, Pe_A, Pf_A, Pg_B, Pe_B, Pf_B
 LEVEL_PROJECTORS = {
     f"P{level}_{node}": embed(projector(3, k), slot, DIMS)
-    for node, slot in _TRANSMON_SLOT.items()
+    for node, slot in TRANSMON_SLOT.items()
     for k, level in enumerate("gef")
 }
 # built once, at import, and shared read-only
 for _op in (*TRANSMON.values(), *RESONATOR.values(), *LEVEL_PROJECTORS.values()):
     _op.flags.writeable = False
+
+
+def initial_state(qutrit_a, qutrit_b):
+    """The density matrix on ``DIMS`` of the qutrit states ``qutrit_a`` and
+    ``qutrit_b`` with both resonators empty: each node's qutrit (x) its
+    resonator, then A (x) B."""
+    psi_a, psi_b = (
+        np.kron(np.asarray(qutrit, complex), ket(DIMS[TRANSMON_SLOT[node] + 1], 0))
+        for node, qutrit in (("A", qutrit_a), ("B", qutrit_b))
+    )
+    psi = np.kron(psi_a, psi_b)
+    return np.outer(psi, psi.conj())
 
 
 def build_hamiltonian(
@@ -261,7 +277,7 @@ def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams)
             ops.append((f"internal_{name}", np.sqrt(node.kappa_int_rad) * RESONATOR[name]))
         for label, op in single_node_collapse_ops(node):
             if np.abs(op).max() > 0:
-                ops.append((f"{label}_{name}", embed(op, _TRANSMON_SLOT[name], DIMS)))
+                ops.append((f"{label}_{name}", embed(op, TRANSMON_SLOT[name], DIMS)))
     return ops
 
 

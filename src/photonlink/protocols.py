@@ -63,13 +63,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Configuration of one named run; JSON-serializable and hashable.
+    """Configuration of one run; JSON-serializable and hashable.  The
+    protocol it configures is the function it is passed to.
 
     No field sizes the model: every run integrates on ``device.DIMS``, whose
     two-level resonators hold the one photon a protocol can make exactly.
     """
 
-    name: str
     eta_c: float | None = None          # override channel transmission
     time_offset: float | None = None    # override absorber delay (ns)
     kappa_eff_a: float = KAPPA_EFF_MHZ["A"]   # linear MHz
@@ -186,15 +186,6 @@ def _drive(spec, node, name, kappa_eff_mhz, reverse=False, offset=0.0):
     return pulse.DriveEnvelope(t, g)
 
 
-def _initial_state(qutrit_a, qutrit_b):
-    dims = dev.DIMS
-    psi = np.kron(
-        np.kron(np.asarray(qutrit_a, complex), ket(dims[1], 0)),
-        np.kron(np.asarray(qutrit_b, complex), ket(dims[3], 0)),
-    )
-    return np.outer(psi, psi.conj())
-
-
 QUTRIT_PREPS = {
     "g": ket(3, G),
     "e": ket(3, E),
@@ -204,16 +195,17 @@ QUTRIT_PREPS = {
 }
 
 
-def _link_problem(spec, nodes_link, emitter, preps, absorb=False, tau=None):
+def _link_problem(spec, nodes_link, emitter, preps, absorb=False):
     """The integration problem of one emission through the cascaded link for
     each preparation, as an ``integrate_me`` group (hamiltonian,
     collapse_ops, rho0s, expect).
 
     Node ``emitter`` ('A' or 'B') starts in each qutrit state of ``preps``
-    and emits at its photon bandwidth, with the drive switched off after
-    ``tau`` if given; the other node starts in |g, 0> and, unless ``absorb``
-    makes B catch A's photon with the time-reversed drive, is not driven.
-    The preparations share one Hamiltonian.  The level populations
+    and emits at its photon bandwidth, driven over the whole window; the
+    other node starts in |g, 0> and, unless ``absorb`` makes B catch A's
+    photon with the time-reversed drive, is not driven.  The preparations
+    share one Hamiltonian and their initial states come from
+    ``device.initial_state``.  The level populations
     (``device.LEVEL_PROJECTORS``), the mean output field <L> and the flux
     <L+L> of the cascade's jump operator L are recorded.  Building the
     drives raises ConfigError for a drive the run cannot build.
@@ -222,12 +214,10 @@ def _link_problem(spec, nodes_link, emitter, preps, absorb=False, tau=None):
     from_a = emitter == "A"
     keff = spec.kappa_eff_a if from_a else spec.kappa_eff_b
     env = _drive(spec, node_a if from_a else node_b, emitter, keff)
-    if tau is not None:
-        env = pulse.truncate(env, tau)
     catch = _drive(spec, node_b, "B", keff, reverse=True, offset=link.time_offset) if absorb else None
     env_a, env_b = (env, catch) if from_a else (None, env)
     idle = ket(3, G)
-    rho0s = [_initial_state(prep if from_a else idle, idle if from_a else prep) for prep in preps]
+    rho0s = [dev.initial_state(prep if from_a else idle, idle if from_a else prep) for prep in preps]
     h = dev.build_hamiltonian(node_a, node_b, link, env_a, env_b)
     cops = dev.build_collapse_ops(node_a, node_b, link)
     out = dev.output_field_op(node_a, node_b, link)
@@ -271,42 +261,28 @@ def run_emissions(
     spec: ProtocolSpec | None = None,
     node: str = "B",
     initials=("f",),
-    tau: float | None = None,
     nodes_link=None,
 ) -> list[RunResult]:
     """Emit a shaped photon from one node (the other node sits idle), once
     for each initial state, in one integration.
 
     Each of ``initials`` is 'f' for the population curves or 'gf' for the
-    mean-field photon (|0>+|1>)/sqrt(2); ``tau`` optionally truncates the
-    drive.
+    mean-field photon (|0>+|1>)/sqrt(2).  The default spec has the
+    emission-study window and no closing pulses.
     """
-    spec = spec or ProtocolSpec(
-        name=f"emit-{node.lower()}", window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS
-    )
+    spec = spec or ProtocolSpec(window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS)
     preps = [QUTRIT_PREPS[initial] for initial in initials]
-    [runs] = _integrate_links([_link_problem(spec, nodes_link, node, preps, tau=tau)])
+    [runs] = _integrate_links([_link_problem(spec, nodes_link, node, preps)])
     return [_emission_result(spec, node, traj, rho_final) for traj, rho_final in runs]
-
-
-def run_emission(
-    spec: ProtocolSpec | None = None,
-    node: str = "B",
-    initial: str = "f",
-    tau: float | None = None,
-    nodes_link=None,
-) -> RunResult:
-    """One run of :func:`run_emissions`: emission from ``initial``."""
-    [res] = run_emissions(spec, node, [initial], tau, nodes_link)
-    return res
 
 
 def _mapped(runs):
     """Map B of each (trajectory, final state) pair back with an ideal
     pi_ef pulse and keep the two qutrits: (trajectory, two-qutrit state)."""
-    u = embed(tomography.ef_swap(), 2, dev.DIMS)
+    u = embed(tomography.ef_swap(), dev.TRANSMON_SLOT["B"], dev.DIMS)
+    keep = (dev.TRANSMON_SLOT["A"], dev.TRANSMON_SLOT["B"])
     return [
-        (traj, partial_trace(u @ rho_final @ u.conj().T, dev.DIMS, keep=(0, 2)))
+        (traj, partial_trace(u @ rho_final @ u.conj().T, dev.DIMS, keep=keep))
         for traj, rho_final in runs
     ]
 
@@ -335,7 +311,7 @@ def run_transfer(
     receiver-matched drive, and mapped back with a final pi_ef pulse on B.
     Returns the two-node trajectory and the final two-qutrit state.
     """
-    spec = spec or ProtocolSpec(name="transfer")
+    spec = spec or ProtocolSpec()
     [run] = _integrate_links([_transfer_problem(spec, nodes_link, prep, absorption)])
     return _transfer_result(spec, run)
 
@@ -348,21 +324,20 @@ def run_transfer_efficiencies(spec: ProtocolSpec | None = None, nodes_link=None)
     window.  Every drive is built first; each pair shares a grid and is
     integrated as one batch.
     """
-    spec = spec or ProtocolSpec(name="transfer")
+    spec = spec or ProtocolSpec()
     emit_spec = replace(spec, window=EMISSION_WINDOW, idle_ns=EMISSION_IDLE_NS)
-    emit_a_spec, emit_b_spec = replace(emit_spec, name="emit-a"), replace(emit_spec, name="emit-b")
     gf = [QUTRIT_PREPS["gf"]]
     runs = _integrate_links([
         _transfer_problem(spec, nodes_link, "e", absorption=True),
         _transfer_problem(spec, nodes_link, "e", absorption=False),
-        _link_problem(emit_a_spec, nodes_link, "A", gf),
-        _link_problem(emit_b_spec, nodes_link, "B", gf),
+        _link_problem(emit_spec, nodes_link, "A", gf),
+        _link_problem(emit_spec, nodes_link, "B", gf),
     ])
     results = {
         "with": _transfer_result(spec, runs[0]),
         "without": _transfer_result(spec, runs[1]),
-        "emit_a": _emission_result(emit_a_spec, "A", *runs[2][0]),
-        "emit_b": _emission_result(emit_b_spec, "B", *runs[3][0]),
+        "emit_a": _emission_result(emit_spec, "A", *runs[2][0]),
+        "emit_b": _emission_result(emit_spec, "B", *runs[3][0]),
     }
     eff = efficiencies(*(results[k].trajectory for k in ("with", "without", "emit_a", "emit_b")))
     return eff, results
@@ -400,7 +375,7 @@ def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) ->
     in order.  ``chi_direct`` is the same inversion of the directly
     simulated outputs.
     """
-    spec = spec or ProtocolSpec(name="qpt")
+    spec = spec or ProtocolSpec()
     rng = np.random.default_rng(spec.seed)
     inputs = tomography.mub_qubit_states()
     swap = tomography.ef_swap()
@@ -464,7 +439,7 @@ def run_entanglements(specs, nodes_link=None) -> list[RunResult]:
 
 def run_entanglement(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
     """The one-spec case of :func:`run_entanglements`."""
-    [res] = run_entanglements([spec or ProtocolSpec(name="entangle")], nodes_link)
+    [res] = run_entanglements([spec or ProtocolSpec()], nodes_link)
     return res
 
 
@@ -475,7 +450,7 @@ UPGRADE_ETA_C = 0.88
 def run_upgrade_scenario(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
     """Entanglement with upgraded coherence (30/20 us) and 12% channel loss;
     the spec's overrides apply to the upgraded device, so its eta_c wins."""
-    spec = spec or ProtocolSpec(name="upgrade")
+    spec = spec or ProtocolSpec()
     node_a, node_b, link = dev.load_device() if nodes_link is None else nodes_link
     node_a, node_b = (replace(node, **UPGRADE_COHERENCE_US) for node in (node_a, node_b))
     return run_entanglement(spec, (node_a, node_b, replace(link, eta_c=UPGRADE_ETA_C)))
@@ -483,7 +458,7 @@ def run_upgrade_scenario(spec: ProtocolSpec | None = None, nodes_link=None) -> R
 
 def error_budget(spec: ProtocolSpec | None = None, nodes_link=None) -> dict:
     """Fidelity gained by disabling the channel loss, decoherence, or both."""
-    spec = spec or ProtocolSpec(name="budget")
+    spec = spec or ProtocolSpec()
     base, no_loss, no_dec, neither = run_entanglements(
         [
             spec,

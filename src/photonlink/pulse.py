@@ -16,6 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+# the raised-cosine taper (ns) that turns every emission drive on over the
+# first and off over the last TAPER_NS of its grid
+TAPER_NS = 15.0
+
+
 def _sech(x):
     # overflow-safe sech
     x = np.abs(np.asarray(x, dtype=float))
@@ -54,14 +59,15 @@ def default_grid(dt=0.1, span=300.0):
     return np.arange(-n, n + 1) * dt
 
 
-def emission_drive(t_grid, kappa_eff, kappa_T, taper_ns=15.0) -> DriveEnvelope:
+def emission_drive(t_grid, kappa_eff, kappa_T) -> DriveEnvelope:
     """Drive g(t) that emits the sech photon through a resonator of width kappa_T.
 
     Samples the analytic shape exactly on the grid.  For kappa_eff < kappa_T
     the exact drive saturates to the constant (kappa_eff/2)*sqrt(kappa_T/
     kappa_eff - 1) at late times, where the emitter amplitudes have already
-    decayed to nothing; a raised-cosine taper over the first/last ``taper_ns``
-    turns the stored waveform off at the grid ends (set taper_ns=0 to disable).
+    decayed to nothing; a raised-cosine taper over the first and last
+    ``TAPER_NS`` turns the stored waveform on and off at the grid ends, so
+    its first and last samples are 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if kappa_eff <= 0 or kappa_T <= 0:
@@ -86,12 +92,8 @@ def emission_drive(t_grid, kappa_eff, kappa_T, taper_ns=15.0) -> DriveEnvelope:
     den = np.sqrt((r - 1.0) + r * emx)
     g[pos] = 0.25 * kappa_eff * _sech(0.5 * x[pos]) * np.exp(0.5 * x[pos]) * num / den
 
-    if taper_ns > 0:
-        dt_lead = t - t[0]
-        dt_tail = t[-1] - t
-        for d in (dt_lead, dt_tail):
-            w = np.where(d < taper_ns, 0.5 - 0.5 * np.cos(np.pi * d / taper_ns), 1.0)
-            g = g * w
+    for d in (t - t[0], t[-1] - t):
+        g = g * np.where(d < TAPER_NS, 0.5 - 0.5 * np.cos(np.pi * d / TAPER_NS), 1.0)
     return DriveEnvelope(t, g)
 
 
@@ -114,11 +116,3 @@ def shift(env: DriveEnvelope, offset_ns: float) -> DriveEnvelope:
     g = np.interp(env.t - offset_ns, env.t, env.g_mag, left=0.0, right=0.0)
     return replace(env, g_mag=g)
 
-
-def truncate(env: DriveEnvelope, tau: float) -> DriveEnvelope:
-    """Switch the drive off for t > tau."""
-    if tau < env.t[0] - 1e-9 or tau > env.t[-1] + 1e-9:
-        raise ValueError(f"tau = {tau} outside the envelope grid")
-    g = env.g_mag.copy()
-    g[env.t > tau] = 0.0
-    return replace(env, g_mag=g)

@@ -31,22 +31,22 @@ def check_bool(label, ok, detail=""):
 
 @pytest.fixture(scope="session")
 def emission_b():
-    return protocols.run_emission(node="B", initial="f")
+    return protocols.run_emissions(node="B", initials=("f",))[0]
 
 
 @pytest.fixture(scope="session")
 def transfer_study():
-    return protocols.run_transfer_efficiencies(ProtocolSpec(name="transfer"))
+    return protocols.run_transfer_efficiencies(ProtocolSpec())
 
 
 @pytest.fixture(scope="session")
 def qpt_run():
-    return protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt"))
+    return protocols.run_state_transfer_qpt(ProtocolSpec())
 
 
 @pytest.fixture(scope="session")
 def entangle_run():
-    return protocols.run_entanglement(ProtocolSpec(name="entangle"))
+    return protocols.run_entanglement(ProtocolSpec())
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +55,7 @@ def entangle_snapshots():
     steps and at its end; a mid-run state, which the run itself does not
     keep, is the final state of the run cut short there."""
     problem = protocols._link_problem(
-        ProtocolSpec(name="entangle"), None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True
+        ProtocolSpec(), None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True
     )
     snapshots = []
     for run in (cut_short(problem, 200), cut_short(problem, 400), problem):
@@ -66,12 +66,12 @@ def entangle_snapshots():
 
 @pytest.fixture(scope="session")
 def budget():
-    return protocols.error_budget(ProtocolSpec(name="budget"))
+    return protocols.error_budget(ProtocolSpec())
 
 
 @pytest.fixture(scope="session")
 def upgrade_run():
-    return protocols.run_upgrade_scenario(ProtocolSpec(name="upgrade"))
+    return protocols.run_upgrade_scenario(ProtocolSpec())
 
 
 # --- criterion 1: photon shaping oracle -------------------------------------
@@ -293,7 +293,7 @@ def test_criterion_10_witness_anchors():
 @pytest.fixture(scope="session")
 def eta_sweep(budget, entangle_run):
     f_088 = protocols.run_entanglement(
-        ProtocolSpec(name="entangle", eta_c=0.88)
+        ProtocolSpec(eta_c=0.88)
     ).extras["metrics"].state_fidelity
     return {
         1.0: budget["fidelities"]["loss_off"],
@@ -314,10 +314,10 @@ def test_criterion_10_fidelity_monotonic_in_loss(eta_sweep):
 def test_criterion_10_fidelity_monotonic_in_coherence(entangle_run):
     f1 = entangle_run.extras["metrics"].state_fidelity
     f3 = protocols.run_entanglement(
-        ProtocolSpec(name="entangle", t_scale=3.0)
+        ProtocolSpec(t_scale=3.0)
     ).extras["metrics"].state_fidelity
     f10 = protocols.run_entanglement(
-        ProtocolSpec(name="entangle", t_scale=10.0)
+        ProtocolSpec(t_scale=10.0)
     ).extras["metrics"].state_fidelity
     check_bool(
         "criterion 10 (fidelity non-decreasing with T1/T2)",
@@ -358,10 +358,10 @@ def test_criterion_10_single_photon_sector():
 
     idle = protocols.QUTRIT_PREPS["g"]
     swap = tomo.ef_swap()
-    preps = [protocols._initial_state(q, idle) for q in protocols.QUTRIT_PREPS.values()]
-    preps += [protocols._initial_state(idle, q) for q in protocols.QUTRIT_PREPS.values()]
+    preps = [device.initial_state(q, idle) for q in protocols.QUTRIT_PREPS.values()]
+    preps += [device.initial_state(idle, q) for q in protocols.QUTRIT_PREPS.values()]
     preps += [
-        protocols._initial_state(swap @ np.array([psi[0], psi[1], 0.0]), idle)
+        device.initial_state(swap @ np.array([psi[0], psi[1], 0.0]), idle)
         for psi in tomo.mub_qubit_states()
     ]
     n_start = max(n_exc[np.diag(rho) != 0].max() for rho in preps)

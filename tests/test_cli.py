@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy
 
-from photonlink import cli, device, tomography
+from photonlink import cli, device, protocols, tomography
 from photonlink.dynamics import TraceDriftError
+from conftest import cut_short
 
 
 def run_cli(tmp_path, *argv):
@@ -72,13 +73,16 @@ def test_every_scenario_accepts_the_flags_it_reads():
     for scenario, reads in READS.items():
         for flag in reads:
             args = cli.build_parser().parse_args(["--scenario", scenario, flag, *FLAG_VALUES[flag]])
-            assert cli._spec_from_args(args, nodes_link).name == scenario, (scenario, flag)
+            spec = cli._spec_from_args(args, nodes_link)
+            assert isinstance(spec, protocols.ProtocolSpec), (scenario, flag)
 
 
 def test_conflicting_flags_exit_2(tmp_path):
     not_a_dir = tmp_path / "not-a-dir"
     not_a_dir.write_bytes(b"keep me\n")
     nan_t1 = _device_file(tmp_path / "nan.json", "node_a", T1ge=float("nan"))
+    # a negative rate would drop node B's internal-loss channel, as if it were 0
+    lossy_b = _device_file(tmp_path / "kappa-int.json", "node_b", kappa_int=-0.5)
     no_channel = _device_file(tmp_path / "eta0.json", "link", eta_c=0.0)
     narrow_b = _device_file(tmp_path / "narrow-b.json", "node_b", kappa_T=10.5)
     for argv in (
@@ -115,6 +119,7 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--scenario", "qpt", "--time-offset", "-40", "--dt", "0.5"],
         ["--kappa-eff", "nan"],
         ["--device", nan_t1],
+        ["--scenario", "entangle", "--device", lossy_b],
         # a later --scenario overrides the entangle default below
         ["--scenario", "emit-b", "--dt", "nan"],
         ["--scenario", "emit-b", "--t-scale", "nan"],
@@ -266,6 +271,19 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     ]
     assert len(rows) == 402
     assert float(rows[1].split(",")[6]) == pytest.approx(1.0)  # Pf_B starts at 1
+    # each truncation-table row holds node B's populations right after a drive
+    # cut at tau: the final state of the emission problem cut short there
+    sweep = np.loadtxt(run_dir / "truncation_sweep.csv", delimiter=",", skiprows=1)
+    spec = protocols.ProtocolSpec(
+        window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS, dt=0.5
+    )
+    problem = protocols._link_problem(spec, None, "B", [protocols.QUTRIT_PREPS["f"]])
+    for tau in (-21.0, -1.0, 29.0):  # the rows lie 2 ns apart from -95 ns
+        [row] = sweep[np.abs(sweep[:, 0] - tau) < 1e-9]
+        steps = int(round((tau - spec.window[0]) / spec.dt))
+        [[(_, rho)]] = protocols._integrate_links([cut_short(problem, steps)])
+        cut = [np.trace(device.LEVEL_PROJECTORS[f"P{level}_B"] @ rho).real for level in "gef"]
+        assert np.abs(row[1:] - cut).max() < 1e-9, tau
     _assert_lf_only(run_dir)
     # a rerun into the same --out lists what it wrote, not what an earlier run left
     code, out = run_cli(tmp_path, "--scenario", "emit-b", "--dt", "0.5")

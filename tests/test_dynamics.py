@@ -480,7 +480,7 @@ def test_cascade_matches_the_one_excitation_oracle(table):
     )
     gaps = []
     for dt in (1.0, 0.5, 0.25):
-        spec = protocols.ProtocolSpec(name="transfer", dt=dt)
+        spec = protocols.ProtocolSpec(dt=dt)
         h, cops, rho0s, expect = protocols._link_problem(
             spec, device_link, "A", [ket(3, 2)], absorb=True
         )
@@ -502,7 +502,7 @@ def test_decoherence_free_bell_fidelity_matches_the_oracle():
     decoherence, the |e> branch is static and the f branch follows the
     oracle, so the final pi_ef pulse leaves a Bell fidelity of
     (1 + |c_4|^2 + 2 Re c_4) / 4 with (|eg> + |ge>)/sqrt 2."""
-    spec = protocols.ProtocolSpec(name="entangle", decoherence=False)
+    spec = protocols.ProtocolSpec(decoherence=False)
     rho9 = protocols.run_entanglement(spec).extras["rho9_direct"]
     node_a, node_b, link = protocols.resolve_device(None, spec)
     h, *_ = protocols._link_problem(spec, None, "A", [ket(3, 2)], absorb=True)

@@ -23,44 +23,44 @@ def _quiet_mle():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", dt=0.0)
+        ProtocolSpec(dt=0.0)
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", window=(10.0, 95.0))
+        ProtocolSpec(window=(10.0, 95.0))
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", t_scale=0.0)
+        ProtocolSpec(t_scale=0.0)
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", idle_ns=-300.0)
+        ProtocolSpec(idle_ns=-300.0)
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", seed=-1)
+        ProtocolSpec(seed=-1)
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", shots=0)
+        ProtocolSpec(shots=0)
     # a run's size is bounded before anything is allocated: at most 1e5 RK4
     # steps on the window and idle time, at most 1e6 shots
     for kwargs in (dict(dt=1e-5), dict(idle_ns=1e7), dict(dt=0.001),
                    dict(shots=10**6 + 1), dict(shots=10**7)):
         with pytest.raises(ValueError, match="at most|must lie in"):
-            ProtocolSpec(name="x", **kwargs)
-    ProtocolSpec(name="x", shots=10**6)
-    ProtocolSpec(name="x", dt=0.0025)  # 92 000 steps
+            ProtocolSpec(**kwargs)
+    ProtocolSpec(shots=10**6)
+    ProtocolSpec(dt=0.0025)  # 92 000 steps
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", kappa_eff_b=0.0)
+        ProtocolSpec(kappa_eff_b=0.0)
     with pytest.raises(ValueError):
-        ProtocolSpec(name="x", eta_c=1.5)
+        ProtocolSpec(eta_c=1.5)
     for value in (float("nan"), float("inf"), -float("inf")):
         for name in ("eta_c", "time_offset", "kappa_eff_a", "idle_ns", "dt", "t_scale"):
             with pytest.raises(ValueError):
-                ProtocolSpec(name="x", **{name: value})
+                ProtocolSpec(**{name: value})
         with pytest.raises(ValueError):
-            ProtocolSpec(name="x", window=(-95.0, value))
+            ProtocolSpec(window=(-95.0, value))
     # dt must divide the window edges and idle_ns, or the grid would move an
     # edge (at dt 0.3 it starts at -95.1 ns); 95 / 0.1 is inexact and passes
     for kwargs in (dict(dt=0.3), dict(idle_ns=40.25), dict(dt=0.2, window=(-95.0, 95.1))):
         with pytest.raises(ValueError, match="dt must divide"):
-            ProtocolSpec(name="x", **kwargs)
+            ProtocolSpec(**kwargs)
     for dt in (1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.0125):
-        ProtocolSpec(name="x", dt=dt)
-        ProtocolSpec(name="x", dt=dt, window=protocols.EMISSION_WINDOW, idle_ns=0.0)
-        ProtocolSpec(name="x", dt=dt, window=(-150.0, 150.0), idle_ns=0.0)
+        ProtocolSpec(dt=dt)
+        ProtocolSpec(dt=dt, window=protocols.EMISSION_WINDOW, idle_ns=0.0)
+        ProtocolSpec(dt=dt, window=(-150.0, 150.0), idle_ns=0.0)
 
 
 def test_spec_refuses_non_integer_shots_and_seed():
@@ -70,22 +70,22 @@ def test_spec_refuses_non_integer_shots_and_seed():
     for kwargs in (dict(shots=2000.5), dict(shots=2000.0), dict(shots=True), dict(shots="2000"),
                    dict(seed=1.5), dict(seed=False), dict(seed=None)):
         with pytest.raises(ValueError, match="must be an integer"):
-            ProtocolSpec(name="x", **kwargs)
-    spec = ProtocolSpec(name="x", shots=np.int64(2000), seed=np.int64(1))
+            ProtocolSpec(**kwargs)
+    spec = ProtocolSpec(shots=np.int64(2000), seed=np.int64(1))
     assert (spec.shots, spec.seed) == (2000, 1)
 
 
 def test_level_populations_of_both_nodes_sum_to_the_trace():
     """Each node's recorded level populations sum to Tr rho at every grid
     point of the exact entanglement run, so the two nodes' sums agree."""
-    traj = protocols.run_entanglement(ProtocolSpec(name="entangle")).trajectory
+    traj = protocols.run_entanglement(ProtocolSpec()).trajectory
     sum_a, sum_b = (sum(traj.expect[f"P{level}_{node}"] for level in "gef") for node in "AB")
     assert np.abs(sum_a - sum_b).max() <= 1e-12
     assert np.abs(sum_a - 1.0).max() <= 1e-6
 
 
 def test_runs_are_deterministic():
-    spec = ProtocolSpec(name="entangle", seed=3, **FAST)
+    spec = ProtocolSpec(seed=3, **FAST)
     a = protocols.run_entanglement(spec)
     b = protocols.run_entanglement(spec)
     assert np.array_equal(a.extras["rho9_direct"], b.extras["rho9_direct"])
@@ -95,7 +95,7 @@ def test_runs_are_deterministic():
 
 @pytest.mark.filterwarnings("ignore:mitigated populations")
 def test_sampled_mode_deterministic_and_seed_sensitive():
-    spec = ProtocolSpec(name="entangle", shots=300, seed=5, **FAST)
+    spec = ProtocolSpec(shots=300, seed=5, **FAST)
     a = protocols.run_entanglement(spec)
     b = protocols.run_entanglement(spec)
     c = protocols.run_entanglement(dataclasses.replace(spec, seed=6))
@@ -104,44 +104,34 @@ def test_sampled_mode_deterministic_and_seed_sensitive():
 
 
 def test_emission_prep_g_stays_inert():
-    res = protocols.run_transfer(ProtocolSpec(name="t", **FAST), "g")
+    res = protocols.run_transfer(ProtocolSpec(**FAST), "g")
     rho9 = res.final_state
     assert rho9[0, 0].real > 0.99  # both nodes remain in g
 
 
 def test_emission_without_drive_is_frozen():
-    spec = ProtocolSpec(name="emit-b", **FAST)
-    res = protocols.run_emission(spec, "B", "f", tau=spec.window[0])
-    pops = res.extras["final_populations"]
+    spec = ProtocolSpec(**FAST)
+    h, *rest = protocols._link_problem(spec, None, "B", [protocols.QUTRIT_PREPS["f"]])
+    [(op, samples)] = h.terms
+    undriven = dataclasses.replace(h, terms=((op, np.zeros_like(samples)),))
+    [[(traj, _)]] = protocols._integrate_links([(undriven, *rest)])
     # only T1 decay moves population out of f
     duration = spec.window[1] + spec.idle_ns - spec.window[0]
     node_b = device.load_device()[1]
     expected_f = np.exp(-duration / (node_b.T1ef * 1e3))
-    assert pops["f"] == pytest.approx(expected_f, abs=2e-3)
-    assert res.extras["photon_integral"] < 1e-6
-
-
-def test_truncated_run_matches_full_trajectory_at_tau():
-    """Measuring right after truncation equals the untruncated curve at tau."""
-    spec = ProtocolSpec(name="emit-b", window=(-95.0, 95.0), idle_ns=0.0, dt=0.2)
-    full = protocols.run_emission(spec, "B", "f")
-    for tau in (-20.0, 0.0, 30.0):
-        cut = protocols.run_emission(spec, "B", "f", tau=tau)
-        k = np.searchsorted(full.trajectory.t, tau)
-        kc = np.searchsorted(cut.trajectory.t, tau)
-        cut_pops, full_pops = populations(cut.trajectory, "_B"), populations(full.trajectory, "_B")
-        assert np.abs(cut_pops[kc] - full_pops[k]).max() < 1e-9
+    assert traj.expect["Pf_B"][-1].real == pytest.approx(expected_f, abs=2e-3)
+    assert traj.photon_integral < 1e-6
 
 
 def test_transfer_saturation_helper():
-    res = protocols.run_transfer(ProtocolSpec(name="t", **FAST), "e")
+    res = protocols.run_transfer(ProtocolSpec(**FAST), "e")
     sat, t_sat = dynamics.transfer_saturation(res.trajectory)
     assert 0 < sat < 1
     assert 0 < t_sat < 300
 
 
 def test_upgrade_uses_stated_parameters():
-    spec = ProtocolSpec(name="upgrade", **FAST)
+    spec = ProtocolSpec(**FAST)
     res = protocols.run_upgrade_scenario(spec)
     assert res.extras["metrics"].state_fidelity > 0.85
     # eta override is honored
@@ -150,7 +140,7 @@ def test_upgrade_uses_stated_parameters():
 
 
 def test_error_budget_structure():
-    budget = protocols.error_budget(ProtocolSpec(name="budget", **FAST))
+    budget = protocols.error_budget(ProtocolSpec(**FAST))
     fid = budget["fidelities"]
     assert fid["both_off"] > fid["loss_off"] > fid["baseline"]
     assert budget["loss_off_delta"] > 0
@@ -159,7 +149,7 @@ def test_error_budget_structure():
 
 
 def test_exact_tomography_matches_direct_state():
-    spec = ProtocolSpec(name="entangle", dt=0.2)
+    spec = ProtocolSpec(dt=0.2)
     res = protocols.run_entanglement(spec)
     assert res.extras["metrics"].hs_distance < 1e-3
     direct = metrics.bundle_from_state(res.extras["rho9_direct"])
@@ -169,9 +159,9 @@ def test_exact_tomography_matches_direct_state():
 
 
 def test_sampled_entanglement_close_to_exact():
-    exact = protocols.run_entanglement(ProtocolSpec(name="e", dt=0.5))
+    exact = protocols.run_entanglement(ProtocolSpec(dt=0.5))
     sampled = protocols.run_entanglement(
-        ProtocolSpec(name="e", dt=0.5, shots=25000, seed=1)
+        ProtocolSpec(dt=0.5, shots=25000, seed=1)
     )
     f_exact = exact.extras["metrics"].state_fidelity
     f_sampled = sampled.extras["metrics"].state_fidelity
@@ -180,7 +170,7 @@ def test_sampled_entanglement_close_to_exact():
 
 def test_qpt_noiseless_identity_process():
     spec = ProtocolSpec(
-        name="qpt", dt=0.2, decoherence=False, eta_c=1.0,
+        dt=0.2, decoherence=False, eta_c=1.0,
         window=(-150.0, 150.0), idle_ns=0.0,
     )
     node_a, node_b, link = device.load_device()
@@ -192,7 +182,7 @@ def test_qpt_noiseless_identity_process():
 def test_qpt_exact_readout_chi_matches_direct_oracle():
     """With exact readout the tomographic chi differs from the inversion of
     the directly simulated outputs only by the MLE's stopping error."""
-    res = protocols.run_state_transfer_qpt(ProtocolSpec(name="qpt", **FAST))
+    res = protocols.run_state_transfer_qpt(ProtocolSpec(**FAST))
     gap = np.abs(res.extras["chi"] - res.extras["chi_direct"]).max()
     assert gap <= 5e-5
 
@@ -202,7 +192,7 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
     each input in turn with one generator."""
     from photonlink import tomography as tomo
 
-    spec = ProtocolSpec(name="qpt", dt=0.5, shots=2000, seed=3)
+    spec = ProtocolSpec(dt=0.5, shots=2000, seed=3)
     rng = np.random.default_rng(3)
     inputs = tomo.mub_qubit_states()
     outputs = []
@@ -233,7 +223,7 @@ def test_eta_c_sweep_batch_equals_its_single_runs():
     and with shots (each point draws from its own seed)."""
     for shots in (None, 2000):
         specs = [
-            ProtocolSpec(name="sweep", eta_c=eta, shots=shots, seed=7, **FAST)
+            ProtocolSpec(eta_c=eta, shots=shots, seed=7, **FAST)
             for eta in (0.72, 0.77, 0.9)
         ]
         for batched, spec in zip(protocols.run_entanglements(specs), specs):
@@ -241,7 +231,7 @@ def test_eta_c_sweep_batch_equals_its_single_runs():
 
 
 def test_error_budget_equals_its_single_runs():
-    spec = ProtocolSpec(name="budget", **FAST)
+    spec = ProtocolSpec(**FAST)
     runs = protocols.error_budget(spec)["runs"]
     singles = {
         "baseline": spec,
@@ -263,7 +253,7 @@ def test_runs_on_different_grids_integrate_as_separate_batches(monkeypatch):
         calls.append(len(problems))
         return integrate(problems, **kwargs)
 
-    specs = [ProtocolSpec(name="sweep", dt=dt) for dt in (0.5, 1.0, 0.5)]
+    specs = [ProtocolSpec(dt=dt) for dt in (0.5, 1.0, 0.5)]
     monkeypatch.setattr(protocols, "integrate_me", counting)
     batched = protocols.run_entanglements(specs)
     assert calls == [2, 1]
@@ -294,7 +284,7 @@ def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
     bit-identical to reconstructing each measured output on its own."""
     from photonlink import tomography as tomo
 
-    spec = ProtocolSpec(name="qpt", shots=2000, seed=3, **FAST)
+    spec = ProtocolSpec(shots=2000, seed=3, **FAST)
     stacks = []
     mle = tomo.qst_mle
 
@@ -314,7 +304,7 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
     """The transfer study integrates its transfer pair and its emission pair
     as two batches, and the emission scenario its two preparations as one
     integration; every run is bit-identical to its run on its own."""
-    spec = ProtocolSpec(name="transfer", **FAST)
+    spec = ProtocolSpec(**FAST)
     eff, runs = protocols.run_transfer_efficiencies(spec)
     emit_spec = dataclasses.replace(
         spec, window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS
@@ -322,8 +312,8 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
     singles = {
         "with": protocols.run_transfer(spec, "e", absorption=True),
         "without": protocols.run_transfer(spec, "e", absorption=False),
-        "emit_a": protocols.run_emission(dataclasses.replace(emit_spec, name="emit-a"), "A", "gf"),
-        "emit_b": protocols.run_emission(dataclasses.replace(emit_spec, name="emit-b"), "B", "gf"),
+        "emit_a": protocols.run_emissions(emit_spec, "A", ("gf",))[0],
+        "emit_b": protocols.run_emissions(emit_spec, "B", ("gf",))[0],
     }
     for name, single in singles.items():
         assert runs[name].spec == single.spec
@@ -333,7 +323,7 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
     assert eff == dynamics.efficiencies(*(singles[k].trajectory for k in singles))
     pair = protocols.run_emissions(emit_spec, "B", ("f", "gf"))
     for run, initial in zip(pair, ("f", "gf")):
-        single = protocols.run_emission(emit_spec, "B", initial)
+        [single] = protocols.run_emissions(emit_spec, "B", (initial,))
         assert np.array_equal(run.final_state, single.final_state), initial
         assert np.array_equal(run.trajectory.a_mean_out, single.trajectory.a_mean_out), initial
         assert run.extras == single.extras
@@ -343,7 +333,7 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
 def test_measure_draws_states_within_the_integrator_bounds():
     """Shot-mode tomography measures states the integrator accepts, with an
     eigenvalue of -1e-7 and a trace 1e-6 above one, on either node count."""
-    spec = ProtocolSpec(name="qpt", dt=0.5, shots=2000, seed=5)
+    spec = ProtocolSpec(dt=0.5, shots=2000, seed=5)
     rho3 = np.diag([0.6, 0.4 + 1e-7, -1e-7]).astype(complex) * (1 + 1e-6)
     for rho in (rho3, np.kron(rho3, rho3)):
         pops = protocols._measure(rho, spec, np.random.default_rng(5))
@@ -360,7 +350,7 @@ def test_measure_counts_equal_the_classified_joint_shots():
     from photonlink import readout
     from photonlink import tomography as tomo
 
-    spec = ProtocolSpec(name="qpt", dt=0.5, shots=20000, seed=11)
+    spec = ProtocolSpec(dt=0.5, shots=20000, seed=11)
     psi = np.array([0.6, 0.8j, 0.0])
     rho3 = 0.9 * np.outer(psi, psi.conj()) + np.diag([0.05, 0.03, 0.02])
     bell = np.zeros(9, complex)
@@ -394,7 +384,7 @@ def test_qpt_depolarized_floor():
 
 def test_entanglement_noiseless_limit():
     spec = ProtocolSpec(
-        name="e", dt=0.2, decoherence=False, eta_c=1.0,
+        dt=0.2, decoherence=False, eta_c=1.0,
         window=(-150.0, 150.0), idle_ns=0.0,
     )
     res = protocols.run_entanglement(spec)
@@ -405,13 +395,13 @@ def test_entanglement_noiseless_limit():
 
 
 def test_residual_downstream_flux_fraction():
-    spec = ProtocolSpec(name="t", dt=0.2)
+    spec = ProtocolSpec(dt=0.2)
     eff, _ = protocols.run_transfer_efficiencies(spec)
     assert eff.absorption_eff > 0.95  # residual flux is a few percent
 
 
 def test_emission_scenario_defaults():
-    res = protocols.run_emission(node="B", initial="f", spec=None)
+    [res] = protocols.run_emissions(node="B", spec=None)
     assert res.spec.window == protocols.EMISSION_WINDOW
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
 
@@ -421,23 +411,23 @@ def test_a_drive_the_run_cannot_build_raises_config_error():
     passes (kappa_eff <= kappa_T) and names the drive, its bandwidth and its
     node."""
     with pytest.raises(protocols.ConfigError, match=r"11\.0 MHz photon at node A"):
-        protocols.run_entanglement(ProtocolSpec(name="e", kappa_eff_a=11.0, dt=0.5))
+        protocols.run_entanglement(ProtocolSpec(kappa_eff_a=11.0, dt=0.5))
     # node B's 10.6 MHz photon is built by the emit-b reference run alone
     node_a, node_b, link = device.load_device()
     narrow_b = (node_a, dataclasses.replace(node_b, kappa_T=10.5), link)
     with pytest.raises(protocols.ConfigError, match=r"emission drive of the 10\.6 MHz photon at node B"):
-        protocols.run_transfer_efficiencies(ProtocolSpec(name="t", dt=0.5), nodes_link=narrow_b)
+        protocols.run_transfer_efficiencies(ProtocolSpec(dt=0.5), nodes_link=narrow_b)
 
 
 def _cli_spec(scenario, dt, fock):
     """The spec the CLI builds for ``--scenario SCENARIO --dt DT --fock FOCK``,
-    checked to be the plain spec of that name and dt: ``--fock`` is accepted
+    checked to be the plain spec of that dt: ``--fock`` is accepted
     for old argvs and must change nothing."""
     args = cli.build_parser().parse_args(
         ["--scenario", scenario, "--dt", str(dt), "--fock", str(fock)]
     )
     spec = cli._spec_from_args(args, device.load_device(None))
-    assert spec == ProtocolSpec(name=scenario, dt=dt)
+    assert spec == ProtocolSpec(dt=dt)
     return spec
 
 
@@ -486,7 +476,7 @@ def test_link_runs_integrate_the_single_excitation_block(fock):
     spec = _cli_spec("entangle", 0.5, fock)
 
     def counters():
-        runs = [protocols.run_emission(spec, "B", initial) for initial in ("f", "gf")]
+        runs = [protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")]
         runs += [protocols.run_transfer(spec, absorption=on) for on in (True, False)]
         runs.append(protocols.run_entanglement(spec))
         return [(run.trajectory.dim, run.trajectory.trace_drift) for run in runs]
@@ -505,7 +495,7 @@ FINE_DT = 0.0125
 
 @pytest.fixture(scope="module")
 def fine_runs():
-    spec = ProtocolSpec(name="fine", dt=FINE_DT)
+    spec = ProtocolSpec(dt=FINE_DT)
     return {
         "rho9_direct": protocols.run_entanglement(spec).extras["rho9_direct"],
         "transfer_pair": [
@@ -519,7 +509,7 @@ def test_default_step_is_within_1e_8_of_the_fine_reference(fine_runs):
     """At the default dt the entangled state lies within 1e-8 of the fine
     run (2.8e-10 measured at dt 0.5), well inside the 1e-6 the step size
     may cost."""
-    rho9 = protocols.run_entanglement(ProtocolSpec(name="entangle")).extras["rho9_direct"]
+    rho9 = protocols.run_entanglement(ProtocolSpec()).extras["rho9_direct"]
     assert np.abs(rho9 - fine_runs["rho9_direct"]).max() <= 1e-8
 
 
@@ -529,7 +519,7 @@ def test_drive_sampling_is_fourth_order(fine_runs):
     a second-order scheme, give 2)."""
     errors = [
         np.abs(
-            protocols.run_entanglement(ProtocolSpec(name="entangle", dt=dt)).extras["rho9_direct"]
+            protocols.run_entanglement(ProtocolSpec(dt=dt)).extras["rho9_direct"]
             - fine_runs["rho9_direct"]
         ).max()
         for dt in (1.0, 0.5, 0.25)
@@ -542,7 +532,7 @@ def test_photon_integrals_match_the_fine_reference(fine_runs):
     """The emitted photon number of the transfer pair (absorption on and
     off) at dt 0.5 lies within 1e-8 of the fine run: Simpson's rule matches
     the scheme's order, where the trapezoid is 4e-8 and 2e-7 off."""
-    spec = ProtocolSpec(name="transfer", dt=0.5)
+    spec = ProtocolSpec(dt=0.5)
     for on, fine in zip((True, False), fine_runs["transfer_pair"]):
         coarse = protocols.run_transfer(spec, absorption=on).trajectory.photon_integral
         assert coarse == pytest.approx(fine, abs=1e-8), on

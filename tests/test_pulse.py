@@ -12,11 +12,13 @@ KT_B = mhz(13.5)
 
 
 def test_emission_drive_matched_linewidth_is_sech():
-    # kappa_eff = kappa_T: g(t) = (kappa/2) sech(kappa t / 2)
+    # kappa_eff = kappa_T: g(t) = (kappa/2) sech(kappa t / 2) wherever the
+    # taper weight is exactly 1, at least TAPER_NS from both grid ends
     t = pulse.default_grid()
-    env = pulse.emission_drive(t, KT_A, KT_A, taper_ns=0.0)
+    env = pulse.emission_drive(t, KT_A, KT_A)
+    inner = (t - t[0] >= pulse.TAPER_NS) & (t[-1] - t >= pulse.TAPER_NS)
     expected = 0.5 * KT_A / np.cosh(0.5 * KT_A * t)
-    assert np.allclose(env.g_mag, expected, atol=1e-12)
+    assert np.allclose(env.g_mag[inner], expected[inner], atol=1e-12)
     assert env.g_mag[len(t) // 2] == pytest.approx(KT_A / 2)
 
 
@@ -26,6 +28,8 @@ def test_emission_drive_vanishes_at_early_times():
     peak = env.g_mag.max()
     assert env.g_mag[0] < 1e-3 * peak
     assert env.g_mag[-1] < 1e-3 * peak
+    # the taper switches the stored drive off exactly at both grid ends
+    assert env.g_mag[0] == env.g_mag[-1] == 0.0
 
 
 def test_emission_drive_peak_below_calibrated_maximum():
@@ -87,26 +91,6 @@ def test_absorption_differs_when_bandwidth_below_linewidth():
     env = pulse.emission_drive(t, KEFF_B, KT_B)
     rev = pulse.absorption_drive(env)
     assert np.abs(rev.g_mag - env.g_mag).max() > 0.01 * env.g_mag.max()
-
-
-def test_truncate_limits():
-    t = pulse.default_grid()
-    env = pulse.emission_drive(t, KEFF_B, KT_B)
-    assert np.array_equal(pulse.truncate(env, t[-1]).g_mag, env.g_mag)
-    assert pulse.truncate(env, t[0]).g_mag[1:].max() == 0.0
-    with pytest.raises(ValueError):
-        pulse.truncate(env, t[-1] + 1.0)
-
-
-def test_truncate_at_center_halves_energy():
-    # symmetric magnitude at kappa_eff = kappa_T; the trapezoid rule adds at
-    # most half a panel, g(0)^2 dt / 2, at the cut
-    t = pulse.default_grid()
-    env = pulse.emission_drive(t, KT_A, KT_A)
-    half = pulse.truncate(env, 0.0)
-    dt = t[1] - t[0]
-    panel = env.g_mag.max() ** 2 * dt
-    assert half.energy() == pytest.approx(env.energy() / 2, abs=panel)
 
 
 def test_shift_delays_envelope():

@@ -201,7 +201,7 @@ def test_factored_mle_matches_the_dense_iteration(rng):
     node axis, lands within 1e-12 of the dense iteration; the single set
     applies the same factor once and is bit-identical."""
     rho9 = recorded_rho9_direct()
-    shots = ProtocolSpec(name="entangle", shots=20000, seed=1)
+    shots = ProtocolSpec(shots=20000, seed=1)
     mitigated = _measure(rho9, shots, np.random.default_rng(1))
     # near-pure and node-asymmetric: A mostly in e, B spread over g, e and f
     psi = np.kron([0.3, 0.9, 0.3165], [0.7, 0.1j, 0.707]).astype(complex)
@@ -231,7 +231,7 @@ def test_mle_stack_states_stop_on_their_own(rng):
     for d in (9, 3):
         rhos = [random_density(d, rng), np.eye(d) / d, random_density(d, rng, rank=2)]
         pops = [tomo.born_probabilities(rho) for rho in rhos]
-        shots = ProtocolSpec(name="qpt", shots=20000, seed=2)
+        shots = ProtocolSpec(shots=20000, seed=2)
         pops.append(_measure(rhos[0], shots, np.random.default_rng(2)))
         alone = [tomo.qst_mle(p) for p in pops]
         stack = tomo.qst_mle(np.stack(pops))
