@@ -8,7 +8,7 @@ import pytest
 
 from photonlink import cli, device, dynamics, metrics, protocols
 from photonlink.protocols import ProtocolSpec
-from conftest import populations
+from conftest import cut_short, populations
 
 # cheap settings for machinery tests; physics numbers live in the acceptance suite
 FAST = dict(dt=0.5)
@@ -121,6 +121,23 @@ def test_emission_without_drive_is_frozen():
     expected_f = np.exp(-duration / (node_b.T1ef * 1e3))
     assert traj.expect["Pf_B"][-1].real == pytest.approx(expected_f, abs=2e-3)
     assert traj.photon_integral < 1e-6
+
+
+def test_truncated_run_matches_full_trajectory_at_tau():
+    """Measuring right after truncation equals the untruncated curve at tau."""
+    spec = ProtocolSpec(window=(-95.0, 95.0), idle_ns=0.0, dt=0.2)
+    [full] = protocols.run_emissions(spec, "B", ("f",))
+    full_pops = populations(full.trajectory, "_B")
+    problem = protocols._link_problem(spec, None, "B", [protocols.QUTRIT_PREPS["f"]])
+    for tau in (-20.0, 0.0, 30.0):
+        steps = int(round((tau - spec.window[0]) / spec.dt))
+        [[(cut, rho)]] = protocols._integrate_links([cut_short(problem, steps)])
+        assert cut.t[-1] == pytest.approx(tau)
+        k = np.searchsorted(full.trajectory.t, tau - 1e-9)
+        assert full.trajectory.t[k] == pytest.approx(tau)
+        cut_pops = [np.trace(device.LEVEL_PROJECTORS[f"P{level}_B"] @ rho).real for level in "gef"]
+        assert np.abs(cut_pops - full_pops[k]).max() < 1e-9, tau
+        assert np.abs(populations(cut, "_B")[-1] - full_pops[k]).max() < 1e-9, tau
 
 
 def test_transfer_saturation_helper():
