@@ -237,12 +237,16 @@ def _run_emit(args, spec, nodes_link):
     if args.truncate_sweep:
         # populations measured right after truncating the drive at tau coincide
         # with the untruncated trajectory at tau (tests/test_cli.py checks the
-        # rows against runs cut at tau); one row every 2 ns
+        # rows against runs cut at tau); one row every 2 ns, on the grid
+        # points at whole multiples of 2 ns so that the photon peak, t = 0, is
+        # a row
         traj = pop_run.trajectory
-        step = max(1, int(round(2.0 / (traj.t[1] - traj.t[0]))))
+        dt = traj.t[1] - traj.t[0]
+        step = max(1, int(round(2.0 / dt)))
+        first = int(round(-traj.t[0] % 2.0 / dt)) % step
         pops = [traj.expect[f"P{level}_{node}"].real for level in "gef"]
         artifacts["truncation_sweep.csv"] = (
-            ("tau_ns", "Pg", "Pe", "Pf"), np.column_stack((traj.t, *pops))[::step]
+            ("tau_ns", "Pg", "Pe", "Pf"), np.column_stack((traj.t, *pops))[first::step]
         )
     summary = {
         "final_populations": pop_run.extras["final_populations"],

@@ -136,13 +136,13 @@ class TimeDependentOperator:
     """Hamiltonian as a static matrix plus per-term sampled coefficients.
 
     H(t) = static + sum_j c_j(t) * term_j, all immutable and shareable.  The
-    static part and every term are Hermitian and every c_j(t) is real, so
-    H(t) is Hermitian at every sample.  ``t`` is the integration grid; each
-    term carries 2 len(t) - 1 samples of c_j, at t_0, t_0 + dt/2, t_1, ...,
-    the points where a fourth-order Runge-Kutta step evaluates H.
+    static part and every term are Hermitian (d, d) matrices, d the
+    dimension of the static part, and every c_j(t) is real, so H(t) is
+    Hermitian at every sample.  ``t`` is the integration grid; each term
+    carries 2 len(t) - 1 samples of c_j, at t_0, t_0 + dt/2, t_1, ..., the
+    points where a fourth-order Runge-Kutta step evaluates H.
     """
 
-    dims: tuple
     static: np.ndarray
     terms: tuple          # ((Hermitian op, real samples), ...)
     t: np.ndarray
@@ -255,7 +255,7 @@ def build_hamiltonian(
     a_a, a_b = RESONATOR["A"], RESONATOR["B"]
     h0 += -1j * cascade * (a_a @ a_b.conj().T - a_a.conj().T @ a_b)
 
-    return TimeDependentOperator(DIMS, h0, tuple(terms), t)
+    return TimeDependentOperator(h0, tuple(terms), t)
 
 
 def build_collapse_ops(a_node: NodeParams, b_node: NodeParams, link: LinkParams):

@@ -2,21 +2,22 @@
 
 The integrator has one call form: a batch, a list of (H, jumps, inputs,
 expect) groups on one time grid.  Each group holds the Hamiltonian as a
-TimeDependentOperator, whose grid and dimensions are those of the
-integration, and a stack of initial (d, d) density matrices that share it
-and the jump operators; one problem is a batch of one group.  The master
-equation is linear, so one RK4 loop carries every input of every group: the
-states are the columns of one (G R^2, m) array.  Only the block of basis
-states a group's inputs can reach is integrated: the union of their supports
-closed under the nonzero patterns of H, the drive terms, the jump operators
-L_k and L_k+L_k.  The master equation maps that block into itself whatever
-the operators are, and a union of invariant blocks is invariant, so the
-restriction is exact; a single excitation on the link reaches at most 7 of
-the 36 states of the two-node model.  The static part of H and its drive
-terms, one per driven node, must be Hermitian and the drive samples real;
-the integrator checks both before it builds the generator.  On the block
-each Liouvillian is built densely with numpy (``np.kron``, about R^4 entries
-for an R-state block while it is built) and converted to CSR at once; they
+TimeDependentOperator, whose grid is that of the integration and whose
+(d, d) static part sets the dimension, and a stack of initial (d, d)
+density matrices that share it and the jump operators; one problem is a
+batch of one group.  The master equation is linear, so one RK4 loop carries
+every input of every group: the states are the columns of one (G R^2, m)
+array.  Only the block of basis states a group's inputs can reach is
+integrated: the union of their supports closed under the nonzero patterns
+of H, the drive terms, the jump operators L_k and L_k+L_k.  The master
+equation maps that block into itself whatever the operators are, and a
+union of invariant blocks is invariant, so the restriction is exact; a
+single excitation on the link reaches at most 7 of the 36 states of the
+two-node model.  The static part of H and its drive terms, one per driven
+node, must be Hermitian and the drive samples real; the integrator checks
+both before it builds the generator.  On the block each Liouvillian is
+built densely with numpy (``np.kron``, about R^4 entries for an R-state
+block while it is built) and converted to CSR at once; they
 are stacked as [L_0 S_1 ... S_n], each block-diagonal over the groups, which
 acts on the row-major vectorized density matrices and their copies weighted
 by each group's real drive coefficients as one sparse product per stage.
@@ -150,16 +151,16 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     integration and build what its block contributes: the basis states it
     integrates, its Liouvillians [L_0, S_1, ..., S_n] on that block, the
     drive samples and the readout matrix of its recorded observables."""
-    dims, h0, td_terms = hamiltonian.dims, hamiltonian.static, hamiltonian.terms
-    d = int(np.prod(dims))
+    h0, td_terms = hamiltonian.static, hamiltonian.terms
+    d = len(h0)
+    if h0.shape != (d, d):
+        raise ValueError(f"static Hamiltonian shape {h0.shape} is not square")
     rhos = [np.asarray(rho0, dtype=complex) for rho0 in rho0s]
     if not rhos:
         raise ValueError("no initial state to integrate")
     for rho in rhos:
         if rho.shape != (d, d):
-            raise ValueError(f"initial state shape {rho.shape} does not match dims {dims}")
-    if h0.shape != (d, d):
-        raise ValueError(f"Hamiltonian shape {h0.shape} does not match dims {dims}")
+            raise ValueError(f"initial state shape {rho.shape} is not the Hamiltonian's {h0.shape}")
     if np.abs(h0 - h0.conj().T).max() > _HERMITIAN_TOL:
         raise ValueError("static Hamiltonian is not Hermitian")
     drive_ops = [np.asarray(op, dtype=complex) for op, _ in td_terms]
@@ -216,8 +217,8 @@ def integrate_me(problems):
     its ends and the two middle stages the sample at its midpoint, which
     makes the scheme fourth order in dt.  ``collapse_ops`` holds (name,
     operator) pairs and ``rho0s`` the group's initial (d, d) density
-    matrices, which share H and the jump operators; the dimensions of the
-    space are those of ``hamiltonian`` alone.  ``expect`` (or None) maps
+    matrices, which share H and the jump operators; d is the dimension of
+    the static part of ``hamiltonian``.  ``expect`` (or None) maps
     labels to operators whose expectation values Tr(O rho) are recorded at
     every grid point, and nothing else: a level population is the expectation
     value of its projector, such as those of ``device.LEVEL_PROJECTORS``.
@@ -227,7 +228,7 @@ def integrate_me(problems):
     nonzero patterns of H, every drive term, every L_k and every L_k+L_k.
     The generator keeps that block invariant, so the result equals the
     full-space integration of each input; the final states are zero-padded
-    back to the full dims.  Each R^2 x R^2 Liouvillian of an R-state block
+    back to (d, d).  Each R^2 x R^2 Liouvillian of an R-state block
     is built densely with numpy (about R^4 entries held while it is built)
     and converted to CSR at once; on ``device.DIMS`` R is at most 36.  The
     groups' blocks are zero-padded to the largest one and their inputs to
@@ -250,11 +251,12 @@ def integrate_me(problems):
     the final state of the group cut to ``t[:k+1]`` and each drive term's
     first 2k + 1 samples, whose record is the full record's first k + 1 rows.
     Raises ValueError if there is no problem or no input, if the groups are
-    not on one grid, if an operator or an initial state is not (d, d), if
-    the static H or a drive term is not Hermitian (to 1e-12), if drive
-    samples are not real or not 2 nt - 1 of them, and TraceDriftError,
-    naming the run (the index of its group) and the input, if the trace of
-    any input wanders further than 1e-6 from its own initial value.
+    not on one grid, if the static H is not square, if an operator or an
+    initial state is not (d, d), if the static H or a drive term is not
+    Hermitian (to 1e-12), if drive samples are not real or not 2 nt - 1 of
+    them, and TraceDriftError, naming the run (the index of its group) and
+    the input, if the trace of any input wanders further than 1e-6 from its
+    own initial value.
     """
     if not problems:
         raise ValueError("no problem to integrate")

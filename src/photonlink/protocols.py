@@ -459,32 +459,20 @@ def run_upgrade_scenario(spec: ProtocolSpec | None = None, nodes_link=None) -> R
 def error_budget(spec: ProtocolSpec | None = None, nodes_link=None) -> dict:
     """Fidelity gained by disabling the channel loss, decoherence, or both."""
     spec = spec or ProtocolSpec()
-    base, no_loss, no_dec, neither = run_entanglements(
-        [
-            spec,
-            replace(spec, eta_c=1.0),
-            replace(spec, decoherence=False),
-            replace(spec, eta_c=1.0, decoherence=False),
-        ],
-        nodes_link,
-    )
-    fid = {
-        "baseline": base.extras["metrics"].state_fidelity,
-        "loss_off": no_loss.extras["metrics"].state_fidelity,
-        "decoherence_off": no_dec.extras["metrics"].state_fidelity,
-        "both_off": neither.extras["metrics"].state_fidelity,
+    specs = {
+        "baseline": spec,
+        "loss_off": replace(spec, eta_c=1.0),
+        "decoherence_off": replace(spec, decoherence=False),
+        "both_off": replace(spec, eta_c=1.0, decoherence=False),
     }
+    runs = dict(zip(specs, run_entanglements(list(specs.values()), nodes_link)))
+    fid = {name: run.extras["metrics"].state_fidelity for name, run in runs.items()}
     return {
         "fidelities": fid,
         "loss_off_delta": fid["loss_off"] - fid["baseline"],
         "decoherence_off_delta": fid["decoherence_off"] - fid["baseline"],
         "loss_only_infidelity": 1.0 - fid["decoherence_off"],
         "decoherence_only_infidelity": 1.0 - fid["loss_off"],
-        "runs": {
-            "baseline": base,
-            "loss_off": no_loss,
-            "decoherence_off": no_dec,
-            "both_off": neither,
-        },
+        "runs": runs,
     }
 

@@ -269,7 +269,7 @@ def _joint_clusters(cals, p, n: int, seed):
     # weights are normalized below: 1e-5 admits trace drift and clipped Born probabilities
     if p.shape != (3**k,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-5:
         raise ValueError(f"p must be a probability {3**k}-vector")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
     w = kron(*[cal.prep_weights for cal in cals]) @ p
     w = np.clip(w / w.sum(), 0, None)
     joint = rng.choice(3**k, size=n, p=w / w.sum())

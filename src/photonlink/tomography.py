@@ -3,9 +3,9 @@
 Tomography settings are ideal instantaneous pre-rotations from the nine-gate
 single-qutrit set (or its 81 ordered pairs for two qutrits), followed by a
 population measurement in the energy basis.  The dimension of the data
-picks the gate set: a 3x3 state or (9, 3) populations take the single set,
-a 9x9 state or (81, 9) populations the pair set, and anything else is
-refused.  Each gate set and the single-qutrit factor A1 (27 x 9) of the
+picks the gate set: a 3x3 state or (m, 9, 3) populations take the single
+set, a 9x9 state or (m, 81, 9) populations the pair set, and anything else
+is refused.  Each gate set and the single-qutrit factor A1 (27 x 9) of the
 Born map are built once per process and shared read-only: the single set
 applies A1 once, and the pair set, whose Born map is A1 (x) A1, applies it
 along each node axis of the realigned state.  Exact populations are these
@@ -164,21 +164,28 @@ def born_probabilities(rho: np.ndarray) -> np.ndarray:
     return p
 
 
-def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
-    """Maximum-likelihood state reconstruction from per-setting populations.
+# the MLE's stop rule: a state stops once its log-likelihood improves by
+# less than MLE_TOL, or after MLE_MAX_ITER iterations with a warning
+MLE_TOL = 1e-10
+MLE_MAX_ITER = 5000
 
-    ``populations`` holds one row of d outcomes per setting of the gate set
-    of d, (9, 3) for ``gate_set("single")`` and (81, 9) for
-    ``gate_set("pair")``, or (m, 9, 3) and (m, 81, 9) for a stack of m data
-    sets, which returns an (m, d, d) stack of states; mitigated inputs may
-    be slightly unphysical and are clipped to [0, 1] for the likelihood
-    weights.  Iterates the diluted fixed point rho -> (I + R/2) rho
-    (I + R/2)+, which preserves positivity by construction, until the
-    log-likelihood improves by less than ``tol`` or ``max_iter`` is reached
-    (then a warning reports a gradient norm above 1e-6 and the last
-    estimate is returned).  Every state of a stack stops by this rule on
-    its own, leaves the stack there and gets its own warning, so it equals
-    its reconstruction on its own.
+
+def qst_mle(populations):
+    """Maximum-likelihood reconstruction of a stack of states from their
+    per-setting populations.
+
+    ``populations`` is a stack of m data sets, each one row of d outcomes
+    per setting of the gate set of d: (m, 9, 3) for ``gate_set("single")``
+    or (m, 81, 9) for ``gate_set("pair")``; it returns the (m, d, d) stack
+    of states.  Mitigated inputs may be slightly unphysical and are clipped
+    to [0, 1] for the likelihood weights.  Iterates the diluted fixed point
+    rho -> (I + R/2) rho (I + R/2)+, which preserves positivity by
+    construction, until the log-likelihood improves by less than ``MLE_TOL``
+    or ``MLE_MAX_ITER`` iterations are reached (then a warning names each
+    state whose gradient norm is above 1e-6 and its last estimate is
+    returned).  Every state of a stack stops by this rule on its own and
+    leaves the stack there, so it equals its reconstruction in a stack of
+    one.
     The populations Re(A vec rho) (``_populations``) and the weighted
     adjoint (f/p) conj(A) use one real view c1 of conj(A1): once for one
     qutrit, and for two along each node axis of the realigned state X, as
@@ -187,22 +194,19 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
     state makes, and the likelihood f . log p is one dot product per state,
     so the iterates are the same whatever the stack and the BLAS thread
     count.  The loop writes into buffers made once per stack size.  Raises
-    ValueError if ``max_iter`` < 1, or if the populations are empty or
-    their shape is not one of those above.
+    ValueError if the populations are empty or their shape is not one of
+    those above.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
-    if freqs.ndim not in (2, 3) or freqs.shape[-2:] not in ((9, 3), (81, 9)) or not freqs.size:
+    if freqs.ndim != 3 or freqs.shape[1:] not in ((9, 3), (81, 9)) or not freqs.size:
         raise ValueError(
-            f"populations shape {freqs.shape} is not (9, 3) or (81, 9), "
-            "one row per setting of a gate set, or a stack of them"
+            f"populations shape {freqs.shape} is not (m, 9, 3) or (m, 81, 9), "
+            "a stack of data sets of one row per setting of a gate set"
         )
-    n, d = freqs.shape[-2:]
-    stacked = freqs.ndim == 3
+    n, d = freqs.shape[1:]
     _, c1, pop_order, realign = _born_factor()
     a1_conj_t = c1.view(complex).T
-    # per-setting normalization of each data set
+    # each data set scaled as a whole to sum to n, the number of settings
     f = np.stack([row / row.sum() * n for row in freqs.reshape(-1, n * d)])
     if d == 9:
         # C order: a strided row would take another BLAS dot product
@@ -253,13 +257,13 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
     eye = np.eye(d)
     scale = 2.0 * n
     last_ll = [-np.inf] * m
-    for _ in range(max_iter):
+    for _ in range(MLE_MAX_ITER):
         born()
         np.maximum(p, 1e-14, out=p)
         np.log(p, out=logp)
         np.matmul(f_row, logp_col, out=ll_out)
         lls = ll.tolist()
-        stop = [now - last < tol for now, last in zip(lls, last_ll)]
+        stop = [now - last < MLE_TOL for now, last in zip(lls, last_ll)]
         if True in stop:
             # a state that stops leaves the stack
             keep = ~np.array(stop)
@@ -283,12 +287,12 @@ def qst_mle(populations, tol: float = 1e-10, max_iter: int = 5000):
         grads = 2.0 * np.abs(half_r @ rho - rho @ half_r).max(axis=(1, 2))
         for i, grad in zip(active, grads):
             if grad > 1e-6:
-                where = f" on state {i}" if stacked else ""
                 warnings.warn(
-                    f"MLE stopped after {max_iter} iterations{where}; gradient norm {grad:.3e}",
+                    f"MLE stopped after {MLE_MAX_ITER} iterations on state {i}; "
+                    f"gradient norm {grad:.3e}",
                     stacklevel=2,
                 )
-    return out if stacked else out[0]
+    return out
 
 
 CHI_IDENTITY = np.zeros((4, 4), dtype=complex)
@@ -313,10 +317,11 @@ def qpt_linear_inversion(input_states, output_states) -> np.ndarray:
     """The (4, 4) chi matrix of a qubit channel in the Pauli basis {I, X, Y,
     Z}, from measured input/output pairs by least-squares inversion.
 
-    input_states are kets or density matrices of the prepared qubit states;
-    output_states the (possibly trace-deficient) measured 2x2 blocks.  The
-    overdetermined linear system vec(sigma_i) = sum_mn chi_mn vec(P_m rho_i
-    P_n) is solved in least squares and chi is Hermitized.
+    input_states are the kets of the prepared qubit states, such as
+    :func:`mub_qubit_states`; output_states the (possibly trace-deficient)
+    measured 2x2 blocks.  The overdetermined linear system vec(sigma_i) =
+    sum_mn chi_mn vec(P_m rho_i P_n), rho_i = |psi_i><psi_i|, is solved in
+    least squares and chi is Hermitized.
     """
     if len(input_states) != len(output_states):
         raise ValueError("need one output per input state")
@@ -324,9 +329,7 @@ def qpt_linear_inversion(input_states, output_states) -> np.ndarray:
     rows = []
     rhs = []
     for psi, sigma in zip(input_states, output_states):
-        rho = np.asarray(psi, dtype=complex)
-        if rho.ndim == 1:
-            rho = np.outer(rho, rho.conj())
+        rho = np.outer(psi, np.conj(psi))
         sigma = np.asarray(sigma, dtype=complex)
         block = np.empty((16, 2, 2), dtype=complex)
         for m in range(4):

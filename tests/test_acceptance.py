@@ -267,7 +267,7 @@ def test_criterion_10_mle_round_trip():
     worst = 0.0
     for _ in range(5):
         rho = random_density(3, rng)
-        rec = tomo.qst_mle(tomo.born_probabilities(rho))
+        rec = tomo.qst_mle(tomo.born_probabilities(rho)[None])[0]
         worst = max(worst, metrics.trace_norm_distance(rec, rho))
     check_bool("criterion 10 (MLE round trip)", worst < 1e-3, f"worst {worst:.2e}")
 
@@ -382,7 +382,7 @@ def test_criterion_10_ramsey_calibration():
     for node in (node_a, node_b):
         cops = device.single_node_collapse_ops(node)
         t = np.arange(0.0, 900.0, 1.0)
-        free = device.TimeDependentOperator((3,), np.zeros((3, 3), complex), (), t)
+        free = device.TimeDependentOperator(np.zeros((3, 3), complex), (), t)
         e_ge = np.outer(ket(3, 1), ket(3, 0).conj())
         e_ef = np.outer(ket(3, 2), ket(3, 1).conj())
         psi = (ket(3, 0) + ket(3, 1)) / np.sqrt(2)

@@ -278,7 +278,9 @@ def test_emit_scenario_writes_artifacts(tmp_path):
         window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS, dt=0.5
     )
     problem = protocols._link_problem(spec, None, "B", [protocols.QUTRIT_PREPS["f"]])
-    for tau in (-21.0, -1.0, 29.0):  # the rows lie 2 ns apart from -95 ns
+    # the rows lie 2 ns apart on the whole multiples of 2 ns, from -94 ns
+    assert sweep[0, 0] == -94.0 and len(sweep) == 100
+    for tau in (-20.0, 0.0, 30.0):
         [row] = sweep[np.abs(sweep[:, 0] - tau) < 1e-9]
         steps = int(round((tau - spec.window[0]) / spec.dt))
         [[(_, rho)]] = protocols._integrate_links([cut_short(problem, steps)])
@@ -294,10 +296,14 @@ def test_emit_scenario_writes_artifacts(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    # the shot run writes every JSON shape and both expectation CSVs
+    # the shot run writes every JSON shape and both expectation CSVs; the
+    # transfer study's runs sit on two grids, and the shot qpt run
+    # reconstructs its six outputs as one MLE stack
     for args in (
         ["--scenario", "emit-b", "--dt", "0.5"],
         ["--scenario", "entangle", "--dt", "0.5", "--shots", "2000", "--seed", "3"],
+        ["--scenario", "transfer"],
+        ["--scenario", "qpt", "--shots", "2000", "--seed", "3"],
     ):
         _, out1 = run_cli(tmp_path / "a", *args)
         _, out2 = run_cli(tmp_path / "b", *args)

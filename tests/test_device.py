@@ -144,7 +144,7 @@ def test_each_driven_node_adds_one_hermitian_term(hamiltonian):
 
 def test_cascade_coupling_strength(hamiltonian, table):
     node_a, node_b, link = table
-    dims = hamiltonian.dims
+    dims = device.DIMS
     # <g0g1| H |g1g0>: photon hopping A -> B
     row = _basis_index(dims, 0, 0, 0, 1)
     col = _basis_index(dims, 0, 1, 0, 0)
@@ -162,7 +162,7 @@ def test_drive_matrix_element_equals_g(table):
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
-    dims = h.dims
+    dims = device.DIMS
     for time in (0.0, 12.5):
         m = _matrix_at(h, time)
         # <f,0|H|g,1> on node A (node B in its ground state)
@@ -256,7 +256,7 @@ def test_internal_loss_channel_present_when_nonzero(table):
 def _single_qutrit_run(node, rho0, t_end=1500.0, dt=1.0):
     t = np.arange(0.0, t_end + dt / 2, dt)
     cops = device.single_node_collapse_ops(node)
-    h = device.TimeDependentOperator((3,), np.zeros((3, 3), dtype=complex), (), t)
+    h = device.TimeDependentOperator(np.zeros((3, 3), dtype=complex), (), t)
     expect = {
         **QUTRIT_LEVELS,
         "coh_ge": np.outer(ket(3, 1), ket(3, 0).conj()),

@@ -216,7 +216,7 @@ def test_qpt_integrates_before_drawing_and_measures_in_input_order():
     for psi in inputs:
         qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
         rho3 = protocols.run_transfer(spec, qubit).extras["final_qutrit_b"]
-        outputs.append(tomo.qst_mle(protocols._measure(rho3, spec, rng))[:2, :2])
+        outputs.append(tomo.qst_mle(protocols._measure(rho3, spec, rng)[None])[0, :2, :2])
     reference = tomo.qpt_linear_inversion(inputs, outputs)
     chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
     assert np.abs(chi - reference).max() <= 1e-12
@@ -285,7 +285,7 @@ def test_trace_drift_names_the_run_by_its_place_in_the_list():
     from photonlink.qops import destroy
 
     def problem(t, rate):
-        h = device.TimeDependentOperator((2,), np.zeros((2, 2), complex), (), t)
+        h = device.TimeDependentOperator(np.zeros((2, 2), complex), (), t)
         excited = np.diag([0, 1.0]).astype(complex)
         return h, [("decay", rate * destroy(2))], [excited], None
 
@@ -305,15 +305,15 @@ def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
     stacks = []
     mle = tomo.qst_mle
 
-    def recording(pops, **kwargs):
+    def recording(pops):
         stacks.append(np.array(pops))
-        return mle(pops, **kwargs)
+        return mle(pops)
 
     monkeypatch.setattr(tomo, "qst_mle", recording)
     chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
     [pops] = stacks
     assert pops.shape == (6, 9, 3)
-    outputs = [mle(p)[:2, :2] for p in pops]
+    outputs = [mle(p[None])[0, :2, :2] for p in pops]
     assert np.array_equal(chi, tomo.qpt_linear_inversion(tomo.mub_qubit_states(), outputs))
 
 

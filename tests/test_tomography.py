@@ -41,10 +41,11 @@ def dense_born_map(kind):
     return (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
 
 
-def dense_mle(populations, tol=1e-10, max_iter=5000):
-    """The MLE on the dense Born matrix of the whole gate set: the same
-    diluted fixed point as ``tomo.qst_mle``, one real view of conj(A) per
-    iteration with no product structure (729 x 162 for the pair set)."""
+def dense_mle(populations):
+    """The MLE of one data set on the dense Born matrix of the whole gate
+    set: the same diluted fixed point and stop rule as ``tomo.qst_mle``, one
+    real view of conj(A) per iteration with no product structure (729 x 162
+    for the pair set)."""
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     n, d = freqs.shape
     c = dense_born_map("single" if d == 3 else "pair").conj().view(float)
@@ -52,10 +53,10 @@ def dense_mle(populations, tol=1e-10, max_iter=5000):
     f = f / f.sum() * n
     rho = np.eye(d, dtype=complex) / d
     last_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(tomo.MLE_MAX_ITER):
         p = np.maximum(c @ rho.reshape(-1).view(float), 1e-14)
         ll = float(np.dot(f, np.log(p)))
-        if ll - last_ll < tol and math.isfinite(last_ll):
+        if ll - last_ll < tomo.MLE_TOL and math.isfinite(last_ll):
             break
         last_ll = ll
         r = ((f / p) @ c).view(complex).reshape(d, d) / n
@@ -155,13 +156,15 @@ def test_ef_swap_is_permutation():
     assert np.allclose(u @ np.array([0, 0, 1.0]), [0, 1.0, 0])
 
 
-def test_mle_round_trip_pure_qutrit(rng):
+def test_mle_round_trip_pure_qutrit(rng, monkeypatch):
     psi = random_pure(3, rng)
     rho = np.outer(psi, psi.conj())
     pops = tomo.born_probabilities(rho)
     # boundary states approach the fixed point at ~1/iterations; the default
     # budget reaches 2e-4, a larger one the example's 1e-4
-    rec = tomo.qst_mle(pops, tol=1e-13, max_iter=20000)
+    monkeypatch.setattr(tomo, "MLE_TOL", 1e-13)
+    monkeypatch.setattr(tomo, "MLE_MAX_ITER", 20000)
+    rec = tomo.qst_mle(pops[None])[0]
     assert trace_norm_distance(rec, rho) < 1e-4
     assert np.linalg.eigvalsh(rec).min() > -1e-10
     assert np.trace(rec).real == pytest.approx(1.0, abs=1e-10)
@@ -169,20 +172,20 @@ def test_mle_round_trip_pure_qutrit(rng):
 
 def test_mle_maximally_mixed(rng):
     pops = tomo.born_probabilities(np.eye(3, dtype=complex) / 3)
-    assert np.abs(tomo.qst_mle(pops) - np.eye(3) / 3).max() < 1e-12
+    assert np.abs(tomo.qst_mle(pops[None])[0] - np.eye(3) / 3).max() < 1e-12
     pops9 = tomo.born_probabilities(np.eye(9, dtype=complex) / 9)
-    assert np.abs(tomo.qst_mle(pops9) - np.eye(9) / 9).max() < 1e-12
+    assert np.abs(tomo.qst_mle(pops9[None])[0] - np.eye(9) / 9).max() < 1e-12
 
 
 def test_mle_round_trip_two_qutrit_mixed(rng):
     rho = random_density(9, rng)
     pops = tomo.born_probabilities(rho)
-    rec = tomo.qst_mle(pops)
+    rec = tomo.qst_mle(pops[None])[0]
     assert np.sqrt(np.abs(np.trace((rec - rho) @ (rec - rho)))) < 1e-3
     # rank-deficient states converge more slowly but stay usable
     rho = random_density(9, rng, rank=4)
     pops = tomo.born_probabilities(rho)
-    rec = tomo.qst_mle(pops)
+    rec = tomo.qst_mle(pops[None])[0]
     assert np.sqrt(np.abs(np.trace((rec - rho) @ (rec - rho)))) < 5e-3
 
 
@@ -190,7 +193,7 @@ def test_mle_round_trip_random_mixed_states(rng):
     for _ in range(5):
         rho = random_density(3, rng)
         pops = tomo.born_probabilities(rho)
-        rec = tomo.qst_mle(pops)
+        rec = tomo.qst_mle(pops[None])[0]
         assert trace_norm_distance(rec, rho) < 1e-3
 
 
@@ -215,15 +218,15 @@ def test_factored_mle_matches_the_dense_iteration(rng):
         "near-pure asymmetric": tomo.born_probabilities(near_pure),
     }
     for name, pops in inputs.items():
-        err = np.abs(tomo.qst_mle(pops) - dense_mle(pops)).max()
+        err = np.abs(tomo.qst_mle(pops[None])[0] - dense_mle(pops)).max()
         assert err <= 1e-12, (name, err)
     pops = tomo.born_probabilities(random_density(3, rng, rank=2))
-    assert tomo.qst_mle(pops).tobytes() == dense_mle(pops).tobytes()
+    assert tomo.qst_mle(pops[None])[0].tobytes() == dense_mle(pops).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:MLE stopped")
 @pytest.mark.filterwarnings("ignore:mitigated populations")
-def test_mle_stack_states_stop_on_their_own(rng):
+def test_mle_stack_states_stop_on_their_own(rng, monkeypatch):
     """A stack whose states stop at different iterations returns each one
     bit-identical to its reconstruction alone: the maximally mixed state is
     the fixed point and stops at the second iteration, the others run on,
@@ -233,52 +236,49 @@ def test_mle_stack_states_stop_on_their_own(rng):
         pops = [tomo.born_probabilities(rho) for rho in rhos]
         shots = ProtocolSpec(shots=20000, seed=2)
         pops.append(_measure(rhos[0], shots, np.random.default_rng(2)))
-        alone = [tomo.qst_mle(p) for p in pops]
+        alone = [tomo.qst_mle(p[None])[0] for p in pops]
         stack = tomo.qst_mle(np.stack(pops))
         assert stack.shape == (len(pops), d, d)
         for i, rec in enumerate(alone):
             assert np.array_equal(stack[i], rec), (d, i)
-        assert np.array_equal(tomo.qst_mle(pops[1], max_iter=1), alone[1])
-        assert not np.array_equal(tomo.qst_mle(pops[0], max_iter=2), alone[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(tomo, "MLE_MAX_ITER", 1)
+            assert np.array_equal(tomo.qst_mle(pops[1][None])[0], alone[1])
+            patch.setattr(tomo, "MLE_MAX_ITER", 2)
+            assert not np.array_equal(tomo.qst_mle(pops[0][None])[0], alone[0])
 
 
-def test_mle_warns_once_per_state_that_reaches_max_iter(rng):
-    """Each stacked state that reaches max_iter short of convergence gets its
-    own "MLE stopped" warning, which names it; a converged one gets none."""
+def test_mle_warns_once_per_state_that_reaches_max_iter(rng, monkeypatch):
+    """Each stacked state that reaches MLE_MAX_ITER short of convergence gets
+    its own "MLE stopped" warning, which names it; a converged one gets none."""
+    monkeypatch.setattr(tomo, "MLE_MAX_ITER", 5)
     rhos = [random_density(9, rng), np.eye(9) / 9, random_density(9, rng, rank=3)]
     pops = np.stack([tomo.born_probabilities(rho) for rho in rhos])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stack = tomo.qst_mle(pops, max_iter=5)
+        stack = tomo.qst_mle(pops)
     messages = [str(w.message) for w in caught]
     assert len(messages) == 2 and all(m.startswith("MLE stopped after 5 iterations") for m in messages)
     assert "on state 0;" in messages[0] and "on state 2;" in messages[1]
     for i, p in enumerate(pops):
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
-            assert np.array_equal(tomo.qst_mle(p, max_iter=5), stack[i])
+            assert np.array_equal(tomo.qst_mle(p[None])[0], stack[i])
         assert len(alone) == (i != 1)
 
 
 def test_mle_shape_validation():
-    """The dimension picks the gate set, and any other shape raises: a
-    settings count that does not match the outcome count (a gate set with a
-    setting missing), an outcome count of no gate set, or a state that is
-    not 3x3 or 9x9."""
-    for shape in ((4, 3), (8, 3), (80, 9), (81, 3), (9, 9), (9, 4), (2, 4, 3),
-                  (2, 8, 3), (0, 9, 3), (2, 1, 9, 3), (27,), ()):
+    """The dimension picks the gate set, and any other shape raises: one
+    data set outside a stack, a settings count that does not match the
+    outcome count (a gate set with a setting missing), an outcome count of
+    no gate set, or a state that is not 3x3 or 9x9."""
+    for shape in ((9, 3), (81, 9), (4, 3), (8, 3), (80, 9), (81, 3), (9, 9), (9, 4),
+                  (2, 4, 3), (2, 8, 3), (0, 9, 3), (2, 1, 9, 3), (27,), ()):
         with pytest.raises(ValueError, match="populations shape"):
             tomo.qst_mle(np.full(shape, 0.5))
     for shape in ((4, 4), (3, 9), (27, 27), (1, 9, 9), (9,)):
         with pytest.raises(ValueError, match="state shape"):
             tomo.born_probabilities(np.zeros(shape))
-
-
-def test_mle_rejects_max_iter_below_one():
-    pops = tomo.born_probabilities(np.eye(3) / 3)
-    for max_iter in (0, -1):
-        with pytest.raises(ValueError, match="max_iter"):
-            tomo.qst_mle(pops, max_iter=max_iter)
 
 
 def test_mle_does_not_depend_on_the_blas_thread_count():
@@ -290,7 +290,7 @@ def test_mle_does_not_depend_on_the_blas_thread_count():
         "from photonlink import tomography as tomo\n"
         "ref = json.load(open(sys.argv[1]))['rho9_direct']\n"
         "rho = np.asarray(ref['re']) + 1j * np.asarray(ref['im'])\n"
-        "rec = tomo.qst_mle(tomo.born_probabilities(rho))\n"
+        "rec = tomo.qst_mle(tomo.born_probabilities(rho)[None])\n"
         "sys.stdout.write(rec.tobytes().hex())\n"
     )
     outputs = []
