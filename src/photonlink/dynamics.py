@@ -26,13 +26,15 @@ bit-identical to its groups integrated one by one.  Propagation is
 fixed-step Runge-Kutta (deterministic, which keeps golden tests exact), and
 the drives are sampled at the grid points and at the half steps between
 them, where the middle stages evaluate H, so the scheme is fourth order.
-Every state is re-symmetrized after every step and its trace checked against
-its own initial trace.  Only the trace and the expectation values of the
-group's ``expect`` operators (a level population is its projector's) are
-recorded; they are linear in the state, so every grid point records them for
-all inputs of a group by one product with its readout matrix.  Outputs are
-zero-padded back to the full dimensions.  Integrals over the recorded series
-use Simpson's rule, which matches the fourth order of the scheme.
+The static part of H and its drive terms enter as their Hermitian parts, so
+the generator maps Hermitian states to Hermitian states and every step is the
+RK4 update alone; each input's trace is checked against its own initial
+trace.  Only the trace and the expectation values of the group's ``expect``
+operators (a level population is its projector's) are recorded; they are
+linear in the state, so every grid point records them for all inputs of a
+group by one product with its readout matrix.  Outputs are zero-padded back
+to the full dimensions.  Integrals over the recorded series use Simpson's
+rule, which matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
@@ -168,6 +170,10 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
         raise ValueError("drive term dimension mismatch")
     if any(np.abs(op - op.conj().T).max() > _HERMITIAN_TOL for op in drive_ops):
         raise ValueError("drive term is not Hermitian")
+    # their Hermitian parts, a bitwise no-op on an exactly Hermitian operator,
+    # make a generator that keeps every state Hermitian
+    h0 = 0.5 * (h0 + h0.conj().T)
+    drive_ops = [0.5 * (op + op.conj().T) for op in drive_ops]
     jumps = [np.asarray(op, dtype=complex) for _, op in collapse_ops]
     if any(op.shape != (d, d) for op in jumps):
         raise ValueError("collapse operator dimension mismatch")
@@ -238,10 +244,11 @@ def integrate_me(problems):
     copies weighted by each group's drive coefficients (a group with fewer
     drive terms has empty blocks) as one sparse product.  Every row keeps
     its nonzeros in the order of a group integrated alone, so each group's
-    result is bit-identical to its own integration.  One permutation
-    re-symmetrizes every block after every step; the recording (by one
-    product with the group's readout matrix) and the trace check stay per
-    group.
+    result is bit-identical to its own integration.  The static H and the
+    drive terms enter as their Hermitian parts and the drive samples are
+    real, so the generator keeps every state Hermitian; the recording (by
+    one product with the group's readout matrix) and the trace check stay
+    per group.
 
     Returns, per group in order, one (Trajectory, final (d, d) complex
     array) pair per input, in input order; every Trajectory's ``dim`` is its
@@ -313,14 +320,6 @@ def integrate_me(problems):
         np.multiply(coef[j], head, out=copies)
         return generator @ flat
 
-    # the transpose of every block as one permutation of the rows; padding
-    # rows map to themselves
-    transpose = np.arange(n_groups * size)
-    for n, g in enumerate(groups):
-        transpose[n * size : n * size + g.r * g.r] = (
-            n * size + np.arange(g.r * g.r).reshape(g.r, g.r).T.reshape(-1)
-        )
-
     # the state of the batch, written in place by every step; each group's
     # inputs are a block of it
     v = np.zeros((n_groups * size, m), dtype=complex)
@@ -344,9 +343,7 @@ def integrate_me(problems):
         k3 = rhs(2 * k + 1)
         np.add(v, dt * k3, out=head_flat)
         k4 = rhs(2 * k + 2)
-        stepped = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        np.add(stepped, stepped.take(transpose, axis=0).conj(), out=v)
-        v *= 0.5
+        v += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         for n, inputs, readout, rec, traces, target in reads:
             np.matmul(inputs, readout, out=rec[k + 1])
             for i, (trace, want) in enumerate(zip(traces[k + 1].tolist(), target)):

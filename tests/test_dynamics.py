@@ -137,6 +137,34 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     assert np.abs(out_mix - 0.5 * (out_a + out_b)).max() <= 1e-12
 
 
+def _anti_hermitian(rho):
+    return np.abs(rho - rho.conj().T).max()
+
+
+def test_dense_input_stays_hermitian(rng):
+    """No step re-symmetrizes the state: a full-rank input of the
+    entanglement preparation, which integrates all 36 states, stays
+    Hermitian to round-off over the run's 460 steps."""
+    h, cops, _, _ = protocols._link_problem(
+        protocols.ProtocolSpec(), None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True
+    )
+    [[(traj, rho)]] = dynamics.integrate_me([(h, cops, [random_density(36, rng)], None)])
+    assert (traj.dim, len(h.t) - 1) == (36, 460)
+    assert _anti_hermitian(rho) <= 1e-15
+
+
+def test_a_near_hermitian_hamiltonian_integrates_as_its_hermitian_part():
+    """A static H accepted with a 4e-13 anti-Hermitian part (within the
+    1e-12 check) enters as its Hermitian part, so the state stays
+    Hermitian; with the anti-Hermitian part kept, the transfer's final
+    state would carry one of about 3e-11."""
+    h, cops, rho0s, _ = protocols._transfer_problem(protocols.ProtocolSpec(), None, "e")
+    static = h.static + 4e-13j * (h.terms[0][0] != 0)
+    assert 0 < _anti_hermitian(static) <= 1e-12
+    [[(_, rho)]] = dynamics.integrate_me([(dataclasses.replace(h, static=static), cops, rho0s, None)])
+    assert _anti_hermitian(rho) <= 1e-15
+
+
 def test_batch_matches_single_input_integrations(table, rng):
     """Inputs with different reachable blocks (1 state, the 7-state
     entanglement block, a random density on that block) integrated as one

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import warnings
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonlink import cli, device, dynamics, metrics, protocols
+from photonlink import cli, device, dynamics, metrics, protocols, tomography
 from photonlink.protocols import ProtocolSpec
 from conftest import cut_short, populations
 
@@ -448,6 +449,34 @@ def _cli_spec(scenario, dt, fock):
     return spec
 
 
+def test_fock_flag_builds_the_plain_spec():
+    """``--fock 3`` builds the spec ``--fock 2`` does for every scenario
+    the recorded-reference and block tests run, so their fock-3 cases read
+    the fock-2 runs and integrate nothing."""
+    for scenario in ("entangle", "qpt", "transfer"):
+        _cli_spec(scenario, 0.5, 3)
+
+
+# The link runs are a function of the spec alone, and every --fock value
+# builds the same spec, so the fock cases below integrate each spec once.
+@functools.lru_cache(maxsize=None)
+def _link_results(spec):
+    ent = protocols.run_entanglement(spec).extras
+    chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
+    eff, _ = protocols.run_transfer_efficiencies(spec)
+    return ent, chi, eff
+
+
+def _block_counters(spec):
+    runs = [protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")]
+    runs += [protocols.run_transfer(spec, absorption=on) for on in (True, False)]
+    runs.append(protocols.run_entanglement(spec))
+    return [(run.trajectory.dim, run.trajectory.trace_drift) for run in runs]
+
+
+_first_block_counters = functools.lru_cache(maxsize=None)(_block_counters)
+
+
 @pytest.mark.parametrize("fock", [2, 3])
 def test_link_results_match_recorded_reference(fock):
     """Exact changes must reproduce the recorded link results to round-off.
@@ -465,7 +494,7 @@ def test_link_results_match_recorded_reference(fock):
     single excitation never fills a second photon level, so the same numbers
     held at fock 3; the model now fixes the two resonator levels
     ``device.DIMS`` holds, and the runs are built as the CLI builds them at
-    either ``--fock`` value.
+    either ``--fock`` value (the same spec, so the runs integrate once).
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
     dt = ref["spec"]["dt"]
@@ -473,12 +502,12 @@ def test_link_results_match_recorded_reference(fock):
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
 
-    ent = protocols.run_entanglement(_cli_spec("entangle", dt, fock)).extras
+    ent = _link_results(_cli_spec("entangle", dt, fock))[0]
     assert np.abs(ent["rho9_direct"] - matrix(ref["rho9_direct"])).max() <= 1e-10
     assert np.abs(ent["rho9_tomography"] - matrix(ref["rho9_tomography"])).max() <= 1e-10
-    chi = protocols.run_state_transfer_qpt(_cli_spec("qpt", dt, fock)).extras["chi"]
+    chi = _link_results(_cli_spec("qpt", dt, fock))[1]
     assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
-    eff, _ = protocols.run_transfer_efficiencies(_cli_spec("transfer", dt, fock))
+    eff = _link_results(_cli_spec("transfer", dt, fock))[2]
     for name, value in ref["transfer_efficiencies"].items():
         assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
 
@@ -489,19 +518,43 @@ def test_link_runs_integrate_the_single_excitation_block(fock):
     the same basis states whatever ``--fock`` the CLI is given: the 7 states
     with one excitation or none when B absorbs A's photon, and 5 of them when
     no node absorbs, since the idle node's qutrit then never leaves g.  The
-    run counters are deterministic."""
+    run counters are deterministic: a second integration of the spec gives
+    the counters of its first, which the fock-3 case reads from the fock-2
+    case's runs."""
     spec = _cli_spec("entangle", 0.5, fock)
-
-    def counters():
-        runs = [protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")]
-        runs += [protocols.run_transfer(spec, absorption=on) for on in (True, False)]
-        runs.append(protocols.run_entanglement(spec))
-        return [(run.trajectory.dim, run.trajectory.trace_drift) for run in runs]
-
-    first = counters()
+    first = _first_block_counters(spec)
     assert [dim for dim, _ in first] == [5, 5, 7, 5, 7]
     assert all(drift < 1e-6 for _, drift in first)
-    assert counters() == first
+    assert _block_counters(spec) == first
+
+
+def test_link_final_states_are_exactly_hermitian():
+    """The generator keeps a state Hermitian when H is Hermitian and the
+    drive samples real, and the RK4 step repairs nothing: the final state
+    of every link problem the CLI builds equals its conjugate transpose bit
+    for bit.  These are the emissions of f and gf from either node, the
+    transfer with and without absorption, qpt's six inputs and the
+    entanglement preparation."""
+    spec = ProtocolSpec()
+    emit_spec = dataclasses.replace(
+        spec, window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS
+    )
+    swap = tomography.ef_swap()
+    qpt_preps = [swap @ np.array([psi[0], psi[1], 0.0]) for psi in tomography.mub_qubit_states()]
+    emissions = [protocols.QUTRIT_PREPS["f"], protocols.QUTRIT_PREPS["gf"]]
+    problems = [
+        protocols._link_problem(emit_spec, None, "A", emissions),
+        protocols._link_problem(emit_spec, None, "B", emissions),
+        protocols._transfer_problem(spec, None, "e", absorption=True),
+        protocols._transfer_problem(spec, None, "e", absorption=False),
+        protocols._link_problem(spec, None, "A", qpt_preps, absorb=True),
+        protocols._link_problem(spec, None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True),
+    ]
+    runs = protocols._integrate_links(problems)
+    assert [len(pairs) for pairs in runs] == [2, 2, 1, 1, 6, 1]
+    for n, pairs in enumerate(runs):
+        for i, (_, rho) in enumerate(pairs):
+            assert np.array_equal(rho, rho.conj().T), (n, i)
 
 
 # the ground truth the step size is judged against: a run 40 times finer than

@@ -160,7 +160,9 @@ def test_two_node_matches_published_table_within_rounding(cal_a, cal_b):
     single-node ones to its 0.1 % rounding, the assumption behind mitigating
     two-node tomography with kron(R_A, R_B): for the printed single-node
     tables and for the calibrations' analytic assignment matrices, which
-    ``protocols._measure`` mitigates with (largest difference 9.0e-4)."""
+    ``protocols._measure`` mitigates with (largest difference 9.0e-4).
+    Swapped (B, A) or repeated (A, A) factors miss it by 1.5e-2 and
+    1.3e-2, so the check fixes the order of the product."""
     measured = readout.TABLE_R_TWO_NODE_PERCENT / 100
     for r_a, r_b in (
         (readout.TABLE_R_A, readout.TABLE_R_B),

@@ -12,8 +12,10 @@
 # only where the programs do; the tree's path is replaced by `<tree>` in
 # stdout and stderr, where warnings name source files.  Exits 0 when nothing
 # differs, 1 when something does, 2 on bad usage.  A change that moves a
-# number on purpose differs here, which is why this is a tool to run by
-# hand, not a test.
+# number on purpose differs from its parent here, so comparing against
+# another checkout is done by hand; given this checkout itself as BASE_TREE
+# (`tools/compare_runs.sh .`, a CI step) it checks that every argv gives the
+# same bytes in fresh processes.
 set -u
 
 if [ $# -lt 1 ] || [ $# -gt 2 ] || [ ! -d "$1/src/photonlink" ]; then
@@ -24,6 +26,8 @@ here=$(cd "$(dirname "$0")/.." && pwd)
 base=$(cd "$1" && pwd)
 work=${2:-$(mktemp -d)}
 
+# the benchmark's argvs (perfbench/workloads.py) at its seeds 1 and 7919
+# are among them, so a byte-identity claim covers every run its gate checks
 argvs=(
     "--scenario emit-a"
     "--scenario emit-b --truncate-sweep"
@@ -31,12 +35,16 @@ argvs=(
     "--scenario transfer --dt 1"
     "--scenario qpt"
     "--scenario qpt --shots 20000 --seed 1"
+    "--scenario qpt --shots 20000 --seed 7919"
     "--scenario entangle"
     "--scenario entangle --shots 20000 --seed 1"
+    "--scenario entangle --shots 20000 --seed 7919"
     "--scenario upgrade"
     "--scenario budget"
     "--scenario readout-sim --shots 2000"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.72,0.77,0.90,1.0"
+    "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.89,0.98"
+    "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.81,0.98"
     "--scenario sweep --sweep-param dt --sweep-values 0.5,1,0.5"
     "--scenario sweep --sweep-param idle_ns --sweep-values 40,0 --t-scale 1e-4"
 )
