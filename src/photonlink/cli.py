@@ -118,6 +118,9 @@ def _sweep_specs(args, nodes_link):
     """(value, spec) of every sweep point, each checked like a single run."""
     if not args.sweep_param or args.sweep_param not in SWEEPABLE:
         raise ConfigError(f"--sweep-param must be one of {SWEEPABLE}")
+    if getattr(args, args.sweep_param) is not None:
+        flag = "--" + args.sweep_param.replace("_", "-")
+        raise ConfigError(f"{flag} conflicts with --sweep-param {args.sweep_param}, which sets it per point")
     if not args.sweep_values:
         raise ConfigError("--sweep-values must be a non-empty comma-separated list")
     try:

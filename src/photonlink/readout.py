@@ -10,17 +10,17 @@ measured frequencies obey M = R @ rho_diag and mitigation is
 rho_diag = R^-1 @ M.  The shipped default models are data: five parameters
 per node, fitted once to the measured single-qutrit assignment tables by
 ``calibrate_to_targets`` and stored, so loading them runs no fit and
-imports no optimizer.
+imports no optimizer; the module needs only numpy and the standard library.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .qops import kron
 
@@ -145,7 +145,8 @@ def _orthant_probability(mean, cov):
     z = 0.5 * (z + 1.0) * (9.0 - lo) + lo
     w = 0.5 * (9.0 - lo) * w
     phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
-    cond = ndtr((mean[1] / s2 + rho * z) / np.sqrt(1.0 - rho * rho))
+    x = (mean[1] / s2 + rho * z) / np.sqrt(1.0 - rho * rho)
+    cond = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()]  # Phi(x)
     return float(np.sum(w * phi * cond))
 
 

@@ -2,21 +2,21 @@
 
 Tomography settings are ideal instantaneous pre-rotations from the nine-gate
 single-qutrit set (or its 81 ordered pairs for two qutrits), followed by a
-population measurement in the energy basis.  The dimension of the data
-picks the gate set: a 3x3 state or (m, 9, 3) populations take the single
-set, a 9x9 state or (m, 81, 9) populations the pair set, and anything else
-is refused.  Each gate set and the single-qutrit factor A1 (27 x 9) of the
-Born map are built once per process and shared read-only: the single set
-applies A1 once, and the pair set, whose Born map is A1 (x) A1, applies it
-along each node axis of the realigned state.  Exact populations are these
-products, the model the diluted maximum-likelihood fixed point (positive by
-construction) iterates with, in real arithmetic on one real view of
-conj(A1), so its iterates do not depend on the BLAS thread count.  A stack
-of data sets is reconstructed in one loop, each state stopping on its own
-and bit-identical to its reconstruction alone, since every product makes
-the call a single state makes.  The process matrix is obtained by plain
-linear inversion in the Pauli basis and may therefore be slightly
-non-positive, as reported.
+population measurement in the energy basis.  The dimension of the data picks
+the gate set: a 3x3 state or (m, 9, 3) populations take the single set, a
+9x9 state or (m, 81, 9) populations the pair set, and anything else is
+refused.  The single set (``gate_set()``) and its factor A1 (27 x 9) of the
+Born map are built once per process and shared read-only, and the pair set's
+rotations are never built: the single set applies A1 once, and the pair set,
+whose Born map is A1 (x) A1, applies it along each node axis of the
+realigned state.  Exact populations are these products, the model the
+diluted maximum-likelihood fixed point (positive by construction) iterates
+with, in real arithmetic on one real view of conj(A1), so its iterates do
+not depend on the BLAS thread count.  A stack of data sets is reconstructed
+in one loop, each state stopping on its own and bit-identical to its
+reconstruction alone, since every product makes the call a single state
+makes.  The process matrix is obtained by plain linear inversion in the
+Pauli basis and may therefore be slightly non-positive, as reported.
 """
 
 from __future__ import annotations
@@ -81,27 +81,22 @@ def _single_qutrit_settings():
 
 
 @functools.cache
-def gate_set(kind: str):
-    """The 9 single-qutrit tomography settings or the 81 ordered pairs (named
-    by :func:`pair_names`, each rotation the kron of the pair's), as
-    (names, unitaries): a tuple of the names and a read-only (n, d, d) stack
-    of the measurement-basis rotations, built once per process."""
-    if kind == "single":
-        settings = _single_qutrit_settings()
-        names, unitaries = tuple(settings), np.stack(list(settings.values()))
-    elif kind == "pair":
-        names, singles = pair_names(), gate_set("single")[1]
-        unitaries = np.stack([np.kron(ua, ub) for ua in singles for ub in singles])
-    else:
-        raise ValueError(f"unknown gate-set kind {kind!r}")
+def gate_set():
+    """The 9 single-qutrit tomography settings as (names, unitaries): a tuple
+    of the names and a read-only (9, 3, 3) stack of the measurement-basis
+    rotations, built once per process.  The pair set's setting (a, b) is
+    the rotation kron(U_a, U_b), never built: the Born map applies the
+    single set's factor along each node axis."""
+    settings = _single_qutrit_settings()
+    names, unitaries = tuple(settings), np.stack(list(settings.values()))
     unitaries.flags.writeable = False
     return names, unitaries
 
 
 def pair_names():
     """The names of the pair set's 81 settings, "a|b" for A's setting a and
-    B's setting b, A's major, without building the pair rotations."""
-    single = gate_set("single")[0]
+    B's setting b, A's major."""
+    single = gate_set()[0]
     return tuple(f"{a}|{b}" for a in single for b in single)
 
 
@@ -111,14 +106,14 @@ def _born_factor():
 
     Returns (a1, c1, pop_order, realign): a1 is A1 (27 x 9), with
     A1[k 3 + s, i 3 + j] = U_si conj(U_sj) for setting k's rotation U of
-    ``gate_set("single")``, so A1 @ rho.reshape(-1) lists the populations
+    ``gate_set()``, so A1 @ rho.reshape(-1) lists the populations
     diag(U rho U+); c1 = conj(A1) viewed as float64 (27 x 18); pop_order sends
     the pair set's populations, rows (k_a k_b) and outcomes (s_a s_b), to
     the (k_a s_a, k_b s_b) order of A1 (x) A1 (27 x 27 indices); realign
     sends rho[(i_a i_b), (j_a j_b)] to X[(i_a j_a), (i_b j_b)] and, being a
     swap of two indices, back (9 x 9 indices into the flat matrix).
     """
-    u = gate_set("single")[1]
+    u = gate_set()[1]
     a1 = (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(27, 9)
     c1 = a1.conj().view(float)
     pop_order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 2, 1, 3).reshape(27, 27)
@@ -175,10 +170,10 @@ def qst_mle(populations):
     per-setting populations.
 
     ``populations`` is a stack of m data sets, each one row of d outcomes
-    per setting of the gate set of d: (m, 9, 3) for ``gate_set("single")``
-    or (m, 81, 9) for ``gate_set("pair")``; it returns the (m, d, d) stack
-    of states.  Mitigated inputs may be slightly unphysical and are clipped
-    to [0, 1] for the likelihood weights.  Iterates the diluted fixed point
+    per setting of the gate set of d: (m, 9, 3) for the single set or
+    (m, 81, 9) for the pair set; it returns the (m, d, d) stack of states.
+    Mitigated inputs may be slightly unphysical and are clipped to [0, 1]
+    for the likelihood weights.  Iterates the diluted fixed point
     rho -> (I + R/2) rho (I + R/2)+, which preserves positivity by
     construction, until the log-likelihood improves by less than ``MLE_TOL``
     or ``MLE_MAX_ITER`` iterations are reached (then a warning names each

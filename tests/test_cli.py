@@ -138,6 +138,11 @@ def test_conflicting_flags_exit_2(tmp_path):
         ["--scenario", "emit-a", "--sweep-param", "eta_c", "--sweep-values", "0.8,0.9"],
         ["--scenario", "qpt", "--sweep-values", "0.8,0.9"],
         ["--scenario", "emit-b", "--sweep-param", "eta_c"],
+        # the swept flag itself: each point sets it, so a value would be dropped
+        ["--scenario", "sweep", "--sweep-param", "eta_c", "--sweep-values", "0.7,0.8",
+         "--eta-c", "0.5"],
+        ["--scenario", "sweep", "--sweep-param", "kappa_eff", "--sweep-values", "10.2,10.4",
+         "--kappa-eff", "10.3"],
         ["--truncate-sweep"],
         ["--scenario", "transfer", "--truncate-sweep"],
         ["--scenario", "sweep", "--sweep-param", "eta_c", "--sweep-values", "0.9",
@@ -333,18 +338,12 @@ def test_entangle_scenario_artifacts(tmp_path):
 
 
 def test_entangle_names_its_records_without_the_pair_rotations(tmp_path):
-    """An exact entangle run names its 81 tomography records without
-    building the pair set's (81, 9, 9) rotations: afterwards the gate-set
-    cache holds only the single-qutrit set."""
-    tomography.gate_set.cache_clear()
+    """An exact entangle run names its 81 tomography records by
+    ``pair_names()``, "a|b" over the single set; no pair rotation is built."""
     code, out = run_cli(tmp_path, "--scenario", "entangle")
     assert code == 0
-    cached = tomography.gate_set.cache_info()
-    assert cached.currsize == 1
-    tomography.gate_set("single")
-    assert tomography.gate_set.cache_info().hits == cached.hits + 1
     records = json.loads((out / "entangle" / "tomography_records.json").read_text())
-    assert set(records) == set(tomography.gate_set("pair")[0]) and len(records) == 81
+    assert set(records) == set(tomography.pair_names()) and len(records) == 81
 
 
 def test_sampled_entangle_scenario(tmp_path):

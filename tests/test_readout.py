@@ -124,6 +124,34 @@ def test_orthant_probability_against_monte_carlo():
     assert exact == pytest.approx(mc, abs=4 * np.sqrt(0.25 / 400000))
 
 
+def ndtr_orthant_probability(mean, cov):
+    """The orthant rule of ``readout._orthant_probability``, the same 201
+    Gauss-Legendre nodes on [max(-m1/s1, -9), 9], with the normal CDF
+    taken from scipy.special.ndtr instead of math.erfc."""
+    from scipy.special import ndtr
+
+    s1, s2 = np.sqrt(cov[0, 0]), np.sqrt(cov[1, 1])
+    rho = np.clip(cov[0, 1] / (s1 * s2), -1 + 1e-12, 1 - 1e-12)
+    lo = max(-mean[0] / s1, -9.0)
+    if lo > 9.0:
+        return 0.0
+    z, w = np.polynomial.legendre.leggauss(201)
+    z = 0.5 * (z + 1.0) * (9.0 - lo) + lo
+    w = 0.5 * (9.0 - lo) * w
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+    cond = ndtr((mean[1] / s2 + rho * z) / np.sqrt(1.0 - rho * rho))
+    return float(np.sum(w * phi * cond))
+
+
+def test_assignment_probabilities_match_the_ndtr_rule(cal_a, cal_b, monkeypatch):
+    """The erfc normal CDF gives both default models' overlap matrices
+    within 1e-15 of the same quadrature on scipy's ndtr."""
+    ours = [readout.assignment_probabilities(cal.model) for cal in (cal_a, cal_b)]
+    monkeypatch.setattr(readout, "_orthant_probability", ndtr_orthant_probability)
+    for cal, r in zip((cal_a, cal_b), ours):
+        assert np.abs(r - readout.assignment_probabilities(cal.model)).max() <= 1e-15
+
+
 def test_assignment_matrix_columns_sum_to_one():
     counts = np.array([[900, 80, 20], [50, 930, 20], [10, 30, 960]])
     r = readout.assignment_matrix(counts)
@@ -417,17 +445,22 @@ def test_default_calibration_rejects_unknown_node():
         readout.table_assignment_matrix("C")
 
 
-def test_default_calibration_loads_without_an_optimizer():
+def test_default_calibration_loads_without_an_optimizer(tmp_path):
+    """Loading both calibrations and a shot-mode entangle run, which draws
+    and mitigates through them, import neither scipy.optimize nor
+    scipy.special: readout needs only numpy and the standard library."""
     code = (
         "import sys\n"
-        "import photonlink.cli\n"
-        "from photonlink import readout\n"
+        "from photonlink import cli, readout\n"
         "readout.default_calibration('A')\n"
         "readout.default_calibration('B')\n"
+        "argv = ['--scenario', 'entangle', '--shots', '200', '--seed', '1', '--out', sys.argv[1]]\n"
+        "assert cli.run(argv) == 0\n"
         "assert 'scipy.optimize' not in sys.modules\n"
+        "assert 'scipy.special' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env, check=True)
 
 
 def test_calibrate_to_targets_reproduces_the_stored_parameters():

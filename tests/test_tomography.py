@@ -32,12 +32,19 @@ def kraus_to_chi(kraus_ops):
     return chi
 
 
-def dense_born_map(kind):
-    """The Born rule of ``gate_set(kind)`` as one dense matrix A with
-    A[k d + s, i d + j] = U_si conj(U_sj) for setting k's rotation U (for the
-    pair set the np.kron of the nodes' rotations): 729 x 81 for the pairs."""
-    u = tomo.gate_set(kind)[1]
-    n, d, _ = u.shape
+def pair_rotations():
+    """The pair set's 81 rotations, each the np.kron of A's and B's single
+    setting, A's major: the order of ``tomo.pair_names()``."""
+    singles = tomo.gate_set()[1]
+    return np.stack([np.kron(ua, ub) for ua in singles for ub in singles])
+
+
+def dense_born_map(d):
+    """The Born rule of the gate set of dimension d as one dense matrix A
+    with A[k d + s, i d + j] = U_si conj(U_sj) for setting k's rotation U:
+    27 x 9 for the single set, 729 x 81 for the pairs."""
+    u = tomo.gate_set()[1] if d == 3 else pair_rotations()
+    n = len(u)
     return (u[:, :, :, None] * u.conj()[:, :, None, :]).reshape(n * d, d * d)
 
 
@@ -48,7 +55,7 @@ def dense_mle(populations):
     for the pair set)."""
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     n, d = freqs.shape
-    c = dense_born_map("single" if d == 3 else "pair").conj().view(float)
+    c = dense_born_map(d).conj().view(float)
     f = freqs.reshape(-1)
     f = f / f.sum() * n
     rho = np.eye(d, dtype=complex) / d
@@ -68,47 +75,39 @@ def dense_mle(populations):
 
 
 def test_gate_set_counts_and_identity():
-    names, singles = tomo.gate_set("single")
+    names, singles = tomo.gate_set()
     assert len(names) == 9 and singles.shape == (9, 3, 3)
     assert names[0] == "id"
     assert np.allclose(singles[0], np.eye(3))
-    names, pairs = tomo.gate_set("pair")
-    assert len(names) == 81 and pairs.shape == (81, 9, 9)
-    assert names[0] == "id|id" and names[1] == "id|x90_ge"
-    assert tomo.pair_names() == names
-    assert np.allclose(pairs[0], np.eye(9))
-    # A's setting major: pair 9 a + b is the np.kron of singles a and b
-    for k, u in enumerate(pairs):
-        assert np.array_equal(u, np.kron(singles[k // 9], singles[k % 9]))
-    with pytest.raises(ValueError):
-        tomo.gate_set("triple")
+    # A's setting major: pair 9 a + b is "a|b"
+    pairs = tomo.pair_names()
+    assert len(pairs) == 81
+    assert pairs[0] == "id|id" and pairs[1] == "id|x90_ge"
+    assert pairs == tuple(f"{names[k // 9]}|{names[k % 9]}" for k in range(81))
 
 
 def test_gate_set_unitarity():
-    for kind, d in (("single", 3), ("pair", 9)):
-        u = tomo.gate_set(kind)[1]
-        assert np.abs(u @ u.conj().mT - np.eye(d)).max() < 1e-12
+    u = tomo.gate_set()[1]
+    assert np.abs(u @ u.conj().mT - np.eye(3)).max() < 1e-12
 
 
 def test_gate_sets_are_built_once_and_read_only():
-    assert tomo.gate_set("pair") is tomo.gate_set("pair")
-    assert tomo.gate_set("single") is tomo.gate_set("single")
-    for kind in ("single", "pair"):
-        with pytest.raises(ValueError):
-            tomo.gate_set(kind)[1][1, 0, 0] = 0.0
-    assert tomo.gate_set("single")[1][1, 0, 0] == pytest.approx(np.cos(np.pi / 4))
+    assert tomo.gate_set() is tomo.gate_set()
+    with pytest.raises(ValueError):
+        tomo.gate_set()[1][1, 0, 0] = 0.0
+    assert tomo.gate_set()[1][1, 0, 0] == pytest.approx(np.cos(np.pi / 4))
     # the Born map's single-qutrit factor A1 and its index maps too
     factor = tomo._born_factor()
     assert factor is tomo._born_factor()
     assert factor[0].shape == (27, 9)
-    assert np.array_equal(factor[0], dense_born_map("single"))
+    assert np.array_equal(factor[0], dense_born_map(3))
     for shared in factor:
         with pytest.raises(ValueError):
             shared[0, 0] = 0
 
 
 def test_born_probabilities_basics(rng):
-    names, settings = tomo.gate_set("single")
+    names, settings = tomo.gate_set()
     rho_g = np.diag([1.0, 0, 0]).astype(complex)
     assert np.allclose(tomo.born_probabilities(rho_g)[0], [1, 0, 0])
     # |e> after a ge pi pulse reads out as g
@@ -122,7 +121,7 @@ def test_born_probabilities_basics(rng):
     assert np.all(p > -1e-12)
     for row, u in zip(p, settings):
         assert np.abs(row - np.diag(u @ rho @ u.conj().T).real).max() < 1e-14
-    pairs = tomo.gate_set("pair")[1]
+    pairs = pair_rotations()
     rho = random_density(9, rng)
     p = tomo.born_probabilities(rho)
     assert p.shape == (81, 9)

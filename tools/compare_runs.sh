@@ -40,11 +40,13 @@ argvs=(
     "--scenario entangle --shots 20000 --seed 1"
     "--scenario entangle --shots 20000 --seed 7919"
     "--scenario upgrade"
+    "--scenario upgrade --shots 5000 --seed 3"
     "--scenario budget"
     "--scenario readout-sim --shots 2000"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.72,0.77,0.90,1.0"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.89,0.98"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.81,0.98"
+    "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.9 --shots 2000 --seed 5"
     "--scenario sweep --sweep-param dt --sweep-values 0.5,1,0.5"
     "--scenario sweep --sweep-param idle_ns --sweep-values 40,0 --t-scale 1e-4"
 )
