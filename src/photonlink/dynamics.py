@@ -45,8 +45,6 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .pulse import DriveEnvelope
-
 
 # largest trace drift an integration may accumulate before it is aborted
 _TRACE_TOL = 1e-6
@@ -366,62 +364,6 @@ def integrate_me(problems):
             out.append((traj, final))
         results.append(out)
     return results
-
-
-# ---------------------------------------------------------------------------
-# two-level emission model
-
-@dataclass(frozen=True)
-class TwoLevelResult:
-    t: np.ndarray
-    c_f: np.ndarray       # |f,0> amplitude
-    c_g1: np.ndarray      # |g,1> amplitude
-    flux: np.ndarray      # kappa |c_g1|^2, photons/ns
-
-    @property
-    def emitted(self):
-        return _simpson(self.flux, self.t)
-
-    @property
-    def norm(self):
-        return np.abs(self.c_f) ** 2 + np.abs(self.c_g1) ** 2
-
-
-def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
-    """Integrate the lossy two-level model of the f0g1 transition.
-
-    The Schrodinger equation i dpsi/dt = [[0, g(t)], [g(t), -i kappa/2]] psi
-    acts on the amplitudes of |f,0> and |g,1>, starting in |f,0>; the
-    anti-Hermitian part drains |g,1> at rate kappa into the emitted field, so
-    the emitted flux is kappa |c_g1|^2 and the total emitted probability is
-    1 - surviving norm.  As in :func:`integrate_me`, ``g_env`` is sampled on
-    the half-step grid, an odd number of samples, and the RK4 scheme steps
-    over every other one, ``g_env.t[::2]``, on which the result is returned.
-    """
-    g = g_env.g_mag
-    if len(g) % 2 == 0:
-        raise ValueError("the half-step grid needs an odd number of samples")
-    t = g_env.t[::2]
-    dt = float(t[1] - t[0])
-
-    def deriv(psi, gi):
-        return np.array(
-            [-1j * gi * psi[1], -1j * gi * psi[0] - 0.5 * kappa * psi[1]],
-            dtype=complex,
-        )
-
-    psi = np.array([1.0, 0.0], dtype=complex)
-    out = np.empty((len(t), 2), dtype=complex)
-    out[0] = psi
-    for k in range(len(t) - 1):
-        k1 = deriv(psi, g[2 * k])
-        k2 = deriv(psi + 0.5 * dt * k1, g[2 * k + 1])
-        k3 = deriv(psi + 0.5 * dt * k2, g[2 * k + 1])
-        k4 = deriv(psi + dt * k3, g[2 * k + 2])
-        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = psi
-    flux = kappa * np.abs(out[:, 1]) ** 2
-    return TwoLevelResult(t=t, c_f=out[:, 0], c_g1=out[:, 1], flux=flux)
 
 
 # ---------------------------------------------------------------------------

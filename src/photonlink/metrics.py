@@ -84,12 +84,6 @@ def hs_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(max(np.trace(d @ d).real, 0.0)))
 
 
-def trace_norm_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Conventional trace distance (1/2)*||X-Y||_1."""
-    d = np.asarray(x, complex) - np.asarray(y, complex)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).sum())
-
-
 def qubit_reduction(rho9: np.ndarray) -> np.ndarray:
     """Two-qubit block of a two-qutrit state on span{gg, ge, eg, ee}.
 

@@ -52,13 +52,6 @@ class DriveEnvelope:
         return float(np.trapezoid(self.g_mag**2, self.t))
 
 
-def default_grid(dt=0.1, span=300.0):
-    """Symmetric time grid; +-300 ns keeps sech tails below 1e-4 of peak
-    amplitude (1e-8 in power) for ~10 MHz bandwidths."""
-    n = int(round(span / dt))
-    return np.arange(-n, n + 1) * dt
-
-
 def emission_drive(t_grid, kappa_eff, kappa_T) -> DriveEnvelope:
     """Drive g(t) that emits the sech photon through a resonator of width kappa_T.
 

@@ -21,11 +21,6 @@ def mhz(f):
     return TWO_PI_MHZ * np.asarray(f, dtype=float)
 
 
-def to_mhz(omega):
-    """Convert an angular rate in rad/ns back to a linear frequency in MHz."""
-    return np.asarray(omega, dtype=float) / TWO_PI_MHZ
-
-
 def ket(dim: int, level: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[level] = 1.0
@@ -117,17 +112,3 @@ def realign(rho: np.ndarray, dims) -> np.ndarray:
         raise ValueError(f"state shape {rho.shape} inconsistent with dims {dims}")
     return rho.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
-
-def check_density_matrix(rho):
-    """Check that ``rho`` is Hermitian (to 1e-10), has unit trace (to 1e-8)
-    and no eigenvalue below -1e-7; raises ValueError on a violation."""
-    rho = np.asarray(rho, dtype=complex)
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > 1e-10:
-        raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
-    drift = abs(np.trace(rho) - 1.0)
-    if drift > 1e-8:
-        raise ValueError(f"trace off target by {drift:.3e}")
-    lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if lo < -1e-7:
-        raise ValueError(f"negative eigenvalue {lo:.3e}")

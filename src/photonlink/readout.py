@@ -42,22 +42,6 @@ TABLE_R_B = np.array(
     ]
 )
 
-# measured two-qutrit assignment probabilities (percent, prepared as columns,
-# basis order gg, ge, gf, eg, ee, ef, fg, fe, ff)
-TABLE_R_TWO_NODE_PERCENT = np.array(
-    [
-        [96.8, 3.9, 1.1, 4.9, 0.2, 0.1, 1.2, 0.0, 0.0],
-        [0.9, 91.9, 6.0, 0.0, 4.7, 0.3, 0.0, 1.2, 0.1],
-        [0.6, 2.5, 91.1, 0.0, 0.1, 4.6, 0.0, 0.0, 1.2],
-        [1.0, 0.0, 0.0, 91.9, 3.7, 1.1, 4.7, 0.2, 0.1],
-        [0.0, 0.9, 0.1, 0.8, 87.3, 5.7, 0.0, 4.5, 0.3],
-        [0.0, 0.0, 0.9, 0.6, 2.4, 86.5, 0.0, 0.1, 4.4],
-        [0.8, 0.0, 0.0, 1.6, 0.1, 0.0, 92.5, 3.7, 1.1],
-        [0.0, 0.7, 0.0, 0.0, 1.6, 0.1, 0.8, 87.9, 5.8],
-        [0.0, 0.0, 0.7, 0.0, 0.0, 1.6, 0.6, 2.4, 87.1],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class MixtureModel:
@@ -130,8 +114,11 @@ def assignment_probabilities(model: MixtureModel) -> np.ndarray:
     return r
 
 
-# 201-node Gauss-Legendre rule on [-1, 1] for the orthant integrals
-_LEGGAUSS = np.polynomial.legendre.leggauss(201)
+@functools.cache
+def _leggauss():
+    """The 201-node Gauss-Legendre rule on [-1, 1] for the orthant
+    integrals, built by the first one: a run with exact readout builds none."""
+    return np.polynomial.legendre.leggauss(201)
 
 
 def _orthant_probability(mean, cov):
@@ -141,7 +128,7 @@ def _orthant_probability(mean, cov):
     lo = max(-mean[0] / s1, -9.0)
     if lo > 9.0:
         return 0.0
-    z, w = _LEGGAUSS
+    z, w = _leggauss()
     z = 0.5 * (z + 1.0) * (9.0 - lo) + lo
     w = 0.5 * (9.0 - lo) * w
     phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)

@@ -11,7 +11,8 @@ from photonlink import device, dynamics, metrics, protocols, pulse, readout
 from photonlink import tomography as tomo
 from photonlink.protocols import ProtocolSpec
 from photonlink.qops import mhz
-from conftest import cut_short, random_density, random_pure
+from conftest import cut_short, default_grid, random_density, random_pure
+from oracles import TABLE_R_TWO_NODE_PERCENT, trace_norm_distance, two_level_oracle
 
 warnings.filterwarnings("ignore", message="MLE stopped")
 
@@ -27,27 +28,7 @@ def check_bool(label, ok, detail=""):
     assert ok, f"{label} {detail}"
 
 
-# --- shared heavy runs -------------------------------------------------------
-
-@pytest.fixture(scope="session")
-def emission_b():
-    return protocols.run_emissions(node="B", initials=("f",))[0]
-
-
-@pytest.fixture(scope="session")
-def transfer_study():
-    return protocols.run_transfer_efficiencies(ProtocolSpec())
-
-
-@pytest.fixture(scope="session")
-def qpt_run():
-    return protocols.run_state_transfer_qpt(ProtocolSpec())
-
-
-@pytest.fixture(scope="session")
-def entangle_run():
-    return protocols.run_entanglement(ProtocolSpec())
-
+# --- shared heavy runs: the default runs come from conftest.py -------------
 
 @pytest.fixture(scope="session")
 def entangle_snapshots():
@@ -64,25 +45,15 @@ def entangle_snapshots():
     return snapshots
 
 
-@pytest.fixture(scope="session")
-def budget():
-    return protocols.error_budget(ProtocolSpec())
-
-
-@pytest.fixture(scope="session")
-def upgrade_run():
-    return protocols.run_upgrade_scenario(ProtocolSpec())
-
-
 # --- criterion 1: photon shaping oracle -------------------------------------
 
 @pytest.mark.parametrize("ratio", [0.5, 0.77, 1.0])
 def test_criterion_1_photon_shaping_oracle(ratio):
     kappa_eff = mhz(10.4)
     kappa_t = kappa_eff / ratio
-    half = pulse.default_grid(dt=0.025)
+    half = default_grid(dt=0.025)
     env = pulse.emission_drive(half, kappa_eff, kappa_t)
-    res = dynamics.two_level_oracle(env, kappa_t)
+    res = two_level_oracle(env, kappa_t)
     ideal = 0.25 * kappa_eff / np.cosh(0.5 * kappa_eff * res.t) ** 2
     err = np.linalg.norm(res.flux - ideal) / np.linalg.norm(ideal)
     check_bool(
@@ -245,7 +216,7 @@ def test_criterion_9_mitigation_round_trip():
 
 def test_criterion_9_two_node_table():
     product = 100 * readout.kron(readout.TABLE_R_A, readout.TABLE_R_B)
-    dev = np.abs(product - readout.TABLE_R_TWO_NODE_PERCENT).max()
+    dev = np.abs(product - TABLE_R_TWO_NODE_PERCENT).max()
     check_bool(
         "criterion 9 (two-node matrix matches published table)",
         dev <= 0.1 + 1e-9,
@@ -268,7 +239,7 @@ def test_criterion_10_mle_round_trip():
     for _ in range(5):
         rho = random_density(3, rng)
         rec = tomo.qst_mle(tomo.born_probabilities(rho)[None])[0]
-        worst = max(worst, metrics.trace_norm_distance(rec, rho))
+        worst = max(worst, trace_norm_distance(rec, rho))
     check_bool("criterion 10 (MLE round trip)", worst < 1e-3, f"worst {worst:.2e}")
 
 
@@ -340,7 +311,7 @@ def test_criterion_10_single_photon_sector():
     number = np.diag(n_exc.astype(float))
     shift = n_exc[:, None] - n_exc[None, :]  # N(i) - N(j) for an entry op[i, j]
 
-    t = pulse.default_grid(dt=0.5, span=150)
+    t = default_grid(dt=0.5, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad))
     h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)

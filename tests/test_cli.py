@@ -1,4 +1,6 @@
+import functools
 import json
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +16,22 @@ def run_cli(tmp_path, *argv):
     out = tmp_path / "out"
     code = cli.run(["--out", str(out), *argv])
     return code, out
+
+
+@pytest.fixture(scope="session")
+def default_run(tmp_path_factory):
+    """``default_run(SCENARIO)`` is the run directory of ``--scenario
+    SCENARIO`` with every other flag at its default (``--dt 0.5``, ``--fock
+    2``, no ``--shots``), run once per session; the tests that take it only
+    read it."""
+    out = tmp_path_factory.mktemp("default-runs")
+
+    @functools.cache
+    def run_dir(scenario):
+        assert cli.run(["--scenario", scenario, "--out", str(out)]) == 0
+        return out / scenario
+
+    return run_dir
 
 
 def test_unknown_scenario_exits_2_without_files(tmp_path):
@@ -195,14 +213,13 @@ def test_argparse_errors_return_2_without_files(tmp_path, capsys):
     assert "usage: photonlink" in capsys.readouterr().err
 
 
-def test_fock_flag_is_accepted_and_ignored(tmp_path):
+def test_fock_flag_is_accepted_and_ignored(tmp_path, default_run):
     """Resonators hold the one photon a protocol makes, so --fock changes no
-    artifact; it stays accepted for existing scripts."""
-    runs = {}
-    for fock in ("2", "3"):
-        code, out = run_cli(tmp_path / fock, "--scenario", "entangle", "--dt", "0.5", "--fock", fock)
-        assert code == 0
-        runs[fock] = out / "entangle"
+    artifact; it stays accepted for existing scripts.  The default run is
+    the one at --fock 2."""
+    code, out = run_cli(tmp_path, "--scenario", "entangle", "--fock", "3")
+    assert code == 0
+    runs = {"2": default_run("entangle"), "3": out / "entangle"}
     names = sorted(p.name for p in runs["2"].iterdir())
     assert names == sorted(p.name for p in runs["3"].iterdir())
     for name in names:
@@ -319,10 +336,8 @@ def test_rerun_is_byte_identical(tmp_path):
             assert path1.read_bytes() == path2.read_bytes(), path1.name
 
 
-def test_entangle_scenario_artifacts(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "entangle", "--dt", "0.5")
-    assert code == 0
-    run_dir = out / "entangle"
+def test_entangle_scenario_artifacts(default_run):
+    run_dir = default_run("entangle")
     summary = json.loads((run_dir / "summary.json").read_text())
     assert set(summary) >= {"state_fidelity", "concurrence", "ccnr", "residual_f_population"}
     rho = json.loads((run_dir / "rho_two_qutrit_direct.json").read_text())
@@ -337,12 +352,10 @@ def test_entangle_scenario_artifacts(tmp_path):
     _assert_lf_only(run_dir)
 
 
-def test_entangle_names_its_records_without_the_pair_rotations(tmp_path):
+def test_entangle_names_its_records_without_the_pair_rotations(default_run):
     """An exact entangle run names its 81 tomography records by
     ``pair_names()``, "a|b" over the single set; no pair rotation is built."""
-    code, out = run_cli(tmp_path, "--scenario", "entangle")
-    assert code == 0
-    records = json.loads((out / "entangle" / "tomography_records.json").read_text())
+    records = json.loads((default_run("entangle") / "tomography_records.json").read_text())
     assert set(records) == set(tomography.pair_names()) and len(records) == 81
 
 
@@ -386,33 +399,27 @@ def test_sweep_scenario(tmp_path):
     _assert_lf_only(out / "sweep")
 
 
-def test_transfer_scenario_artifacts(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "transfer", "--dt", "0.5")
-    assert code == 0
-    summary = json.loads((out / "transfer" / "summary.json").read_text())
+def test_transfer_scenario_artifacts(default_run):
+    run_dir = default_run("transfer")
+    summary = json.loads((run_dir / "summary.json").read_text())
     assert {"transfer_efficiency", "saturation_ns", "absorption_efficiency", "loss"} <= set(summary)
-    assert (out / "transfer" / "trajectory_absorption_off.csv").exists()
-    _assert_lf_only(out / "transfer")
+    assert (run_dir / "trajectory_absorption_off.csv").exists()
+    _assert_lf_only(run_dir)
 
 
-def test_qpt_scenario_artifacts(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "qpt", "--dt", "0.5")
-    assert code == 0
-    summary = json.loads((out / "qpt" / "summary.json").read_text())
+def test_qpt_scenario_artifacts(default_run):
+    run_dir = default_run("qpt")
+    summary = json.loads((run_dir / "summary.json").read_text())
     assert 0.5 < summary["process_fidelity"] <= 1.0
-    chi = json.loads((out / "qpt" / "chi.json").read_text())
+    chi = json.loads((run_dir / "chi.json").read_text())
     assert np.asarray(chi["re"]).shape == (4, 4)
-    _assert_lf_only(out / "qpt")
+    _assert_lf_only(run_dir)
 
 
-def test_budget_and_upgrade_scenarios(tmp_path):
-    code, out = run_cli(tmp_path, "--scenario", "budget", "--dt", "0.5")
-    assert code == 0
-    budget = json.loads((out / "budget" / "budget.json").read_text())
+def test_budget_and_upgrade_scenarios(default_run):
+    budget = json.loads((default_run("budget") / "budget.json").read_text())
     assert budget["fidelities"]["both_off"] > budget["fidelities"]["baseline"]
-    code, out = run_cli(tmp_path, "--scenario", "upgrade", "--dt", "0.5")
-    assert code == 0
-    summary = json.loads((out / "upgrade" / "summary.json").read_text())
+    summary = json.loads((default_run("upgrade") / "summary.json").read_text())
     assert summary["state_fidelity"] > 0.85
 
 
@@ -447,10 +454,10 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert "numerical failure: reference emission flux vanishes" in log
 
 
-def test_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
-    code, out = run_cli(tmp_path, "--scenario", "entangle", "--dt", "0.5")
-    assert code == 0
-    assert (out / "entangle" / "tomography_records.json").exists()
+def test_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch, default_run):
+    # the earlier run is a copy of the session's default entangle run
+    shutil.copytree(default_run("entangle"), tmp_path / "out" / "entangle")
+    assert (tmp_path / "out" / "entangle" / "tomography_records.json").exists()
 
     def boom(*args, **kwargs):
         raise TraceDriftError("trace left its target", 0)

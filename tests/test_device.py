@@ -6,8 +6,8 @@ import pytest
 
 from photonlink import device, pulse, qops
 from photonlink.dynamics import integrate_me
-from photonlink.qops import ket, mhz, to_mhz
-from conftest import QUTRIT_LEVELS, populations
+from photonlink.qops import ket, mhz
+from conftest import QUTRIT_LEVELS, default_grid, populations, to_mhz
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def _basis_index(dims, qa, na, qb, nb):
 @pytest.fixture(scope="module")
 def hamiltonian(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.25, span=150)
+    t = default_grid(dt=0.25, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     return device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
@@ -158,7 +158,7 @@ def test_cascade_coupling_strength(hamiltonian, table):
 
 def test_drive_matrix_element_equals_g(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.25, span=150)
+    t = default_grid(dt=0.25, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
@@ -179,8 +179,8 @@ def test_drive_matrix_element_equals_g(table):
 
 def test_hamiltonian_rejects_mismatched_grids(table):
     node_a, node_b, link = table
-    env_a = pulse.emission_drive(pulse.default_grid(dt=0.5, span=150), mhz(10.4), node_a.kappa_T_rad)
-    env_b = pulse.emission_drive(pulse.default_grid(dt=0.25, span=150), mhz(10.6), node_b.kappa_T_rad)
+    env_a = pulse.emission_drive(default_grid(dt=0.5, span=150), mhz(10.4), node_a.kappa_T_rad)
+    env_b = pulse.emission_drive(default_grid(dt=0.25, span=150), mhz(10.6), node_b.kappa_T_rad)
     with pytest.raises(ValueError):
         device.build_hamiltonian(node_a, node_b, link, env_a, env_b)
 
@@ -188,7 +188,7 @@ def test_hamiltonian_rejects_mismatched_grids(table):
 def test_hamiltonian_is_built_in_the_lo_frame(table):
     # the qutrit diagonal diag(0, -alpha/2, 0) is dropped, so alpha never enters H
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=150)
+    t = default_grid(dt=0.5, span=150)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     ref = device.build_hamiltonian(node_a, node_b, link, env_a, None)
     shifted = device.build_hamiltonian(

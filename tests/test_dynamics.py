@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import expm
 
 from photonlink import device, dynamics, protocols, pulse
-from photonlink.qops import check_density_matrix, destroy, embed, ket, mhz, partial_trace
-from conftest import QUTRIT_LEVELS, cut_short, populations, random_density
+from photonlink.qops import destroy, embed, ket, mhz, partial_trace
+from conftest import QUTRIT_LEVELS, cut_short, default_grid, populations, random_density
+from oracles import check_density_matrix, two_level_oracle
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def test_integrator_rejects_bad_grids(rng):
 
 def test_integrator_rejects_wrong_shape_operators(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=100)
+    t = default_grid(dt=0.5, span=100)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
@@ -98,7 +99,7 @@ def test_integrator_rejects_drive_samples_off_the_half_step_grid(table):
     at every half step between them.  Samples on the grid points alone, or
     one sample too many, are refused."""
     node_a, node_b, link = table
-    env = pulse.emission_drive(pulse.default_grid(dt=0.5, span=100), mhz(10.6), node_b.kappa_T_rad)
+    env = pulse.emission_drive(default_grid(dt=0.5, span=100), mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
     rho0 = np.outer(psi, psi.conj())
@@ -113,7 +114,7 @@ def test_reachable_block_is_exact_by_linearity(table, rng):
     """The entanglement preparation integrates a 7-state block and a
     full-rank state the whole space; the map they define stays linear."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.25, span=100)
+    t = default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -170,7 +171,7 @@ def test_batch_matches_single_input_integrations(table, rng):
     entanglement block, a random density on that block) integrated as one
     batch on the union block reproduce their own single-input runs."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.25, span=100)
+    t = default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -219,7 +220,7 @@ def test_recorded_observables_match_snapshots(table, rng):
     integrated block; every 25th step they must equal what the full state
     gives, taken from the run cut short there."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.25, span=100)
+    t = default_grid(dt=0.25, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -315,7 +316,7 @@ def _link_batch(table):
     block, one drive term) and the entanglement preparation (7 states, two
     drive terms, two inputs), both recording the output field."""
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.5, span=100)
+    t = default_grid(dt=0.5, span=100)
     env_a = pulse.emission_drive(t, mhz(10.4), node_a.kappa_T_rad)
     env_b = pulse.shift(
         pulse.absorption_drive(pulse.emission_drive(t, mhz(10.4), node_b.kappa_T_rad)),
@@ -382,14 +383,14 @@ def test_batch_cut_short_records_the_first_rows_of_the_full_record(table):
 
 
 def test_two_level_oracle_zero_drive():
-    t = pulse.default_grid(dt=0.1)
+    t = default_grid(dt=0.1)
     env = pulse.DriveEnvelope(t, np.zeros_like(t))
-    res = dynamics.two_level_oracle(env, mhz(10))
+    res = two_level_oracle(env, mhz(10))
     assert np.all(res.flux == 0)
     assert np.abs(res.c_f - 1.0).max() < 1e-12
     # an even sample count cannot be a half-step grid
     with pytest.raises(ValueError, match="odd number"):
-        dynamics.two_level_oracle(pulse.DriveEnvelope(t[:-1], np.zeros(len(t) - 1)), mhz(10))
+        two_level_oracle(pulse.DriveEnvelope(t[:-1], np.zeros(len(t) - 1)), mhz(10))
 
 
 def test_two_level_oracle_constant_drive_matches_matrix_exponential():
@@ -399,7 +400,7 @@ def test_two_level_oracle_constant_drive_matches_matrix_exponential():
     g = mhz(20.0)
     half = np.arange(7999) * 0.025
     env = pulse.DriveEnvelope(half, np.full_like(half, g))
-    res = dynamics.two_level_oracle(env, kappa)
+    res = two_level_oracle(env, kappa)
     m = np.array([[0.0, -1j * g], [-1j * g, -kappa / 2]])
     for k in (500, 2000, 3999):
         exact = expm(m * res.t[k]) @ np.array([1.0, 0.0])
@@ -417,8 +418,8 @@ def test_two_level_oracle_is_fourth_order():
     run about 16-fold (midpoint averages of the samples give about 4)."""
 
     def run(dt):
-        env = pulse.emission_drive(pulse.default_grid(dt=dt / 2, span=150), mhz(10.4), mhz(13.5))
-        return dynamics.two_level_oracle(env, mhz(13.5))
+        env = pulse.emission_drive(default_grid(dt=dt / 2, span=150), mhz(10.4), mhz(13.5))
+        return two_level_oracle(env, mhz(13.5))
 
     ref = run(0.0125)
     errors = []
@@ -444,7 +445,7 @@ def test_oracle_equivalence_with_full_master_equation(table):
 
     clean_b = dataclasses.replace(clean_b, kappa_T=clean_a.kappa_T)
     link = device.LinkParams(eta_c=1.0)
-    t = pulse.default_grid(dt=0.05, span=150)
+    t = default_grid(dt=0.05, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
     h = device.build_hamiltonian(clean_a, clean_b, link, env, None)
     cops = device.build_collapse_ops(clean_a, clean_b, link)
@@ -452,7 +453,7 @@ def test_oracle_equivalence_with_full_master_equation(table):
     psi = np.kron(np.kron(ket(3, 2), ket(2, 0)), np.kron(ket(3, 0), ket(2, 0)))
     rho0 = np.outer(psi, psi.conj())
     [[(traj, _)]] = dynamics.integrate_me([(h, cops, [rho0], device.LEVEL_PROJECTORS)])
-    oracle = dynamics.two_level_oracle(env, clean_a.kappa_T_rad)
+    oracle = two_level_oracle(env, clean_a.kappa_T_rad)
     assert np.abs(populations(traj, "_A")[:, 2] - np.abs(oracle.c_f) ** 2).max() < 1e-3
     assert np.abs(populations(traj, "_A")[:, 0] - (1 - np.abs(oracle.c_f) ** 2)).max() < 1e-3
 
@@ -551,7 +552,7 @@ def test_excitation_bookkeeping(table):
     clean_a = device.without_decoherence(node_a)
     clean_b = device.without_decoherence(node_b)
     link = device.LinkParams(eta_c=0.77)
-    t = pulse.default_grid(dt=0.05, span=150)
+    t = default_grid(dt=0.05, span=150)
     env = pulse.emission_drive(t, mhz(10.4), clean_a.kappa_T_rad)
     h = device.build_hamiltonian(clean_a, clean_b, link, env, None)
     cops = device.build_collapse_ops(clean_a, clean_b, link)
@@ -618,7 +619,7 @@ def test_drive_off_photon_handoff(table):
 
 def test_trace_preservation_and_positivity(table):
     node_a, node_b, link = table
-    t = pulse.default_grid(dt=0.05, span=120)
+    t = default_grid(dt=0.05, span=120)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     cops = device.build_collapse_ops(node_a, node_b, link)
@@ -639,7 +640,7 @@ def test_step_halving_convergence(table):
     node_a, node_b, link = table
     finals = []
     for dt in (0.1, 0.05):
-        t = pulse.default_grid(dt=dt / 2, span=120)
+        t = default_grid(dt=dt / 2, span=120)
         env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
         h = device.build_hamiltonian(node_a, node_b, link, None, env)
         cops = device.build_collapse_ops(node_a, node_b, link)

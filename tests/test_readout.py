@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from photonlink import readout
+from oracles import TABLE_R_TWO_NODE_PERCENT
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,7 @@ def test_two_node_matches_published_table_within_rounding(cal_a, cal_b):
     ``protocols._measure`` mitigates with (largest difference 9.0e-4).
     Swapped (B, A) or repeated (A, A) factors miss it by 1.5e-2 and
     1.3e-2, so the check fixes the order of the product."""
-    measured = readout.TABLE_R_TWO_NODE_PERCENT / 100
+    measured = TABLE_R_TWO_NODE_PERCENT / 100
     for r_a, r_b in (
         (readout.TABLE_R_A, readout.TABLE_R_B),
         (cal_a.analytic_assignment(), cal_b.analytic_assignment()),

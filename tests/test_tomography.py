@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from photonlink import tomography as tomo
-from photonlink.metrics import PAULI, PAULI_LABELS, trace_norm_distance
+from photonlink.metrics import PAULI, PAULI_LABELS
 from photonlink.protocols import ProtocolSpec, _measure
 from conftest import random_density, random_pure
+from oracles import trace_norm_distance
 
 REFERENCE = Path(__file__).parent / "link_reference.json"
 
