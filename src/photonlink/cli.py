@@ -14,7 +14,9 @@ One table, ``SCENARIOS``, sends each scenario to its runner and
 names the flags it reads; any other flag set on the command line exits 2,
 apart from --scenario, --out, --seed, --device and --fock, which every
 scenario accepts.  Exit codes: 0 success, 2 configuration error (a bad
-flag, spec or device, or a drive the run cannot build: nothing written), 3
+flag, spec or device, an output directory that cannot be made or written,
+refused before the scenario runs, or a drive the run cannot build: nothing
+written), 3
 numerical failure (trace drift or another ValueError raised during the run;
 only manifest.json and run.log are written, and run.log names the cause).
 """
@@ -388,17 +390,32 @@ SCENARIOS = {
 }
 
 
+def _check_out(outdir: Path):
+    """Raise ConfigError unless the nearest existing path at or above
+    ``outdir`` is a directory this process may write: the run could not
+    make or fill ``outdir`` otherwise.  Creates nothing."""
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+                raise ConfigError(
+                    f"cannot write output directory {outdir}: {path} is not a writable directory"
+                )
+            return
+
+
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error (2) or the help (0)
         return exc.code
+    outdir = Path(args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out") / args.scenario
     try:
         if args.device is not None and not Path(args.device).is_file():
             raise ConfigError(f"device file not found: {args.device}")
         nodes_link = dev.load_device(args.device)
         spec = _spec_from_args(args, nodes_link)
+        _check_out(outdir)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,7 +432,6 @@ def run(argv=None) -> int:
         # any other ValueError (numpy's LinAlgError is one) is a numerical
         # failure such as a vanishing reference flux
         failure = exc
-    outdir = Path(args.out or os.environ.get("PHOTONLINK_OUT") or "photonlink-out") / args.scenario
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         for path in _previous_run_files(outdir):

@@ -348,9 +348,11 @@ def _measure(rho, spec, rng):
     set of its dimension: a 3x3 state is node B's qutrit, a 9x9 one the
     A-major pair.  Exact readout gives the Born probabilities.  With
     ``spec.shots``, each setting's A-major label counts come from
-    ``readout.joint_counts`` (the draws of ``readout.joint_shots``, labelled
-    without building the shots) and are mitigated with the Kronecker product
-    of the nodes' assignment matrices.
+    ``readout.joint_counts`` (the draws of ``readout.joint_shots``: an
+    inverse-CDF cluster draw on ``Generator.random``, then each node's
+    normal draws, labelled without building the shots through label tables
+    built once per calibration) and are mitigated with the Kronecker
+    product of the nodes' assignment matrices.
     """
     pops = tomography.born_probabilities(rho)
     if spec.shots is None:

@@ -95,7 +95,7 @@ def test_every_scenario_accepts_the_flags_it_reads():
             assert isinstance(spec, protocols.ProtocolSpec), (scenario, flag)
 
 
-def test_conflicting_flags_exit_2(tmp_path):
+def test_conflicting_flags_exit_2(tmp_path, monkeypatch):
     not_a_dir = tmp_path / "not-a-dir"
     not_a_dir.write_bytes(b"keep me\n")
     nan_t1 = _device_file(tmp_path / "nan.json", "node_a", T1ge=float("nan"))
@@ -197,6 +197,15 @@ def test_conflicting_flags_exit_2(tmp_path):
         code, out = run_cli(tmp_path, "--scenario", "entangle", *argv)
         assert code == 2, argv
         assert not out.exists(), argv
+    assert not_a_dir.read_bytes() == b"keep me\n"
+    # an --out that cannot be used is refused before the scenario runs
+    calls = []
+    runner, reads = cli.SCENARIOS["entangle"]
+    monkeypatch.setitem(
+        cli.SCENARIOS, "entangle", (lambda *a: calls.append(a) or runner(*a), reads)
+    )
+    assert cli.run(["--scenario", "entangle", "--out", str(not_a_dir)]) == 2
+    assert calls == []
     assert not_a_dir.read_bytes() == b"keep me\n"
 
 

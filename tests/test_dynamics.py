@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from photonlink import device, dynamics, protocols, pulse
 from photonlink.qops import destroy, embed, ket, mhz, partial_trace
-from conftest import QUTRIT_LEVELS, cut_short, default_grid, populations, random_density
+from conftest import QUTRIT_LEVELS, cut_short, default_grid, populations, random_density, read_only
 from oracles import check_density_matrix, two_level_oracle
 
 
@@ -617,38 +617,48 @@ def test_drive_off_photon_handoff(table):
     assert traj.photon_integral == pytest.approx(1.0, abs=1e-4)
 
 
-def test_trace_preservation_and_positivity(table):
+def _f_emission(table, dt):
+    """Node B emitting its f state on RK4 step ``dt`` over +-120 ns: one
+    ``integrate_me`` group."""
     node_a, node_b, link = table
-    t = default_grid(dt=0.05, span=120)
+    t = default_grid(dt=dt / 2, span=120)
     env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
     h = device.build_hamiltonian(node_a, node_b, link, None, env)
     cops = device.build_collapse_ops(node_a, node_b, link)
     psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-    problem = (h, cops, [np.outer(psi, psi.conj())], None)
+    return h, cops, [np.outer(psi, psi.conj())], None
+
+
+@pytest.fixture(scope="module")
+def f_emission_run(table):
+    """(problem, final state) of ``_f_emission`` at dt 0.1, integrated once
+    for the tests that read it, read-only."""
+    problem = _f_emission(table, 0.1)
+    [[(_, final)]] = dynamics.integrate_me([problem])
+    return read_only((problem, final))
+
+
+def test_trace_preservation_and_positivity(f_emission_run):
+    problem, final = f_emission_run
+    h = problem[0]
     # the state every 400th step, from the run cut short there; the last
     # is the full run's final state
     ends = range(400, len(h.t), 400)
     assert ends[-1] == len(h.t) - 1
     for k in ends:
-        [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
+        if k == ends[-1]:
+            state = final
+        else:
+            [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
         assert abs(np.trace(state).real - 1.0) < 1e-8
         assert np.linalg.eigvalsh(state).min() > -1e-7
     check_density_matrix(state)
 
 
-def test_step_halving_convergence(table):
-    node_a, node_b, link = table
-    finals = []
-    for dt in (0.1, 0.05):
-        t = default_grid(dt=dt / 2, span=120)
-        env = pulse.emission_drive(t, mhz(10.6), node_b.kappa_T_rad)
-        h = device.build_hamiltonian(node_a, node_b, link, None, env)
-        cops = device.build_collapse_ops(node_a, node_b, link)
-        dims = device.DIMS
-        psi = np.kron(np.kron(ket(3, 0), ket(2, 0)), np.kron(ket(3, 2), ket(2, 0)))
-        rho0 = np.outer(psi, psi.conj())
-        [[(_, final)]] = dynamics.integrate_me([(h, cops, [rho0], None)])
-        finals.append(final)
+def test_step_halving_convergence(table, f_emission_run):
+    finals = [f_emission_run[1]]
+    [[(_, final)]] = dynamics.integrate_me([_f_emission(table, 0.05)])
+    finals.append(final)
     assert np.abs(finals[0] - finals[1]).max() < 1e-6
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from photonlink import cli, device, dynamics, metrics, protocols, tomography
 from photonlink.protocols import ProtocolSpec
-from conftest import cut_short, populations
+from conftest import cut_short, populations, read_only
 
 
 @pytest.fixture(autouse=True)
@@ -254,9 +254,17 @@ def test_error_budget_equals_its_single_runs(budget):
         _assert_same_entanglement(runs[name], protocols.run_entanglement(single))
 
 
-def test_runs_on_different_grids_integrate_as_separate_batches(monkeypatch):
+@pytest.fixture(scope="module")
+def entangle_dt1():
+    """The entanglement run at dt 1 ns, read-only."""
+    return read_only(protocols.run_entanglement(ProtocolSpec(dt=1.0)))
+
+
+def test_runs_on_different_grids_integrate_as_separate_batches(
+    monkeypatch, entangle_run, entangle_dt1
+):
     """A dt sweep splits into one batch per grid, and each run still equals
-    its run on its own."""
+    its run on its own: the default run at dt 0.5, ``entangle_dt1`` at 1."""
     calls = []
     integrate = protocols.integrate_me
 
@@ -269,8 +277,9 @@ def test_runs_on_different_grids_integrate_as_separate_batches(monkeypatch):
     batched = protocols.run_entanglements(specs)
     assert calls == [2, 1]
     monkeypatch.setattr(protocols, "integrate_me", integrate)
+    alone = {0.5: entangle_run, 1.0: entangle_dt1}
     for run, spec in zip(batched, specs):
-        _assert_same_entanglement(run, protocols.run_entanglement(spec))
+        _assert_same_entanglement(run, alone[spec.dt])
 
 
 def test_trace_drift_names_the_run_by_its_place_in_the_list():
@@ -576,12 +585,12 @@ def test_default_step_is_within_1e_8_of_the_fine_reference(fine_runs, entangle_r
     assert np.abs(rho9 - fine_runs["rho9_direct"]).max() <= 1e-8
 
 
-def test_drive_sampling_is_fourth_order(fine_runs, entangle_run):
+def test_drive_sampling_is_fourth_order(fine_runs, entangle_dt1, entangle_run):
     """Halving dt from 1 ns cuts the error of rho9_direct about 16-fold
     (measured order 4.2 and 4.1; midpoint averages of the drive samples,
     a second-order scheme, give 2).  The default run is the one at 0.5 ns."""
     runs = [
-        protocols.run_entanglement(ProtocolSpec(dt=1.0)),
+        entangle_dt1,
         entangle_run,
         protocols.run_entanglement(ProtocolSpec(dt=0.25)),
     ]

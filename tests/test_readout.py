@@ -85,6 +85,15 @@ def test_samplers_reject_non_finite_probabilities():
                 sampler([cal], bad, 10, seed=0)
 
 
+def test_samplers_reject_cluster_weights_without_mass():
+    """A calibration whose clusters carry none of ``p``'s population leaves
+    no distribution to draw from: both samplers raise ValueError."""
+    cal = readout.ReadoutCalibration(simple_model(), np.diag([1.0, 1.0, 0.0]))
+    for sampler in (readout.joint_shots, readout.joint_counts):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            sampler([cal], [0.0, 0.0, 1.0], 10, seed=0)
+
+
 def test_classify_at_means_and_tie_break():
     model = simple_model()
     assert readout.classify(model.means, model).tolist() == [0, 1, 2]
@@ -368,14 +377,21 @@ def test_joint_counts_follow_the_kronecker_model(cal_a, cal_b):
 
 
 class _Pinned(np.random.Generator):
-    """A Generator whose cluster draw and normal draws return fixed arrays."""
+    """A Generator whose uniform and normal draws return fixed arrays: the
+    uniforms are the midpoints of the CDF bins of the clusters ``joint``
+    under the cluster weights ``w``, so the inverse-CDF cluster draw gives
+    ``joint``."""
 
-    def __init__(self, joint, z):
+    def __init__(self, joint, z, w):
         super().__init__(np.random.PCG64(0))
-        self.joint, self.z = np.asarray(joint), np.asarray(z, dtype=float)
+        w = np.asarray(w, dtype=float)
+        assert np.all(w[joint] > 0), "a pinned cluster needs a CDF bin"
+        edges = np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+        self.u = 0.5 * (edges[joint] + edges[np.add(joint, 1)])
+        self.z = np.asarray(z, dtype=float)
 
-    def choice(self, a, size=None, replace=True, p=None, axis=0, shuffle=True):
-        return self.joint
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u
 
     def standard_normal(self, size=None, dtype=np.float64, out=None):
         return self.z
@@ -400,19 +416,48 @@ def test_joint_counts_equal_the_classified_joint_shots(cal_a, cal_b, k):
         assert shots_rng.bit_generator.state == counts_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [1, 20000])
+def test_cluster_draw_is_generator_choice(cal_a, cal_b, k, n):
+    """The inverse-CDF cluster draw gives the indices of
+    ``Generator.choice(3**k, size=n, p=w)`` on the normalized cluster weights
+    w, the draw every recorded run made, and leaves the Generator in the
+    same state: with a zero-weight cluster first, in the middle and last,
+    and with the default calibrations."""
+    cases = []
+    for zero in (0, 3**k // 2, 3**k - 1):
+        p = np.random.default_rng(zero).dirichlet(np.ones(3**k))
+        p[zero] = 0.0
+        cases.append(([bare(simple_model())] * k, p / p.sum()))
+    cases.append(([cal_a, cal_b][:k], np.random.default_rng(k).dirichlet(np.ones(3**k))))
+    for seed, (cals, p) in enumerate(cases):
+        w = readout.kron(*[cal.prep_weights for cal in cals]) @ p
+        w = np.clip(w / w.sum(), 0, None)
+        choice_rng = np.random.default_rng(seed)
+        expected = choice_rng.choice(3**k, size=n, p=w / w.sum())
+        joint, rng = readout._joint_clusters(cals, p, n, seed)
+        assert np.array_equal(joint, expected), seed
+        assert rng.bit_generator.state == choice_rng.bit_generator.state
+    if n > 1:
+        # the default calibrations' weights are all positive: every cluster,
+        # so every CDF edge, is drawn
+        assert set(joint.tolist()) == set(range(3**k))
+
+
 def test_joint_counts_break_an_exact_tie_toward_g():
     """A shot exactly on the g|e boundary of a symmetric model, drawn from
     either cluster, is labelled g by both paths."""
     model = simple_model(sep=4.0)
     cal = bare(model)
     joint, z = [0, 1], [[2.0, 0.0], [-2.0, 0.0]]  # both shots at (2, 0)
-    shots = readout.joint_shots([cal], [0.5, 0.5, 0.0], 2, _Pinned(joint, z))[0]
+    p = [0.5, 0.5, 0.0]  # the cluster weights too: ``cal`` is bare
+    shots = readout.joint_shots([cal], p, 2, _Pinned(joint, z, p))[0]
     assert np.array_equal(shots, [[2.0, 0.0], [2.0, 0.0]])
     w, h, logw = model.discriminant()
     scores = shots[0] @ w.T - h + logw
     assert scores[0] == scores[1] > scores[2]
     assert readout.classify(shots, model).tolist() == [0, 0]
-    counts = readout.joint_counts([cal], [0.5, 0.5, 0.0], 2, _Pinned(joint, z))
+    counts = readout.joint_counts([cal], p, 2, _Pinned(joint, z, p))
     assert counts.tolist() == [2, 0, 0]
 
 
@@ -435,7 +480,8 @@ def test_exact_ties_break_toward_g_then_e(point, tied, label):
     assert np.flatnonzero(scores == scores.max()).tolist() == tied
     assert readout.classify(point, model).tolist() == [label]
     z = np.asarray(point) - model.means  # one shot from each cluster, all at the point
-    counts = readout.joint_counts([bare(model)], np.full(3, 1 / 3), 3, _Pinned([0, 1, 2], z))
+    p = np.full(3, 1 / 3)
+    counts = readout.joint_counts([bare(model)], p, 3, _Pinned([0, 1, 2], z, p))
     assert counts.tolist() == np.bincount([label] * 3, minlength=3).tolist()
 
 

@@ -43,6 +43,7 @@ argvs=(
     "--scenario upgrade --shots 5000 --seed 3"
     "--scenario budget"
     "--scenario readout-sim --shots 2000"
+    "--scenario readout-sim --shots 25000 --seed 7919"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.72,0.77,0.90,1.0"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.89,0.98"
     "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.81,0.98"
