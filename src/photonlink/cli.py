@@ -342,7 +342,7 @@ def _run_readout_sim(args, spec, nodes_link):
         artifacts[f"shots_{node}.csv"] = (("u", "v", "prepared", "assigned"), rows)
         target = readout.table_assignment_matrix(node)
         truth = np.array([0.5, 0.3, 0.2])
-        measured = readout.joint_counts([cal], truth, shots, rng) / shots
+        measured = readout.count_table([cal], truth[None], shots, rng)[0] / shots
         mit = readout.mitigate(measured, r_hat)
         summary[node] = {
             "max_table_deviation": float(np.abs(r_hat - target).max()),

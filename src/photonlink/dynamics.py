@@ -44,6 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 
 # largest trace drift an integration may accumulate before it is aborted
@@ -208,6 +209,24 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     )
 
 
+def _product(generator, x, out):
+    """``generator @ x`` for a CSR ``generator`` and a C-contiguous (n, m)
+    ``x``, written into the C-contiguous ``out`` and returned.
+
+    It calls the kernel that ``generator @ x`` runs, scipy's csr_matvecs,
+    directly, skipping the operator's dispatch and its freshly allocated
+    result; for m = 1 that operator runs csr_matvec instead, which forms
+    the same sums in the same order.
+    """
+    rows, cols = generator.shape
+    out.fill(0)  # the kernel adds to its output
+    csr_matvecs(
+        rows, cols, x.shape[1], generator.indptr, generator.indices, generator.data,
+        x.reshape(-1), out.reshape(-1),
+    )
+    return out
+
+
 def integrate_me(problems):
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
     a batch of problems that share the grid.
@@ -311,12 +330,14 @@ def integrate_me(problems):
     stacked = np.empty((n_terms + 1, n_groups, size, m), dtype=complex)
     head, copies, flat = stacked[0], stacked[1:], stacked.reshape(-1, m)
     head_flat = head.reshape(-1, m)
+    # one buffer per RK4 stage, each stage's product written into its own
+    stages = np.empty((4, n_groups * size, m), dtype=complex)
 
-    def rhs(j):
+    def rhs(j, out):
         """The generator at half-step sample j applied to the stage input,
-        which the caller writes into ``head``."""
+        which the caller writes into ``head``, written into ``out``."""
         np.multiply(coef[j], head, out=copies)
-        return generator @ flat
+        return _product(generator, flat, out)
 
     # the state of the batch, written in place by every step; each group's
     # inputs are a block of it
@@ -334,14 +355,24 @@ def integrate_me(problems):
         rec[0] = inputs @ readout
     for k in range(nt - 1):
         head_flat[...] = v
-        k1 = rhs(2 * k)
-        np.add(v, (0.5 * dt) * k1, out=head_flat)
-        k2 = rhs(2 * k + 1)
-        np.add(v, (0.5 * dt) * k2, out=head_flat)
-        k3 = rhs(2 * k + 1)
-        np.add(v, dt * k3, out=head_flat)
-        k4 = rhs(2 * k + 2)
-        v += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(2 * k, stages[0])
+        np.multiply(k1, 0.5 * dt, out=head_flat)
+        head_flat += v
+        k2 = rhs(2 * k + 1, stages[1])
+        np.multiply(k2, 0.5 * dt, out=head_flat)
+        head_flat += v
+        k3 = rhs(2 * k + 1, stages[2])
+        np.multiply(k3, dt, out=head_flat)
+        head_flat += v
+        k4 = rhs(2 * k + 2, stages[3])
+        # v += (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in place
+        k2 *= 2.0
+        k3 *= 2.0
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        v += k1
         for n, inputs, readout, rec, traces, target in reads:
             np.matmul(inputs, readout, out=rec[k + 1])
             for i, (trace, want) in enumerate(zip(traces[k + 1].tolist(), target)):

@@ -347,21 +347,20 @@ def _measure(rho, spec, rng):
     """Tomography populations of ``rho``, one row per setting of the gate
     set of its dimension: a 3x3 state is node B's qutrit, a 9x9 one the
     A-major pair.  Exact readout gives the Born probabilities.  With
-    ``spec.shots``, each setting's A-major label counts come from
-    ``readout.joint_counts`` (the draws of ``readout.joint_shots``: an
-    inverse-CDF cluster draw on ``Generator.random``, then each node's
-    normal draws, labelled without building the shots through label tables
-    built once per calibration) and are mitigated with the Kronecker
-    product of the nodes' assignment matrices.
+    ``spec.shots``, the A-major label counts of every setting come from one
+    ``readout.count_table`` call (per setting in order, the draws of
+    ``readout.joint_shots``: an inverse-CDF cluster draw on
+    ``Generator.random``, then each node's normal draws, labelled without
+    building the shots through label tables built once per calibration)
+    and are mitigated with the Kronecker product of the nodes' assignment
+    matrices.
     """
     pops = tomography.born_probabilities(rho)
     if spec.shots is None:
         return pops
     nodes = ("B",) if len(rho) == 3 else ("A", "B")
     cals = [readout.default_calibration(node) for node in nodes]
-    freqs = np.empty_like(pops)
-    for k, p in enumerate(pops):
-        freqs[k] = readout.joint_counts(cals, np.clip(p, 0, None), spec.shots, rng) / spec.shots
+    freqs = readout.count_table(cals, np.clip(pops, 0, None), spec.shots, rng) / spec.shots
     r = readout.kron(*[cal.analytic_assignment() for cal in cals])
     return readout.mitigate(freqs.T, r).populations.T
 

@@ -78,16 +78,18 @@ def _differences(model: MixtureModel):
     x @ gain + bias.  log w is added last: folding it in earlier moves exact
     ties."""
     w, h, logw = model.discriminant()
-    return (w[1:] - w[0]).T, (h[0] - h[1:]) + (logw[1:] - logw[0])
+    # C order: x @ gain runs about 3x faster than on the transposed view
+    return (w[1:] - w[0]).T.copy(), (h[0] - h[1:]) + (logw[1:] - logw[0])
 
 
-def _decide(d) -> np.ndarray:
+def _decide(d, scratch=None) -> np.ndarray:
     """MAP labels (0=g, 1=e, 2=f, as uint8) from the (n, 2) score differences
     to g: the first maximum of (0, d_e, d_f), so ties break toward g<e<f.
     In bits, f = d_f > max(d_e, 0), e = d_e > 0 and the label is
-    2f | (e & ~f)."""
+    2f | (e & ~f).  ``scratch``, an (n,) float array or None, receives
+    max(d_e, 0)."""
     d_e, d_f = d.T
-    f = d_f > np.maximum(d_e, 0)
+    f = d_f > np.maximum(d_e, 0, out=scratch)
     e = d_e > 0
     return (f.view(np.uint8) << 1) | (e & ~f)
 
@@ -216,7 +218,7 @@ class ReadoutCalibration:
     assignment = overlap_matrix @ prep_weights, computed once, when the
     calibration is made, from ``overlap``, the model's
     ``assignment_probabilities`` (computed here when not given).  The label
-    tables of ``joint_counts`` are built then too: the (2, 2) gain of the
+    tables of ``count_table`` are built then too: the (2, 2) gain of the
     model's score differences to g and their (3, 2) value at each cluster
     mean, so a shot z away from the mean of cluster c scores
     z @ gain + offset[c].
@@ -232,9 +234,7 @@ class ReadoutCalibration:
         gain, bias = _differences(self.model)
         tables = {
             "_assignment": overlap @ self.prep_weights,
-            # C order: z @ gain runs about 3x faster than on the transposed
-            # view that _differences returns
-            "_label_gain": np.ascontiguousarray(gain),
+            "_label_gain": gain,
             "_label_offset": self.model.means @ gain + bias,
         }
         for name, table in tables.items():
@@ -262,39 +262,49 @@ class ReadoutCalibration:
         return self.model.draw(comp, rng)
 
 
-def _joint_clusters(cals, p, n: int, seed):
-    """The draw that ``joint_shots`` and ``joint_counts`` share: one joint
-    cluster index per shot from the normalized kron(prep_1, ..., prep_k) @ p,
-    and the Generator the nodes' Gaussian draws continue.
-
-    The draw is an inverse CDF on ``Generator.random(n)``: a shot's cluster
-    is the number of CDF edges at or below its uniform.  That is what
-    ``Generator.choice(3**k, size=n, p=w)`` computes (cumsum, divided by
-    its last entry, then ``searchsorted(side="right")``), so the indices
-    and the Generator's state after the draw are those of ``choice``; the
-    indices come as the smallest unsigned dtype that holds 3**k - 1.
-    """
-    k = len(cals)
+def _cluster_cdf(prep, p) -> np.ndarray:
+    """The CDF that ``joint_shots`` and ``count_table`` draw a joint cluster
+    from: the normalized cluster weights prep @ p, with ``prep`` the
+    kron(prep_1, ..., prep_k) of the nodes' preparation weights and ``p``
+    the populations of the 3**k joint levels.  Raises ValueError on a ``p``
+    that is not finite or not a probability vector, and on weights that are
+    not finite or sum to 0."""
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("p must be finite")
     # weights are normalized below: 1e-5 admits trace drift and clipped Born probabilities
-    if p.shape != (3**k,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-5:
-        raise ValueError(f"p must be a probability {3**k}-vector")
-    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
-    w = kron(*[cal.prep_weights for cal in cals]) @ p
+    if p.shape != (len(prep),) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-5:
+        raise ValueError(f"p must be a probability {len(prep)}-vector")
+    w = prep @ p
     w = np.clip(w / w.sum(), 0, None)
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
     # NaN where the weights are not finite or sum to 0
     if not np.isfinite(cdf[-1]):
         raise ValueError("cluster weights must be finite with a positive sum")
-    u = rng.random(n)
-    joint = np.zeros(u.shape, np.min_scalar_type(3**k - 1))
+    return cdf
+
+
+def _joint_clusters(cdf, u, out) -> np.ndarray:
+    """The joint cluster of each uniform in ``u``, written into ``out``: the
+    number of edges of ``cdf`` at or below it.
+
+    That is what ``Generator.choice(len(cdf), size=n, p=w)`` computes from
+    n uniforms (cumsum, divided by its last entry, then
+    ``searchsorted(side="right")``), so the indices, and the Generator's
+    state after ``Generator.random(n)``, are those of ``choice``.  ``out``'s
+    dtype, ``_cluster_dtype``, is unsigned and holds len(cdf) - 1.
+    """
+    out.fill(0)
     # the last edge, 1, lies above every uniform
     for edge in cdf[:-1]:
-        joint += u >= edge
-    return joint, rng
+        out += u >= edge
+    return out
+
+
+def _cluster_dtype(k: int):
+    """The smallest unsigned dtype that holds a joint cluster of k nodes."""
+    return np.min_scalar_type(3**k - 1)
 
 
 def _node_clusters(k: int, i: int) -> np.ndarray:
@@ -311,37 +321,57 @@ def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
     so the labels follow the Kronecker product of the nodes'
     ``analytic_assignment()``; each node then draws its Gaussian shots, in
     node order.  ``seed`` is a seed or a numpy Generator.  Where only the
-    label counts are needed, ``joint_counts`` gives them from the same draws
+    label counts are needed, ``count_table`` gives them from the same draws
     without building the shots.
     """
-    joint, rng = _joint_clusters(cals, p, n, seed)
     k = len(cals)
+    cdf = _cluster_cdf(kron(*[cal.prep_weights for cal in cals]), p)
+    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
+    joint = _joint_clusters(cdf, rng.random(n), np.empty(n, _cluster_dtype(k)))
     return [
         cal.model.draw(_node_clusters(k, i).take(joint), rng) for i, cal in enumerate(cals)
     ]
 
 
-def joint_counts(cals, p, n: int, seed) -> np.ndarray:
-    """Counts of the 3**k A-major labels of n joint shots of the nodes ``cals``.
+def count_table(cals, probabilities, shots: int, seed) -> np.ndarray:
+    """Counts of the 3**k A-major labels of ``shots`` joint shots of the
+    nodes ``cals`` for each row of ``probabilities``: an (R, 3**k) array for
+    R rows of joint level populations, a whole gate set at once.
 
-    Consumes exactly the draws of ``joint_shots(cals, p, n, seed)`` (the
-    inverse-CDF cluster draw on ``Generator.random``, then each node's
-    normal draw z, in node order) and gives the ``bincount`` of its
-    node-by-node ``classify`` labels, combined A-major, but labels the
-    shots without building them: ``classify`` scores
-    (means[c] + z) @ gain + bias, read here as z @ gain plus the offset
-    table row of cluster c.  Both tables are built once per calibration;
-    each node's offset rows are taken straight by the joint cluster.
+    The rows are drawn in order on one Generator (``seed`` is a seed or a
+    numpy Generator), each with exactly the draws of
+    ``joint_shots(cals, row, shots, rng)``: the inverse-CDF cluster draw on
+    ``Generator.random``, then each node's normal draw z, in node order.
+    A row's counts are the ``bincount`` of the node-by-node ``classify``
+    labels of those shots, combined A-major, but the shots are never built:
+    ``classify`` scores (means[c] + z) @ gain + bias, read here as
+    z @ gain plus the offset table row of cluster c, both tables built once
+    per calibration.  Every row is checked before the first draw.  The
+    draws go into buffers made once per table: the uniforms' buffer takes
+    max(d_e, 0) for ``_decide`` once the clusters are drawn, and the normal
+    draws' buffer the offsets once z @ gain is formed.
     """
-    joint, rng = _joint_clusters(cals, p, n, seed)
     k = len(cals)
-    labels = np.zeros_like(joint)
-    for i, cal in enumerate(cals):
-        offset = cal._label_offset[_node_clusters(k, i)]  # (3**k, 2)
-        d = rng.standard_normal((n, 2)) @ cal._label_gain
-        d += offset.take(joint, axis=0)
-        labels = 3 * labels + _decide(d)
-    return np.bincount(labels, minlength=3**k)
+    prep = kron(*[cal.prep_weights for cal in cals])
+    cdfs = [_cluster_cdf(prep, p) for p in np.asarray(probabilities, dtype=float)]
+    rng = np.random.default_rng(seed)
+    # each node's offset rows at the 3**k joint clusters
+    offsets = [cal._label_offset[_node_clusters(k, i)] for i, cal in enumerate(cals)]
+    u, z, d = np.empty(shots), np.empty((shots, 2)), np.empty((shots, 2))
+    joint = np.empty(shots, _cluster_dtype(k))
+    labels = np.empty_like(joint)
+    counts = np.empty((len(cdfs), 3**k), dtype=np.intp)
+    for row, cdf in zip(counts, cdfs):
+        _joint_clusters(cdf, rng.random(out=u), joint)
+        labels.fill(0)
+        for cal, offset in zip(cals, offsets):
+            np.matmul(rng.standard_normal(out=z), cal._label_gain, out=d)
+            # every index is a cluster: "clip" takes into z unbuffered
+            d += offset.take(joint, axis=0, out=z, mode="clip")
+            labels *= 3
+            labels += _decide(d, scratch=u)
+        row[:] = np.bincount(labels, minlength=3**k)
+    return counts
 
 
 def _table_model(theta) -> MixtureModel:

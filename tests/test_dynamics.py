@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from photonlink import device, dynamics, protocols, pulse
@@ -640,19 +641,45 @@ def f_emission_run(table):
 
 def test_trace_preservation_and_positivity(f_emission_run):
     problem, final = f_emission_run
-    h = problem[0]
-    # the state every 400th step, from the run cut short there; the last
-    # is the full run's final state
+    h, cops, [state], expect = problem
+    # the state every 400th step, from consecutive 400-step segments, each
+    # started from the state the one before it ended in
     ends = range(400, len(h.t), 400)
     assert ends[-1] == len(h.t) - 1
+    start = 0
     for k in ends:
-        if k == ends[-1]:
-            state = final
-        else:
-            [[(_, state)]] = dynamics.integrate_me([cut_short(problem, k)])
+        terms = tuple((op, samples[2 * start : 2 * k + 1]) for op, samples in h.terms)
+        segment = dataclasses.replace(h, t=h.t[start : k + 1], terms=terms)
+        [[(_, state)]] = dynamics.integrate_me([(segment, cops, [state], expect)])
+        start = k
         assert abs(np.trace(state).real - 1.0) < 1e-8
         assert np.linalg.eigvalsh(state).min() > -1e-7
+    # the segments take the full run's steps, to round-off in their grids
+    assert np.abs(state - final).max() < 1e-12
     check_density_matrix(state)
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_stage_product_is_the_sparse_product(table, m):
+    """The product every RK4 stage makes, a direct call of scipy's CSR
+    kernel, equals ``generator @ x`` bit for bit, for one input column and
+    for six: a scipy whose kernel changes fails here instead of moving
+    numbers.  The generators are that of a driven link run, [L_0 S_1], and
+    a random one with about 30 nonzeros per row."""
+    problem = _f_emission(table, 0.1)
+    group = dynamics._group(*problem, len(problem[0].t))
+    rng = np.random.default_rng(m)
+    generators = [
+        sp.hstack([sp.csr_matrix(op) for op in group.liouvillians], format="csr"),
+        sp.random(200, 600, density=0.05, rng=rng, format="csr")
+        + 1j * sp.random(200, 600, density=0.05, rng=rng, format="csr"),
+    ]
+    for generator in generators:
+        rows, cols = generator.shape
+        x = rng.standard_normal((cols, m)) + 1j * rng.standard_normal((cols, m))
+        out = np.full((rows, m), np.nan, dtype=complex)  # the product overwrites it
+        assert dynamics._product(generator, x, out) is out
+        assert np.array_equal(out, generator @ x)
 
 
 def test_step_halving_convergence(table, f_emission_run):

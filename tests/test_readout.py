@@ -77,10 +77,16 @@ def test_sample_shots_validates_probabilities():
         bare(simple_model()).simulate_shots([0.5, 0.2, 0.2], 10, seed=0)
 
 
+def _one_row(cals, p, n, seed):
+    """The counts of one joint level population vector ``p``: a one-row
+    ``count_table``."""
+    return readout.count_table(cals, [p], n, seed)[0]
+
+
 def test_samplers_reject_non_finite_probabilities():
     cal = bare(simple_model())
     for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
-        for sampler in (readout.joint_shots, readout.joint_counts):
+        for sampler in (readout.joint_shots, _one_row):
             with pytest.raises(ValueError, match="finite"):
                 sampler([cal], bad, 10, seed=0)
 
@@ -89,7 +95,7 @@ def test_samplers_reject_cluster_weights_without_mass():
     """A calibration whose clusters carry none of ``p``'s population leaves
     no distribution to draw from: both samplers raise ValueError."""
     cal = readout.ReadoutCalibration(simple_model(), np.diag([1.0, 1.0, 0.0]))
-    for sampler in (readout.joint_shots, readout.joint_counts):
+    for sampler in (readout.joint_shots, _one_row):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             sampler([cal], [0.0, 0.0, 1.0], 10, seed=0)
 
@@ -364,11 +370,11 @@ def test_joint_shots_follow_the_kronecker_model(cal_a, cal_b):
         readout.joint_shots([cal_a, cal_b], p9 * 1.01, 10, seed=0)
 
 
-def test_joint_counts_follow_the_kronecker_model(cal_a, cal_b):
-    """The counts ``joint_counts`` returns pass the Kronecker-model test and
-    fail it against the A/B-swapped expectation."""
+def test_count_table_follows_the_kronecker_model(cal_a, cal_b):
+    """The counts of a one-row ``count_table`` pass the Kronecker-model test
+    and fail it against the A/B-swapped expectation."""
     p9 = _asymmetric_p9()
-    counts = readout.joint_counts([cal_a, cal_b], p9, 200000, seed=2024)
+    counts = _one_row([cal_a, cal_b], p9, 200000, seed=2024)
     assert counts.shape == (9,) and counts.sum() == 200000
     chi2, zmax = _kronecker_fit(counts, cal_a, cal_b, p9)
     assert zmax < 5 and chi2 < 3
@@ -377,10 +383,10 @@ def test_joint_counts_follow_the_kronecker_model(cal_a, cal_b):
 
 
 class _Pinned(np.random.Generator):
-    """A Generator whose uniform and normal draws return fixed arrays: the
-    uniforms are the midpoints of the CDF bins of the clusters ``joint``
-    under the cluster weights ``w``, so the inverse-CDF cluster draw gives
-    ``joint``."""
+    """A Generator whose uniform and normal draws are fixed arrays, returned
+    or written into ``out``: the uniforms are the midpoints of the CDF bins
+    of the clusters ``joint`` under the cluster weights ``w``, so the
+    inverse-CDF cluster draw gives ``joint``."""
 
     def __init__(self, joint, z, w):
         super().__init__(np.random.PCG64(0))
@@ -390,18 +396,35 @@ class _Pinned(np.random.Generator):
         self.u = 0.5 * (edges[joint] + edges[np.add(joint, 1)])
         self.z = np.asarray(z, dtype=float)
 
+    @staticmethod
+    def _give(values, out):
+        if out is None:
+            return values
+        out[...] = values
+        return out
+
     def random(self, size=None, dtype=np.float64, out=None):
-        return self.u
+        return self._give(self.u, out)
 
     def standard_normal(self, size=None, dtype=np.float64, out=None):
-        return self.z
+        return self._give(self.z, out)
+
+
+def test_pinned_generator_writes_into_out():
+    """The pinned draws reach a buffered sampler as they reach one that
+    allocates its draws."""
+    z = [[1.0, 2.0], [3.0, 4.0]]
+    rng = _Pinned([0, 1], z, [0.5, 0.5, 0.0])
+    u, normal = np.empty(2), np.empty((2, 2))
+    assert rng.random(out=u) is u and np.array_equal(u, rng.random(2))
+    assert rng.standard_normal(out=normal) is normal and np.array_equal(normal, z)
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_joint_counts_equal_the_classified_joint_shots(cal_a, cal_b, k):
-    """``joint_counts`` gives the bincount of the A-major ``classify`` labels
-    of ``joint_shots`` on an identically seeded Generator, and leaves it in
-    the same state."""
+def test_count_table_equals_the_classified_joint_shots(cal_a, cal_b, k):
+    """A one-row ``count_table`` gives the bincount of the A-major
+    ``classify`` labels of ``joint_shots`` on an identically seeded
+    Generator, and leaves it in the same state."""
     skewed = bare(skewed_model())
     node_sets = {
         1: [(cal_a,), (cal_b,), (skewed,)],
@@ -411,9 +434,32 @@ def test_joint_counts_equal_the_classified_joint_shots(cal_a, cal_b, k):
     for cals in node_sets:
         shots_rng, counts_rng = np.random.default_rng(17), np.random.default_rng(17)
         labels = _joint_labels(cals, p, 20000, shots_rng)
-        counts = readout.joint_counts(cals, p, 20000, counts_rng)
+        counts = _one_row(cals, p, 20000, counts_rng)
         assert np.array_equal(counts, np.bincount(labels, minlength=3**k))
         assert shots_rng.bit_generator.state == counts_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_count_table_rows_are_one_row_tables_in_order(cal_a, cal_b, k):
+    """An R-row ``count_table`` equals R one-row tables drawn in order on one
+    Generator and leaves it in the same state; a bad row anywhere raises
+    before the first draw."""
+    cals = [cal_a, cal_b][:k]
+    rows = np.random.default_rng(k).dirichlet(np.ones(3**k), size=5)
+    rows[2, 0] = 0.0  # a level without population
+    rows[2] /= rows[2].sum()
+    table_rng, row_rng = np.random.default_rng(7919), np.random.default_rng(7919)
+    table = readout.count_table(cals, rows, 3000, table_rng)
+    assert table.shape == (5, 3**k)
+    for row, p in zip(table, rows):
+        assert np.array_equal(row, _one_row(cals, p, 3000, row_rng))
+    assert table_rng.bit_generator.state == row_rng.bit_generator.state
+    state = table_rng.bit_generator.state
+    bad = rows.copy()
+    bad[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        readout.count_table(cals, bad, 3000, table_rng)
+    assert table_rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -435,7 +481,9 @@ def test_cluster_draw_is_generator_choice(cal_a, cal_b, k, n):
         w = np.clip(w / w.sum(), 0, None)
         choice_rng = np.random.default_rng(seed)
         expected = choice_rng.choice(3**k, size=n, p=w / w.sum())
-        joint, rng = readout._joint_clusters(cals, p, n, seed)
+        rng = np.random.default_rng(seed)
+        cdf = readout._cluster_cdf(readout.kron(*[cal.prep_weights for cal in cals]), p)
+        joint = readout._joint_clusters(cdf, rng.random(n), np.empty(n, np.uint8))
         assert np.array_equal(joint, expected), seed
         assert rng.bit_generator.state == choice_rng.bit_generator.state
     if n > 1:
@@ -444,7 +492,7 @@ def test_cluster_draw_is_generator_choice(cal_a, cal_b, k, n):
         assert set(joint.tolist()) == set(range(3**k))
 
 
-def test_joint_counts_break_an_exact_tie_toward_g():
+def test_count_table_breaks_an_exact_tie_toward_g():
     """A shot exactly on the g|e boundary of a symmetric model, drawn from
     either cluster, is labelled g by both paths."""
     model = simple_model(sep=4.0)
@@ -457,7 +505,7 @@ def test_joint_counts_break_an_exact_tie_toward_g():
     scores = shots[0] @ w.T - h + logw
     assert scores[0] == scores[1] > scores[2]
     assert readout.classify(shots, model).tolist() == [0, 0]
-    counts = readout.joint_counts([cal], p, 2, _Pinned(joint, z, p))
+    counts = _one_row([cal], p, 2, _Pinned(joint, z, p))
     assert counts.tolist() == [2, 0, 0]
 
 
@@ -472,7 +520,7 @@ def test_joint_counts_break_an_exact_tie_toward_g():
 def test_exact_ties_break_toward_g_then_e(point, tied, label):
     """On the g|f and e|f boundaries and the triple point of g = (0, 0),
     e = (4, 0), f = (0, 4) with equal weights the scores tie exactly, and
-    ``classify`` and ``joint_counts`` both give the first tied label, from
+    ``classify`` and ``count_table`` both give the first tied label, from
     whichever cluster the shot was drawn."""
     model = readout.MixtureModel(np.full(3, 1 / 3), [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
     w, h, logw = model.discriminant()
@@ -481,7 +529,7 @@ def test_exact_ties_break_toward_g_then_e(point, tied, label):
     assert readout.classify(point, model).tolist() == [label]
     z = np.asarray(point) - model.means  # one shot from each cluster, all at the point
     p = np.full(3, 1 / 3)
-    counts = readout.joint_counts([bare(model)], p, 3, _Pinned([0, 1, 2], z, p))
+    counts = _one_row([bare(model)], p, 3, _Pinned([0, 1, 2], z, p))
     assert counts.tolist() == np.bincount([label] * 3, minlength=3).tolist()
 
 
