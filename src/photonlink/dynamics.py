@@ -1,40 +1,40 @@
 """Master-equation integration and field observables for the cascaded link.
 
-The integrator has one call form: a batch, a list of (H, jumps, inputs,
-expect) groups on one time grid.  Each group holds the Hamiltonian as a
-TimeDependentOperator, whose grid is that of the integration and whose
-(d, d) static part sets the dimension, and a stack of initial (d, d)
-density matrices that share it and the jump operators; one problem is a
-batch of one group.  The master equation is linear, so one RK4 loop carries
-every input of every group: the states are the columns of one (G R^2, m)
-array.  Only the block of basis states a group's inputs can reach is
-integrated: the union of their supports closed under the nonzero patterns
-of H, the drive terms, the jump operators L_k and L_k+L_k.  The master
-equation maps that block into itself whatever the operators are, and a
-union of invariant blocks is invariant, so the restriction is exact; a
-single excitation on the link reaches at most 7 of the 36 states of the
-two-node model.  The static part of H and its drive terms, one per driven
-node, must be Hermitian and the drive samples real; the integrator checks
-both before it builds the generator.  On the block each Liouvillian is
-built densely with numpy (``np.kron``, about R^4 entries for an R-state
-block while it is built) and converted to CSR at once; they
-are stacked as [L_0 S_1 ... S_n], each block-diagonal over the groups, which
-acts on the row-major vectorized density matrices and their copies weighted
-by each group's real drive coefficients as one sparse product per stage.
-Every row keeps its nonzeros in the order of its group alone, so a batch is
-bit-identical to its groups integrated one by one.  Propagation is
-fixed-step Runge-Kutta (deterministic, which keeps golden tests exact), and
-the drives are sampled at the grid points and at the half steps between
-them, where the middle stages evaluate H, so the scheme is fourth order.
-The static part of H and its drive terms enter as their Hermitian parts, so
-the generator maps Hermitian states to Hermitian states and every step is the
-RK4 update alone; each input's trace is checked against its own initial
-trace.  Only the trace and the expectation values of the group's ``expect``
-operators (a level population is its projector's) are recorded; they are
-linear in the state, so every grid point records them for all inputs of a
-group by one product with its readout matrix.  Outputs are zero-padded back
-to the full dimensions.  Integrals over the recorded series use Simpson's
-rule, which matches the fourth order of the scheme.
+The integrator takes a scenario's (H, jumps, inputs, expect) groups at once.
+Each group holds the Hamiltonian as a TimeDependentOperator, whose grid is
+that of the integration and whose (d, d) static part sets the dimension, and
+a stack of initial (d, d) density matrices that share it and the jump
+operators.  The groups on one grid form a batch.  The master equation is
+linear, so one RK4 loop carries every input of every group of a batch: the
+states are the columns of one (G R^2, m) array.  Only the block of basis
+states a group's inputs can reach is integrated: the union of their supports
+closed under the nonzero patterns of H, the drive terms, the jump operators
+L_k and L_k+L_k.  The master equation maps that block into itself whatever
+the operators are, and a union of invariant blocks is invariant, so the
+restriction is exact; a single excitation on the link reaches at most 7 of
+the 36 states of the two-node model.  The static part of H and its drive
+terms, one per driven node, must be Hermitian and the drive samples real;
+the integrator checks both before it builds the generator.  On the block
+each Liouvillian is built densely with numpy (``np.kron``, about R^4 entries
+for an R-state block while it is built); the CSR arrays of
+[L_0 S_1 ... S_n], each block-diagonal over the groups, are taken from their
+nonzeros, and act on the row-major vectorized density matrices and their
+copies weighted by each group's real drive coefficients as one sparse
+product per stage.  Every row keeps its nonzeros in ascending column order,
+the order of its group alone, so a batch is bit-identical to its groups
+integrated one by one.  Propagation is fixed-step Runge-Kutta
+(deterministic, which keeps golden tests exact), and the drives are sampled
+at the grid points and at the half steps between them, where the middle
+stages evaluate H, so the scheme is fourth order.  The static part of H and
+its drive terms enter as their Hermitian parts, so the generator maps
+Hermitian states to Hermitian states and every step is the RK4 update alone;
+each input's trace is checked against its own initial trace.  Only the trace
+and the expectation values of the group's ``expect`` operators (a level
+population is its projector's) are recorded; they are linear in the state,
+so every grid point records them for all inputs of a group by one product
+with its readout matrix.  Outputs are zero-padded back to the full
+dimensions.  Integrals over the recorded series use Simpson's rule, which
+matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
 
@@ -56,13 +55,13 @@ _HERMITIAN_TOL = 1e-12
 class TraceDriftError(RuntimeError):
     """Integration became unstable: the state trace left its target.
 
-    ``run`` is the index of the failing problem in its batch; the message
-    names it before ``detail``.
+    ``run`` is the index of the failing problem in the list passed to
+    :func:`integrate_me`; the message names it before ``detail``.
     """
 
     def __init__(self, detail, run):
         super().__init__(f"run {run}: {detail}")
-        self.detail, self.run = detail, run
+        self.run = run
 
 
 @dataclass
@@ -209,19 +208,44 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     )
 
 
-def _product(generator, x, out):
-    """``generator @ x`` for a CSR ``generator`` and a C-contiguous (n, m)
-    ``x``, written into the C-contiguous ``out`` and returned.
-
-    It calls the kernel that ``generator @ x`` runs, scipy's csr_matvecs,
-    directly, skipping the operator's dispatch and its freshly allocated
-    result; for m = 1 that operator runs csr_matvec instead, which forms
-    the same sums in the same order.
+def _generator(liouvillians, size):
+    """CSR arrays (indptr, indices, data, n_cols) of [L_0 S_1 ... S_n], each
+    block-diagonal over the groups, from each group's dense Liouvillians
+    [L_0, S_1, ...] zero-padded to ``size`` rows and columns (a group with
+    fewer drive terms has empty blocks).  Each row's nonzeros are in
+    ascending column order, the order of its group's generator alone, and
+    the kernel sums a row in that order.
     """
-    rows, cols = generator.shape
+    n_groups = len(liouvillians)
+    n_rows = n_groups * size
+    rows, cols, data = [], [], []
+    for n, ops in enumerate(liouvillians):
+        for j, op in enumerate(ops):
+            r, c = np.nonzero(op)
+            rows.append(r + n * size)
+            cols.append(c + (j * n_groups + n) * size)
+            data.append(op[r, c])
+    rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    n_blocks = max(len(ops) for ops in liouvillians)   # 1 + drive terms
+    return indptr, cols[order], data[order], n_blocks * n_rows
+
+
+def _product(generator, x, out):
+    """``generator @ x`` for the CSR arrays (indptr, indices, data, n_cols)
+    of a ``generator`` and a C-contiguous (n_cols, m) ``x``, written into
+    the C-contiguous ``out`` and returned.
+
+    It calls scipy's csr_matvecs, the kernel that a scipy CSR matrix's
+    ``@`` runs on the same arrays; for m = 1 that operator runs csr_matvec
+    instead, which forms the same sums in the same order.
+    """
+    indptr, indices, data, n_cols = generator
     out.fill(0)  # the kernel adds to its output
     csr_matvecs(
-        rows, cols, x.shape[1], generator.indptr, generator.indices, generator.data,
+        len(indptr) - 1, n_cols, x.shape[1], indptr, indices, data,
         x.reshape(-1), out.reshape(-1),
     )
     return out
@@ -229,69 +253,63 @@ def _product(generator, x, out):
 
 def integrate_me(problems):
     """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho on a fixed grid for
-    a batch of problems that share the grid.
+    each of a scenario's problems, batched by grid.
 
     ``problems`` is a list of (hamiltonian, collapse_ops, rho0s, expect)
-    groups, one problem being a batch of one group.  The grid of each
-    ``hamiltonian`` is the integration grid, the same for every group (a
-    static H is a TimeDependentOperator with no terms), and each drive term
-    carries its 2 nt - 1 samples on the half-step grid t_0, t_0 + dt/2,
-    t_1, ...: the first and last RK4 stages of a step read the samples at
-    its ends and the two middle stages the sample at its midpoint, which
-    makes the scheme fourth order in dt.  ``collapse_ops`` holds (name,
-    operator) pairs and ``rho0s`` the group's initial (d, d) density
-    matrices, which share H and the jump operators; d is the dimension of
-    the static part of ``hamiltonian``.  ``expect`` (or None) maps
-    labels to operators whose expectation values Tr(O rho) are recorded at
-    every grid point, and nothing else: a level population is the expectation
-    value of its projector, such as those of ``device.LEVEL_PROJECTORS``.
+    groups.  The grid of each ``hamiltonian`` is its group's integration
+    grid (a static H is a TimeDependentOperator with no terms), and each
+    drive term carries its 2 nt - 1 samples on the half-step grid t_0,
+    t_0 + dt/2, t_1, ...: the first and last RK4 stages of a step read the
+    samples at its ends and the two middle stages the sample at its
+    midpoint, which makes the scheme fourth order in dt.  ``collapse_ops``
+    holds (name, operator) pairs and ``rho0s`` the group's initial (d, d)
+    density matrices, which share H and the jump operators; d is the
+    dimension of the static part of ``hamiltonian``.  ``expect`` (or None)
+    maps labels to operators whose expectation values Tr(O rho) are recorded
+    at every grid point, and nothing else: a level population is the
+    expectation value of its projector, such as those of
+    ``device.LEVEL_PROJECTORS``.
 
-    Only the reachable block of each group is integrated: the basis states
-    in the union of the supports of its initial states, closed under the
-    nonzero patterns of H, every drive term, every L_k and every L_k+L_k.
-    The generator keeps that block invariant, so the result equals the
-    full-space integration of each input; the final states are zero-padded
-    back to (d, d).  Each R^2 x R^2 Liouvillian of an R-state block
-    is built densely with numpy (about R^4 entries held while it is built)
-    and converted to CSR at once; on ``device.DIMS`` R is at most 36.  The
-    groups' blocks are zero-padded to the largest one and their inputs to
-    the largest input count, and the state of the batch is one (G R^2, m)
-    array: each RK4 stage applies
-    [blockdiag(L_0) blockdiag(S_1) ... blockdiag(S_n)] to it and to its
-    copies weighted by each group's drive coefficients (a group with fewer
-    drive terms has empty blocks) as one sparse product.  Every row keeps
-    its nonzeros in the order of a group integrated alone, so each group's
-    result is bit-identical to its own integration.  The static H and the
-    drive terms enter as their Hermitian parts and the drive samples are
-    real, so the generator keeps every state Hermitian; the recording (by
-    one product with the group's readout matrix) and the trace check stay
-    per group.
-
-    Returns, per group in order, one (Trajectory, final (d, d) complex
-    array) pair per input, in input order; every Trajectory's ``dim`` is its
-    group's integrated (union) block size and its ``trace_drift`` that
-    input's own.
-    No intermediate state is kept: the state after step k is, bit for bit,
+    The groups whose grids hold the same bytes are one batch, integrated
+    as the module docstring describes; the batches run in the order of
+    their first group.  Each group's result is bit-identical to its own
+    integration: per group in input order, one (Trajectory, final (d, d)
+    complex array) pair per input, in input order.  Every Trajectory's
+    ``dim`` is its group's integrated (union) block size, at most 36 on
+    ``device.DIMS``, and its ``trace_drift`` that input's own.  No
+    intermediate state is kept: the state after step k is, bit for bit,
     the final state of the group cut to ``t[:k+1]`` and each drive term's
     first 2k + 1 samples, whose record is the full record's first k + 1 rows.
-    Raises ValueError if there is no problem or no input, if the groups are
-    not on one grid, if the static H is not square, if an operator or an
-    initial state is not (d, d), if the static H or a drive term is not
-    Hermitian (to 1e-12), if drive samples are not real or not 2 nt - 1 of
-    them, and TraceDriftError, naming the run (the index of its group) and
-    the input, if the trace of any input wanders further than 1e-6 from its
-    own initial value.
+    Raises ValueError if there is no problem or no input, if a grid is not
+    uniform and strictly increasing, if the static H is not square, if an
+    operator or an initial state is not (d, d), if the static H or a drive
+    term is not Hermitian (to 1e-12), if drive samples are not real or not
+    2 nt - 1 of them, and TraceDriftError, naming the run (the index of its
+    group in ``problems``) and the input, if the trace of any input wanders
+    further than 1e-6 from its own initial value.
     """
     if not problems:
         raise ValueError("no problem to integrate")
+    grids = {}
+    for i, (h, *_) in enumerate(problems):
+        grids.setdefault(h.t.tobytes(), []).append(i)
+    results = [None] * len(problems)
+    for runs in grids.values():
+        for i, pairs in zip(runs, _integrate_batch([problems[i] for i in runs], runs)):
+            results[i] = pairs
+    return results
+
+
+def _integrate_batch(problems, runs):
+    """Integrate the groups ``problems``, which share one grid, as one
+    batch (:func:`integrate_me`); ``runs`` holds each group's index in the
+    caller's list, which a TraceDriftError names."""
     t = problems[0][0].t
     if len(t) < 2 or np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be strictly increasing")
     steps = np.diff(t)
     if np.abs(steps - steps[0]).max() > 1e-9:
         raise ValueError("time grid must be uniform")
-    if any(not np.array_equal(h.t, t) for h, *_ in problems):
-        raise ValueError("the problems of a batch must share one time grid")
     dt = float(steps[0])
     nt = len(t)
     groups = [_group(*problem, nt) for problem in problems]
@@ -300,25 +318,9 @@ def integrate_me(problems):
     size = max(g.r * g.r for g in groups)    # every block padded to this
     m = max(len(g.rhos) for g in groups)     # every group's inputs padded to this
     n_terms = max(len(g.samples) for g in groups)
-
-    def padded_csr(mat):
-        out = sp.csr_matrix(mat, dtype=complex)
-        out.resize((size, size))
-        return out
-
-    empty = sp.csr_matrix((size, size), dtype=complex)
     # L(t) V = [L_0 S_1 ... S_n] @ [V; c_1(t) V; ...; c_n(t) V], each of
     # L_0, S_j block-diagonal over the groups
-    generator = sp.hstack(
-        [
-            sp.block_diag(
-                [padded_csr(g.liouvillians[j]) if j < len(g.liouvillians) else empty for g in groups],
-                format="csr",
-            )
-            for j in range(n_terms + 1)
-        ],
-        format="csr",
-    )
+    generator = _generator([g.liouvillians for g in groups], size)
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
     # row j has shape (n_terms, n_groups, 1, 1) to scale the drive copies of
     # every group's inputs, and is stored complex (zero imaginary part) so
@@ -348,8 +350,8 @@ def integrate_me(problems):
     recs = [np.empty((nt, len(g.rhos), g.readout.shape[1]), dtype=complex) for g in groups]
     targets = [[np.trace(rho).real for rho in g.rhos] for g in groups]
     reads = [
-        (n, block.T, g.readout, rec, rec[:, :, 0].real, target)
-        for n, (g, block, rec, target) in enumerate(zip(groups, blocks, recs, targets))
+        (run, block.T, g.readout, rec, rec[:, :, 0].real, target)
+        for run, g, block, rec, target in zip(runs, groups, blocks, recs, targets)
     ]
     for _, inputs, readout, rec, _, _ in reads:
         rec[0] = inputs @ readout
@@ -373,14 +375,14 @@ def integrate_me(problems):
         k1 += k4
         k1 *= dt / 6.0
         v += k1
-        for n, inputs, readout, rec, traces, target in reads:
+        for run, inputs, readout, rec, traces, target in reads:
             np.matmul(inputs, readout, out=rec[k + 1])
             for i, (trace, want) in enumerate(zip(traces[k + 1].tolist(), target)):
                 if not abs(trace - want) <= _TRACE_TOL:
                     raise TraceDriftError(
                         f"trace of input {i} drifted to {trace:.9f} (target "
                         f"{want:.9f}) at t = {t[k + 1]:.2f} ns; reduce dt",
-                        n,
+                        run,
                     )
 
     results = []

@@ -10,9 +10,10 @@ a ProtocolSpec and seed.
 
 A scenario is a list of link runs: every run's drives are built first (a
 drive that cannot be built raises ConfigError before anything integrates),
-then the runs are integrated as one ``integrate_me`` batch per time grid,
-measured in order, and their tomography data reconstructed as one MLE
-stack.  Batching is exact: every result equals the run on its own.
+then the runs are integrated by one ``integrate_me`` call, which batches
+them by time grid, then measured in order, and their tomography data are
+reconstructed as one MLE stack.  Batching is exact: every result equals the
+run on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import device as dev
 from . import metrics, pulse, readout, tomography
 from .qops import embed, ket, mhz, partial_trace
-from .dynamics import TraceDriftError, Trajectory, efficiencies, integrate_me, output_observables
+from .dynamics import Trajectory, efficiencies, integrate_me, output_observables
 
 G, E, F = 0, 1, 2
 
@@ -225,23 +226,11 @@ def _link_problem(spec, nodes_link, emitter, preps, absorb=False):
 
 
 def _integrate_links(problems):
-    """Integrate link problems (:func:`_link_problem`) as one batch per time
-    grid: runs that differ in dt or in their window are separate batches.
-    Every trajectory gets its output field.  Returns, per problem in order,
-    one (Trajectory, final state) pair per preparation; a
-    TraceDriftError names the run by its index in ``problems``."""
-    grids = {}
-    for i, (h, *_) in enumerate(problems):
-        grids.setdefault(h.t.tobytes(), []).append(i)
-    runs = [None] * len(problems)
-    for members in grids.values():
-        try:
-            batch = integrate_me([problems[i] for i in members])
-        except TraceDriftError as exc:
-            # name the run by its place in the list, not in its grid's batch
-            raise TraceDriftError(exc.detail, members[exc.run]) from exc
-        for i, pairs in zip(members, batch):
-            runs[i] = pairs
+    """Integrate link problems (:func:`_link_problem`) in one
+    ``integrate_me`` call and give every trajectory its output field.
+    Returns, per problem in order, one (Trajectory, final state) pair per
+    preparation."""
+    runs = integrate_me(problems)
     for pairs in runs:
         for traj, _ in pairs:
             output_observables(traj)

@@ -347,9 +347,11 @@ def count_table(cals, probabilities, shots: int, seed) -> np.ndarray:
     ``classify`` scores (means[c] + z) @ gain + bias, read here as
     z @ gain plus the offset table row of cluster c, both tables built once
     per calibration.  Every row is checked before the first draw.  The
-    draws go into buffers made once per table: the uniforms' buffer takes
-    max(d_e, 0) for ``_decide`` once the clusters are drawn, and the normal
-    draws' buffer the offsets once z @ gain is formed.
+    draws go into two float buffers made once per table, the normal draws'
+    and the scores': the uniforms, and then max(d_e, 0) for ``_decide``,
+    take the first half of the normal draws' buffer, which holds nothing
+    live while they do, and the offsets take all of it once z @ gain is
+    formed.
     """
     k = len(cals)
     prep = kron(*[cal.prep_weights for cal in cals])
@@ -357,7 +359,8 @@ def count_table(cals, probabilities, shots: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     # each node's offset rows at the 3**k joint clusters
     offsets = [cal._label_offset[_node_clusters(k, i)] for i, cal in enumerate(cals)]
-    u, z, d = np.empty(shots), np.empty((shots, 2)), np.empty((shots, 2))
+    z, d = np.empty((shots, 2)), np.empty((shots, 2))
+    u = z.reshape(-1)[:shots]
     joint = np.empty(shots, _cluster_dtype(k))
     labels = np.empty_like(joint)
     counts = np.empty((len(cdfs), 3**k), dtype=np.intp)

@@ -292,7 +292,7 @@ def test_trace_drift_of_one_input_aborts_the_batch():
 
 def test_trace_drift_names_the_run_of_a_batch():
     """In a batch of problems the drift error names the run (the group) and
-    the input; a batch whose runs are not on one grid is refused."""
+    the input."""
     t = np.arange(0.0, 20.0, 1.0)
     op = 10.0 * destroy(2)
     steady = np.diag([1.0, 0]).astype(complex)
@@ -307,8 +307,6 @@ def test_trace_drift_names_the_run_of_a_batch():
     assert caught.value.run == 1
     [[(traj, _)]] = dynamics.integrate_me(batch[:1])
     assert traj.trace_drift < 1e-12
-    with pytest.raises(ValueError, match="one time grid"):
-        dynamics.integrate_me([batch[0], (_static(2, t[:-1]), calm, [steady], None)])
 
 
 def _link_batch(table):
@@ -357,6 +355,75 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
             for name, series in traj.expect.items():
                 assert np.array_equal(series, ref.expect[name]), name
     assert [runs[0][0].dim for runs in batch] == [5, 7, 3]
+
+
+@pytest.mark.parametrize("picks", [[0], [1], [0, 1], [1, 0]])
+def test_generator_arrays_are_scipys_block_stack(table, picks):
+    """The CSR arrays the integrator assembles from the groups' dense
+    Liouvillians equal, bit for bit, those scipy builds as
+    hstack([block_diag(L_0), block_diag(S_1), ...]) of the zero-padded
+    blocks, empty where a group has fewer drive terms: on the groups of
+    ``_link_batch`` (5 states, one drive term, one input; 7 states, two drive
+    terms, two inputs) alone and together, in both orders."""
+    problems = _link_batch(table)
+    nt = len(problems[0][0].t)
+    groups = [dynamics._group(*problems[i], nt) for i in picks]
+    size = max(g.r * g.r for g in groups)
+    n_blocks = max(len(g.liouvillians) for g in groups)
+
+    def padded(op):
+        out = sp.csr_matrix(op)
+        out.resize((size, size))
+        return out
+
+    empty = sp.csr_matrix((size, size), dtype=complex)
+    reference = sp.hstack(
+        [
+            sp.block_diag(
+                [padded(g.liouvillians[j]) if j < len(g.liouvillians) else empty for g in groups],
+                format="csr",
+            )
+            for j in range(n_blocks)
+        ],
+        format="csr",
+    )
+    indptr, indices, data, n_cols = dynamics._generator([g.liouvillians for g in groups], size)
+    assert (len(indptr) - 1, n_cols) == reference.shape
+    assert np.array_equal(indptr, reference.indptr)
+    assert np.array_equal(indices, reference.indices)
+    assert data.dtype == reference.data.dtype and np.array_equal(data, reference.data)
+
+
+def test_one_call_batches_problems_by_grid(table, monkeypatch):
+    """Problems on two grids, interleaved in one call, integrate as one
+    batch per grid in the order of its first problem, and come back in input
+    order, each bit-identical to its run alone: the two groups of
+    ``_link_batch`` on its grid and a qubit decay on a coarser one."""
+    links = _link_batch(table)
+    decay = (_static(2, np.arange(0.0, 20.0, 1.0)), [("decay", 0.1 * destroy(2))],
+             [np.diag([0, 1.0]).astype(complex)], None)
+    problems = [links[0], decay, links[1]]
+    alone = [dynamics.integrate_me([problem]) for problem in problems]
+    batches = []
+    integrate = dynamics._integrate_batch
+
+    def recording(batch, runs):
+        batches.append(list(runs))
+        return integrate(batch, runs)
+
+    monkeypatch.setattr(dynamics, "_integrate_batch", recording)
+    results = dynamics.integrate_me(problems)
+    assert batches == [[0, 2], [1]]
+    assert len(results) == len(problems)
+    for runs, [single] in zip(results, alone):
+        assert len(runs) == len(single)
+        for (traj, final), (ref, ref_final) in zip(runs, single):
+            assert np.array_equal(traj.t, ref.t)
+            assert traj.dim == ref.dim and traj.trace_drift == ref.trace_drift
+            assert np.array_equal(final, ref_final)
+            assert traj.expect.keys() == ref.expect.keys()
+            for name, series in traj.expect.items():
+                assert np.array_equal(series, ref.expect[name]), name
 
 
 def test_batch_cut_short_records_the_first_rows_of_the_full_record(table):
@@ -676,9 +743,10 @@ def test_stage_product_is_the_sparse_product(table, m):
     ]
     for generator in generators:
         rows, cols = generator.shape
+        arrays = (generator.indptr, generator.indices, generator.data, cols)
         x = rng.standard_normal((cols, m)) + 1j * rng.standard_normal((cols, m))
         out = np.full((rows, m), np.nan, dtype=complex)  # the product overwrites it
-        assert dynamics._product(generator, x, out) is out
+        assert dynamics._product(arrays, x, out) is out
         assert np.array_equal(out, generator @ x)
 
 

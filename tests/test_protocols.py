@@ -266,17 +266,16 @@ def test_runs_on_different_grids_integrate_as_separate_batches(
     """A dt sweep splits into one batch per grid, and each run still equals
     its run on its own: the default run at dt 0.5, ``entangle_dt1`` at 1."""
     calls = []
-    integrate = protocols.integrate_me
+    integrate = dynamics._integrate_batch
 
-    def counting(problems, **kwargs):
+    def counting(problems, runs):
         calls.append(len(problems))
-        return integrate(problems, **kwargs)
+        return integrate(problems, runs)
 
     specs = [ProtocolSpec(dt=dt) for dt in (0.5, 1.0, 0.5)]
-    monkeypatch.setattr(protocols, "integrate_me", counting)
+    monkeypatch.setattr(dynamics, "_integrate_batch", counting)
     batched = protocols.run_entanglements(specs)
     assert calls == [2, 1]
-    monkeypatch.setattr(protocols, "integrate_me", integrate)
     alone = {0.5: entangle_run, 1.0: entangle_dt1}
     for run, spec in zip(batched, specs):
         _assert_same_entanglement(run, alone[spec.dt])

@@ -462,6 +462,23 @@ def test_count_table_rows_are_one_row_tables_in_order(cal_a, cal_b, k):
     assert table_rng.bit_generator.state == state
 
 
+def test_count_table_holds_two_shot_buffers(cal_a):
+    """A one-node table of 20000 shots holds two (shots, 2) float buffers,
+    640 KB, at its peak: the uniforms and ``_decide``'s scratch share the
+    normal draws' buffer.  A third (shots,) buffer would add 160 KB."""
+    import tracemalloc
+
+    rows = np.full((3, 3), 1 / 3)
+    readout.count_table([cal_a], rows, 20000, 1)  # calibration tables built
+    tracemalloc.start()
+    try:
+        readout.count_table([cal_a], rows, 20000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 900_000
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n", [1, 20000])
 def test_cluster_draw_is_generator_choice(cal_a, cal_b, k, n):

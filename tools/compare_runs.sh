@@ -50,6 +50,7 @@ argvs=(
     "--scenario sweep --sweep-param eta_c --sweep-values 0.77,0.9 --shots 2000 --seed 5"
     "--scenario sweep --sweep-param dt --sweep-values 0.5,1,0.5"
     "--scenario sweep --sweep-param idle_ns --sweep-values 40,0 --t-scale 1e-4"
+    "--scenario sweep --sweep-param dt --sweep-values 0.5,1 --t-scale 3e-4"
 )
 
 for side in base this; do
