@@ -1,15 +1,16 @@
 """Command-line front end: run named scenarios and write their artifacts.
 
-Each scenario returns its summary and its artifacts as data, a map from
-file name to a JSON-able dict (``.json``) or a (header, rows) table
-(``.csv``); this module alone writes files, and only after the scenario has
-run to its end in memory.  Every run writes a manifest (resolved
-configuration and library versions) sufficient to reproduce it
-byte-for-byte, the summary and every artifact: JSON with sorted keys, CSV
-with LF line ends and numbers as %.9g.  run.log lists the files this run
-wrote; a run into a directory that holds an earlier run first deletes the
-files listed by the run.log already there (plain names of regular files in
-that directory, nothing else), so no file of the earlier run outlives it.
+Each scenario returns its summary and its artifacts as data, a map from file
+name to a JSON-able dict (``.json``) or a (header, rows) table (``.csv``);
+this module alone writes files, and only after the scenario has run to its
+end in memory.  Every run writes a manifest (resolved configuration and the
+versions of what the run uses: Python, numpy and photonlink) sufficient to
+reproduce it byte-for-byte, the summary and every artifact: JSON with sorted
+keys, CSV with LF line ends and numbers as %.9g.  run.log lists the files
+this run wrote; a run into a directory that holds an earlier run first
+deletes the files listed by the run.log already there (plain names of
+regular files in that directory, nothing else), so no file of the earlier
+run outlives it.
 One table, ``SCENARIOS``, sends each scenario to its runner and
 names the flags it reads; any other flag set on the command line exits 2,
 apart from --scenario, --out, --seed, --device and --fock, which every
@@ -33,7 +34,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import device as dev
@@ -200,7 +200,6 @@ def _manifest(args, spec, nodes_link):
         "versions": {
             "photonlink": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "sweep": {"param": args.sweep_param, "values": args.sweep_values},

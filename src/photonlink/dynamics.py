@@ -16,25 +16,27 @@ the 36 states of the two-node model.  The static part of H and its drive
 terms, one per driven node, must be Hermitian and the drive samples real;
 the integrator checks both before it builds the generator.  On the block
 each Liouvillian is built densely with numpy (``np.kron``, about R^4 entries
-for an R-state block while it is built); the CSR arrays of
-[L_0 S_1 ... S_n], each block-diagonal over the groups, are taken from their
-nonzeros, and act on the row-major vectorized density matrices and their
-copies weighted by each group's real drive coefficients as one sparse
-product per stage.  Every row keeps its nonzeros in ascending column order,
-the order of its group alone, so a batch is bit-identical to its groups
-integrated one by one.  Propagation is fixed-step Runge-Kutta
-(deterministic, which keeps golden tests exact), and the drives are sampled
-at the grid points and at the half steps between them, where the middle
-stages evaluate H, so the scheme is fourth order.  The static part of H and
-its drive terms enter as their Hermitian parts, so the generator maps
-Hermitian states to Hermitian states and every step is the RK4 update alone;
-each input's trace is checked against its own initial trace.  Only the trace
-and the expectation values of the group's ``expect`` operators (a level
-population is its projector's) are recorded; they are linear in the state,
-so every grid point records them for all inputs of a group by one product
-with its readout matrix.  Outputs are zero-padded back to the full
-dimensions.  Integrals over the recorded series use Simpson's rule, which
-matches the fourth order of the scheme.
+for an R-state block while it is built); the nonzeros of
+[L_0 S_1 ... S_n], each block-diagonal over the groups, are stored as padded
+rows, and act on the row-major vectorized density matrices and their copies
+weighted by each group's real drive coefficients as one numpy product per
+stage: gather, multiply, and a sum over each row's positions in order.
+Every row keeps its nonzeros in ascending column order, the order of its
+group alone, so a batch is bit-identical to its groups integrated one by
+one; on a link generator, whose every entry is real or imaginary, each row
+sum is bit for bit the one a compressed-sparse-row (CSR) kernel forms.
+Propagation is fixed-step Runge-Kutta (deterministic, which keeps golden
+tests exact), and the drives are sampled at the grid points and at the half
+steps between them, where the middle stages evaluate H, so the scheme is
+fourth order.  The static part of H and its drive terms enter as their
+Hermitian parts, so the generator maps Hermitian states to Hermitian states
+and every step is the RK4 update alone; each input's trace is checked
+against its own initial trace.  Only the trace and the expectation values of
+the group's ``expect`` operators (a level population is its projector's) are
+recorded; they are linear in the state, so every grid point records them for
+all inputs of a group by one product with its readout matrix.  Outputs are
+zero-padded back to the full dimensions.  Integrals over the recorded series
+use Simpson's rule, which matches the fourth order of the scheme.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 
 # largest trace drift an integration may accumulate before it is aborted
@@ -208,13 +209,17 @@ def _group(hamiltonian, collapse_ops, rho0s, expect, nt):
     )
 
 
-def _generator(liouvillians, size):
-    """CSR arrays (indptr, indices, data, n_cols) of [L_0 S_1 ... S_n], each
-    block-diagonal over the groups, from each group's dense Liouvillians
-    [L_0, S_1, ...] zero-padded to ``size`` rows and columns (a group with
-    fewer drive terms has empty blocks).  Each row's nonzeros are in
-    ascending column order, the order of its group's generator alone, and
-    the kernel sums a row in that order.
+def _generator(liouvillians, size, m):
+    """Padded rows (table, values) of [L_0 S_1 ... S_n], each block-diagonal
+    over the groups, from each group's dense Liouvillians [L_0, S_1, ...]
+    zero-padded to ``size`` rows and columns (a group with fewer drive terms
+    has empty blocks), for ``m`` input columns.
+
+    Entry (p, i) of the (w, n_rows) ``table`` is the column of row i's p-th
+    nonzero, in ascending column order, the order of its group's generator
+    alone; ``values`` (w, n_rows, m) holds the matching entries repeated
+    over the m inputs.  w is the widest row's nonzero count, and a shorter
+    row runs out into column 0 with value 0.
     """
     n_groups = len(liouvillians)
     n_rows = n_groups * size
@@ -227,28 +232,41 @@ def _generator(liouvillians, size):
             data.append(op[r, c])
     rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
     order = np.lexsort((cols, rows))
-    indptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    n_blocks = max(len(ops) for ops in liouvillians)   # 1 + drive terms
-    return indptr, cols[order], data[order], n_blocks * n_rows
+    rows, cols, data = rows[order], cols[order], data[order]
+    counts = np.bincount(rows, minlength=n_rows)
+    # each nonzero's position in its row
+    pos = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    table = np.zeros((counts.max(), n_rows), dtype=np.intp)
+    table[pos, rows] = cols
+    values = np.zeros((*table.shape, m), dtype=complex)
+    values[pos, rows] = data[:, None]
+    return table, values
 
 
-def _product(generator, x, out):
-    """``generator @ x`` for the CSR arrays (indptr, indices, data, n_cols)
-    of a ``generator`` and a C-contiguous (n_cols, m) ``x``, written into
-    the C-contiguous ``out`` and returned.
+def _product(generator, x, buf, out):
+    """``generator @ x`` for the padded rows (table, values) of a
+    ``generator`` (:func:`_generator`) and an (n_cols, m) ``x``, written
+    into ``out`` (n_rows, m) and returned; ``buf`` is a (w, n_rows, m)
+    complex scratch buffer.
 
-    It calls scipy's csr_matvecs, the kernel that a scipy CSR matrix's
-    ``@`` runs on the same arrays; for m = 1 that operator runs csr_matvec
-    instead, which forms the same sums in the same order.
+    Each row is summed from +0 in ascending column order, one position at a
+    time: numpy reduces over the non-contiguous leading axis slice by slice,
+    in order, and the zero padding changes no sum.  A CSR kernel sums a row
+    in that order, so the sums are a CSR ``generator @ x`` bit for bit
+    wherever each product is rounded as that kernel rounds it, with the
+    two-product formula (ac - bd) + (ad + bc)i.  numpy's complex multiply
+    may fuse a multiply and an add (FMA) and round once less, so its
+    products are the kernel's exactly when one factor of each is purely
+    real or purely imaginary, as every stored entry of a link generator is.
     """
-    indptr, indices, data, n_cols = generator
-    out.fill(0)  # the kernel adds to its output
-    csr_matvecs(
-        len(indptr) - 1, n_cols, x.shape[1], indptr, indices, data,
-        x.reshape(-1), out.reshape(-1),
-    )
-    return out
+    table, values = generator
+    # np.take(x, table, axis=0, out=buf, mode="clip") in its method form,
+    # which skips a Python wrapper worth a fifth of the product here; every
+    # index is in range, and "clip" writes straight into buf where "raise"
+    # would buffer
+    x.take(table, 0, buf, "clip")
+    buf *= values
+    return np.add.reduce(buf, axis=0, out=out, initial=0.0)
 
 
 def integrate_me(problems):
@@ -320,7 +338,7 @@ def _integrate_batch(problems, runs):
     n_terms = max(len(g.samples) for g in groups)
     # L(t) V = [L_0 S_1 ... S_n] @ [V; c_1(t) V; ...; c_n(t) V], each of
     # L_0, S_j block-diagonal over the groups
-    generator = _generator([g.liouvillians for g in groups], size)
+    generator = _generator([g.liouvillians for g in groups], size, m)
     # drive coefficients on the half-step grid t_0, t_0 + dt/2, t_1, ...:
     # row j has shape (n_terms, n_groups, 1, 1) to scale the drive copies of
     # every group's inputs, and is stored complex (zero imaginary part) so
@@ -334,12 +352,13 @@ def _integrate_batch(problems, runs):
     head_flat = head.reshape(-1, m)
     # one buffer per RK4 stage, each stage's product written into its own
     stages = np.empty((4, n_groups * size, m), dtype=complex)
+    gathered = np.empty_like(generator[1])
 
     def rhs(j, out):
         """The generator at half-step sample j applied to the stage input,
         which the caller writes into ``head``, written into ``out``."""
         np.multiply(coef[j], head, out=copies)
-        return _product(generator, flat, out)
+        return _product(generator, flat, gathered, out)
 
     # the state of the batch, written in place by every step; each group's
     # inputs are a block of it

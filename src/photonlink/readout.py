@@ -415,7 +415,8 @@ def calibrate_to_targets(r_target: np.ndarray, x0) -> ReadoutCalibration:
     fitted from the start ``x0`` so that Gaussian overlap
     accounts for 60% of each off-diagonal entry (the overlap/decay split is
     not identifiable from the table alone); the remainder goes into the
-    cluster weights.  This fit produced the shipped ``_TABLE_FITS``.
+    cluster weights.  This fit produced the shipped ``_TABLE_FITS``.  It
+    needs scipy, which no run imports and the ``test`` extra installs.
     """
     # imported here: start-up never fits, it loads the stored parameters
     from scipy import optimize

@@ -1,11 +1,13 @@
 import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-import scipy
 
 from photonlink import cli, device, protocols, tomography
 from photonlink.dynamics import TraceDriftError
@@ -295,7 +297,8 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     assert manifest["scenario"] == "emit-b"
     assert manifest["config"]["dt"] == 0.5
     assert manifest["device"]["link"]["eta_c"] == 0.77
-    assert manifest["versions"]["scipy"] == scipy.__version__
+    # the versions of what a run uses: the run imports no scipy
+    assert set(manifest["versions"]) == {"python", "numpy", "photonlink"}
     rows = (run_dir / "trajectory.csv").read_text().strip().split("\n")
     assert rows[0].split(",") == [
         "t_ns", "Pg_A", "Pe_A", "Pf_A", "Pg_B", "Pe_B", "Pf_B", "re_aout", "im_aout", "flux",
@@ -324,6 +327,23 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     log = (run_dir / "run.log").read_text()
     assert "'trajectory.csv'" in log and "truncation_sweep.csv" not in log
     assert not (run_dir / "truncation_sweep.csv").exists()
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    """An exact entangle, a shot-mode qpt and readout-sim run to exit 0 in
+    an interpreter where importing scipy fails: the run path needs only
+    numpy and the standard library."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from photonlink import cli\n"
+        "for argv in (['--scenario', 'entangle'],\n"
+        "             ['--scenario', 'qpt', '--shots', '2000'],\n"
+        "             ['--scenario', 'readout-sim', '--shots', '2000']):\n"
+        "    assert cli.run(argv + ['--out', sys.argv[1]]) == 0, argv\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env, check=True)
 
 
 def test_rerun_is_byte_identical(tmp_path):

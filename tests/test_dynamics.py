@@ -359,17 +359,19 @@ def test_batch_of_problems_matches_each_problem_alone(table, rng):
 
 @pytest.mark.parametrize("picks", [[0], [1], [0, 1], [1, 0]])
 def test_generator_arrays_are_scipys_block_stack(table, picks):
-    """The CSR arrays the integrator assembles from the groups' dense
-    Liouvillians equal, bit for bit, those scipy builds as
-    hstack([block_diag(L_0), block_diag(S_1), ...]) of the zero-padded
-    blocks, empty where a group has fewer drive terms: on the groups of
-    ``_link_batch`` (5 states, one drive term, one input; 7 states, two drive
-    terms, two inputs) alone and together, in both orders."""
+    """Row i of the padded rows the integrator assembles from the groups'
+    dense Liouvillians lists, in order and bit for bit, the (column, value)
+    pairs of row i of scipy's hstack([block_diag(L_0), block_diag(S_1),
+    ...]) of the zero-padded blocks, empty where a group has fewer drive
+    terms, and then zeros; the values repeat over the inputs.  On the groups
+    of ``_link_batch`` (5 states, one drive term, one input; 7 states, two
+    drive terms, two inputs) alone and together, in both orders."""
     problems = _link_batch(table)
     nt = len(problems[0][0].t)
     groups = [dynamics._group(*problems[i], nt) for i in picks]
     size = max(g.r * g.r for g in groups)
     n_blocks = max(len(g.liouvillians) for g in groups)
+    m = max(len(g.rhos) for g in groups)
 
     def padded(op):
         out = sp.csr_matrix(op)
@@ -387,11 +389,16 @@ def test_generator_arrays_are_scipys_block_stack(table, picks):
         ],
         format="csr",
     )
-    indptr, indices, data, n_cols = dynamics._generator([g.liouvillians for g in groups], size)
-    assert (len(indptr) - 1, n_cols) == reference.shape
-    assert np.array_equal(indptr, reference.indptr)
-    assert np.array_equal(indices, reference.indices)
-    assert data.dtype == reference.data.dtype and np.array_equal(data, reference.data)
+    columns, values = dynamics._generator([g.liouvillians for g in groups], size, m)
+    widths = np.diff(reference.indptr)
+    assert columns.shape == (widths.max(), reference.shape[0])
+    assert values.shape == (*columns.shape, m) and values.dtype == reference.data.dtype
+    assert (values == values[:, :, :1]).all()
+    for i, width in enumerate(widths):
+        row = slice(reference.indptr[i], reference.indptr[i + 1])
+        assert np.array_equal(columns[:width, i], reference.indices[row])
+        assert values[:width, i, 0].tobytes() == reference.data[row].tobytes()
+        assert not columns[width:, i].any() and not values[width:, i].any()
 
 
 def test_one_call_batches_problems_by_grid(table, monkeypatch):
@@ -728,26 +735,39 @@ def test_trace_preservation_and_positivity(f_emission_run):
 
 @pytest.mark.parametrize("m", [1, 6])
 def test_stage_product_is_the_sparse_product(table, m):
-    """The product every RK4 stage makes, a direct call of scipy's CSR
-    kernel, equals ``generator @ x`` bit for bit, for one input column and
-    for six: a scipy whose kernel changes fails here instead of moving
-    numbers.  The generators are that of a driven link run, [L_0 S_1], and
-    a random one with about 30 nonzeros per row."""
+    """The product every RK4 stage makes on the padded rows equals scipy's
+    CSR ``generator @ x`` bit for bit, for one input column and for six, on
+    the generator of a driven link run, [L_0 S_1], and on a random 200×600
+    one whose stored entries are each real or imaginary, about 30 per row:
+    both sum each row from zero in column order, and their complex products
+    agree when one factor is real or imaginary.  Rows wider than 8 show that
+    the sum is not numpy's pairwise one.  On a random generator with general
+    complex entries the sums agree only to round-off, because numpy's
+    complex multiply may fuse a multiply and an add (FMA), where scipy's
+    kernel rounds each of the two products."""
     problem = _f_emission(table, 0.1)
     group = dynamics._group(*problem, len(problem[0].t))
     rng = np.random.default_rng(m)
-    generators = [
-        sp.hstack([sp.csr_matrix(op) for op in group.liouvillians], format="csr"),
-        sp.random(200, 600, density=0.05, rng=rng, format="csr")
-        + 1j * sp.random(200, 600, density=0.05, rng=rng, format="csr"),
-    ]
-    for generator in generators:
+    one_part = sp.random(200, 600, density=0.05, rng=rng, format="csr").astype(complex)
+    one_part.data *= np.where(rng.random(one_part.nnz) < 0.5, 1.0, 1.0j)
+    # real and imaginary parts both drawn, for every stored entry
+    general = sp.random(200, 600, density=0.05, rng=rng, format="csr", dtype=complex)
+    link = sp.hstack([sp.csr_matrix(op) for op in group.liouvillians], format="csr")
+    for generator, exact in ((link, True), (one_part, True), (general, False)):
         rows, cols = generator.shape
-        arrays = (generator.indptr, generator.indices, generator.data, cols)
+        dense = generator.toarray()
+        blocks = [dense[:, c : c + rows] for c in range(0, cols, rows)]
+        arrays = dynamics._generator([blocks], rows, m)
+        if generator is not link:
+            assert len(arrays[0]) > 8
         x = rng.standard_normal((cols, m)) + 1j * rng.standard_normal((cols, m))
+        buf = np.empty(arrays[1].shape, dtype=complex)
         out = np.full((rows, m), np.nan, dtype=complex)  # the product overwrites it
-        assert dynamics._product(arrays, x, out) is out
-        assert np.array_equal(out, generator @ x)
+        assert dynamics._product(arrays, x, buf, out) is out
+        if exact:
+            assert out.tobytes() == (generator @ x).tobytes()
+        else:
+            assert np.abs(out - generator @ x).max() <= 1e-13
 
 
 def test_step_halving_convergence(table, f_emission_run):
