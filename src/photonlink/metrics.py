@@ -25,6 +25,9 @@ PAULI_LABELS = ("I", "X", "Y", "Z")
 # Bell state (|eg> + |ge>)/sqrt(2) on the two-qubit {g,e} block, A-major order
 BELL_PSI_PLUS = np.zeros(4, dtype=complex)
 BELL_PSI_PLUS[[1, 2]] = 1.0 / np.sqrt(2.0)
+# built once, at import, and shared read-only
+for _op in (*PAULI.values(), BELL_PSI_PLUS):
+    _op.flags.writeable = False
 
 
 def gell_mann_basis():

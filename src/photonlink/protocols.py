@@ -194,6 +194,8 @@ QUTRIT_PREPS = {
     "gf": (ket(3, G) + ket(3, F)) / np.sqrt(2.0),
     "ef": (ket(3, E) + ket(3, F)) / np.sqrt(2.0),
 }
+for _ket in QUTRIT_PREPS.values():
+    _ket.flags.writeable = False
 
 
 def _link_problem(spec, nodes_link, emitter, preps, absorb=False):
@@ -337,11 +339,10 @@ def _measure(rho, spec, rng):
     set of its dimension: a 3x3 state is node B's qutrit, a 9x9 one the
     A-major pair.  Exact readout gives the Born probabilities.  With
     ``spec.shots``, the A-major label counts of every setting come from one
-    ``readout.count_table`` call (per setting in order, the draws of
-    ``readout.joint_shots``: an inverse-CDF cluster draw on
-    ``Generator.random``, then each node's normal draws, labelled without
-    building the shots through label tables built once per calibration)
-    and are mitigated with the Kronecker product of the nodes' assignment
+    ``readout.count_table`` call (per setting in order, an inverse-CDF
+    joint cluster draw on ``Generator.random``, then each node's normal
+    draws, labelled without building the shots through label tables built
+    once per calibration) and are mitigated with the Kronecker product of the nodes' assignment
     matrices.
     """
     pops = tomography.born_probabilities(rho)

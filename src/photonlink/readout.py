@@ -41,20 +41,24 @@ TABLE_R_B = np.array(
         [0.006, 0.025, 0.927],
     ]
 )
+TABLE_R_A.flags.writeable = False
+TABLE_R_B.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Three-component Gaussian mixture in the u-v plane with unit covariance."""
+    """Three-component Gaussian mixture in the u-v plane with unit
+    covariance, holding read-only copies of its weights and means."""
 
     weights: np.ndarray   # (3,)
     means: np.ndarray     # (3, 2)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        mu = np.asarray(self.means, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
+        w = np.array(self.weights, dtype=float)
+        mu = np.array(self.means, dtype=float)
+        for name, value in (("weights", w), ("means", mu)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if w.shape != (3,) or not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be three finite nonnegative numbers")
         if mu.shape != (3, 2) or not np.all(np.isfinite(mu)):
@@ -124,8 +128,12 @@ def assignment_probabilities(model: MixtureModel) -> np.ndarray:
 @functools.cache
 def _leggauss():
     """The 201-node Gauss-Legendre rule on [-1, 1] for the orthant
-    integrals, built by the first one: a run with exact readout builds none."""
-    return np.polynomial.legendre.leggauss(201)
+    integrals, built by the first one and shared read-only: a run with exact
+    readout builds none."""
+    rule = np.polynomial.legendre.leggauss(201)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def _orthant_probability(mean, cov):
@@ -221,7 +229,8 @@ class ReadoutCalibration:
     tables of ``count_table`` are built then too: the (2, 2) gain of the
     model's score differences to g and their (3, 2) value at each cluster
     mean, so a shot z away from the mean of cluster c scores
-    z @ gain + offset[c].
+    z @ gain + offset[c].  The calibration holds a read-only copy of
+    ``prep_weights``.
     """
 
     model: MixtureModel
@@ -232,8 +241,10 @@ class ReadoutCalibration:
         if overlap is None:
             overlap = assignment_probabilities(self.model)
         gain, bias = _differences(self.model)
+        prep = np.array(self.prep_weights, dtype=float)
         tables = {
-            "_assignment": overlap @ self.prep_weights,
+            "prep_weights": prep,
+            "_assignment": overlap @ prep,
             "_label_gain": gain,
             "_label_offset": self.model.means @ gain + bias,
         }
@@ -247,8 +258,14 @@ class ReadoutCalibration:
 
     def simulate_shots(self, rho_diag, n: int, seed) -> np.ndarray:
         """n (u, v) shots of this node in a state with level populations
-        ``rho_diag``: ``joint_shots`` for the one node."""
-        return joint_shots([self], rho_diag, n, seed)[0]
+        ``rho_diag``: each shot's cluster is an inverse-CDF draw on
+        ``Generator.random(n)`` from the normalized prep_weights @ rho_diag,
+        so the labels follow ``analytic_assignment()``, and the model then
+        draws the shot.  ``seed`` is a seed or a numpy Generator."""
+        cdf = _cluster_cdf(self.prep_weights, rho_diag)
+        rng = np.random.default_rng(seed)  # a Generator is returned unchanged
+        clusters = _joint_clusters(cdf, rng.random(n), np.empty(n, _cluster_dtype(1)))
+        return self.model.draw(clusters, rng)
 
     def shots_for_prepared_sequence(self, prepared, rng) -> np.ndarray:
         """One (u, v) shot per entry of a per-repetition prepared-state array,
@@ -263,8 +280,8 @@ class ReadoutCalibration:
 
 
 def _cluster_cdf(prep, p) -> np.ndarray:
-    """The CDF that ``joint_shots`` and ``count_table`` draw a joint cluster
-    from: the normalized cluster weights prep @ p, with ``prep`` the
+    """The CDF that ``simulate_shots`` and ``count_table`` draw a joint
+    cluster from: the normalized cluster weights prep @ p, with ``prep`` the
     kron(prep_1, ..., prep_k) of the nodes' preparation weights and ``p``
     the populations of the 3**k joint levels.  Raises ValueError on a ``p``
     that is not finite or not a probability vector, and on weights that are
@@ -307,41 +324,17 @@ def _cluster_dtype(k: int):
     return np.min_scalar_type(3**k - 1)
 
 
-def _node_clusters(k: int, i: int) -> np.ndarray:
-    """Node i's cluster at each of the 3**k A-major joint clusters."""
-    return np.arange(3**k) // 3 ** (k - 1 - i) % 3
-
-
-def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
-    """n joint shots of the nodes ``cals``, one (n, 2) array of (u, v) per node.
-
-    ``p`` holds the populations of the 3**k joint levels, A-major in the order
-    of ``cals``.  One draw picks a joint cluster per shot from the normalized
-    kron(prep_1, ..., prep_k) @ p, by an inverse CDF on ``Generator.random``,
-    so the labels follow the Kronecker product of the nodes'
-    ``analytic_assignment()``; each node then draws its Gaussian shots, in
-    node order.  ``seed`` is a seed or a numpy Generator.  Where only the
-    label counts are needed, ``count_table`` gives them from the same draws
-    without building the shots.
-    """
-    k = len(cals)
-    cdf = _cluster_cdf(kron(*[cal.prep_weights for cal in cals]), p)
-    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
-    joint = _joint_clusters(cdf, rng.random(n), np.empty(n, _cluster_dtype(k)))
-    return [
-        cal.model.draw(_node_clusters(k, i).take(joint), rng) for i, cal in enumerate(cals)
-    ]
-
-
 def count_table(cals, probabilities, shots: int, seed) -> np.ndarray:
     """Counts of the 3**k A-major labels of ``shots`` joint shots of the
     nodes ``cals`` for each row of ``probabilities``: an (R, 3**k) array for
     R rows of joint level populations, a whole gate set at once.
 
     The rows are drawn in order on one Generator (``seed`` is a seed or a
-    numpy Generator), each with exactly the draws of
-    ``joint_shots(cals, row, shots, rng)``: the inverse-CDF cluster draw on
-    ``Generator.random``, then each node's normal draw z, in node order.
+    numpy Generator), each with the inverse-CDF cluster draw on
+    ``Generator.random`` from the normalized kron(prep_1, ..., prep_k) @ row
+    (the labels follow the Kronecker product of the nodes'
+    ``analytic_assignment()``), then each node's normal draw z, in node
+    order: for one node, the draws of ``simulate_shots(row, shots, rng)``.
     A row's counts are the ``bincount`` of the node-by-node ``classify``
     labels of those shots, combined A-major, but the shots are never built:
     ``classify`` scores (means[c] + z) @ gain + bias, read here as
@@ -357,8 +350,10 @@ def count_table(cals, probabilities, shots: int, seed) -> np.ndarray:
     prep = kron(*[cal.prep_weights for cal in cals])
     cdfs = [_cluster_cdf(prep, p) for p in np.asarray(probabilities, dtype=float)]
     rng = np.random.default_rng(seed)
-    # each node's offset rows at the 3**k joint clusters
-    offsets = [cal._label_offset[_node_clusters(k, i)] for i, cal in enumerate(cals)]
+    # each node's offset rows at the 3**k A-major joint clusters, whose
+    # digit i is node i's cluster
+    digits = [np.arange(3**k) // 3 ** (k - 1 - i) % 3 for i in range(k)]
+    offsets = [cal._label_offset[node] for cal, node in zip(cals, digits)]
     z, d = np.empty((shots, 2)), np.empty((shots, 2))
     u = z.reshape(-1)[:shots]
     joint = np.empty(shots, _cluster_dtype(k))
@@ -398,7 +393,7 @@ def _calibration(theta, r_target) -> ReadoutCalibration:
             f"mixture calibration failed: negative preparation weight {prep.min():.2e}"
         )
     # keep the target's column sums (tables carry rounding at the 0.1% level);
-    # joint_shots normalizes the cluster weights per call
+    # the samplers normalize the cluster weights per call
     prep = np.clip(prep, 0.0, None)
     cal = ReadoutCalibration(model=model, prep_weights=prep, overlap=overlap)
     err = np.abs(cal.analytic_assignment() - r_target).max()

@@ -9,7 +9,9 @@ refused.  The single set (``gate_set()``) and its factor A1 (27 x 9) of the
 Born map are built once per process and shared read-only, and the pair set's
 rotations are never built: the single set applies A1 once, and the pair set,
 whose Born map is A1 (x) A1, applies it along each node axis of the
-realigned state.  Exact populations are these products, the model the
+realigned state.  One builder, ``_born_map``, makes these products and
+their adjoints on a stack of states, with the buffers they write.  Exact
+populations (``born_probabilities``) are its products, the model the
 diluted maximum-likelihood fixed point (positive by construction) iterates
 with, in real arithmetic on one real view of conj(A1), so its iterates do
 not depend on the BLAS thread count.  A stack of data sets is reconstructed
@@ -123,24 +125,47 @@ def _born_factor():
     return a1, c1, pop_order, realign
 
 
-def _populations(k, d, p=None):
-    """The MLE's forward product Re(A vec rho) of a stack of k states of
-    dimension d, as a function of the stack that writes into ``p`` when
-    given; c1 @ x.view(float) = Re(A1 x).  One qutrit takes vec(rho) viewed
-    as float, (k, 18, 1), to (k, 27, 1); two take the realigned states X
-    (k, 9, 9), through a buffer for A1 X made here, to Re(A1 X A1^T),
-    (k, 27, 27) in the order of ``pop_order``."""
-    a1, c1 = _born_factor()[:2]
+def _born_map(k, d):
+    """The Born map of the gate set of d on a stack of k states, with its
+    buffers: (rho, p, born, adjoint).  born() writes Re(A vec rho) of the
+    (k, d, d) states rho into p, (k, 27, 1) for one qutrit and (k, 27, 27)
+    in the order of ``pop_order`` for two; adjoint(w) returns conj(A)^T w,
+    w shaped as p, as (k, d, d) matrices.  c1 @ x.view(float) = Re(A1 x)
+    and (w @ c1).view(complex) = w conj(A1); two qutrits apply them along
+    each node axis of the realigned states X, as Re(A1 X A1^T) and
+    conj(A1)^T W conj(A1), indexing the flat stack at precomputed positions.
+    """
+    a1, c1, _, realign = _born_factor()
+    rho = np.empty((k, d, d), complex)
     if d == 3:
-        return functools.partial(np.matmul, c1, out=p)
-    y = np.empty((k, 27, 9), complex)
-    y_real, c1_t = y.view(float), c1.T
+        x, p = rho.reshape(k, 9).view(float)[:, :, None], np.empty((k, 27, 1))
+        z = np.empty((k, 1, 18))
+        z_rho = z.view(complex).reshape(k, 3, 3)
 
-    def forward(x):
-        np.matmul(a1, x, out=y)
-        return np.matmul(y_real, c1_t, out=p)
+        def born():
+            np.matmul(c1, x, out=p)
 
-    return forward
+        def adjoint(w):
+            np.matmul(w.reshape(k, 1, 27), c1, out=z)
+            return z_rho
+
+        return rho, p, born, adjoint
+    p, y = np.empty((k, 27, 27)), np.empty((k, 27, 9), complex)
+    y_real, c1_t, a1_conj_t = y.view(float), c1.T, c1.view(complex).T
+    rho_flat, flat_realign = rho.reshape(-1), (81 * np.arange(k))[:, None, None] + realign
+    z, r = np.empty((k, 27, 18)), np.empty((k, 9, 9), complex)
+    z_c, r_flat = z.view(complex), r.reshape(-1)
+
+    def born():
+        np.matmul(a1, rho_flat[flat_realign], out=y)
+        np.matmul(y_real, c1_t, out=p)
+
+    def adjoint(w):
+        np.matmul(w, c1, out=z)
+        np.matmul(a1_conj_t, z_c, out=r)
+        return r_flat[flat_realign]
+
+    return rho, p, born, adjoint
 
 
 def born_probabilities(rho: np.ndarray) -> np.ndarray:
@@ -151,12 +176,14 @@ def born_probabilities(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or len(rho) not in (3, 9):
         raise ValueError(f"state shape {rho.shape} is not 3x3 (one qutrit) or 9x9 (two)")
+    states, p, born, _ = _born_map(1, len(rho))
+    states[0] = rho
+    born()
     if len(rho) == 3:
-        return _populations(1, 3)(rho.reshape(1, 9).view(float)[:, :, None]).reshape(9, 3)
-    _, _, pop_order, realign = _born_factor()
-    p = np.empty((81, 9))
-    p.reshape(-1)[pop_order] = _populations(1, 9)(rho.reshape(-1)[realign][None])[0]
-    return p
+        return p.reshape(9, 3)
+    out = np.empty((81, 9))
+    out.reshape(-1)[_born_factor()[2]] = p[0]
+    return out
 
 
 # the MLE's stop rule: a state stops once its log-likelihood improves by
@@ -181,16 +208,13 @@ def qst_mle(populations):
     returned).  Every state of a stack stops by this rule on its own and
     leaves the stack there, so it equals its reconstruction in a stack of
     one.
-    The populations Re(A vec rho) (``_populations``) and the weighted
-    adjoint (f/p) conj(A) use one real view c1 of conj(A1): once for one
-    qutrit, and for two along each node axis of the realigned state X, as
-    Re(A1 X A1^T) and conj(A1)^T W conj(A1).  Every product is a
-    broadcast matmul that makes one BLAS call per state, the call a single
-    state makes, and the likelihood f . log p is one dot product per state,
-    so the iterates are the same whatever the stack and the BLAS thread
-    count.  The loop writes into buffers made once per stack size.  Raises
-    ValueError if the populations are empty or their shape is not one of
-    those above.
+    The populations Re(A vec rho) and the weighted adjoint (f/p) conj(A)
+    are the products of ``_born_map``.  Every product is a broadcast matmul
+    that makes one BLAS call per state, the call a single state makes, and
+    the likelihood f . log p is one dot product per state, so the iterates
+    are the same whatever the stack and the BLAS thread count.  The loop
+    writes into buffers made once per stack size.  Raises ValueError if the
+    populations are empty or their shape is not one of those above.
     """
     freqs = np.clip(np.asarray(populations, dtype=float), 0.0, 1.0)
     if freqs.ndim != 3 or freqs.shape[1:] not in ((9, 3), (81, 9)) or not freqs.size:
@@ -199,55 +223,26 @@ def qst_mle(populations):
             "a stack of data sets of one row per setting of a gate set"
         )
     n, d = freqs.shape[1:]
-    _, c1, pop_order, realign = _born_factor()
-    a1_conj_t = c1.view(complex).T
+    pop_order = _born_factor()[2]
     # each data set scaled as a whole to sum to n, the number of settings
     f = np.stack([row / row.sum() * n for row in freqs.reshape(-1, n * d)])
     if d == 9:
         # C order: a strided row would take another BLAS dot product
         f = np.ascontiguousarray(f[:, pop_order.reshape(-1)])
-    pop_shape = (27, 1) if d == 3 else (27, 27)
 
     def workspace(k):
-        """Buffers of a k-state stack: the states and a view of their
-        diagonals, the populations p and log p, the likelihoods, and the
-        Born map and its adjoint, which write through further buffers."""
-        rho = np.empty((k, d, d), complex)
-        p, logp = np.empty((k, *pop_shape)), np.empty((k, *pop_shape))
-        ll = np.empty(k)
-        forward = _populations(k, d, p)
-        # (w @ c1).view(complex) = w conj(A1), c1 holding Re A1 and -Im A1
-        if d == 3:
-            x = rho.reshape(k, 9).view(float)[:, :, None]
-            z = np.empty((k, 1, 18))
-            z_rho = z.view(complex).reshape(k, 3, 3)
-            born = functools.partial(forward, x)
-
-            def adjoint(w):
-                np.matmul(w.reshape(k, 1, 27), c1, out=z)
-                return z_rho
-        else:
-            # the realignment indexes the flat stack at precomputed positions
-            rho_flat, flat_realign = rho.reshape(-1), (81 * np.arange(k))[:, None, None] + realign
-            z, r = np.empty((k, 27, 18)), np.empty((k, 9, 9), complex)
-            z_c, r_flat = z.view(complex), r.reshape(-1)
-
-            def born():
-                forward(rho_flat[flat_realign])
-
-            def adjoint(w):
-                np.matmul(w, c1, out=z)
-                np.matmul(a1_conj_t, z_c, out=r)
-                return r_flat[flat_realign]
-
+        """A k-state stack's Born map (``_born_map``) with a view of the
+        states' diagonals, a buffer for log p and the likelihoods."""
+        rho, p, born, adjoint = _born_map(k, d)
+        logp, ll = np.empty_like(p), np.empty(k)
         diag = rho.reshape(k, 1, -1)[:, :, :: d + 1]
         return rho, diag, p, logp, logp.reshape(k, -1, 1), ll, ll.reshape(k, 1, 1), born, adjoint
 
     m = len(f)
-    f_col, f_row = f.reshape(m, *pop_shape), f.reshape(m, 1, -1)
     out = np.empty((m, d, d), dtype=complex)
     active = np.arange(m)
     rho, diag, p, logp, logp_col, ll, ll_out, born, adjoint = workspace(m)
+    f_col, f_row = f.reshape(p.shape), f.reshape(m, 1, -1)
     rho[:] = np.eye(d, dtype=complex) / d
     eye = np.eye(d)
     scale = 2.0 * n
@@ -292,6 +287,7 @@ def qst_mle(populations):
 
 CHI_IDENTITY = np.zeros((4, 4), dtype=complex)
 CHI_IDENTITY[0, 0] = 1.0
+CHI_IDENTITY.flags.writeable = False
 
 
 def mub_qubit_states():

@@ -1,7 +1,7 @@
 """Independent references the tests compare the package against: the lossy
 two-level model of the f0g1 emission, the trace distance, a density-matrix
-check and the published two-node assignment table.  No run of the package
-calls them."""
+check, the published two-node assignment table and the k-node joint shot
+sampler.  No run of the package calls them."""
 
 from dataclasses import dataclass
 
@@ -9,6 +9,8 @@ import numpy as np
 
 from photonlink.dynamics import _simpson
 from photonlink.pulse import DriveEnvelope
+from photonlink.qops import kron
+from photonlink.readout import _cluster_cdf, _cluster_dtype, _joint_clusters
 
 # measured two-qutrit assignment probabilities (percent, prepared as columns,
 # basis order gg, ge, gf, eg, ee, ef, fg, fe, ff)
@@ -96,3 +98,26 @@ def two_level_oracle(g_env: DriveEnvelope, kappa: float) -> TwoLevelResult:
         out[k + 1] = psi
     flux = kappa * np.abs(out[:, 1]) ** 2
     return TwoLevelResult(t=t, c_f=out[:, 0], c_g1=out[:, 1], flux=flux)
+
+
+def joint_shots(cals, p, n: int, seed) -> list[np.ndarray]:
+    """n joint shots of the nodes ``cals``, one (n, 2) array of (u, v) per node.
+
+    ``p`` holds the populations of the 3**k joint levels, A-major in the order
+    of ``cals``.  One draw picks a joint cluster per shot from the normalized
+    kron(prep_1, ..., prep_k) @ p, by an inverse CDF on ``Generator.random``,
+    so the labels follow the Kronecker product of the nodes'
+    ``analytic_assignment()``; each node then draws its Gaussian shots, in
+    node order.  ``seed`` is a seed or a numpy Generator.  These are the
+    draws ``readout.count_table`` labels without building the shots, and
+    for one node those of ``ReadoutCalibration.simulate_shots``.
+    """
+    k = len(cals)
+    cdf = _cluster_cdf(kron(*[cal.prep_weights for cal in cals]), p)
+    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
+    joint = _joint_clusters(cdf, rng.random(n), np.empty(n, _cluster_dtype(k)))
+    # node i's cluster is digit i of the A-major joint cluster
+    return [
+        cal.model.draw((np.arange(3**k) // 3 ** (k - 1 - i) % 3).take(joint), rng)
+        for i, cal in enumerate(cals)
+    ]

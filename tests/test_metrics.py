@@ -7,6 +7,14 @@ from conftest import random_density, random_pure
 from oracles import trace_norm_distance
 
 
+def test_shared_states_are_read_only():
+    """The Pauli matrices and the Bell state, built once at import and
+    read by every run of a process, refuse writes."""
+    for op in (*metrics.PAULI.values(), metrics.BELL_PSI_PLUS):
+        with pytest.raises(ValueError, match="read-only"):
+            op.flat[0] = op.flat[0]
+
+
 def test_state_fidelity_pure_state(rng):
     psi = random_pure(4, rng)
     assert metrics.state_fidelity(np.outer(psi, psi.conj()), psi) == pytest.approx(1.0)

@@ -9,6 +9,7 @@ import pytest
 from photonlink import cli, device, dynamics, metrics, protocols, tomography
 from photonlink.protocols import ProtocolSpec
 from conftest import cut_short, populations, read_only
+from oracles import joint_shots
 
 
 @pytest.fixture(autouse=True)
@@ -16,6 +17,14 @@ def _quiet_mle():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="MLE stopped")
         yield
+
+
+def test_preparation_kets_are_read_only():
+    """The named qutrit preparations, built once at import and read by
+    every run of a process, refuse writes."""
+    for ket in protocols.QUTRIT_PREPS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            ket[0] = ket[0]
 
 
 def test_spec_validation():
@@ -382,7 +391,7 @@ def test_measure_counts_equal_the_classified_joint_shots():
         rng = np.random.default_rng(11)
         freqs = []
         for p in tomo.born_probabilities(rho):
-            shots = readout.joint_shots(cals, np.clip(p, 0, None), spec.shots, rng)
+            shots = joint_shots(cals, np.clip(p, 0, None), spec.shots, rng)
             labels = 0
             for cal, pts in zip(cals, shots):
                 labels = 3 * labels + readout.classify(pts, cal.model)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from photonlink import readout
-from oracles import TABLE_R_TWO_NODE_PERCENT
+from oracles import TABLE_R_TWO_NODE_PERCENT, joint_shots
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +83,16 @@ def _one_row(cals, p, n, seed):
     return readout.count_table(cals, [p], n, seed)[0]
 
 
+def _simulated(cals, p, n, seed):
+    """The shots of the one node ``cals`` from its ``simulate_shots``."""
+    [cal] = cals
+    return cal.simulate_shots(p, n, seed)
+
+
 def test_samplers_reject_non_finite_probabilities():
     cal = bare(simple_model())
     for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
-        for sampler in (readout.joint_shots, _one_row):
+        for sampler in (_simulated, _one_row):
             with pytest.raises(ValueError, match="finite"):
                 sampler([cal], bad, 10, seed=0)
 
@@ -95,7 +101,7 @@ def test_samplers_reject_cluster_weights_without_mass():
     """A calibration whose clusters carry none of ``p``'s population leaves
     no distribution to draw from: both samplers raise ValueError."""
     cal = readout.ReadoutCalibration(simple_model(), np.diag([1.0, 1.0, 0.0]))
-    for sampler in (readout.joint_shots, _one_row):
+    for sampler in (_simulated, _one_row):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             sampler([cal], [0.0, 0.0, 1.0], 10, seed=0)
 
@@ -312,7 +318,7 @@ def _joint_labels(cals, p, n, seed):
     """A-major labels of n joint shots of the nodes ``cals``, classified node
     by node: 3 a + b for a pair."""
     labels = 0
-    for cal, pts in zip(cals, readout.joint_shots(cals, p, n, seed)):
+    for cal, pts in zip(cals, joint_shots(cals, p, n, seed)):
         labels = 3 * labels + readout.classify(pts, cal.model)
     return labels
 
@@ -362,12 +368,12 @@ def test_joint_shots_follow_the_kronecker_model(cal_a, cal_b):
     assert zmax < 5
     assert chi2 < 3  # chi^2 per degree of freedom, about 1
     # a sum off by the integrator's trace drift is normalized away, not refused
-    a, b = readout.joint_shots([cal_a, cal_b], p9 * (1 + 2e-6), 10, seed=0)
+    a, b = joint_shots([cal_a, cal_b], p9 * (1 + 2e-6), 10, seed=0)
     assert a.shape == b.shape == (10, 2)
     with pytest.raises(ValueError):
-        readout.joint_shots([cal_a, cal_b], np.full(3, 1 / 3), 10, seed=0)
+        joint_shots([cal_a, cal_b], np.full(3, 1 / 3), 10, seed=0)
     with pytest.raises(ValueError):
-        readout.joint_shots([cal_a, cal_b], p9 * 1.01, 10, seed=0)
+        joint_shots([cal_a, cal_b], p9 * 1.01, 10, seed=0)
 
 
 def test_count_table_follows_the_kronecker_model(cal_a, cal_b):
@@ -418,6 +424,46 @@ def test_pinned_generator_writes_into_out():
     u, normal = np.empty(2), np.empty((2, 2))
     assert rng.random(out=u) is u and np.array_equal(u, rng.random(2))
     assert rng.standard_normal(out=normal) is normal and np.array_equal(normal, z)
+
+
+@pytest.mark.parametrize("n", [1, 20000])
+def test_simulated_shots_are_the_one_node_joint_shots(cal_a, cal_b, n):
+    """``simulate_shots`` gives, bit for bit, the one-node ``joint_shots``
+    of an identically seeded Generator and leaves it in the same state."""
+    p = np.random.default_rng(n).dirichlet(np.ones(3))
+    for cal in (cal_a, cal_b, bare(skewed_model())):
+        shots_rng, oracle_rng = np.random.default_rng(23), np.random.default_rng(23)
+        shots = cal.simulate_shots(p, n, shots_rng)
+        assert shots.tobytes() == joint_shots([cal], p, n, oracle_rng)[0].tobytes()
+        assert shots_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_shared_readout_state_is_read_only():
+    """The cached default calibrations, the measured tables and the
+    quadrature rule are shared by every run of a process: writing to any
+    of them raises ValueError."""
+    readout._orthant_probability(np.zeros(2), np.eye(2))  # the rule built
+    shared = [readout.TABLE_R_A, readout.TABLE_R_B, *readout._leggauss()]
+    for node in "AB":
+        cal = readout.default_calibration(node)
+        shared += [cal.prep_weights, cal.model.means, cal.model.weights]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
+def test_calibration_holds_copies_of_its_inputs():
+    """A model and a calibration freeze copies of the arrays they are given,
+    never the caller's arrays, which a later write does not reach them
+    through."""
+    weights, means, prep = np.full(3, 1 / 3), simple_model().means.copy(), np.eye(3)
+    cal = readout.ReadoutCalibration(readout.MixtureModel(weights, means), prep)
+    held_copies = (cal.model.weights, cal.model.means, cal.prep_weights)
+    for given, held in zip((weights, means, prep), held_copies):
+        assert given.flags.writeable and not held.flags.writeable
+        kept = held.copy()
+        given += 1.0
+        assert np.array_equal(held, kept)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -516,7 +562,7 @@ def test_count_table_breaks_an_exact_tie_toward_g():
     cal = bare(model)
     joint, z = [0, 1], [[2.0, 0.0], [-2.0, 0.0]]  # both shots at (2, 0)
     p = [0.5, 0.5, 0.0]  # the cluster weights too: ``cal`` is bare
-    shots = readout.joint_shots([cal], p, 2, _Pinned(joint, z, p))[0]
+    shots = cal.simulate_shots(p, 2, _Pinned(joint, z, p))
     assert np.array_equal(shots, [[2.0, 0.0], [2.0, 0.0]])
     w, h, logw = model.discriminant()
     scores = shots[0] @ w.T - h + logw

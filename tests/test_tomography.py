@@ -105,6 +105,9 @@ def test_gate_sets_are_built_once_and_read_only():
     for shared in factor:
         with pytest.raises(ValueError):
             shared[0, 0] = 0
+    # the identity channel's chi matrix, which every process fidelity reads
+    with pytest.raises(ValueError):
+        tomo.CHI_IDENTITY[0, 0] = 1.0
 
 
 def test_born_probabilities_basics(rng):
@@ -132,22 +135,25 @@ def test_born_probabilities_basics(rng):
 
 def test_exact_populations_are_the_mle_model(rng):
     """born_probabilities returns, bit for bit, the forward products the
-    MLE iterates with, here made as the MLE makes them: on a stack of
-    states, into preallocated buffers, the pair set's on the realigned
-    states and in the (k_a s_a, k_b s_b) order of A1 (x) A1."""
-    _, _, pop_order, realign = tomo._born_factor()
+    MLE iterates with, here made as the MLE makes them: by the Born map of
+    a stack of states, into its buffers, the pair set's in the
+    (k_a s_a, k_b s_b) order of A1 (x) A1.  The map's adjoint is
+    conj(A)^T w of the dense Born matrix A, in the same order."""
+    pop_order = tomo._born_factor()[2]
     for d in (3, 9):
-        rhos = np.stack([random_density(d, rng) for _ in range(4)])
-        if d == 3:
-            x, p = rhos.reshape(4, 9).view(float)[:, :, None], np.empty((4, 27, 1))
-        else:
-            x, p = rhos.reshape(4, 81)[:, realign], np.empty((4, 27, 27))
-        tomo._populations(4, d, p)(x)
-        for rho, model in zip(rhos, p):
-            exact = tomo.born_probabilities(rho)
+        rho, p, born, adjoint = tomo._born_map(4, d)
+        rho[:] = np.stack([random_density(d, rng) for _ in range(4)])
+        born()
+        for state, model in zip(rho, p):
+            exact = tomo.born_probabilities(state)
             if d == 9:
                 exact = exact.reshape(-1)[pop_order]
             assert exact.tobytes() == model.reshape(exact.shape).tobytes()
+        w = rng.random(p.shape)
+        w_dense = np.empty((4, p[0].size))
+        w_dense[:, pop_order.reshape(-1) if d == 9 else slice(None)] = w.reshape(4, -1)
+        expected = (w_dense @ dense_born_map(d).conj()).reshape(4, d, d)
+        assert np.abs(adjoint(w) - expected).max() < 1e-13
 
 
 def test_ef_swap_is_permutation():
