@@ -131,7 +131,7 @@ def dephasing_rates(T1ge, T1ef, T2ge, T2ef):
     return float(max(sol[0], 0.0)) * 1e-3, float(max(sol[1], 0.0)) * 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeDependentOperator:
     """Hamiltonian as a static matrix plus per-term sampled coefficients.
 

@@ -40,10 +40,13 @@ KAPPA_EFF_MHZ = {"A": 10.4, "B": 10.6}
 DEFAULT_WINDOW = (-95.0, 95.0)
 DEFAULT_IDLE_NS = 40.0
 # RK4 step (ns).  The drives are sampled at the half steps, so the scheme is
-# fourth order: rho9_direct of the entanglement run lies 5.1e-9 / 2.8e-10 /
-# 1.6e-11 / 3.2e-13 from a dt 0.0125 run at dt 1.0 / 0.5 / 0.25 / 0.1.  The
-# target is <= 1e-6, and 0.5 ns meets it with a margin of over 1000.
-DEFAULT_DT = 0.5
+# fourth order and resolves the ~15 ns scale of the 10 MHz photons at 1 ns:
+# rho9_direct of the entanglement run lies 5.1e-9 / 2.8e-10 / 1.6e-11 /
+# 3.2e-13 from a dt 0.0125 run at dt 1.0 / 0.5 / 0.25 / 0.1, and the
+# transfer pair's photon integrals 7.2e-8 and 2.4e-8 at 1.0.  The target is
+# <= 1e-6, which 1 ns meets with a margin of about 200; |lambda| dt is 0.085
+# on the shipped device, inside RK4's stability bound of 2.785.
+DEFAULT_DT = 1.0
 
 # the emission field studies use a 10 ns longer window and no closing pulses;
 # their drive is sampled on all of it, so it runs to 105 ns (tapered over

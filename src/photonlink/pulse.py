@@ -28,7 +28,7 @@ def _sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveEnvelope:
     """Sampled effective |f,0><->|g,1| coupling, real in the frame of the
     Stark-shifted transition.

@@ -45,7 +45,7 @@ TABLE_R_A.flags.writeable = False
 TABLE_R_B.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Three-component Gaussian mixture in the u-v plane with unit
     covariance, holding read-only copies of its weights and means."""
@@ -169,7 +169,7 @@ def assignment_matrix(counts) -> np.ndarray:
     return (c / col_tot[:, None]).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MitigationResult:
     populations: np.ndarray
     condition_number: float
@@ -212,7 +212,7 @@ def mitigate(measured, r: np.ndarray) -> MitigationResult:
 # ---------------------------------------------------------------------------
 # calibration of the synthetic default models
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadoutCalibration:
     """A mixture model plus preparation-conditioned cluster weights.
 

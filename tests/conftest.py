@@ -111,3 +111,11 @@ def budget():
 @pytest.fixture(scope="session")
 def upgrade_run():
     return read_only(protocols.run_upgrade_scenario(ProtocolSpec()))
+
+
+# --- runs at dt 0.5, the step tests/link_reference.json was recorded at ------
+
+@pytest.fixture(scope="session")
+def entangle_dt05():
+    """The entanglement run at dt 0.5 ns, read-only."""
+    return read_only(protocols.run_entanglement(ProtocolSpec(dt=0.5)))

@@ -23,7 +23,7 @@ def run_cli(tmp_path, *argv):
 @pytest.fixture(scope="session")
 def default_run(tmp_path_factory):
     """``default_run(SCENARIO)`` is the run directory of ``--scenario
-    SCENARIO`` with every other flag at its default (``--dt 0.5``, ``--fock
+    SCENARIO`` with every other flag at its default (``--dt 1``, ``--fock
     2``, no ``--shots``), run once per session; the tests that take it only
     read it."""
     out = tmp_path_factory.mktemp("default-runs")

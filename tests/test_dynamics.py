@@ -146,9 +146,9 @@ def _anti_hermitian(rho):
 def test_dense_input_stays_hermitian(rng):
     """No step re-symmetrizes the state: a full-rank input of the
     entanglement preparation, which integrates all 36 states, stays
-    Hermitian to round-off over the run's 460 steps."""
+    Hermitian to round-off over the 460 steps of its run at dt 0.5."""
     h, cops, _, _ = protocols._link_problem(
-        protocols.ProtocolSpec(), None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True
+        protocols.ProtocolSpec(dt=0.5), None, "A", [protocols.QUTRIT_PREPS["ef"]], absorb=True
     )
     [[(traj, rho)]] = dynamics.integrate_me([(h, cops, [random_density(36, rng)], None)])
     assert (traj.dim, len(h.t) - 1) == (36, 460)

@@ -263,17 +263,11 @@ def test_error_budget_equals_its_single_runs(budget):
         _assert_same_entanglement(runs[name], protocols.run_entanglement(single))
 
 
-@pytest.fixture(scope="module")
-def entangle_dt1():
-    """The entanglement run at dt 1 ns, read-only."""
-    return read_only(protocols.run_entanglement(ProtocolSpec(dt=1.0)))
-
-
 def test_runs_on_different_grids_integrate_as_separate_batches(
-    monkeypatch, entangle_run, entangle_dt1
+    monkeypatch, entangle_dt05, entangle_run
 ):
     """A dt sweep splits into one batch per grid, and each run still equals
-    its run on its own: the default run at dt 0.5, ``entangle_dt1`` at 1."""
+    its run on its own: ``entangle_dt05`` at dt 0.5, the default run at 1."""
     calls = []
     integrate = dynamics._integrate_batch
 
@@ -285,7 +279,8 @@ def test_runs_on_different_grids_integrate_as_separate_batches(
     monkeypatch.setattr(dynamics, "_integrate_batch", counting)
     batched = protocols.run_entanglements(specs)
     assert calls == [2, 1]
-    alone = {0.5: entangle_run, 1.0: entangle_dt1}
+    assert entangle_run.spec.dt == 1.0
+    alone = {0.5: entangle_dt05, 1.0: entangle_run}
     for run, spec in zip(batched, specs):
         _assert_same_entanglement(run, alone[spec.dt])
 
@@ -480,7 +475,7 @@ def _block_runs(spec):
 
 
 @pytest.mark.parametrize("fock", [2])
-def test_link_results_match_recorded_reference(fock, entangle_run, qpt_run, transfer_study):
+def test_link_results_match_recorded_reference(fock, entangle_dt05):
     """Exact changes must reproduce the recorded link results to round-off.
 
     tests/link_reference.json holds the direct entangled state, its
@@ -497,7 +492,9 @@ def test_link_results_match_recorded_reference(fock, entangle_run, qpt_run, tran
     held at fock 3; the model now fixes the two resonator levels
     ``device.DIMS`` holds, ``--fock`` changes no spec
     (``test_fock_flag_builds_the_plain_spec``), and the runs read here are
-    the session's default runs, the ones the CLI builds at the recorded dt.
+    the ones the CLI builds at the recorded dt, 0.5 ns.  The default step
+    has been 1 ns since; its own error is checked against the fine run
+    (``test_default_step_is_within_1e_8_of_the_fine_reference``).
     """
     ref = json.loads((Path(__file__).parent / "link_reference.json").read_text())
     dt = ref["spec"]["dt"]
@@ -505,15 +502,13 @@ def test_link_results_match_recorded_reference(fock, entangle_run, qpt_run, tran
     def matrix(m):
         return np.asarray(m["re"]) + 1j * np.asarray(m["im"])
 
-    assert _cli_spec("entangle", dt, fock) == entangle_run.spec
-    ent = entangle_run.extras
+    assert _cli_spec("entangle", dt, fock) == entangle_dt05.spec
+    ent = entangle_dt05.extras
     assert np.abs(ent["rho9_direct"] - matrix(ref["rho9_direct"])).max() <= 1e-10
     assert np.abs(ent["rho9_tomography"] - matrix(ref["rho9_tomography"])).max() <= 1e-10
-    assert _cli_spec("qpt", dt, fock) == qpt_run.spec
-    chi = qpt_run.extras["chi"]
+    chi = protocols.run_state_transfer_qpt(_cli_spec("qpt", dt, fock)).extras["chi"]
     assert np.abs(chi - matrix(ref["chi"])).max() <= 1e-10
-    eff, runs = transfer_study
-    assert _cli_spec("transfer", dt, fock) == runs["with"].spec
+    eff, _ = protocols.run_transfer_efficiencies(_cli_spec("transfer", dt, fock))
     for name, value in ref["transfer_efficiencies"].items():
         assert getattr(eff, name) == pytest.approx(value, abs=1e-10), name
 
@@ -524,10 +519,10 @@ def test_link_runs_integrate_the_single_excitation_block(fock, entangle_run, tra
     the same basis states whatever ``--fock`` the CLI is given: the 7 states
     with one excitation or none when B absorbs A's photon, and 5 of them when
     no node absorbs, since the idle node's qutrit then never leaves g.  The
-    run counters are deterministic: a second integration of the spec gives
-    the counters of its first, whose transfer pair and entanglement are the
-    session's default runs."""
-    spec = _cli_spec("entangle", 0.5, fock)
+    run counters are deterministic: a second integration of the default
+    spec gives the counters of its first, whose transfer pair and
+    entanglement are the session's default runs."""
+    spec = _cli_spec("entangle", protocols.DEFAULT_DT, fock)
     runs = transfer_study[1]
     first = _block_counters([
         *(protocols.run_emissions(spec, "B", (initial,))[0] for initial in ("f", "gf")),
@@ -587,19 +582,20 @@ def fine_runs():
 
 def test_default_step_is_within_1e_8_of_the_fine_reference(fine_runs, entangle_run):
     """At the default dt the entangled state lies within 1e-8 of the fine
-    run (2.8e-10 measured at dt 0.5), well inside the 1e-6 the step size
-    may cost."""
+    run (5.1e-9 measured at dt 1), well inside the 1e-6 the step size may
+    cost."""
     rho9 = entangle_run.extras["rho9_direct"]
     assert np.abs(rho9 - fine_runs["rho9_direct"]).max() <= 1e-8
 
 
-def test_drive_sampling_is_fourth_order(fine_runs, entangle_dt1, entangle_run):
+def test_drive_sampling_is_fourth_order(fine_runs, entangle_run, entangle_dt05):
     """Halving dt from 1 ns cuts the error of rho9_direct about 16-fold
     (measured order 4.2 and 4.1; midpoint averages of the drive samples,
-    a second-order scheme, give 2).  The default run is the one at 0.5 ns."""
+    a second-order scheme, give 2).  The default run is the one at 1 ns."""
+    assert entangle_run.spec.dt == 1.0
     runs = [
-        entangle_dt1,
         entangle_run,
+        entangle_dt05,
         protocols.run_entanglement(ProtocolSpec(dt=0.25)),
     ]
     errors = [
@@ -609,12 +605,23 @@ def test_drive_sampling_is_fourth_order(fine_runs, entangle_dt1, entangle_run):
     assert orders.min() >= 3.5, (errors, orders)
 
 
-def test_photon_integrals_match_the_fine_reference(fine_runs, transfer_study):
+def test_photon_integrals_match_the_fine_reference(fine_runs):
     """The emitted photon number of the transfer pair (absorption on and
-    off) at dt 0.5, the default transfer study's pair, lies within 1e-8 of
-    the fine run: Simpson's rule matches the scheme's order, where the
-    trapezoid is 4e-8 and 2e-7 off."""
+    off) at dt 0.5 lies within 1e-8 of the fine run: Simpson's rule matches
+    the scheme's order, where the trapezoid is 4e-8 and 2e-7 off."""
+    spec = ProtocolSpec(dt=0.5)
+    for on, fine in zip((True, False), fine_runs["transfer_pair"]):
+        coarse = protocols.run_transfer(spec, absorption=on).trajectory.photon_integral
+        assert coarse == pytest.approx(fine, abs=1e-8), on
+
+
+def test_default_step_photon_integrals_are_within_1e_7_of_the_fine_reference(
+    fine_runs, transfer_study
+):
+    """The default transfer study's pair, at dt 1, emits within 1e-7 of the
+    fine run's photon number (7.2e-8 and 2.4e-8 measured)."""
     runs = transfer_study[1]
+    assert runs["with"].spec.dt == protocols.DEFAULT_DT
     for on, fine in zip((True, False), fine_runs["transfer_pair"]):
         coarse = runs["with" if on else "without"].trajectory.photon_integral
-        assert coarse == pytest.approx(fine, abs=1e-8), on
+        assert coarse == pytest.approx(fine, abs=1e-7), on

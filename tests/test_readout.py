@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from photonlink import readout
+from photonlink import device, pulse, readout
 from oracles import TABLE_R_TWO_NODE_PERCENT, joint_shots
 
 
@@ -629,3 +629,21 @@ def test_calibrate_to_targets_reproduces_the_stored_parameters():
         refit = [mu[1, 0], mu[2, 0], mu[2, 1], *np.log(w[1:] / w[0])]
         assert np.abs(np.subtract(refit, theta)).max() < 1e-6
         assert np.abs(cal.analytic_assignment() - table).max() < 1e-6
+
+
+def test_frozen_array_holders_compare_by_identity_and_hash():
+    """A frozen dataclass that holds arrays compares by identity and hashes:
+    field-wise ``==`` would ask an array for its truth value and raise, and
+    its generated hash would hash an array and raise."""
+    t = np.linspace(0.0, 1.0, 3)
+    h = np.zeros((2, 2), complex)
+    pairs = [
+        (simple_model(), simple_model()),
+        (bare(simple_model()), bare(simple_model())),
+        (readout.mitigate([0.5, 0.5], np.eye(2)), readout.mitigate([0.5, 0.5], np.eye(2))),
+        (device.TimeDependentOperator(h, (), t), device.TimeDependentOperator(h, (), t)),
+        (pulse.DriveEnvelope(t, t), pulse.DriveEnvelope(t, t)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b, type(a)
+        assert len({a, b, a}) == 2, type(a)

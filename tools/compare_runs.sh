@@ -32,7 +32,7 @@ argvs=(
     "--scenario emit-a"
     "--scenario emit-b --truncate-sweep"
     "--scenario transfer"
-    "--scenario transfer --dt 1"
+    "--scenario transfer --dt 0.5"
     "--scenario qpt"
     "--scenario qpt --shots 20000 --seed 1"
     "--scenario qpt --shots 20000 --seed 7919"
