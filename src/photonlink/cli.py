@@ -3,21 +3,21 @@
 Each scenario returns its summary and its artifacts as data, a map from file
 name to a JSON-able dict (``.json``) or a (header, rows) table (``.csv``);
 this module alone writes files, and only after the scenario has run to its
-end in memory.  Every run writes a manifest (resolved configuration and the
-versions of what the run uses: Python, numpy and photonlink) sufficient to
-reproduce it byte-for-byte, the summary and every artifact: JSON with sorted
-keys, CSV with LF line ends and numbers as %.9g.  run.log lists the files
-this run wrote; a run into a directory that holds an earlier run first
-deletes the files listed by the run.log already there (plain names of
-regular files in that directory, nothing else), so no file of the earlier
-run outlives it.
-One table, ``SCENARIOS``, sends each scenario to its runner and
-names the flags it reads; any other flag set on the command line exits 2,
-apart from --scenario, --out, --seed, --device and --fock, which every
-scenario accepts.  Exit codes: 0 success, 2 configuration error (a bad
-flag, spec or device, an output directory that cannot be made or written,
-refused before the scenario runs, or a drive the run cannot build: nothing
-written), 3
+end in memory.  CSV holds time series and shots, JSON everything else, and
+no artifact repeats or subsamples another of the same run.  Every run writes
+a manifest (resolved configuration and the versions of what the run uses:
+Python, numpy and photonlink) sufficient to reproduce it byte-for-byte, the
+summary and every artifact: JSON with sorted keys, CSV with LF line ends and
+numbers as %.9g.  run.log lists the files this run wrote; a run into a
+directory that holds an earlier run first deletes the files listed by the
+run.log already there (plain names of regular files in that directory,
+nothing else), so no file of the earlier run outlives it.
+One table, ``SCENARIOS``, sends each scenario to its runner and names the
+flags it reads; any other flag set on the command line exits 2, apart from
+--scenario, --out, --seed, --device and --fock, which every scenario
+accepts.  Exit codes: 0 success, 2 configuration error (a bad flag, spec or
+device, an output directory that cannot be made or written, refused before
+the scenario runs, or a drive the run cannot build: nothing written), 3
 numerical failure (trace drift or another ValueError raised during the run;
 only manifest.json and run.log are written, and run.log names the cause).
 """
@@ -50,20 +50,15 @@ def build_parser():
         description="Cascaded two-node photon-link simulator",
     )
     parser.add_argument("--scenario", required=True, help=f"one of {', '.join(SCENARIOS)}")
-    parser.add_argument("--device", default=None, help="device JSON file (default: shipped table)")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output directory (default: $PHOTONLINK_OUT or ./photonlink-out)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shots", type=int, default=None, help="sampled-readout shots per setting (default: exact)")
-    parser.add_argument("--eta-c", type=float, default=None)
-    parser.add_argument("--kappa-eff", type=float, default=None, help="photon bandwidth override, linear MHz (both nodes)")
+    parser.add_argument("--device", help="device JSON file (default: shipped table)")
+    parser.add_argument("--out", help="output directory (default: $PHOTONLINK_OUT or ./photonlink-out)")
+    parser.add_argument("--seed", type=int, default=0, help="readout RNG seed, >= 0 (default 0)")
+    parser.add_argument("--shots", type=int, help="sampled-readout shots per setting (default: exact)")
+    parser.add_argument("--eta-c", type=float, help="channel transmission in [0, 1] (default: device table)")
+    parser.add_argument("--kappa-eff", type=float, help="photon bandwidth override, linear MHz (both nodes)")
     parser.add_argument(
         "--time-offset",
         type=float,
-        default=None,
         help="absorber delay (ns); must keep 99%% of the receiver drive's energy in the drive window",
     )
     parser.add_argument(
@@ -72,15 +67,18 @@ def build_parser():
         default=2,
         help="accepted and ignored (must be >= 2): each resonator holds the one photon a protocol makes",
     )
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--idle-ns", type=float, default=None)
-    parser.add_argument("--t-scale", type=float, default=None, help="scale all T1/T2 times")
-    # None when unset, like every other flag a scenario may not read
     parser.add_argument(
-        "--truncate-sweep", action="store_true", default=None, help="emit-a/emit-b: write the truncation-time population family"
+        "--dt",
+        type=float,
+        help="RK4 step (ns) in (0, 1], dividing both drive-window edges and --idle-ns"
+        f" (default {protocols.DEFAULT_DT:g})",
     )
-    parser.add_argument("--sweep-param", default=None, help=f"one of {', '.join(SWEEPABLE)}")
-    parser.add_argument("--sweep-values", default=None, help="comma-separated values")
+    parser.add_argument(
+        "--idle-ns", type=float, help=f"closing-pulse time after the drive window (ns, default {protocols.DEFAULT_IDLE_NS:g})"
+    )
+    parser.add_argument("--t-scale", type=float, help="scale all T1/T2 times")
+    parser.add_argument("--sweep-param", help=f"one of {', '.join(SWEEPABLE)}")
+    parser.add_argument("--sweep-values", help="comma-separated values")
     return parser
 
 
@@ -203,7 +201,6 @@ def _manifest(args, spec, nodes_link):
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "sweep": {"param": args.sweep_param, "values": args.sweep_values},
-        "truncate_sweep": bool(args.truncate_sweep),
     }
 
 
@@ -234,30 +231,15 @@ def _run_emit(args, spec, nodes_link):
     node = args.scenario[-1].upper()  # emit-a or emit-b
     # the population and the mean-field preparations share one integration
     pop_run, field_run = protocols.run_emissions(spec, node, ("f", "gf"), nodes_link=nodes_link)
-    artifacts = {
-        "trajectory.csv": _trajectory_table(pop_run.trajectory),
-        "trajectory_mean_field.csv": _trajectory_table(field_run.trajectory),
-    }
-    if args.truncate_sweep:
-        # populations measured right after truncating the drive at tau coincide
-        # with the untruncated trajectory at tau (tests/test_cli.py checks the
-        # rows against runs cut at tau); one row every 2 ns, on the grid
-        # points at whole multiples of 2 ns so that the photon peak, t = 0, is
-        # a row
-        traj = pop_run.trajectory
-        dt = traj.t[1] - traj.t[0]
-        step = max(1, int(round(2.0 / dt)))
-        first = int(round(-traj.t[0] % 2.0 / dt)) % step
-        pops = [traj.expect[f"P{level}_{node}"].real for level in "gef"]
-        artifacts["truncation_sweep.csv"] = (
-            ("tau_ns", "Pg", "Pe", "Pf"), np.column_stack((traj.t, *pops))[first::step]
-        )
     summary = {
         "final_populations": pop_run.extras["final_populations"],
         "photon_integral": pop_run.extras["photon_integral"],
         "mean_field_power": field_run.extras["mean_field_power"],
     }
-    return summary, artifacts
+    return summary, {
+        "trajectory.csv": _trajectory_table(pop_run.trajectory),
+        "trajectory_mean_field.csv": _trajectory_table(field_run.trajectory),
+    }
 
 
 def _run_transfer(args, spec, nodes_link):
@@ -296,8 +278,6 @@ def _run_entangle(args, spec, nodes_link):
         "rho_two_qutrit_tomography.json": _matrix(res.extras["rho9_tomography"], dims=[3, 3]),
         "tomography_records.json": {name: np.asarray(p, float) for name, p in records},
         "metrics.json": asdict(bundle),
-        "pauli_expectations.csv": (("label", "value"), bundle.pauli_expectations.items()),
-        "gellmann_expectations.csv": (("label", "value"), bundle.gellmann_expectations.items()),
         "trajectory.csv": _trajectory_table(res.trajectory),
     }
     return _metrics_summary(bundle), artifacts
@@ -310,8 +290,7 @@ def _run_upgrade(args, spec, nodes_link):
 
 def _run_budget(args, spec, nodes_link):
     budget = protocols.error_budget(spec, nodes_link=nodes_link)
-    payload = {k: v for k, v in budget.items() if k != "runs"}
-    return payload, {"budget.json": payload}
+    return {k: v for k, v in budget.items() if k != "runs"}, {}
 
 
 def _assignment(r, labels):
@@ -366,15 +345,14 @@ def _run_sweep(args, spec, nodes_link):
         {"value": value, **_metrics_summary(run.extras["metrics"])}
         for (value, _), run in zip(points, runs)
     ]
-    table = (["param", *rows[0]], [[args.sweep_param, *row.values()] for row in rows])
-    return {"param": args.sweep_param, "rows": rows}, {"sweep.csv": table}
+    return {"param": args.sweep_param, "rows": rows}, {}
 
 
 # the flags every scenario accepts
 _EVERY_SCENARIO = ("scenario", "out", "seed", "device", "fock")
 # each scenario's runner(args, spec, nodes_link) and the other flags it reads;
 # a flag it does not read exits 2 when set
-_EMISSION = ("eta_c", "kappa_eff", "t_scale", "dt", "truncate_sweep")
+_EMISSION = ("eta_c", "kappa_eff", "t_scale", "dt")
 _MEASURED = (*SWEEPABLE, "shots")
 SCENARIOS = {
     "emit-a": (_run_emit, _EMISSION),

@@ -1,3 +1,4 @@
+import ast
 import functools
 import json
 import os
@@ -49,6 +50,60 @@ def _assert_lf_only(run_dir):
         assert b"\r" not in path.read_bytes(), path.name
 
 
+def _listed_artifacts(run_dir):
+    """The ``artifacts:`` list of a run's run.log, which names every file of
+    its directory but run.log itself."""
+    [line] = [x for x in (run_dir / "run.log").read_text().splitlines() if x.startswith("artifacts: ")]
+    listed = ast.literal_eval(line.removeprefix("artifacts: "))
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted([*listed, "run.log"])
+    return listed
+
+
+# the files each default run writes besides manifest.json, summary.json and
+# run.log; no artifact repeats or subsamples another of the same run
+DEFAULT_ARTIFACTS = {
+    "emit-a": {"trajectory.csv", "trajectory_mean_field.csv"},
+    "emit-b": {"trajectory.csv", "trajectory_mean_field.csv"},
+    "transfer": {
+        "trajectory_absorption_on.csv",
+        "trajectory_absorption_off.csv",
+        "trajectory_emit_a.csv",
+        "trajectory_emit_b.csv",
+    },
+    "qpt": {"chi.json"},
+    "entangle": {
+        "rho_two_qutrit_direct.json",
+        "rho_two_qutrit_tomography.json",
+        "tomography_records.json",
+        "metrics.json",
+        "trajectory.csv",
+    },
+    "upgrade": {"metrics.json"},
+    "budget": set(),
+    "readout-sim": {
+        "assignment_A.json",
+        "assignment_B.json",
+        "assignment_two_node.json",
+        "shots_A.csv",
+        "shots_B.csv",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS if s != "sweep"])
+def test_default_run_lists_exactly_its_artifacts(default_run, scenario):
+    """Each scenario run with its defaults (a sweep needs its flags) writes
+    the artifacts of ``DEFAULT_ARTIFACTS`` and lists them in run.log."""
+    expected = {"manifest.json", "summary.json", *DEFAULT_ARTIFACTS[scenario]}
+    assert _listed_artifacts(default_run(scenario)) == sorted(expected)
+
+
+def test_every_flag_has_help():
+    for action in cli.build_parser()._actions:
+        if action.dest != "help":
+            assert action.help and action.help.strip(), action.option_strings
+
+
 def _device_file(path, section, **fields):
     """The shipped device table with some fields of one section replaced."""
     node_a, node_b, link = device.load_device()
@@ -67,15 +122,14 @@ FLAG_VALUES = {
     "--dt": ["0.5"],
     "--idle-ns": ["40"],
     "--t-scale": ["2"],
-    "--truncate-sweep": [],
     "--sweep-param": ["eta_c"],
     "--sweep-values": ["0.8,0.9"],
 }
 LINK_FLAGS = {"--eta-c", "--t-scale", "--kappa-eff", "--time-offset", "--dt", "--idle-ns"}
 # the flags each scenario reads besides --scenario, --out, --seed, --device, --fock
 READS = {
-    "emit-a": {"--eta-c", "--kappa-eff", "--t-scale", "--dt", "--truncate-sweep"},
-    "emit-b": {"--eta-c", "--kappa-eff", "--t-scale", "--dt", "--truncate-sweep"},
+    "emit-a": {"--eta-c", "--kappa-eff", "--t-scale", "--dt"},
+    "emit-b": {"--eta-c", "--kappa-eff", "--t-scale", "--dt"},
     "transfer": LINK_FLAGS,
     "qpt": LINK_FLAGS | {"--shots"},
     "entangle": LINK_FLAGS | {"--shots"},
@@ -163,10 +217,6 @@ def test_conflicting_flags_exit_2(tmp_path, monkeypatch):
          "--eta-c", "0.5"],
         ["--scenario", "sweep", "--sweep-param", "kappa_eff", "--sweep-values", "10.2,10.4",
          "--kappa-eff", "10.3"],
-        ["--truncate-sweep"],
-        ["--scenario", "transfer", "--truncate-sweep"],
-        ["--scenario", "sweep", "--sweep-param", "eta_c", "--sweep-values", "0.9",
-         "--truncate-sweep"],
         # no readout to sample, or no receiver to delay
         ["--scenario", "emit-a", "--shots", "100"],
         ["--scenario", "emit-b", "--shots", "100"],
@@ -277,20 +327,10 @@ def test_sweep_requires_values(tmp_path, capsys):
 
 
 def test_emit_scenario_writes_artifacts(tmp_path):
-    code, out = run_cli(
-        tmp_path, "--scenario", "emit-b", "--dt", "0.5", "--truncate-sweep"
-    )
+    code, out = run_cli(tmp_path, "--scenario", "emit-b", "--dt", "0.5")
     assert code == 0
     run_dir = out / "emit-b"
-    for name in (
-        "manifest.json",
-        "summary.json",
-        "run.log",
-        "trajectory.csv",
-        "trajectory_mean_field.csv",
-        "truncation_sweep.csv",
-    ):
-        assert (run_dir / name).exists(), name
+    assert set(_listed_artifacts(run_dir)) == {"manifest.json", "summary.json", *DEFAULT_ARTIFACTS["emit-b"]}
     summary = json.loads((run_dir / "summary.json").read_text())
     assert 0.9 < summary["final_populations"]["g"] <= 1.0
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -305,28 +345,20 @@ def test_emit_scenario_writes_artifacts(tmp_path):
     ]
     assert len(rows) == 402
     assert float(rows[1].split(",")[6]) == pytest.approx(1.0)  # Pf_B starts at 1
-    # each truncation-table row holds node B's populations right after a drive
-    # cut at tau: the final state of the emission problem cut short there
-    sweep = np.loadtxt(run_dir / "truncation_sweep.csv", delimiter=",", skiprows=1)
+    # node B's populations right after a drive cut at tau are the trajectory's
+    # row at tau: the final state of the emission problem cut short there
+    trajectory = np.loadtxt(run_dir / "trajectory.csv", delimiter=",", skiprows=1)
     spec = protocols.ProtocolSpec(
         window=protocols.EMISSION_WINDOW, idle_ns=protocols.EMISSION_IDLE_NS, dt=0.5
     )
     problem = protocols._link_problem(spec, None, "B", [protocols.QUTRIT_PREPS["f"]])
-    # the rows lie 2 ns apart on the whole multiples of 2 ns, from -94 ns
-    assert sweep[0, 0] == -94.0 and len(sweep) == 100
     for tau in (-20.0, 0.0, 30.0):
-        [row] = sweep[np.abs(sweep[:, 0] - tau) < 1e-9]
+        [row] = trajectory[np.abs(trajectory[:, 0] - tau) < 1e-9]
         steps = int(round((tau - spec.window[0]) / spec.dt))
         [[(_, rho)]] = protocols._integrate_links([cut_short(problem, steps)])
         cut = [np.trace(device.LEVEL_PROJECTORS[f"P{level}_B"] @ rho).real for level in "gef"]
-        assert np.abs(row[1:] - cut).max() < 1e-9, tau
+        assert np.abs(row[4:7] - cut).max() < 1e-9, tau  # Pg_B, Pe_B, Pf_B
     _assert_lf_only(run_dir)
-    # a rerun into the same --out lists what it wrote, not what an earlier run left
-    code, out = run_cli(tmp_path, "--scenario", "emit-b", "--dt", "0.5")
-    assert code == 0
-    log = (run_dir / "run.log").read_text()
-    assert "'trajectory.csv'" in log and "truncation_sweep.csv" not in log
-    assert not (run_dir / "truncation_sweep.csv").exists()
 
 
 def test_run_path_imports_no_scipy(tmp_path):
@@ -347,8 +379,8 @@ def test_run_path_imports_no_scipy(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    # the shot run writes every JSON shape and both expectation CSVs; the
-    # transfer study's runs sit on two grids, and the shot qpt run
+    # the shot run writes every JSON shape; the transfer study's runs sit on
+    # two grids, and the shot qpt run
     # reconstructs its six outputs as one MLE stack
     for args in (
         ["--scenario", "emit-b", "--dt", "0.5"],
@@ -371,10 +403,9 @@ def test_entangle_scenario_artifacts(default_run):
     assert set(summary) >= {"state_fidelity", "concurrence", "ccnr", "residual_f_population"}
     rho = json.loads((run_dir / "rho_two_qutrit_direct.json").read_text())
     assert np.asarray(rho["re"]).shape == (9, 9)
-    pauli = (run_dir / "pauli_expectations.csv").read_text().strip().split("\n")
-    assert len(pauli) == 16  # header + 15 operators
-    gellmann = (run_dir / "gellmann_expectations.csv").read_text().strip().split("\n")
-    assert len(gellmann) == 81  # header + 80 operators
+    bundle = json.loads((run_dir / "metrics.json").read_text())
+    assert len(bundle["pauli_expectations"]) == 15
+    assert len(bundle["gellmann_expectations"]) == 80
     records = json.loads((run_dir / "tomography_records.json").read_text())
     assert len(records) == 81
     assert "x180_ge.x90_ef|id" in records
@@ -419,12 +450,12 @@ def test_sweep_scenario(tmp_path):
         "--sweep-values", "1.0,0.77", "--dt", "0.5",
     )
     assert code == 0
-    rows = (out / "sweep" / "sweep.csv").read_text().strip().split("\n")
-    assert rows[0].startswith("param,value,state_fidelity")
-    assert len(rows) == 3
-    f_1 = float(rows[1].split(",")[2])
-    f_077 = float(rows[2].split(",")[2])
-    assert f_1 > f_077
+    summary = json.loads((out / "sweep" / "summary.json").read_text())
+    assert summary["param"] == "eta_c"
+    rows = summary["rows"]
+    assert [row["value"] for row in rows] == [1.0, 0.77]
+    assert rows[0]["state_fidelity"] > rows[1]["state_fidelity"]
+    assert _listed_artifacts(out / "sweep") == ["manifest.json", "summary.json"]
     _assert_lf_only(out / "sweep")
 
 
@@ -446,7 +477,7 @@ def test_qpt_scenario_artifacts(default_run):
 
 
 def test_budget_and_upgrade_scenarios(default_run):
-    budget = json.loads((default_run("budget") / "budget.json").read_text())
+    budget = json.loads((default_run("budget") / "summary.json").read_text())
     assert budget["fidelities"]["both_off"] > budget["fidelities"]["baseline"]
     summary = json.loads((default_run("upgrade") / "summary.json").read_text())
     assert summary["state_fidelity"] > 0.85

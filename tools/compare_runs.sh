@@ -30,7 +30,7 @@ work=${2:-$(mktemp -d)}
 # are among them, so a byte-identity claim covers every run its gate checks
 argvs=(
     "--scenario emit-a"
-    "--scenario emit-b --truncate-sweep"
+    "--scenario emit-b"
     "--scenario transfer"
     "--scenario transfer --dt 0.5"
     "--scenario qpt"
