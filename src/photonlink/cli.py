@@ -3,15 +3,17 @@
 Each scenario returns its summary and its artifacts as data, a map from file
 name to a JSON-able dict (``.json``) or a (header, rows) table (``.csv``);
 this module alone writes files, and only after the scenario has run to its
-end in memory.  CSV holds time series and shots, JSON everything else, and
-no artifact repeats or subsamples another of the same run.  Every run writes
-a manifest (resolved configuration and the versions of what the run uses:
-Python, numpy and photonlink) sufficient to reproduce it byte-for-byte, the
-summary and every artifact: JSON with sorted keys, CSV with LF line ends and
-numbers as %.9g.  run.log lists the files this run wrote; a run into a
-directory that holds an earlier run first deletes the files listed by the
-run.log already there (plain names of regular files in that directory,
-nothing else), so no file of the earlier run outlives it.
+end in memory.  CSV holds time series and shots, JSON everything else; no
+artifact repeats or subsamples another of the same run, and no field
+repeats another (an entanglement run's metrics.json holds the fields its
+summary does not).  Every run writes a manifest (resolved configuration and
+the versions of what the run uses: Python, numpy and photonlink) sufficient
+to reproduce it byte-for-byte, the summary and every artifact: JSON with
+sorted keys, CSV with LF line ends and numbers as %.9g.  run.log lists the
+files this run wrote; a run into a directory that holds an earlier run
+first deletes the files listed by the run.log already there (plain names
+of regular files in that directory, nothing else), so no file of the
+earlier run outlives it.
 One table, ``SCENARIOS``, sends each scenario to its runner and names the
 flags it reads; any other flag set on the command line exits 2, apart from
 --scenario, --out, --seed, --device and --fock, which every scenario
@@ -204,15 +206,16 @@ def _manifest(args, spec, nodes_link):
     }
 
 
-def _metrics_summary(bundle: metrics.MetricsBundle):
-    return {
-        "state_fidelity": bundle.state_fidelity,
-        "concurrence": bundle.concurrence,
-        "concurrence_renormalized": bundle.concurrence_renormalized,
-        "ccnr": bundle.ccnr,
-        "residual_f_population": bundle.residual_f_population,
-        "qubit_block_trace": bundle.qubit_block_trace,
-    }
+# an entanglement run's summary (and a sweep row) holds these metrics and
+# its metrics.json the rest of the bundle, so each field is written once
+_HEADLINE = ("state_fidelity", "concurrence", "concurrence_renormalized", "ccnr",
+             "residual_f_population", "qubit_block_trace")
+
+
+def _split_metrics(bundle: metrics.MetricsBundle):
+    """An entanglement run's (summary, metrics.json)."""
+    fields = asdict(bundle)
+    return {k: fields.pop(k) for k in _HEADLINE}, fields
 
 
 def _trajectory_table(traj):
@@ -260,32 +263,31 @@ def _run_transfer(args, spec, nodes_link):
 
 def _run_qpt(args, spec, nodes_link):
     res = protocols.run_state_transfer_qpt(spec, nodes_link=nodes_link)
-    chi = res.extras["chi"]
     summary = {
         "process_fidelity": res.extras["process_fidelity"],
-        "chi_identity_weight": float(chi[0, 0].real),
         "avg_state_fidelity_from_fp": res.extras["avg_state_fidelity_from_fp"],
     }
-    return summary, {"chi.json": _matrix(chi)}
+    return summary, {"chi.json": _matrix(res.extras["chi"])}
 
 
 def _run_entangle(args, spec, nodes_link):
     res = protocols.run_entanglement(spec, nodes_link=nodes_link)
-    bundle = res.extras["metrics"]
+    summary, rest = _split_metrics(res.extras["metrics"])
     records = zip(tomography.pair_names(), res.extras["tomography_populations"])
     artifacts = {
         "rho_two_qutrit_direct.json": _matrix(res.extras["rho9_direct"], dims=[3, 3]),
         "rho_two_qutrit_tomography.json": _matrix(res.extras["rho9_tomography"], dims=[3, 3]),
         "tomography_records.json": {name: np.asarray(p, float) for name, p in records},
-        "metrics.json": asdict(bundle),
+        "metrics.json": rest,
         "trajectory.csv": _trajectory_table(res.trajectory),
     }
-    return _metrics_summary(bundle), artifacts
+    return summary, artifacts
 
 
 def _run_upgrade(args, spec, nodes_link):
-    bundle = protocols.run_upgrade_scenario(spec, nodes_link=nodes_link).extras["metrics"]
-    return _metrics_summary(bundle), {"metrics.json": asdict(bundle)}
+    res = protocols.run_upgrade_scenario(spec, nodes_link=nodes_link)
+    summary, rest = _split_metrics(res.extras["metrics"])
+    return summary, {"metrics.json": rest}
 
 
 def _run_budget(args, spec, nodes_link):
@@ -342,7 +344,7 @@ def _run_sweep(args, spec, nodes_link):
     points = _sweep_specs(args, nodes_link)
     runs = protocols.run_entanglements([run_spec for _, run_spec in points], nodes_link)
     rows = [
-        {"value": value, **_metrics_summary(run.extras["metrics"])}
+        {"value": value, **{k: getattr(run.extras["metrics"], k) for k in _HEADLINE}}
         for (value, _), run in zip(points, runs)
     ]
     return {"param": args.sweep_param, "rows": rows}, {}

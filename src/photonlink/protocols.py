@@ -337,50 +337,49 @@ def run_transfer_efficiencies(spec: ProtocolSpec | None = None, nodes_link=None)
     return eff, results
 
 
-def _measure(rho, spec, rng):
-    """Tomography populations of ``rho``, one row per setting of the gate
-    set of its dimension: a 3x3 state is node B's qutrit, a 9x9 one the
-    A-major pair.  Exact readout gives the Born probabilities.  With
-    ``spec.shots``, the A-major label counts of every setting come from one
-    ``readout.count_table`` call (per setting in order, an inverse-CDF
-    joint cluster draw on ``Generator.random``, then each node's normal
-    draws, labelled without building the shots through label tables built
-    once per calibration) and are mitigated with the Kronecker product of the nodes' assignment
-    matrices.
+def _measure(states, spec):
+    """Tomography populations of a (k, d, d) stack of states, (k, n, d): one
+    row of d outcomes per setting of the gate set of d, n = 9 for node B's
+    qutrit (d = 3) and 81 for the A-major pair (d = 9).  Exact readout gives
+    the Born probabilities.  With ``spec.shots``, the A-major label counts
+    of all k n settings, state by state and setting by setting, come from
+    one ``readout.count_table`` call on ``default_rng(spec.seed)`` (per
+    setting an inverse-CDF joint cluster draw on ``Generator.random``, then
+    each node's normal draws, labelled without building the shots) and are
+    mitigated by one ``readout.mitigate`` solve with the Kronecker product
+    of the nodes' assignment matrices: the draws and the populations of k
+    calls on one state each, sharing that Generator in stack order.
     """
-    pops = tomography.born_probabilities(rho)
+    pops = np.stack([tomography.born_probabilities(rho) for rho in states])
     if spec.shots is None:
         return pops
-    nodes = ("B",) if len(rho) == 3 else ("A", "B")
-    cals = [readout.default_calibration(node) for node in nodes]
-    freqs = readout.count_table(cals, np.clip(pops, 0, None), spec.shots, rng) / spec.shots
+    d = pops.shape[-1]
+    cals = [readout.default_calibration(node) for node in (("B",) if d == 3 else ("A", "B"))]
+    rng = np.random.default_rng(spec.seed)
+    freqs = readout.count_table(cals, np.clip(pops, 0, None).reshape(-1, d), spec.shots, rng) / spec.shots
     r = readout.kron(*[cal.analytic_assignment() for cal in cals])
-    return readout.mitigate(freqs.T, r).populations.T
+    return readout.mitigate(freqs.T, r).populations.T.reshape(pops.shape)
 
 
 def run_state_transfer_qpt(spec: ProtocolSpec | None = None, nodes_link=None) -> RunResult:
     """Process tomography of the qubit transfer channel.
 
     Transfers the six mutually unbiased qubit input states in one
-    integration, reconstructs each output at node B by MLE state tomography
-    on the qutrit (the six as one stack), reduces to the {g, e} block
-    without renormalization and inverts for the chi matrix.  Every input is
-    integrated before the first readout draw, and the inputs are measured
-    in order.  ``chi_direct`` is the same inversion of the directly
-    simulated outputs.
+    integration, measures their six outputs at node B as one stack (one
+    readout table, so every input is integrated before the first draw and
+    the inputs are drawn in order), reconstructs them by MLE state
+    tomography on the qutrit (the six as one stack), reduces to the {g, e}
+    block without renormalization and inverts for the chi matrix.
+    ``chi_direct`` is the same inversion of the directly simulated outputs.
     """
     spec = spec or ProtocolSpec()
-    rng = np.random.default_rng(spec.seed)
     inputs = tomography.mub_qubit_states()
     swap = tomography.ef_swap()
     preps = [swap @ np.array([psi[0], psi[1], 0.0], dtype=complex) for psi in inputs]
     [runs] = _integrate_links([_link_problem(spec, nodes_link, "A", preps, absorb=True)])
-    direct, measured = [], []
-    for _, rho9 in _mapped(runs):
-        rho3 = partial_trace(rho9, (3, 3), keep=(1,))
-        direct.append(rho3[:2, :2])
-        measured.append(_measure(rho3, spec, rng))
-    outputs = tomography.qst_mle(np.stack(measured))[:, :2, :2]
+    rho3s = np.stack([partial_trace(rho9, (3, 3), keep=(1,)) for _, rho9 in _mapped(runs)])
+    direct = rho3s[:, :2, :2]
+    outputs = tomography.qst_mle(_measure(rho3s, spec))[:, :2, :2]
     chi = tomography.qpt_linear_inversion(inputs, outputs)
     f_p = metrics.process_fidelity(chi, tomography.CHI_IDENTITY)
     extras = {
@@ -402,21 +401,18 @@ def run_entanglements(specs, nodes_link=None) -> list[RunResult]:
     photon, absorbed at B and mapped to |e> by the final pi_ef pulse,
     targeting (|eg> + |ge>)/sqrt(2).  Every run's drives are built before
     the first one integrates (ConfigError); the runs are integrated as one
-    batch per time grid, measured in order, each with its own ``spec.seed``
-    RNG, and reconstructed as one MLE stack, so each result equals its run
-    on its own.  Each returns the directly simulated two-qutrit state, its
-    synthetic-tomography reconstruction, and the metrics bundle evaluated on
-    the reconstruction.
+    batch per time grid, measured in order, each as a one-state stack on its
+    own ``spec.seed`` Generator, and reconstructed as one MLE stack, so each
+    result equals its run on its own.  Each returns the directly simulated
+    two-qutrit state, its synthetic-tomography reconstruction, and the
+    metrics bundle evaluated on the reconstruction.
     """
     runs = _integrate_links(
         [_link_problem(spec, nodes_link, "A", [QUTRIT_PREPS["ef"]], absorb=True) for spec in specs]
     )
     states = [_mapped(pairs)[0] for pairs in runs]
-    measured = [
-        _measure(rho9, spec, np.random.default_rng(spec.seed))
-        for spec, (_, rho9) in zip(specs, states)
-    ]
-    recs = tomography.qst_mle(np.stack(measured))
+    measured = np.concatenate([_measure(rho9[None], spec) for spec, (_, rho9) in zip(specs, states)])
+    recs = tomography.qst_mle(measured)
     results = []
     for spec, (traj, rho9), pops, rho9_rec in zip(specs, states, measured, recs):
         bundle = metrics.bundle_from_state(rho9_rec)

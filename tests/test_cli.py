@@ -404,6 +404,8 @@ def test_entangle_scenario_artifacts(default_run):
     rho = json.loads((run_dir / "rho_two_qutrit_direct.json").read_text())
     assert np.asarray(rho["re"]).shape == (9, 9)
     bundle = json.loads((run_dir / "metrics.json").read_text())
+    # metrics.json holds the fields of the bundle that summary.json does not
+    assert set(bundle) == {"hs_distance", "pauli_expectations", "gellmann_expectations"}
     assert len(bundle["pauli_expectations"]) == 15
     assert len(bundle["gellmann_expectations"]) == 80
     records = json.loads((run_dir / "tomography_records.json").read_text())
@@ -470,9 +472,12 @@ def test_transfer_scenario_artifacts(default_run):
 def test_qpt_scenario_artifacts(default_run):
     run_dir = default_run("qpt")
     summary = json.loads((run_dir / "summary.json").read_text())
+    assert set(summary) == {"process_fidelity", "avg_state_fidelity_from_fp"}
     assert 0.5 < summary["process_fidelity"] <= 1.0
     chi = json.loads((run_dir / "chi.json").read_text())
     assert np.asarray(chi["re"]).shape == (4, 4)
+    # the process fidelity against the identity is chi's II entry
+    assert chi["re"][0][0] == summary["process_fidelity"]
     _assert_lf_only(run_dir)
 
 
@@ -481,6 +486,8 @@ def test_budget_and_upgrade_scenarios(default_run):
     assert budget["fidelities"]["both_off"] > budget["fidelities"]["baseline"]
     summary = json.loads((default_run("upgrade") / "summary.json").read_text())
     assert summary["state_fidelity"] > 0.85
+    bundle = json.loads((default_run("upgrade") / "metrics.json").read_text())
+    assert set(bundle) == {"hs_distance", "pauli_expectations", "gellmann_expectations"}
 
 
 def test_time_offset_flag(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from photonlink import cli, device, dynamics, metrics, protocols, tomography
 from photonlink.protocols import ProtocolSpec
-from conftest import cut_short, populations, read_only
+from conftest import cut_short, populations, random_density, read_only
 from oracles import joint_shots
 
 
@@ -207,22 +207,76 @@ def test_qpt_exact_readout_chi_matches_direct_oracle(qpt_run):
     assert gap <= 5e-5
 
 
-def test_qpt_integrates_before_drawing_and_measures_in_input_order():
-    """The batched QPT draws the same shots as transferring and measuring
-    each input in turn with one generator."""
+def _spy_readout(monkeypatch):
+    """Record the Generator of every ``readout.count_table`` call and count
+    the ``readout.mitigate`` calls, both passed through."""
+    from photonlink import readout
+
+    calls = {"count_table": [], "mitigate": 0}
+    count_table, mitigate = readout.count_table, readout.mitigate
+
+    def spy_count_table(cals, probabilities, shots, seed):
+        calls["count_table"].append(seed)
+        return count_table(cals, probabilities, shots, seed)
+
+    def spy_mitigate(measured, r):
+        calls["mitigate"] += 1
+        return mitigate(measured, r)
+
+    monkeypatch.setattr(readout, "count_table", spy_count_table)
+    monkeypatch.setattr(readout, "mitigate", spy_mitigate)
+    return calls
+
+
+def test_qpt_integrates_before_drawing_and_measures_in_input_order(monkeypatch):
+    """The batched QPT draws the same shots as transferring each input in
+    turn and measuring the six outputs as one stack, in input order, with
+    one ``count_table`` and one ``mitigate`` call."""
     from photonlink import tomography as tomo
 
     spec = ProtocolSpec(dt=0.5, shots=2000, seed=3)
-    rng = np.random.default_rng(3)
     inputs = tomo.mub_qubit_states()
-    outputs = []
-    for psi in inputs:
-        qubit = np.array([psi[0], psi[1], 0.0], dtype=complex)
-        rho3 = protocols.run_transfer(spec, qubit).extras["final_qutrit_b"]
-        outputs.append(tomo.qst_mle(protocols._measure(rho3, spec, rng)[None])[0, :2, :2])
+    rho3s = [
+        protocols.run_transfer(spec, np.array([psi[0], psi[1], 0.0], dtype=complex)).extras["final_qutrit_b"]
+        for psi in inputs
+    ]
+    outputs = [tomo.qst_mle(pops[None])[0, :2, :2] for pops in protocols._measure(np.stack(rho3s), spec)]
     reference = tomo.qpt_linear_inversion(inputs, outputs)
+    calls = _spy_readout(monkeypatch)
     chi = protocols.run_state_transfer_qpt(spec).extras["chi"]
     assert np.abs(chi - reference).max() <= 1e-12
+    assert (len(calls["count_table"]), calls["mitigate"]) == (1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:mitigated populations")
+@pytest.mark.parametrize("d, k", [(3, 6), (9, 2)])
+def test_measure_draws_a_stack_as_per_state_tables_on_one_generator(monkeypatch, d, k):
+    """Shot-mode ``_measure`` of a k-state stack (the single set's six
+    process-tomography outputs, or two pair-set states) equals, bit for
+    bit, k per-state tables, each drawn by ``readout.count_table`` on one
+    ``default_rng(spec.seed)`` shared in stack order and mitigated on its
+    own; its one ``count_table`` call leaves its Generator where the k
+    tables leave theirs, and it mitigates once."""
+    from photonlink import readout
+    from photonlink import tomography as tomo
+
+    rng = np.random.default_rng(17)
+    states = np.stack([random_density(d, rng) for _ in range(k)])
+    spec = ProtocolSpec(shots=3000, seed=13)
+    calls = _spy_readout(monkeypatch)
+    pops = protocols._measure(states, spec)
+    monkeypatch.undo()
+    cals = [readout.default_calibration(node) for node in (("B",) if d == 3 else ("A", "B"))]
+    r = readout.kron(*[cal.analytic_assignment() for cal in cals])
+    shared = np.random.default_rng(spec.seed)
+    assert pops.shape == (k, 9 if d == 3 else 81, d)
+    for i, rho in enumerate(states):
+        p = np.clip(tomo.born_probabilities(rho), 0, None)
+        freqs = readout.count_table(cals, p, spec.shots, shared) / spec.shots
+        assert np.array_equal(pops[i], readout.mitigate(freqs.T, r).populations.T), i
+    [generator] = calls["count_table"]
+    assert generator.bit_generator.state == shared.bit_generator.state
+    assert calls["mitigate"] == 1
 
 
 def _assert_same_entanglement(batched, alone):
@@ -360,8 +414,8 @@ def test_measure_draws_states_within_the_integrator_bounds():
     spec = ProtocolSpec(dt=0.5, shots=2000, seed=5)
     rho3 = np.diag([0.6, 0.4 + 1e-7, -1e-7]).astype(complex) * (1 + 1e-6)
     for rho in (rho3, np.kron(rho3, rho3)):
-        pops = protocols._measure(rho, spec, np.random.default_rng(5))
-        exact = protocols._measure(rho, dataclasses.replace(spec, shots=None), None)
+        pops = protocols._measure(rho[None], spec)[0]
+        exact = protocols._measure(rho[None], dataclasses.replace(spec, shots=None))[0]
         assert np.abs(pops - exact).max() < 0.1, len(rho)
 
 
@@ -381,7 +435,7 @@ def test_measure_counts_equal_the_classified_joint_shots():
     bell[[1, 3]] = 1 / np.sqrt(2)  # (|ge> + |eg>) / sqrt 2
     rho9 = 0.85 * np.outer(bell, bell.conj()) + 0.15 * np.kron(rho3, rho3)
     for rho, nodes in ((rho3, ("B",)), (rho9, ("A", "B"))):
-        pops = protocols._measure(rho, spec, np.random.default_rng(11))
+        pops = protocols._measure(rho[None], spec)[0]
         cals = [readout.default_calibration(node) for node in nodes]
         rng = np.random.default_rng(11)
         freqs = []

@@ -10,12 +10,14 @@
 # tree and argv.  Each run imports `<tree>/src` on one BLAS thread and writes
 # into `out/` under its own working directory, so the two trees' runs differ
 # only where the programs do; the tree's path is replaced by `<tree>` in
-# stdout and stderr, where warnings name source files.  Exits 0 when nothing
-# differs, 1 when something does, 2 on bad usage.  A change that moves a
-# number on purpose differs from its parent here, so comparing against
-# another checkout is done by hand; given this checkout itself as BASE_TREE
-# (`tools/compare_runs.sh .`, a CI step) it checks that every argv gives the
-# same bytes in fresh processes.
+# stdout and stderr, where warnings name source files.  When something
+# differs, tools/numeric_diff.py then prints, for each differing file, the
+# largest change of any number in it and where, and what else differs.
+# Exits 0 when nothing differs, 1 when something does, 2 on bad usage.  A
+# change that moves a number on purpose differs from its parent here, so
+# comparing against another checkout is done by hand; given this checkout
+# itself as BASE_TREE (`tools/compare_runs.sh .`, a CI step) it checks that
+# every argv gives the same bytes in fresh processes.
 set -u
 
 if [ $# -lt 1 ] || [ $# -gt 2 ] || [ ! -d "$1/src/photonlink" ]; then
@@ -75,6 +77,7 @@ done
 if diff -r "$work/base" "$work/this"; then
     echo "no difference ($work)"
 else
+    python3 "$here/tools/numeric_diff.py" "$work/base" "$work/this"
     echo "differences found ($work)" >&2
     exit 1
 fi
