@@ -20,8 +20,9 @@ flags it reads; any other flag set on the command line exits 2, apart from
 accepts.  Exit codes: 0 success, 2 configuration error (a bad flag, spec or
 device, an output directory that cannot be made or written, refused before
 the scenario runs, or a drive the run cannot build: nothing written), 3
-numerical failure (trace drift or another ValueError raised during the run;
-only manifest.json and run.log are written, and run.log names the cause).
+numerical failure (trace drift, a final state with a negative eigenvalue, or
+another ValueError raised during the run; only manifest.json and run.log are
+written, and run.log names the cause).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ a ProtocolSpec and seed.
 A scenario is a list of link runs: every run's drives are built first (a
 drive that cannot be built raises ConfigError before anything integrates),
 then the runs are integrated by one ``integrate_me`` call, which batches
-them by time grid, then measured in order, and their tomography data are
-reconstructed as one MLE stack.  Batching is exact: every result equals the
-run on its own.
+them by time grid, their final states checked to be positive, then measured
+in order, and their tomography data are reconstructed as one MLE stack.
+Batching is exact: every result equals the run on its own.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ DEFAULT_IDLE_NS = 40.0
 # <= 1e-6, which 1 ns meets with a margin of about 200; |lambda| dt is 0.085
 # on the shipped device, inside RK4's stability bound of 2.785.
 DEFAULT_DT = 1.0
+# smallest eigenvalue a final link state may have.  A step just past RK4's
+# stability bound can keep every trace within integrate_me's check while a
+# traceless mode grows: at t_scale 3.2e-4 (|lambda| dt = 3.47 at dt 1) the
+# entangle state reaches -2.05e-3 and the qpt outputs -4.1e-3, where the
+# shipped runs stay above -7.4e-9
+MIN_EIGENVALUE = -1e-6
 
 # the emission field studies use a 10 ns longer window and no closing pulses;
 # their drive is sampled on all of it, so it runs to 105 ns (tapered over
@@ -234,9 +240,18 @@ def _integrate_links(problems):
     """Integrate link problems (:func:`_link_problem`) in one
     ``integrate_me`` call and give every trajectory its output field.
     Returns, per problem in order, one (Trajectory, final state) pair per
-    preparation."""
+    preparation.  Raises ValueError, naming the run (its place in
+    ``problems``), the input and the eigenvalue, if a final state has an
+    eigenvalue below MIN_EIGENVALUE."""
     runs = integrate_me(problems)
-    for pairs in runs:
+    for run, pairs in enumerate(runs):
+        lowest = np.linalg.eigvalsh(np.stack([rho for _, rho in pairs]))[:, 0]
+        for i, value in enumerate(lowest.tolist()):
+            if value < MIN_EIGENVALUE:
+                raise ValueError(
+                    f"run {run}: final state of input {i} has eigenvalue {value:.3g} "
+                    f"(below {MIN_EIGENVALUE:g}); reduce dt"
+                )
         for traj, _ in pairs:
             output_observables(traj)
     return runs

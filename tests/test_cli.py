@@ -521,6 +521,15 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert "numerical failure: reference emission flux vanishes" in log
 
 
+def test_a_negative_final_state_exits_3(tmp_path):
+    # a step past RK4's stability bound that keeps every trace within 1e-6
+    code, out = run_cli(tmp_path, "--scenario", "entangle", "--t-scale", "3.2e-4")
+    assert code == 3
+    log = (out / "entangle" / "run.log").read_text()
+    assert "numerical failure: run 0: final state of input 0 has eigenvalue -0.00205" in log
+    assert sorted(p.name for p in (out / "entangle").iterdir()) == ["manifest.json", "run.log"]
+
+
 def test_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch, default_run):
     # the earlier run is a copy of the session's default entangle run
     shutil.copytree(default_run("entangle"), tmp_path / "out" / "entangle")

@@ -356,6 +356,22 @@ def test_trace_drift_names_the_run_by_its_place_in_the_list():
     assert caught.value.run == 2
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (protocols.run_entanglement, "run 0: final state of input 0 has eigenvalue -0.00205"),
+        (protocols.run_state_transfer_qpt, "run 0: final state of input 1 has eigenvalue -0.00411"),
+    ],
+    ids=["entangle", "qpt"],
+)
+def test_a_step_past_the_stability_bound_leaves_a_negative_final_state(run, message):
+    """At t_scale 3.2e-4 (|lambda| dt = 3.47 at dt 1, past RK4's 2.785) every
+    trace stays within integrate_me's 1e-6, but a traceless mode grows until
+    a final state has a negative eigenvalue."""
+    with pytest.raises(ValueError, match=f"^{message} \\(below -1e-06\\); reduce dt$"):
+        run(ProtocolSpec(t_scale=3.2e-4))
+
+
 def test_qpt_reconstructs_its_outputs_as_one_stack(monkeypatch):
     """The six QPT outputs go through one MLE call, and the chi matrix is
     bit-identical to reconstructing each measured output on its own."""
